@@ -104,7 +104,26 @@ class PipelineConfig:
         return int.from_bytes(digest, "little") >> 1
 
 
-_FIELD_TYPES = {f.name: f for f in fields(PipelineConfig)}
+_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
+_TYPE_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "bool": lambda v: isinstance(v, bool),
+}
+
+
+def _check_type(key: str, value, annotation: str):
+    if annotation.endswith(" | None"):
+        if value is None:
+            return
+        annotation = annotation[:-len(" | None")]
+    if annotation == "tuple[int, ...]":
+        ok = isinstance(value, (list, tuple)) and all(map(_TYPE_CHECKS["int"], value))
+    else:
+        ok = _TYPE_CHECKS[annotation](value)
+    if not ok:
+        raise ConfigError(f"{key} must be {annotation}, got {value!r}")
 
 
 def make_config(file_path=None, overrides: dict | None = None) -> PipelineConfig:
@@ -112,12 +131,20 @@ def make_config(file_path=None, overrides: dict | None = None) -> PipelineConfig
     values: dict = {}
     if file_path:
         with open(file_path, "r", encoding="utf-8") as fh:
-            values.update(json.load(fh))
+            try:
+                loaded = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{file_path}: invalid JSON: {exc}") from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"{file_path}: expected a JSON object")
+        values.update(loaded)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     unknown = set(values) - set(_FIELD_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in values.items():
+        _check_type(key, value, _FIELD_TYPES[key])
     for key in ("precision_ks", "ndcg_ks"):
         if key in values:
             values[key] = tuple(values[key])

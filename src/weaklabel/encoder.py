@@ -157,8 +157,11 @@ def bi_embed(model: ScorerModel, text: str) -> np.ndarray:
 
 
 def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """psi(u, v) = [u * v ; |u - v|], symmetric in its arguments."""
-    return np.concatenate([u * v, np.abs(u - v)])
+    """psi(u, v) = [u * v ; |u - v|], symmetric in its arguments.
+
+    Row-wise for stacks of embeddings: the halves join on the last axis.
+    """
+    return np.concatenate([u * v, np.abs(u - v)], axis=-1)
 
 
 def cross_score_pair(model: ScorerModel, u: np.ndarray, v: np.ndarray) -> float:
@@ -178,65 +181,67 @@ def contrastive_loss(s_pos: float, s_neg: float) -> float:
     return float(np.logaddexp(0.0, s_neg - s_pos))
 
 
-def _normalize_backprop(grad_u, u, norm):
-    if norm == 0.0:
-        return np.zeros_like(grad_u)
-    return (grad_u - float(grad_u @ u) * u) / norm
+def _feature_block(feats, out: np.ndarray) -> np.ndarray:
+    """Write sparse feature vectors as the dense rows of ``out``."""
+    out.fill(0.0)
+    for row, sv in zip(out, feats):
+        row[sv.indices] = sv.values
+    return out
 
 
-def _tuple_loss_grad(model: ScorerModel, f_a: SparseVec, f_p: SparseVec,
-                     f_n: SparseVec, grad_proj: np.ndarray, grad_w: np.ndarray) -> float:
-    """Accumulate the analytic gradient of one tuple's loss; returns the loss."""
+def _batch_loss_grad(model: ScorerModel, x: np.ndarray, grad_proj: np.ndarray,
+                     grad_w: np.ndarray) -> float:
+    """Mean loss of a batch of B tuples and its analytic gradient.
+
+    ``x`` stacks the tuples' feature vectors as rows: the B anchors, then
+    the B positives, then the B negatives. The mean gradients w.r.t.
+    ``proj`` and ``w`` are written into ``grad_proj`` and ``grad_w``.
+    """
     e = model.embed_dim
+    b = x.shape[0] // 3
     w1, w2 = model.w[:e], model.w[e:]
 
-    embs = []
-    for sv in (f_a, f_p, f_n):
-        r = kernels.project_rows(model.proj, sv.indices, sv.values)
-        norm = math.sqrt(float(r @ r))
-        u = r / norm if norm > 0.0 else np.zeros(e)
-        embs.append((u, norm))
-    u_a, u_p, u_n = (u for u, _ in embs)
+    r = x @ model.proj
+    norm = np.sqrt(np.einsum("ij,ij->i", r, r))[:, None]
+    live = norm != 0.0  # empty texts embed to the zero vector
+    u = np.divide(r, norm, out=np.zeros_like(r), where=live)
+    u_a, u_p, u_n = u.reshape(3, b, e)
 
     psi_pos = pair_features(u_a, u_p)
     psi_neg = pair_features(u_a, u_n)
-    s_pos = float(model.w @ psi_pos)
-    s_neg = float(model.w @ psi_neg)
-    loss = contrastive_loss(s_pos, s_neg)
+    delta = psi_neg @ model.w - psi_pos @ model.w
+    loss = float(np.logaddexp(0.0, delta).mean())
 
-    # d loss / d s_pos = -g, d loss / d s_neg = +g
-    delta = s_neg - s_pos
-    if delta >= 0.0:
-        g = 1.0 / (1.0 + math.exp(-delta))
-    else:
-        ez = math.exp(delta)
-        g = ez / (1.0 + ez)
+    # d loss / d s_pos = -g, d loss / d s_neg = +g, with g = sigmoid(delta)
+    ez = np.exp(-np.abs(delta))
+    g = np.where(delta >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    np.matmul(g, psi_neg - psi_pos, out=grad_w)
+    grad_w /= b
 
-    grad_w += g * (psi_neg - psi_pos)
-
+    g = g[:, None]
     sgn_p = np.sign(u_a - u_p)
     sgn_n = np.sign(u_a - u_n)
-    grad_ua = g * ((w1 * u_n + w2 * sgn_n) - (w1 * u_p + w2 * sgn_p))
-    grad_up = -g * (w1 * u_a - w2 * sgn_p)
-    grad_un = g * (w1 * u_a - w2 * sgn_n)
-
-    for sv, grad_u, (u, norm) in ((f_a, grad_ua, embs[0]),
-                                  (f_p, grad_up, embs[1]),
-                                  (f_n, grad_un, embs[2])):
-        grad_r = _normalize_backprop(grad_u, u, norm)
-        kernels.scatter_add_outer(grad_proj, sv.indices, sv.values, grad_r)
+    grad_u = np.concatenate([
+        g * ((w1 * u_n + w2 * sgn_n) - (w1 * u_p + w2 * sgn_p)),
+        -g * (w1 * u_a - w2 * sgn_p),
+        g * (w1 * u_a - w2 * sgn_n),
+    ])
+    # backprop through u = r / |r|, then average over the batch
+    radial = np.einsum("ij,ij->i", grad_u, u)[:, None] * u
+    grad_r = np.divide(grad_u - radial, norm, out=np.zeros_like(r), where=live)
+    grad_r /= b
+    np.matmul(x.T, grad_r, out=grad_proj)
     return loss
 
 
 def loss_gradient(model: ScorerModel, anchor_text: str, pos_text: str,
                   neg_text: str) -> tuple[np.ndarray, np.ndarray, float]:
     """Analytic gradient of the tuple loss w.r.t. (proj, w)."""
-    feat = model.featurizer
-    grad_proj = np.zeros_like(model.proj)
-    grad_w = np.zeros_like(model.w)
-    loss = _tuple_loss_grad(model, feat.featurize(anchor_text),
-                            feat.featurize(pos_text), feat.featurize(neg_text),
-                            grad_proj, grad_w)
+    feats = [model.featurizer.featurize(t) for t in (anchor_text, pos_text, neg_text)]
+    x = _feature_block(feats, np.empty((3, model.hash_dim)))
+    grad_proj = np.empty_like(model.proj)
+    grad_w = np.empty_like(model.w)
+    loss = _batch_loss_grad(model, x, grad_proj, grad_w)
     return grad_proj, grad_w, loss
 
 
@@ -303,8 +308,10 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
     v_proj = np.zeros_like(model.proj)
     m_w = np.zeros_like(model.w)
     v_w = np.zeros_like(model.w)
-    grad_proj = np.zeros_like(model.proj)
-    grad_w = np.zeros_like(model.w)
+    grad_proj = np.empty_like(model.proj)
+    grad_w = np.empty_like(model.w)
+    adamw_scratch = (np.empty_like(model.proj), np.empty_like(model.proj))
+    x = np.empty((3 * min(config.batch_size, n), model.hash_dim))
 
     losses = np.empty(total, dtype=np.float64)
     order = rng.permutation(n)
@@ -313,31 +320,23 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
         if cursor + config.batch_size > n:
             order = rng.permutation(n)
             cursor = 0
-        batch = order[cursor:cursor + config.batch_size]
+        batch = [tuples[i] for i in order[cursor:cursor + config.batch_size]]
         cursor += config.batch_size
 
-        grad_proj[:] = 0.0
-        grad_w[:] = 0.0
-        batch_loss = 0.0
-        for i in batch:
-            tup = tuples[i]
-            batch_loss += _tuple_loss_grad(model, features(tup.anchor),
-                                           features(tup.positive),
-                                           features(tup.negative),
-                                           grad_proj, grad_w)
-        k = float(len(batch))
-        batch_loss /= k
+        feats = ([features(tup.anchor) for tup in batch]
+                 + [features(tup.positive) for tup in batch]
+                 + [features(tup.negative) for tup in batch])
+        batch_loss = _batch_loss_grad(model, _feature_block(feats, x), grad_proj, grad_w)
         if not math.isfinite(batch_loss):
             raise TrainingDiverged(f"non-finite loss at step {t}")
         losses[t - 1] = batch_loss
-        grad_proj /= k
-        grad_w /= k
 
         sched = _schedule(t, config.warmup_steps, total)
         lr_t = sched * config.learning_rate
         wd_t = sched * config.weight_decay
         kernels.adamw_step(model.proj, grad_proj, m_proj, v_proj, t,
-                           lr_t, config.beta1, config.beta2, config.epsilon, wd_t)
+                           lr_t, config.beta1, config.beta2, config.epsilon, wd_t,
+                           adamw_scratch)
         kernels.adamw_step(model.w, grad_w, m_w, v_w, t,
                            lr_t, config.beta1, config.beta2, config.epsilon, wd_t)
         if t % 100 == 0 and not (np.isfinite(model.w).all() and np.isfinite(model.proj).all()):
@@ -397,6 +396,8 @@ def load_embedding_overrides(path, embed_dim: int | None = None) -> dict[str, np
             if embed_dim is not None and vec.shape[0] != embed_dim:
                 raise ValueError(
                     f"{path}: line {lineno}: embedding dim {vec.shape[0]} != {embed_dim}")
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite embedding value")
             norm = np.linalg.norm(vec)
             out[key] = vec / norm if norm > 0 else vec
     return out

@@ -57,19 +57,30 @@ def scatter_add_outer_np(out, idx, val, g):
         np.add.at(out, idx, val[:, None] * g[None, :])
 
 
-def adamw_step_np(param, grad, m, v, t, lr, beta1, beta2, eps, wd):
+def adamw_step_np(param, grad, m, v, t, lr, beta1, beta2, eps, wd, scratch=None):
     """One decoupled-weight-decay Adam update, in place.
 
     ``lr`` and ``wd`` arrive already multiplied by the schedule factor.
+    ``scratch`` is an optional pair of arrays shaped like ``param`` that
+    holds the temporaries; without it they are allocated per call.
     """
+    a, b = scratch if scratch is not None else (np.empty_like(param), np.empty_like(param))
     m *= beta1
-    m += (1.0 - beta1) * grad
+    np.multiply(grad, 1.0 - beta1, out=a)
+    m += a
     v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    param -= lr * mhat / (np.sqrt(vhat) + eps)
-    param -= wd * param
+    np.multiply(grad, 1.0 - beta2, out=a)
+    a *= grad
+    v += a
+    np.divide(m, 1.0 - beta1 ** t, out=a)  # mhat
+    a *= lr
+    np.divide(v, 1.0 - beta2 ** t, out=b)  # vhat
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    param -= a
+    np.multiply(param, wd, out=a)
+    param -= a
 
 
 def csr_matvec_np(data, indices, indptr, w, b):
@@ -128,7 +139,8 @@ if HAS_NUMBA:
                 out[row, j] += x * g[j]
 
     @njit(cache=True, nogil=True)
-    def adamw_step_nb(param, grad, m, v, t, lr, beta1, beta2, eps, wd):
+    def adamw_step_nb(param, grad, m, v, t, lr, beta1, beta2, eps, wd, scratch=None):
+        # scratch is accepted for signature parity with the numpy kernel; unused
         c1 = 1.0 - beta1 ** t
         c2 = 1.0 - beta2 ** t
         p = param.ravel()

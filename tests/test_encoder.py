@@ -209,6 +209,24 @@ class TestLossGradient:
         assert not grad_w.any()
         assert loss == pytest.approx(math.log(2), abs=1e-15)
 
+    def test_batch_equals_mean_of_single_tuples(self):
+        rng = np.random.default_rng(12)
+        model = self._random_model(12)
+        texts = [[rand_text(rng, 10) for _ in range(3)] for _ in range(4)]
+        texts[2][1] = ""  # a zero-norm row in the same block as nonzero rows
+        singles = [loss_gradient(model, *tup) for tup in texts]
+
+        feats = [model.featurizer.featurize(tup[arm]) for arm in range(3) for tup in texts]
+        x = encoder._feature_block(feats, np.empty((12, 64)))
+        grad_proj, grad_w = np.empty_like(model.proj), np.empty_like(model.w)
+        loss = encoder._batch_loss_grad(model, x, grad_proj, grad_w)
+
+        np.testing.assert_allclose(grad_proj, np.mean([s[0] for s in singles], axis=0),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(grad_w, np.mean([s[1] for s in singles], axis=0),
+                                   rtol=1e-12)
+        assert loss == pytest.approx(np.mean([s[2] for s in singles]), rel=1e-12)
+
 
 def tiny_corpus(tmp_path, n=24, seed=0):
     """Two topical groups; group membership decides citation links."""
@@ -342,6 +360,15 @@ class TestEmbeddingOverrides:
         tsv.write_text("L1\t1 2 3\n")
         with pytest.raises(ValueError, match="dim"):
             load_embedding_overrides(tsv, embed_dim=4)
+
+    @pytest.mark.parametrize("line", ["L1\t1 nan 0 0\n", "L1\t1 inf 0 0\n",
+                                      '{"id": "L1", "embedding": [1, NaN, 0, 0]}\n',
+                                      '{"id": "L1", "embedding": [1, -Infinity, 0, 0]}\n'])
+    def test_nonfinite_rejected(self, tmp_path, line):
+        path = tmp_path / "emb.txt"
+        path.write_text("L0\t1 0 0 0\n" + line)
+        with pytest.raises(ValueError, match=r"emb\.txt: line 2: non-finite"):
+            load_embedding_overrides(path, embed_dim=4)
 
     def test_malformed_tsv_rejected(self, tmp_path):
         tsv = tmp_path / "emb.tsv"

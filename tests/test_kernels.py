@@ -150,3 +150,37 @@ class TestLogisticTraining:
                                     np.empty(0), w, 0.25, 10, 1.0, 0.0)
         assert b == 0.25
         np.testing.assert_array_equal(w, np.ones(3))
+
+
+def adamw_allocating_reference(param, grad, m, v, t, lr, beta1, beta2, eps, wd):
+    # the update written with one temporary per operation
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    mhat = m / (1.0 - beta1 ** t)
+    vhat = v / (1.0 - beta2 ** t)
+    param -= lr * mhat / (np.sqrt(vhat) + eps)
+    param -= wd * param
+
+
+@pytest.mark.parametrize("with_scratch", [False, True])
+def test_adamw_in_place_bitwise_equals_allocating_reference(with_scratch):
+    rng = np.random.default_rng(8)
+    shape = (2048, 256)
+    p = rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[0])
+    m, v = np.zeros(shape), np.zeros(shape)
+    p_ref, m_ref, v_ref = p.copy(), m.copy(), v.copy()
+    scratch = (np.empty(shape), np.empty(shape)) if with_scratch else None
+    for t in range(1, 21):
+        g = rng.normal(size=shape) * 1e-3
+        lr = wd = 1e-2 * t / 20  # a warmup-like schedule factor
+        args = (t, lr, 0.9, 0.999, 1e-8, wd)
+        if with_scratch:
+            kernels.adamw_step_np(p, g, m, v, *args, scratch)
+        else:
+            kernels.adamw_step_np(p, g, m, v, *args)
+        adamw_allocating_reference(p_ref, g, m_ref, v_ref, *args)
+    np.testing.assert_array_equal(p, p_ref)
+    np.testing.assert_array_equal(m, m_ref)
+    np.testing.assert_array_equal(v, v_ref)

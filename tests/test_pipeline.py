@@ -267,6 +267,23 @@ class TestCli:
         assert proc.returncode == 2
         assert "config error" in proc.stderr
 
+    @pytest.mark.parametrize("text, names", [
+        ('{"batch_size": 8,', "config.json: invalid JSON"),
+        ('{"batch_size": "8"}', "batch_size must be int"),
+    ])
+    def test_bad_config_file_exits_2(self, tmp_path, text, names):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "weaklabel.cli", "ingest",
+             "--corpus", "x.jsonl", "--labels", "y.jsonl",
+             "--config", str(config_file)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "config error" in proc.stderr
+        assert names in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_missing_artifact_names_stage(self, data_dir, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "weaklabel.cli", "score",
@@ -288,6 +305,27 @@ class TestConfig:
             make_config(None, {"n_trees": 0})
         with pytest.raises(ConfigError):
             make_config(None, {"meta_path": "P<-"})
+
+    @pytest.mark.parametrize("values", [
+        {"batch_size": "8"}, {"batch_size": True}, {"train_steps": 2.5},
+        {"learning_rate": "0.1"}, {"use_hierarchy": "no"}, {"output_dir": 3},
+        {"precision_ks": [1, "5"]},
+    ])
+    def test_wrong_types_rejected(self, values):
+        (key,) = values
+        with pytest.raises(ConfigError, match=key):
+            make_config(None, values)
+
+    def test_compatible_types_accepted(self):
+        cfg = make_config(None, {"learning_rate": 1, "train_steps": None,
+                                 "precision_ks": [1, 2]})
+        assert cfg.learning_rate == 1 and cfg.precision_ks == (1, 2)
+
+    def test_non_object_file_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError, match="cfg.json: expected a JSON object"):
+            make_config(path)
 
     def test_file_plus_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
