@@ -165,10 +165,18 @@ def stage_self_train(cfg: PipelineConfig) -> selftrain.LabelTreeClassifier:
         epochs=cfg.classifier_epochs, learning_rate=cfg.classifier_lr,
         l2=cfg.classifier_l2, seed=cfg.stage_seed("self-train"))
     clf = selftrain.train_classifier(X, [p.id for p in corpus], pseudo,
-                                     [l.id for l in labels], clf_cfg,
-                                     threads=cfg.threads)
+                                     [l.id for l in labels], clf_cfg)
     selftrain.save_classifier(clf, _path(cfg, "classifier"))
     return clf
+
+
+def _check_label_set(clf: selftrain.LabelTreeClassifier, label_ids: list[str]):
+    only_file = sorted(set(label_ids) - set(clf.label_ids))
+    only_clf = sorted(set(clf.label_ids) - set(label_ids))
+    if only_file or only_clf:
+        raise ValueError(f"classifier was fitted on a different label set (only in the "
+                         f"label file: {only_file[:5]}, only in the classifier: "
+                         f"{only_clf[:5]}); rerun self-train")
 
 
 def stage_predict(cfg: PipelineConfig) -> dict[str, list[str]]:
@@ -180,25 +188,20 @@ def stage_predict(cfg: PipelineConfig) -> dict[str, list[str]]:
     top_scores: dict[str, list[float]] = {}
     if cfg.use_selftrain:
         clf = selftrain.load_classifier(_path(cfg, "classifier"))
+        _check_label_set(clf, label_ids)
         vocab = build_vocabulary(corpus, cfg.min_df)
-
-        def predict_paper(paper):
-            probs = selftrain.predict_proba(clf, selftrain.tfidf_vector(paper, vocab))
+        X = selftrain.build_tfidf_matrix(corpus, vocab)
+        probs, reached = selftrain.predict_matrix(clf, X, cfg.beam_width)
+        clf_ids = np.array(clf.label_ids, dtype=object)
+        for i, paper in enumerate(corpus):
+            hit = reached[i]
+            paper_probs = dict(zip(clf_ids[hit], probs[i, hit].tolist()))
             rows = scored.get(paper.id, [])
-            ranking = selftrain.final_ranking(rows, probs, label_ids, cfg.pseudo_top_n)
+            ranking = selftrain.final_ranking(rows, paper_probs, label_ids, cfg.pseudo_top_n)
             pinned = min(cfg.pseudo_top_n, len(rows))
-            scores = [rows[i].mrr if i < pinned else probs.get(lid, 0.0)
-                      for i, lid in enumerate(ranking[:cfg.top_k])]
-            return ranking, scores
-
-        if cfg.threads > 1:
-            with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-                results = list(pool.map(predict_paper, corpus))
-        else:
-            results = [predict_paper(p) for p in corpus]
-        for paper, (ranking, scores) in zip(corpus, results):
             rankings[paper.id] = ranking
-            top_scores[paper.id] = scores
+            top_scores[paper.id] = [rows[j].mrr if j < pinned else paper_probs.get(lid, 0.0)
+                                    for j, lid in enumerate(ranking[:cfg.top_k])]
     else:
         for paper in corpus:
             rows = scored.get(paper.id, [])

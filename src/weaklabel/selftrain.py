@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .corpus import Paper, Vocabulary
 from .encoder import SparseVec
 from .ranker import CandidateScore
 
 CLASSIFIER_VERSION = 1
+BLOCK_ROWS = 128  # rows per dense block in the fitting and prediction products
 
 
 # ---------------------------------------------------------------------------
@@ -78,19 +77,6 @@ def build_tfidf_matrix(corpus: list[Paper], vocab: Vocabulary) -> CsrMatrix:
     )
 
 
-def _take_rows(X: CsrMatrix, rows: np.ndarray) -> CsrMatrix:
-    lengths = X.indptr[rows + 1] - X.indptr[rows]
-    indptr = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=indptr[1:])
-    data = np.empty(int(indptr[-1]))
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for k, r in enumerate(rows):
-        lo, hi = X.indptr[r], X.indptr[r + 1]
-        data[indptr[k]:indptr[k + 1]] = X.data[lo:hi]
-        indices[indptr[k]:indptr[k + 1]] = X.indices[lo:hi]
-    return CsrMatrix(data, indices, indptr, rows.size, X.n_cols)
-
-
 def _normalize_rows(X: CsrMatrix) -> CsrMatrix:
     data = X.data.copy()
     for i in range(X.n_rows):
@@ -99,6 +85,42 @@ def _normalize_rows(X: CsrMatrix) -> CsrMatrix:
         if norm > 0.0:
             data[lo:hi] /= norm
     return CsrMatrix(data, X.indices, X.indptr, X.n_rows, X.n_cols)
+
+
+def _row_blocks(X: CsrMatrix, rows: np.ndarray):
+    """Cut ``rows`` of X into runs of at most BLOCK_ROWS rows.
+
+    Yields (start, count, flat, values): writing ``values`` at ``flat``
+    into a zeroed, raveled (count, n_cols) buffer gives rows
+    ``rows[start:start + count]`` densely. Each row must hold a column at
+    most once, as build_tfidf_matrix makes them.
+    """
+    for start in range(0, rows.size, BLOCK_ROWS):
+        block = rows[start:start + BLOCK_ROWS]
+        lo = X.indptr[block]
+        lengths = X.indptr[block + 1] - lo
+        ends = np.cumsum(lengths)
+        take = np.arange(int(ends[-1])) + np.repeat(lo - (ends - lengths), lengths)
+        local = np.repeat(np.arange(block.size), lengths)
+        yield start, block.size, local * X.n_cols + X.indices[take], X.data[take]
+
+
+def _dense_blocks(blocks, buf: np.ndarray):
+    """Yield (start, dense rows) for each of ``blocks``, reusing ``buf``.
+
+    A yielded view is valid until the next one is requested; ``buf`` is
+    left zeroed.
+    """
+    flat = buf.reshape(-1)
+    for start, count, pos, values in blocks:
+        flat[pos] = values
+        yield start, buf[:count]
+        flat[pos] = 0.0
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(z))  # never overflows
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +253,39 @@ class ClassifierConfig:
     seed: int = 0
 
 
-def _fit_logistic(X: CsrMatrix, y: np.ndarray, cfg: ClassifierConfig):
-    w = np.zeros(X.n_cols, dtype=np.float64)
-    b = kernels.logistic_epochs(X.data, X.indices, X.indptr, y, w, 0.0,
-                                cfg.epochs, cfg.learning_rate, cfg.l2)
-    return w, float(b)
+def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray,
+                  cfg: ClassifierConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Multi-output L2 logistic regression on ``rows`` of X, from zero.
+
+    Column j of ``Y`` (rows x k) gets the full-batch gradient descent of
+    kernels.logistic_epochs on its own; the k outputs share one pass over
+    the rows per epoch, made of dense row-block products. Returns the
+    weights (k x n_cols) and biases (k,).
+    """
+    n, k = Y.shape
+    W = np.zeros((k, X.n_cols))
+    b = np.zeros(k)
+    if n == 0:
+        return W, b
+    blocks = list(_row_blocks(X, rows))
+    buf = np.zeros((min(n, BLOCK_ROWS), X.n_cols))
+    D = np.empty((n, k))
+    G = np.empty_like(W)
+    part = np.empty_like(W)
+    for _ in range(cfg.epochs):
+        G.fill(0.0)
+        for start, dense in _dense_blocks(blocks, buf):
+            stop = start + dense.shape[0]
+            z = dense @ W.T
+            z += b
+            d = D[start:stop]
+            np.subtract(_sigmoid(z), Y[start:stop], out=d)
+            d /= n
+            np.matmul(d.T, dense, out=part)
+            G += part
+        W -= cfg.learning_rate * (G + cfg.l2 * W)
+        b -= cfg.learning_rate * D.sum(axis=0)
+    return W, b
 
 
 def train_tree(tree: TreeNode, X: CsrMatrix, label_sets: list[frozenset[str]],
@@ -245,31 +295,37 @@ def train_tree(tree: TreeNode, X: CsrMatrix, label_sets: list[frozenset[str]],
     ``label_sets[i]`` holds row i's pseudo labels. Documents descend
     toward every child whose subtree contains one of their labels; leaf
     classifiers are one-vs-all among the documents that reach the leaf.
+    Each node fits all its classifiers as one multi-output regression.
     """
     if X.n_rows == 0:
         raise ValueError("no training documents")
-
-    def fit(node: TreeNode, rows: np.ndarray):
-        sub = _take_rows(X, rows)
-        if node.is_leaf:
-            node.leaf_weights = np.zeros((len(node.label_ids), X.n_cols))
-            node.leaf_bias = np.zeros(len(node.label_ids))
-            for j, lid in enumerate(node.label_ids):
-                y = np.array([1.0 if lid in label_sets[r] else 0.0 for r in rows])
-                node.leaf_weights[j], node.leaf_bias[j] = _fit_logistic(sub, y, cfg)
-            return
-        node.child_weights = np.zeros((len(node.children), X.n_cols))
-        node.child_bias = np.zeros(len(node.children))
-        for j, child in enumerate(node.children):
-            member = child.label_set()
-            y = np.array([1.0 if label_sets[r] & member else 0.0 for r in rows])
-            node.child_weights[j], node.child_bias[j] = _fit_logistic(sub, y, cfg)
-            fit(child, rows[y == 1.0])
-
-    all_rows = np.array([i for i in range(X.n_rows) if label_sets[i]], dtype=np.int64)
+    all_rows = np.flatnonzero([bool(s) for s in label_sets])
     if all_rows.size == 0:
         raise ValueError("no training documents carry pseudo labels")
-    fit(tree, all_rows)
+
+    # membership columns follow the leaves in preorder, so the labels of
+    # every subtree are one contiguous column range
+    column = {lid: j for j, lid in enumerate(
+        lid for leaf in tree.leaves() for lid in leaf.label_ids)}
+    member = np.zeros((X.n_rows, len(column)), dtype=bool)
+    pairs = [(i, column[lid]) for i, labels in enumerate(label_sets)
+             for lid in labels if lid in column]
+    if pairs:
+        member[tuple(np.array(pairs).T)] = True
+
+    def fit(node: TreeNode, rows: np.ndarray, lo: int):
+        if node.is_leaf:
+            Y = member[rows, lo:lo + len(node.label_ids)].astype(np.float64)
+            node.leaf_weights, node.leaf_bias = _fit_logistic(X, rows, Y, cfg)
+            return
+        bounds = np.cumsum([lo] + [len(c.label_set()) for c in node.children])
+        Y = np.column_stack([member[rows, a:z].any(axis=1)
+                             for a, z in zip(bounds[:-1], bounds[1:])])
+        node.child_weights, node.child_bias = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
+        for j, child in enumerate(node.children):
+            fit(child, rows[Y[:, j]], int(bounds[j]))
+
+    fit(tree, all_rows, 0)
     return tree
 
 
@@ -283,7 +339,7 @@ class LabelTreeClassifier:
 
 def train_classifier(X: CsrMatrix, paper_ids: list[str],
                      pseudo: dict[str, tuple[str, ...]], label_ids: list[str],
-                     cfg: ClassifierConfig, threads: int = 1) -> LabelTreeClassifier:
+                     cfg: ClassifierConfig) -> LabelTreeClassifier:
     """Build and fit the tree ensemble from pseudo-labeled documents.
 
     Tree topologies differ only by clustering seed. Label features for
@@ -307,63 +363,119 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
             feats[j] = acc / len(rows)
 
     Xn = _normalize_rows(X)
-
-    def one_tree(t: int) -> TreeNode:
-        tree = build_label_tree(feats, label_ids, cfg.max_leaf, seed=cfg.seed + t)
-        return train_tree(tree, Xn, label_sets, cfg)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trees = list(pool.map(one_tree, range(cfg.n_trees)))
-    else:
-        trees = [one_tree(t) for t in range(cfg.n_trees)]
+    trees = [train_tree(build_label_tree(feats, label_ids, cfg.max_leaf, seed=cfg.seed + t),
+                        Xn, label_sets, cfg)
+             for t in range(cfg.n_trees)]
     return LabelTreeClassifier(label_ids=tuple(label_ids), trees=trees,
                                beam_width=cfg.beam_width, n_features=X.n_cols)
 
 
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+@dataclass
+class _Level:
+    """One depth of a tree's beam search, nodes ordered by index."""
+    parent: np.ndarray  # each node's parent column in the level above
+    row: np.ndarray  # each node's routing classifier row
+    leaf_col: np.ndarray  # per leaf label: its leaf's column in this level
+    leaf_row: np.ndarray  # per leaf label: its one-vs-all classifier row
+    label_col: np.ndarray  # per leaf label: its position in label_ids
 
 
-def _dot(sv: SparseVec, w: np.ndarray, b: float) -> float:
-    if sv.nnz == 0:
-        return b
-    return float(w[sv.indices] @ sv.values) + b
+def _search_plan(tree: TreeNode, label_pos: dict[str, int]):
+    """Number a tree's classifier rows in preorder and lay out its levels.
+
+    Returns (classifiers, n_rows, levels): one (first row, weights,
+    biases) per node, the total row count, and one _Level per depth.
+    """
+    first, classifiers = {}, []
+    n_rows = 0
+    for node in _preorder(tree):
+        first[id(node)] = n_rows
+        if node.is_leaf:
+            classifiers.append((n_rows, node.leaf_weights, node.leaf_bias))
+        else:
+            classifiers.append((n_rows, node.child_weights, node.child_bias))
+        n_rows += len(classifiers[-1][2])
+
+    levels = []
+    level = [(tree, 0, -1)]  # (node, parent column, routing classifier row)
+    while level:
+        level.sort(key=lambda item: item[0].index)
+        nxt, leaf_col, leaf_row, label_col = [], [], [], []
+        for c, (node, _, _) in enumerate(level):
+            if node.is_leaf:
+                for j, lid in enumerate(node.label_ids):
+                    leaf_col.append(c)
+                    leaf_row.append(first[id(node)] + j)
+                    label_col.append(label_pos[lid])
+            else:
+                nxt.extend((child, c, first[id(node)] + j)
+                           for j, child in enumerate(node.children))
+        levels.append(_Level(*(np.array(v, dtype=np.int64) for v in (
+            [p for _, p, _ in level], [r for _, _, r in level],
+            leaf_col, leaf_row, label_col))))
+        level = nxt
+    return classifiers, n_rows, levels
+
+
+def predict_matrix(clf: LabelTreeClassifier, X: CsrMatrix,
+                   beam_width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Beam-search label probabilities for every row of a tf-idf matrix.
+
+    Rows are L2-normalized to match training scaling. Per tree and dense
+    row block, one product per node gives the logits of all its
+    classifiers (stacking a tree's weights into one matrix would copy
+    them). The search then walks the tree level by level for all rows at
+    once, keeping per row the top ``beam_width`` nodes by path probability
+    (ties to the lower node index). Returns (probabilities, reached), both
+    rows x labels in ``clf.label_ids`` order. Probabilities are averaged
+    over the trees; a label whose leaf a row reaches in no tree is
+    unreached and gets 0.
+    """
+    if X.n_cols != clf.n_features:
+        raise ValueError(f"classifier was fitted on {clf.n_features} tf-idf features but "
+                         f"the corpus vocabulary has {X.n_cols}; rerun self-train")
+    beam = clf.beam_width if beam_width is None else beam_width
+    Xn = _normalize_rows(X)
+    label_pos = {lid: j for j, lid in enumerate(clf.label_ids)}
+    probs = np.zeros((X.n_rows, len(clf.label_ids)))
+    reached = np.zeros(probs.shape, dtype=bool)
+    buf = np.zeros((min(X.n_rows, BLOCK_ROWS), X.n_cols))
+    for tree in clf.trees:
+        classifiers, n_clf, levels = _search_plan(tree, label_pos)
+        for start, dense in _dense_blocks(_row_blocks(Xn, np.arange(X.n_rows)), buf):
+            z = np.empty((dense.shape[0], n_clf))
+            for lo, w, b in classifiers:
+                z[:, lo:lo + len(b)] = dense @ w.T + b
+            S = _sigmoid(z)
+            out = slice(start, start + dense.shape[0])
+            P = np.ones((dense.shape[0], 1))
+            alive = np.ones(P.shape, dtype=bool)
+            for depth, lvl in enumerate(levels):
+                if depth:
+                    P = P[:, lvl.parent] * S[:, lvl.row]
+                    alive = alive[:, lvl.parent]
+                if P.shape[1] > beam:
+                    order = np.argsort(np.where(alive, -P, np.inf), axis=1, kind="stable")
+                    keep = np.zeros_like(alive)
+                    np.put_along_axis(keep, order[:, :beam], True, axis=1)
+                    alive &= keep
+                if lvl.leaf_col.size:
+                    hit = alive[:, lvl.leaf_col]
+                    probs[out, lvl.label_col] += np.where(
+                        hit, P[:, lvl.leaf_col] * S[:, lvl.leaf_row], 0.0)
+                    reached[out, lvl.label_col] |= hit
+    probs /= len(clf.trees)
+    return probs, reached
 
 
 def predict_proba(clf: LabelTreeClassifier, x: SparseVec,
                   beam_width: int | None = None) -> dict[str, float]:
-    """Beam-search label probabilities, averaged over the tree ensemble.
-
-    The input is L2-normalized to match training scaling. Per level, the
-    top ``beam_width`` nodes by path probability survive; labels in leaves
-    never reached contribute 0 and are omitted from the output.
-    """
-    beam = clf.beam_width if beam_width is None else beam_width
-    norm = math.sqrt(float(x.values @ x.values)) if x.nnz else 0.0
-    xn = SparseVec(x.indices, x.values / norm, x.dim) if norm > 0 else x
-
-    acc: dict[str, float] = {}
-    for tree in clf.trees:
-        frontier: list[tuple[float, TreeNode]] = [(1.0, tree)]
-        while frontier:
-            frontier.sort(key=lambda item: (-item[0], item[1].index))
-            frontier = frontier[:beam]
-            nxt: list[tuple[float, TreeNode]] = []
-            for p, node in frontier:
-                if node.is_leaf:
-                    for j, lid in enumerate(node.label_ids):
-                        s = p * _sigmoid(_dot(xn, node.leaf_weights[j], node.leaf_bias[j]))
-                        acc[lid] = acc.get(lid, 0.0) + s
-                else:
-                    for j, child in enumerate(node.children):
-                        q = p * _sigmoid(_dot(xn, node.child_weights[j], node.child_bias[j]))
-                        nxt.append((q, child))
-            frontier = nxt
-    return {lid: v / len(clf.trees) for lid, v in acc.items()}
+    """predict_matrix for one document, as {label id: probability} over
+    the labels it reached."""
+    X = CsrMatrix(x.values, x.indices, np.array([0, x.nnz], dtype=np.int64), 1, x.dim)
+    probs, reached = predict_matrix(clf, X, beam_width)
+    return {lid: float(probs[0, j]) for j, lid in enumerate(clf.label_ids)
+            if reached[0, j]}
 
 
 # ---------------------------------------------------------------------------
@@ -439,14 +551,14 @@ def load_classifier(path) -> LabelTreeClassifier:
             if "labels" in rec:
                 k = len(rec["labels"])
                 node = TreeNode(index=rec["index"], label_ids=tuple(rec["labels"]))
-                node.leaf_weights = weights[rec["clf"]:rec["clf"] + k].copy()
-                node.leaf_bias = biases[rec["clf"]:rec["clf"] + k].copy()
+                node.leaf_weights = weights[rec["clf"]:rec["clf"] + k]
+                node.leaf_bias = biases[rec["clf"]:rec["clf"] + k]
                 return node
             node = TreeNode(index=rec["index"])
             node.children = [restore(c) for c in rec["children"]]
             k = len(node.children)
-            node.child_weights = weights[rec["clf"]:rec["clf"] + k].copy()
-            node.child_bias = biases[rec["clf"]:rec["clf"] + k].copy()
+            node.child_weights = weights[rec["clf"]:rec["clf"] + k]
+            node.child_bias = biases[rec["clf"]:rec["clf"] + k]
             return node
 
         trees = [restore(r) for r in meta["roots"]]

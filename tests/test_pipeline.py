@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from weaklabel import encoder, pipeline, ranker
+from weaklabel import encoder, pipeline, ranker, selftrain
 from weaklabel.config import ConfigError, make_config
 from weaklabel.corpus import load_corpus, load_labels
 from weaklabel.synth import SyntheticSpec, write_synthetic
@@ -293,6 +294,73 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert "stage score failed" in proc.stderr
+
+
+def run_cli(*args):
+    return subprocess.run([sys.executable, "-m", "weaklabel.cli", *args],
+                          capture_output=True, text=True)
+
+
+class TestStandalonePredict:
+    """``weaklabel predict`` on a copy of a finished run's output directory."""
+
+    @pytest.fixture
+    def out(self, run, tmp_path):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(dict(
+            corpus_path=cfg.corpus_path, labels_path=cfg.labels_path,
+            output_dir=str(copy), **OVERRIDES)))
+        return copy, str(config_file)
+
+    def test_beam_width_flag_applies(self, out):
+        copy, config = out
+        proc = run_cli("self-train", "--config", config, "--max-leaf", "1")
+        assert proc.returncode == 0, proc.stderr
+        outputs = {}
+        for beam in ("10", "1"):
+            proc = run_cli("predict", "--config", config, "--beam-width", beam)
+            assert proc.returncode == 0, proc.stderr
+            outputs[beam] = (copy / "predictions.jsonl").read_bytes()
+        proc = run_cli("predict", "--config", config)
+        assert proc.returncode == 0, proc.stderr
+        assert (copy / "predictions.jsonl").read_bytes() == outputs["10"]
+        assert outputs["1"] != outputs["10"]
+
+    def write_classifier(self, copy, label_ids, n_features):
+        X = selftrain.CsrMatrix(np.ones(2), np.array([0, 1], dtype=np.int64),
+                      np.array([0, 1, 2], dtype=np.int64), 2, n_features)
+        clf = selftrain.train_classifier(
+            X, ["a", "b"], {"a": (label_ids[0],), "b": (label_ids[1],)}, label_ids,
+            selftrain.ClassifierConfig(n_trees=1, epochs=1))
+        selftrain.save_classifier(clf, copy / "classifier.npz")
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_vocabulary_width_mismatch_fails(self, out, delta):
+        copy, config = out
+        fitted = selftrain.load_classifier(copy / "classifier.npz")
+        self.write_classifier(copy, list(fitted.label_ids), fitted.n_features + delta)
+        proc = run_cli("predict", "--config", config)
+        assert proc.returncode == 1
+        assert "stage predict failed" in proc.stderr
+        assert f"fitted on {fitted.n_features + delta} tf-idf features" in proc.stderr
+        assert f"vocabulary has {fitted.n_features}" in proc.stderr
+        assert "rerun self-train" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_label_set_mismatch_fails(self, out):
+        copy, config = out
+        fitted = selftrain.load_classifier(copy / "classifier.npz")
+        label_ids = list(fitted.label_ids[:-1]) + ["ghost"]
+        self.write_classifier(copy, label_ids, fitted.n_features)
+        proc = run_cli("predict", "--config", config)
+        assert proc.returncode == 1
+        assert "stage predict failed" in proc.stderr
+        assert "different label set" in proc.stderr
+        assert repr([fitted.label_ids[-1]]) in proc.stderr and "['ghost']" in proc.stderr
+        assert "rerun self-train" in proc.stderr
 
 
 class TestConfig:

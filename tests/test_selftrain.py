@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from weaklabel import kernels
 from weaklabel.encoder import SparseVec
 from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
-    ClassifierConfig, CsrMatrix, LabelTreeClassifier, build_label_tree,
-    build_tfidf_matrix, final_ranking, load_classifier, predict_proba,
+    BLOCK_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier, build_label_tree,
+    build_tfidf_matrix, final_ranking, load_classifier, predict_matrix, predict_proba,
     pseudo_labels, save_classifier, tfidf_vector, train_classifier, train_tree,
-    _normalize_rows,
+    _fit_logistic, _normalize_rows, _preorder,
 )
 from weaklabel.corpus import build_vocabulary
 
@@ -248,6 +249,157 @@ class TestTrainAndPredict:
         narrow = predict_proba(clf, X.row(0), beam_width=1)
         wide = predict_proba(clf, X.row(0), beam_width=64)
         assert len(narrow) < len(wide)
+
+
+def random_csr(rng, n_rows, n_cols, max_nnz=8, empty_rows=()):
+    """Random rows with unique sorted columns; ``empty_rows`` get no entries."""
+    data, indices, indptr = [], [], [0]
+    for i in range(n_rows):
+        nnz = 0 if i in empty_rows else int(rng.integers(1, max_nnz + 1))
+        indices.append(np.sort(rng.choice(n_cols, size=nnz, replace=False)))
+        data.append(rng.random(nnz) + 0.1)
+        indptr.append(indptr[-1] + nnz)
+    X = CsrMatrix(np.concatenate(data), np.concatenate(indices).astype(np.int64),
+                  np.array(indptr, dtype=np.int64), n_rows, n_cols)
+    return _normalize_rows(X)
+
+
+def csr_subset(X, rows):
+    pieces = [(X.data[X.indptr[r]:X.indptr[r + 1]], X.indices[X.indptr[r]:X.indptr[r + 1]])
+              for r in rows]
+    indptr = np.concatenate([[0], np.cumsum([len(d) for d, _ in pieces])]).astype(np.int64)
+    return CsrMatrix(np.concatenate([d for d, _ in pieces]),
+                     np.concatenate([i for _, i in pieces]), indptr, len(rows), X.n_cols)
+
+
+class TestMultiOutputFit:
+    """_fit_logistic against one kernels.logistic_epochs call per output."""
+
+    @pytest.mark.parametrize("n_rows, k, subset", [
+        (2 * BLOCK_ROWS + 37, 5, True),  # several blocks, the last one partial
+        (60, 1, False),
+        (1, 3, False),
+    ])
+    def test_matches_per_label_kernel(self, n_rows, k, subset):
+        rng = np.random.default_rng(n_rows + k)
+        X = random_csr(rng, n_rows, 40, empty_rows={0, n_rows // 2} if n_rows > 2 else ())
+        rows = (np.sort(rng.choice(n_rows, size=2 * n_rows // 3, replace=False))
+                if subset else np.arange(n_rows))
+        Y = (rng.random((rows.size, k)) < 0.4).astype(np.float64)
+        if k >= 3:
+            Y[:, 1] = 0.0
+            Y[:, 2] = 1.0
+        cfg = ClassifierConfig(epochs=20, learning_rate=2.0, l2=1e-4)
+        W, b = _fit_logistic(X, rows, Y, cfg)
+        sub = csr_subset(X, rows)
+        for j in range(k):
+            w = np.zeros(X.n_cols)
+            bj = kernels.logistic_epochs(sub.data, sub.indices, sub.indptr, Y[:, j].copy(),
+                                         w, 0.0, cfg.epochs, cfg.learning_rate, cfg.l2)
+            np.testing.assert_allclose(W[j], w, rtol=0, atol=1e-12)
+            assert abs(b[j] - bj) <= 1e-12
+
+    def test_no_rows_leaves_zeros(self):
+        X = random_csr(np.random.default_rng(0), 5, 10)
+        W, b = _fit_logistic(X, np.empty(0, dtype=np.int64), np.zeros((0, 2)),
+                             ClassifierConfig())
+        assert W.shape == (2, 10) and not W.any() and not b.any()
+
+
+def scalar_beam(clf, x, beam):
+    """Per-document beam search with scalar logits: the reference for
+    predict_matrix."""
+    def sigmoid(z):
+        if z >= 0:
+            return 1.0 / (1.0 + math.exp(-z))
+        ez = math.exp(z)
+        return ez / (1.0 + ez)
+
+    def logit(w, b):
+        return float(w[xn.indices] @ xn.values) + b if xn.nnz else b
+
+    norm = math.sqrt(float(x.values @ x.values)) if x.nnz else 0.0
+    xn = SparseVec(x.indices, x.values / norm, x.dim) if norm > 0 else x
+    acc = {}
+    for tree in clf.trees:
+        frontier = [(1.0, tree)]
+        while frontier:
+            frontier.sort(key=lambda item: (-item[0], item[1].index))
+            frontier = frontier[:beam]
+            nxt = []
+            for p, node in frontier:
+                if node.is_leaf:
+                    for j, lid in enumerate(node.label_ids):
+                        s = p * sigmoid(logit(node.leaf_weights[j], node.leaf_bias[j]))
+                        acc[lid] = acc.get(lid, 0.0) + s
+                else:
+                    for j, child in enumerate(node.children):
+                        q = p * sigmoid(logit(node.child_weights[j], node.child_bias[j]))
+                        nxt.append((q, child))
+            frontier = nxt
+    return {lid: v / len(clf.trees) for lid, v in acc.items()}
+
+
+def depth(node):
+    return 0 if node.is_leaf else 1 + max(depth(c) for c in node.children)
+
+
+class TestBatchedBeam:
+    """predict_matrix against the scalar per-document beam search."""
+
+    @pytest.fixture(scope="class")
+    def deep(self):
+        rng = np.random.default_rng(11)
+        n_labels, n_cols = 12, 36
+        ids = [f"L{j:02d}" for j in range(n_labels)]
+        topics = [rng.choice(n_cols, size=5, replace=False) for _ in range(n_labels)]
+        rows, pseudo = [], {}
+        for i in range(72):
+            own = sorted(set(rng.choice(np.arange(1, n_labels), size=2).tolist()))
+            if 1 in own:  # L00 and L01 get identical pseudo-label rows
+                own = [0] + own
+            words = np.unique(np.concatenate([rng.choice(topics[j], size=3) for j in own]
+                                             + [rng.choice(n_cols, size=2)]))
+            rows.append(words)
+            pseudo[f"p{i}"] = tuple(ids[j] for j in own)
+        rows[5] = np.empty(0, dtype=np.int64)  # a document with an empty row
+        indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])]).astype(np.int64)
+        indices = np.concatenate(rows).astype(np.int64)
+        X = CsrMatrix(rng.random(indices.size) + 0.2, indices, indptr, len(rows), n_cols)
+        cfg = ClassifierConfig(n_trees=2, max_leaf=1, beam_width=10, seed=4)
+        clf = train_classifier(X, [f"p{i}" for i in range(len(rows))], pseudo, ids, cfg)
+        return clf, X
+
+    def test_trees_are_deep_and_tie(self, deep):
+        clf, _ = deep
+        assert all(depth(t) >= 3 for t in clf.trees)
+        for tree in clf.trees:
+            twins = [n for n in _preorder(tree) if not n.is_leaf
+                     and {c.label_ids for c in n.children} == {("L00",), ("L01",)}]
+            assert twins, "L00 and L01 should be sibling leaves"
+            np.testing.assert_array_equal(twins[0].child_weights[0], twins[0].child_weights[1])
+
+    @pytest.mark.parametrize("beam", [1, 2, 3, 64])
+    def test_matches_scalar_reference(self, deep, beam):
+        clf, X = deep
+        probs, reached = predict_matrix(clf, X, beam)
+        for i in range(X.n_rows):
+            ref = scalar_beam(clf, X.row(i), beam)
+            got = {lid for j, lid in enumerate(clf.label_ids) if reached[i, j]}
+            assert got == set(ref), i
+            for j, lid in enumerate(clf.label_ids):
+                assert abs(probs[i, j] - ref.get(lid, 0.0)) <= 1e-12
+
+    def test_stored_beam_width_is_the_default(self, deep):
+        clf, X = deep
+        np.testing.assert_array_equal(predict_matrix(clf, X)[0],
+                                      predict_matrix(clf, X, clf.beam_width)[0])
+
+    def test_feature_width_mismatch_rejected(self, deep):
+        clf, X = deep
+        wider = CsrMatrix(X.data, X.indices, X.indptr, X.n_rows, X.n_cols + 1)
+        with pytest.raises(ValueError, match="rerun self-train"):
+            predict_matrix(clf, wider)
 
 
 class TestFinalRanking:
