@@ -213,8 +213,7 @@ def _batch_loss_grad(model: ScorerModel, x: np.ndarray, grad_proj: np.ndarray,
     loss = float(np.logaddexp(0.0, delta).mean())
 
     # d loss / d s_pos = -g, d loss / d s_neg = +g, with g = sigmoid(delta)
-    ez = np.exp(-np.abs(delta))
-    g = np.where(delta >= 0.0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    g = kernels._sigmoid(delta)
     np.matmul(g, psi_neg - psi_pos, out=grad_w)
     grad_w /= b
 

@@ -51,6 +51,15 @@ def _load_inputs(cfg: PipelineConfig):
     return corpus, labels
 
 
+def _check_paper_ids(found: dict, corpus, key: str, stage: str):
+    """Reject an artifact written for a corpus with other paper ids."""
+    ids = {p.id for p in corpus}
+    if found.keys() != ids:
+        raise ValueError(f"{ARTIFACTS[key]} was written for another corpus: it has "
+                         f"{len(found)} papers, the corpus has {len(ids)}, "
+                         f"{len(ids & found.keys())} in both; rerun {stage}")
+
+
 def stage_ingest(cfg: PipelineConfig) -> dict:
     corpus, labels = _load_inputs(cfg)
     stats = corpus_stats(corpus)
@@ -103,6 +112,7 @@ def stage_train_encoder(cfg: PipelineConfig) -> encoder.ScorerModel:
 def stage_score(cfg: PipelineConfig) -> dict[str, list[ranker.CandidateScore]]:
     corpus, labels = _load_inputs(cfg)
     cands = cand.read_candidates(_path(cfg, "candidates"))
+    _check_paper_ids(cands, corpus, "candidates", "candidates")
     model = encoder.load_model(_path(cfg, "encoder"))
     overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
                  if cfg.embeddings_path else {})
@@ -116,7 +126,7 @@ def stage_score(cfg: PipelineConfig) -> dict[str, list[ranker.CandidateScore]]:
             label_embs[label.id] = ov if ov is not None else encoder.bi_embed(model, label.text)
 
     def score_paper(paper) -> list[ranker.CandidateScore]:
-        cand_ids = cands.get(paper.id, [])
+        cand_ids = cands[paper.id]
         score_x = ranker.score_cross(model, paper, labels_by_id, cand_ids, overrides)
         if cfg.use_hierarchy:
             leaf_embs = []
@@ -157,6 +167,7 @@ def stage_score(cfg: PipelineConfig) -> dict[str, list[ranker.CandidateScore]]:
 def stage_self_train(cfg: PipelineConfig) -> selftrain.LabelTreeClassifier:
     corpus, labels = _load_inputs(cfg)
     scored = ranker.read_scores(_path(cfg, "scores"))
+    _check_paper_ids(scored, corpus, "scores", "score")
     vocab = build_vocabulary(corpus, cfg.min_df)
     X = selftrain.build_tfidf_matrix(corpus, vocab)
     pseudo = selftrain.pseudo_labels(scored, cfg.pseudo_top_n)
@@ -182,6 +193,7 @@ def _check_label_set(clf: selftrain.LabelTreeClassifier, label_ids: list[str]):
 def stage_predict(cfg: PipelineConfig) -> dict[str, list[str]]:
     corpus, labels = _load_inputs(cfg)
     scored = ranker.read_scores(_path(cfg, "scores"))
+    _check_paper_ids(scored, corpus, "scores", "score")
     label_ids = [l.id for l in labels]
 
     rankings: dict[str, list[str]] = {}
@@ -196,7 +208,7 @@ def stage_predict(cfg: PipelineConfig) -> dict[str, list[str]]:
         for i, paper in enumerate(corpus):
             hit = reached[i]
             paper_probs = dict(zip(clf_ids[hit], probs[i, hit].tolist()))
-            rows = scored.get(paper.id, [])
+            rows = scored[paper.id]
             ranking = selftrain.final_ranking(rows, paper_probs, label_ids, cfg.pseudo_top_n)
             pinned = min(cfg.pseudo_top_n, len(rows))
             rankings[paper.id] = ranking
@@ -204,7 +216,7 @@ def stage_predict(cfg: PipelineConfig) -> dict[str, list[str]]:
                                     for j, lid in enumerate(ranking[:cfg.top_k])]
     else:
         for paper in corpus:
-            rows = scored.get(paper.id, [])
+            rows = scored[paper.id]
             rankings[paper.id] = [r.label_id for r in rows]
             top_scores[paper.id] = [r.mrr for r in rows[:cfg.top_k]]
 
@@ -232,6 +244,7 @@ def read_predictions(path) -> dict[str, list[str]]:
 def stage_evaluate(cfg: PipelineConfig) -> metrics.MetricsReport | None:
     corpus, _ = _load_inputs(cfg)
     rankings = read_predictions(_path(cfg, "predictions"))
+    _check_paper_ids(rankings, corpus, "predictions", "predict")
     gold = {p.id: set(p.gold_labels) for p in corpus if p.gold_labels is not None}
     if not any(gold.values()):
         log.warning("no ground-truth labels in the corpus; skipping evaluation")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .corpus import Paper, Vocabulary
 from .encoder import SparseVec
+from .kernels import _sigmoid
 from .ranker import CandidateScore
 
 CLASSIFIER_VERSION = 1
@@ -116,11 +117,6 @@ def _dense_blocks(blocks, buf: np.ndarray):
         flat[pos] = values
         yield start, buf[:count]
         flat[pos] = 0.0
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))  # never overflows
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,7 @@ import json
 
 import pytest
 
-from weaklabel import kernels
 from weaklabel.corpus import load_corpus, load_labels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # JIT-compile the numba kernels once so timed tests measure work, not
-    # compilation
-    kernels.warmup()
 
 
 def write_jsonl(path, records):

@@ -363,6 +363,36 @@ class TestStandalonePredict:
         assert "rerun self-train" in proc.stderr
 
 
+class TestArtifactsFromAnotherCorpus:
+    """A stage rejects an upstream artifact written for other paper ids."""
+
+    @pytest.fixture
+    def other_corpus(self, run, tmp_path):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        write_synthetic(SyntheticSpec(n_papers=60, n_labels=SPEC.n_labels,
+                                      labels_per_paper=3, seed=1),
+                        tmp_path / "corpus.jsonl", tmp_path / "labels.jsonl")
+        return ("--corpus", str(tmp_path / "corpus.jsonl"), "--labels", cfg.labels_path,
+                "--output-dir", str(copy))
+
+    @pytest.mark.parametrize("stage, flags, artifact, rerun", [
+        ("score", (), "candidates.jsonl", "rerun candidates"),
+        ("self-train", (), "scores.jsonl", "rerun score"),
+        ("predict", (), "scores.jsonl", "rerun score"),
+        ("predict", ("--no-selftrain",), "scores.jsonl", "rerun score"),
+        ("evaluate", (), "predictions.jsonl", "rerun predict"),
+    ])
+    def test_rejected_with_both_counts(self, other_corpus, stage, flags, artifact, rerun):
+        proc = run_cli(stage, *other_corpus, *flags)
+        assert proc.returncode == 1
+        assert f"stage {stage} failed: {artifact} was written for another corpus" in proc.stderr
+        assert f"it has {SPEC.n_papers} papers, the corpus has 60" in proc.stderr
+        assert rerun in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
