@@ -58,6 +58,12 @@ class BaseFeaturizer:
     The hash is keyed by ``hash_seed`` so feature spaces are reproducible
     across processes. Output vectors are L2-normalized; empty text maps
     to the zero vector.
+
+    Each gram hashes to a code ``2 * bucket + sign bit`` (bit set: +1).
+    Word codes are kept per instance, since a vocabulary is small and
+    each word recurs in many texts; bigrams are hashed on every
+    occurrence, because there are many more distinct bigrams than words
+    and a table of them all would grow with the corpus.
     """
 
     def __init__(self, dim: int = DEFAULT_HASH_DIM, hash_seed: int = 0,
@@ -65,25 +71,33 @@ class BaseFeaturizer:
         self.dim = dim
         self.hash_seed = hash_seed
         self.max_tokens = max_tokens
-        self._key = int(hash_seed).to_bytes(8, "little", signed=True)
+        self._keyed = blake2b(digest_size=8,
+                              key=int(hash_seed).to_bytes(8, "little", signed=True))
+        self._word_codes: dict[str, int] = {}
 
-    def _hash(self, gram: str) -> int:
-        digest = blake2b(gram.encode("utf-8"), digest_size=8, key=self._key).digest()
-        return int.from_bytes(digest, "little")
+    def _code(self, gram: str) -> int:
+        hasher = self._keyed.copy()
+        hasher.update(gram.encode("utf-8"))
+        h = int.from_bytes(hasher.digest(), "little")
+        return 2 * (h % self.dim) + (h >> 63)
 
     def featurize(self, text: str) -> SparseVec:
         tokens = tokenize(text)[: self.max_tokens]
         if not tokens:
             return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), self.dim)
-        buckets: dict[int, float] = {}
-        grams = tokens + [f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]
-        for gram in grams:
-            h = self._hash(gram)
-            sign = 1.0 if h & (1 << 63) else -1.0
-            b = h % self.dim
-            buckets[b] = buckets.get(b, 0.0) + sign
-        idx = np.array(sorted(b for b, v in buckets.items() if v != 0.0), dtype=np.int64)
-        val = np.array([buckets[b] for b in idx], dtype=np.float64)
+        words = self._word_codes
+        codes = []
+        for w in tokens:
+            c = words.get(w)
+            if c is None:
+                c = words[w] = self._code(w)
+            codes.append(c)
+        codes += [self._code(f"{a}\x1f{b}") for a, b in zip(tokens, tokens[1:])]
+        codes = np.array(codes, dtype=np.int64)
+        # sums of +-1.0 are exact, so the order of accumulation is immaterial
+        sums = np.bincount(codes >> 1, weights=2.0 * (codes & 1) - 1.0, minlength=self.dim)
+        idx = np.flatnonzero(sums)
+        val = sums[idx]
         norm = math.sqrt(float(val @ val))
         if norm > 0.0:
             val /= norm
@@ -150,10 +164,14 @@ def _embed_features(model: ScorerModel, sv: SparseVec) -> np.ndarray:
     return r / norm
 
 
+def _embed_text(model: ScorerModel, text: str) -> np.ndarray:
+    return _embed_features(model, model.featurizer.featurize(text))
+
+
 def bi_embed(model: ScorerModel, text: str) -> np.ndarray:
     """Unit-norm embedding of one text (zero vector for empty text)."""
     model.counters.add_bi()
-    return _embed_features(model, model.featurizer.featurize(text))
+    return _embed_text(model, text)
 
 
 def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -171,9 +189,7 @@ def cross_score_pair(model: ScorerModel, u: np.ndarray, v: np.ndarray) -> float:
 
 def cross_score(model: ScorerModel, s: str, t: str) -> float:
     """Joint score of a text pair; both texts are encoded per call."""
-    u = _embed_features(model, model.featurizer.featurize(s))
-    v = _embed_features(model, model.featurizer.featurize(t))
-    return cross_score_pair(model, u, v)
+    return cross_score_pair(model, _embed_text(model, s), _embed_text(model, t))
 
 
 def contrastive_loss(s_pos: float, s_neg: float) -> float:

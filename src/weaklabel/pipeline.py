@@ -60,6 +60,19 @@ def _check_paper_ids(found: dict, corpus, key: str, stage: str):
                          f"{len(ids & found.keys())} in both; rerun {stage}")
 
 
+def _check_tuple_refs(tuples, corpus):
+    """Reject tuples with a (paper id, paragraph index) reference the corpus lacks."""
+    n_paragraphs = {p.id: len(p.paragraphs) for p in corpus}
+    for tup in tuples:
+        for pid, i in (tup.anchor, tup.positive, tup.negative):
+            n = n_paragraphs.get(pid)
+            if n is None or not 0 <= i < n:
+                why = "no such paper" if n is None else f"the paper has {n} paragraphs"
+                raise ValueError(f"{ARTIFACTS['tuples']} was written for another corpus: "
+                                 f"reference ({pid!r}, {i}) does not resolve ({why}); "
+                                 f"rerun sample-tuples")
+
+
 def stage_ingest(cfg: PipelineConfig) -> dict:
     corpus, labels = _load_inputs(cfg)
     stats = corpus_stats(corpus)
@@ -94,6 +107,7 @@ def stage_sample_tuples(cfg: PipelineConfig) -> list[citegraph.ContrastiveTuple]
 def stage_train_encoder(cfg: PipelineConfig) -> encoder.ScorerModel:
     corpus, _ = _load_inputs(cfg)
     tuples = citegraph.read_tuples(_path(cfg, "tuples"))
+    _check_tuple_refs(tuples, corpus)
     model = encoder.init_model(cfg.hash_dim, cfg.embed_dim, seed=cfg.stage_seed("init-model"))
     train_cfg = encoder.TrainConfig(
         batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
@@ -119,24 +133,24 @@ def stage_score(cfg: PipelineConfig) -> dict[str, list[ranker.CandidateScore]]:
     labels_by_id = {l.id: l for l in labels}
     model.counters.reset()
 
-    label_embs: dict[str, np.ndarray] = {}
-    if cfg.use_hierarchy:
-        for label in labels:
-            ov = overrides.get(label.id)
-            label_embs[label.id] = ov if ov is not None else encoder.bi_embed(model, label.text)
+    def embedding(key: str, text: str, counted: bool = True) -> np.ndarray:
+        # an external vector under ``key`` replaces the model's embedding of ``text``
+        ov = overrides.get(key)
+        if ov is not None:
+            return ov
+        return encoder.bi_embed(model, text) if counted else encoder._embed_text(model, text)
+
+    # both scorers read the label vectors; bi calls count them only on the bi path
+    label_embs = {l.id: embedding(l.id, l.text, cfg.use_hierarchy) for l in labels}
 
     def score_paper(paper) -> list[ranker.CandidateScore]:
         cand_ids = cands[paper.id]
-        score_x = ranker.score_cross(model, paper, labels_by_id, cand_ids, overrides)
+        score_x = ranker.score_cross(model, paper, labels_by_id, cand_ids, overrides,
+                                     label_embeddings=label_embs)
         if cfg.use_hierarchy:
-            leaf_embs = []
-            for i, leaf in enumerate(paper.paragraphs):
-                ov = overrides.get(f"{paper.id}#{i}")
-                leaf_embs.append(ov if ov is not None else encoder.bi_embed(model, leaf.text))
-            fallback = None
-            if paper.is_empty:
-                ov = overrides.get(paper.id)
-                fallback = ov if ov is not None else encoder.bi_embed(model, paper.title_abstract)
+            leaf_embs = [embedding(f"{paper.id}#{i}", leaf.text)
+                         for i, leaf in enumerate(paper.paragraphs)]
+            fallback = embedding(paper.id, paper.title_abstract) if paper.is_empty else None
             agg = ranker.aggregate_hierarchy(paper, leaf_embs, fallback=fallback)
             score_b = ranker.score_bi(agg.root, label_embs, cand_ids)
         else:

@@ -71,29 +71,32 @@ def score_bi(root_embedding: np.ndarray, label_embeddings: dict[str, np.ndarray]
 
 
 def score_cross(model: encoder.ScorerModel, paper: Paper, labels_by_id: dict[str, Label],
-                candidate_ids, overrides: dict[str, np.ndarray] | None = None) -> dict[str, float]:
+                candidate_ids, overrides: dict[str, np.ndarray] | None = None,
+                label_embeddings: dict[str, np.ndarray] | None = None) -> dict[str, float]:
     """Joint title+abstract vs label-text score for each candidate.
 
-    Texts are re-encoded on every call (the joint path cannot reuse
-    precomputed embeddings); ``overrides`` substitutes external
-    embeddings keyed by paper or label id.
+    The title+abstract is embedded once per call, and only when there are
+    candidates. ``label_embeddings`` supplies label vectors built once for
+    all papers, external ones already in place; without it each
+    candidate's label text is embedded here. ``overrides`` substitutes
+    external embeddings, keyed by paper or label id, for the texts
+    embedded here.
     """
-    out: dict[str, float] = {}
+    candidate_ids = list(candidate_ids)
+    if not candidate_ids:
+        return {}
     if overrides is None:
         overrides = {}
-    u_over = overrides.get(paper.id)
-    for lid in candidate_ids:
-        v_over = overrides.get(lid)
-        if u_over is not None or v_over is not None:
-            u = u_over if u_over is not None else encoder._embed_features(
-                model, model.featurizer.featurize(paper.title_abstract))
-            v = v_over if v_over is not None else encoder._embed_features(
-                model, model.featurizer.featurize(labels_by_id[lid].text))
-            out[lid] = encoder.cross_score_pair(model, u, v)
-        else:
-            out[lid] = encoder.cross_score(model, paper.title_abstract,
-                                           labels_by_id[lid].text)
-    return out
+
+    def embedding(key: str, text: str) -> np.ndarray:
+        ov = overrides.get(key)
+        return ov if ov is not None else encoder._embed_text(model, text)
+
+    u = embedding(paper.id, paper.title_abstract)
+    if label_embeddings is None:
+        label_embeddings = {lid: embedding(lid, labels_by_id[lid].text) for lid in candidate_ids}
+    return {lid: encoder.cross_score_pair(model, u, label_embeddings[lid])
+            for lid in candidate_ids}
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,20 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from hashlib import blake2b
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaklabel import encoder
 from weaklabel.encoder import (
-    BaseFeaturizer, SparseVec, TrainingDiverged, bi_embed, contrastive_loss,
+    DEFAULT_MAX_TOKENS, BaseFeaturizer, SparseVec, TrainingDiverged, bi_embed, contrastive_loss,
     cross_score, init_model, load_embedding_overrides, load_model,
     loss_gradient, save_model, train, TrainConfig,
 )
+
+from weaklabel.corpus import tokenize
 
 from conftest import load_corpus_records, paper_record
 
@@ -48,6 +54,113 @@ class TestFeaturizer:
         b = f.featurize(" ".join(tokens[:256]))
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+def per_gram_buckets(dim, hash_seed, max_tokens, text):
+    """Bucket sums of the signed gram hashes, one keyed blake2b per gram."""
+    key = int(hash_seed).to_bytes(8, "little", signed=True)
+    tokens = tokenize(text)[:max_tokens]
+    buckets: dict[int, float] = {}
+    for gram in tokens + [f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]:
+        h = int.from_bytes(blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest(),
+                           "little")
+        sign = 1.0 if h & (1 << 63) else -1.0
+        buckets[h % dim] = buckets.get(h % dim, 0.0) + sign
+    return buckets
+
+
+def per_gram_featurize(f: BaseFeaturizer, text: str) -> SparseVec:
+    """Reference featurizer: sums the per-gram signs in a dict, then normalizes."""
+    if not tokenize(text):
+        return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), f.dim)
+    buckets = per_gram_buckets(f.dim, f.hash_seed, f.max_tokens, text)
+    idx = np.array(sorted(b for b, v in buckets.items() if v != 0.0), dtype=np.int64)
+    val = np.array([buckets[b] for b in idx], dtype=np.float64)
+    norm = math.sqrt(float(val @ val))
+    if norm > 0.0:
+        val /= norm
+    return SparseVec(idx, val, f.dim)
+
+
+def assert_bitwise_equal(a: SparseVec, b: SparseVec):
+    assert a.dim == b.dim
+    assert a.indices.dtype == b.indices.dtype and a.values.dtype == b.values.dtype
+    assert a.indices.tobytes() == b.indices.tobytes()
+    assert a.values.tobytes() == b.values.tobytes()
+
+
+LONG_TEXT = " ".join(f"w{i % 97} x{i % 13}" for i in range(400))  # 800 tokens
+TINY_DIM_TEXT = "graph neural network models on graph data"
+
+
+class TestFeaturizerGolden:
+    """The word-cached, bincount featurizer equals the per-gram reference bitwise."""
+
+    @pytest.mark.parametrize("hash_seed", [0, -7])
+    @pytest.mark.parametrize("dim, text", [
+        (2048, ""),
+        (2048, "  ,.;!? -- ___ ... "),
+        (2048, "graph"),
+        (2048, LONG_TEXT),
+        (2048, "Naïve Bayes für Ökonomie: 東京 Δx → λ-calculus, naïve again"),
+        (4, TINY_DIM_TEXT),
+        (3, TINY_DIM_TEXT),
+        (1, LONG_TEXT),
+    ])
+    def test_matches_per_gram_reference(self, dim, text, hash_seed):
+        f = BaseFeaturizer(dim=dim, hash_seed=hash_seed)
+        want = per_gram_featurize(f, text)
+        # the first call fills the word table, the second reads it
+        assert_bitwise_equal(f.featurize(text), want)
+        assert_bitwise_equal(f.featurize(text), want)
+
+    @pytest.mark.parametrize("hash_seed", [0, -7])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_tiny_dim_case_collides_and_cancels(self, dim, hash_seed):
+        # the tiny-dim golden cases exercise collisions and +-1 cancellation
+        buckets = per_gram_buckets(dim, hash_seed, DEFAULT_MAX_TOKENS, TINY_DIM_TEXT)
+        assert any(v == 0.0 for v in buckets.values())
+        assert any(abs(v) > 1.0 for v in buckets.values())
+
+    def test_word_table_shared_across_texts(self):
+        f = BaseFeaturizer(dim=512, hash_seed=5)
+        texts = ["graph neural network", "neural network pruning", "graph", ""]
+        for text in texts:
+            assert_bitwise_equal(f.featurize(text), per_gram_featurize(f, text))
+        assert set(f._word_codes) == {"graph", "neural", "network", "pruning"}
+
+    def test_word_table_shared_by_threads(self):
+        # more threads than cores, switching often, all filling one word table
+        f = BaseFeaturizer(dim=256, hash_seed=3)
+        rng = np.random.default_rng(1)
+        texts = [rand_text(rng, 30, vocab=600) for _ in range(48)]
+        want = [per_gram_featurize(f, t) for t in texts]
+
+        def featurize_all(shift):
+            order = texts[shift:] + texts[:shift]
+            return [f.featurize(t) for t in order], shift
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(featurize_all, 6 * k) for k in range(8)]
+                results = [fut.result(timeout=60) for fut in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, shift in results:
+            for sv, ref in zip(got, want[shift:] + want[:shift]):
+                assert_bitwise_equal(sv, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.text(max_size=80), min_size=1, max_size=4),
+           dim=st.sampled_from([1, 2, 5, 64, 2048]),
+           hash_seed=st.integers(-2**63, 2**63 - 1),
+           max_tokens=st.integers(1, 8))
+    def test_arbitrary_text_matches_reference(self, texts, dim, hash_seed, max_tokens):
+        f = BaseFeaturizer(dim=dim, hash_seed=hash_seed, max_tokens=max_tokens)
+        for text in texts:
+            assert_bitwise_equal(f.featurize(text), per_gram_featurize(f, text))
 
 
 class TestBiEmbed:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from weaklabel import encoder, pipeline, ranker, selftrain
+from weaklabel import citegraph, encoder, pipeline, ranker, selftrain
 from weaklabel.config import ConfigError, make_config
 from weaklabel.corpus import load_corpus, load_labels
 from weaklabel.synth import SyntheticSpec, write_synthetic
@@ -97,6 +97,29 @@ class TestCallAccounting:
         assert model.counters.cross_score == len(cands[paper.id])
 
 
+    def test_score_cross_encodes_each_text_once(self, data_dir, run):
+        cfg, out, _, _ = run
+        corpus = load_corpus(cfg.corpus_path)
+        labels_by_id = {l.id: l for l in load_labels(cfg.labels_path)}
+        model = encoder.load_model(artifact(out, "encoder"))
+        from weaklabel.candidates import read_candidates
+        cands = read_candidates(artifact(out, "candidates"))
+        paper = next(p for p in corpus if len(cands[p.id]) >= 2)
+        cand_ids = cands[paper.id]
+        label_embs = {lid: encoder.bi_embed(model, labels_by_id[lid].text) for lid in cand_ids}
+        texts = []
+        featurize = model.featurizer.featurize
+        model.featurizer.featurize = lambda text: texts.append(text) or featurize(text)
+
+        ranker.score_cross(model, paper, labels_by_id, cand_ids, label_embeddings=label_embs)
+        assert texts == [paper.title_abstract]
+        texts.clear()
+        assert ranker.score_cross(model, paper, labels_by_id, []) == {}
+        assert texts == []
+        ranker.score_cross(model, paper, labels_by_id, cand_ids)
+        assert texts == [paper.title_abstract] + [labels_by_id[l].text for l in cand_ids]
+
+
 class TestPlantedTopicScores:
     def test_planted_label_outscores_noncandidate(self, tmp_path):
         # two well-separated topics; the trained joint scorer must rank a
@@ -159,6 +182,77 @@ class TestDeterminismAndIsolation:
         for key in ("candidates", "tuples", "scores", "predictions", "metrics"):
             assert open(artifact(out, key), "rb").read() == \
                 open(artifact(stage_out, key), "rb").read(), key
+
+
+def per_candidate_cross(model, paper, labels_by_id, cand_ids, overrides):
+    """Reference joint scores: both texts encoded afresh for every candidate."""
+    out = {}
+    u_over = overrides.get(paper.id)
+    for lid in cand_ids:
+        v_over = overrides.get(lid)
+        if u_over is None and v_over is None:
+            out[lid] = encoder.cross_score(model, paper.title_abstract, labels_by_id[lid].text)
+            continue
+        u = u_over if u_over is not None else encoder._embed_features(
+            model, model.featurizer.featurize(paper.title_abstract))
+        v = v_over if v_over is not None else encoder._embed_features(
+            model, model.featurizer.featurize(labels_by_id[lid].text))
+        out[lid] = encoder.cross_score_pair(model, u, v)
+    return out
+
+
+class TestScoreStage:
+    """``stage_score`` rerun on a copy of a finished run's output directory."""
+
+    @pytest.mark.parametrize("overridden, use_hierarchy", [
+        ((), True), (("paper",), True), (("label",), True), (("paper", "label"), True),
+        ((), False), (("paper", "label"), False),
+    ])
+    def test_joint_scores_match_per_candidate_path(self, data_dir, run, tmp_path,
+                                                   overridden, use_hierarchy):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        corpus = load_corpus(cfg.corpus_path)
+        labels_by_id = {l.id: l for l in load_labels(cfg.labels_path)}
+        from weaklabel.candidates import read_candidates
+        cands = read_candidates(artifact(out, "candidates"))
+        # override one paper and one of its candidate labels
+        paper = next(p for p in corpus if cands[p.id])
+        keys = {"paper": paper.id, "label": cands[paper.id][0]}
+        rng = np.random.default_rng(0)
+        emb_file = tmp_path / "ext.tsv"
+        emb_file.write_text("".join(
+            f"{keys[k]}\t" + " ".join(map(repr, rng.normal(size=cfg.embed_dim).tolist())) + "\n"
+            for k in overridden))
+        pipeline.stage_score(base_config(data_dir, copy, use_hierarchy=use_hierarchy,
+                                         embeddings_path=str(emb_file)))
+
+        model = encoder.load_model(artifact(copy, "encoder"))
+        overrides = encoder.load_embedding_overrides(emb_file, cfg.embed_dim)
+        scored = ranker.read_scores(artifact(copy, "scores"))
+        for p in corpus:
+            want = per_candidate_cross(model, p, labels_by_id, cands[p.id], overrides)
+            assert {r.label_id: r.score_x for r in scored[p.id]} == want, p.id
+        stats = json.load(open(artifact(copy, "score_stats")))
+        assert stats["cross_score_calls"] == stats["sum_candidates"]
+        if use_hierarchy:
+            assert stats["bi_embed_calls"] == (stats["sum_paragraphs"] + stats["n_labels"]
+                                               - ("label" in overridden))
+        else:
+            assert stats["bi_embed_calls"] == 0
+
+    def test_thread_count_gives_identical_score_files(self, data_dir, run, tmp_path):
+        _, out, _, _ = run
+        for threads in (1, 2):
+            copy = tmp_path / f"t{threads}"
+            shutil.copytree(out, copy)
+            pipeline.stage_score(base_config(data_dir, copy, threads=threads))
+        for key in ("scores", "score_stats"):
+            want = open(artifact(out, key), "rb").read()
+            for threads in (1, 2):
+                assert open(artifact(tmp_path / f"t{threads}", key), "rb").read() == want, \
+                    (key, threads)
 
 
 class TestEmbeddingOverrides:
@@ -391,6 +485,50 @@ class TestArtifactsFromAnotherCorpus:
         assert f"it has {SPEC.n_papers} papers, the corpus has 60" in proc.stderr
         assert rerun in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestTuplesFromAnotherCorpus:
+    """train-encoder rejects a tuples.jsonl whose references miss the corpus."""
+
+    @pytest.fixture
+    def small(self, run, tmp_path):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        write_synthetic(SyntheticSpec(n_papers=60, n_labels=SPEC.n_labels,
+                                      labels_per_paper=3, seed=1),
+                        tmp_path / "corpus.jsonl", tmp_path / "labels.jsonl")
+        return cfg, copy, str(tmp_path / "corpus.jsonl")
+
+    def check_rejected(self, copy, corpus_path, labels_path):
+        corpus = load_corpus(corpus_path)
+        n_paragraphs = {p.id: len(p.paragraphs) for p in corpus}
+        tuples = citegraph.read_tuples(copy / "tuples.jsonl")
+        first = next((pid, i) for t in tuples for pid, i in (t.anchor, t.positive, t.negative)
+                     if not i < n_paragraphs.get(pid, 0))
+        before = (copy / "encoder.npz").read_bytes()
+        proc = run_cli("train-encoder", "--corpus", corpus_path, "--labels", labels_path,
+                       "--output-dir", str(copy))
+        assert proc.returncode == 1
+        assert ("stage train-encoder failed: tuples.jsonl was written for another corpus: "
+                f"reference {first!r} does not resolve") in proc.stderr
+        assert "rerun sample-tuples" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (copy / "encoder.npz").read_bytes() == before
+        return proc.stderr
+
+    def test_tuples_of_a_larger_corpus(self, small):
+        cfg, copy, small_corpus = small
+        stderr = self.check_rejected(copy, small_corpus, cfg.labels_path)
+        assert "(no such paper)" in stderr
+
+    def test_tuples_of_a_smaller_corpus(self, small):
+        cfg, copy, small_corpus = small
+        proc = run_cli("sample-tuples", "--corpus", small_corpus, "--labels", cfg.labels_path,
+                       "--output-dir", str(copy), "--tuple-count", "600", "--seed", "13")
+        assert proc.returncode == 0, proc.stderr
+        stderr = self.check_rejected(copy, cfg.corpus_path, cfg.labels_path)
+        assert "paragraphs)" in stderr
 
 
 class TestConfig:
