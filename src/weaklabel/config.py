@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from hashlib import blake2b
 
@@ -60,7 +61,7 @@ class PipelineConfig:
     propensity_a: float = 0.55
     propensity_b: float = 1.5
     top_k: int = 5
-    ranking_limit: int | None = None  # cap stored rankings; None keeps all labels
+    ranking_limit: int | None = None  # cap stored rankings (>= 1); None keeps all labels
 
     # execution
     seed: int = 7
@@ -76,6 +77,10 @@ class PipelineConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be nonnegative")
         for name in ["learning_rate", "classifier_lr"]:
@@ -88,6 +93,8 @@ class PipelineConfig:
             raise ConfigError("moment decay rates must lie in [0, 1)")
         if self.train_steps is not None and self.train_steps < 1:
             raise ConfigError("train_steps must be positive when set")
+        if self.ranking_limit is not None and self.ranking_limit < 1:
+            raise ConfigError("ranking_limit must be positive when set")
         if any(k < 1 for k in tuple(self.precision_ks) + tuple(self.ndcg_ks)):
             raise ConfigError("metric k values must be positive")
         try:

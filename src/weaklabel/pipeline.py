@@ -217,29 +217,26 @@ def stage_predict(cfg: PipelineConfig) -> dict[str, list[str]]:
         _check_label_set(clf, label_ids)
         vocab = build_vocabulary(corpus, cfg.min_df)
         X = selftrain.build_tfidf_matrix(corpus, vocab)
-        probs, reached = selftrain.predict_matrix(clf, X, cfg.beam_width)
-        clf_ids = np.array(clf.label_ids, dtype=object)
+        probs, _ = selftrain.predict_matrix(clf, X, cfg.beam_width)  # unreached labels hold 0
+        pinned = [[r.label_id for r in scored[p.id][:cfg.pseudo_top_n]] for p in corpus]
+        ranked = selftrain.final_rankings(pinned, probs, clf.label_ids)
+        column = {lid: j for j, lid in enumerate(clf.label_ids)}
         for i, paper in enumerate(corpus):
-            hit = reached[i]
-            paper_probs = dict(zip(clf_ids[hit], probs[i, hit].tolist()))
-            rows = scored[paper.id]
-            ranking = selftrain.final_ranking(rows, paper_probs, label_ids, cfg.pseudo_top_n)
-            pinned = min(cfg.pseudo_top_n, len(rows))
-            rankings[paper.id] = ranking
-            top_scores[paper.id] = [rows[j].mrr if j < pinned else paper_probs.get(lid, 0.0)
-                                    for j, lid in enumerate(ranking[:cfg.top_k])]
+            rankings[paper.id] = ranked[i]
+            top_scores[paper.id] = [scored[paper.id][j].mrr if j < len(pinned[i])
+                                    else float(probs[i, column[lid]])
+                                    for j, lid in enumerate(ranked[i][:cfg.top_k])]
     else:
         for paper in corpus:
             rows = scored[paper.id]
             rankings[paper.id] = [r.label_id for r in rows]
             top_scores[paper.id] = [r.mrr for r in rows[:cfg.top_k]]
 
-    limit = cfg.ranking_limit
     with open(_path(cfg, "predictions"), "w", encoding="utf-8") as fh:
         for pid in rankings:
             fh.write(json.dumps({
                 "paper_id": pid,
-                "ranking": rankings[pid][:limit] if limit else rankings[pid],
+                "ranking": rankings[pid][:cfg.ranking_limit],
                 "top_k_scores": top_scores[pid],
             }) + "\n")
     return rankings
@@ -290,15 +287,14 @@ STAGES = [
 
 def run_pipeline(cfg: PipelineConfig):
     """Run every stage in order; returns (rankings, metrics report or None)."""
-    rankings = None
-    report = None
+    kept = {}
     for name, fn in STAGES:
         if name == "self-train" and not cfg.use_selftrain:
             continue
         log.info("stage %s", name)
-        result = fn(cfg)
-        if name == "predict":
-            rankings = result
-        elif name == "evaluate":
-            report = result
-    return rankings, report
+        # later stages must not hold earlier results in memory, except the two returned
+        if name in ("predict", "evaluate"):
+            kept[name] = fn(cfg)
+        else:
+            fn(cfg)
+    return kept.get("predict"), kept.get("evaluate")

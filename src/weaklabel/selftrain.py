@@ -23,6 +23,7 @@ from .ranker import CandidateScore
 
 CLASSIFIER_VERSION = 1
 BLOCK_ROWS = 128  # rows per dense block in the fitting and prediction products
+GRAM_MAX_ROWS = 1024  # largest node fitted in row space: its Gram matrix is at most 8 MiB
 
 
 # ---------------------------------------------------------------------------
@@ -249,14 +250,35 @@ class ClassifierConfig:
     seed: int = 0
 
 
+def _in_row_space(n: int, n_cols: int, k: int, epochs: int) -> bool:
+    """Whether _fit_logistic fits an n-row, k-output node in row space:
+    when that needs fewer flops than the primal form and the node's Gram
+    matrix has at most GRAM_MAX_ROWS rows."""
+    primal = 2 * epochs * n * n_cols * k
+    row_space = n * n * n_cols + 2 * epochs * n * n * k + 2 * n * n_cols * k
+    return n <= GRAM_MAX_ROWS and row_space < primal
+
+
 def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray,
                   cfg: ClassifierConfig) -> tuple[np.ndarray, np.ndarray]:
     """Multi-output L2 logistic regression on ``rows`` of X, from zero.
 
     Column j of ``Y`` (rows x k) gets the full-batch gradient descent of
-    kernels.logistic_epochs on its own; the k outputs share one pass over
-    the rows per epoch, made of dense row-block products. Returns the
-    weights (k x n_cols) and biases (k,).
+    kernels.logistic_epochs on its own: per epoch, ``D = (sigmoid(X W' +
+    b) - Y) / n``, ``W <- s W - lr D'X`` and ``b <- b - lr sum(D)``, where
+    ``s = 1 - lr l2``. Two exact forms of it run on dense row blocks:
+
+    - primal: each epoch is one pass over the rows, a block product for
+      the logits and a transposed one for the weight gradient
+      (``2 E n C k`` flops for n rows, C columns, k outputs, E epochs);
+    - row space: since W stays ``A'X`` for an n x k matrix A, build the
+      Gram matrix ``K = X X'`` once from pairs of blocks, run each epoch
+      as ``Z = K A + b``, ``A <- s A - lr D``, and form ``W = A'X`` at
+      the end (``n^2 C + 2 E n^2 k + 2 n C k`` flops).
+
+    A node is fitted in row space when that needs fewer flops and it has
+    at most GRAM_MAX_ROWS rows (see _in_row_space). Returns the weights
+    (k x n_cols) and biases (k,).
     """
     n, k = Y.shape
     W = np.zeros((k, X.n_cols))
@@ -265,9 +287,28 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray,
         return W, b
     blocks = list(_row_blocks(X, rows))
     buf = np.zeros((min(n, BLOCK_ROWS), X.n_cols))
+    part = np.empty_like(W)
+    if _in_row_space(n, X.n_cols, k, cfg.epochs):
+        K = np.empty((n, n))
+        other = np.zeros_like(buf)
+        for i, (top, left) in enumerate(_dense_blocks(blocks, buf)):
+            here = slice(top, top + left.shape[0])
+            for lo, right in _dense_blocks(blocks[:i + 1], other):
+                there = slice(lo, lo + right.shape[0])
+                K[here, there] = left @ right.T
+                K[there, here] = K[here, there].T
+        A = np.zeros((n, k))
+        shrink = 1.0 - cfg.learning_rate * cfg.l2
+        for _ in range(cfg.epochs):
+            D = (_sigmoid(K @ A + b) - Y) / n
+            A = shrink * A - cfg.learning_rate * D
+            b -= cfg.learning_rate * D.sum(axis=0)
+        for start, dense in _dense_blocks(blocks, buf):
+            np.matmul(A[start:start + dense.shape[0]].T, dense, out=part)
+            W += part
+        return W, b
     D = np.empty((n, k))
     G = np.empty_like(W)
-    part = np.empty_like(W)
     for _ in range(cfg.epochs):
         G.fill(0.0)
         for start, dense in _dense_blocks(blocks, buf):
@@ -479,15 +520,30 @@ def predict_proba(clf: LabelTreeClassifier, x: SparseVec,
 # ---------------------------------------------------------------------------
 
 
+def final_rankings(pinned: list[list[str]], probs: np.ndarray, label_ids) -> list[list[str]]:
+    """Final rankings of many papers: paper i keeps its pinned labels
+    ``pinned[i]`` first, then every other label by probability ``probs[i]``
+    (columns follow ``label_ids``), ties by label id. Each ranking is a
+    permutation of the label space."""
+    by_id = sorted(range(len(label_ids)), key=label_ids.__getitem__)
+    ids = np.array([label_ids[j] for j in by_id], dtype=object)
+    column = {lid: c for c, lid in enumerate(ids)}
+    is_pinned = np.zeros((len(pinned), len(ids)), dtype=bool)
+    for i, pins in enumerate(pinned):
+        is_pinned[i, [column[lid] for lid in pins if lid in column]] = True
+    order = np.argsort(-probs[:, by_id], axis=1, kind="stable")
+    keep = ~np.take_along_axis(is_pinned, order, axis=1)
+    return [list(pins) + ids[order[i, keep[i]]].tolist() for i, pins in enumerate(pinned)]
+
+
 def final_ranking(rows: list[CandidateScore], probabilities: dict[str, float],
                   label_ids, n: int) -> list[str]:
-    """Pin the top-n combined-rank candidates, rerank the rest by classifier
-    probability (ties by label id). Returns a permutation of the label space."""
-    pinned = [r.label_id for r in rows[:n]]
-    pinned_set = set(pinned)
-    rest = sorted((lid for lid in label_ids if lid not in pinned_set),
-                  key=lambda lid: (-probabilities.get(lid, 0.0), lid))
-    return pinned + rest
+    """final_rankings for one paper: pin its top-n combined-rank candidates
+    and rerank the rest by ``probabilities`` ({label id: probability},
+    absent labels 0)."""
+    label_ids = list(label_ids)
+    probs = np.array([[probabilities.get(lid, 0.0) for lid in label_ids]])
+    return final_rankings([[r.label_id for r in rows[:n]]], probs, label_ids)[0]
 
 
 # ---------------------------------------------------------------------------

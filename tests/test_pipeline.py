@@ -365,6 +365,9 @@ class TestCli:
     @pytest.mark.parametrize("text, names", [
         ('{"batch_size": 8,', "config.json: invalid JSON"),
         ('{"batch_size": "8"}', "batch_size must be int"),
+        ('{"classifier_lr": NaN}', "classifier_lr must be finite"),
+        ('{"propensity_b": -Infinity}', "propensity_b must be finite"),
+        ('{"ranking_limit": 0}', "ranking_limit must be positive"),
     ])
     def test_bad_config_file_exits_2(self, tmp_path, text, names):
         config_file = tmp_path / "config.json"
@@ -551,6 +554,24 @@ class TestConfig:
         (key,) = values
         with pytest.raises(ConfigError, match=key):
             make_config(None, values)
+
+    @pytest.mark.parametrize("key", [
+        "learning_rate", "weight_decay", "epsilon", "beta1", "beta2", "classifier_lr",
+        "classifier_l2", "propensity_a", "propensity_b",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+            make_config(None, {key: value})
+
+    @pytest.mark.parametrize("limit", [-1, 0])
+    def test_ranking_limit_below_one_rejected(self, limit):
+        with pytest.raises(ConfigError, match="ranking_limit must be positive"):
+            make_config(None, {"ranking_limit": limit})
+
+    def test_ranking_limit_one_or_unset_accepted(self):
+        assert make_config(None, {"ranking_limit": 1}).ranking_limit == 1
+        assert make_config(None, {"ranking_limit": None}).ranking_limit is None
 
     def test_compatible_types_accepted(self):
         cfg = make_config(None, {"learning_rate": 1, "train_steps": None,

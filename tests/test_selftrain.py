@@ -3,16 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from weaklabel import kernels
+from weaklabel import kernels, selftrain
 from weaklabel.encoder import SparseVec
 from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
-    BLOCK_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier, build_label_tree,
-    build_tfidf_matrix, final_ranking, load_classifier, predict_matrix, predict_proba,
-    pseudo_labels, save_classifier, tfidf_vector, train_classifier, train_tree,
-    _fit_logistic, _normalize_rows, _preorder,
+    BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier,
+    build_label_tree, build_tfidf_matrix, final_ranking, final_rankings, load_classifier,
+    predict_matrix, predict_proba, pseudo_labels, save_classifier, tfidf_vector,
+    train_classifier, train_tree, _fit_logistic, _in_row_space, _normalize_rows, _preorder,
 )
-from weaklabel.corpus import build_vocabulary
+from weaklabel.corpus import build_vocabulary, load_corpus, load_labels
+from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import load_corpus_records, paper_record
 
@@ -306,6 +307,110 @@ class TestMultiOutputFit:
         assert W.shape == (2, 10) and not W.any() and not b.any()
 
 
+def kernel_fit(X, rows, Y, cfg):
+    """One kernels.logistic_epochs call per column of Y: (weights, biases)."""
+    sub = csr_subset(X, rows)
+    W, b = np.zeros((Y.shape[1], X.n_cols)), np.zeros(Y.shape[1])
+    for j in range(Y.shape[1]):
+        b[j] = kernels.logistic_epochs(sub.data, sub.indices, sub.indptr, Y[:, j].copy(),
+                                       W[j], 0.0, cfg.epochs, cfg.learning_rate, cfg.l2)
+    return W, b
+
+
+class TestRowSpaceFit:
+    """The row-space (Gram matrix) form of _fit_logistic."""
+
+    @pytest.mark.parametrize("n_rows, k, subset", [
+        (3 * BLOCK_ROWS + 37, 6, True),  # several blocks, the last one partial
+        (3 * BLOCK_ROWS + 37, 1, True),
+        (2 * BLOCK_ROWS, 4, False),  # whole blocks only
+        (BLOCK_ROWS + 1, 1, False),
+        (7, 3, False),
+    ])
+    def test_matches_per_label_kernel(self, monkeypatch, n_rows, k, subset):
+        monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: True)
+        rng = np.random.default_rng(100 * n_rows + k)
+        X = random_csr(rng, n_rows, 50, empty_rows={0, 3, n_rows // 2, n_rows - 1})
+        rows = (np.sort(rng.choice(n_rows, size=2 * n_rows // 3, replace=False))
+                if subset else np.arange(n_rows))
+        Y = (rng.random((rows.size, k)) < 0.4).astype(np.float64)
+        if k >= 3:
+            Y[:, 1] = 0.0
+            Y[:, 2] = 1.0
+        cfg = ClassifierConfig(epochs=20, learning_rate=2.0, l2=1e-4)
+        W, b = _fit_logistic(X, rows, Y, cfg)
+        W_ref, b_ref = kernel_fit(X, rows, Y, cfg)
+        np.testing.assert_allclose(W, W_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12)
+
+    def test_chosen_without_forcing_on_a_wide_leaf(self):
+        rng = np.random.default_rng(3)
+        n_rows, n_cols, k = 2 * BLOCK_ROWS + 20, 600, 30
+        assert _in_row_space(n_rows, n_cols, k, 20)
+        X = random_csr(rng, n_rows, n_cols, max_nnz=30, empty_rows={5})
+        rows = np.arange(n_rows)
+        Y = (rng.random((n_rows, k)) < 0.2).astype(np.float64)
+        Y[:, 0] = 0.0
+        Y[:, 1] = 1.0
+        cfg = ClassifierConfig(epochs=20, learning_rate=2.0, l2=1e-4)
+        W, b = _fit_logistic(X, rows, Y, cfg)
+        W_ref, b_ref = kernel_fit(X, rows, Y, cfg)
+        np.testing.assert_allclose(W, W_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12)
+
+    def test_choice_follows_flop_rule_and_row_cap(self):
+        assert GRAM_MAX_ROWS ** 2 * 8 <= 8 * 2 ** 20
+        for n in (1, 2, 60, 73, 74, 400, 1000, GRAM_MAX_ROWS, GRAM_MAX_ROWS + 1, 5000):
+            for c in (40, 2080, 4400):
+                for k in (1, 2, 55, 100):
+                    for e in (1, 20):
+                        row_space = n * n * c + 2 * e * n * n * k + 2 * n * c * k
+                        want = n <= GRAM_MAX_ROWS and row_space < 2 * e * n * c * k
+                        assert _in_row_space(n, c, k, e) == want, (n, c, k, e)
+        assert _in_row_space(400, 2080, 55, 20)  # a leaf
+        assert not _in_row_space(400, 2080, 2, 20)  # a routing node
+        assert _in_row_space(GRAM_MAX_ROWS, 4400, 100, 20)
+        assert not _in_row_space(GRAM_MAX_ROWS + 1, 4400, 100, 20)  # fewer flops, too big
+
+    def test_fit_asks_the_rule_with_the_node_shape(self, monkeypatch):
+        asked = []
+        monkeypatch.setattr(selftrain, "_in_row_space",
+                            lambda *shape: asked.append(shape) or False)
+        X = random_csr(np.random.default_rng(4), 30, 12)
+        _fit_logistic(X, np.arange(0, 30, 2), np.zeros((15, 4)), ClassifierConfig(epochs=7))
+        assert asked == [(15, 12, 4, 7)]
+
+    def test_train_classifier_forms_agree(self, monkeypatch, tmp_path):
+        write_synthetic(SyntheticSpec(n_papers=160, n_labels=24, seed=5),
+                        tmp_path / "c.jsonl", tmp_path / "l.jsonl", tmp_path / "m.jsonl")
+        corpus = load_corpus(tmp_path / "c.jsonl", 10)
+        label_ids = [l.id for l in load_labels(tmp_path / "l.jsonl")]
+        X = build_tfidf_matrix(corpus, build_vocabulary(corpus, 2))
+        ids = [p.id for p in corpus]
+        pseudo = {p.id: tuple(sorted(p.gold_labels)) for p in corpus}
+        cfg = ClassifierConfig(n_trees=2, max_leaf=6, beam_width=3, seed=8)
+        fitted = {}
+        for form in (False, True):
+            monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape, f=form: f)
+            fitted[form] = train_classifier(X, ids, pseudo, label_ids, cfg)
+        primal, dual = fitted[False], fitted[True]
+        for ta, tb in zip(primal.trees, dual.trees):
+            assert topo(ta) == topo(tb)
+            for x, y in zip(_preorder(ta), _preorder(tb)):
+                wx, bx = (x.leaf_weights, x.leaf_bias) if x.is_leaf else \
+                    (x.child_weights, x.child_bias)
+                wy, by = (y.leaf_weights, y.leaf_bias) if y.is_leaf else \
+                    (y.child_weights, y.child_bias)
+                np.testing.assert_allclose(wx, wy, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(bx, by, rtol=0, atol=1e-12)
+        (pa, ra), (pb, rb) = predict_matrix(primal, X), predict_matrix(dual, X)
+        np.testing.assert_array_equal(ra, rb)
+        np.testing.assert_allclose(pa, pb, rtol=0, atol=1e-12)
+        pinned = [[] for _ in ids]
+        assert final_rankings(pinned, pa, primal.label_ids) == \
+            final_rankings(pinned, pb, dual.label_ids)
+
+
 def scalar_beam(clf, x, beam):
     """Per-document beam search with scalar logits: the reference for
     predict_matrix."""
@@ -433,6 +538,34 @@ class TestFinalRanking:
             assert sorted(out) == sorted(labels)
             pinned = [r.label_id for r in rows[:n]]
             assert out[:len(pinned)] == pinned
+
+
+class TestFinalRankings:
+    """final_rankings against the per-paper sort keyed on (-probability, label id)."""
+
+    def reference(self, pins, probs, label_ids):
+        rest = sorted((lid for lid in label_ids if lid not in set(pins)),
+                      key=lambda lid: (-probs[label_ids.index(lid)], lid))
+        return list(pins) + rest
+
+    def test_matches_keyed_sort(self):
+        rng = np.random.default_rng(12)
+        label_ids = [f"L{i}" for i in rng.permutation(15)]  # columns not in id order
+        probs = rng.choice([0.0, 0.1, 0.25, 0.5, 1.0], size=(40, 15))  # many ties
+        probs[3] = 0.0  # a paper that reached no label
+        pinned = [list(rng.choice(label_ids, size=int(rng.integers(0, 6)), replace=False))
+                  for _ in range(40)]
+        got = final_rankings(pinned, probs, label_ids)
+        for i in range(40):
+            assert got[i] == self.reference(pinned[i], probs[i], label_ids), i
+
+    def test_one_paper_wrapper(self):
+        labels = ["D", "A", "C", "B"]
+        probs = {"A": 0.5, "B": 0.5, "D": 0.9}
+        rows = scored_rows([("C", 2.0), ("B", 1.0)])
+        assert final_ranking(rows, probs, labels, 1) == ["C", "D", "A", "B"]
+        assert final_rankings([["C"]], np.array([[0.9, 0.5, 0.0, 0.5]]), labels) == \
+            [["C", "D", "A", "B"]]
 
 
 class TestPersistence:
