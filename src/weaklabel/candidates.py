@@ -7,11 +7,10 @@ boundaries are respected: "art" never matches inside "particle".
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
-from .corpus import Label, Paper, tokenize
+from .corpus import Label, Paper, read_jsonl, tokenize, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -75,16 +74,8 @@ def candidate_stats(candidates: dict[str, list[str]]) -> CandidateStats:
 
 
 def write_candidates(candidates: dict[str, list[str]], path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for pid, cands in candidates.items():
-            fh.write(json.dumps({"paper_id": pid, "candidates": cands}) + "\n")
+    write_jsonl(({"paper_id": pid, "candidates": c} for pid, c in candidates.items()), path)
 
 
 def read_candidates(path) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                out[rec["paper_id"]] = list(rec["candidates"])
-    return out
+    return {rec["paper_id"]: list(rec["candidates"]) for rec in read_jsonl(path)}

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 
 import numpy as np
+
+from .corpus import read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -169,23 +170,13 @@ def sample_tuples(graph: CitationGraph, corpus, path: MetaPath, count: int,
     return out
 
 
+_TUPLE_KEYS = ("anchor", "positive", "negative")
+
+
 def write_tuples(tuples, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in tuples:
-            fh.write(json.dumps({"anchor": list(t.anchor), "positive": list(t.positive),
-                                 "negative": list(t.negative)}) + "\n")
+    write_jsonl(({k: list(getattr(t, k)) for k in _TUPLE_KEYS} for t in tuples), path)
 
 
 def read_tuples(path) -> list[ContrastiveTuple]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out.append(ContrastiveTuple(
-                anchor=(rec["anchor"][0], int(rec["anchor"][1])),
-                positive=(rec["positive"][0], int(rec["positive"][1])),
-                negative=(rec["negative"][0], int(rec["negative"][1])),
-            ))
-    return out
+    return [ContrastiveTuple(*((rec[k][0], int(rec[k][1])) for k in _TUPLE_KEYS))
+            for rec in read_jsonl(path)]

@@ -21,9 +21,6 @@ from .synth import SyntheticSpec, write_synthetic
 
 log = logging.getLogger(__name__)
 
-_STAGE_BY_COMMAND = dict(pipeline.STAGES)
-
-
 def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--corpus", dest="corpus_path", help="corpus JSONL")
@@ -32,7 +29,8 @@ def _add_config_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--embeddings", dest="embeddings_path",
                         help="external embedding file (TSV or JSONL)")
     parser.add_argument("--seed", type=int, dest="seed")
-    parser.add_argument("--threads", type=int, dest="threads")
+    parser.add_argument("--threads", type=int, dest="threads",
+                        help="accepted and ignored: stages run serially, so it has no effect")
     parser.add_argument("--meta-path", dest="meta_path", help="e.g. 'P->P' or 'P->P<-P'")
     parser.add_argument("--tuple-count", type=int, dest="tuple_count")
     parser.add_argument("--train-steps", type=int, dest="train_steps")
@@ -88,6 +86,11 @@ def _run_synth(args) -> int:
                          fulltext_only_fraction=args.fulltext_fraction,
                          vocab_size=args.vocab_size, seed=args.seed,
                          edge_prob=args.edge_prob)
+    try:
+        spec.validate()
+    except ValueError as exc:
+        print(f"synth error: {exc}", file=sys.stderr)
+        return 2
     os.makedirs(args.out_dir, exist_ok=True)
     corpus_path = os.path.join(args.out_dir, "corpus.jsonl")
     labels_path = os.path.join(args.out_dir, "labels.jsonl")
@@ -97,13 +100,8 @@ def _run_synth(args) -> int:
     return 0
 
 
-_CONFIG_KEYS = [
-    "corpus_path", "labels_path", "output_dir", "embeddings_path", "seed",
-    "threads", "meta_path", "tuple_count", "train_steps", "train_epochs",
-    "hash_dim", "embed_dim", "learning_rate", "pseudo_top_n", "n_trees",
-    "max_leaf", "beam_width", "min_df", "min_paragraph_words", "top_k",
-    "match_full_text", "use_hierarchy", "use_selftrain",
-]
+# parser destinations that are not PipelineConfig fields
+_NON_CONFIG_DESTS = ("command", "config", "verbose")
 
 
 def main(argv=None) -> int:
@@ -114,17 +112,16 @@ def main(argv=None) -> int:
         return _run_synth(args)
 
     try:
-        cfg = make_config(args.config,
-                          {k: getattr(args, k, None) for k in _CONFIG_KEYS})
+        cfg = make_config(args.config, {k: v for k, v in vars(args).items()
+                                        if k not in _NON_CONFIG_DESTS})
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
     if args.command == "run-all":
-        stages = [(n, f) for n, f in pipeline.STAGES
-                  if not (n == "self-train" and not cfg.use_selftrain)]
+        stages = pipeline.stages(cfg)
     else:
-        stages = [(args.command, _STAGE_BY_COMMAND[args.command])]
+        stages = [(args.command, dict(pipeline.STAGES)[args.command])]
 
     for name, fn in stages:
         try:

@@ -65,7 +65,7 @@ class PipelineConfig:
 
     # execution
     seed: int = 7
-    threads: int = 1
+    threads: int = 1  # accepted and checked, with no effect: every stage runs serially
     use_hierarchy: bool = True  # ablation: False scores title+abstract only
     use_selftrain: bool = True  # ablation: False stops at the rank ensemble
 

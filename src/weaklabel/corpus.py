@@ -136,14 +136,22 @@ class Vocabulary:
         return int(self.doc_freq[self.word_index[word]])
 
 
+def _checked(key: str, value, kind: type):
+    """Return ``value`` if it is a ``kind`` (list or str), else raise naming ``key``."""
+    if not isinstance(value, kind):
+        raise CorpusError(f"{key!r} must be a {'list' if kind is list else 'string'}, "
+                          f"got {type(value).__name__}")
+    return value
+
+
 def _build_section_node(sec: dict, min_words: int, kind: str) -> HierarchyNode | None:
     node = HierarchyNode(kind=kind)
-    for para in sec.get("paragraphs", []):
+    for para in _checked("paragraphs", sec.get("paragraphs", []), list):
         if not isinstance(para, str):
             raise CorpusError("paragraph entries must be strings")
         if len(tokenize(para)) >= min_words:
             node.children.append(HierarchyNode(kind="paragraph", text=para))
-    for sub in sec.get("subsections", []):
+    for sub in _checked("subsections", sec.get("subsections", []), list):
         child = _build_section_node(sub, min_words, kind="subsection")
         if child is not None:
             node.children.append(child)
@@ -155,8 +163,8 @@ def _build_section_node(sec: dict, min_words: int, kind: str) -> HierarchyNode |
 
 def _build_paper(record: dict, min_words: int) -> Paper:
     pid = record["id"]
-    title = record.get("title", "")
-    abstract = record.get("abstract", "")
+    title = _checked("title", record.get("title", ""), str)
+    abstract = _checked("abstract", record.get("abstract", ""), str)
     root = HierarchyNode(kind="paper")
 
     # The title+abstract group sits directly under the root so that
@@ -167,20 +175,38 @@ def _build_paper(record: dict, min_words: int) -> Paper:
             HierarchyNode(kind="paragraph", text=ta_text, is_abstract=True)
         )
 
-    for sec in record.get("sections", []):
+    for sec in _checked("sections", record.get("sections", []), list):
         node = _build_section_node(sec, min_words, kind="section")
         if node is not None:
             root.children.append(node)
 
+    bib_refs = _checked("bib_refs", record.get("bib_refs", []), list)
     labels = record.get("labels")
+    if labels is not None:
+        _checked("labels", labels, list)
     return Paper(
         id=pid,
         title=title,
         abstract=abstract,
         hierarchy=root,
-        bib_refs=frozenset(str(r) for r in record.get("bib_refs", []) if str(r) != ""),
+        bib_refs=frozenset(str(r) for r in bib_refs if str(r) != ""),
         gold_labels=frozenset(str(l) for l in labels) if labels is not None else None,
     )
+
+
+def write_jsonl(records, path):
+    """Write each record as one line of JSON."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
+
+
+def read_jsonl(path):
+    """Yield the record on each nonblank line, one at a time."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            if line.strip():
+                yield json.loads(line)
 
 
 def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) -> list[Paper]:
@@ -228,8 +254,10 @@ def load_labels(path) -> list[Label]:
             try:
                 record = json.loads(line)
                 lid = str(record["id"])
-                names = tuple(str(n) for n in record["names"])
+                names = tuple(str(n) for n in _checked("names", record["names"], list))
                 desc = str(record.get("description", ""))
+            except CorpusError as exc:
+                raise CorpusError(f"{path}: line {lineno}: {exc}") from None
             except (json.JSONDecodeError, TypeError, KeyError) as exc:
                 raise CorpusError(f"{path}: line {lineno}: malformed record ({exc})") from None
             if not lid:

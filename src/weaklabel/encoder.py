@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import threading
 from dataclasses import asdict, dataclass, field
 from hashlib import blake2b
 
@@ -104,26 +103,15 @@ class BaseFeaturizer:
         return SparseVec(idx, val, self.dim)
 
 
+@dataclass
 class CallCounters:
-    """Inference-call accounting for complexity checks (thread-safe)."""
+    """Inference-call accounting for complexity checks."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.bi_embed = 0
-        self.cross_score = 0
-
-    def add_bi(self):
-        with self._lock:
-            self.bi_embed += 1
-
-    def add_cross(self):
-        with self._lock:
-            self.cross_score += 1
+    bi_embed: int = 0
+    cross_score: int = 0
 
     def reset(self):
-        with self._lock:
-            self.bi_embed = 0
-            self.cross_score = 0
+        self.bi_embed = self.cross_score = 0
 
 
 @dataclass
@@ -170,7 +158,7 @@ def _embed_text(model: ScorerModel, text: str) -> np.ndarray:
 
 def bi_embed(model: ScorerModel, text: str) -> np.ndarray:
     """Unit-norm embedding of one text (zero vector for empty text)."""
-    model.counters.add_bi()
+    model.counters.bi_embed += 1
     return _embed_text(model, text)
 
 
@@ -183,7 +171,7 @@ def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def cross_score_pair(model: ScorerModel, u: np.ndarray, v: np.ndarray) -> float:
-    model.counters.add_cross()
+    model.counters.cross_score += 1
     return float(model.w @ pair_features(u, v))
 
 
@@ -400,14 +388,19 @@ def load_embedding_overrides(path, embed_dim: int | None = None) -> dict[str, np
             line = line.rstrip("\n")
             if not line.strip():
                 continue
-            if line.lstrip().startswith("{"):
-                rec = json.loads(line)
-                key, vec = str(rec["id"]), np.asarray(rec["embedding"], dtype=np.float64)
-            else:
-                key, _, rest = line.partition("\t")
-                if not rest:
-                    raise ValueError(f"{path}: line {lineno}: expected id<TAB>values")
-                vec = np.array(rest.split(), dtype=np.float64)
+            try:
+                if line.lstrip().startswith("{"):
+                    rec = json.loads(line)
+                    key, vec = str(rec["id"]), np.asarray(rec["embedding"], dtype=np.float64)
+                else:
+                    key, _, rest = line.partition("\t")
+                    if not rest:
+                        raise ValueError("expected id<TAB>values")
+                    vec = np.array(rest.split(), dtype=np.float64)
+                if vec.ndim != 1:
+                    raise ValueError("the embedding must be a flat list of numbers")
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}: line {lineno}: malformed record ({exc})") from None
             if embed_dim is not None and vec.shape[0] != embed_dim:
                 raise ValueError(
                     f"{path}: line {lineno}: embedding dim {vec.shape[0]} != {embed_dim}")

@@ -15,14 +15,14 @@ from __future__ import annotations
 import json
 import logging
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import candidates as cand
 from . import citegraph, encoder, metrics, ranker, selftrain
 from .config import PipelineConfig
-from .corpus import build_vocabulary, corpus_stats, load_corpus, load_labels
+from .corpus import (build_vocabulary, corpus_stats, load_corpus, load_labels, read_jsonl,
+                     write_jsonl)
 
 log = logging.getLogger(__name__)
 
@@ -143,7 +143,8 @@ def stage_score(cfg: PipelineConfig) -> dict[str, list[ranker.CandidateScore]]:
     # both scorers read the label vectors; bi calls count them only on the bi path
     label_embs = {l.id: embedding(l.id, l.text, cfg.use_hierarchy) for l in labels}
 
-    def score_paper(paper) -> list[ranker.CandidateScore]:
+    scored: dict[str, list[ranker.CandidateScore]] = {}
+    for paper in corpus:
         cand_ids = cands[paper.id]
         score_x = ranker.score_cross(model, paper, labels_by_id, cand_ids, overrides,
                                      label_embeddings=label_embs)
@@ -155,14 +156,7 @@ def stage_score(cfg: PipelineConfig) -> dict[str, list[ranker.CandidateScore]]:
             score_b = ranker.score_bi(agg.root, label_embs, cand_ids)
         else:
             score_b = dict(score_x)  # degenerate ensemble: joint scores only
-        return ranker.mrr_combine(score_b, score_x)
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            rows = list(pool.map(score_paper, corpus))
-        scored = {p.id: r for p, r in zip(corpus, rows)}
-    else:
-        scored = {p.id: score_paper(p) for p in corpus}
+        scored[paper.id] = ranker.mrr_combine(score_b, score_x)
 
     ranker.write_scores(scored, _path(cfg, "scores"))
     stats = {
@@ -232,24 +226,14 @@ def stage_predict(cfg: PipelineConfig) -> dict[str, list[str]]:
             rankings[paper.id] = [r.label_id for r in rows]
             top_scores[paper.id] = [r.mrr for r in rows[:cfg.top_k]]
 
-    with open(_path(cfg, "predictions"), "w", encoding="utf-8") as fh:
-        for pid in rankings:
-            fh.write(json.dumps({
-                "paper_id": pid,
-                "ranking": rankings[pid][:cfg.ranking_limit],
-                "top_k_scores": top_scores[pid],
-            }) + "\n")
+    write_jsonl(({"paper_id": pid, "ranking": rankings[pid][:cfg.ranking_limit],
+                  "top_k_scores": top_scores[pid]} for pid in rankings),
+                _path(cfg, "predictions"))
     return rankings
 
 
 def read_predictions(path) -> dict[str, list[str]]:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                out[rec["paper_id"]] = list(rec["ranking"])
-    return out
+    return {rec["paper_id"]: list(rec["ranking"]) for rec in read_jsonl(path)}
 
 
 def stage_evaluate(cfg: PipelineConfig) -> metrics.MetricsReport | None:
@@ -285,12 +269,16 @@ STAGES = [
 ]
 
 
+def stages(cfg: PipelineConfig) -> list:
+    """The ``(name, function)`` pairs of a full run, in order: every stage,
+    less self-train when ``use_selftrain`` is off."""
+    return [(name, fn) for name, fn in STAGES if cfg.use_selftrain or name != "self-train"]
+
+
 def run_pipeline(cfg: PipelineConfig):
-    """Run every stage in order; returns (rankings, metrics report or None)."""
+    """Run ``stages(cfg)`` in order; returns (rankings, metrics report or None)."""
     kept = {}
-    for name, fn in STAGES:
-        if name == "self-train" and not cfg.use_selftrain:
-            continue
+    for name, fn in stages(cfg):
         log.info("stage %s", name)
         # later stages must not hold earlier results in memory, except the two returned
         if name in ("predict", "evaluate"):

@@ -9,12 +9,11 @@ combined by summing reciprocal ranks.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import HierarchyNode, Paper, Label
+from .corpus import HierarchyNode, Paper, Label, read_jsonl, write_jsonl
 from . import encoder
 
 
@@ -132,25 +131,10 @@ def mrr_combine(score_b: dict[str, float], score_x: dict[str, float]) -> list[Ca
 
 
 def write_scores(scored: dict[str, list[CandidateScore]], path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for pid, rows in scored.items():
-            fh.write(json.dumps({
-                "paper_id": pid,
-                "candidates": [{"label_id": r.label_id, "score_b": r.score_b,
-                                "score_x": r.score_x, "rank_b": r.rank_b,
-                                "rank_x": r.rank_x, "mrr": r.mrr} for r in rows],
-            }) + "\n")
+    write_jsonl(({"paper_id": pid, "candidates": [vars(r) for r in rows]}
+                 for pid, rows in scored.items()), path)
 
 
 def read_scores(path) -> dict[str, list[CandidateScore]]:
-    out: dict[str, list[CandidateScore]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            out[rec["paper_id"]] = [CandidateScore(
-                label_id=c["label_id"], score_b=c["score_b"], score_x=c["score_x"],
-                rank_b=c["rank_b"], rank_x=c["rank_x"], mrr=c["mrr"])
-                for c in rec["candidates"]]
-    return out
+    return {rec["paper_id"]: [CandidateScore(**c) for c in rec["candidates"]]
+            for rec in read_jsonl(path)}

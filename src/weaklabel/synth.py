@@ -11,10 +11,11 @@ have exactly checkable behavior.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
+
+from .corpus import write_jsonl
 
 
 @dataclass
@@ -35,6 +36,8 @@ class SyntheticSpec:
             raise ValueError("labels_per_paper exceeds the label count")
         if not (0.0 <= self.fulltext_only_fraction <= 1.0):
             raise ValueError("fulltext_only_fraction must lie in [0, 1]")
+        if not (0.0 <= self.edge_prob <= 1.0):
+            raise ValueError("edge_prob must lie in [0, 1]")
         if min(self.n_papers, self.n_labels, self.labels_per_paper,
                self.vocab_size) < 1:
             raise ValueError("counts must be positive")
@@ -173,12 +176,6 @@ def generate_synthetic(spec: SyntheticSpec):
         papers[i]["bib_refs"] = [f"P{j:05d}" for j, m in zip(related, mask) if m]
 
     return papers, labels, manifest
-
-
-def write_jsonl(records, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec) + "\n")
 
 
 def write_synthetic(spec: SyntheticSpec, corpus_path, labels_path, manifest_path=None):

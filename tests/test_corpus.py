@@ -3,9 +3,10 @@ import logging
 
 import pytest
 
+from weaklabel.cli import main
 from weaklabel.corpus import (
     CorpusError, build_vocabulary, corpus_stats, load_corpus, load_labels,
-    tokenize,
+    read_jsonl, tokenize, write_jsonl,
 )
 
 from conftest import load_corpus_records, load_label_records, paper_record
@@ -115,6 +116,67 @@ class TestLoadCorpus:
         assert stats["n_papers"] == 2
         assert stats["paragraphs_per_paper"] == pytest.approx(1.5)
         assert stats["n_empty_papers"] == 0
+
+
+PARAGRAPH = words(12)
+
+
+class TestMistypedFields:
+    """A field of the wrong JSON type is rejected with its name and line,
+    never iterated character by character or carried into a later stage."""
+
+    @pytest.mark.parametrize("field, record, kind", [
+        ("sections", paper_record("p2") | {"sections": {"name": "s"}}, "list"),
+        ("subsections", paper_record("p2", sections=[
+            {"name": "s", "paragraphs": [PARAGRAPH], "subsections": "methods"}]), "list"),
+        ("paragraphs", paper_record("p2", sections=[
+            {"name": "s", "paragraphs": PARAGRAPH}]), "list"),
+        ("bib_refs", paper_record("p2") | {"bib_refs": "P00012"}, "list"),
+        ("labels", paper_record("p2") | {"labels": "L0001"}, "list"),
+        ("title", paper_record("p2") | {"title": 5}, "string"),
+        ("abstract", paper_record("p2") | {"abstract": ["an", "abstract"]}, "string"),
+    ])
+    def test_corpus_field(self, tmp_path, field, record, kind):
+        with pytest.raises(CorpusError,
+                           match=rf"corpus\.jsonl: line 2: '{field}' must be a {kind}"):
+            load_corpus_records(tmp_path, [paper_record("p1"), record])
+
+    def test_label_names(self, tmp_path):
+        with pytest.raises(CorpusError, match=r"labels\.jsonl: line 2: 'names' must be a list"):
+            load_label_records(tmp_path, [{"id": "L1", "names": ["graph"]},
+                                          {"id": "L2", "names": "nets"}])
+
+    def test_null_labels_mean_no_ground_truth(self, tmp_path):
+        paper, = load_corpus_records(tmp_path, [paper_record("p1") | {"labels": None}])
+        assert paper.gold_labels is None
+
+    def test_cli_names_the_stage(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl([paper_record("p1") | {"bib_refs": "P00012"}], corpus)
+        labels = tmp_path / "labels.jsonl"
+        write_jsonl([{"id": "L1", "names": ["graph"]}], labels)
+        assert main(["ingest", "--corpus", str(corpus), "--labels", str(labels),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert "stage ingest failed: " in capsys.readouterr().err
+
+
+class TestJsonLines:
+    def test_round_trip_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        records = [{"a": 1}, {"b": [1.5, "x"]}, {}]
+        write_jsonl(iter(records), path)
+        assert path.read_text() == '{"a": 1}\n{"b": [1.5, "x"]}\n{}\n'
+        with open(path, "a") as fh:
+            fh.write("\n  \n")
+        assert list(read_jsonl(path)) == records
+
+    def test_reader_yields_one_record_at_a_time(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n{not json\n')
+        records = read_jsonl(path)
+        assert next(records) == {"a": 1}
+        with pytest.raises(json.JSONDecodeError):
+            next(records)
 
 
 class TestLoadLabels:

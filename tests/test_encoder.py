@@ -488,3 +488,14 @@ class TestEmbeddingOverrides:
         tsv.write_text("L1 no tab separator\n")
         with pytest.raises(ValueError, match="TAB"):
             load_embedding_overrides(tsv)
+
+    @pytest.mark.parametrize("line", ['{"id": "L1", "embedding": [1, 0, 0, 0\n',
+                                      '{"embedding": [1, 0, 0, 0]}\n',
+                                      '{"id": "L1", "vector": [1, 0, 0, 0]}\n',
+                                      "L1\t1 x 0 0\n",
+                                      '{"id": "L1", "embedding": 5}\n'])
+    def test_malformed_record_names_file_and_line(self, tmp_path, line):
+        path = tmp_path / "emb.txt"
+        path.write_text("L0\t1 0 0 0\n" + line)
+        with pytest.raises(ValueError, match=r"emb\.txt: line 2: malformed record"):
+            load_embedding_overrides(path, embed_dim=4)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -8,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from weaklabel import citegraph, encoder, pipeline, ranker, selftrain
-from weaklabel.config import ConfigError, make_config
+from weaklabel import citegraph, cli, encoder, pipeline, ranker, selftrain
+from weaklabel.config import ConfigError, PipelineConfig, make_config
 from weaklabel.corpus import load_corpus, load_labels
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
@@ -391,6 +393,83 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert "stage score failed" in proc.stderr
+
+    @pytest.mark.parametrize("args, names", [
+        (["--papers", "0"], "counts must be positive"),
+        (["--labels-per-paper", "3", "--label-count", "2"],
+         "labels_per_paper exceeds the label count"),
+        (["--fulltext-fraction", "2"], "fulltext_only_fraction must lie in [0, 1]"),
+        (["--edge-prob", "nan"], "edge_prob must lie in [0, 1]"),
+    ])
+    def test_synth_invalid_arguments_exit_2(self, tmp_path, args, names):
+        proc = run_cli("synth", *args, "--out-dir", str(tmp_path / "data"))
+        assert proc.returncode == 2
+        assert proc.stderr == f"synth error: {names}\n"  # one line, no traceback
+        assert not (tmp_path / "data").exists()
+
+    @staticmethod
+    def _subparsers():
+        parser = cli._build_parser()
+        action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {name: sub for name, sub in action.choices.items() if name != "synth"}
+
+    def test_every_stage_flag_is_a_config_field(self):
+        field_names = {f.name for f in dataclasses.fields(PipelineConfig)}
+        for name in [name for name, _ in pipeline.STAGES] + ["run-all"]:
+            dests = set(vars(cli._build_parser().parse_args([name])))
+            assert dests - {"command", "config", "verbose"} <= field_names, name
+
+    def test_every_stage_flag_reaches_make_config(self, monkeypatch):
+        defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)}
+        made = []
+
+        def make_config(file_path, overrides):
+            made.append(real_make_config(file_path, overrides))
+            raise ConfigError("stop before running a stage")
+
+        real_make_config = cli.make_config
+        monkeypatch.setattr(cli, "make_config", make_config)
+        subparsers = self._subparsers()
+        assert set(subparsers) == {name for name, _ in pipeline.STAGES} | {"run-all"}
+        for name, sub in subparsers.items():
+            argv, want = [name], {}
+            for action in sub._actions:
+                if action.dest in ("help", "config"):
+                    continue
+                flag = action.option_strings[-1]
+                if action.const is not None:  # a switch
+                    argv.append(flag)
+                    want[action.dest] = action.const
+                    continue
+                default = defaults[action.dest]
+                if action.type is int:
+                    value = (default or 1) + 1
+                elif action.type is float:
+                    value = default / 2
+                elif action.dest == "meta_path":
+                    value = "P->P"
+                else:
+                    value = f"{action.dest}.x"
+                argv += [flag, str(value)]
+                want[action.dest] = value
+            assert all(want[k] != defaults[k] for k in want)
+            made.clear()
+            assert cli.main(argv) == 2
+            cfg, = made
+            assert {k: getattr(cfg, k) for k in want} == want, name
+
+    def test_run_all_without_selftrain(self, data_dir, tmp_path):
+        out = tmp_path / "cli"
+        assert cli.main(["run-all", "--corpus", str(data_dir / "corpus.jsonl"),
+                         "--labels", str(data_dir / "labels.jsonl"),
+                         "--output-dir", str(out), "--no-selftrain",
+                         # the OVERRIDES of base_config
+                         "--tuple-count", "600", "--train-steps", "220", "--seed", "13"]) == 0
+        assert not os.path.exists(artifact(out, "classifier"))
+        pipeline.run_pipeline(base_config(data_dir, tmp_path / "api", use_selftrain=False))
+        with open(artifact(out, "predictions"), "rb") as got, \
+                open(artifact(tmp_path / "api", "predictions"), "rb") as want:
+            assert got.read() == want.read()
 
 
 def run_cli(*args):
