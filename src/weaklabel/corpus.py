@@ -145,6 +145,8 @@ def _checked(key: str, value, kind: type):
 
 
 def _build_section_node(sec: dict, min_words: int, kind: str) -> HierarchyNode | None:
+    if not isinstance(sec, dict):  # kind names the list the entry came from
+        raise CorpusError(f"'{kind}s' entries must be objects, got {type(sec).__name__}")
     node = HierarchyNode(kind=kind)
     for para in _checked("paragraphs", sec.get("paragraphs", []), list):
         if not isinstance(para, str):

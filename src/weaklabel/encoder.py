@@ -194,12 +194,15 @@ def _feature_block(feats, out: np.ndarray) -> np.ndarray:
 
 
 def _batch_loss_grad(model: ScorerModel, x: np.ndarray, grad_proj: np.ndarray,
-                     grad_w: np.ndarray) -> float:
+                     grad_w: np.ndarray, rows: np.ndarray | None = None) -> float:
     """Mean loss of a batch of B tuples and its analytic gradient.
 
     ``x`` stacks the tuples' feature vectors as rows: the B anchors, then
     the B positives, then the B negatives. The mean gradients w.r.t.
     ``proj`` and ``w`` are written into ``grad_proj`` and ``grad_w``.
+    With ``rows`` (sorted hash indices covering every nonzero column of
+    ``x``), ``grad_proj`` holds only those rows of the ``proj`` gradient;
+    the others are exactly zero.
     """
     e = model.embed_dim
     b = x.shape[0] // 3
@@ -233,7 +236,7 @@ def _batch_loss_grad(model: ScorerModel, x: np.ndarray, grad_proj: np.ndarray,
     radial = np.einsum("ij,ij->i", grad_u, u)[:, None] * u
     grad_r = np.divide(grad_u - radial, norm, out=np.zeros_like(r), where=live)
     grad_r /= b
-    np.matmul(x.T, grad_r, out=grad_proj)
+    np.matmul((x if rows is None else x[:, rows]).T, grad_r, out=grad_proj)
     return loss
 
 
@@ -313,7 +316,10 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
     v_w = np.zeros_like(model.w)
     grad_proj = np.empty_like(model.proj)
     grad_w = np.empty_like(model.w)
-    adamw_scratch = (np.empty_like(model.proj), np.empty_like(model.proj))
+    # held across steps: allocating the update's block temporaries per call
+    # costs fresh pages every step
+    adamw_scratch = (np.empty_like(model.proj[:kernels.ADAMW_BLOCK_ROWS]),
+                     np.empty_like(model.proj[:kernels.ADAMW_BLOCK_ROWS]))
     x = np.empty((3 * min(config.batch_size, n), model.hash_dim))
 
     losses = np.empty(total, dtype=np.float64)
@@ -329,7 +335,11 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
         feats = ([features(tup.anchor) for tup in batch]
                  + [features(tup.positive) for tup in batch]
                  + [features(tup.negative) for tup in batch])
-        batch_loss = _batch_loss_grad(model, _feature_block(feats, x), grad_proj, grad_w)
+        _feature_block(feats, x)
+        # hash rows no text in the batch touches have an exactly zero gradient
+        rows = np.flatnonzero(x.any(axis=0))
+        grad_rows = grad_proj[:rows.size]
+        batch_loss = _batch_loss_grad(model, x, grad_rows, grad_w, rows)
         if not math.isfinite(batch_loss):
             raise TrainingDiverged(f"non-finite loss at step {t}")
         losses[t - 1] = batch_loss
@@ -337,9 +347,9 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
         sched = _schedule(t, config.warmup_steps, total)
         lr_t = sched * config.learning_rate
         wd_t = sched * config.weight_decay
-        kernels.adamw_step(model.proj, grad_proj, m_proj, v_proj, t,
+        kernels.adamw_step(model.proj, grad_rows, m_proj, v_proj, t,
                            lr_t, config.beta1, config.beta2, config.epsilon, wd_t,
-                           adamw_scratch)
+                           adamw_scratch, rows)
         kernels.adamw_step(model.w, grad_w, m_w, v_w, t,
                            lr_t, config.beta1, config.beta2, config.epsilon, wd_t)
         if t % 100 == 0 and not (np.isfinite(model.w).all() and np.isfinite(model.proj).all()):
@@ -406,6 +416,8 @@ def load_embedding_overrides(path, embed_dim: int | None = None) -> dict[str, np
                     f"{path}: line {lineno}: embedding dim {vec.shape[0]} != {embed_dim}")
             if not np.isfinite(vec).all():
                 raise ValueError(f"{path}: line {lineno}: non-finite embedding value")
+            if key in out:
+                raise ValueError(f"{path}: line {lineno}: duplicate id {key!r}")
             norm = np.linalg.norm(vec)
             out[key] = vec / norm if norm > 0 else vec
     return out

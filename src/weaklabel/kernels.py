@@ -1,11 +1,14 @@
 """Numeric kernels on plain numpy arrays.
 
 The pipeline calls ``project_rows`` (embedding one text) and
-``adamw_step`` (the scorer's optimizer). ``scatter_add_outer``,
-``csr_matvec`` and ``logistic_epochs`` are per-vector forms of the
-batched scorer and label-tree code, kept as its test references
-(``logistic_epochs`` checks ``selftrain._fit_logistic``) and timed by
-``pipebench/bench_kernels.py``.
+``adamw_step`` (the scorer's optimizer). The scorer passes ``adamw_step``
+only the projection rows its batch touches (``rows``), since every other
+row of the gradient is exactly zero, and the parameter update runs over
+blocks of ``ADAMW_BLOCK_ROWS`` rows; both give the dense update bit for
+bit. ``scatter_add_outer``, ``csr_matvec`` and ``logistic_epochs`` are
+per-vector forms of the batched scorer and label-tree code, kept as its
+test references (``logistic_epochs`` checks ``selftrain._fit_logistic``)
+and timed by ``pipebench/bench_kernels.py``.
 
 All sparse inputs use plain arrays: either a single (indices, values)
 pair for one vector, or CSR triplets (data, indices, indptr) for a row
@@ -17,6 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 BACKEND = "numpy"
+# rows per block of the AdamW parameter update: two float64 temporaries of
+# 128 x 256 take 512 KiB, well inside a 4 MiB L2
+ADAMW_BLOCK_ROWS = 128
 
 
 def _sigmoid(z):
@@ -37,30 +43,54 @@ def scatter_add_outer(out, idx, val, g):
         np.add.at(out, idx, val[:, None] * g[None, :])
 
 
-def adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, wd, scratch=None):
+def adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, wd, scratch=None, rows=None):
     """One decoupled-weight-decay Adam update, in place.
 
     ``lr`` and ``wd`` arrive already multiplied by the schedule factor.
-    ``scratch`` is an optional pair of arrays shaped like ``param`` that
-    holds the temporaries; without it they are allocated per call.
+    With ``rows`` (sorted unique indices along axis 0), ``grad`` holds
+    only those rows of the gradient and every other row is taken as
+    exactly zero: all moments still decay and every parameter is still
+    updated, but only the given rows add gradient terms. ``rows=None``
+    is the dense form, with ``grad`` shaped like ``param``.
+
+    The moment decay is one pass over ``m`` and ``v``; the gradient terms
+    and the rest of the update then run over blocks of ``ADAMW_BLOCK_ROWS``
+    rows, so that the temporaries stay cache-sized. ``scratch`` is an
+    optional pair of arrays at least one block long (any longer leading
+    dimension will do) whose leading rows hold those temporaries; without
+    it two block-sized arrays are allocated per call.
     """
-    a, b = scratch if scratch is not None else (np.empty_like(param), np.empty_like(param))
+    if scratch is None:
+        scratch = (np.empty_like(param[:ADAMW_BLOCK_ROWS]),
+                   np.empty_like(param[:ADAMW_BLOCK_ROWS]))
     m *= beta1
-    np.multiply(grad, 1.0 - beta1, out=a)
-    m += a
     v *= beta2
-    np.multiply(grad, 1.0 - beta2, out=a)
-    a *= grad
-    v += a
-    np.divide(m, 1.0 - beta1 ** t, out=a)  # mhat
-    a *= lr
-    np.divide(v, 1.0 - beta2 ** t, out=b)  # vhat
-    np.sqrt(b, out=b)
-    b += eps
-    a /= b
-    param -= a
-    np.multiply(param, wd, out=a)
-    param -= a
+    for lo in range(0, grad.shape[0], ADAMW_BLOCK_ROWS):
+        blk = slice(lo, lo + ADAMW_BLOCK_ROWS)
+        touched = blk if rows is None else rows[blk]
+        g = grad[blk]
+        a = scratch[0][:g.shape[0]]
+        np.multiply(g, 1.0 - beta1, out=a)
+        m[touched] += a
+        np.multiply(g, 1.0 - beta2, out=a)
+        a *= g
+        v[touched] += a
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for lo in range(0, param.shape[0], ADAMW_BLOCK_ROWS):
+        blk = slice(lo, lo + ADAMW_BLOCK_ROWS)
+        p_blk = param[blk]
+        a = scratch[0][:p_blk.shape[0]]
+        b = scratch[1][:p_blk.shape[0]]
+        np.divide(m[blk], c1, out=a)  # mhat
+        a *= lr
+        np.divide(v[blk], c2, out=b)  # vhat
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p_blk -= a
+        np.multiply(p_blk, wd, out=a)
+        p_blk -= a
 
 
 def csr_matvec(data, indices, indptr, w, b):

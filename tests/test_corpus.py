@@ -141,6 +141,28 @@ class TestMistypedFields:
                            match=rf"corpus\.jsonl: line 2: '{field}' must be a {kind}"):
             load_corpus_records(tmp_path, [paper_record("p1"), record])
 
+    @pytest.mark.parametrize("field, record", [
+        ("sections", paper_record("p2", sections=["intro"])),
+        ("subsections", paper_record("p2", sections=[
+            {"name": "s", "paragraphs": [PARAGRAPH], "subsections": ["methods"]}])),
+    ])
+    def test_non_object_section_entry(self, tmp_path, field, record):
+        with pytest.raises(CorpusError,
+                           match=rf"corpus\.jsonl: line 2: '{field}' entries must be objects, "
+                                 r"got str$"):
+            load_corpus_records(tmp_path, [paper_record("p1"), record])
+
+    def test_cli_names_non_object_section_entry(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl([paper_record("p1", sections=["intro"])], corpus)
+        labels = tmp_path / "labels.jsonl"
+        write_jsonl([{"id": "L1", "names": ["graph"]}], labels)
+        assert main(["ingest", "--corpus", str(corpus), "--labels", str(labels),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "stage ingest failed: " in err
+        assert "line 1: 'sections' entries must be objects, got str" in err
+
     def test_label_names(self, tmp_path):
         with pytest.raises(CorpusError, match=r"labels\.jsonl: line 2: 'names' must be a list"):
             load_label_records(tmp_path, [{"id": "L1", "names": ["graph"]},

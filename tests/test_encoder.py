@@ -17,6 +17,7 @@ from weaklabel.encoder import (
 from weaklabel.corpus import tokenize
 
 from conftest import load_corpus_records, paper_record
+from test_kernels import adamw_allocating_reference
 
 
 def rand_text(rng, n, vocab=40):
@@ -430,6 +431,53 @@ class TestTrain:
             train(model, [], corpus)
 
 
+def dense_reference_train(model, tuples, corpus, config):
+    """``train`` written with the full backward product and dense AdamW."""
+    by_id = {p.id: p for p in corpus}
+    rng = np.random.default_rng(config.seed)
+    n, total = len(tuples), config.resolve_total_steps(len(tuples))
+    m_proj, v_proj = np.zeros_like(model.proj), np.zeros_like(model.proj)
+    m_w, v_w = np.zeros_like(model.w), np.zeros_like(model.w)
+    losses = []
+    order, cursor = rng.permutation(n), 0
+    for t in range(1, total + 1):
+        if cursor + config.batch_size > n:
+            order, cursor = rng.permutation(n), 0
+        batch = [tuples[i] for i in order[cursor:cursor + config.batch_size]]
+        cursor += config.batch_size
+        refs = ([tup.anchor for tup in batch] + [tup.positive for tup in batch]
+                + [tup.negative for tup in batch])
+        x = np.zeros((len(refs), model.hash_dim))
+        for row, (pid, k) in zip(x, refs):
+            sv = model.featurizer.featurize(by_id[pid].paragraphs[k].text)
+            row[sv.indices] = sv.values
+        grads = np.empty_like(model.proj), np.empty_like(model.w)
+        losses.append(encoder._batch_loss_grad(model, x, *grads))
+        sched = encoder._schedule(t, config.warmup_steps, total)
+        args = (t, sched * config.learning_rate, config.beta1, config.beta2,
+                config.epsilon, sched * config.weight_decay)
+        adamw_allocating_reference(model.proj, grads[0], m_proj, v_proj, *args)
+        adamw_allocating_reference(model.w, grads[1], m_w, v_w, *args)
+    return model, np.array(losses)
+
+
+def test_train_bitwise_equals_dense_reference_loop(tmp_path):
+    from weaklabel.citegraph import ContrastiveTuple
+    corpus = tiny_corpus(tmp_path)
+    corpus[0].paragraphs[1].text = ""  # featurizes to an all-zero batch row
+    tuples = tuples_for(corpus, 60, seed=9)
+    tuples += [ContrastiveTuple(("p0", 1), ("p2", 0), ("p1", 0))] * 4
+    config = TrainConfig(total_steps=160, warmup_steps=30, seed=3)
+    model, losses = train(init_model(hash_dim=256, embed_dim=32, seed=2), tuples, corpus,
+                          config)
+    ref, ref_losses = dense_reference_train(init_model(hash_dim=256, embed_dim=32, seed=2),
+                                            tuples, corpus, config)
+    assert 0.0 < losses[-1] < losses[0]  # the run learned, so the check is not vacuous
+    np.testing.assert_array_equal(losses, ref_losses)
+    np.testing.assert_array_equal(model.proj, ref.proj)
+    np.testing.assert_array_equal(model.w, ref.w)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(11)
@@ -467,6 +515,17 @@ class TestEmbeddingOverrides:
         jsonl.write_text('{"id": "L2", "embedding": [0, 0, 2, 0]}\n')
         out = load_embedding_overrides(jsonl, embed_dim=4)
         np.testing.assert_allclose(out["L2"], [0, 0, 1, 0])
+
+    @pytest.mark.parametrize("text", [
+        "L0\t0 0 1 0\nL1\t1 0 0 0\nL1\t0 1 0 0\n",
+        '{"id": "L0", "embedding": [0, 0, 1, 0]}\n{"id": "L1", "embedding": [1, 0, 0, 0]}\n'
+        '{"id": "L1", "embedding": [0, 1, 0, 0]}\n',
+    ], ids=["tsv", "jsonl"])
+    def test_duplicate_id_rejected(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"emb\.txt: line 3: duplicate id 'L1'"):
+            load_embedding_overrides(path, embed_dim=4)
 
     def test_dim_mismatch_rejected(self, tmp_path):
         tsv = tmp_path / "emb.tsv"

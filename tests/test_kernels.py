@@ -117,3 +117,29 @@ def test_adamw_in_place_bitwise_equals_allocating_reference(with_scratch):
     np.testing.assert_array_equal(p, p_ref)
     np.testing.assert_array_equal(m, m_ref)
     np.testing.assert_array_equal(v, v_ref)
+
+
+@pytest.mark.parametrize("shape, steps", [((2048, 256), 100), ((300,), 60)])
+@pytest.mark.parametrize("with_scratch", [False, True])
+def test_adamw_row_form_bitwise_equals_dense_reference(shape, steps, with_scratch):
+    # the gradient is zero outside a random third of rows; passing only
+    # those rows must give the dense update bit for bit (300 is not a
+    # multiple of the block size, so the last block is short)
+    rng = np.random.default_rng(9)
+    p = rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[0])
+    m, v = np.zeros(shape), np.zeros(shape)
+    p_ref, m_ref, v_ref = p.copy(), m.copy(), v.copy()
+    scratch = (np.empty(shape), np.empty(shape)) if with_scratch else None
+    for t in range(1, steps + 1):
+        n_rows = 0 if t % 25 == 0 else shape[0] // 3  # some steps touch no row
+        rows = np.sort(rng.choice(shape[0], size=n_rows, replace=False))
+        g_rows = rng.normal(size=(n_rows,) + shape[1:]) * 1e-3
+        g = np.zeros(shape)
+        g[rows] = g_rows
+        sched = min(t / 30, (steps - t) / (steps - 30))  # warmup, then linear decay
+        args = (t, 1e-2 * sched, 0.9, 0.999, 1e-8, 1e-2 * sched)
+        kernels.adamw_step(p, g_rows, m, v, *args, scratch, rows)
+        adamw_allocating_reference(p_ref, g, m_ref, v_ref, *args)
+    np.testing.assert_array_equal(p, p_ref)
+    np.testing.assert_array_equal(m, m_ref)
+    np.testing.assert_array_equal(v, v_ref)
