@@ -123,9 +123,10 @@ def main(argv=None) -> int:
     else:
         stages = [(args.command, dict(pipeline.STAGES)[args.command])]
 
+    ctx = pipeline.RunContext(cfg)  # shared by every stage of this command
     for name, fn in stages:
         try:
-            fn(cfg)
+            fn(cfg, ctx)
         except Exception as exc:
             print(f"stage {name} failed: {exc}", file=sys.stderr)
             return 1

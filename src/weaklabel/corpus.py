@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
-from collections import Counter
+from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,9 +198,28 @@ def _build_paper(record: dict, min_words: int) -> Paper:
     )
 
 
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside ``path`` (``mode`` "w" for UTF-8 text or
+    "wb") and move it onto ``path`` once the block completes.
+
+    If the block raises, the temporary file is removed and an earlier file
+    at ``path`` is left as it was, so no reader sees a truncated artifact.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_jsonl(records, path):
-    """Write each record as one line of JSON."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write each record as one line of JSON, atomically (``atomic_write``)."""
+    with atomic_write(path) as fh:
         for rec in records:
             fh.write(json.dumps(rec) + "\n")
 
@@ -281,28 +302,69 @@ def load_labels(path) -> list[Label]:
     return labels
 
 
-def build_vocabulary(corpus: list[Paper], min_df: int = DEFAULT_MIN_DF) -> Vocabulary:
-    """Index every word appearing in at least ``min_df`` documents."""
-    if not corpus:
+@dataclass
+class TermCounts:
+    """Each paper's full-text term counts over one word table.
+
+    Paper ``i`` holds the term ids ``ids[indptr[i]:indptr[i + 1]]``
+    (ascending, each once), occurring ``counts[...]`` times; ``words[t]``
+    is the word of id ``t``, ids numbered in order of first occurrence.
+    """
+
+    words: list[str]
+    ids: np.ndarray
+    counts: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def n_docs(self) -> int:
+        return self.indptr.size - 1
+
+
+def count_terms(corpus: list[Paper]) -> TermCounts:
+    """Tokenize each paper's full text once and count its terms."""
+    table: defaultdict[str, int] = defaultdict()
+    table.default_factory = table.__len__  # a new word gets the next id
+    ids, counts, indptr = [], [], [0]
+    for paper in corpus:
+        toks = paper.full_text_tokens()
+        u, c = np.unique(np.fromiter(map(table.__getitem__, toks), dtype=np.int64,
+                                     count=len(toks)), return_counts=True)
+        ids.append(u)
+        counts.append(c)
+        indptr.append(indptr[-1] + u.size)
+    return TermCounts(words=list(table),
+                      ids=np.concatenate(ids) if ids else np.empty(0, dtype=np.int64),
+                      counts=np.concatenate(counts) if counts else np.empty(0, dtype=np.int64),
+                      indptr=np.array(indptr, dtype=np.int64))
+
+
+def vocabulary_from_terms(terms: TermCounts, min_df: int) -> Vocabulary:
+    """Index every word of ``terms`` appearing in at least ``min_df`` documents."""
+    if not terms.n_docs:
         raise ValueError("cannot build a vocabulary over an empty corpus")
     if min_df < 1:
         raise ValueError("min_df must be positive")
-    df: Counter[str] = Counter()
-    for paper in corpus:
-        df.update(set(paper.full_text_tokens()))
-    kept = sorted(w for w, c in df.items() if c >= min_df)
+    df = np.bincount(terms.ids, minlength=len(terms.words))
+    kept = sorted((terms.words[t], t) for t in np.flatnonzero(df >= min_df).tolist())
     if not kept:
         log.warning("vocabulary is empty at min_df=%d", min_df)
-    word_index = {w: i for i, w in enumerate(kept)}
-    freq = np.array([df[w] for w in kept], dtype=np.int64)
-    return Vocabulary(word_index=word_index, doc_freq=freq, n_docs=len(corpus))
+    return Vocabulary(word_index={w: i for i, (w, _) in enumerate(kept)},
+                      doc_freq=df[[t for _, t in kept]].astype(np.int64),
+                      n_docs=terms.n_docs)
 
 
-def corpus_stats(corpus: list[Paper]) -> dict:
-    """Aggregate statistics reported after loading."""
+def build_vocabulary(corpus: list[Paper], min_df: int = DEFAULT_MIN_DF) -> Vocabulary:
+    """Index every word appearing in at least ``min_df`` documents."""
+    return vocabulary_from_terms(count_terms(corpus), min_df)
+
+
+def corpus_stats(corpus: list[Paper], terms: TermCounts | None = None) -> dict:
+    """Aggregate statistics reported after loading; ``terms`` are the
+    corpus's term counts, counted here when not given."""
     n = len(corpus)
     n_paragraphs = sum(len(p.paragraphs) for p in corpus)
-    n_words = sum(len(p.full_text_tokens()) for p in corpus)
+    n_words = int((count_terms(corpus) if terms is None else terms).counts.sum())
     return {
         "n_papers": n,
         "n_paragraphs": n_paragraphs,

@@ -24,7 +24,7 @@ from hashlib import blake2b
 import numpy as np
 
 from . import kernels
-from .corpus import tokenize
+from .corpus import atomic_write, tokenize
 
 DEFAULT_HASH_DIM = 2048
 DEFAULT_EMBED_DIM = 256
@@ -370,8 +370,9 @@ def save_model(model: ScorerModel, path, train_config: "TrainConfig | None" = No
     }
     if train_config is not None:
         meta["train"] = asdict(train_config)
-    np.savez(path, proj=model.proj, w=model.w,
-             meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+    with atomic_write(path, "wb") as fh:
+        np.savez(fh, proj=model.proj, w=model.w,
+                 meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
 
 
 def load_model(path) -> ScorerModel:

@@ -3,7 +3,9 @@
 Each stage is a standalone function reading only documented artifacts of
 earlier stages from the output directory, so the CLI can run any stage
 in isolation (including in a separate process) and a single-shot run is
-byte-identical to a stage-by-stage one.
+byte-identical to a stage-by-stage one. The inputs a stage derives from
+the corpus and label files come from a ``RunContext``: a full run shares
+one, so each input is read and each feature matrix built once per run.
 
 Stage order: candidates -> sample-tuples -> train-encoder -> score
 (joint scores, hierarchy aggregation, rank ensembling) -> self-train ->
@@ -15,13 +17,15 @@ from __future__ import annotations
 import json
 import logging
 import os
+from functools import cached_property
 
 import numpy as np
 
 from . import candidates as cand
 from . import citegraph, encoder, metrics, ranker, selftrain
 from .config import PipelineConfig
-from .corpus import (build_vocabulary, corpus_stats, load_corpus, load_labels, read_jsonl,
+from .corpus import (Label, Paper, TermCounts, Vocabulary, atomic_write, corpus_stats,
+                     count_terms, load_corpus, load_labels, read_jsonl, vocabulary_from_terms,
                      write_jsonl)
 
 log = logging.getLogger(__name__)
@@ -45,15 +49,68 @@ def _path(cfg: PipelineConfig, key: str) -> str:
     return os.path.join(cfg.output_dir, ARTIFACTS[key])
 
 
-def _load_inputs(cfg: PipelineConfig):
-    corpus = load_corpus(cfg.corpus_path, cfg.min_paragraph_words)
-    labels = load_labels(cfg.labels_path)
-    return corpus, labels
+class RunContext:
+    """The inputs of one run under one config, each read or built on first use.
+
+    ``run_pipeline`` and the CLI pass one context to every stage they run,
+    so the corpus and labels are parsed once, and the ingest statistics,
+    vocabulary and tf-idf matrix all come from one tokenization of each
+    paper (``terms``, dropped once the matrix is built). A stage called
+    without a context builds its own.
+    """
+
+    def __init__(self, cfg: PipelineConfig):
+        self.cfg = cfg
+
+    @cached_property
+    def corpus(self) -> list[Paper]:
+        return load_corpus(self.cfg.corpus_path, self.cfg.min_paragraph_words)
+
+    @cached_property
+    def labels(self) -> list[Label]:
+        return load_labels(self.cfg.labels_path)
+
+    @cached_property
+    def paper_ids(self) -> frozenset[str]:
+        return frozenset(p.id for p in self.corpus)
+
+    @cached_property
+    def terms(self) -> TermCounts:
+        return count_terms(self.corpus)
+
+    @cached_property
+    def vocab(self) -> Vocabulary:
+        return vocabulary_from_terms(self.terms, self.cfg.min_df)
+
+    @cached_property
+    def tfidf(self) -> selftrain.CsrMatrix:
+        X = selftrain.tfidf_from_terms(self.terms, self.vocab)
+        del self.terms  # no later stage reads the counts; free them before the fit
+        return X
 
 
-def _check_paper_ids(found: dict, corpus, key: str, stage: str):
+def _context(cfg: PipelineConfig, ctx: RunContext | None) -> RunContext:
+    """``ctx``, or a new context for a stage run on its own.
+
+    Either way the corpus and labels are loaded here, so a bad input fails
+    the stage before any artifact is read.
+    """
+    if ctx is None:
+        ctx = RunContext(cfg)
+    elif ctx.cfg != cfg:
+        raise ValueError("the run context was built for another config")
+    ctx.corpus, ctx.labels  # first access reads both files
+    return ctx
+
+
+def _write_json(cfg: PipelineConfig, key: str, obj, **kwargs):
+    with atomic_write(_path(cfg, key)) as fh:
+        json.dump(obj, fh, **kwargs)
+
+
+def _check_paper_ids(found: dict, ctx: RunContext, key: str, stage: str):
     """Reject an artifact written for a corpus with other paper ids."""
-    ids = {p.id for p in corpus}
+    ids = ctx.paper_ids
     if found.keys() != ids:
         raise ValueError(f"{ARTIFACTS[key]} was written for another corpus: it has "
                          f"{len(found)} papers, the corpus has {len(ids)}, "
@@ -73,21 +130,21 @@ def _check_tuple_refs(tuples, corpus):
                                  f"rerun sample-tuples")
 
 
-def stage_ingest(cfg: PipelineConfig) -> dict:
-    corpus, labels = _load_inputs(cfg)
-    stats = corpus_stats(corpus)
-    stats["n_labels"] = len(labels)
-    with open(_path(cfg, "ingest"), "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
-    log.info("ingested %d papers, %d labels", stats["n_papers"], len(labels))
+def stage_ingest(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict:
+    ctx = _context(cfg, ctx)
+    stats = corpus_stats(ctx.corpus, ctx.terms)
+    stats["n_labels"] = len(ctx.labels)
+    _write_json(cfg, "ingest", stats, indent=2, sort_keys=True)
+    log.info("ingested %d papers, %d labels", stats["n_papers"], len(ctx.labels))
     return stats
 
 
-def stage_candidates(cfg: PipelineConfig) -> dict[str, list[str]]:
-    corpus, labels = _load_inputs(cfg)
-    index = cand.build_name_index(labels)
+def stage_candidates(cfg: PipelineConfig,
+                     ctx: RunContext | None = None) -> dict[str, list[str]]:
+    ctx = _context(cfg, ctx)
+    index = cand.build_name_index(ctx.labels)
     out = {p.id: cand.retrieve_candidates(p, index, full_text=cfg.match_full_text)
-           for p in corpus}
+           for p in ctx.corpus}
     cand.write_candidates(out, _path(cfg, "candidates"))
     stats = cand.candidate_stats(out)
     log.info("retrieval: mean %.2f candidates/paper, %d empty",
@@ -95,8 +152,9 @@ def stage_candidates(cfg: PipelineConfig) -> dict[str, list[str]]:
     return out
 
 
-def stage_sample_tuples(cfg: PipelineConfig) -> list[citegraph.ContrastiveTuple]:
-    corpus, _ = _load_inputs(cfg)
+def stage_sample_tuples(cfg: PipelineConfig,
+                        ctx: RunContext | None = None) -> list[citegraph.ContrastiveTuple]:
+    corpus = _context(cfg, ctx).corpus
     graph = citegraph.build_graph(corpus)
     tuples = citegraph.sample_tuples(graph, corpus, citegraph.MetaPath.parse(cfg.meta_path),
                                      cfg.tuple_count, seed=cfg.stage_seed("sample-tuples"))
@@ -104,8 +162,9 @@ def stage_sample_tuples(cfg: PipelineConfig) -> list[citegraph.ContrastiveTuple]
     return tuples
 
 
-def stage_train_encoder(cfg: PipelineConfig) -> encoder.ScorerModel:
-    corpus, _ = _load_inputs(cfg)
+def stage_train_encoder(cfg: PipelineConfig,
+                        ctx: RunContext | None = None) -> encoder.ScorerModel:
+    corpus = _context(cfg, ctx).corpus
     tuples = citegraph.read_tuples(_path(cfg, "tuples"))
     _check_tuple_refs(tuples, corpus)
     model = encoder.init_model(cfg.hash_dim, cfg.embed_dim, seed=cfg.stage_seed("init-model"))
@@ -117,16 +176,17 @@ def stage_train_encoder(cfg: PipelineConfig) -> encoder.ScorerModel:
         seed=cfg.stage_seed("train-encoder"))
     model, losses = encoder.train(model, tuples, corpus, train_cfg)
     encoder.save_model(model, _path(cfg, "encoder"), train_config=train_cfg)
-    with open(_path(cfg, "loss_trace"), "w", encoding="utf-8") as fh:
-        json.dump({"losses": losses.tolist()}, fh)
+    _write_json(cfg, "loss_trace", {"losses": losses.tolist()})
     log.info("trained scorer: first-batch loss %.4f, final %.4f", losses[0], losses[-1])
     return model
 
 
-def stage_score(cfg: PipelineConfig) -> dict[str, list[ranker.CandidateScore]]:
-    corpus, labels = _load_inputs(cfg)
+def stage_score(cfg: PipelineConfig,
+                ctx: RunContext | None = None) -> dict[str, list[ranker.CandidateScore]]:
+    ctx = _context(cfg, ctx)
+    corpus, labels = ctx.corpus, ctx.labels
     cands = cand.read_candidates(_path(cfg, "candidates"))
-    _check_paper_ids(cands, corpus, "candidates", "candidates")
+    _check_paper_ids(cands, ctx, "candidates", "candidates")
     model = encoder.load_model(_path(cfg, "encoder"))
     overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
                  if cfg.embeddings_path else {})
@@ -167,24 +227,22 @@ def stage_score(cfg: PipelineConfig) -> dict[str, list[ranker.CandidateScore]]:
         "n_labels": len(labels),
         "n_empty_papers": sum(p.is_empty for p in corpus),
     }
-    with open(_path(cfg, "score_stats"), "w", encoding="utf-8") as fh:
-        json.dump(stats, fh, indent=2, sort_keys=True)
+    _write_json(cfg, "score_stats", stats, indent=2, sort_keys=True)
     return scored
 
 
-def stage_self_train(cfg: PipelineConfig) -> selftrain.LabelTreeClassifier:
-    corpus, labels = _load_inputs(cfg)
+def stage_self_train(cfg: PipelineConfig,
+                     ctx: RunContext | None = None) -> selftrain.LabelTreeClassifier:
+    ctx = _context(cfg, ctx)
     scored = ranker.read_scores(_path(cfg, "scores"))
-    _check_paper_ids(scored, corpus, "scores", "score")
-    vocab = build_vocabulary(corpus, cfg.min_df)
-    X = selftrain.build_tfidf_matrix(corpus, vocab)
+    _check_paper_ids(scored, ctx, "scores", "score")
     pseudo = selftrain.pseudo_labels(scored, cfg.pseudo_top_n)
     clf_cfg = selftrain.ClassifierConfig(
         n_trees=cfg.n_trees, max_leaf=cfg.max_leaf, beam_width=cfg.beam_width,
         epochs=cfg.classifier_epochs, learning_rate=cfg.classifier_lr,
         l2=cfg.classifier_l2, seed=cfg.stage_seed("self-train"))
-    clf = selftrain.train_classifier(X, [p.id for p in corpus], pseudo,
-                                     [l.id for l in labels], clf_cfg)
+    clf = selftrain.train_classifier(ctx.tfidf, [p.id for p in ctx.corpus], pseudo,
+                                     [l.id for l in ctx.labels], clf_cfg)
     selftrain.save_classifier(clf, _path(cfg, "classifier"))
     return clf
 
@@ -198,20 +256,19 @@ def _check_label_set(clf: selftrain.LabelTreeClassifier, label_ids: list[str]):
                          f"{only_clf[:5]}); rerun self-train")
 
 
-def stage_predict(cfg: PipelineConfig) -> dict[str, list[str]]:
-    corpus, labels = _load_inputs(cfg)
+def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[str, list[str]]:
+    ctx = _context(cfg, ctx)
+    corpus = ctx.corpus
     scored = ranker.read_scores(_path(cfg, "scores"))
-    _check_paper_ids(scored, corpus, "scores", "score")
-    label_ids = [l.id for l in labels]
+    _check_paper_ids(scored, ctx, "scores", "score")
+    label_ids = [l.id for l in ctx.labels]
 
     rankings: dict[str, list[str]] = {}
     top_scores: dict[str, list[float]] = {}
     if cfg.use_selftrain:
         clf = selftrain.load_classifier(_path(cfg, "classifier"))
         _check_label_set(clf, label_ids)
-        vocab = build_vocabulary(corpus, cfg.min_df)
-        X = selftrain.build_tfidf_matrix(corpus, vocab)
-        probs, _ = selftrain.predict_matrix(clf, X, cfg.beam_width)  # unreached labels hold 0
+        probs, _ = selftrain.predict_matrix(clf, ctx.tfidf, cfg.beam_width)  # unreached labels hold 0
         pinned = [[r.label_id for r in scored[p.id][:cfg.pseudo_top_n]] for p in corpus]
         ranked = selftrain.final_rankings(pinned, probs, clf.label_ids)
         column = {lid: j for j, lid in enumerate(clf.label_ids)}
@@ -236,11 +293,12 @@ def read_predictions(path) -> dict[str, list[str]]:
     return {rec["paper_id"]: list(rec["ranking"]) for rec in read_jsonl(path)}
 
 
-def stage_evaluate(cfg: PipelineConfig) -> metrics.MetricsReport | None:
-    corpus, _ = _load_inputs(cfg)
+def stage_evaluate(cfg: PipelineConfig,
+                   ctx: RunContext | None = None) -> metrics.MetricsReport | None:
+    ctx = _context(cfg, ctx)
     rankings = read_predictions(_path(cfg, "predictions"))
-    _check_paper_ids(rankings, corpus, "predictions", "predict")
-    gold = {p.id: set(p.gold_labels) for p in corpus if p.gold_labels is not None}
+    _check_paper_ids(rankings, ctx, "predictions", "predict")
+    gold = {p.id: set(p.gold_labels) for p in ctx.corpus if p.gold_labels is not None}
     if not any(gold.values()):
         log.warning("no ground-truth labels in the corpus; skipping evaluation")
         return None
@@ -251,7 +309,7 @@ def stage_evaluate(cfg: PipelineConfig) -> metrics.MetricsReport | None:
     report = metrics.evaluate(rankings, gold, precision_ks=tuple(cfg.precision_ks),
                               ndcg_ks=tuple(cfg.ndcg_ks), a=cfg.propensity_a,
                               b=cfg.propensity_b, mean_candidates=mean_c)
-    with open(_path(cfg, "metrics"), "w", encoding="utf-8") as fh:
+    with atomic_write(_path(cfg, "metrics")) as fh:
         fh.write(report.to_json() + "\n")
     print(report.to_json())
     return report
@@ -276,13 +334,15 @@ def stages(cfg: PipelineConfig) -> list:
 
 
 def run_pipeline(cfg: PipelineConfig):
-    """Run ``stages(cfg)`` in order; returns (rankings, metrics report or None)."""
+    """Run ``stages(cfg)`` in order over one ``RunContext``; returns
+    (rankings, metrics report or None)."""
+    ctx = RunContext(cfg)
     kept = {}
     for name, fn in stages(cfg):
         log.info("stage %s", name)
         # later stages must not hold earlier results in memory, except the two returned
         if name in ("predict", "evaluate"):
-            kept[name] = fn(cfg)
+            kept[name] = fn(cfg, ctx)
         else:
-            fn(cfg)
+            fn(cfg, ctx)
     return kept.get("predict"), kept.get("evaluate")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Paper, Vocabulary
+from .corpus import Paper, TermCounts, Vocabulary, atomic_write, count_terms
 from .encoder import SparseVec
 from .kernels import _sigmoid
 from .ranker import CandidateScore
@@ -29,26 +29,6 @@ GRAM_MAX_ROWS = 1024  # largest node fitted in row space: its Gram matrix is at 
 # ---------------------------------------------------------------------------
 # features
 # ---------------------------------------------------------------------------
-
-
-def tfidf_vector(paper: Paper, vocab: Vocabulary) -> SparseVec:
-    """tf(w, d) * ln(|D| / df(w)) over the document's full text.
-
-    Words outside the vocabulary, and words present in every document
-    (zero idf), contribute no entries.
-    """
-    counts: dict[int, int] = {}
-    for tok in paper.full_text_tokens():
-        j = vocab.word_index.get(tok)
-        if j is not None:
-            counts[j] = counts.get(j, 0) + 1
-    if not counts:
-        return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), len(vocab))
-    idx = np.array(sorted(counts), dtype=np.int64)
-    idf = np.log(vocab.n_docs / vocab.doc_freq[idx])
-    val = np.array([counts[j] for j in idx], dtype=np.float64) * idf
-    keep = val != 0.0
-    return SparseVec(idx[keep], val[keep], len(vocab))
 
 
 @dataclass
@@ -64,19 +44,33 @@ class CsrMatrix:
         return SparseVec(self.indices[lo:hi], self.data[lo:hi], self.n_cols)
 
 
-def build_tfidf_matrix(corpus: list[Paper], vocab: Vocabulary) -> CsrMatrix:
-    data, indices, indptr = [], [], [0]
-    for paper in corpus:
-        sv = tfidf_vector(paper, vocab)
-        data.append(sv.values)
-        indices.append(sv.indices)
-        indptr.append(indptr[-1] + sv.nnz)
+def tfidf_from_terms(terms: TermCounts, vocab: Vocabulary) -> CsrMatrix:
+    """tf(w, d) * ln(|D| / df(w)) over each paper's full-text term counts.
+
+    Row i is paper i with its columns ascending. Words outside the
+    vocabulary, and words present in every document (zero idf), contribute
+    no entries.
+    """
+    # a word outside the vocabulary maps to one extra column of zero idf
+    column = np.array([vocab.word_index.get(w, len(vocab)) for w in terms.words],
+                      dtype=np.int64)
+    idf = np.append(np.log(vocab.n_docs / vocab.doc_freq), 0.0)
+    cols = column[terms.ids]
+    vals = terms.counts * idf[cols]
+    keep = np.flatnonzero(vals)
+    rows = np.repeat(np.arange(terms.n_docs), np.diff(terms.indptr))[keep]
+    cols, vals = cols[keep], vals[keep]
+    order = np.argsort(rows * len(vocab) + cols)
     return CsrMatrix(
-        data=np.concatenate(data) if data else np.empty(0),
-        indices=np.concatenate(indices) if indices else np.empty(0, dtype=np.int64),
-        indptr=np.array(indptr, dtype=np.int64),
-        n_rows=len(corpus), n_cols=len(vocab),
+        data=vals[order], indices=cols[order],
+        indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=terms.n_docs)))),
+        n_rows=terms.n_docs, n_cols=len(vocab),
     )
+
+
+def build_tfidf_matrix(corpus: list[Paper], vocab: Vocabulary) -> CsrMatrix:
+    """The tf-idf matrix of ``corpus`` over ``vocab`` (``tfidf_from_terms``)."""
+    return tfidf_from_terms(count_terms(corpus), vocab)
 
 
 def _normalize_rows(X: CsrMatrix) -> CsrMatrix:
@@ -582,12 +576,13 @@ def save_classifier(clf: LabelTreeClassifier, path):
         "roots": roots,
         "nodes": nodes,
     }
-    np.savez_compressed(
-        path,
-        weights=np.vstack(weights) if weights else np.zeros((0, clf.n_features)),
-        biases=np.array(biases),
-        meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-    )
+    with atomic_write(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            weights=np.vstack(weights) if weights else np.zeros((0, clf.n_features)),
+            biases=np.array(biases),
+            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+        )
 
 
 def load_classifier(path) -> LabelTreeClassifier:

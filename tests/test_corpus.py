@@ -5,8 +5,8 @@ import pytest
 
 from weaklabel.cli import main
 from weaklabel.corpus import (
-    CorpusError, build_vocabulary, corpus_stats, load_corpus, load_labels,
-    read_jsonl, tokenize, write_jsonl,
+    CorpusError, atomic_write, build_vocabulary, corpus_stats, count_terms, load_corpus,
+    load_labels, read_jsonl, tokenize, write_jsonl,
 )
 
 from conftest import load_corpus_records, load_label_records, paper_record
@@ -117,6 +117,17 @@ class TestLoadCorpus:
         assert stats["paragraphs_per_paper"] == pytest.approx(1.5)
         assert stats["n_empty_papers"] == 0
 
+    def test_stats_count_words_from_term_counts(self, tmp_path):
+        recs = [
+            paper_record("p1", title="a title", abstract="short",
+                         sections=[{"name": "s", "paragraphs": [words(10), words(12)]}]),
+            paper_record("p2", sections=[{"name": "s", "paragraphs": ["tiny"]}]),
+        ]
+        corpus = load_corpus_records(tmp_path, recs)
+        stats = corpus_stats(corpus)
+        assert stats["words_per_paper"] == (3 + 22 + 0) / 2
+        assert corpus_stats(corpus, count_terms(corpus)) == stats
+
 
 PARAGRAPH = words(12)
 
@@ -199,6 +210,36 @@ class TestJsonLines:
         assert next(records) == {"a": 1}
         with pytest.raises(json.JSONDecodeError):
             next(records)
+
+    def test_failed_write_keeps_earlier_file(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_jsonl([{"a": 1}, {"b": 2}], path)
+        before = path.read_bytes()
+
+        def records():
+            yield {"c": 3}
+            yield {"d": 4}
+            raise RuntimeError("stage crashed")
+
+        with pytest.raises(RuntimeError, match="stage crashed"):
+            write_jsonl(records(), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
+    def test_failed_binary_write_leaves_no_file(self, tmp_path):
+        path = tmp_path / "m.npz"
+        with pytest.raises(ValueError):
+            with atomic_write(path, "wb") as fh:
+                fh.write(b"partial")
+                raise ValueError("boom")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_replaces_earlier_file(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        write_jsonl([{"a": 1}, {"b": 2}], path)
+        write_jsonl([{"c": 3}], path)
+        assert path.read_text() == '{"c": 3}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
 
 class TestLoadLabels:

@@ -6,13 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
 from weaklabel import citegraph, cli, encoder, pipeline, ranker, selftrain
 from weaklabel.config import ConfigError, PipelineConfig, make_config
-from weaklabel.corpus import load_corpus, load_labels
+from weaklabel.corpus import Paper, load_corpus, load_labels
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 SPEC = SyntheticSpec(n_papers=120, n_labels=20, labels_per_paper=3, seed=2)
@@ -181,9 +182,95 @@ class TestDeterminismAndIsolation:
                  "--config", str(config_file)],
                 capture_output=True, text=True)
             assert proc.returncode == 0, (name, proc.stderr)
-        for key in ("candidates", "tuples", "scores", "predictions", "metrics"):
+        for key in pipeline.ARTIFACTS:
             assert open(artifact(out, key), "rb").read() == \
                 open(artifact(stage_out, key), "rb").read(), key
+
+
+def count_input_reads(monkeypatch):
+    """Count each read of an input and each build of the tf-idf features
+    through the pipeline module; ``corpora`` holds a weakref to the first
+    paper of every corpus loaded."""
+    calls = {"load_corpus": 0, "load_labels": 0, "count_terms": 0,
+             "vocabulary_from_terms": 0, "tfidf_from_terms": 0, "full_text_tokens": 0}
+    corpora = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = fn(*args, **kwargs)
+            if name == "load_corpus":
+                corpora.append(weakref.ref(result[0]))
+            return result
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for name in ("load_corpus", "load_labels", "count_terms", "vocabulary_from_terms"):
+        counted(pipeline, name)
+    counted(selftrain, "tfidf_from_terms")
+    counted(Paper, "full_text_tokens")
+    return calls, corpora
+
+
+class TestRunContext:
+    """One context per run: each input is read, and each feature matrix
+    built, once; the context is released when the run returns."""
+
+    def test_run_reads_each_input_once(self, monkeypatch, tmp_path):
+        # the acceptance corpus (500 x 50, synth seed 1, run seed 7), trained briefly
+        data = tmp_path / "data"
+        data.mkdir()
+        write_synthetic(SyntheticSpec(seed=1), data / "corpus.jsonl", data / "labels.jsonl",
+                        data / "manifest.jsonl")
+        cfg = base_config(data, tmp_path / "out", seed=7, tuple_count=400, train_steps=50)
+        calls, corpora = count_input_reads(monkeypatch)
+        rankings, report = pipeline.run_pipeline(cfg)
+        assert len(rankings) == 500 and report is not None
+        assert calls == {"load_corpus": 1, "load_labels": 1, "count_terms": 1,
+                         "vocabulary_from_terms": 1, "tfidf_from_terms": 1,
+                         "full_text_tokens": 500}
+        assert corpora[0]() is None  # nothing outlives the run's context
+
+    def test_cli_run_all_reads_each_input_once(self, monkeypatch, data_dir, tmp_path):
+        calls, _ = count_input_reads(monkeypatch)
+        assert cli.main(["run-all", "--corpus", str(data_dir / "corpus.jsonl"),
+                         "--labels", str(data_dir / "labels.jsonl"),
+                         "--output-dir", str(tmp_path), "--tuple-count", "200",
+                         "--train-steps", "20"]) == 0
+        assert calls["load_corpus"] == calls["load_labels"] == calls["count_terms"] == 1
+
+    def test_standalone_stage_builds_its_own_context(self, monkeypatch, run, tmp_path):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "predictions.jsonl").unlink()
+        calls, corpora = count_input_reads(monkeypatch)
+        pipeline.stage_predict(dataclasses.replace(cfg, output_dir=str(copy)))
+        assert calls["load_corpus"] == calls["load_labels"] == calls["count_terms"] == 1
+        assert corpora[0]() is None
+        assert (copy / "predictions.jsonl").read_bytes() == \
+            open(artifact(out, "predictions"), "rb").read()
+
+    def test_stages_share_a_context(self, monkeypatch, run, tmp_path):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        cfg = dataclasses.replace(cfg, output_dir=str(copy))
+        calls, _ = count_input_reads(monkeypatch)
+        ctx = pipeline.RunContext(cfg)
+        for fn in (pipeline.stage_score, pipeline.stage_self_train, pipeline.stage_predict):
+            fn(cfg, ctx)
+        assert calls["load_corpus"] == calls["count_terms"] == calls["tfidf_from_terms"] == 1
+        for key in ("scores", "classifier", "predictions"):
+            assert open(artifact(out, key), "rb").read() == \
+                open(artifact(copy, key), "rb").read(), key
+
+    def test_context_of_another_config_rejected(self, run):
+        cfg, _, _, _ = run
+        ctx = pipeline.RunContext(dataclasses.replace(cfg, min_df=cfg.min_df + 1))
+        with pytest.raises(ValueError, match="another config"):
+            pipeline.stage_ingest(cfg, ctx)
 
 
 def per_candidate_cross(model, paper, labels_by_id, cand_ids, overrides):
@@ -537,6 +624,34 @@ class TestStandalonePredict:
         assert "different label set" in proc.stderr
         assert repr([fitted.label_ids[-1]]) in proc.stderr and "['ghost']" in proc.stderr
         assert "rerun self-train" in proc.stderr
+
+
+class TestBlasThreads:
+    """``weaklabel predict`` on one classifier under 1 and 2 BLAS threads:
+    the same rankings, and ``top_k_scores`` equal up to summation order."""
+
+    def test_rankings_identical_scores_within_rounding(self, run, tmp_path):
+        cfg, out, _, _ = run
+        written = {}
+        for threads in ("1", "2"):
+            copy = tmp_path / threads
+            shutil.copytree(out, copy)
+            (copy / "predictions.jsonl").unlink()
+            proc = subprocess.run(
+                [sys.executable, "-m", "weaklabel.cli", "predict",
+                 "--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
+                 "--output-dir", str(copy), "--seed", str(cfg.seed)],
+                capture_output=True, text=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+            assert proc.returncode == 0, proc.stderr
+            written[threads] = {rec["paper_id"]: rec for rec in
+                                pipeline.read_jsonl(copy / "predictions.jsonl")}
+        one, two = written["1"], written["2"]
+        assert one.keys() == two.keys() and len(one) == SPEC.n_papers
+        for pid, rec in one.items():
+            assert rec["ranking"] == two[pid]["ranking"], pid
+            np.testing.assert_allclose(two[pid]["top_k_scores"], rec["top_k_scores"],
+                                       rtol=1e-12, atol=0)
 
 
 class TestArtifactsFromAnotherCorpus:

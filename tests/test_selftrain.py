@@ -1,4 +1,6 @@
+import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,10 +11,9 @@ from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
     BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier,
     build_label_tree, build_tfidf_matrix, final_ranking, final_rankings, load_classifier,
-    predict_matrix, predict_proba, pseudo_labels, save_classifier, tfidf_vector,
-    train_classifier, train_tree, _fit_logistic, _in_row_space, _normalize_rows, _preorder,
+    predict_matrix, predict_proba, pseudo_labels, save_classifier, train_classifier, train_tree, _fit_logistic, _in_row_space, _normalize_rows, _preorder,
 )
-from weaklabel.corpus import build_vocabulary, load_corpus, load_labels
+from weaklabel.corpus import Vocabulary, build_vocabulary, load_corpus, load_labels
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import load_corpus_records, paper_record
@@ -24,6 +25,54 @@ def scored_rows(pairs):
             for i, (lid, mrr) in enumerate(pairs)]
 
 
+def tfidf_vector(paper, vocab: Vocabulary) -> SparseVec:
+    """Reference tf-idf row: a per-token dict loop over the paper's full text."""
+    counts: dict[int, int] = {}
+    for tok in paper.full_text_tokens():
+        j = vocab.word_index.get(tok)
+        if j is not None:
+            counts[j] = counts.get(j, 0) + 1
+    if not counts:
+        return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), len(vocab))
+    idx = np.array(sorted(counts), dtype=np.int64)
+    idf = np.log(vocab.n_docs / vocab.doc_freq[idx])
+    val = np.array([counts[j] for j in idx], dtype=np.float64) * idf
+    keep = val != 0.0
+    return SparseVec(idx[keep], val[keep], len(vocab))
+
+
+def reference_vocabulary(corpus, min_df) -> Vocabulary:
+    """Reference vocabulary: a Counter of each paper's token set."""
+    df: Counter[str] = Counter()
+    for paper in corpus:
+        df.update(set(paper.full_text_tokens()))
+    kept = sorted(w for w, c in df.items() if c >= min_df)
+    return Vocabulary(word_index={w: i for i, w in enumerate(kept)},
+                      doc_freq=np.array([df[w] for w in kept], dtype=np.int64),
+                      n_docs=len(corpus))
+
+
+def assert_same_features(corpus, min_df):
+    """build_vocabulary and build_tfidf_matrix equal the references bitwise."""
+    want = reference_vocabulary(corpus, min_df)
+    vocab = build_vocabulary(corpus, min_df)
+    assert list(vocab.word_index.items()) == list(want.word_index.items())
+    assert vocab.doc_freq.dtype == want.doc_freq.dtype
+    np.testing.assert_array_equal(vocab.doc_freq, want.doc_freq)
+    assert vocab.n_docs == want.n_docs
+    X = build_tfidf_matrix(corpus, vocab)
+    rows = [tfidf_vector(p, want) for p in corpus]
+    assert (X.n_rows, X.n_cols) == (len(corpus), len(want))
+    assert X.indices.dtype == np.int64 and X.indptr.dtype == np.int64
+    assert X.data.dtype == np.float64
+    np.testing.assert_array_equal(X.indptr, np.cumsum([0] + [sv.nnz for sv in rows]))
+    for i, sv in enumerate(rows):
+        got = X.row(i)
+        np.testing.assert_array_equal(got.indices, sv.indices)
+        assert got.values.tobytes() == sv.values.tobytes()
+    return vocab, X
+
+
 class TestTfIdf:
     def build(self, tmp_path, bodies):
         recs = [paper_record(f"p{i}", sections=[{"name": "s", "paragraphs": [b]}])
@@ -33,12 +82,12 @@ class TestTfIdf:
 
     def test_ubiquitous_word_omitted(self, tmp_path):
         corpus, vocab = self.build(tmp_path, ["common alpha", "common beta"])
-        sv = tfidf_vector(corpus[0], vocab)
+        sv = build_tfidf_matrix(corpus, vocab).row(0)
         assert vocab.word_index["common"] not in sv.indices
 
     def test_direct_formula(self, tmp_path):
         corpus, vocab = self.build(tmp_path, ["rare rare rare", "other words"])
-        sv = tfidf_vector(corpus[0], vocab)
+        sv = build_tfidf_matrix(corpus, vocab).row(0)
         j = vocab.word_index["rare"]
         value = dict(zip(sv.indices.tolist(), sv.values.tolist()))[j]
         assert value == pytest.approx(3 * math.log(2), abs=1e-12)
@@ -49,7 +98,7 @@ class TestTfIdf:
                 paper_record("p1")]
         corpus = load_corpus_records(tmp_path, recs)
         vocab = build_vocabulary(corpus, min_df=1)
-        assert tfidf_vector(corpus[1], vocab).nnz == 0
+        assert build_tfidf_matrix(corpus, vocab).row(1).nnz == 0
 
     def test_matrix_rows_match_vectors(self, tmp_path):
         corpus, vocab = self.build(tmp_path, ["alpha beta alpha", "beta gamma",
@@ -60,6 +109,64 @@ class TestTfIdf:
             row = X.row(i)
             np.testing.assert_array_equal(row.indices, sv.indices)
             np.testing.assert_array_equal(row.values, sv.values)
+
+
+class TestOnePassFeatures:
+    """The one-pass vocabulary and tf-idf matrix against the per-token references."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("min_df", [1, 5])
+    def test_synthetic_corpus_bitwise(self, tmp_path, seed, min_df):
+        write_synthetic(SyntheticSpec(seed=seed), tmp_path / "c.jsonl", tmp_path / "l.jsonl",
+                        tmp_path / "m.jsonl")
+        vocab, X = assert_same_features(load_corpus(tmp_path / "c.jsonl", 10), min_df)
+        assert len(vocab) > 100 and X.data.size > 1000
+
+    def corpus(self, tmp_path, bodies, title=""):
+        recs = [paper_record(f"p{i}", title=title,
+                             sections=[{"name": "s", "paragraphs": [b]}] if b else [])
+                for i, b in enumerate(bodies)]
+        return load_corpus_records(tmp_path, recs, min_words=1)
+
+    def test_min_df_filters(self, tmp_path):
+        corpus = self.corpus(tmp_path, ["alpha beta beta", "beta gamma", "gamma alpha delta",
+                                        "epsilon alpha"])
+        vocab, _ = assert_same_features(corpus, 2)
+        assert list(vocab.word_index) == ["alpha", "beta", "gamma"]
+        assert vocab.doc_freq.tolist() == [3, 2, 2]
+
+    def test_word_in_every_paper_dropped(self, tmp_path):
+        corpus = self.corpus(tmp_path, ["shared one", "shared two two", "shared three"])
+        vocab, X = assert_same_features(corpus, 1)
+        assert vocab.df("shared") == 3
+        assert vocab.word_index["shared"] not in X.indices
+
+    def test_empty_paper(self, tmp_path):
+        corpus = self.corpus(tmp_path, ["alpha beta", "", "beta gamma alpha"])
+        _, X = assert_same_features(corpus, 1)
+        assert X.row(1).nnz == 0
+
+    def test_paper_without_vocabulary_words(self, tmp_path):
+        corpus = self.corpus(tmp_path, ["alpha beta", "lonely", "beta alpha gamma"])
+        vocab, X = assert_same_features(corpus, 2)
+        assert "lonely" not in vocab.word_index
+        assert X.row(1).nnz == 0
+
+    def test_empty_vocabulary(self, tmp_path, caplog):
+        corpus = self.corpus(tmp_path, ["alpha", "beta", "gamma"])
+        with caplog.at_level(logging.WARNING):
+            vocab, X = assert_same_features(corpus, 2)
+        assert len(vocab) == 0 and X.data.size == 0
+        assert X.indptr.tolist() == [0, 0, 0, 0]
+        assert "empty" in caplog.text
+
+    def test_matrix_for_a_vocabulary_of_another_corpus(self, tmp_path):
+        corpus = self.corpus(tmp_path, ["alpha beta beta", "beta gamma", "zeta alpha"])
+        other = reference_vocabulary(corpus[:2], 1)
+        X = build_tfidf_matrix(corpus, other)
+        for i, paper in enumerate(corpus):
+            np.testing.assert_array_equal(X.row(i).indices, tfidf_vector(paper, other).indices)
+            np.testing.assert_array_equal(X.row(i).values, tfidf_vector(paper, other).values)
 
 
 class TestPseudoLabels:
