@@ -24,7 +24,7 @@ from hashlib import blake2b
 import numpy as np
 
 from . import kernels
-from .corpus import atomic_write, tokenize
+from .corpus import tokenize, write_npz
 
 DEFAULT_HASH_DIM = 2048
 DEFAULT_EMBED_DIM = 256
@@ -370,9 +370,9 @@ def save_model(model: ScorerModel, path, train_config: "TrainConfig | None" = No
     }
     if train_config is not None:
         meta["train"] = asdict(train_config)
-    with atomic_write(path, "wb") as fh:
-        np.savez(fh, proj=model.proj, w=model.w,
-                 meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+    write_npz(path, {"proj": [model.proj], "w": [model.w],
+                     "meta": [np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)]},
+              compress=False)
 
 
 def load_model(path) -> ScorerModel:
@@ -380,9 +380,14 @@ def load_model(path) -> ScorerModel:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
-        feat = BaseFeaturizer(dim=meta["hash_dim"], hash_seed=meta["hash_seed"],
-                              max_tokens=meta["max_tokens"])
-        return ScorerModel(featurizer=feat, proj=data["proj"].copy(), w=data["w"].copy())
+        proj, w = data["proj"], data["w"]
+    shapes = ((meta["hash_dim"], meta["embed_dim"]), (2 * meta["embed_dim"],))
+    if (proj.shape, w.shape) != shapes:
+        raise ValueError(f"{path}: proj is {proj.shape} and w {w.shape}, but its meta names "
+                         f"{shapes[0]} and {shapes[1]}; rerun train-encoder")
+    feat = BaseFeaturizer(dim=meta["hash_dim"], hash_seed=meta["hash_seed"],
+                          max_tokens=meta["max_tokens"])
+    return ScorerModel(featurizer=feat, proj=proj, w=w)
 
 
 def load_embedding_overrides(path, embed_dim: int | None = None) -> dict[str, np.ndarray]:

@@ -289,14 +289,17 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[st
     return rankings
 
 
-def read_predictions(path) -> dict[str, list[str]]:
-    return {rec["paper_id"]: list(rec["ranking"]) for rec in read_jsonl(path)}
+def read_predictions(path, limit: int | None = None) -> dict[str, list[str]]:
+    """Each paper's ranking, cut to its first ``limit`` labels when given."""
+    return {rec["paper_id"]: rec["ranking"][:limit] for rec in read_jsonl(path)}
 
 
 def stage_evaluate(cfg: PipelineConfig,
                    ctx: RunContext | None = None) -> metrics.MetricsReport | None:
     ctx = _context(cfg, ctx)
-    rankings = read_predictions(_path(cfg, "predictions"))
+    # every metric reads only the top k of a ranking
+    rankings = read_predictions(_path(cfg, "predictions"),
+                                limit=max((*cfg.precision_ks, *cfg.ndcg_ks), default=0))
     _check_paper_ids(rankings, ctx, "predictions", "predict")
     gold = {p.id: set(p.gold_labels) for p in ctx.corpus if p.gold_labels is not None}
     if not any(gold.values()):

@@ -41,18 +41,20 @@ def aggregate_hierarchy(paper: Paper, leaf_embeddings,
 
     by_leaf = {id(node): np.asarray(e, dtype=np.float64)
                for node, e in zip(leaves, leaf_embeddings)}
+    # reversing a preorder that visits children last to first gives the
+    # postorder, children before their parent
+    order, stack = [], [paper.hierarchy]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        stack.extend(node.children)
     by_node: dict[HierarchyNode, np.ndarray] = {}
-
-    def visit(node: HierarchyNode) -> np.ndarray:
+    for node in reversed(order):
         if node.kind == "paragraph":
-            emb = by_leaf[id(node)]
+            by_node[node] = by_leaf[id(node)]
         else:
-            emb = sum(visit(c) for c in node.children) / len(node.children)
-        by_node[node] = emb
-        return emb
-
-    root = visit(paper.hierarchy)
-    return AggregatedEmbeddings(by_node=by_node, root=root)
+            by_node[node] = sum(by_node[c] for c in node.children) / len(node.children)
+    return AggregatedEmbeddings(by_node=by_node, root=by_node[paper.hierarchy])
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

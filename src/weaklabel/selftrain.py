@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Paper, TermCounts, Vocabulary, atomic_write, count_terms
+from .corpus import Paper, TermCounts, Vocabulary, count_terms, write_npz
 from .encoder import SparseVec
 from .kernels import _sigmoid
 from .ranker import CandidateScore
@@ -207,14 +207,17 @@ def build_label_tree(features: np.ndarray, label_ids: list[str], max_leaf: int,
         return root
 
     unit = features[featured] / norms[featured, None]
-
-    def recurse(rows: np.ndarray) -> TreeNode:
+    # split in preorder, so the clustering draws from rng in a fixed order
+    root = TreeNode()
+    stack = [(root, np.arange(len(featured)))]
+    while stack:
+        node, rows = stack.pop()
         if rows.size <= max_leaf:
-            return TreeNode(label_ids=tuple(label_ids[featured[i]] for i in rows))
+            node.label_ids = tuple(label_ids[featured[i]] for i in rows)
+            continue
         left = _balanced_split(unit[rows], rng)
-        return TreeNode(children=[recurse(rows[left]), recurse(rows[~left])])
-
-    root = recurse(np.arange(len(featured)))
+        node.children = [TreeNode(), TreeNode()]
+        stack += [(node.children[1], rows[~left]), (node.children[0], rows[left])]
     if unfeatured:
         pooled = TreeNode(label_ids=tuple(label_ids[i] for i in unfeatured))
         root = TreeNode(children=[root, pooled])
@@ -344,19 +347,18 @@ def train_tree(tree: TreeNode, X: CsrMatrix, label_sets: list[frozenset[str]],
     if pairs:
         member[tuple(np.array(pairs).T)] = True
 
-    def fit(node: TreeNode, rows: np.ndarray, lo: int):
+    stack = [(tree, all_rows, 0)]  # (node, its rows, its first membership column)
+    while stack:
+        node, rows, lo = stack.pop()
         if node.is_leaf:
             Y = member[rows, lo:lo + len(node.label_ids)].astype(np.float64)
             node.leaf_weights, node.leaf_bias = _fit_logistic(X, rows, Y, cfg)
-            return
+            continue
         bounds = np.cumsum([lo] + [len(c.label_set()) for c in node.children])
         Y = np.column_stack([member[rows, a:z].any(axis=1)
                              for a, z in zip(bounds[:-1], bounds[1:])])
         node.child_weights, node.child_bias = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
-        for j, child in enumerate(node.children):
-            fit(child, rows[Y[:, j]], int(bounds[j]))
-
-    fit(tree, all_rows, 0)
+        stack += [(child, rows[Y[:, j]], int(bounds[j])) for j, child in enumerate(node.children)]
     return tree
 
 
@@ -546,43 +548,37 @@ def final_ranking(rows: list[CandidateScore], probabilities: dict[str, float],
 
 
 def save_classifier(clf: LabelTreeClassifier, path):
-    nodes = []
-    weights, biases = [], []
-
-    def serialize(node: TreeNode) -> int:
-        slot = len(nodes)
-        rec: dict = {"index": node.index}
-        nodes.append(rec)
+    """Write ``clf`` to ``path`` as a compressed npz: every node's weight
+    rows in preorder (``weights``, ``biases``) and the trees as JSON
+    (``meta``). The weights are streamed node by node, never stacked."""
+    order = [node for tree in clf.trees for node in _preorder(tree)]
+    slot = {id(node): i for i, node in enumerate(order)}
+    nodes, weights, biases = [], [], []
+    n_rows = 0
+    for node in order:
         if node.is_leaf:
-            rec["labels"] = list(node.label_ids)
-            rec["clf"] = len(weights)
-            for j in range(len(node.label_ids)):
-                weights.append(node.leaf_weights[j])
-                biases.append(node.leaf_bias[j])
+            k, w, b = len(node.label_ids), node.leaf_weights, node.leaf_bias
+            nodes.append({"index": node.index, "labels": list(node.label_ids), "clf": n_rows})
         else:
-            rec["clf"] = len(weights)
-            for j in range(len(node.children)):
-                weights.append(node.child_weights[j])
-                biases.append(node.child_bias[j])
-            rec["children"] = [serialize(c) for c in node.children]
-        return slot
-
-    roots = [serialize(t) for t in clf.trees]
+            k, w, b = len(node.children), node.child_weights, node.child_bias
+            nodes.append({"index": node.index, "clf": n_rows,
+                          "children": [slot[id(c)] for c in node.children]})
+        weights.append(w[:k])
+        biases.append(b[:k])
+        n_rows += k
     meta = {
         "version": CLASSIFIER_VERSION,
         "label_ids": list(clf.label_ids),
         "beam_width": clf.beam_width,
         "n_features": clf.n_features,
-        "roots": roots,
+        "roots": [slot[id(tree)] for tree in clf.trees],
         "nodes": nodes,
     }
-    with atomic_write(path, "wb") as fh:
-        np.savez_compressed(
-            fh,
-            weights=np.vstack(weights) if weights else np.zeros((0, clf.n_features)),
-            biases=np.array(biases),
-            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-        )
+    write_npz(path, {
+        "weights": weights or [np.zeros((0, clf.n_features))],
+        "biases": biases or [np.zeros(0)],
+        "meta": [np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)],
+    }, compress=True)
 
 
 def load_classifier(path) -> LabelTreeClassifier:
@@ -592,23 +588,26 @@ def load_classifier(path) -> LabelTreeClassifier:
             raise ValueError(f"unsupported classifier version {meta.get('version')!r}")
         weights = data["weights"]
         biases = data["biases"]
-
-        def restore(slot: int) -> TreeNode:
-            rec = meta["nodes"][slot]
-            if "labels" in rec:
-                k = len(rec["labels"])
-                node = TreeNode(index=rec["index"], label_ids=tuple(rec["labels"]))
-                node.leaf_weights = weights[rec["clf"]:rec["clf"] + k]
-                node.leaf_bias = biases[rec["clf"]:rec["clf"] + k]
-                return node
-            node = TreeNode(index=rec["index"])
-            node.children = [restore(c) for c in rec["children"]]
-            k = len(node.children)
-            node.child_weights = weights[rec["clf"]:rec["clf"] + k]
-            node.child_bias = biases[rec["clf"]:rec["clf"] + k]
-            return node
-
-        trees = [restore(r) for r in meta["roots"]]
-        return LabelTreeClassifier(label_ids=tuple(meta["label_ids"]), trees=trees,
-                                   beam_width=meta["beam_width"],
-                                   n_features=meta["n_features"])
+    recs = meta["nodes"]
+    n_rows = sum(len(rec["labels"] if "labels" in rec else rec["children"]) for rec in recs)
+    expected = (n_rows, meta["n_features"])
+    if weights.dtype != np.float64 or weights.shape != expected or biases.shape != (n_rows,):
+        raise ValueError(f"{path}: weights are {weights.dtype} {weights.shape} and biases "
+                         f"{biases.shape}, but its meta names float64 {expected} and "
+                         f"({n_rows},); rerun self-train")
+    nodes = []
+    for rec in recs:
+        lo = rec["clf"]
+        if "labels" in rec:
+            hi = lo + len(rec["labels"])
+            nodes.append(TreeNode(index=rec["index"], label_ids=tuple(rec["labels"]),
+                                  leaf_weights=weights[lo:hi], leaf_bias=biases[lo:hi]))
+        else:
+            hi = lo + len(rec["children"])
+            nodes.append(TreeNode(index=rec["index"], child_weights=weights[lo:hi],
+                                  child_bias=biases[lo:hi]))
+    for node, rec in zip(nodes, recs):
+        node.children = [nodes[c] for c in rec.get("children", ())]
+    return LabelTreeClassifier(label_ids=tuple(meta["label_ids"]),
+                               trees=[nodes[r] for r in meta["roots"]],
+                               beam_width=meta["beam_width"], n_features=meta["n_features"])

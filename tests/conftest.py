@@ -1,3 +1,4 @@
+import gc
 import json
 
 import pytest
@@ -42,3 +43,16 @@ def load_corpus_records(tmp_path, records, min_words=10):
 def load_label_records(tmp_path, records):
     path = write_jsonl(tmp_path / "labels.jsonl", records)
     return load_labels(path)
+
+
+def garbage_after(fn, *args, **kwargs) -> int:
+    """How many objects the cyclic collector finds unreachable right after
+    ``fn(*args, **kwargs)`` returns, with automatic collection off while it
+    runs: 0 means the call left no reference cycle behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        result = fn(*args, **kwargs)  # alive while collecting, so only true garbage counts
+        return gc.collect()
+    finally:
+        gc.enable()

@@ -1,5 +1,9 @@
+import dataclasses
+import json
 import math
+import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import blake2b
 
@@ -501,6 +505,54 @@ class TestCheckpoint:
                  meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(hash_dim=st.integers(1, 64), embed_dim=st.integers(1, 12),
+           hash_seed=st.integers(0, 2**31), max_tokens=st.integers(1, 500),
+           trained=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_and_bytes_equal_savez(self, hash_dim, embed_dim, hash_seed, max_tokens,
+                                             trained, seed):
+        model = init_model(hash_dim=hash_dim, embed_dim=embed_dim, seed=seed)
+        model.featurizer = BaseFeaturizer(dim=hash_dim, hash_seed=hash_seed,
+                                          max_tokens=max_tokens)
+        model.w = np.random.default_rng(seed).normal(size=2 * embed_dim)
+        config = TrainConfig(total_steps=7, seed=seed) if trained else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref = os.path.join(tmp, "model.npz"), os.path.join(tmp, "ref.npz")
+            save_model(model, path, config)
+            reference_save_model(model, ref, config)
+            with open(path, "rb") as a, open(ref, "rb") as r:
+                assert a.read() == r.read()
+            loaded = load_model(path)
+        np.testing.assert_array_equal(loaded.proj, model.proj)
+        np.testing.assert_array_equal(loaded.w, model.w)
+        assert (loaded.hash_dim, loaded.embed_dim, loaded.featurizer.hash_seed,
+                loaded.featurizer.max_tokens) == (hash_dim, embed_dim, hash_seed, max_tokens)
+        assert loaded.proj.flags.writeable and loaded.w.flags.writeable
+
+    @pytest.mark.parametrize("proj_shape, w_len", [((17, 4), 8), ((15, 4), 8), ((16, 5), 8),
+                                                   ((16, 4), 9), ((16, 4), 4)])
+    def test_archive_disagreeing_with_its_meta_rejected(self, tmp_path, proj_shape, w_len):
+        path = tmp_path / "model.npz"
+        save_model(init_model(hash_dim=16, embed_dim=4), path)
+        with np.load(path) as data:
+            meta = data["meta"]
+        np.savez(path, proj=np.zeros(proj_shape), w=np.zeros(w_len), meta=meta)
+        with pytest.raises(ValueError, match=r"model.npz: proj is .*rerun train-encoder"):
+            load_model(path)
+
+
+def reference_save_model(model, path, train_config=None):
+    """The checkpoint writer before write_npz: np.savez of the arrays."""
+    meta = {"version": encoder.CHECKPOINT_VERSION, "hash_dim": model.hash_dim,
+            "embed_dim": model.embed_dim, "hash_seed": model.featurizer.hash_seed,
+            "max_tokens": model.featurizer.max_tokens}
+    if train_config is not None:
+        meta["train"] = dataclasses.asdict(train_config)
+    with open(path, "wb") as fh:
+        np.savez(fh, proj=model.proj, w=model.w,
+                 meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
 
 
 class TestEmbeddingOverrides:

@@ -187,6 +187,36 @@ class TestDeterminismAndIsolation:
                 open(artifact(stage_out, key), "rb").read(), key
 
 
+class TestEvaluateStage:
+    def test_reads_only_the_top_k_and_writes_the_same_metrics(self, data_dir, run, tmp_path,
+                                                              monkeypatch):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        cfg = base_config(data_dir, copy)
+        longest = []
+        evaluate, read_predictions = pipeline.metrics.evaluate, pipeline.read_predictions
+
+        def recording(rankings, *args, **kwargs):
+            longest.append(max(len(r) for r in rankings.values()))
+            return evaluate(rankings, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline.metrics, "evaluate", recording)
+        pipeline.stage_evaluate(cfg)
+        cut = (copy / "metrics.json").read_bytes()
+        monkeypatch.setattr(pipeline, "read_predictions", lambda path, limit: read_predictions(path))
+        pipeline.stage_evaluate(cfg)
+        assert (copy / "metrics.json").read_bytes() == cut == \
+            (out / "metrics.json").read_bytes()
+        assert longest == [max(*cfg.precision_ks, *cfg.ndcg_ks), SPEC.n_labels]
+
+    def test_read_predictions_limit(self, run):
+        _, out, rankings, _ = run
+        path = artifact(out, "predictions")
+        assert pipeline.read_predictions(path) == rankings
+        assert pipeline.read_predictions(path, limit=2) == {p: r[:2] for p, r in rankings.items()}
+
+
 def count_input_reads(monkeypatch):
     """Count each read of an input and each build of the tf-idf features
     through the pipeline module; ``corpora`` holds a weakref to the first

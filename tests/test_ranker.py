@@ -7,6 +7,8 @@ from weaklabel.ranker import (
     score_bi, write_scores,
 )
 
+from conftest import garbage_after
+
 
 def make_paper(root, pid="d1", title="t", abstract="a"):
     return Paper(id=pid, title=title, abstract=abstract, hierarchy=root)
@@ -72,6 +74,14 @@ class TestAggregateHierarchy:
             by_leaf = {id(n): e for n, e in zip(paper.paragraphs, embs)}
             expected = oracle_aggregate(paper.hierarchy, by_leaf)
             np.testing.assert_array_equal(agg.root, expected)
+            for node, emb in agg.by_node.items():
+                np.testing.assert_array_equal(emb, oracle_aggregate(node, by_leaf))
+
+    def test_leaves_no_reference_cycle(self):
+        rng = np.random.default_rng(2)
+        paper = make_paper(random_tree(rng))
+        embs = [rng.normal(size=4) for _ in paper.paragraphs]
+        assert garbage_after(aggregate_hierarchy, paper, embs) == 0
 
     def test_linear_in_leaf_scale(self):
         rng = np.random.default_rng(1)

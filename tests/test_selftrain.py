@@ -1,9 +1,14 @@
+import json
 import logging
 import math
+import os
+import tempfile
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaklabel import kernels, selftrain
 from weaklabel.encoder import SparseVec
@@ -16,7 +21,7 @@ from weaklabel.selftrain import (
 from weaklabel.corpus import Vocabulary, build_vocabulary, load_corpus, load_labels
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
-from conftest import load_corpus_records, paper_record
+from conftest import garbage_after, load_corpus_records, paper_record
 
 
 def scored_rows(pairs):
@@ -691,3 +696,200 @@ class TestPersistence:
             a = predict_proba(clf, X.row(i))
             b = predict_proba(loaded, X.row(i))
             assert a == b
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_labels=st.integers(1, 12), n_features=st.integers(1, 6),
+           n_trees=st.integers(1, 3), max_leaf=st.integers(1, 14),
+           seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_of_random_trees(self, n_labels, n_features, n_trees, max_leaf, seed):
+        clf = random_classifier(np.random.default_rng(seed), n_labels, n_features,
+                                n_trees, max_leaf)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, ref, again = (os.path.join(tmp, n) for n in ("a.npz", "ref.npz", "b.npz"))
+            save_classifier(clf, path)
+            reference_save_classifier(clf, ref)
+            loaded = load_classifier(path)
+            save_classifier(loaded, again)
+            with open(path, "rb") as a, open(ref, "rb") as r, open(again, "rb") as b:
+                written = a.read()
+                assert written == r.read() and written == b.read()
+        assert (loaded.label_ids, loaded.beam_width, loaded.n_features) == \
+            (clf.label_ids, clf.beam_width, clf.n_features)
+        for x, y in zip(clf.trees, loaded.trees, strict=True):
+            for a, b in zip(_preorder(x), _preorder(y), strict=True):
+                assert (a.index, a.label_ids, len(a.children)) == \
+                    (b.index, b.label_ids, len(b.children))
+                for u, v in ((a.leaf_weights, b.leaf_weights), (a.leaf_bias, b.leaf_bias),
+                             (a.child_weights, b.child_weights), (a.child_bias, b.child_bias)):
+                    assert (u is None) == (v is None)
+                    if u is not None:
+                        np.testing.assert_array_equal(u, v)
+
+    def test_single_leaf_root_roundtrip(self, tmp_path):
+        root = selftrain.TreeNode(index=0, label_ids=("B", "A"), leaf_weights=np.eye(2, 3),
+                                  leaf_bias=np.array([0.5, -1.0]))
+        clf = LabelTreeClassifier(label_ids=("A", "B"), trees=[root], beam_width=3,
+                                  n_features=3)
+        save_classifier(clf, tmp_path / "clf.npz")
+        loaded = load_classifier(tmp_path / "clf.npz")
+        assert loaded.trees[0].is_leaf and loaded.trees[0].label_ids == clf.trees[0].label_ids
+        np.testing.assert_array_equal(loaded.trees[0].leaf_weights, clf.trees[0].leaf_weights)
+
+    def test_save_holds_no_second_copy_of_the_weights(self, tmp_path):
+        clf = random_classifier(np.random.default_rng(5), 32, 20_000, 1, max_leaf=16)
+        weight_bytes = sum(w.nbytes for node in _preorder(clf.trees[0])
+                           for w in (node.leaf_weights, node.child_weights) if w is not None)
+        assert weight_bytes >= 4 * 2**20
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            save_classifier(clf, tmp_path / "clf.npz")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < weight_bytes / 2, (peak, weight_bytes)
+
+    def rewrite(self, path, **changes):
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays.update(changes)
+        np.savez_compressed(path, **arrays)
+
+    @pytest.mark.parametrize("change", ["short_weights", "float32_weights", "wide_weights",
+                                        "short_biases"])
+    def test_archive_disagreeing_with_its_meta_rejected(self, tmp_path, change):
+        clf = random_classifier(np.random.default_rng(6), 30, 4, 2, max_leaf=3)
+        path = tmp_path / "clf.npz"
+        save_classifier(clf, path)
+        with np.load(path) as data:
+            weights, biases = data["weights"], data["biases"]
+        self.rewrite(path, **{
+            "short_weights": {"weights": weights[:-10]},
+            "float32_weights": {"weights": weights.astype(np.float32)},
+            "wide_weights": {"weights": np.hstack([weights, weights[:, :1]])},
+            "short_biases": {"biases": biases[:-1]},
+        }[change])
+        with pytest.raises(ValueError, match="clf.npz: weights are .*rerun self-train"):
+            load_classifier(path)
+
+
+def reference_save_classifier(clf, path):
+    """The classifier writer before streaming: every weight row stacked into
+    one array, then np.savez_compressed."""
+    nodes, weights, biases = [], [], []
+
+    def serialize(node):
+        slot = len(nodes)
+        rec = {"index": node.index}
+        nodes.append(rec)
+        if node.is_leaf:
+            rec["labels"] = list(node.label_ids)
+            rec["clf"] = len(weights)
+            for j in range(len(node.label_ids)):
+                weights.append(node.leaf_weights[j])
+                biases.append(node.leaf_bias[j])
+        else:
+            rec["clf"] = len(weights)
+            for j in range(len(node.children)):
+                weights.append(node.child_weights[j])
+                biases.append(node.child_bias[j])
+            rec["children"] = [serialize(c) for c in node.children]
+        return slot
+
+    roots = [serialize(t) for t in clf.trees]
+    meta = {"version": selftrain.CLASSIFIER_VERSION, "label_ids": list(clf.label_ids),
+            "beam_width": clf.beam_width, "n_features": clf.n_features,
+            "roots": roots, "nodes": nodes}
+    with open(path, "wb") as fh:
+        np.savez_compressed(
+            fh, weights=np.vstack(weights) if weights else np.zeros((0, clf.n_features)),
+            biases=np.array(biases),
+            meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+
+
+def random_classifier(rng, n_labels, n_features, n_trees, max_leaf):
+    """Label trees from build_label_tree with random weights on every node.
+    Some labels get all-zero features, so some trees pool them in a leaf."""
+    ids = [f"L{j}" for j in range(n_labels)]
+    trees = []
+    for t in range(n_trees):
+        feats = rng.normal(size=(n_labels, 3)) * (rng.random((n_labels, 1)) < 0.8)
+        tree = build_label_tree(feats, ids, max_leaf, seed=t)
+        for node in _preorder(tree):
+            k = len(node.label_ids) if node.is_leaf else len(node.children)
+            w, b = rng.normal(size=(k, n_features)), rng.normal(size=k)
+            if node.is_leaf:
+                node.leaf_weights, node.leaf_bias = w, b
+            else:
+                node.child_weights, node.child_bias = w, b
+        trees.append(tree)
+    return LabelTreeClassifier(label_ids=tuple(ids), trees=trees,
+                               beam_width=int(rng.integers(1, 20)), n_features=n_features)
+
+
+def recursive_label_tree(features, label_ids, max_leaf, seed):
+    """build_label_tree as a recursion: the reference for its split order."""
+    norms = np.linalg.norm(features, axis=1)
+    featured = [i for i in range(len(label_ids)) if norms[i] > 0]
+    unfeatured = [i for i in range(len(label_ids)) if norms[i] == 0]
+    rng = np.random.default_rng(seed)
+    unit = features[featured] / norms[featured, None]
+
+    def recurse(rows):
+        if rows.size <= max_leaf:
+            return selftrain.TreeNode(label_ids=tuple(label_ids[featured[i]] for i in rows))
+        left = selftrain._balanced_split(unit[rows], rng)
+        return selftrain.TreeNode(children=[recurse(rows[left]), recurse(rows[~left])])
+
+    root = recurse(np.arange(len(featured)))
+    if unfeatured:
+        root = selftrain.TreeNode(children=[root, selftrain.TreeNode(
+            label_ids=tuple(label_ids[i] for i in unfeatured))])
+    return root
+
+
+def ordered_topo(node):
+    return node.label_ids if node.is_leaf else tuple(ordered_topo(c) for c in node.children)
+
+
+class TestNoReferenceCycles:
+    """The tree builders, the fit and the classifier's save and load walk
+    their trees without recursive closures, so they leave no cycle for the
+    collector (a closure that calls itself keeps its enclosing locals alive)."""
+
+    def test_build_label_tree(self):
+        rng = np.random.default_rng(8)
+        feats = rng.random((40, 6))
+        feats[3] = 0.0
+        ids = [f"L{i}" for i in range(40)]
+        assert garbage_after(build_label_tree, feats, ids, 3, 2) == 0
+
+    @pytest.mark.parametrize("max_leaf", [1, 3, 40])
+    def test_build_label_tree_splits_as_the_recursion(self, max_leaf):
+        rng = np.random.default_rng(9)
+        feats = rng.random((40, 6))
+        feats[[3, 17]] = 0.0
+        ids = [f"L{i}" for i in range(40)]
+        assert ordered_topo(build_label_tree(feats, ids, max_leaf, seed=4)) == \
+            ordered_topo(recursive_label_tree(feats, ids, max_leaf, seed=4))
+
+    def test_train_tree(self):
+        ids = [f"L{j}" for j in range(6)]
+        assign = [j % 6 for j in range(30)]
+        tree = build_label_tree(np.eye(6), ids, max_leaf=2, seed=0)
+        X = _normalize_rows(one_hot_matrix(assign, 6))
+        label_sets = [frozenset({ids[j]}) for j in assign]
+        assert garbage_after(train_tree, tree, X, label_sets, ClassifierConfig()) == 0
+
+    def test_save_and_load_classifier(self, tmp_path):
+        clf = random_classifier(np.random.default_rng(10), 20, 5, 2, max_leaf=3)
+        path = tmp_path / "clf.npz"
+        assert garbage_after(save_classifier, clf, path) == 0
+        # np.load parses each member's header with ast.literal_eval, whose
+        # own recursive closure is garbage after every call
+        assert garbage_after(load_classifier, path) == garbage_after(read_members, path) > 0
+
+
+def read_members(path):
+    with np.load(path) as data:
+        return [data[name] for name in data.files]
