@@ -63,9 +63,6 @@ class CitationGraph:
     in_edges: dict[str, frozenset[str]]
     dangling_refs: int
 
-    def __contains__(self, paper_id: str) -> bool:
-        return paper_id in self.out_edges
-
 
 def build_graph(corpus) -> CitationGraph:
     """Directed edges d_i -> d_j for every in-corpus reference.

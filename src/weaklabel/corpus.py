@@ -113,10 +113,6 @@ class Label:
     description: str
 
     @property
-    def canonical_name(self) -> str:
-        return self.names[0]
-
-    @property
     def text(self) -> str:
         """Canonical name followed by the description."""
         return f"{self.names[0]} {self.description}".strip()
@@ -135,9 +131,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.word_index)
-
-    def df(self, word: str) -> int:
-        return int(self.doc_freq[self.word_index[word]])
 
 
 def _checked(key: str, value, kind: type):

@@ -41,11 +41,6 @@ class SparseVec:
     values: np.ndarray  # float64
     dim: int
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.float64)
-        out[self.indices] = self.values
-        return out
-
     @property
     def nnz(self) -> int:
         return int(self.indices.size)

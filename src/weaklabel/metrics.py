@@ -40,17 +40,11 @@ def ndcg_at_k(ranking, relevant: set[str], k: int) -> float:
 
 
 def propensity(n_l: int, n_docs: int, a: float = DEFAULT_A,
-               b: float = DEFAULT_B, log_base: float | None = None) -> float:
-    """Reward 1/p_l for a label relevant to ``n_l`` of ``n_docs`` documents.
-
-    ``log_base`` controls the corpus-size logarithm in the constant
-    (natural log by default); it rescales rewards uniformly and never
-    changes their ordering.
-    """
+               b: float = DEFAULT_B) -> float:
+    """Reward 1/p_l for a label relevant to ``n_l`` of ``n_docs`` documents."""
     if n_l < 0:
         raise ValueError("n_l must be nonnegative")
-    log_n = math.log(n_docs) if log_base is None else math.log(n_docs, log_base)
-    c = (log_n - 1.0) * (b + 1.0) ** a
+    c = (math.log(n_docs) - 1.0) * (b + 1.0) ** a
     if c <= 0:
         raise ValueError(f"corpus of {n_docs} documents gives a nonpositive constant")
     return 1.0 + c * (n_l + b) ** (-a)
@@ -111,11 +105,6 @@ class MetricsReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_csv_row(self) -> str:
-        d = self.to_dict()
-        keys = sorted(k for k in d if "@" in k)
-        return ",".join(keys) + "\n" + ",".join(f"{d[k]:.4f}" for k in keys)
 
 
 def evaluate(rankings: dict[str, list[str]], gold: dict[str, set[str]],

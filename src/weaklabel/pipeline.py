@@ -117,6 +117,15 @@ def _check_paper_ids(found: dict, ctx: RunContext, key: str, stage: str):
                          f"{len(ids & found.keys())} in both; rerun {stage}")
 
 
+def _check_label_ids(found, ctx: RunContext, key: str, stage: str):
+    """Reject an artifact naming label ids (``found``) the label file lacks."""
+    unknown = sorted(set(found) - {l.id for l in ctx.labels})
+    if unknown:
+        raise ValueError(f"{ARTIFACTS[key]} was written for another label set: "
+                         f"{len(unknown)} of its label ids are not in the label file "
+                         f"(first {unknown[:5]}); rerun {stage}")
+
+
 def _check_tuple_refs(tuples, corpus):
     """Reject tuples with a (paper id, paragraph index) reference the corpus lacks."""
     n_paragraphs = {p.id: len(p.paragraphs) for p in corpus}
@@ -187,6 +196,8 @@ def stage_score(cfg: PipelineConfig,
     corpus, labels = ctx.corpus, ctx.labels
     cands = cand.read_candidates(_path(cfg, "candidates"))
     _check_paper_ids(cands, ctx, "candidates", "candidates")
+    _check_label_ids((lid for ids in cands.values() for lid in ids), ctx, "candidates",
+                     "candidates")
     model = encoder.load_model(_path(cfg, "encoder"))
     overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
                  if cfg.embeddings_path else {})
@@ -231,11 +242,20 @@ def stage_score(cfg: PipelineConfig,
     return scored
 
 
+def _read_scores(cfg: PipelineConfig,
+                 ctx: RunContext) -> dict[str, list[ranker.CandidateScore]]:
+    """The score stage's output, checked against the corpus and the label file."""
+    scored = ranker.read_scores(_path(cfg, "scores"))
+    _check_paper_ids(scored, ctx, "scores", "score")
+    _check_label_ids((r.label_id for rows in scored.values() for r in rows), ctx, "scores",
+                     "score")
+    return scored
+
+
 def stage_self_train(cfg: PipelineConfig,
                      ctx: RunContext | None = None) -> selftrain.LabelTreeClassifier:
     ctx = _context(cfg, ctx)
-    scored = ranker.read_scores(_path(cfg, "scores"))
-    _check_paper_ids(scored, ctx, "scores", "score")
+    scored = _read_scores(cfg, ctx)
     pseudo = selftrain.pseudo_labels(scored, cfg.pseudo_top_n)
     clf_cfg = selftrain.ClassifierConfig(
         n_trees=cfg.n_trees, max_leaf=cfg.max_leaf, beam_width=cfg.beam_width,
@@ -259,8 +279,7 @@ def _check_label_set(clf: selftrain.LabelTreeClassifier, label_ids: list[str]):
 def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[str, list[str]]:
     ctx = _context(cfg, ctx)
     corpus = ctx.corpus
-    scored = ranker.read_scores(_path(cfg, "scores"))
-    _check_paper_ids(scored, ctx, "scores", "score")
+    scored = _read_scores(cfg, ctx)
     label_ids = [l.id for l in ctx.labels]
 
     rankings: dict[str, list[str]] = {}

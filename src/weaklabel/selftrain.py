@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Paper, TermCounts, Vocabulary, count_terms, write_npz
-from .encoder import SparseVec
+from .corpus import TermCounts, Vocabulary, write_npz
 from .kernels import _sigmoid
 from .ranker import CandidateScore
 
@@ -38,10 +37,6 @@ class CsrMatrix:
     indptr: np.ndarray
     n_rows: int
     n_cols: int
-
-    def row(self, i: int) -> SparseVec:
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return SparseVec(self.indices[lo:hi], self.data[lo:hi], self.n_cols)
 
 
 def tfidf_from_terms(terms: TermCounts, vocab: Vocabulary) -> CsrMatrix:
@@ -68,11 +63,6 @@ def tfidf_from_terms(terms: TermCounts, vocab: Vocabulary) -> CsrMatrix:
     )
 
 
-def build_tfidf_matrix(corpus: list[Paper], vocab: Vocabulary) -> CsrMatrix:
-    """The tf-idf matrix of ``corpus`` over ``vocab`` (``tfidf_from_terms``)."""
-    return tfidf_from_terms(count_terms(corpus), vocab)
-
-
 def _normalize_rows(X: CsrMatrix) -> CsrMatrix:
     data = X.data.copy()
     for i in range(X.n_rows):
@@ -83,20 +73,26 @@ def _normalize_rows(X: CsrMatrix) -> CsrMatrix:
     return CsrMatrix(data, X.indices, X.indptr, X.n_rows, X.n_cols)
 
 
+def _nonzeros(X: CsrMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in X.data and X.indices of the nonzeros of ``rows``,
+    row after row, and each row's nonzero count."""
+    lo = X.indptr[rows]
+    lengths = X.indptr[rows + 1] - lo
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1])) + np.repeat(lo - (ends - lengths), lengths), lengths
+
+
 def _row_blocks(X: CsrMatrix, rows: np.ndarray):
     """Cut ``rows`` of X into runs of at most BLOCK_ROWS rows.
 
     Yields (start, count, flat, values): writing ``values`` at ``flat``
     into a zeroed, raveled (count, n_cols) buffer gives rows
     ``rows[start:start + count]`` densely. Each row must hold a column at
-    most once, as build_tfidf_matrix makes them.
+    most once, as tfidf_from_terms makes them.
     """
     for start in range(0, rows.size, BLOCK_ROWS):
         block = rows[start:start + BLOCK_ROWS]
-        lo = X.indptr[block]
-        lengths = X.indptr[block + 1] - lo
-        ends = np.cumsum(lengths)
-        take = np.arange(int(ends[-1])) + np.repeat(lo - (ends - lengths), lengths)
+        take, lengths = _nonzeros(X, block)
         local = np.repeat(np.arange(block.size), lengths)
         yield start, block.size, local * X.n_cols + X.indices[take], X.data[take]
 
@@ -134,34 +130,20 @@ def pseudo_labels(scored: dict[str, list[CandidateScore]], n: int) -> dict[str, 
 
 @dataclass(eq=False)
 class TreeNode:
-    index: int = -1  # preorder position, used as a deterministic tie-break
     label_ids: tuple[str, ...] | None = None  # set on leaves only
     children: list["TreeNode"] = field(default_factory=list)
-    # routing classifiers, one (weights, bias) per child
-    child_weights: np.ndarray | None = None
-    child_bias: np.ndarray | None = None
-    # one-vs-all classifiers aligned with label_ids
-    leaf_weights: np.ndarray | None = None
-    leaf_bias: np.ndarray | None = None
+    # one logistic classifier (weight row, bias) per output: per child on a
+    # routing node, per label (one-vs-all) on a leaf
+    weights: np.ndarray | None = None
+    bias: np.ndarray | None = None
 
     @property
     def is_leaf(self) -> bool:
         return self.label_ids is not None
 
-    def label_set(self) -> frozenset[str]:
-        if self.is_leaf:
-            return frozenset(self.label_ids)
-        out: set[str] = set()
-        for c in self.children:
-            out |= c.label_set()
-        return frozenset(out)
-
-    def leaves(self):
-        if self.is_leaf:
-            yield self
-        else:
-            for c in self.children:
-                yield from c.leaves()
+    @property
+    def n_outputs(self) -> int:
+        return len(self.label_ids) if self.is_leaf else len(self.children)
 
 
 def _balanced_split(feats: np.ndarray, rng: np.random.Generator,
@@ -202,9 +184,7 @@ def build_label_tree(features: np.ndarray, label_ids: list[str], max_leaf: int,
     rng = np.random.default_rng(seed)
 
     if not featured:
-        root = TreeNode(label_ids=tuple(label_ids[i] for i in unfeatured))
-        root.index = 0
-        return root
+        return TreeNode(label_ids=tuple(label_ids[i] for i in unfeatured))
 
     unit = features[featured] / norms[featured, None]
     # split in preorder, so the clustering draws from rng in a fixed order
@@ -221,9 +201,6 @@ def build_label_tree(features: np.ndarray, label_ids: list[str], max_leaf: int,
     if unfeatured:
         pooled = TreeNode(label_ids=tuple(label_ids[i] for i in unfeatured))
         root = TreeNode(children=[root, pooled])
-
-    for i, node in enumerate(_preorder(root)):
-        node.index = i
     return root
 
 
@@ -234,6 +211,12 @@ def _preorder(root: TreeNode) -> list[TreeNode]:
         out.append(node)
         stack.extend(reversed(node.children))
     return out
+
+
+def _first_rows(nodes: list[TreeNode]) -> list[int]:
+    """Each node's first classifier row when the rows of ``nodes`` are
+    numbered in order, then the total row count."""
+    return np.cumsum([0] + [node.n_outputs for node in nodes]).tolist()
 
 
 @dataclass
@@ -322,43 +305,39 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray,
     return W, b
 
 
-def train_tree(tree: TreeNode, X: CsrMatrix, label_sets: list[frozenset[str]],
+def train_tree(tree: TreeNode, X: CsrMatrix, member: np.ndarray,
                cfg: ClassifierConfig) -> TreeNode:
     """Fit routing and leaf classifiers on (normalized) document rows.
 
-    ``label_sets[i]`` holds row i's pseudo labels. Documents descend
-    toward every child whose subtree contains one of their labels; leaf
+    ``member`` (rows x the tree's labels, its leaves' labels in preorder)
+    is True where a row carries a label as a pseudo label, so the labels of
+    every subtree are one contiguous column range. Documents descend toward
+    every child whose subtree contains one of their labels; leaf
     classifiers are one-vs-all among the documents that reach the leaf.
     Each node fits all its classifiers as one multi-output regression.
     """
     if X.n_rows == 0:
         raise ValueError("no training documents")
-    all_rows = np.flatnonzero([bool(s) for s in label_sets])
+    all_rows = np.flatnonzero(member.any(axis=1))
     if all_rows.size == 0:
         raise ValueError("no training documents carry pseudo labels")
 
-    # membership columns follow the leaves in preorder, so the labels of
-    # every subtree are one contiguous column range
-    column = {lid: j for j, lid in enumerate(
-        lid for leaf in tree.leaves() for lid in leaf.label_ids)}
-    member = np.zeros((X.n_rows, len(column)), dtype=bool)
-    pairs = [(i, column[lid]) for i, labels in enumerate(label_sets)
-             for lid in labels if lid in column]
-    if pairs:
-        member[tuple(np.array(pairs).T)] = True
+    nodes = _preorder(tree)
+    width = {}  # each subtree's label count
+    for node in reversed(nodes):
+        width[id(node)] = (node.n_outputs if node.is_leaf
+                           else sum(width[id(c)] for c in node.children))
 
     stack = [(tree, all_rows, 0)]  # (node, its rows, its first membership column)
     while stack:
         node, rows, lo = stack.pop()
-        if node.is_leaf:
-            Y = member[rows, lo:lo + len(node.label_ids)].astype(np.float64)
-            node.leaf_weights, node.leaf_bias = _fit_logistic(X, rows, Y, cfg)
-            continue
-        bounds = np.cumsum([lo] + [len(c.label_set()) for c in node.children])
-        Y = np.column_stack([member[rows, a:z].any(axis=1)
-                             for a, z in zip(bounds[:-1], bounds[1:])])
-        node.child_weights, node.child_bias = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
-        stack += [(child, rows[Y[:, j]], int(bounds[j])) for j, child in enumerate(node.children)]
+        # one output per label on a leaf, per child subtree on a routing node
+        spans = [1] * node.n_outputs if node.is_leaf else [width[id(c)] for c in node.children]
+        starts = np.cumsum([0] + spans[:-1])
+        Y = np.logical_or.reduceat(member[rows, lo:lo + width[id(node)]], starts, axis=1)
+        node.weights, node.bias = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
+        stack += [(child, rows[Y[:, j]], lo + int(starts[j]))
+                  for j, child in enumerate(node.children)]
     return tree
 
 
@@ -377,35 +356,37 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
 
     Tree topologies differ only by clustering seed. Label features for
     tree building are the mean raw tf-idf of each label's pseudo-positive
-    documents.
+    documents. One papers x labels membership matrix gives both these
+    features and every tree's training targets.
     """
-    label_sets = [frozenset(pseudo.get(pid, ())) for pid in paper_ids]
-    pos_rows: dict[str, list[int]] = {lid: [] for lid in label_ids}
-    for i, labels in enumerate(label_sets):
-        for lid in labels:
-            pos_rows[lid].append(i)
+    column = {lid: j for j, lid in enumerate(label_ids)}
+    member = np.zeros((len(paper_ids), len(label_ids)), dtype=bool)
+    for i, pid in enumerate(paper_ids):
+        member[i, [column[lid] for lid in pseudo.get(pid, ())]] = True
 
     feats = np.zeros((len(label_ids), X.n_cols))
-    for j, lid in enumerate(label_ids):
-        rows = pos_rows[lid]
-        if rows:
-            acc = np.zeros(X.n_cols)
-            for r in rows:
-                sv = X.row(r)
-                acc[sv.indices] += sv.values
-            feats[j] = acc / len(rows)
+    for j in range(len(label_ids)):
+        rows = np.flatnonzero(member[:, j])
+        if rows.size:
+            take, _ = _nonzeros(X, rows)
+            feats[j] = np.bincount(X.indices[take], weights=X.data[take],
+                                   minlength=X.n_cols) / rows.size
 
-    Xn = _normalize_rows(X)
-    trees = [train_tree(build_label_tree(feats, label_ids, cfg.max_leaf, seed=cfg.seed + t),
-                        Xn, label_sets, cfg)
+    trees = [build_label_tree(feats, label_ids, cfg.max_leaf, seed=cfg.seed + t)
              for t in range(cfg.n_trees)]
+    del feats  # the fits need only the topologies; free the features before them
+    Xn = _normalize_rows(X)
+    for tree in trees:
+        leaf_order = [column[lid] for node in _preorder(tree) if node.is_leaf
+                      for lid in node.label_ids]
+        train_tree(tree, Xn, member[:, leaf_order], cfg)
     return LabelTreeClassifier(label_ids=tuple(label_ids), trees=trees,
                                beam_width=cfg.beam_width, n_features=X.n_cols)
 
 
 @dataclass
 class _Level:
-    """One depth of a tree's beam search, nodes ordered by index."""
+    """One depth of a tree's beam search, nodes in preorder."""
     parent: np.ndarray  # each node's parent column in the level above
     row: np.ndarray  # each node's routing classifier row
     leaf_col: np.ndarray  # per leaf label: its leaf's column in this level
@@ -416,23 +397,18 @@ class _Level:
 def _search_plan(tree: TreeNode, label_pos: dict[str, int]):
     """Number a tree's classifier rows in preorder and lay out its levels.
 
-    Returns (classifiers, n_rows, levels): one (first row, weights,
-    biases) per node, the total row count, and one _Level per depth.
+    Returns (nodes, first rows, levels): the nodes in preorder, their
+    first classifier rows (see _first_rows) and one _Level per depth. Each
+    level lists its nodes in preorder, since it takes its parents' children
+    in order.
     """
-    first, classifiers = {}, []
-    n_rows = 0
-    for node in _preorder(tree):
-        first[id(node)] = n_rows
-        if node.is_leaf:
-            classifiers.append((n_rows, node.leaf_weights, node.leaf_bias))
-        else:
-            classifiers.append((n_rows, node.child_weights, node.child_bias))
-        n_rows += len(classifiers[-1][2])
+    nodes = _preorder(tree)
+    first_rows = _first_rows(nodes)
+    first = {id(node): lo for node, lo in zip(nodes, first_rows)}
 
     levels = []
     level = [(tree, 0, -1)]  # (node, parent column, routing classifier row)
     while level:
-        level.sort(key=lambda item: item[0].index)
         nxt, leaf_col, leaf_row, label_col = [], [], [], []
         for c, (node, _, _) in enumerate(level):
             if node.is_leaf:
@@ -447,7 +423,7 @@ def _search_plan(tree: TreeNode, label_pos: dict[str, int]):
             [p for _, p, _ in level], [r for _, _, r in level],
             leaf_col, leaf_row, label_col))))
         level = nxt
-    return classifiers, n_rows, levels
+    return nodes, first_rows, levels
 
 
 def predict_matrix(clf: LabelTreeClassifier, X: CsrMatrix,
@@ -459,10 +435,10 @@ def predict_matrix(clf: LabelTreeClassifier, X: CsrMatrix,
     classifiers (stacking a tree's weights into one matrix would copy
     them). The search then walks the tree level by level for all rows at
     once, keeping per row the top ``beam_width`` nodes by path probability
-    (ties to the lower node index). Returns (probabilities, reached), both
-    rows x labels in ``clf.label_ids`` order. Probabilities are averaged
-    over the trees; a label whose leaf a row reaches in no tree is
-    unreached and gets 0.
+    (ties go to the node earlier in preorder). Returns (probabilities,
+    reached), both rows x labels in ``clf.label_ids`` order. Probabilities
+    are averaged over the trees; a label whose leaf a row reaches in no
+    tree is unreached and gets 0.
     """
     if X.n_cols != clf.n_features:
         raise ValueError(f"classifier was fitted on {clf.n_features} tf-idf features but "
@@ -474,11 +450,11 @@ def predict_matrix(clf: LabelTreeClassifier, X: CsrMatrix,
     reached = np.zeros(probs.shape, dtype=bool)
     buf = np.zeros((min(X.n_rows, BLOCK_ROWS), X.n_cols))
     for tree in clf.trees:
-        classifiers, n_clf, levels = _search_plan(tree, label_pos)
+        nodes, first_rows, levels = _search_plan(tree, label_pos)
         for start, dense in _dense_blocks(_row_blocks(Xn, np.arange(X.n_rows)), buf):
-            z = np.empty((dense.shape[0], n_clf))
-            for lo, w, b in classifiers:
-                z[:, lo:lo + len(b)] = dense @ w.T + b
+            z = np.empty((dense.shape[0], first_rows[-1]))
+            for node, lo, hi in zip(nodes, first_rows, first_rows[1:]):
+                z[:, lo:hi] = dense @ node.weights.T + node.bias
             S = _sigmoid(z)
             out = slice(start, start + dense.shape[0])
             P = np.ones((dense.shape[0], 1))
@@ -499,16 +475,6 @@ def predict_matrix(clf: LabelTreeClassifier, X: CsrMatrix,
                     reached[out, lvl.label_col] |= hit
     probs /= len(clf.trees)
     return probs, reached
-
-
-def predict_proba(clf: LabelTreeClassifier, x: SparseVec,
-                  beam_width: int | None = None) -> dict[str, float]:
-    """predict_matrix for one document, as {label id: probability} over
-    the labels it reached."""
-    X = CsrMatrix(x.values, x.indices, np.array([0, x.nnz], dtype=np.int64), 1, x.dim)
-    probs, reached = predict_matrix(clf, X, beam_width)
-    return {lid: float(probs[0, j]) for j, lid in enumerate(clf.label_ids)
-            if reached[0, j]}
 
 
 # ---------------------------------------------------------------------------
@@ -532,16 +498,6 @@ def final_rankings(pinned: list[list[str]], probs: np.ndarray, label_ids) -> lis
     return [list(pins) + ids[order[i, keep[i]]].tolist() for i, pins in enumerate(pinned)]
 
 
-def final_ranking(rows: list[CandidateScore], probabilities: dict[str, float],
-                  label_ids, n: int) -> list[str]:
-    """final_rankings for one paper: pin its top-n combined-rank candidates
-    and rerank the rest by ``probabilities`` ({label id: probability},
-    absent labels 0)."""
-    label_ids = list(label_ids)
-    probs = np.array([[probabilities.get(lid, 0.0) for lid in label_ids]])
-    return final_rankings([[r.label_id for r in rows[:n]]], probs, label_ids)[0]
-
-
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
@@ -551,32 +507,23 @@ def save_classifier(clf: LabelTreeClassifier, path):
     """Write ``clf`` to ``path`` as a compressed npz: every node's weight
     rows in preorder (``weights``, ``biases``) and the trees as JSON
     (``meta``). The weights are streamed node by node, never stacked."""
-    order = [node for tree in clf.trees for node in _preorder(tree)]
-    slot = {id(node): i for i, node in enumerate(order)}
-    nodes, weights, biases = [], [], []
-    n_rows = 0
-    for node in order:
-        if node.is_leaf:
-            k, w, b = len(node.label_ids), node.leaf_weights, node.leaf_bias
-            nodes.append({"index": node.index, "labels": list(node.label_ids), "clf": n_rows})
-        else:
-            k, w, b = len(node.children), node.child_weights, node.child_bias
-            nodes.append({"index": node.index, "clf": n_rows,
-                          "children": [slot[id(c)] for c in node.children]})
-        weights.append(w[:k])
-        biases.append(b[:k])
-        n_rows += k
+    order = [(i, node) for tree in clf.trees for i, node in enumerate(_preorder(tree))]
+    nodes = [node for _, node in order]
+    slot = {id(node): s for s, node in enumerate(nodes)}
+    recs = [{"index": i, "labels": list(node.label_ids), "clf": lo} if node.is_leaf else
+            {"index": i, "clf": lo, "children": [slot[id(c)] for c in node.children]}
+            for (i, node), lo in zip(order, _first_rows(nodes))]
     meta = {
         "version": CLASSIFIER_VERSION,
         "label_ids": list(clf.label_ids),
         "beam_width": clf.beam_width,
         "n_features": clf.n_features,
         "roots": [slot[id(tree)] for tree in clf.trees],
-        "nodes": nodes,
+        "nodes": recs,
     }
     write_npz(path, {
-        "weights": weights or [np.zeros((0, clf.n_features))],
-        "biases": biases or [np.zeros(0)],
+        "weights": [node.weights for node in nodes] or [np.zeros((0, clf.n_features))],
+        "biases": [node.bias for node in nodes] or [np.zeros(0)],
         "meta": [np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)],
     }, compress=True)
 
@@ -589,25 +536,19 @@ def load_classifier(path) -> LabelTreeClassifier:
         weights = data["weights"]
         biases = data["biases"]
     recs = meta["nodes"]
-    n_rows = sum(len(rec["labels"] if "labels" in rec else rec["children"]) for rec in recs)
+    nodes = [TreeNode(label_ids=tuple(rec["labels"]) if "labels" in rec else None)
+             for rec in recs]
+    for node, rec in zip(nodes, recs):
+        node.children = [nodes[c] for c in rec.get("children", ())]
+    first_rows = _first_rows(nodes)  # save_classifier wrote the rows in this order
+    n_rows = first_rows[-1]
     expected = (n_rows, meta["n_features"])
     if weights.dtype != np.float64 or weights.shape != expected or biases.shape != (n_rows,):
         raise ValueError(f"{path}: weights are {weights.dtype} {weights.shape} and biases "
                          f"{biases.shape}, but its meta names float64 {expected} and "
                          f"({n_rows},); rerun self-train")
-    nodes = []
-    for rec in recs:
-        lo = rec["clf"]
-        if "labels" in rec:
-            hi = lo + len(rec["labels"])
-            nodes.append(TreeNode(index=rec["index"], label_ids=tuple(rec["labels"]),
-                                  leaf_weights=weights[lo:hi], leaf_bias=biases[lo:hi]))
-        else:
-            hi = lo + len(rec["children"])
-            nodes.append(TreeNode(index=rec["index"], child_weights=weights[lo:hi],
-                                  child_bias=biases[lo:hi]))
-    for node, rec in zip(nodes, recs):
-        node.children = [nodes[c] for c in rec.get("children", ())]
+    for node, lo, hi in zip(nodes, first_rows, first_rows[1:]):
+        node.weights, node.bias = weights[lo:hi], biases[lo:hi]
     return LabelTreeClassifier(label_ids=tuple(meta["label_ids"]),
                                trees=[nodes[r] for r in meta["roots"]],
                                beam_width=meta["beam_width"], n_features=meta["n_features"])

@@ -1,9 +1,12 @@
 import gc
 import json
 
+import numpy as np
 import pytest
 
-from weaklabel.corpus import load_corpus, load_labels
+from weaklabel.corpus import count_terms, load_corpus, load_labels
+from weaklabel.encoder import SparseVec
+from weaklabel.selftrain import CsrMatrix, final_rankings, predict_matrix, tfidf_from_terms
 
 
 def write_jsonl(path, records):
@@ -56,3 +59,33 @@ def garbage_after(fn, *args, **kwargs) -> int:
         return gc.collect()
     finally:
         gc.enable()
+
+
+# one-paper forms of the batched label-tree API, as references for the tests
+
+
+def build_tfidf_matrix(corpus, vocab) -> CsrMatrix:
+    """The tf-idf matrix of ``corpus`` over ``vocab``."""
+    return tfidf_from_terms(count_terms(corpus), vocab)
+
+
+def csr_row(X: CsrMatrix, i: int) -> SparseVec:
+    lo, hi = X.indptr[i], X.indptr[i + 1]
+    return SparseVec(X.indices[lo:hi], X.data[lo:hi], X.n_cols)
+
+
+def predict_proba(clf, x: SparseVec, beam_width=None) -> dict[str, float]:
+    """predict_matrix for one document, as {label id: probability} over
+    the labels it reached."""
+    X = CsrMatrix(x.values, x.indices, np.array([0, x.nnz], dtype=np.int64), 1, x.dim)
+    probs, reached = predict_matrix(clf, X, beam_width)
+    return {lid: float(probs[0, j]) for j, lid in enumerate(clf.label_ids) if reached[0, j]}
+
+
+def final_ranking(rows, probabilities: dict[str, float], label_ids, n: int) -> list[str]:
+    """final_rankings for one paper: pin its top-n combined-rank candidates
+    and rerank the rest by ``probabilities`` ({label id: probability},
+    absent labels 0)."""
+    label_ids = list(label_ids)
+    probs = np.array([[probabilities.get(lid, 0.0) for lid in label_ids]])
+    return final_rankings([[r.label_id for r in rows[:n]]], probs, label_ids)[0]

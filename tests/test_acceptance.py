@@ -18,8 +18,9 @@ from weaklabel.config import make_config
 from weaklabel.corpus import HierarchyNode, Paper, load_corpus
 from weaklabel.citegraph import CO_REFERENCE, build_graph, sample_tuples
 from weaklabel.ranker import CandidateScore, aggregate_hierarchy, mrr_combine
-from weaklabel.selftrain import final_ranking
 from weaklabel.synth import SyntheticSpec, write_synthetic
+
+from conftest import final_ranking
 
 
 def report(num, desc, ok, detail=""):

@@ -1,6 +1,9 @@
 import logging
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaklabel.candidates import (
     build_name_index, candidate_stats, read_candidates, retrieve_candidates,
@@ -130,3 +133,13 @@ class TestIO:
         path = tmp_path / "cands.jsonl"
         write_candidates(cands, path)
         assert read_candidates(path) == cands
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(st.text(max_size=8), st.lists(st.text(max_size=6), max_size=6),
+                           max_size=8))
+    def test_roundtrip_of_any_ids(self, cands):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "candidates.jsonl")
+            write_candidates(cands, path)
+            got = read_candidates(path)
+        assert got == cands and list(got) == list(cands)

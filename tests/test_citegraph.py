@@ -1,8 +1,12 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaklabel.citegraph import (
-    CITES, CO_REFERENCE, MetaPath, build_graph, neighborhood, read_tuples,
+    CITES, CO_REFERENCE, ContrastiveTuple, MetaPath, build_graph, neighborhood, read_tuples,
     sample_tuples, write_tuples,
 )
 
@@ -194,3 +198,13 @@ class TestTupleIO:
         path = tmp_path / "tuples.jsonl"
         write_tuples(tuples, path)
         assert read_tuples(path) == tuples
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.builds(ContrastiveTuple, *[st.tuples(st.text(max_size=6),
+                                                           st.integers(0, 2**40))] * 3),
+                    max_size=8))
+    def test_roundtrip_of_any_references(self, tuples):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "tuples.jsonl")
+            write_tuples(tuples, path)
+            assert read_tuples(path) == tuples

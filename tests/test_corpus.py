@@ -276,7 +276,7 @@ class TestLoadLabels:
             "id": "D000085686", "names": ["deltacoronavirus"],
             "description": "A genus of coronaviruses."}])
         assert label.names == ("deltacoronavirus",)
-        assert label.canonical_name == "deltacoronavirus"
+        assert label.names[0] == "deltacoronavirus"
 
     def test_synonyms(self, tmp_path):
         label, = load_label_records(tmp_path, [{
@@ -317,7 +317,7 @@ class TestVocabulary:
         recs = [paper_record(f"p{i}", sections=[{"name": "s", "paragraphs": [
             "graph " * 6 + words(6, f"u{i}x")]}]) for i in range(2)]
         vocab = build_vocabulary(load_corpus_records(tmp_path, recs), min_df=2)
-        assert vocab.df("graph") == 2
+        assert vocab.doc_freq[vocab.word_index["graph"]] == 2
         assert "u0x0" not in vocab.word_index
 
     def test_below_threshold_dropped(self, tmp_path):
@@ -325,7 +325,7 @@ class TestVocabulary:
             ("rare " if i < 4 else "base ") * 12]}]) for i in range(100)]
         vocab = build_vocabulary(load_corpus_records(tmp_path, recs), min_df=5)
         assert "rare" not in vocab.word_index
-        assert vocab.df("base") == 96
+        assert vocab.doc_freq[vocab.word_index["base"]] == 96
 
     def test_all_unique_yields_empty_vocab(self, tmp_path, caplog):
         recs = [paper_record(f"p{i}", sections=[{"name": "s", "paragraphs": [

@@ -6,14 +6,17 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from weaklabel import candidates as cand
 from weaklabel import citegraph, cli, encoder, pipeline, ranker, selftrain
 from weaklabel.config import ConfigError, PipelineConfig, make_config
-from weaklabel.corpus import Paper, load_corpus, load_labels
+from weaklabel.corpus import Paper, load_corpus, load_labels, write_jsonl
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 SPEC = SyntheticSpec(n_papers=120, n_labels=20, labels_per_paper=3, seed=2)
@@ -215,6 +218,26 @@ class TestEvaluateStage:
         path = artifact(out, "predictions")
         assert pipeline.read_predictions(path) == rankings
         assert pipeline.read_predictions(path, limit=2) == {p: r[:2] for p, r in rankings.items()}
+
+
+class TestPredictionsRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(records=st.dictionaries(
+        st.text(max_size=8),
+        st.tuples(st.lists(st.text(max_size=6), max_size=8),
+                  st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=5)),
+        max_size=6),
+        limit=st.none() | st.integers(0, 10))
+    def test_written_records_read_back(self, records, limit):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "predictions.jsonl")
+            write_jsonl(({"paper_id": pid, "ranking": ranking, "top_k_scores": scores}
+                         for pid, (ranking, scores) in records.items()), path)
+            assert [rec["top_k_scores"] for rec in pipeline.read_jsonl(path)] == \
+                [scores for _, scores in records.values()]
+            got = pipeline.read_predictions(path, limit=limit)
+        assert list(got) == list(records)
+        assert got == {pid: ranking[:limit] for pid, (ranking, _) in records.items()}
 
 
 def count_input_reads(monkeypatch):
@@ -712,6 +735,48 @@ class TestArtifactsFromAnotherCorpus:
         assert f"it has {SPEC.n_papers} papers, the corpus has 60" in proc.stderr
         assert rerun in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestArtifactsFromAnotherLabelSet:
+    """A stage rejects an upstream artifact naming labels the label file lacks."""
+
+    @pytest.fixture
+    def fewer_labels(self, run, tmp_path):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        scored = ranker.read_scores(copy / "scores.jsonl")
+        used = sorted({r.label_id for rows in scored.values() for r in rows})
+        dropped = used[1:7]
+        with open(cfg.labels_path, encoding="utf-8") as src, \
+                open(tmp_path / "labels.jsonl", "w", encoding="utf-8") as dst:
+            dst.writelines(line for line in src if json.loads(line)["id"] not in dropped)
+        return copy, dropped, ("--corpus", cfg.corpus_path,
+                               "--labels", str(tmp_path / "labels.jsonl"),
+                               "--output-dir", str(copy))
+
+    @pytest.mark.parametrize("stage, flags, artifact, rerun, output", [
+        ("score", (), "candidates.jsonl", "rerun candidates", "scores.jsonl"),
+        ("self-train", (), "scores.jsonl", "rerun score", "classifier.npz"),
+        ("predict", (), "scores.jsonl", "rerun score", "predictions.jsonl"),
+        ("predict", ("--no-selftrain",), "scores.jsonl", "rerun score", "predictions.jsonl"),
+    ])
+    def test_rejected_naming_the_labels(self, fewer_labels, stage, flags, artifact, rerun,
+                                        output):
+        copy, dropped, args = fewer_labels
+        found = (cand.read_candidates(copy / artifact) if artifact == "candidates.jsonl" else
+                 {p: [r.label_id for r in rows]
+                  for p, rows in ranker.read_scores(copy / artifact).items()})
+        unknown = sorted({lid for ids in found.values() for lid in ids} & set(dropped))
+        assert len(unknown) > 5
+        before = (copy / output).read_bytes()
+        proc = run_cli(stage, *args, *flags)
+        assert proc.returncode == 1
+        assert (f"stage {stage} failed: {artifact} was written for another label set: "
+                f"{len(unknown)} of its label ids are not in the label file "
+                f"(first {unknown[:5]!r}); {rerun}") in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (copy / output).read_bytes() == before
 
 
 class TestTuplesFromAnotherCorpus:

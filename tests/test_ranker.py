@@ -1,5 +1,9 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weaklabel.corpus import HierarchyNode, Paper
 from weaklabel.ranker import (
@@ -195,3 +199,15 @@ class TestScoreDump:
         path = tmp_path / "scores.jsonl"
         write_scores({"d1": rows, "d2": []}, path)
         assert read_scores(path) == {"d1": rows, "d2": []}
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.dictionaries(st.text(max_size=8), st.lists(st.builds(
+        CandidateScore, st.text(max_size=6),
+        *[st.floats(allow_nan=False, allow_infinity=False)] * 2,
+        *[st.integers(1, 2**40)] * 2, st.floats(0, 2)), max_size=5), max_size=6))
+    def test_roundtrip_of_any_scores(self, scored):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scores.jsonl")
+            write_scores(scored, path)
+            got = read_scores(path)
+        assert got == scored and list(got) == list(scored)

@@ -4,6 +4,7 @@ import math
 import os
 import tempfile
 import tracemalloc
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -15,13 +16,15 @@ from weaklabel.encoder import SparseVec
 from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
     BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier,
-    build_label_tree, build_tfidf_matrix, final_ranking, final_rankings, load_classifier,
-    predict_matrix, predict_proba, pseudo_labels, save_classifier, train_classifier, train_tree, _fit_logistic, _in_row_space, _normalize_rows, _preorder,
+    build_label_tree, final_rankings, load_classifier, predict_matrix, pseudo_labels,
+    save_classifier, train_classifier, train_tree, _fit_logistic, _in_row_space,
+    _normalize_rows, _preorder, _search_plan,
 )
 from weaklabel.corpus import Vocabulary, build_vocabulary, load_corpus, load_labels
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
-from conftest import garbage_after, load_corpus_records, paper_record
+from conftest import (build_tfidf_matrix, csr_row, final_ranking, garbage_after,
+                      load_corpus_records, paper_record, predict_proba)
 
 
 def scored_rows(pairs):
@@ -72,7 +75,7 @@ def assert_same_features(corpus, min_df):
     assert X.data.dtype == np.float64
     np.testing.assert_array_equal(X.indptr, np.cumsum([0] + [sv.nnz for sv in rows]))
     for i, sv in enumerate(rows):
-        got = X.row(i)
+        got = csr_row(X, i)
         np.testing.assert_array_equal(got.indices, sv.indices)
         assert got.values.tobytes() == sv.values.tobytes()
     return vocab, X
@@ -87,12 +90,12 @@ class TestTfIdf:
 
     def test_ubiquitous_word_omitted(self, tmp_path):
         corpus, vocab = self.build(tmp_path, ["common alpha", "common beta"])
-        sv = build_tfidf_matrix(corpus, vocab).row(0)
+        sv = csr_row(build_tfidf_matrix(corpus, vocab), 0)
         assert vocab.word_index["common"] not in sv.indices
 
     def test_direct_formula(self, tmp_path):
         corpus, vocab = self.build(tmp_path, ["rare rare rare", "other words"])
-        sv = build_tfidf_matrix(corpus, vocab).row(0)
+        sv = csr_row(build_tfidf_matrix(corpus, vocab), 0)
         j = vocab.word_index["rare"]
         value = dict(zip(sv.indices.tolist(), sv.values.tolist()))[j]
         assert value == pytest.approx(3 * math.log(2), abs=1e-12)
@@ -103,7 +106,7 @@ class TestTfIdf:
                 paper_record("p1")]
         corpus = load_corpus_records(tmp_path, recs)
         vocab = build_vocabulary(corpus, min_df=1)
-        assert build_tfidf_matrix(corpus, vocab).row(1).nnz == 0
+        assert csr_row(build_tfidf_matrix(corpus, vocab), 1).nnz == 0
 
     def test_matrix_rows_match_vectors(self, tmp_path):
         corpus, vocab = self.build(tmp_path, ["alpha beta alpha", "beta gamma",
@@ -111,7 +114,7 @@ class TestTfIdf:
         X = build_tfidf_matrix(corpus, vocab)
         for i, paper in enumerate(corpus):
             sv = tfidf_vector(paper, vocab)
-            row = X.row(i)
+            row = csr_row(X, i)
             np.testing.assert_array_equal(row.indices, sv.indices)
             np.testing.assert_array_equal(row.values, sv.values)
 
@@ -143,19 +146,19 @@ class TestOnePassFeatures:
     def test_word_in_every_paper_dropped(self, tmp_path):
         corpus = self.corpus(tmp_path, ["shared one", "shared two two", "shared three"])
         vocab, X = assert_same_features(corpus, 1)
-        assert vocab.df("shared") == 3
+        assert vocab.doc_freq[vocab.word_index["shared"]] == 3
         assert vocab.word_index["shared"] not in X.indices
 
     def test_empty_paper(self, tmp_path):
         corpus = self.corpus(tmp_path, ["alpha beta", "", "beta gamma alpha"])
         _, X = assert_same_features(corpus, 1)
-        assert X.row(1).nnz == 0
+        assert csr_row(X, 1).nnz == 0
 
     def test_paper_without_vocabulary_words(self, tmp_path):
         corpus = self.corpus(tmp_path, ["alpha beta", "lonely", "beta alpha gamma"])
         vocab, X = assert_same_features(corpus, 2)
         assert "lonely" not in vocab.word_index
-        assert X.row(1).nnz == 0
+        assert csr_row(X, 1).nnz == 0
 
     def test_empty_vocabulary(self, tmp_path, caplog):
         corpus = self.corpus(tmp_path, ["alpha", "beta", "gamma"])
@@ -170,8 +173,8 @@ class TestOnePassFeatures:
         other = reference_vocabulary(corpus[:2], 1)
         X = build_tfidf_matrix(corpus, other)
         for i, paper in enumerate(corpus):
-            np.testing.assert_array_equal(X.row(i).indices, tfidf_vector(paper, other).indices)
-            np.testing.assert_array_equal(X.row(i).values, tfidf_vector(paper, other).values)
+            np.testing.assert_array_equal(csr_row(X, i).indices, tfidf_vector(paper, other).indices)
+            np.testing.assert_array_equal(csr_row(X, i).values, tfidf_vector(paper, other).values)
 
 
 class TestPseudoLabels:
@@ -191,6 +194,10 @@ class TestPseudoLabels:
             pseudo_labels({}, 0)
 
 
+def leaves(tree):
+    return [node for node in _preorder(tree) if node.is_leaf]
+
+
 def topo(node):
     if node.is_leaf:
         return tuple(sorted(node.label_ids))
@@ -201,8 +208,8 @@ class TestBuildLabelTree:
     def test_planted_pairs_colocated(self):
         feats = np.array([[1.0, 0.05], [0.9, 0.0], [0.0, 1.0], [0.05, 0.95]])
         tree = build_label_tree(feats, ["A", "B", "C", "D"], max_leaf=2, seed=0)
-        leaves = {frozenset(l.label_ids) for l in tree.leaves()}
-        assert leaves == {frozenset({"A", "B"}), frozenset({"C", "D"})}
+        groups = {frozenset(l.label_ids) for l in leaves(tree)}
+        assert groups == {frozenset({"A", "B"}), frozenset({"C", "D"})}
         assert not tree.is_leaf and all(c.is_leaf for c in tree.children)
 
     def test_single_leaf_when_small(self):
@@ -237,9 +244,9 @@ class TestBuildLabelTree:
         feats = np.vstack([np.eye(4), np.zeros((3, 4))])
         ids = [f"F{i}" for i in range(4)] + [f"Z{i}" for i in range(3)]
         tree = build_label_tree(feats, ids, max_leaf=2, seed=0)
-        pools = [set(l.label_ids) for l in tree.leaves()]
+        pools = [set(l.label_ids) for l in leaves(tree)]
         assert {"Z0", "Z1", "Z2"} in pools
-        assert tree.label_set() == frozenset(ids)
+        assert sorted(lid for l in leaves(tree) for lid in l.label_ids) == sorted(ids)
 
     def test_every_label_in_exactly_one_leaf(self):
         rng = np.random.default_rng(7)
@@ -247,7 +254,7 @@ class TestBuildLabelTree:
         feats[5] = 0.0
         ids = [f"L{i}" for i in range(23)]
         tree = build_label_tree(feats, ids, max_leaf=3, seed=1)
-        seen = [lid for leaf in tree.leaves() for lid in leaf.label_ids]
+        seen = [lid for leaf in leaves(tree) for lid in leaf.label_ids]
         assert sorted(seen) == sorted(ids)
 
 
@@ -274,7 +281,7 @@ class TestTrainAndPredict:
         clf, X, assign, ids = self.fitted()
         correct = 0
         for i, j in enumerate(assign):
-            probs = predict_proba(clf, X.row(i))
+            probs = predict_proba(clf, csr_row(X, i))
             top = max(probs, key=lambda lid: (probs[lid], lid))
             correct += top == ids[j]
         assert correct / len(assign) >= 0.95
@@ -283,7 +290,7 @@ class TestTrainAndPredict:
         X = one_hot_matrix([0], 3)
         cfg = ClassifierConfig(n_trees=1, max_leaf=10)
         clf = train_classifier(X, ["p0"], {"p0": ("L0",)}, ["L0"], cfg)
-        probs = predict_proba(clf, X.row(0))
+        probs = predict_proba(clf, csr_row(X, 0))
         assert probs["L0"] > 0.5
 
     def test_deterministic_weights(self):
@@ -291,10 +298,9 @@ class TestTrainAndPredict:
         b = self.fitted(seed=3)[0]
         for ta, tb in zip(a.trees, b.trees):
             assert topo(ta) == topo(tb)
-            la, lb = list(ta.leaves()), list(tb.leaves())
-            for x, y in zip(la, lb):
-                np.testing.assert_array_equal(x.leaf_weights, y.leaf_weights)
-                np.testing.assert_array_equal(x.leaf_bias, y.leaf_bias)
+            for x, y in zip(_preorder(ta), _preorder(tb)):
+                np.testing.assert_array_equal(x.weights, y.weights)
+                np.testing.assert_array_equal(x.bias, y.bias)
 
     def test_no_training_papers_rejected(self):
         X = one_hot_matrix([0, 1], 2)
@@ -302,21 +308,21 @@ class TestTrainAndPredict:
         with pytest.raises(ValueError):
             train_tree(tree, CsrMatrix(np.empty(0), np.empty(0, dtype=np.int64),
                                        np.array([0], dtype=np.int64), 0, 2),
-                       [], ClassifierConfig())
+                       np.zeros((0, 2), dtype=bool), ClassifierConfig())
         with pytest.raises(ValueError, match="pseudo"):
-            train_tree(tree, _normalize_rows(X), [frozenset(), frozenset()],
+            train_tree(tree, _normalize_rows(X), np.zeros((2, 2), dtype=bool),
                        ClassifierConfig())
 
     def test_single_leaf_equals_leaf_outputs(self):
         clf, X, assign, ids = self.fitted(max_leaf=10)  # one leaf holds all
         tree = clf.trees[0]
         assert tree.is_leaf
-        x = X.row(0)
+        x = csr_row(X, 0)
         probs = predict_proba(LabelTreeClassifier(clf.label_ids, [tree], 10,
                                                   clf.n_features), x)
         xn = SparseVec(x.indices, x.values / np.linalg.norm(x.values), x.dim)
         for j, lid in enumerate(tree.label_ids):
-            z = float(tree.leaf_weights[j][xn.indices] @ xn.values) + tree.leaf_bias[j]
+            z = float(tree.weights[j][xn.indices] @ xn.values) + tree.bias[j]
             assert probs[lid] == pytest.approx(1 / (1 + math.exp(-z)), abs=1e-12)
 
     def test_beam_wider_than_leaves_equals_exhaustive(self):
@@ -330,13 +336,11 @@ class TestTrainAndPredict:
             def walk(node, p):
                 if node.is_leaf:
                     for j, lid in enumerate(node.label_ids):
-                        z = float(node.leaf_weights[j][xn.indices] @ xn.values) \
-                            + node.leaf_bias[j]
+                        z = float(node.weights[j][xn.indices] @ xn.values) + node.bias[j]
                         out[lid] = out.get(lid, 0.0) + p / (1 + math.exp(-z))
                     return
                 for j, child in enumerate(node.children):
-                    z = float(node.child_weights[j][xn.indices] @ xn.values) \
-                        + node.child_bias[j]
+                    z = float(node.weights[j][xn.indices] @ xn.values) + node.bias[j]
                     walk(child, p / (1 + math.exp(-z)))
 
             for tree in clf.trees:
@@ -344,7 +348,7 @@ class TestTrainAndPredict:
             return {k: v / len(clf.trees) for k, v in out.items()}
 
         for i in (0, 7, 20):
-            x = X.row(i)
+            x = csr_row(X, i)
             wide = predict_proba(clf, x, beam_width=64)
             brute = exhaustive(clf, x)
             assert set(wide) == set(brute)
@@ -354,14 +358,124 @@ class TestTrainAndPredict:
     def test_probabilities_in_unit_interval(self):
         clf, X, assign, ids = self.fitted()
         for i in range(X.n_rows):
-            for p in predict_proba(clf, X.row(i)).values():
+            for p in predict_proba(clf, csr_row(X, i)).values():
                 assert 0.0 <= p <= 1.0
 
     def test_narrow_beam_prunes(self):
         clf, X, assign, ids = self.fitted(n_labels=8, per_label=4, max_leaf=1)
-        narrow = predict_proba(clf, X.row(0), beam_width=1)
-        wide = predict_proba(clf, X.row(0), beam_width=64)
+        narrow = predict_proba(clf, csr_row(X, 0), beam_width=1)
+        wide = predict_proba(clf, csr_row(X, 0), beam_width=64)
         assert len(narrow) < len(wide)
+
+
+def leaf_columns(tree, label_ids):
+    """The column in ``label_ids`` of each of the tree's leaf labels, leaves in preorder."""
+    column = {lid: j for j, lid in enumerate(label_ids)}
+    return [column[lid] for leaf in leaves(tree) for lid in leaf.label_ids]
+
+
+def reference_label_features(X, paper_ids, pseudo, label_ids):
+    """The label features of train_classifier as a per-row loop: each
+    label's mean raw tf-idf row over its pseudo-positive papers."""
+    pos_rows = {lid: [] for lid in label_ids}
+    for i, pid in enumerate(paper_ids):
+        for lid in frozenset(pseudo.get(pid, ())):
+            pos_rows[lid].append(i)
+    feats = np.zeros((len(label_ids), X.n_cols))
+    for j, lid in enumerate(label_ids):
+        rows = pos_rows[lid]
+        if rows:
+            acc = np.zeros(X.n_cols)
+            for r in rows:
+                sv = csr_row(X, r)
+                acc[sv.indices] += sv.values
+            feats[j] = acc / len(rows)
+    return feats
+
+
+def reference_fits(tree, X, label_sets, cfg):
+    """Each node's (weights, bias) by a descent over label sets: a document
+    reaches a child when it carries a label of the child's subtree."""
+    def labels_under(node):
+        return {lid for leaf in leaves(node) for lid in leaf.label_ids}
+
+    out = {}
+    todo = [(tree, np.flatnonzero([bool(labels) for labels in label_sets]))]
+    while todo:
+        node, rows = todo.pop()
+        groups = ([{lid} for lid in node.label_ids] if node.is_leaf
+                  else [labels_under(c) for c in node.children])
+        Y = np.array([[bool(label_sets[i] & g) for g in groups] for i in rows],
+                     dtype=bool).reshape(rows.size, len(groups))
+        out[id(node)] = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
+        todo += [(c, rows[Y[:, j]]) for j, c in enumerate(node.children)]
+    return out
+
+
+class TestMembership:
+    """One papers x labels membership matrix for the label features and the targets."""
+
+    def test_label_features_equal_the_row_loop(self, monkeypatch, tmp_path):
+        write_synthetic(SyntheticSpec(n_papers=200, n_labels=30, seed=3),
+                        tmp_path / "c.jsonl", tmp_path / "l.jsonl", tmp_path / "m.jsonl")
+        corpus = load_corpus(tmp_path / "c.jsonl", 10)
+        label_ids = [l.id for l in load_labels(tmp_path / "l.jsonl")]
+        X = build_tfidf_matrix(corpus, build_vocabulary(corpus, 2))
+        ids = [p.id for p in corpus]
+        rng = np.random.default_rng(2)
+        pseudo = {pid: tuple(rng.choice(label_ids[1:], size=int(rng.integers(0, 4))))
+                  for pid in ids[:-5]}  # label_ids[0] and the last 5 papers: no pseudo labels
+        pseudo[ids[0]] = (label_ids[3], label_ids[3])
+        seen = []
+        build = selftrain.build_label_tree
+        monkeypatch.setattr(selftrain, "build_label_tree",
+                            lambda feats, *args, **kw: seen.append(feats.copy())
+                            or build(feats, *args, **kw))
+        train_classifier(X, ids, pseudo, label_ids, ClassifierConfig(n_trees=2, epochs=1))
+        want = reference_label_features(X, ids, pseudo, label_ids)
+        assert not want[0].any() and want[1:].any(axis=1).all()
+        assert len(seen) == 2
+        for feats in seen:
+            assert feats.tobytes() == want.tobytes()
+
+    def test_features_freed_before_the_fits(self, monkeypatch):
+        ids = [f"L{j}" for j in range(6)]
+        assign = [j % 6 for j in range(30)]
+        pseudo = {f"p{i}": (ids[j],) for i, j in enumerate(assign)}
+        features, alive_at_fit = [], []
+        build, fit = selftrain.build_label_tree, selftrain._fit_logistic
+        monkeypatch.setattr(selftrain, "build_label_tree", lambda feats, *args, **kw:
+                            features.append(weakref.ref(feats)) or build(feats, *args, **kw))
+        monkeypatch.setattr(selftrain, "_fit_logistic", lambda *args: alive_at_fit.append(
+            any(ref() is not None for ref in features)) or fit(*args))
+        train_classifier(one_hot_matrix(assign, 6), list(pseudo), pseudo, ids,
+                         ClassifierConfig(n_trees=3, max_leaf=2))
+        assert len(features) == 3 and alive_at_fit and not any(alive_at_fit)
+
+    def test_paper_without_labels_and_paper_with_every_label(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        ids = [f"L{j}" for j in range(9)]
+        feats = rng.random((9, 4))
+        feats[7] = 0.0  # pooled in a leaf of its own
+        tree = build_label_tree(feats, ids, max_leaf=2, seed=0)
+        assert depth(tree) >= 3
+        X = random_csr(rng, 40, 15, empty_rows={2})
+        label_sets = [frozenset(rng.choice(ids, size=int(rng.integers(1, 3)), replace=False))
+                      for _ in range(40)]
+        label_sets[4], label_sets[9] = frozenset(), frozenset(ids)
+        member = np.array([[lid in labels for lid in ids] for labels in label_sets])
+        fitted = []
+        fit = selftrain._fit_logistic
+        monkeypatch.setattr(selftrain, "_fit_logistic",
+                            lambda X, rows, Y, cfg: fitted.append(rows) or fit(X, rows, Y, cfg))
+        cfg = ClassifierConfig(epochs=5)
+        train_tree(tree, X, member[:, leaf_columns(tree, ids)], cfg)
+        assert len(fitted) == len(_preorder(tree))
+        assert all(4 not in rows and 9 in rows for rows in fitted)
+        want = reference_fits(tree, X, label_sets, cfg)
+        for node in _preorder(tree):
+            w, b = want[id(node)]
+            assert node.weights.tobytes() == w.tobytes() and node.bias.tobytes() == b.tobytes()
 
 
 def random_csr(rng, n_rows, n_cols, max_nnz=8, empty_rows=()):
@@ -509,12 +623,8 @@ class TestRowSpaceFit:
         for ta, tb in zip(primal.trees, dual.trees):
             assert topo(ta) == topo(tb)
             for x, y in zip(_preorder(ta), _preorder(tb)):
-                wx, bx = (x.leaf_weights, x.leaf_bias) if x.is_leaf else \
-                    (x.child_weights, x.child_bias)
-                wy, by = (y.leaf_weights, y.leaf_bias) if y.is_leaf else \
-                    (y.child_weights, y.child_bias)
-                np.testing.assert_allclose(wx, wy, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(bx, by, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(x.weights, y.weights, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(x.bias, y.bias, rtol=0, atol=1e-12)
         (pa, ra), (pb, rb) = predict_matrix(primal, X), predict_matrix(dual, X)
         np.testing.assert_array_equal(ra, rb)
         np.testing.assert_allclose(pa, pb, rtol=0, atol=1e-12)
@@ -539,19 +649,20 @@ def scalar_beam(clf, x, beam):
     xn = SparseVec(x.indices, x.values / norm, x.dim) if norm > 0 else x
     acc = {}
     for tree in clf.trees:
+        position = {id(node): i for i, node in enumerate(_preorder(tree))}
         frontier = [(1.0, tree)]
         while frontier:
-            frontier.sort(key=lambda item: (-item[0], item[1].index))
+            frontier.sort(key=lambda item: (-item[0], position[id(item[1])]))
             frontier = frontier[:beam]
             nxt = []
             for p, node in frontier:
                 if node.is_leaf:
                     for j, lid in enumerate(node.label_ids):
-                        s = p * sigmoid(logit(node.leaf_weights[j], node.leaf_bias[j]))
+                        s = p * sigmoid(logit(node.weights[j], node.bias[j]))
                         acc[lid] = acc.get(lid, 0.0) + s
                 else:
                     for j, child in enumerate(node.children):
-                        q = p * sigmoid(logit(node.child_weights[j], node.child_bias[j]))
+                        q = p * sigmoid(logit(node.weights[j], node.bias[j]))
                         nxt.append((q, child))
             frontier = nxt
     return {lid: v / len(clf.trees) for lid, v in acc.items()}
@@ -594,14 +705,14 @@ class TestBatchedBeam:
             twins = [n for n in _preorder(tree) if not n.is_leaf
                      and {c.label_ids for c in n.children} == {("L00",), ("L01",)}]
             assert twins, "L00 and L01 should be sibling leaves"
-            np.testing.assert_array_equal(twins[0].child_weights[0], twins[0].child_weights[1])
+            np.testing.assert_array_equal(twins[0].weights[0], twins[0].weights[1])
 
     @pytest.mark.parametrize("beam", [1, 2, 3, 64])
     def test_matches_scalar_reference(self, deep, beam):
         clf, X = deep
         probs, reached = predict_matrix(clf, X, beam)
         for i in range(X.n_rows):
-            ref = scalar_beam(clf, X.row(i), beam)
+            ref = scalar_beam(clf, csr_row(X, i), beam)
             got = {lid for j, lid in enumerate(clf.label_ids) if reached[i, j]}
             assert got == set(ref), i
             for j, lid in enumerate(clf.label_ids):
@@ -617,6 +728,29 @@ class TestBatchedBeam:
         wider = CsrMatrix(X.data, X.indices, X.indptr, X.n_rows, X.n_cols + 1)
         with pytest.raises(ValueError, match="rerun self-train"):
             predict_matrix(clf, wider)
+
+
+class TestSearchPlan:
+    @settings(max_examples=40, deadline=None)
+    @given(n_labels=st.integers(1, 30), max_leaf=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_levels_list_nodes_in_preorder(self, n_labels, max_leaf, seed):
+        clf = random_classifier(np.random.default_rng(seed), n_labels, 2, 1, max_leaf)
+        tree = clf.trees[0]
+        nodes, first_rows, levels = _search_plan(
+            tree, {lid: j for j, lid in enumerate(clf.label_ids)})
+        assert nodes == _preorder(tree)
+        position = {id(node): i for i, node in enumerate(nodes)}
+        first = {id(node): lo for node, lo in zip(nodes, first_rows)}
+        level, seen = [tree], []
+        for d, lvl in enumerate(levels):
+            if d:  # each node from its parent's column and its routing row
+                level = [level[p].children[r - first[id(level[p])]]
+                         for p, r in zip(lvl.parent, lvl.row)]
+            at = [position[id(node)] for node in level]
+            assert at == sorted(at)
+            seen += at
+        assert sorted(seen) == list(range(len(nodes)))
 
 
 class TestFinalRanking:
@@ -693,8 +827,8 @@ class TestPersistence:
         loaded = load_classifier(path)
         assert loaded.label_ids == clf.label_ids
         for i in range(5):
-            a = predict_proba(clf, X.row(i))
-            b = predict_proba(loaded, X.row(i))
+            a = predict_proba(clf, csr_row(X, i))
+            b = predict_proba(loaded, csr_row(X, i))
             assert a == b
 
     @settings(max_examples=40, deadline=None)
@@ -717,28 +851,23 @@ class TestPersistence:
             (clf.label_ids, clf.beam_width, clf.n_features)
         for x, y in zip(clf.trees, loaded.trees, strict=True):
             for a, b in zip(_preorder(x), _preorder(y), strict=True):
-                assert (a.index, a.label_ids, len(a.children)) == \
-                    (b.index, b.label_ids, len(b.children))
-                for u, v in ((a.leaf_weights, b.leaf_weights), (a.leaf_bias, b.leaf_bias),
-                             (a.child_weights, b.child_weights), (a.child_bias, b.child_bias)):
-                    assert (u is None) == (v is None)
-                    if u is not None:
-                        np.testing.assert_array_equal(u, v)
+                assert (a.label_ids, len(a.children)) == (b.label_ids, len(b.children))
+                np.testing.assert_array_equal(a.weights, b.weights)
+                np.testing.assert_array_equal(a.bias, b.bias)
 
     def test_single_leaf_root_roundtrip(self, tmp_path):
-        root = selftrain.TreeNode(index=0, label_ids=("B", "A"), leaf_weights=np.eye(2, 3),
-                                  leaf_bias=np.array([0.5, -1.0]))
+        root = selftrain.TreeNode(label_ids=("B", "A"), weights=np.eye(2, 3),
+                                  bias=np.array([0.5, -1.0]))
         clf = LabelTreeClassifier(label_ids=("A", "B"), trees=[root], beam_width=3,
                                   n_features=3)
         save_classifier(clf, tmp_path / "clf.npz")
         loaded = load_classifier(tmp_path / "clf.npz")
         assert loaded.trees[0].is_leaf and loaded.trees[0].label_ids == clf.trees[0].label_ids
-        np.testing.assert_array_equal(loaded.trees[0].leaf_weights, clf.trees[0].leaf_weights)
+        np.testing.assert_array_equal(loaded.trees[0].weights, clf.trees[0].weights)
 
     def test_save_holds_no_second_copy_of_the_weights(self, tmp_path):
         clf = random_classifier(np.random.default_rng(5), 32, 20_000, 1, max_leaf=16)
-        weight_bytes = sum(w.nbytes for node in _preorder(clf.trees[0])
-                           for w in (node.leaf_weights, node.child_weights) if w is not None)
+        weight_bytes = sum(node.weights.nbytes for node in _preorder(clf.trees[0]))
         assert weight_bytes >= 4 * 2**20
         tracemalloc.start()
         try:
@@ -778,25 +907,21 @@ def reference_save_classifier(clf, path):
     one array, then np.savez_compressed."""
     nodes, weights, biases = [], [], []
 
-    def serialize(node):
+    def serialize(node, position):
         slot = len(nodes)
-        rec = {"index": node.index}
+        rec = {"index": position[id(node)]}
         nodes.append(rec)
         if node.is_leaf:
             rec["labels"] = list(node.label_ids)
-            rec["clf"] = len(weights)
-            for j in range(len(node.label_ids)):
-                weights.append(node.leaf_weights[j])
-                biases.append(node.leaf_bias[j])
-        else:
-            rec["clf"] = len(weights)
-            for j in range(len(node.children)):
-                weights.append(node.child_weights[j])
-                biases.append(node.child_bias[j])
-            rec["children"] = [serialize(c) for c in node.children]
+        rec["clf"] = len(weights)
+        for j in range(len(node.bias)):
+            weights.append(node.weights[j])
+            biases.append(node.bias[j])
+        if not node.is_leaf:
+            rec["children"] = [serialize(c, position) for c in node.children]
         return slot
 
-    roots = [serialize(t) for t in clf.trees]
+    roots = [serialize(t, {id(n): i for i, n in enumerate(_preorder(t))}) for t in clf.trees]
     meta = {"version": selftrain.CLASSIFIER_VERSION, "label_ids": list(clf.label_ids),
             "beam_width": clf.beam_width, "n_features": clf.n_features,
             "roots": roots, "nodes": nodes}
@@ -817,11 +942,7 @@ def random_classifier(rng, n_labels, n_features, n_trees, max_leaf):
         tree = build_label_tree(feats, ids, max_leaf, seed=t)
         for node in _preorder(tree):
             k = len(node.label_ids) if node.is_leaf else len(node.children)
-            w, b = rng.normal(size=(k, n_features)), rng.normal(size=k)
-            if node.is_leaf:
-                node.leaf_weights, node.leaf_bias = w, b
-            else:
-                node.child_weights, node.child_bias = w, b
+            node.weights, node.bias = rng.normal(size=(k, n_features)), rng.normal(size=k)
         trees.append(tree)
     return LabelTreeClassifier(label_ids=tuple(ids), trees=trees,
                                beam_width=int(rng.integers(1, 20)), n_features=n_features)
@@ -878,8 +999,8 @@ class TestNoReferenceCycles:
         assign = [j % 6 for j in range(30)]
         tree = build_label_tree(np.eye(6), ids, max_leaf=2, seed=0)
         X = _normalize_rows(one_hot_matrix(assign, 6))
-        label_sets = [frozenset({ids[j]}) for j in assign]
-        assert garbage_after(train_tree, tree, X, label_sets, ClassifierConfig()) == 0
+        member = np.eye(6, dtype=bool)[assign][:, leaf_columns(tree, ids)]
+        assert garbage_after(train_tree, tree, X, member, ClassifierConfig()) == 0
 
     def test_save_and_load_classifier(self, tmp_path):
         clf = random_classifier(np.random.default_rng(10), 20, 5, 2, max_leaf=3)
