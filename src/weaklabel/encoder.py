@@ -189,21 +189,23 @@ def _feature_block(feats, out: np.ndarray) -> np.ndarray:
 
 
 def _batch_loss_grad(model: ScorerModel, x: np.ndarray, grad_proj: np.ndarray,
-                     grad_w: np.ndarray, rows: np.ndarray | None = None) -> float:
+                     grad_w: np.ndarray, rows: np.ndarray) -> float:
     """Mean loss of a batch of B tuples and its analytic gradient.
 
     ``x`` stacks the tuples' feature vectors as rows: the B anchors, then
-    the B positives, then the B negatives. The mean gradients w.r.t.
-    ``proj`` and ``w`` are written into ``grad_proj`` and ``grad_w``.
-    With ``rows`` (sorted hash indices covering every nonzero column of
-    ``x``), ``grad_proj`` holds only those rows of the ``proj`` gradient;
-    the others are exactly zero.
+    the B positives, then the B negatives. ``rows`` are sorted hash
+    indices covering every nonzero column of ``x``; the forward and the
+    backward product run over those columns and projection rows only,
+    since every other row of the ``proj`` gradient is exactly zero. The
+    mean gradients are written into ``grad_proj`` (one row per entry of
+    ``rows``) and ``grad_w``.
     """
     e = model.embed_dim
     b = x.shape[0] // 3
     w1, w2 = model.w[:e], model.w[e:]
 
-    r = x @ model.proj
+    x = x[:, rows]
+    r = x @ model.proj[rows]
     norm = np.sqrt(np.einsum("ij,ij->i", r, r))[:, None]
     live = norm != 0.0  # empty texts embed to the zero vector
     u = np.divide(r, norm, out=np.zeros_like(r), where=live)
@@ -231,7 +233,7 @@ def _batch_loss_grad(model: ScorerModel, x: np.ndarray, grad_proj: np.ndarray,
     radial = np.einsum("ij,ij->i", grad_u, u)[:, None] * u
     grad_r = np.divide(grad_u - radial, norm, out=np.zeros_like(r), where=live)
     grad_r /= b
-    np.matmul((x if rows is None else x[:, rows]).T, grad_r, out=grad_proj)
+    np.matmul(x.T, grad_r, out=grad_proj)
     return loss
 
 
@@ -240,9 +242,12 @@ def loss_gradient(model: ScorerModel, anchor_text: str, pos_text: str,
     """Analytic gradient of the tuple loss w.r.t. (proj, w)."""
     feats = [model.featurizer.featurize(t) for t in (anchor_text, pos_text, neg_text)]
     x = _feature_block(feats, np.empty((3, model.hash_dim)))
-    grad_proj = np.empty_like(model.proj)
+    rows = np.flatnonzero(x.any(axis=0))
+    grad_rows = np.empty((rows.size, model.embed_dim))
     grad_w = np.empty_like(model.w)
-    loss = _batch_loss_grad(model, x, grad_proj, grad_w)
+    loss = _batch_loss_grad(model, x, grad_rows, grad_w, rows)
+    grad_proj = np.zeros_like(model.proj)
+    grad_proj[rows] = grad_rows
     return grad_proj, grad_w, loss
 
 

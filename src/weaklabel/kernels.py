@@ -5,7 +5,9 @@ The pipeline calls ``project_rows`` (embedding one text) and
 only the projection rows its batch touches (``rows``), since every other
 row of the gradient is exactly zero, and the parameter update runs over
 blocks of ``ADAMW_BLOCK_ROWS`` rows; both give the dense update bit for
-bit. ``scatter_add_outer``, ``csr_matvec`` and ``logistic_epochs`` are
+bit. The update folds Adam's bias corrections into two scalars per call,
+so it matches the textbook formula up to rounding (README, "Numerics
+rule"). ``scatter_add_outer``, ``csr_matvec`` and ``logistic_epochs`` are
 per-vector forms of the batched scorer and label-tree code, kept as its
 test references (``logistic_epochs`` checks ``selftrain._fit_logistic``)
 and timed by ``pipebench/bench_kernels.py``.
@@ -16,6 +18,8 @@ matrix. indices are int64, floats are float64.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -53,6 +57,12 @@ def adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, wd, scratch=None, ro
     updated, but only the given rows add gradient terms. ``rows=None``
     is the dense form, with ``grad`` shaped like ``param``.
 
+    The bias corrections are folded into two scalars per call,
+    ``c = lr * sqrt(1 - beta2**t) / (1 - beta1**t)`` and
+    ``e = eps * sqrt(1 - beta2**t)``, so that each parameter takes
+    ``p -= c * m / (sqrt(v) + e)`` and then ``p *= 1 - wd``: the textbook
+    ``lr * mhat / (sqrt(vhat) + eps)`` up to rounding.
+
     The moment decay is one pass over ``m`` and ``v``; the gradient terms
     and the rest of the update then run over blocks of ``ADAMW_BLOCK_ROWS``
     rows, so that the temporaries stay cache-sized. ``scratch`` is an
@@ -75,22 +85,20 @@ def adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, wd, scratch=None, ro
         np.multiply(g, 1.0 - beta2, out=a)
         a *= g
         v[touched] += a
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    root_c2 = math.sqrt(1.0 - beta2 ** t)
+    c = lr * root_c2 / (1.0 - beta1 ** t)
+    e = eps * root_c2
     for lo in range(0, param.shape[0], ADAMW_BLOCK_ROWS):
         blk = slice(lo, lo + ADAMW_BLOCK_ROWS)
         p_blk = param[blk]
         a = scratch[0][:p_blk.shape[0]]
         b = scratch[1][:p_blk.shape[0]]
-        np.divide(m[blk], c1, out=a)  # mhat
-        a *= lr
-        np.divide(v[blk], c2, out=b)  # vhat
-        np.sqrt(b, out=b)
-        b += eps
+        np.multiply(m[blk], c, out=a)
+        np.sqrt(v[blk], out=b)
+        b += e
         a /= b
         p_blk -= a
-        np.multiply(p_blk, wd, out=a)
-        p_blk -= a
+        p_blk *= 1.0 - wd
 
 
 def csr_matvec(data, indices, indptr, w, b):

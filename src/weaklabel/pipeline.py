@@ -320,6 +320,8 @@ def stage_evaluate(cfg: PipelineConfig,
     rankings = read_predictions(_path(cfg, "predictions"),
                                 limit=max((*cfg.precision_ks, *cfg.ndcg_ks), default=0))
     _check_paper_ids(rankings, ctx, "predictions", "predict")
+    _check_label_ids((lid for ranking in rankings.values() for lid in ranking), ctx,
+                     "predictions", "predict")
     gold = {p.id: set(p.gold_labels) for p in ctx.corpus if p.gold_labels is not None}
     if not any(gold.values()):
         log.warning("no ground-truth labels in the corpus; skipping evaluation")

@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from weaklabel import kernels
 from weaklabel.corpus import count_terms, load_corpus, load_labels
-from weaklabel.encoder import SparseVec
+from weaklabel.encoder import SparseVec, pair_features
 from weaklabel.selftrain import CsrMatrix, final_rankings, predict_matrix, tfidf_from_terms
 
 
@@ -89,3 +90,83 @@ def final_ranking(rows, probabilities: dict[str, float], label_ids, n: int) -> l
     label_ids = list(label_ids)
     probs = np.array([[probabilities.get(lid, 0.0) for lid in label_ids]])
     return final_rankings([[r.label_id for r in rows[:n]]], probs, label_ids)[0]
+
+
+# the scorer's training step as it was before the numerics rule: AdamW with
+# the bias corrections applied per element, and the forward over every hash
+# row; the numerics-rule test reruns the planted corpus with both
+
+
+def unfolded_adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, wd, scratch=None,
+                        rows=None):
+    """``kernels.adamw_step`` dividing by both bias corrections per element."""
+    if scratch is None:
+        scratch = (np.empty_like(param[:kernels.ADAMW_BLOCK_ROWS]),
+                   np.empty_like(param[:kernels.ADAMW_BLOCK_ROWS]))
+    m *= beta1
+    v *= beta2
+    for lo in range(0, grad.shape[0], kernels.ADAMW_BLOCK_ROWS):
+        blk = slice(lo, lo + kernels.ADAMW_BLOCK_ROWS)
+        touched = blk if rows is None else rows[blk]
+        g = grad[blk]
+        a = scratch[0][:g.shape[0]]
+        np.multiply(g, 1.0 - beta1, out=a)
+        m[touched] += a
+        np.multiply(g, 1.0 - beta2, out=a)
+        a *= g
+        v[touched] += a
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for lo in range(0, param.shape[0], kernels.ADAMW_BLOCK_ROWS):
+        blk = slice(lo, lo + kernels.ADAMW_BLOCK_ROWS)
+        p_blk = param[blk]
+        a = scratch[0][:p_blk.shape[0]]
+        b = scratch[1][:p_blk.shape[0]]
+        np.divide(m[blk], c1, out=a)  # mhat
+        a *= lr
+        np.divide(v[blk], c2, out=b)  # vhat
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        p_blk -= a
+        np.multiply(p_blk, wd, out=a)
+        p_blk -= a
+
+
+def dense_batch_loss_grad(model, x, grad_proj, grad_w, rows=None):
+    """``encoder._batch_loss_grad`` with the forward ``x @ proj`` over every
+    hash row; with ``rows``, the backward product covers those rows only."""
+    e = model.embed_dim
+    b = x.shape[0] // 3
+    w1, w2 = model.w[:e], model.w[e:]
+
+    r = x @ model.proj
+    norm = np.sqrt(np.einsum("ij,ij->i", r, r))[:, None]
+    live = norm != 0.0  # empty texts embed to the zero vector
+    u = np.divide(r, norm, out=np.zeros_like(r), where=live)
+    u_a, u_p, u_n = u.reshape(3, b, e)
+
+    psi_pos = pair_features(u_a, u_p)
+    psi_neg = pair_features(u_a, u_n)
+    delta = psi_neg @ model.w - psi_pos @ model.w
+    loss = float(np.logaddexp(0.0, delta).mean())
+
+    # d loss / d s_pos = -g, d loss / d s_neg = +g, with g = sigmoid(delta)
+    g = kernels._sigmoid(delta)
+    np.matmul(g, psi_neg - psi_pos, out=grad_w)
+    grad_w /= b
+
+    g = g[:, None]
+    sgn_p = np.sign(u_a - u_p)
+    sgn_n = np.sign(u_a - u_n)
+    grad_u = np.concatenate([
+        g * ((w1 * u_n + w2 * sgn_n) - (w1 * u_p + w2 * sgn_p)),
+        -g * (w1 * u_a - w2 * sgn_p),
+        g * (w1 * u_a - w2 * sgn_n),
+    ])
+    # backprop through u = r / |r|, then average over the batch
+    radial = np.einsum("ij,ij->i", grad_u, u)[:, None] * u
+    grad_r = np.divide(grad_u - radial, norm, out=np.zeros_like(r), where=live)
+    grad_r /= b
+    np.matmul((x if rows is None else x[:, rows]).T, grad_r, out=grad_proj)
+    return loss

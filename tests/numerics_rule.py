@@ -1,0 +1,135 @@
+"""The numerics rule: when two output directories count as the same run.
+
+A change may sum floating-point numbers in another order when, on the
+same inputs and config, its output directory and its parent's differ
+only within these bounds (README, "Numerics rule"):
+
+- ``predictions.jsonl``: rankings identical, ``top_k_scores`` within
+  1e-12 relative;
+- ``scores.jsonl``: label order, ranks and ``mrr`` identical, ``score_b``
+  and ``score_x`` within 1e-8 absolute;
+- ``metrics.json``: within 1e-12 relative;
+- ``loss_trace.json``: within 1e-9 relative;
+- ``encoder.npz``: within 1e-9 absolute;
+- ``classifier.npz``: within 1e-12 absolute;
+- every other file: byte-identical.
+
+Compare two output directories from the command line with
+
+    python tests/numerics_rule.py PARENT_OUT CHANGE_OUT
+
+which prints each breach and exits 1 if there is one.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+REL, ABS = "relative", "absolute"
+
+
+def _breach(name: str, a, b, tol: float, kind: str) -> list[str]:
+    """A one-line breach if the float arrays ``a`` and ``b`` differ beyond ``tol``."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        return [f"{name}: shape {a.shape} != {b.shape}"]
+    diff = np.abs(np.atleast_1d(a - b))
+    if kind == REL:
+        diff = np.divide(diff, np.maximum(np.abs(a), np.abs(b)), out=diff, where=diff > 0)
+    worst = float(diff.max(initial=0.0))
+    if not worst <= tol:  # also catches NaN
+        return [f"{name}: differs by up to {worst:.3g} {kind} (rule: {tol:g})"]
+    return []
+
+
+def _lines(path: Path) -> list[dict]:
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip()]
+
+
+def _jsonl(ref: Path, new: Path, exact: tuple[str, ...], close: tuple[str, ...],
+           tol: float, kind: str) -> list[str]:
+    """The same papers in the same order; in each record (in ``scores.jsonl``,
+    each of its ``candidates``) the ``exact`` fields equal and the ``close``
+    ones within ``tol``."""
+    a, b = _lines(ref), _lines(new)
+    if [r["paper_id"] for r in a] != [r["paper_id"] for r in b]:
+        return [f"{new.name}: the papers or their order differ"]
+    out = []
+    for ra, rb in zip(a, b):
+        rows_a, rows_b = ra.get("candidates", [ra]), rb.get("candidates", [rb])
+        where = f"{new.name}: paper {ra['paper_id']!r}"
+        if len(rows_a) != len(rows_b) or any(x[f] != y[f] for x, y in zip(rows_a, rows_b)
+                                             for f in exact):
+            out.append(f"{where}: {'/'.join(exact)} not identical")
+            continue
+        for f in close:
+            out += _breach(f"{where}: {f}", [x[f] for x in rows_a], [y[f] for y in rows_b],
+                           tol, kind)
+    return out
+
+
+def _npz(ref: Path, new: Path, tol: float) -> list[str]:
+    with np.load(ref) as fa, np.load(new) as fb:
+        if sorted(fa.files) != sorted(fb.files):
+            return [f"{new.name}: members {sorted(fb.files)} != {sorted(fa.files)}"]
+        out = []
+        for key in fa.files:
+            a, b = fa[key], fb[key]
+            if a.dtype.kind == "f" and a.dtype == b.dtype:
+                out += _breach(f"{new.name}: {key}", a, b, tol, ABS)
+            elif a.dtype != b.dtype or not np.array_equal(a, b):
+                out.append(f"{new.name}: {key} differs")
+        return out
+
+
+def _json_numbers(ref: Path, new: Path, tol: float) -> list[str]:
+    """The same keys, each value (a number or a list of numbers) within ``tol`` relative."""
+    a, b = (json.loads(p.read_text(encoding="utf-8")) for p in (ref, new))
+    if a.keys() != b.keys():
+        return [f"{new.name}: keys {sorted(b)} != {sorted(a)}"]
+    return [line for key in a
+            for line in _breach(f"{new.name}: {key}", a[key], b[key], tol, REL)]
+
+
+CHECKS = {
+    "predictions.jsonl": lambda a, b: _jsonl(a, b, ("ranking",), ("top_k_scores",),
+                                             1e-12, REL),
+    "scores.jsonl": lambda a, b: _jsonl(a, b, ("label_id", "rank_b", "rank_x", "mrr"),
+                                        ("score_b", "score_x"), 1e-8, ABS),
+    "metrics.json": lambda a, b: _json_numbers(a, b, 1e-12),
+    "loss_trace.json": lambda a, b: _json_numbers(a, b, 1e-9),
+    "encoder.npz": lambda a, b: _npz(a, b, 1e-9),
+    "classifier.npz": lambda a, b: _npz(a, b, 1e-12),
+}
+
+
+def compare_outputs(ref_dir, new_dir) -> list[str]:
+    """Every breach of the numerics rule by ``new_dir`` against ``ref_dir``;
+    an empty list means the rule holds."""
+    ref_dir, new_dir = Path(ref_dir), Path(new_dir)
+    names = sorted(p.name for p in ref_dir.iterdir() if p.is_file())
+    new_names = sorted(p.name for p in new_dir.iterdir() if p.is_file())
+    if names != new_names:
+        return [f"files {new_names} != {names}"]
+    out = []
+    for name in names:
+        a, b = ref_dir / name, new_dir / name
+        check = CHECKS.get(name)
+        if check is not None:
+            out += check(a, b)
+        elif a.read_bytes() != b.read_bytes():
+            out.append(f"{name}: bytes differ")
+    return out
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(f"usage: {sys.argv[0]} PARENT_OUT CHANGE_OUT")
+    breaches = compare_outputs(sys.argv[1], sys.argv[2])
+    print("\n".join(breaches) or "the numerics rule holds")
+    sys.exit(1 if breaches else 0)

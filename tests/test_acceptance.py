@@ -13,14 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from weaklabel import encoder, metrics, pipeline
+from weaklabel import encoder, kernels, metrics, pipeline
 from weaklabel.config import make_config
 from weaklabel.corpus import HierarchyNode, Paper, load_corpus
 from weaklabel.citegraph import CO_REFERENCE, build_graph, sample_tuples
 from weaklabel.ranker import CandidateScore, aggregate_hierarchy, mrr_combine
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
-from conftest import final_ranking
+from conftest import dense_batch_loss_grad, final_ranking, unfolded_adamw_step
+from numerics_rule import compare_outputs
 
 
 def report(num, desc, ok, detail=""):
@@ -340,3 +341,21 @@ def test_c12_determinism_across_thread_counts(planted):
     b = open(os.path.join(rerun_out, "predictions.jsonl"), "rb").read()
     report(12, "reruns are byte-identical regardless of thread count", a == b,
            f"{len(a)} bytes")
+
+
+# ---------------------------------------------------------------------------
+# numerics rule (README): the training step's summation order may change
+# ---------------------------------------------------------------------------
+
+
+def test_planted_run_holds_the_numerics_rule_against_the_unfolded_step(planted,
+                                                                       monkeypatch):
+    # rerun with the step's earlier numerics: AdamW with per-element bias
+    # corrections and the forward over every hash row
+    monkeypatch.setattr(kernels, "adamw_step", unfolded_adamw_step)
+    monkeypatch.setattr(encoder, "_batch_loss_grad", dense_batch_loss_grad)
+    out = planted["tmp"].mktemp("planted_unfolded")
+    pipeline.run_pipeline(planted["config"](out))
+    assert compare_outputs(out, planted["out"]) == []
+    # the two runs round differently, so the comparison is not vacuous
+    assert (out / "encoder.npz").read_bytes() != (planted["out"] / "encoder.npz").read_bytes()

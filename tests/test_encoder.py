@@ -337,8 +337,11 @@ class TestLossGradient:
 
         feats = [model.featurizer.featurize(tup[arm]) for arm in range(3) for tup in texts]
         x = encoder._feature_block(feats, np.empty((12, 64)))
-        grad_proj, grad_w = np.empty_like(model.proj), np.empty_like(model.w)
-        loss = encoder._batch_loss_grad(model, x, grad_proj, grad_w)
+        rows = np.flatnonzero(x.any(axis=0))
+        grad_rows, grad_w = np.empty((rows.size, model.embed_dim)), np.empty_like(model.w)
+        loss = encoder._batch_loss_grad(model, x, grad_rows, grad_w, rows)
+        grad_proj = np.zeros_like(model.proj)
+        grad_proj[rows] = grad_rows
 
         np.testing.assert_allclose(grad_proj, np.mean([s[0] for s in singles], axis=0),
                                    rtol=1e-12)
@@ -421,12 +424,29 @@ class TestTrain:
         np.testing.assert_array_equal(model.proj, before_proj)
         np.testing.assert_array_equal(model.w, before_w)
 
-    def test_nonfinite_aborts_with_step(self, tmp_path):
+    def test_nonfinite_row_in_first_batch_aborts_at_step_1(self, tmp_path):
         corpus = tiny_corpus(tmp_path)
         tuples = tuples_for(corpus, 40, seed=7)
+        config = TrainConfig(total_steps=5, seed=8)
         model = init_model(hash_dim=128, embed_dim=16, seed=8)
-        model.proj[0, 0] = np.nan
-        with pytest.warns(RuntimeWarning), pytest.raises(TrainingDiverged, match="step"):
+        first = np.random.default_rng(config.seed).permutation(len(tuples))[0]  # train's draw
+        pid, k = tuples[first].anchor
+        text = next(p for p in corpus if p.id == pid).paragraphs[k].text
+        model.proj[model.featurizer.featurize(text).indices[0], 0] = np.nan
+        with pytest.warns(RuntimeWarning), \
+                pytest.raises(TrainingDiverged, match="non-finite loss at step 1$"):
+            train(model, tuples, corpus, config)
+
+    def test_nonfinite_untouched_row_caught_by_parameter_check(self, tmp_path):
+        # no batch reads the row, so the loss stays finite; the last
+        # parameter check still stops the run
+        corpus = tiny_corpus(tmp_path)
+        tuples = tuples_for(corpus, 40, seed=7)
+        model = init_model(hash_dim=4096, embed_dim=16, seed=8)
+        touched = np.unique(np.concatenate([model.featurizer.featurize(par.text).indices
+                                            for p in corpus for par in p.paragraphs]))
+        model.proj[np.setdiff1d(np.arange(4096), touched)[0], 0] = np.nan
+        with pytest.raises(TrainingDiverged, match="non-finite parameter at step 5$"):
             train(model, tuples, corpus, TrainConfig(total_steps=5, seed=8))
 
     def test_empty_tuples_rejected(self, tmp_path):
@@ -437,7 +457,7 @@ class TestTrain:
 
 
 def dense_reference_train(model, tuples, corpus, config):
-    """``train`` written with the full backward product and dense AdamW."""
+    """``train`` written with a dense gradient and dense AdamW."""
     by_id = {p.id: p for p in corpus}
     rng = np.random.default_rng(config.seed)
     n, total = len(tuples), config.resolve_total_steps(len(tuples))
@@ -456,13 +476,16 @@ def dense_reference_train(model, tuples, corpus, config):
         for row, (pid, k) in zip(x, refs):
             sv = model.featurizer.featurize(by_id[pid].paragraphs[k].text)
             row[sv.indices] = sv.values
-        grads = np.empty_like(model.proj), np.empty_like(model.w)
-        losses.append(encoder._batch_loss_grad(model, x, *grads))
+        rows = np.flatnonzero(x.any(axis=0))
+        grad_rows, grad_w = np.empty((rows.size, model.embed_dim)), np.empty_like(model.w)
+        losses.append(encoder._batch_loss_grad(model, x, grad_rows, grad_w, rows))
+        grad_proj = np.zeros_like(model.proj)
+        grad_proj[rows] = grad_rows
         sched = encoder._schedule(t, config.warmup_steps, total)
         args = (t, sched * config.learning_rate, config.beta1, config.beta2,
                 config.epsilon, sched * config.weight_decay)
-        adamw_allocating_reference(model.proj, grads[0], m_proj, v_proj, *args)
-        adamw_allocating_reference(model.w, grads[1], m_w, v_w, *args)
+        adamw_allocating_reference(model.proj, grad_proj, m_proj, v_proj, *args)
+        adamw_allocating_reference(model.w, grad_w, m_w, v_w, *args)
     return model, np.array(losses)
 
 

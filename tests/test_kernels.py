@@ -1,5 +1,7 @@
 """Semantics of the numeric kernels against hand-written references."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,15 +88,16 @@ class TestLogisticTraining:
 
 
 def adamw_allocating_reference(param, grad, m, v, t, lr, beta1, beta2, eps, wd):
-    # the update written with one temporary per operation
+    # the folded update written with one temporary per operation
     m *= beta1
     m += (1.0 - beta1) * grad
     v *= beta2
     v += (1.0 - beta2) * grad * grad
-    mhat = m / (1.0 - beta1 ** t)
-    vhat = v / (1.0 - beta2 ** t)
-    param -= lr * mhat / (np.sqrt(vhat) + eps)
-    param -= wd * param
+    root_c2 = math.sqrt(1.0 - beta2 ** t)
+    c = lr * root_c2 / (1.0 - beta1 ** t)
+    e = eps * root_c2
+    param -= c * m / (np.sqrt(v) + e)
+    param *= 1.0 - wd
 
 
 @pytest.mark.parametrize("with_scratch", [False, True])
@@ -143,3 +146,29 @@ def test_adamw_row_form_bitwise_equals_dense_reference(shape, steps, with_scratc
     np.testing.assert_array_equal(p, p_ref)
     np.testing.assert_array_equal(m, m_ref)
     np.testing.assert_array_equal(v, v_ref)
+
+
+def test_adamw_row_form_matches_textbook_formula():
+    # 200 steps of the row form against the unfolded bias corrections:
+    # folding them changes only the rounding
+    rng = np.random.default_rng(10)
+    shape, steps = (2048, 256), 200
+    p = rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[0])
+    m, v = np.zeros(shape), np.zeros(shape)
+    p_ref, m_ref, v_ref = p.copy(), m.copy(), v.copy()
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t in range(1, steps + 1):
+        rows = np.sort(rng.choice(shape[0], size=shape[0] // 3, replace=False))
+        g_rows = rng.normal(size=(rows.size, shape[1])) * 1e-3
+        sched = min(t / 30, (steps - t) / (steps - 30))  # warmup, then linear decay
+        lr, wd = 1e-2 * sched, 1e-2 * sched
+        kernels.adamw_step(p, g_rows, m, v, t, lr, b1, b2, eps, wd, rows=rows)
+        g = np.zeros(shape)
+        g[rows] = g_rows
+        m_ref = b1 * m_ref + (1 - b1) * g
+        v_ref = b2 * v_ref + (1 - b2) * g * g
+        mhat = m_ref / (1 - b1 ** t)
+        vhat = v_ref / (1 - b2 ** t)
+        p_ref = p_ref - lr * mhat / (np.sqrt(vhat) + eps)
+        p_ref = p_ref - wd * p_ref
+    np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=1e-15)

@@ -14,10 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklabel import candidates as cand
-from weaklabel import citegraph, cli, encoder, pipeline, ranker, selftrain
+from weaklabel import citegraph, cli, encoder, metrics, pipeline, ranker, selftrain
 from weaklabel.config import ConfigError, PipelineConfig, make_config
 from weaklabel.corpus import Paper, load_corpus, load_labels, write_jsonl
 from weaklabel.synth import SyntheticSpec, write_synthetic
+
+from numerics_rule import compare_outputs
 
 SPEC = SyntheticSpec(n_papers=120, n_labels=20, labels_per_paper=3, seed=2)
 OVERRIDES = dict(tuple_count=600, train_steps=220, seed=13)
@@ -238,6 +240,90 @@ class TestPredictionsRoundTrip:
             got = pipeline.read_predictions(path, limit=limit)
         assert list(got) == list(records)
         assert got == {pid: ranking[:limit] for pid, (ranking, _) in records.items()}
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestJsonArtifactsRoundTrip:
+    """train-encoder and evaluate write every number of ``loss_trace.json``
+    and ``metrics.json`` so that it reads back exactly."""
+
+    @pytest.fixture(scope="class")
+    def stage_dir(self, data_dir, run, tmp_path_factory):
+        _, out, _, _ = run
+        copy = tmp_path_factory.mktemp("json_round_trip")
+        shutil.copytree(out, copy, dirs_exist_ok=True)
+        cfg = base_config(data_dir, copy)
+        return cfg, pipeline.RunContext(cfg)
+
+    @settings(max_examples=25, deadline=None)
+    @given(losses=st.lists(FINITE, min_size=1, max_size=40))
+    def test_loss_trace(self, stage_dir, losses):
+        cfg, ctx = stage_dir
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoder, "train", lambda model, *args: (model, np.array(losses)))
+            pipeline.stage_train_encoder(cfg, ctx)
+        with open(artifact(cfg.output_dir, "loss_trace"), encoding="utf-8") as fh:
+            got = json.load(fh)
+        assert list(got) == ["losses"]
+        assert np.array(got["losses"]).tobytes() == np.array(losses).tobytes()
+
+    @settings(max_examples=25, deadline=None)
+    @given(report=st.builds(
+        metrics.MetricsReport,
+        **{name: st.dictionaries(st.integers(1, 20), FINITE, max_size=4)
+           for name in ("precision", "ndcg", "psp", "psn")},
+        n_papers=st.integers(0, 10**6), n_evaluated=st.integers(0, 10**6),
+        n_skipped=st.integers(0, 10**6), mean_candidates=st.none() | FINITE))
+    def test_metrics(self, stage_dir, report):
+        cfg, ctx = stage_dir
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipeline.metrics, "evaluate", lambda *args, **kwargs: report)
+            pipeline.stage_evaluate(cfg, ctx)
+        with open(artifact(cfg.output_dir, "metrics"), encoding="utf-8") as fh:
+            assert json.load(fh) == report.to_dict()
+
+
+class TestNumericsRule:
+    """``compare_outputs`` holds a run to the numerics rule: differences
+    within its bounds pass, a reordered ranking or a larger loss change fails."""
+
+    @pytest.fixture
+    def dirs(self, run, tmp_path):
+        _, out, _, _ = run
+        shutil.copytree(out, tmp_path / "out")
+        return out, tmp_path / "out"
+
+    def test_within_the_bounds_holds(self, dirs):
+        out, new = dirs
+        assert compare_outputs(out, new) == []
+        with np.load(new / "encoder.npz") as data:
+            members = {key: data[key] for key in data.files}
+        members["proj"] = members["proj"] + 1e-10
+        np.savez(new / "encoder.npz", **members)
+        trace = json.loads((new / "loss_trace.json").read_text())
+        trace["losses"][-1] *= 1.0 + 1e-10
+        (new / "loss_trace.json").write_text(json.dumps(trace))
+        assert compare_outputs(out, new) == []
+
+    def test_swapped_ranking_rejected(self, dirs):
+        out, new = dirs
+        recs = list(pipeline.read_jsonl(new / "predictions.jsonl"))
+        ranking = recs[3]["ranking"]
+        ranking[0], ranking[1] = ranking[1], ranking[0]
+        write_jsonl(recs, new / "predictions.jsonl")
+        assert compare_outputs(out, new) == [
+            f"predictions.jsonl: paper {recs[3]['paper_id']!r}: ranking not identical"]
+
+    def test_loss_perturbation_rejected(self, dirs):
+        out, new = dirs
+        trace = json.loads((new / "loss_trace.json").read_text())
+        trace["losses"][10] *= 1.0 + 1e-6
+        (new / "loss_trace.json").write_text(json.dumps(trace))
+        breaches = compare_outputs(out, new)
+        assert len(breaches) == 1
+        assert breaches[0].startswith("loss_trace.json: losses: differs by up to 1e-06 relative")
 
 
 def count_input_reads(monkeypatch):
@@ -760,11 +846,15 @@ class TestArtifactsFromAnotherLabelSet:
         ("self-train", (), "scores.jsonl", "rerun score", "classifier.npz"),
         ("predict", (), "scores.jsonl", "rerun score", "predictions.jsonl"),
         ("predict", ("--no-selftrain",), "scores.jsonl", "rerun score", "predictions.jsonl"),
+        ("evaluate", (), "predictions.jsonl", "rerun predict", "metrics.json"),
     ])
     def test_rejected_naming_the_labels(self, fewer_labels, stage, flags, artifact, rerun,
                                         output):
         copy, dropped, args = fewer_labels
         found = (cand.read_candidates(copy / artifact) if artifact == "candidates.jsonl" else
+                 # evaluate reads the top k of each ranking
+                 pipeline.read_predictions(copy / artifact, limit=5)
+                 if artifact == "predictions.jsonl" else
                  {p: [r.label_id for r in rows]
                   for p, rows in ranker.read_scores(copy / artifact).items()})
         unknown = sorted({lid for ids in found.values() for lid in ids} & set(dropped))
