@@ -40,11 +40,8 @@ def retrieve_candidates(paper: Paper, index: NameIndex,
     Matching runs over the title+abstract token sequence; ``full_text``
     extends it with every body paragraph (ablation use only).
     """
-    tokens = tokenize(paper.title) + tokenize(paper.abstract)
-    if full_text:
-        for leaf in paper.paragraphs:
-            if not leaf.is_abstract:
-                tokens.extend(tokenize(leaf.text))
+    tokens = (paper.full_text_tokens() if full_text
+              else tokenize(paper.title) + tokenize(paper.abstract))
     found: set[str] = set()
     n = len(tokens)
     for i in range(n):

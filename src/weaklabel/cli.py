@@ -91,7 +91,6 @@ def _run_synth(args) -> int:
     except ValueError as exc:
         print(f"synth error: {exc}", file=sys.stderr)
         return 2
-    os.makedirs(args.out_dir, exist_ok=True)
     corpus_path = os.path.join(args.out_dir, "corpus.jsonl")
     labels_path = os.path.join(args.out_dir, "labels.jsonl")
     manifest_path = os.path.join(args.out_dir, "synth_manifest.jsonl")

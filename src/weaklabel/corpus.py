@@ -55,17 +55,16 @@ class HierarchyNode:
     text: str = ""
     is_abstract: bool = False
 
-    def iter_paragraphs(self):
-        """Yield paragraph leaves in document order."""
-        stack = [self]
-        out = []
-        while stack:
-            node = stack.pop()
-            if node.kind == "paragraph":
-                out.append(node)
-            else:
-                stack.extend(reversed(node.children))
-        return iter(out)
+
+def preorder(root) -> list:
+    """``root`` and every node below it, each before its children and the
+    children in order, for any tree whose nodes list theirs in ``children``."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(reversed(node.children))
+    return out
 
 
 @dataclass(eq=False)
@@ -80,7 +79,7 @@ class Paper:
     gold_labels: frozenset[str] | None = None
 
     def __post_init__(self):
-        self._paragraphs = list(self.hierarchy.iter_paragraphs())
+        self._paragraphs = [n for n in preorder(self.hierarchy) if n.kind == "paragraph"]
 
     @property
     def paragraphs(self) -> list[HierarchyNode]:
@@ -196,12 +195,14 @@ def _build_paper(record: dict, min_words: int) -> Paper:
 @contextmanager
 def atomic_write(path, mode: str = "w"):
     """Open a temporary file beside ``path`` (``mode`` "w" for UTF-8 text or
-    "wb") and move it onto ``path`` once the block completes.
+    "wb"), creating its directory if needed, and move it onto ``path`` once
+    the block completes.
 
     If the block raises, the temporary file is removed and an earlier file
     at ``path`` is left as it was, so no reader sees a truncated artifact.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    os.makedirs(os.path.dirname(os.path.abspath(tmp)), exist_ok=True)
     try:
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
@@ -379,12 +380,12 @@ def build_vocabulary(corpus: list[Paper], min_df: int = DEFAULT_MIN_DF) -> Vocab
     return vocabulary_from_terms(count_terms(corpus), min_df)
 
 
-def corpus_stats(corpus: list[Paper], terms: TermCounts | None = None) -> dict:
+def corpus_stats(corpus: list[Paper], terms: TermCounts) -> dict:
     """Aggregate statistics reported after loading; ``terms`` are the
-    corpus's term counts, counted here when not given."""
+    corpus's term counts (``count_terms``)."""
     n = len(corpus)
     n_paragraphs = sum(len(p.paragraphs) for p in corpus)
-    n_words = int((count_terms(corpus) if terms is None else terms).counts.sum())
+    n_words = int(terms.counts.sum())
     return {
         "n_papers": n,
         "n_paragraphs": n_paragraphs,

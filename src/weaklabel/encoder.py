@@ -126,7 +126,7 @@ class ScorerModel:
 
 
 def init_model(hash_dim: int = DEFAULT_HASH_DIM, embed_dim: int = DEFAULT_EMBED_DIM,
-               seed: int = 0, hash_seed: int | None = None) -> ScorerModel:
+               seed: int = 0) -> ScorerModel:
     """Seeded init: uniform projection scaled by 1/sqrt(hash_dim), zero head.
 
     A zero head makes every initial score 0, so the first training batch
@@ -135,7 +135,7 @@ def init_model(hash_dim: int = DEFAULT_HASH_DIM, embed_dim: int = DEFAULT_EMBED_
     rng = np.random.default_rng(seed)
     proj = rng.uniform(-1.0, 1.0, size=(hash_dim, embed_dim)) / math.sqrt(hash_dim)
     w = np.zeros(2 * embed_dim, dtype=np.float64)
-    feat = BaseFeaturizer(dim=hash_dim, hash_seed=seed if hash_seed is None else hash_seed)
+    feat = BaseFeaturizer(dim=hash_dim, hash_seed=seed)
     return ScorerModel(featurizer=feat, proj=proj, w=w)
 
 

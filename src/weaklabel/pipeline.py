@@ -45,7 +45,6 @@ ARTIFACTS = {
 
 
 def _path(cfg: PipelineConfig, key: str) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
     return os.path.join(cfg.output_dir, ARTIFACTS[key])
 
 
@@ -201,7 +200,6 @@ def stage_score(cfg: PipelineConfig,
     model = encoder.load_model(_path(cfg, "encoder"))
     overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
                  if cfg.embeddings_path else {})
-    labels_by_id = {l.id: l for l in labels}
     model.counters.reset()
 
     def embedding(key: str, text: str, counted: bool = True) -> np.ndarray:
@@ -217,13 +215,16 @@ def stage_score(cfg: PipelineConfig,
     scored: dict[str, list[ranker.CandidateScore]] = {}
     for paper in corpus:
         cand_ids = cands[paper.id]
-        score_x = ranker.score_cross(model, paper, labels_by_id, cand_ids, overrides,
-                                     label_embeddings=label_embs)
+        # one title+abstract vector serves the joint scorer and, for a paper
+        # with no paragraphs, the root; a bi call counts it only as the root
+        as_root = cfg.use_hierarchy and paper.is_empty
+        u = (embedding(paper.id, paper.title_abstract, as_root)
+             if cand_ids or as_root else None)
+        score_x = ranker.score_cross(model, u, label_embs, cand_ids)
         if cfg.use_hierarchy:
             leaf_embs = [embedding(f"{paper.id}#{i}", leaf.text)
                          for i, leaf in enumerate(paper.paragraphs)]
-            fallback = embedding(paper.id, paper.title_abstract) if paper.is_empty else None
-            agg = ranker.aggregate_hierarchy(paper, leaf_embs, fallback=fallback)
+            agg = ranker.aggregate_hierarchy(paper, leaf_embs, fallback=u)
             score_b = ranker.score_bi(agg.root, label_embs, cand_ids)
         else:
             score_b = dict(score_x)  # degenerate ensemble: joint scores only
@@ -282,6 +283,7 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[st
     scored = _read_scores(cfg, ctx)
     label_ids = [l.id for l in ctx.labels]
 
+    top_k = min(cfg.top_k, cfg.ranking_limit or cfg.top_k)  # scores only stored labels
     rankings: dict[str, list[str]] = {}
     top_scores: dict[str, list[float]] = {}
     if cfg.use_selftrain:
@@ -295,12 +297,12 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[st
             rankings[paper.id] = ranked[i]
             top_scores[paper.id] = [scored[paper.id][j].mrr if j < len(pinned[i])
                                     else float(probs[i, column[lid]])
-                                    for j, lid in enumerate(ranked[i][:cfg.top_k])]
+                                    for j, lid in enumerate(ranked[i][:top_k])]
     else:
         for paper in corpus:
             rows = scored[paper.id]
             rankings[paper.id] = [r.label_id for r in rows]
-            top_scores[paper.id] = [r.mrr for r in rows[:cfg.top_k]]
+            top_scores[paper.id] = [r.mrr for r in rows[:top_k]]
 
     write_jsonl(({"paper_id": pid, "ranking": rankings[pid][:cfg.ranking_limit],
                   "top_k_scores": top_scores[pid]} for pid in rankings),

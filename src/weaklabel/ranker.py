@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import HierarchyNode, Paper, Label, read_jsonl, write_jsonl
+from .corpus import HierarchyNode, Paper, preorder, read_jsonl, write_jsonl
 from . import encoder
 
 
@@ -41,15 +41,8 @@ def aggregate_hierarchy(paper: Paper, leaf_embeddings,
 
     by_leaf = {id(node): np.asarray(e, dtype=np.float64)
                for node, e in zip(leaves, leaf_embeddings)}
-    # reversing a preorder that visits children last to first gives the
-    # postorder, children before their parent
-    order, stack = [], [paper.hierarchy]
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        stack.extend(node.children)
     by_node: dict[HierarchyNode, np.ndarray] = {}
-    for node in reversed(order):
+    for node in reversed(preorder(paper.hierarchy)):  # children before their parent
         if node.kind == "paragraph":
             by_node[node] = by_leaf[id(node)]
         else:
@@ -71,31 +64,10 @@ def score_bi(root_embedding: np.ndarray, label_embeddings: dict[str, np.ndarray]
     return {lid: cosine(root_embedding, label_embeddings[lid]) for lid in candidate_ids}
 
 
-def score_cross(model: encoder.ScorerModel, paper: Paper, labels_by_id: dict[str, Label],
-                candidate_ids, overrides: dict[str, np.ndarray] | None = None,
-                label_embeddings: dict[str, np.ndarray] | None = None) -> dict[str, float]:
-    """Joint title+abstract vs label-text score for each candidate.
-
-    The title+abstract is embedded once per call, and only when there are
-    candidates. ``label_embeddings`` supplies label vectors built once for
-    all papers, external ones already in place; without it each
-    candidate's label text is embedded here. ``overrides`` substitutes
-    external embeddings, keyed by paper or label id, for the texts
-    embedded here.
-    """
-    candidate_ids = list(candidate_ids)
-    if not candidate_ids:
-        return {}
-    if overrides is None:
-        overrides = {}
-
-    def embedding(key: str, text: str) -> np.ndarray:
-        ov = overrides.get(key)
-        return ov if ov is not None else encoder._embed_text(model, text)
-
-    u = embedding(paper.id, paper.title_abstract)
-    if label_embeddings is None:
-        label_embeddings = {lid: embedding(lid, labels_by_id[lid].text) for lid in candidate_ids}
+def score_cross(model: encoder.ScorerModel, u: np.ndarray,
+                label_embeddings: dict[str, np.ndarray], candidate_ids) -> dict[str, float]:
+    """Joint score of the title+abstract embedding ``u`` and each
+    candidate's label embedding."""
     return {lid: encoder.cross_score_pair(model, u, label_embeddings[lid])
             for lid in candidate_ids}
 

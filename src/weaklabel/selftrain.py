@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import TermCounts, Vocabulary, write_npz
+from .corpus import TermCounts, Vocabulary, preorder, write_npz
 from .kernels import _sigmoid
 from .ranker import CandidateScore
 
@@ -204,15 +204,6 @@ def build_label_tree(features: np.ndarray, label_ids: list[str], max_leaf: int,
     return root
 
 
-def _preorder(root: TreeNode) -> list[TreeNode]:
-    out, stack = [], [root]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.children))
-    return out
-
-
 def _first_rows(nodes: list[TreeNode]) -> list[int]:
     """Each node's first classifier row when the rows of ``nodes`` are
     numbered in order, then the total row count."""
@@ -322,7 +313,7 @@ def train_tree(tree: TreeNode, X: CsrMatrix, member: np.ndarray,
     if all_rows.size == 0:
         raise ValueError("no training documents carry pseudo labels")
 
-    nodes = _preorder(tree)
+    nodes = preorder(tree)
     width = {}  # each subtree's label count
     for node in reversed(nodes):
         width[id(node)] = (node.n_outputs if node.is_leaf
@@ -377,7 +368,7 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
     del feats  # the fits need only the topologies; free the features before them
     Xn = _normalize_rows(X)
     for tree in trees:
-        leaf_order = [column[lid] for node in _preorder(tree) if node.is_leaf
+        leaf_order = [column[lid] for node in preorder(tree) if node.is_leaf
                       for lid in node.label_ids]
         train_tree(tree, Xn, member[:, leaf_order], cfg)
     return LabelTreeClassifier(label_ids=tuple(label_ids), trees=trees,
@@ -402,7 +393,7 @@ def _search_plan(tree: TreeNode, label_pos: dict[str, int]):
     level lists its nodes in preorder, since it takes its parents' children
     in order.
     """
-    nodes = _preorder(tree)
+    nodes = preorder(tree)
     first_rows = _first_rows(nodes)
     first = {id(node): lo for node, lo in zip(nodes, first_rows)}
 
@@ -507,7 +498,7 @@ def save_classifier(clf: LabelTreeClassifier, path):
     """Write ``clf`` to ``path`` as a compressed npz: every node's weight
     rows in preorder (``weights``, ``biases``) and the trees as JSON
     (``meta``). The weights are streamed node by node, never stacked."""
-    order = [(i, node) for tree in clf.trees for i, node in enumerate(_preorder(tree))]
+    order = [(i, node) for tree in clf.trees for i, node in enumerate(preorder(tree))]
     nodes = [node for _, node in order]
     slot = {id(node): s for s, node in enumerate(nodes)}
     recs = [{"index": i, "labels": list(node.label_ids), "clf": lo} if node.is_leaf else

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,11 @@ from weaklabel import kernels
 from weaklabel.corpus import count_terms, load_corpus, load_labels
 from weaklabel.encoder import SparseVec, pair_features
 from weaklabel.selftrain import CsrMatrix, final_rankings, predict_matrix, tfidf_from_terms
+
+# the CLI tests run ``python -m weaklabel.cli`` in subprocesses, which import it from here
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+if SRC not in os.environ.get("PYTHONPATH", "").split(os.pathsep):
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
 
 
 def write_jsonl(path, records):

@@ -3,11 +3,13 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from weaklabel.cli import main
 from weaklabel.corpus import (
-    CorpusError, atomic_write, build_vocabulary, corpus_stats, count_terms, load_corpus,
-    NPZ_CHUNK_BYTES, load_labels, read_jsonl, tokenize, write_jsonl, write_npz,
+    CorpusError, HierarchyNode, Paper, atomic_write, build_vocabulary, corpus_stats,
+    count_terms, load_corpus, NPZ_CHUNK_BYTES, load_labels, read_jsonl, tokenize,
+    write_jsonl, write_npz,
 )
 
 from conftest import load_corpus_records, load_label_records, paper_record
@@ -113,7 +115,8 @@ class TestLoadCorpus:
             paper_record("p1", sections=[{"name": "s", "paragraphs": [words(10), words(12)]}]),
             paper_record("p2", sections=[{"name": "s", "paragraphs": [words(14)]}]),
         ]
-        stats = corpus_stats(load_corpus_records(tmp_path, recs))
+        corpus = load_corpus_records(tmp_path, recs)
+        stats = corpus_stats(corpus, count_terms(corpus))
         assert stats["n_papers"] == 2
         assert stats["paragraphs_per_paper"] == pytest.approx(1.5)
         assert stats["n_empty_papers"] == 0
@@ -125,9 +128,31 @@ class TestLoadCorpus:
             paper_record("p2", sections=[{"name": "s", "paragraphs": ["tiny"]}]),
         ]
         corpus = load_corpus_records(tmp_path, recs)
-        stats = corpus_stats(corpus)
+        stats = corpus_stats(corpus, count_terms(corpus))
         assert stats["words_per_paper"] == (3 + 22 + 0) / 2
-        assert corpus_stats(corpus, count_terms(corpus)) == stats
+
+
+def paragraphs_in_document_order(node):
+    """Recursive reference: the paragraph leaves under ``node``, left to right."""
+    if node.kind == "paragraph":
+        return [node]
+    return [leaf for child in node.children for leaf in paragraphs_in_document_order(child)]
+
+
+document_trees = st.lists(st.recursive(
+    st.builds(lambda i: HierarchyNode(kind="paragraph", text=f"p{i}"), st.integers(0, 9)),
+    lambda kids: st.lists(kids, max_size=4).map(
+        lambda children: HierarchyNode(kind="section", children=children)),
+    max_leaves=40), max_size=4).map(lambda children: HierarchyNode(kind="paper",
+                                                                   children=children))
+
+
+class TestParagraphs:
+    @given(document_trees)
+    def test_paper_paragraphs_in_document_order(self, root):
+        paper = Paper(id="p", title="", abstract="", hierarchy=root)
+        assert paper.paragraphs == paragraphs_in_document_order(root)  # nodes compare by identity
+        assert paper.is_empty == (not paper.paragraphs)
 
 
 PARAGRAPH = words(12)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -83,6 +84,42 @@ class TestEndToEnd:
         assert stats["paragraphs_per_paper"] > 1
 
 
+def record_featurized(monkeypatch) -> Counter:
+    """Count every text ``BaseFeaturizer.featurize`` is given from now on."""
+    texts = Counter()
+    featurize = encoder.BaseFeaturizer.featurize
+
+    def recording(self, text):
+        texts[text] += 1
+        return featurize(self, text)
+    monkeypatch.setattr(encoder.BaseFeaturizer, "featurize", recording)
+    return texts
+
+
+def score_stage_texts(cfg) -> Counter:
+    """The texts the score stage must embed, each once: every label text and
+    paragraph, and the title+abstract of each paper with candidates or
+    without paragraphs."""
+    cands = cand.read_candidates(artifact(cfg.output_dir, "candidates"))
+    want = Counter(l.text for l in load_labels(cfg.labels_path))
+    for paper in load_corpus(cfg.corpus_path):
+        want.update(leaf.text for leaf in paper.paragraphs)
+        if cands[paper.id] or paper.is_empty:
+            want[paper.title_abstract] += 1
+    return want
+
+
+def rescore_recording_texts(cfg, monkeypatch, tmp_path):
+    """Rerun ``stage_score`` on a copy of ``cfg``'s output; returns the texts
+    it featurized and the copy's config."""
+    copy = tmp_path / "rescored"
+    shutil.copytree(cfg.output_dir, copy)
+    cfg = dataclasses.replace(cfg, output_dir=str(copy))
+    texts = record_featurized(monkeypatch)
+    pipeline.stage_score(cfg)
+    return texts, cfg
+
+
 class TestCallAccounting:
     def test_counters_match_cost_model(self, run):
         _, out, _, _ = run
@@ -96,36 +133,22 @@ class TestCallAccounting:
         corpus = load_corpus(cfg.corpus_path)
         labels = load_labels(cfg.labels_path)
         model = encoder.load_model(artifact(out, "encoder"))
-        labels_by_id = {l.id: l for l in labels}
-        from weaklabel.candidates import read_candidates
-        cands = read_candidates(artifact(out, "candidates"))
+        cands = cand.read_candidates(artifact(out, "candidates"))
         paper = corpus[0]
+        u = encoder.bi_embed(model, paper.title_abstract)
+        label_embs = {l.id: encoder.bi_embed(model, l.text) for l in labels}
         model.counters.reset()
-        ranker.score_cross(model, paper, labels_by_id, cands[paper.id])
+        ranker.score_cross(model, u, label_embs, cands[paper.id])
+        assert model.counters.cross_score == len(cands[paper.id])
+        assert ranker.score_cross(model, u, label_embs, []) == {}
         assert model.counters.cross_score == len(cands[paper.id])
 
-
-    def test_score_cross_encodes_each_text_once(self, data_dir, run):
+    def test_score_stage_featurizes_each_text_once(self, monkeypatch, run, tmp_path):
         cfg, out, _, _ = run
-        corpus = load_corpus(cfg.corpus_path)
-        labels_by_id = {l.id: l for l in load_labels(cfg.labels_path)}
-        model = encoder.load_model(artifact(out, "encoder"))
-        from weaklabel.candidates import read_candidates
-        cands = read_candidates(artifact(out, "candidates"))
-        paper = next(p for p in corpus if len(cands[p.id]) >= 2)
-        cand_ids = cands[paper.id]
-        label_embs = {lid: encoder.bi_embed(model, labels_by_id[lid].text) for lid in cand_ids}
-        texts = []
-        featurize = model.featurizer.featurize
-        model.featurizer.featurize = lambda text: texts.append(text) or featurize(text)
-
-        ranker.score_cross(model, paper, labels_by_id, cand_ids, label_embeddings=label_embs)
-        assert texts == [paper.title_abstract]
-        texts.clear()
-        assert ranker.score_cross(model, paper, labels_by_id, []) == {}
-        assert texts == []
-        ranker.score_cross(model, paper, labels_by_id, cand_ids)
-        assert texts == [paper.title_abstract] + [labels_by_id[l].text for l in cand_ids]
+        texts, rescored = rescore_recording_texts(cfg, monkeypatch, tmp_path)
+        assert texts == score_stage_texts(rescored)
+        assert open(artifact(rescored.output_dir, "scores"), "rb").read() == \
+            open(artifact(out, "scores"), "rb").read()
 
 
 class TestPlantedTopicScores:
@@ -144,16 +167,14 @@ class TestPlantedTopicScores:
         for stage in ("candidates", "sample-tuples", "train-encoder"):
             dict(pipeline.STAGES)[stage](cfg)
         corpus = load_corpus(cfg.corpus_path)
-        labels = load_labels(cfg.labels_path)
-        labels_by_id = {l.id: l for l in labels}
+        label_text = {l.id: l.text for l in load_labels(cfg.labels_path)}
         model = encoder.load_model(artifact(tmp_path / "c2out", "encoder"))
         wins = total = 0
         for paper in corpus[:60]:
             planted = sorted(paper.gold_labels)[0]
-            other = next(lid for lid in labels_by_id if lid != planted)
-            scores = ranker.score_cross(model, paper, labels_by_id,
-                                        [planted, other])
-            wins += scores[planted] > scores[other]
+            other = next(lid for lid in label_text if lid != planted)
+            wins += (encoder.cross_score(model, paper.title_abstract, label_text[planted])
+                     > encoder.cross_score(model, paper.title_abstract, label_text[other]))
             total += 1
         assert wins / total >= 0.9
 
@@ -509,7 +530,8 @@ class TestEmbeddingOverrides:
 
 
 class TestEmptyPaperFallback:
-    def test_empty_paper_scored_via_title_abstract(self, tmp_path):
+    @pytest.fixture
+    def empty_run(self, tmp_path):
         # paper E has no surviving paragraphs; its candidates still get
         # scored through the title+abstract fallback embedding
         body = " ".join(f"w{i} common topic words about things" for i in range(3))
@@ -533,6 +555,10 @@ class TestEmptyPaperFallback:
         cfg = base_config(tmp_path, tmp_path / "out", tuple_count=40,
                           train_steps=10)
         rankings, _ = pipeline.run_pipeline(cfg)
+        return cfg, rankings
+
+    def test_empty_paper_scored_via_title_abstract(self, empty_run, tmp_path):
+        cfg, rankings = empty_run
         scored = ranker.read_scores(artifact(tmp_path / "out", "scores"))
         assert [r.label_id for r in scored["E"]] == ["L0"]
         assert sorted(rankings["E"]) == ["L0", "L1"]
@@ -541,6 +567,35 @@ class TestEmptyPaperFallback:
         # the fallback embedding is one extra call over sum |P_d| + |L|
         assert stats["bi_embed_calls"] == \
             stats["sum_paragraphs"] + stats["n_labels"] + 1
+
+    def test_empty_paper_title_abstract_embedded_once(self, empty_run, monkeypatch, tmp_path):
+        # one vector serves both the joint scorer and the root fallback
+        cfg, _ = empty_run
+        empty = next(p for p in load_corpus(cfg.corpus_path) if p.is_empty)
+        texts, rescored = rescore_recording_texts(cfg, monkeypatch, tmp_path)
+        assert texts[empty.title_abstract] == 1
+        assert texts == score_stage_texts(rescored)
+        for key in ("scores", "score_stats"):
+            assert open(artifact(rescored.output_dir, key), "rb").read() == \
+                open(artifact(cfg.output_dir, key), "rb").read(), key
+
+
+class TestRankingLimit:
+    @pytest.mark.parametrize("use_selftrain", [True, False])
+    def test_top_k_scores_cover_only_stored_labels(self, data_dir, run, tmp_path,
+                                                   use_selftrain):
+        _, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        cfg = base_config(data_dir, copy, use_selftrain=use_selftrain, top_k=5)
+        pipeline.stage_predict(cfg)
+        full = list(pipeline.read_jsonl(copy / "predictions.jsonl"))
+        pipeline.stage_predict(dataclasses.replace(cfg, ranking_limit=1))
+        cut = list(pipeline.read_jsonl(copy / "predictions.jsonl"))
+        assert any(len(rec["top_k_scores"]) > 1 for rec in full)  # some are cut
+        for want, got in zip(full, cut, strict=True):
+            assert got["ranking"] == want["ranking"][:1]
+            assert got["top_k_scores"] == want["top_k_scores"][:len(got["ranking"])]
 
 
 class TestAblations:
@@ -609,6 +664,21 @@ class TestCli:
         assert "config error" in proc.stderr
         assert names in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_failed_reading_stage_leaves_no_directory(self, data_dir, tmp_path, capsys):
+        assert cli.main(["predict", "--corpus", str(data_dir / "corpus.jsonl"),
+                         "--labels", str(data_dir / "labels.jsonl"),
+                         "--output-dir", str(tmp_path / "missing" / "typo")]) == 1
+        assert "scores.jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
+    def test_run_all_creates_nested_output_dir(self, data_dir, tmp_path):
+        out = tmp_path / "fresh" / "nested" / "out"
+        assert cli.main(["run-all", "--corpus", str(data_dir / "corpus.jsonl"),
+                         "--labels", str(data_dir / "labels.jsonl"),
+                         "--output-dir", str(out), "--tuple-count", "200",
+                         "--train-steps", "20"]) == 0
+        assert sorted(os.listdir(out)) == sorted(pipeline.ARTIFACTS.values())
 
     def test_missing_artifact_names_stage(self, data_dir, tmp_path):
         proc = subprocess.run(

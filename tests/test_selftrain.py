@@ -15,12 +15,12 @@ from weaklabel import kernels, selftrain
 from weaklabel.encoder import SparseVec
 from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
-    BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier,
+    BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier, TreeNode,
     build_label_tree, final_rankings, load_classifier, predict_matrix, pseudo_labels,
     save_classifier, train_classifier, train_tree, _fit_logistic, _in_row_space,
-    _normalize_rows, _preorder, _search_plan,
+    _normalize_rows, _search_plan,
 )
-from weaklabel.corpus import Vocabulary, build_vocabulary, load_corpus, load_labels
+from weaklabel.corpus import Vocabulary, build_vocabulary, load_corpus, load_labels, preorder
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import (build_tfidf_matrix, csr_row, final_ranking, garbage_after,
@@ -195,13 +195,30 @@ class TestPseudoLabels:
 
 
 def leaves(tree):
-    return [node for node in _preorder(tree) if node.is_leaf]
+    return [node for node in preorder(tree) if node.is_leaf]
 
 
 def topo(node):
     if node.is_leaf:
         return tuple(sorted(node.label_ids))
     return tuple(topo(c) for c in node.children)
+
+
+def recursive_preorder(node):
+    return [node] + [n for child in node.children for n in recursive_preorder(child)]
+
+
+label_trees = st.recursive(
+    st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=3).map(
+        lambda ids: TreeNode(label_ids=tuple(ids))),
+    lambda kids: st.lists(kids, min_size=1, max_size=4).map(
+        lambda children: TreeNode(children=children)),
+    max_leaves=30)
+
+
+@given(label_trees)
+def test_preorder_matches_recursive_reference(tree):
+    assert preorder(tree) == recursive_preorder(tree)  # nodes compare by identity
 
 
 class TestBuildLabelTree:
@@ -298,7 +315,7 @@ class TestTrainAndPredict:
         b = self.fitted(seed=3)[0]
         for ta, tb in zip(a.trees, b.trees):
             assert topo(ta) == topo(tb)
-            for x, y in zip(_preorder(ta), _preorder(tb)):
+            for x, y in zip(preorder(ta), preorder(tb)):
                 np.testing.assert_array_equal(x.weights, y.weights)
                 np.testing.assert_array_equal(x.bias, y.bias)
 
@@ -470,10 +487,10 @@ class TestMembership:
                             lambda X, rows, Y, cfg: fitted.append(rows) or fit(X, rows, Y, cfg))
         cfg = ClassifierConfig(epochs=5)
         train_tree(tree, X, member[:, leaf_columns(tree, ids)], cfg)
-        assert len(fitted) == len(_preorder(tree))
+        assert len(fitted) == len(preorder(tree))
         assert all(4 not in rows and 9 in rows for rows in fitted)
         want = reference_fits(tree, X, label_sets, cfg)
-        for node in _preorder(tree):
+        for node in preorder(tree):
             w, b = want[id(node)]
             assert node.weights.tobytes() == w.tobytes() and node.bias.tobytes() == b.tobytes()
 
@@ -622,7 +639,7 @@ class TestRowSpaceFit:
         primal, dual = fitted[False], fitted[True]
         for ta, tb in zip(primal.trees, dual.trees):
             assert topo(ta) == topo(tb)
-            for x, y in zip(_preorder(ta), _preorder(tb)):
+            for x, y in zip(preorder(ta), preorder(tb)):
                 np.testing.assert_allclose(x.weights, y.weights, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(x.bias, y.bias, rtol=0, atol=1e-12)
         (pa, ra), (pb, rb) = predict_matrix(primal, X), predict_matrix(dual, X)
@@ -649,7 +666,7 @@ def scalar_beam(clf, x, beam):
     xn = SparseVec(x.indices, x.values / norm, x.dim) if norm > 0 else x
     acc = {}
     for tree in clf.trees:
-        position = {id(node): i for i, node in enumerate(_preorder(tree))}
+        position = {id(node): i for i, node in enumerate(preorder(tree))}
         frontier = [(1.0, tree)]
         while frontier:
             frontier.sort(key=lambda item: (-item[0], position[id(item[1])]))
@@ -702,7 +719,7 @@ class TestBatchedBeam:
         clf, _ = deep
         assert all(depth(t) >= 3 for t in clf.trees)
         for tree in clf.trees:
-            twins = [n for n in _preorder(tree) if not n.is_leaf
+            twins = [n for n in preorder(tree) if not n.is_leaf
                      and {c.label_ids for c in n.children} == {("L00",), ("L01",)}]
             assert twins, "L00 and L01 should be sibling leaves"
             np.testing.assert_array_equal(twins[0].weights[0], twins[0].weights[1])
@@ -739,7 +756,7 @@ class TestSearchPlan:
         tree = clf.trees[0]
         nodes, first_rows, levels = _search_plan(
             tree, {lid: j for j, lid in enumerate(clf.label_ids)})
-        assert nodes == _preorder(tree)
+        assert nodes == preorder(tree)
         position = {id(node): i for i, node in enumerate(nodes)}
         first = {id(node): lo for node, lo in zip(nodes, first_rows)}
         level, seen = [tree], []
@@ -850,7 +867,7 @@ class TestPersistence:
         assert (loaded.label_ids, loaded.beam_width, loaded.n_features) == \
             (clf.label_ids, clf.beam_width, clf.n_features)
         for x, y in zip(clf.trees, loaded.trees, strict=True):
-            for a, b in zip(_preorder(x), _preorder(y), strict=True):
+            for a, b in zip(preorder(x), preorder(y), strict=True):
                 assert (a.label_ids, len(a.children)) == (b.label_ids, len(b.children))
                 np.testing.assert_array_equal(a.weights, b.weights)
                 np.testing.assert_array_equal(a.bias, b.bias)
@@ -867,7 +884,7 @@ class TestPersistence:
 
     def test_save_holds_no_second_copy_of_the_weights(self, tmp_path):
         clf = random_classifier(np.random.default_rng(5), 32, 20_000, 1, max_leaf=16)
-        weight_bytes = sum(node.weights.nbytes for node in _preorder(clf.trees[0]))
+        weight_bytes = sum(node.weights.nbytes for node in preorder(clf.trees[0]))
         assert weight_bytes >= 4 * 2**20
         tracemalloc.start()
         try:
@@ -921,7 +938,7 @@ def reference_save_classifier(clf, path):
             rec["children"] = [serialize(c, position) for c in node.children]
         return slot
 
-    roots = [serialize(t, {id(n): i for i, n in enumerate(_preorder(t))}) for t in clf.trees]
+    roots = [serialize(t, {id(n): i for i, n in enumerate(preorder(t))}) for t in clf.trees]
     meta = {"version": selftrain.CLASSIFIER_VERSION, "label_ids": list(clf.label_ids),
             "beam_width": clf.beam_width, "n_features": clf.n_features,
             "roots": roots, "nodes": nodes}
@@ -940,7 +957,7 @@ def random_classifier(rng, n_labels, n_features, n_trees, max_leaf):
     for t in range(n_trees):
         feats = rng.normal(size=(n_labels, 3)) * (rng.random((n_labels, 1)) < 0.8)
         tree = build_label_tree(feats, ids, max_leaf, seed=t)
-        for node in _preorder(tree):
+        for node in preorder(tree):
             k = len(node.label_ids) if node.is_leaf else len(node.children)
             node.weights, node.bias = rng.normal(size=(k, n_features)), rng.normal(size=k)
         trees.append(tree)
