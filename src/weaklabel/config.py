@@ -83,10 +83,10 @@ class PipelineConfig:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be nonnegative")
-        for name in ["learning_rate", "classifier_lr"]:
+        for name in ["learning_rate", "classifier_lr", "epsilon"]:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ["weight_decay", "classifier_l2", "epsilon"]:
+        for name in ["weight_decay", "classifier_l2"]:
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):

@@ -310,10 +310,8 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
     total = config.resolve_total_steps(len(tuples))
     n = len(tuples)
 
-    m_proj = np.zeros_like(model.proj)
-    v_proj = np.zeros_like(model.proj)
-    m_w = np.zeros_like(model.w)
-    v_w = np.zeros_like(model.w)
+    m_proj, v_proj = np.zeros_like(model.proj), np.zeros_like(model.proj)
+    m_w, v_w = np.zeros_like(model.w), np.zeros_like(model.w)
     grad_proj = np.empty_like(model.proj)
     grad_w = np.empty_like(model.w)
     # held across steps: allocating the update's block temporaries per call

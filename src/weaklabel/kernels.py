@@ -5,12 +5,13 @@ The pipeline calls ``project_rows`` (embedding one text) and
 only the projection rows its batch touches (``rows``), since every other
 row of the gradient is exactly zero, and the parameter update runs over
 blocks of ``ADAMW_BLOCK_ROWS`` rows; both give the dense update bit for
-bit. The update folds Adam's bias corrections into two scalars per call,
-so it matches the textbook formula up to rounding (README, "Numerics
-rule"). ``scatter_add_outer``, ``csr_matvec`` and ``logistic_epochs`` are
-per-vector forms of the batched scorer and label-tree code, kept as its
-test references (``logistic_epochs`` checks ``selftrain._fit_logistic``)
-and timed by ``pipebench/bench_kernels.py``.
+bit. Its moments are kept scaled (``adamw_step`` says how, and when the
+scale folds back), so that a row without a gradient term needs neither a
+decay nor a square root; the update matches the textbook formula up to
+rounding (README, "Numerics rule"). ``scatter_add_outer``, ``csr_matvec``
+and ``logistic_epochs`` are per-vector forms of the batched scorer and
+label-tree code, kept as its test references (``logistic_epochs`` checks
+``selftrain._fit_logistic``) and timed by ``pipebench/bench_kernels.py``.
 
 All sparse inputs use plain arrays: either a single (indices, values)
 pair for one vector, or CSR triplets (data, indices, indptr) for a row
@@ -27,6 +28,8 @@ BACKEND = "numpy"
 # rows per block of the AdamW parameter update: two float64 temporaries of
 # 128 x 256 take 512 KiB, well inside a 4 MiB L2
 ADAMW_BLOCK_ROWS = 128
+# the least beta**k the AdamW moments are scaled by before they fold back
+ADAMW_SCALE_FLOOR = 1e-8
 
 
 def _sigmoid(z):
@@ -47,55 +50,65 @@ def scatter_add_outer(out, idx, val, g):
         np.add.at(out, idx, val[:, None] * g[None, :])
 
 
+def _fold_interval(beta1, beta2):
+    """Steps between folds: the most n with both ``beta**(n-1) >= ADAMW_SCALE_FLOOR``."""
+    beta = min(beta1, beta2)
+    return 1 if beta <= 0.0 else 1 + int(math.log(ADAMW_SCALE_FLOOR) / math.log(beta))
+
+
 def adamw_step(param, grad, m, v, t, lr, beta1, beta2, eps, wd, scratch=None, rows=None):
     """One decoupled-weight-decay Adam update, in place.
 
-    ``lr`` and ``wd`` arrive already multiplied by the schedule factor.
-    With ``rows`` (sorted unique indices along axis 0), ``grad`` holds
-    only those rows of the gradient and every other row is taken as
-    exactly zero: all moments still decay and every parameter is still
-    updated, but only the given rows add gradient terms. ``rows=None``
-    is the dense form, with ``grad`` shaped like ``param``.
+    ``lr`` and ``wd`` arrive already multiplied by the schedule factor;
+    ``beta1`` and ``beta2`` lie in [0, 1). With ``rows`` (sorted unique
+    indices along axis 0), ``grad`` holds only those rows of the gradient and
+    every other row is taken as exactly zero; ``rows=None`` is the dense form.
 
-    The bias corrections are folded into two scalars per call,
-    ``c = lr * sqrt(1 - beta2**t) / (1 - beta1**t)`` and
-    ``e = eps * sqrt(1 - beta2**t)``, so that each parameter takes
-    ``p -= c * m / (sqrt(v) + e)`` and then ``p *= 1 - wd``: the textbook
-    ``lr * mhat / (sqrt(vhat) + eps)`` up to rounding.
+    ``m`` and ``v`` start at zero and hold the moments scaled to the step
+    ``t0`` of their last fold, with ``k = t - t0``: ``m = m_t / beta1**k``
+    and ``v = sqrt(v_t / beta2**k)``. An untouched row keeps both; a touched
+    row adds ``(1 - beta1) * g / beta1**k`` to ``m`` and sets ``v = sqrt(v**2
+    + (1 - beta2) * g**2 / beta2**k)``. Every parameter then takes
+    ``p -= C * m / (v + E)`` and ``p *= 1 - wd``, with ``C = lr * sqrt(1 -
+    beta2**t) / (1 - beta1**t) * beta1**k / beta2**(k/2)`` and ``E = eps *
+    sqrt(1 - beta2**t) / beta2**(k/2)``: the textbook update up to rounding.
+    A step with ``(t - 1) % _fold_interval(beta1, beta2) == 0`` first folds
+    the scale into both arrays (one pass each) and runs at ``k = 0``.
 
-    The moment decay is one pass over ``m`` and ``v``; the gradient terms
-    and the rest of the update then run over blocks of ``ADAMW_BLOCK_ROWS``
-    rows, so that the temporaries stay cache-sized. ``scratch`` is an
-    optional pair of arrays at least one block long (any longer leading
-    dimension will do) whose leading rows hold those temporaries; without
-    it two block-sized arrays are allocated per call.
+    Both loops run over blocks of ``ADAMW_BLOCK_ROWS`` rows; ``scratch``, an
+    optional pair of arrays at least one block long, holds their temporaries.
     """
     if scratch is None:
         scratch = (np.empty_like(param[:ADAMW_BLOCK_ROWS]),
                    np.empty_like(param[:ADAMW_BLOCK_ROWS]))
-    m *= beta1
-    v *= beta2
+    fold = _fold_interval(beta1, beta2)
+    k = (t - 1) % fold
+    if k == 0:
+        m *= beta1 ** fold
+        v *= math.sqrt(beta2 ** fold)
+    s1, s2 = beta1 ** k, beta2 ** k
     for lo in range(0, grad.shape[0], ADAMW_BLOCK_ROWS):
         blk = slice(lo, lo + ADAMW_BLOCK_ROWS)
         touched = blk if rows is None else rows[blk]
         g = grad[blk]
-        a = scratch[0][:g.shape[0]]
-        np.multiply(g, 1.0 - beta1, out=a)
+        a, b = scratch[0][:g.shape[0]], scratch[1][:g.shape[0]]
+        np.multiply(g, (1.0 - beta1) / s1, out=a)
         m[touched] += a
-        np.multiply(g, 1.0 - beta2, out=a)
+        np.multiply(g, (1.0 - beta2) / s2, out=a)
         a *= g
-        v[touched] += a
-    root_c2 = math.sqrt(1.0 - beta2 ** t)
-    c = lr * root_c2 / (1.0 - beta1 ** t)
-    e = eps * root_c2
+        np.square(v[touched], out=b)
+        b += a
+        np.sqrt(b, out=b)
+        v[touched] = b
+    root_c2, root_s2 = math.sqrt(1.0 - beta2 ** t), math.sqrt(s2)
+    c = lr * root_c2 / (1.0 - beta1 ** t) * s1 / root_s2
+    e = eps * root_c2 / root_s2
     for lo in range(0, param.shape[0], ADAMW_BLOCK_ROWS):
         blk = slice(lo, lo + ADAMW_BLOCK_ROWS)
         p_blk = param[blk]
-        a = scratch[0][:p_blk.shape[0]]
-        b = scratch[1][:p_blk.shape[0]]
+        a, b = scratch[0][:p_blk.shape[0]], scratch[1][:p_blk.shape[0]]
         np.multiply(m[blk], c, out=a)
-        np.sqrt(v[blk], out=b)
-        b += e
+        np.add(v[blk], e, out=b)
         a /= b
         p_blk -= a
         p_blk *= 1.0 - wd

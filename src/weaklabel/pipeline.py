@@ -294,20 +294,20 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[st
         ranked = selftrain.final_rankings(pinned, probs, clf.label_ids)
         column = {lid: j for j, lid in enumerate(clf.label_ids)}
         for i, paper in enumerate(corpus):
-            rankings[paper.id] = ranked[i]
+            # a slice copies the list: an uncut ranking is kept as it is
+            rankings[paper.id] = ranked[i][:cfg.ranking_limit] if cfg.ranking_limit else ranked[i]
             top_scores[paper.id] = [scored[paper.id][j].mrr if j < len(pinned[i])
                                     else float(probs[i, column[lid]])
                                     for j, lid in enumerate(ranked[i][:top_k])]
     else:
         for paper in corpus:
-            rows = scored[paper.id]
+            rows = scored[paper.id][:cfg.ranking_limit]
             rankings[paper.id] = [r.label_id for r in rows]
             top_scores[paper.id] = [r.mrr for r in rows[:top_k]]
 
-    write_jsonl(({"paper_id": pid, "ranking": rankings[pid][:cfg.ranking_limit],
-                  "top_k_scores": top_scores[pid]} for pid in rankings),
-                _path(cfg, "predictions"))
-    return rankings
+    write_jsonl(({"paper_id": pid, "ranking": rankings[pid], "top_k_scores": top_scores[pid]}
+                 for pid in rankings), _path(cfg, "predictions"))
+    return rankings  # the stored rankings, cut to ranking_limit
 
 
 def read_predictions(path, limit: int | None = None) -> dict[str, list[str]]:

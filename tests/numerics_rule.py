@@ -18,7 +18,8 @@ Compare two output directories from the command line with
 
     python tests/numerics_rule.py PARENT_OUT CHANGE_OUT
 
-which prints each breach and exits 1 if there is one.
+which prints each breach and exits 1 if there is one, 0 if there is none,
+and 2 on a wrong argument count or a path that is not a directory.
 """
 
 from __future__ import annotations
@@ -127,9 +128,19 @@ def compare_outputs(ref_dir, new_dir) -> list[str]:
     return out
 
 
-if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit(f"usage: {sys.argv[0]} PARENT_OUT CHANGE_OUT")
-    breaches = compare_outputs(sys.argv[1], sys.argv[2])
+def main(argv: list[str]) -> int:
+    """The script's exit status for ``argv`` (the two directories)."""
+    if len(argv) != 2:
+        print("usage: python tests/numerics_rule.py PARENT_OUT CHANGE_OUT", file=sys.stderr)
+        return 2
+    missing = [path for path in argv if not Path(path).is_dir()]
+    if missing:
+        print(f"not an output directory: {missing[0]}", file=sys.stderr)
+        return 2
+    breaches = compare_outputs(*argv)
     print("\n".join(breaches) or "the numerics rule holds")
-    sys.exit(1 if breaches else 0)
+    return 1 if breaches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

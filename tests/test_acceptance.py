@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import shutil
 import time
 
 import numpy as np
@@ -359,3 +360,21 @@ def test_planted_run_holds_the_numerics_rule_against_the_unfolded_step(planted,
     assert compare_outputs(out, planted["out"]) == []
     # the two runs round differently, so the comparison is not vacuous
     assert (out / "encoder.npz").read_bytes() != (planted["out"] / "encoder.npz").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# stage outputs on the planted corpus
+# ---------------------------------------------------------------------------
+
+
+# without self-training a ranking holds only the paper's candidates, two
+# per paper here, so that case cuts to one label
+@pytest.mark.parametrize("use_selftrain, limit", [(True, 2), (False, 1)])
+def test_predict_returns_the_rankings_it_stores(planted, use_selftrain, limit):
+    out = planted["tmp"].mktemp("ranking_limit")
+    shutil.copytree(planted["out"], out, dirs_exist_ok=True)
+    cfg = planted["config"](out, ranking_limit=limit, use_selftrain=use_selftrain)
+    rankings = pipeline.stage_predict(cfg)
+    assert rankings == pipeline.read_predictions(out / "predictions.jsonl")
+    assert len(rankings) == SPEC.n_papers
+    assert {len(ranking) for ranking in rankings.values()} == {limit}

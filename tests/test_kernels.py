@@ -88,16 +88,30 @@ class TestLogisticTraining:
 
 
 def adamw_allocating_reference(param, grad, m, v, t, lr, beta1, beta2, eps, wd):
-    # the folded update written with one temporary per operation
-    m *= beta1
-    m += (1.0 - beta1) * grad
-    v *= beta2
-    v += (1.0 - beta2) * grad * grad
-    root_c2 = math.sqrt(1.0 - beta2 ** t)
-    c = lr * root_c2 / (1.0 - beta1 ** t)
-    e = eps * root_c2
-    param -= c * m / (np.sqrt(v) + e)
+    # the scaled-moment update written with one temporary per operation
+    fold = kernels._fold_interval(beta1, beta2)
+    k = (t - 1) % fold
+    if k == 0:
+        m *= beta1 ** fold
+        v *= math.sqrt(beta2 ** fold)
+    s1, s2 = beta1 ** k, beta2 ** k
+    m += (1.0 - beta1) / s1 * grad
+    v[...] = np.sqrt(np.square(v) + (1.0 - beta2) / s2 * grad * grad)
+    root_c2, root_s2 = math.sqrt(1.0 - beta2 ** t), math.sqrt(s2)
+    c = lr * root_c2 / (1.0 - beta1 ** t) * s1 / root_s2
+    e = eps * root_c2 / root_s2
+    param -= c * m / (v + e)
     param *= 1.0 - wd
+
+
+def textbook_adamw(p, g, m, v, t, lr, b1, b2, eps, wd):
+    """The unscaled moments and the updated parameters, as new arrays."""
+    m = b1 * m + (1 - b1) * g
+    v = b2 * v + (1 - b2) * g * g
+    mhat = m / (1 - b1 ** t)
+    vhat = v / (1 - b2 ** t)
+    p = p - lr * mhat / (np.sqrt(vhat) + eps)
+    return p - wd * p, m, v
 
 
 @pytest.mark.parametrize("with_scratch", [False, True])
@@ -165,10 +179,92 @@ def test_adamw_row_form_matches_textbook_formula():
         kernels.adamw_step(p, g_rows, m, v, t, lr, b1, b2, eps, wd, rows=rows)
         g = np.zeros(shape)
         g[rows] = g_rows
-        m_ref = b1 * m_ref + (1 - b1) * g
-        v_ref = b2 * v_ref + (1 - b2) * g * g
-        mhat = m_ref / (1 - b1 ** t)
-        vhat = v_ref / (1 - b2 ** t)
-        p_ref = p_ref - lr * mhat / (np.sqrt(vhat) + eps)
-        p_ref = p_ref - wd * p_ref
+        p_ref, m_ref, v_ref = textbook_adamw(p_ref, g, m_ref, v_ref, t, lr, b1, b2, eps, wd)
     np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("beta1, beta2, fold", [(0.9, 0.999, 175), (0.5, 0.9, 27), (0.0, 0.0, 1)])
+def test_fold_interval_keeps_the_scale_above_the_floor(beta1, beta2, fold):
+    assert kernels._fold_interval(beta1, beta2) == fold
+    beta = min(beta1, beta2)
+    if beta > 0:
+        assert beta ** (fold - 1) >= kernels.ADAMW_SCALE_FLOOR > beta ** fold
+
+
+def run_against_textbook(shape, steps, beta1, beta2, dense, lr, wd):
+    """``steps`` of ``adamw_step`` (the dense form, or the row form on a third of
+    the rows, every 25th step none) beside ``textbook_adamw``, with ``lr(t)``
+    and ``wd(t)``; returns the kernel's state, the textbook's and the last
+    step's scale exponent k."""
+    rng = np.random.default_rng(11)
+    p = rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(shape[0])
+    m, v = np.zeros(shape), np.zeros(shape)
+    p_ref, m_ref, v_ref = p.copy(), m.copy(), v.copy()
+    for t in range(1, steps + 1):
+        n_rows = shape[0] if dense else (0 if t % 25 == 0 else shape[0] // 3)
+        rows = np.sort(rng.choice(shape[0], size=n_rows, replace=False))
+        g = np.zeros(shape)
+        g[rows] = rng.normal(size=(n_rows,) + shape[1:]) * 1e-3
+        args = (t, lr(t), beta1, beta2, 1e-8, wd(t))
+        if dense:
+            kernels.adamw_step(p, g, m, v, *args)
+        else:
+            kernels.adamw_step(p, g[rows], m, v, *args, rows=rows)
+        p_ref, m_ref, v_ref = textbook_adamw(p_ref, g, m_ref, v_ref, *args)
+    k = (steps - 1) % kernels._fold_interval(beta1, beta2)
+    return (p, m, v), (p_ref, m_ref, v_ref), k
+
+
+@pytest.mark.parametrize("dense", [False, True])
+@pytest.mark.parametrize("beta1, beta2", [(0.9, 0.999), (0.5, 0.9), (0.0, 0.0)])
+def test_adamw_matches_textbook_formula_across_folds(beta1, beta2, dense):
+    # each run crosses at least two folds of the moment scale and, unless
+    # every step folds, ends between two, so that the last step's k is not 0
+    fold = kernels._fold_interval(beta1, beta2)
+    steps = 2 * fold + 60
+    sched = lambda t: 1e-2 * min(t / 30, (steps - t) / (steps - 30) + 0.1)
+    (p, m, v), (p_ref, m_ref, v_ref), k = run_against_textbook(
+        (300, 16), steps, beta1, beta2, dense, lr=sched, wd=sched)
+    assert steps > 2 * fold and (fold == 1 or k > 0)
+    np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=1e-15)
+    # the two arrays hold the moments scaled to the step of the last fold
+    # (m is a signed sum, so its small entries are compared on its own scale)
+    np.testing.assert_allclose(m * beta1 ** k, m_ref, rtol=1e-12,
+                               atol=1e-12 * np.abs(m_ref).max())
+    np.testing.assert_allclose(np.square(v) * beta2 ** k, v_ref, rtol=1e-12)
+
+
+def test_adamw_10000_steps_stay_finite_and_textbook():
+    # 57 folds at (0.9, 0.999); the schedule is the scorer's, warmup then
+    # linear decay, so lr and wd change every step as in training (a wd held
+    # constant rounds 1 - wd the same way every step, which `p *= 1 - wd`
+    # accumulates to about 1e-14 over 10,000 steps)
+    steps = 10_000
+    sched = lambda t: min(t / 100, (steps - t) / (steps - 100) + 0.01)
+    (p, m, v), (p_ref, _, _), _ = run_against_textbook(
+        (64, 8), steps, 0.9, 0.999, dense=False, lr=lambda t: 1e-3 * sched(t),
+        wd=lambda t: 1e-4 * sched(t))
+    assert np.isfinite(p).all() and np.isfinite(m).all() and np.isfinite(v).all()
+    np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("beta1, beta2", [(0.5, 0.9), (0.0, 0.0)])
+def test_adamw_row_form_bitwise_equals_dense_form_across_folds(beta1, beta2):
+    # the kernel's own dense form, given the zero rows, against its row form
+    # over 100 steps: three folds at (0.5, 0.9), one every step at (0, 0)
+    rng = np.random.default_rng(12)
+    shape = (300, 16)
+    p = rng.uniform(-1.0, 1.0, size=shape)
+    m, v = np.zeros(shape), np.zeros(shape)
+    p_d, m_d, v_d = p.copy(), m.copy(), v.copy()
+    for t in range(1, 101):
+        n_rows = 0 if t % 25 == 0 else shape[0] // 3
+        rows = np.sort(rng.choice(shape[0], size=n_rows, replace=False))
+        g = np.zeros(shape)
+        g[rows] = rng.normal(size=(n_rows, shape[1])) * 1e-3
+        args = (t, 1e-2, beta1, beta2, 1e-8, 1e-2)
+        kernels.adamw_step(p, g[rows], m, v, *args, rows=rows)
+        kernels.adamw_step(p_d, g, m_d, v_d, *args)
+    np.testing.assert_array_equal(p, p_d)
+    np.testing.assert_array_equal(m, m_d)
+    np.testing.assert_array_equal(v, v_d)

@@ -346,6 +346,36 @@ class TestNumericsRule:
         assert len(breaches) == 1
         assert breaches[0].startswith("loss_trace.json: losses: differs by up to 1e-06 relative")
 
+    @staticmethod
+    def script(*args):
+        return subprocess.run([sys.executable, os.path.join(os.path.dirname(__file__),
+                                                            "numerics_rule.py"), *map(str, args)],
+                              capture_output=True, text=True)
+
+    def test_script_exits_0_when_the_rule_holds(self, dirs):
+        proc = self.script(*dirs)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "the numerics rule holds\n", "")
+
+    def test_script_exits_1_and_prints_each_breach(self, dirs):
+        out, new = dirs
+        recs = list(pipeline.read_jsonl(new / "predictions.jsonl"))
+        recs[3]["ranking"].reverse()
+        write_jsonl(recs, new / "predictions.jsonl")
+        proc = self.script(out, new)
+        assert proc.returncode == 1
+        assert proc.stdout == (f"predictions.jsonl: paper {recs[3]['paper_id']!r}: "
+                               "ranking not identical\n")
+
+    def test_script_exits_2_on_a_missing_directory(self, dirs, tmp_path):
+        out, _ = dirs
+        missing = tmp_path / "no_such_out"
+        for args in ((out, missing), (missing, out)):
+            proc = self.script(*args)
+            assert proc.returncode == 2
+            assert proc.stderr == f"not an output directory: {missing}\n"
+            assert "Traceback" not in proc.stderr
+        assert self.script(out).returncode == 2  # one directory only
+
 
 def count_input_reads(monkeypatch):
     """Count each read of an input and each build of the tf-idf features
@@ -664,6 +694,21 @@ class TestCli:
         assert "config error" in proc.stderr
         assert names in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_zero_epsilon_rejected_before_training(self, data_dir, tmp_path):
+        # with epsilon 0, a hash row no batch has touched divides 0 by 0
+        config_file = tmp_path / "config.json"
+        config_file.write_text('{"epsilon": 0.0, "train_steps": 120}')
+        proc = subprocess.run(
+            [sys.executable, "-m", "weaklabel.cli", "run-all",
+             "--corpus", str(data_dir / "corpus.jsonl"),
+             "--labels", str(data_dir / "labels.jsonl"),
+             "--output-dir", str(tmp_path / "out"), "--config", str(config_file)],
+            capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "config error: epsilon must be positive" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_failed_reading_stage_leaves_no_directory(self, data_dir, tmp_path, capsys):
         assert cli.main(["predict", "--corpus", str(data_dir / "corpus.jsonl"),
