@@ -75,4 +75,4 @@ def write_candidates(candidates: dict[str, list[str]], path):
 
 
 def read_candidates(path) -> dict[str, list[str]]:
-    return {rec["paper_id"]: list(rec["candidates"]) for rec in read_jsonl(path)}
+    return dict(read_jsonl(path, lambda rec: (rec["paper_id"], list(rec["candidates"]))))

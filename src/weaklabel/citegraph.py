@@ -175,5 +175,5 @@ def write_tuples(tuples, path):
 
 
 def read_tuples(path) -> list[ContrastiveTuple]:
-    return [ContrastiveTuple(*((rec[k][0], int(rec[k][1])) for k in _TUPLE_KEYS))
-            for rec in read_jsonl(path)]
+    return list(read_jsonl(path, lambda rec: ContrastiveTuple(
+        *((rec[k][0], int(rec[k][1])) for k in _TUPLE_KEYS))))

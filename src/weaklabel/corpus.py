@@ -6,8 +6,8 @@ The corpus file is JSON Lines, one document per line:
      "sections": [{"name": ..., "paragraphs": [...], "subsections": [...]}],
      "bib_refs": [...], "labels": [...]}
 
-The label file is JSON Lines with ``id``, ``names`` (non-empty array,
-first entry canonical) and ``description``.
+The label file is JSON Lines with ``id``, ``names`` (non-empty array of
+strings, first entry canonical) and an optional string ``description``.
 """
 
 from __future__ import annotations
@@ -245,12 +245,29 @@ def write_jsonl(records, path):
             fh.write(json.dumps(rec) + "\n")
 
 
-def read_jsonl(path):
-    """Yield the record on each nonblank line, one at a time."""
+def read_jsonl(path, build=None):
+    """Yield the record on each nonblank line, one at a time, or
+    ``build(record)`` when ``build`` is given.
+
+    A line that is not JSON, or whose record ``build`` rejects, raises
+    CorpusError naming the file and the line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                yield json.loads(line)
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                if build is not None:
+                    record = build(record)
+            except CorpusError as exc:
+                raise CorpusError(f"{path}: line {lineno}: {exc}") from None
+            except KeyError as exc:
+                raise CorpusError(f"{path}: line {lineno}: malformed record "
+                                  f"(missing field {exc})") from None
+            except (ValueError, TypeError, IndexError, AttributeError) as exc:
+                raise CorpusError(f"{path}: line {lineno}: malformed record ({exc})") from None
+            yield record
 
 
 def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) -> list[Paper]:
@@ -261,26 +278,19 @@ def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) ->
     """
     if min_paragraph_words < 1:
         raise ValueError("min_paragraph_words must be positive")
-    papers: list[Paper] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict) or "id" not in record or not str(record["id"]):
-                    raise CorpusError("record must be an object with a nonempty 'id'")
-                record["id"] = str(record["id"])
-                paper = _build_paper(record, min_paragraph_words)
-            except CorpusError as exc:
-                raise CorpusError(f"{path}: line {lineno}: {exc}") from None
-            except (json.JSONDecodeError, TypeError, KeyError, AttributeError) as exc:
-                raise CorpusError(f"{path}: line {lineno}: malformed record ({exc})") from None
-            if paper.id in seen:
-                raise CorpusError(f"{path}: line {lineno}: duplicate paper id {paper.id!r}")
-            seen.add(paper.id)
-            papers.append(paper)
+
+    def build(record: dict) -> Paper:
+        if not isinstance(record, dict) or "id" not in record or not str(record["id"]):
+            raise CorpusError("record must be an object with a nonempty 'id'")
+        record["id"] = str(record["id"])
+        paper = _build_paper(record, min_paragraph_words)
+        if paper.id in seen:
+            raise CorpusError(f"duplicate paper id {paper.id!r}")
+        seen.add(paper.id)
+        return paper
+
+    papers = list(read_jsonl(path, build))
     n_empty = sum(p.is_empty for p in papers)
     if n_empty:
         log.warning("%d of %d papers have no surviving paragraphs", n_empty, len(papers))
@@ -289,35 +299,27 @@ def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) ->
 
 def load_labels(path) -> list[Label]:
     """Load the label space from a JSON Lines file."""
-    labels: list[Label] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                lid = str(record["id"])
-                names = tuple(str(n) for n in _checked("names", record["names"], list))
-                desc = str(record.get("description", ""))
-            except CorpusError as exc:
-                raise CorpusError(f"{path}: line {lineno}: {exc}") from None
-            except (json.JSONDecodeError, TypeError, KeyError) as exc:
-                raise CorpusError(f"{path}: line {lineno}: malformed record ({exc})") from None
-            if not lid:
-                raise CorpusError(f"{path}: line {lineno}: empty label id")
-            if lid in seen:
-                raise CorpusError(f"{path}: line {lineno}: duplicate label id {lid!r}")
-            if not names:
-                raise CorpusError(f"{path}: line {lineno}: label {lid!r} has zero names")
-            for name in names:
-                if not tokenize(name):
-                    raise CorpusError(
-                        f"{path}: line {lineno}: label {lid!r} name {name!r} "
-                        "normalizes to the empty sequence"
-                    )
-            seen.add(lid)
-            labels.append(Label(id=lid, names=names, description=desc))
+
+    def build(record: dict) -> Label:
+        lid = str(record["id"])
+        names = tuple(_checked("names", record["names"], list))
+        desc = _checked("description", record.get("description", ""), str)
+        if not lid:
+            raise CorpusError("empty label id")
+        if lid in seen:
+            raise CorpusError(f"duplicate label id {lid!r}")
+        if not names:
+            raise CorpusError(f"label {lid!r} has zero names")
+        for name in names:
+            if not isinstance(name, str):
+                raise CorpusError(f"'names' entries must be strings, got {type(name).__name__}")
+            if not tokenize(name):
+                raise CorpusError(f"label {lid!r} name {name!r} normalizes to the empty sequence")
+        seen.add(lid)
+        return Label(id=lid, names=names, description=desc)
+
+    labels = list(read_jsonl(path, build))
     if not labels:
         log.warning("label file %s is empty", path)
     return labels

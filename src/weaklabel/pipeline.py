@@ -138,6 +138,15 @@ def _check_tuple_refs(tuples, corpus):
                                  f"rerun sample-tuples")
 
 
+def _read_candidates(cfg: PipelineConfig, ctx: RunContext) -> dict[str, list[str]]:
+    """The candidates stage's output, checked against the corpus and the label file."""
+    cands = cand.read_candidates(_path(cfg, "candidates"))
+    _check_paper_ids(cands, ctx, "candidates", "candidates")
+    _check_label_ids((lid for ids in cands.values() for lid in ids), ctx, "candidates",
+                     "candidates")
+    return cands
+
+
 def stage_ingest(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict:
     ctx = _context(cfg, ctx)
     stats = corpus_stats(ctx.corpus, ctx.terms)
@@ -193,10 +202,7 @@ def stage_score(cfg: PipelineConfig,
                 ctx: RunContext | None = None) -> dict[str, list[ranker.CandidateScore]]:
     ctx = _context(cfg, ctx)
     corpus, labels = ctx.corpus, ctx.labels
-    cands = cand.read_candidates(_path(cfg, "candidates"))
-    _check_paper_ids(cands, ctx, "candidates", "candidates")
-    _check_label_ids((lid for ids in cands.values() for lid in ids), ctx, "candidates",
-                     "candidates")
+    cands = _read_candidates(cfg, ctx)
     model = encoder.load_model(_path(cfg, "encoder"))
     overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
                  if cfg.embeddings_path else {})
@@ -259,9 +265,9 @@ def stage_self_train(cfg: PipelineConfig,
     scored = _read_scores(cfg, ctx)
     pseudo = selftrain.pseudo_labels(scored, cfg.pseudo_top_n)
     clf_cfg = selftrain.ClassifierConfig(
-        n_trees=cfg.n_trees, max_leaf=cfg.max_leaf, beam_width=cfg.beam_width,
-        epochs=cfg.classifier_epochs, learning_rate=cfg.classifier_lr,
-        l2=cfg.classifier_l2, seed=cfg.stage_seed("self-train"))
+        n_trees=cfg.n_trees, max_leaf=cfg.max_leaf, epochs=cfg.classifier_epochs,
+        learning_rate=cfg.classifier_lr, l2=cfg.classifier_l2,
+        seed=cfg.stage_seed("self-train"))
     clf = selftrain.train_classifier(ctx.tfidf, [p.id for p in ctx.corpus], pseudo,
                                      [l.id for l in ctx.labels], clf_cfg)
     selftrain.save_classifier(clf, _path(cfg, "classifier"))
@@ -281,24 +287,27 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[st
     ctx = _context(cfg, ctx)
     corpus = ctx.corpus
     scored = _read_scores(cfg, ctx)
-    label_ids = [l.id for l in ctx.labels]
 
     top_k = min(cfg.top_k, cfg.ranking_limit or cfg.top_k)  # scores only stored labels
     rankings: dict[str, list[str]] = {}
     top_scores: dict[str, list[float]] = {}
     if cfg.use_selftrain:
         clf = selftrain.load_classifier(_path(cfg, "classifier"))
-        _check_label_set(clf, label_ids)
-        probs, _ = selftrain.predict_matrix(clf, ctx.tfidf, cfg.beam_width)  # unreached labels hold 0
-        pinned = [[r.label_id for r in scored[p.id][:cfg.pseudo_top_n]] for p in corpus]
-        ranked = selftrain.final_rankings(pinned, probs, clf.label_ids)
+        _check_label_set(clf, [l.id for l in ctx.labels])
         column = {lid: j for j, lid in enumerate(clf.label_ids)}
-        for i, paper in enumerate(corpus):
-            # a slice copies the list: an uncut ranking is kept as it is
-            rankings[paper.id] = ranked[i][:cfg.ranking_limit] if cfg.ranking_limit else ranked[i]
-            top_scores[paper.id] = [scored[paper.id][j].mrr if j < len(pinned[i])
-                                    else float(probs[i, column[lid]])
-                                    for j, lid in enumerate(ranked[i][:top_k])]
+        pinned = selftrain.pseudo_labels(scored, cfg.pseudo_top_n)
+        # one row block at a time, so no papers x labels matrix is ever held
+        for start, probs in selftrain.predict_blocks(clf, ctx.tfidf, cfg.beam_width):
+            papers = corpus[start:start + probs.shape[0]]
+            ranked = selftrain.final_rankings([pinned[p.id] for p in papers], probs,
+                                              clf.label_ids)
+            for paper, ranking, row in zip(papers, ranked, probs):
+                n_pinned = len(pinned[paper.id])
+                # a slice copies the list: an uncut ranking is kept as it is
+                rankings[paper.id] = ranking[:cfg.ranking_limit] if cfg.ranking_limit else ranking
+                top_scores[paper.id] = [scored[paper.id][j].mrr if j < n_pinned
+                                        else float(row[column[lid]])  # unreached labels hold 0
+                                        for j, lid in enumerate(ranking[:top_k])]
     else:
         for paper in corpus:
             rows = scored[paper.id][:cfg.ranking_limit]
@@ -312,7 +321,7 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[st
 
 def read_predictions(path, limit: int | None = None) -> dict[str, list[str]]:
     """Each paper's ranking, cut to its first ``limit`` labels when given."""
-    return {rec["paper_id"]: rec["ranking"][:limit] for rec in read_jsonl(path)}
+    return dict(read_jsonl(path, lambda rec: (rec["paper_id"], rec["ranking"][:limit])))
 
 
 def stage_evaluate(cfg: PipelineConfig,
@@ -329,9 +338,8 @@ def stage_evaluate(cfg: PipelineConfig,
         log.warning("no ground-truth labels in the corpus; skipping evaluation")
         return None
     mean_c = None
-    cand_path = _path(cfg, "candidates")
-    if os.path.exists(cand_path):
-        mean_c = cand.candidate_stats(cand.read_candidates(cand_path)).mean_candidates
+    if os.path.exists(_path(cfg, "candidates")):
+        mean_c = cand.candidate_stats(_read_candidates(cfg, ctx)).mean_candidates
     report = metrics.evaluate(rankings, gold, precision_ks=tuple(cfg.precision_ks),
                               ndcg_ks=tuple(cfg.ndcg_ks), a=cfg.propensity_a,
                               b=cfg.propensity_b, mean_candidates=mean_c)

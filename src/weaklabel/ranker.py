@@ -110,5 +110,5 @@ def write_scores(scored: dict[str, list[CandidateScore]], path):
 
 
 def read_scores(path) -> dict[str, list[CandidateScore]]:
-    return {rec["paper_id"]: [CandidateScore(**c) for c in rec["candidates"]]
-            for rec in read_jsonl(path)}
+    return dict(read_jsonl(path, lambda rec: (
+        rec["paper_id"], [CandidateScore(**c) for c in rec["candidates"]])))

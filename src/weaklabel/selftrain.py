@@ -214,7 +214,6 @@ def _first_rows(nodes: list[TreeNode]) -> list[int]:
 class ClassifierConfig:
     n_trees: int = 3
     max_leaf: int = 100
-    beam_width: int = 10
     epochs: int = 20
     learning_rate: float = 2.0
     l2: float = 1e-4
@@ -336,7 +335,6 @@ def train_tree(tree: TreeNode, X: CsrMatrix, member: np.ndarray,
 class LabelTreeClassifier:
     label_ids: tuple[str, ...]
     trees: list[TreeNode]
-    beam_width: int
     n_features: int
 
 
@@ -371,8 +369,7 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
         leaf_order = [column[lid] for node in preorder(tree) if node.is_leaf
                       for lid in node.label_ids]
         train_tree(tree, Xn, member[:, leaf_order], cfg)
-    return LabelTreeClassifier(label_ids=tuple(label_ids), trees=trees,
-                               beam_width=cfg.beam_width, n_features=X.n_cols)
+    return LabelTreeClassifier(label_ids=tuple(label_ids), trees=trees, n_features=X.n_cols)
 
 
 @dataclass
@@ -417,55 +414,49 @@ def _search_plan(tree: TreeNode, label_pos: dict[str, int]):
     return nodes, first_rows, levels
 
 
-def predict_matrix(clf: LabelTreeClassifier, X: CsrMatrix,
-                   beam_width: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Beam-search label probabilities for every row of a tf-idf matrix.
+def predict_blocks(clf: LabelTreeClassifier, X: CsrMatrix, beam_width: int):
+    """Beam-search label probabilities for the rows of a tf-idf matrix,
+    one dense block of at most BLOCK_ROWS rows at a time.
 
-    Rows are L2-normalized to match training scaling. Per tree and dense
-    row block, one product per node gives the logits of all its
-    classifiers (stacking a tree's weights into one matrix would copy
-    them). The search then walks the tree level by level for all rows at
-    once, keeping per row the top ``beam_width`` nodes by path probability
-    (ties go to the node earlier in preorder). Returns (probabilities,
-    reached), both rows x labels in ``clf.label_ids`` order. Probabilities
-    are averaged over the trees; a label whose leaf a row reaches in no
-    tree is unreached and gets 0.
+    Rows are L2-normalized to match training scaling. Per block and tree,
+    one product per node gives the logits of all its classifiers (stacking
+    a tree's weights into one matrix would copy them). The search then
+    walks the tree level by level for all rows of the block at once,
+    keeping per row the top ``beam_width`` nodes by path probability (ties
+    go to the node earlier in preorder). Yields (first row, probabilities),
+    the probabilities rows x labels in ``clf.label_ids`` order and averaged
+    over the trees; a label whose leaf a row reaches in no tree gets 0.
     """
     if X.n_cols != clf.n_features:
         raise ValueError(f"classifier was fitted on {clf.n_features} tf-idf features but "
                          f"the corpus vocabulary has {X.n_cols}; rerun self-train")
-    beam = clf.beam_width if beam_width is None else beam_width
     Xn = _normalize_rows(X)
     label_pos = {lid: j for j, lid in enumerate(clf.label_ids)}
-    probs = np.zeros((X.n_rows, len(clf.label_ids)))
-    reached = np.zeros(probs.shape, dtype=bool)
+    plans = [_search_plan(tree, label_pos) for tree in clf.trees]
     buf = np.zeros((min(X.n_rows, BLOCK_ROWS), X.n_cols))
-    for tree in clf.trees:
-        nodes, first_rows, levels = _search_plan(tree, label_pos)
-        for start, dense in _dense_blocks(_row_blocks(Xn, np.arange(X.n_rows)), buf):
+    for start, dense in _dense_blocks(_row_blocks(Xn, np.arange(X.n_rows)), buf):
+        probs = np.zeros((dense.shape[0], len(clf.label_ids)))
+        for nodes, first_rows, levels in plans:
             z = np.empty((dense.shape[0], first_rows[-1]))
             for node, lo, hi in zip(nodes, first_rows, first_rows[1:]):
                 z[:, lo:hi] = dense @ node.weights.T + node.bias
             S = _sigmoid(z)
-            out = slice(start, start + dense.shape[0])
             P = np.ones((dense.shape[0], 1))
             alive = np.ones(P.shape, dtype=bool)
             for depth, lvl in enumerate(levels):
                 if depth:
                     P = P[:, lvl.parent] * S[:, lvl.row]
                     alive = alive[:, lvl.parent]
-                if P.shape[1] > beam:
+                if P.shape[1] > beam_width:
                     order = np.argsort(np.where(alive, -P, np.inf), axis=1, kind="stable")
                     keep = np.zeros_like(alive)
-                    np.put_along_axis(keep, order[:, :beam], True, axis=1)
+                    np.put_along_axis(keep, order[:, :beam_width], True, axis=1)
                     alive &= keep
                 if lvl.leaf_col.size:
-                    hit = alive[:, lvl.leaf_col]
-                    probs[out, lvl.label_col] += np.where(
-                        hit, P[:, lvl.leaf_col] * S[:, lvl.leaf_row], 0.0)
-                    reached[out, lvl.label_col] |= hit
-    probs /= len(clf.trees)
-    return probs, reached
+                    probs[:, lvl.label_col] += np.where(
+                        alive[:, lvl.leaf_col], P[:, lvl.leaf_col] * S[:, lvl.leaf_row], 0.0)
+        probs /= len(clf.trees)
+        yield start, probs
 
 
 # ---------------------------------------------------------------------------
@@ -498,16 +489,13 @@ def save_classifier(clf: LabelTreeClassifier, path):
     """Write ``clf`` to ``path`` as a compressed npz: every node's weight
     rows in preorder (``weights``, ``biases``) and the trees as JSON
     (``meta``). The weights are streamed node by node, never stacked."""
-    order = [(i, node) for tree in clf.trees for i, node in enumerate(preorder(tree))]
-    nodes = [node for _, node in order]
+    nodes = [node for tree in clf.trees for node in preorder(tree)]
     slot = {id(node): s for s, node in enumerate(nodes)}
-    recs = [{"index": i, "labels": list(node.label_ids), "clf": lo} if node.is_leaf else
-            {"index": i, "clf": lo, "children": [slot[id(c)] for c in node.children]}
-            for (i, node), lo in zip(order, _first_rows(nodes))]
+    recs = [{"labels": list(node.label_ids)} if node.is_leaf else
+            {"children": [slot[id(c)] for c in node.children]} for node in nodes]
     meta = {
         "version": CLASSIFIER_VERSION,
         "label_ids": list(clf.label_ids),
-        "beam_width": clf.beam_width,
         "n_features": clf.n_features,
         "roots": [slot[id(tree)] for tree in clf.trees],
         "nodes": recs,
@@ -542,4 +530,4 @@ def load_classifier(path) -> LabelTreeClassifier:
         node.weights, node.bias = weights[lo:hi], biases[lo:hi]
     return LabelTreeClassifier(label_ids=tuple(meta["label_ids"]),
                                trees=[nodes[r] for r in meta["roots"]],
-                               beam_width=meta["beam_width"], n_features=meta["n_features"])
+                               n_features=meta["n_features"])

@@ -8,7 +8,7 @@ import pytest
 from weaklabel import kernels
 from weaklabel.corpus import count_terms, load_corpus, load_labels
 from weaklabel.encoder import SparseVec, pair_features
-from weaklabel.selftrain import CsrMatrix, final_rankings, predict_matrix, tfidf_from_terms
+from weaklabel.selftrain import CsrMatrix, final_rankings, predict_blocks, tfidf_from_terms
 
 # the CLI tests run ``python -m weaklabel.cli`` in subprocesses, which import it from here
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -81,12 +81,18 @@ def csr_row(X: CsrMatrix, i: int) -> SparseVec:
     return SparseVec(X.indices[lo:hi], X.data[lo:hi], X.n_cols)
 
 
-def predict_proba(clf, x: SparseVec, beam_width=None) -> dict[str, float]:
-    """predict_matrix for one document, as {label id: probability} over
-    the labels it reached."""
+def stacked_probabilities(clf, X: CsrMatrix, beam_width: int = 10) -> np.ndarray:
+    """The blocks of predict_blocks stacked into one rows x labels matrix."""
+    return np.vstack([np.zeros((0, len(clf.label_ids)))]
+                     + [probs for _, probs in predict_blocks(clf, X, beam_width)])
+
+
+def predict_proba(clf, x: SparseVec, beam_width: int = 10) -> dict[str, float]:
+    """predict_blocks for one document, as {label id: probability} over
+    the labels it reached (probability > 0)."""
     X = CsrMatrix(x.values, x.indices, np.array([0, x.nnz], dtype=np.int64), 1, x.dim)
-    probs, reached = predict_matrix(clf, X, beam_width)
-    return {lid: float(probs[0, j]) for j, lid in enumerate(clf.label_ids) if reached[0, j]}
+    probs = stacked_probabilities(clf, X, beam_width)[0]
+    return {lid: float(probs[j]) for j, lid in enumerate(clf.label_ids) if probs[j] > 0}
 
 
 def final_ranking(rows, probabilities: dict[str, float], label_ids, n: int) -> list[str]:

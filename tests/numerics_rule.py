@@ -14,6 +14,10 @@ only within these bounds (README, "Numerics rule"):
 - ``classifier.npz``: within 1e-12 absolute;
 - every other file: byte-identical.
 
+A differing ``meta`` member of an npz is a breach; the message names the
+places where the two JSON documents differ (``nodes[].index`` for a key of
+every entry of the ``nodes`` list).
+
 Compare two output directories from the command line with
 
     python tests/numerics_rule.py PARENT_OUT CHANGE_OUT
@@ -74,6 +78,20 @@ def _jsonl(ref: Path, new: Path, exact: tuple[str, ...], close: tuple[str, ...],
     return out
 
 
+def _json_diff(a, b, path: str = "") -> set[str]:
+    """Each place where the JSON values ``a`` and ``b`` differ, as "missing
+    <path>" (only in ``a``), "added <path>" or "changed <path>"; list
+    entries are compared pairwise and written ``[]``."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        at = {k: f"{path}.{k}" if path else k for k in a.keys() | b.keys()}
+        return ({f"missing {at[k]}" for k in a.keys() - b.keys()}
+                | {f"added {at[k]}" for k in b.keys() - a.keys()}
+                | set().union(*(_json_diff(a[k], b[k], at[k]) for k in a.keys() & b.keys())))
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return set().union(*(_json_diff(x, y, f"{path}[]") for x, y in zip(a, b)))
+    return set() if a == b else {f"changed {path}"}
+
+
 def _npz(ref: Path, new: Path, tol: float) -> list[str]:
     with np.load(ref) as fa, np.load(new) as fb:
         if sorted(fa.files) != sorted(fb.files):
@@ -83,6 +101,10 @@ def _npz(ref: Path, new: Path, tol: float) -> list[str]:
             a, b = fa[key], fb[key]
             if a.dtype.kind == "f" and a.dtype == b.dtype:
                 out += _breach(f"{new.name}: {key}", a, b, tol, ABS)
+            elif key == "meta" and not np.array_equal(a, b):
+                places = _json_diff(*(json.loads(bytes(m).decode("utf-8")) for m in (a, b)))
+                out.append(f"{new.name}: meta differs "
+                           f"({', '.join(sorted(places)) or 'same JSON, other bytes'})")
             elif a.dtype != b.dtype or not np.array_equal(a, b):
                 out.append(f"{new.name}: {key} differs")
         return out

@@ -205,6 +205,26 @@ class TestMistypedFields:
             load_label_records(tmp_path, [{"id": "L1", "names": ["graph"]},
                                           {"id": "L2", "names": "nets"}])
 
+    @pytest.mark.parametrize("record, message", [
+        ({"id": "L2", "names": [["graph", "mining"]]},
+         "'names' entries must be strings, got list$"),
+        ({"id": "L2", "names": ["nets", 7]}, "'names' entries must be strings, got int$"),
+        ({"id": "L2", "names": ["nets"], "description": 7},
+         "'description' must be a string, got int$"),
+    ])
+    def test_label_field_entries(self, tmp_path, record, message):
+        with pytest.raises(CorpusError, match=rf"labels\.jsonl: line 2: {message}"):
+            load_label_records(tmp_path, [{"id": "L1", "names": ["graph"]}, record])
+
+    def test_cli_rejects_a_list_as_a_label_name(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl([paper_record("p1")], corpus)
+        labels = tmp_path / "labels.jsonl"
+        write_jsonl([{"id": "L1", "names": [["graph", "mining"]]}], labels)
+        assert main(["ingest", "--corpus", str(corpus), "--labels", str(labels),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert "line 1: 'names' entries must be strings, got list" in capsys.readouterr().err
+
     def test_null_labels_mean_no_ground_truth(self, tmp_path):
         paper, = load_corpus_records(tmp_path, [paper_record("p1") | {"labels": None}])
         assert paper.gold_labels is None
@@ -234,7 +254,7 @@ class TestJsonLines:
         path.write_text('{"a": 1}\n{not json\n')
         records = read_jsonl(path)
         assert next(records) == {"a": 1}
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(CorpusError, match=r"r\.jsonl: line 2: malformed record"):
             next(records)
 
     def test_failed_write_keeps_earlier_file(self, tmp_path):

@@ -346,6 +346,23 @@ class TestNumericsRule:
         assert len(breaches) == 1
         assert breaches[0].startswith("loss_trace.json: losses: differs by up to 1e-06 relative")
 
+    def test_meta_difference_names_the_keys(self, dirs):
+        out, new = dirs
+        with np.load(new / "classifier.npz") as data:
+            members = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(members["meta"]).decode("utf-8"))
+        meta["beam_width"] = 10
+        del meta["n_features"]
+        meta["nodes"][0]["index"] = 0
+        meta["label_ids"].reverse()
+        members["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(new / "classifier.npz", **members)
+        expected = ("classifier.npz: meta differs (added beam_width, added nodes[].index, "
+                    "changed label_ids[], missing n_features)")
+        assert compare_outputs(out, new) == [expected]
+        proc = self.script(out, new)
+        assert (proc.returncode, proc.stdout) == (1, expected + "\n")
+
     @staticmethod
     def script(*args):
         return subprocess.run([sys.executable, os.path.join(os.path.dirname(__file__),
@@ -982,6 +999,67 @@ class TestArtifactsFromAnotherLabelSet:
                 f"(first {unknown[:5]!r}); {rerun}") in proc.stderr
         assert "Traceback" not in proc.stderr
         assert (copy / output).read_bytes() == before
+
+
+class TestEvaluateChecksCandidates:
+    """evaluate reads ``mean_candidates`` only from a candidates.jsonl
+    written for this corpus and label set."""
+
+    @pytest.mark.parametrize("candidates, message", [
+        ({f"X{i:03d}": [] for i in range(60)},
+         f"candidates.jsonl was written for another corpus: it has 60 papers, "
+         f"the corpus has {SPEC.n_papers}, 0 in both; rerun candidates"),
+        (None, "candidates.jsonl was written for another label set: 1 of its label ids "
+               "are not in the label file (first ['ZZZ']); rerun candidates"),
+    ])
+    def test_rejected(self, run, tmp_path, capsys, candidates, message):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        if candidates is None:  # this corpus's papers, one naming an unknown label
+            candidates = cand.read_candidates(copy / "candidates.jsonl")
+            candidates[next(iter(candidates))] = ["ZZZ"]
+        cand.write_candidates(candidates, copy / "candidates.jsonl")
+        before = (copy / "metrics.json").read_bytes()
+        assert cli.main(["evaluate", "--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
+                         "--output-dir", str(copy)]) == 1
+        assert f"stage evaluate failed: {message}" in capsys.readouterr().err
+        assert (copy / "metrics.json").read_bytes() == before
+
+
+class TestMalformedArtifactLine:
+    """A malformed line of a JSONL artifact fails the stage that reads it,
+    naming the file and the line."""
+
+    CASES = {  # artifact: (reading stage, a required field, line 2 in a wrong shape)
+        "candidates.jsonl": ("score", "candidates", lambda rec: rec | {"candidates": 5}),
+        "tuples.jsonl": ("train-encoder", "positive",
+                         lambda rec: rec | {"anchor": rec["anchor"][:1]}),
+        "scores.jsonl": ("self-train", "candidates",
+                         lambda rec: rec | {"candidates": [["L0000", 0.5]]}),
+        "predictions.jsonl": ("evaluate", "ranking", lambda rec: rec | {"ranking": 5}),
+    }
+
+    @pytest.mark.parametrize("fault", ["truncated", "missing field", "wrong shape"])
+    @pytest.mark.parametrize("name", CASES)
+    def test_names_file_and_line(self, run, tmp_path, capsys, name, fault):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        stage, field, reshape = self.CASES[name]
+        lines = (copy / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        lines[1] = {"truncated": lines[1][:len(lines[1]) // 2] + "\n",
+                    "missing field": json.dumps({k: v for k, v in rec.items() if k != field}),
+                    "wrong shape": json.dumps(reshape(rec))}[fault] + "\n"
+        (copy / name).write_text("".join(lines), encoding="utf-8")
+        assert cli.main([stage, "--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
+                         "--output-dir", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert f"stage {stage} failed: {copy / name}: line 2: malformed record (" in err
+        if fault == "missing field":
+            assert f"(missing field '{field}')" in err
+        assert "Traceback" not in err
 
 
 class TestTuplesFromAnotherCorpus:

@@ -16,7 +16,7 @@ from weaklabel.encoder import SparseVec
 from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
     BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier, TreeNode,
-    build_label_tree, final_rankings, load_classifier, predict_matrix, pseudo_labels,
+    build_label_tree, final_rankings, load_classifier, predict_blocks, pseudo_labels,
     save_classifier, train_classifier, train_tree, _fit_logistic, _in_row_space,
     _normalize_rows, _search_plan,
 )
@@ -24,7 +24,7 @@ from weaklabel.corpus import Vocabulary, build_vocabulary, load_corpus, load_lab
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import (build_tfidf_matrix, csr_row, final_ranking, garbage_after,
-                      load_corpus_records, paper_record, predict_proba)
+                      load_corpus_records, paper_record, predict_proba, stacked_probabilities)
 
 
 def scored_rows(pairs):
@@ -288,8 +288,7 @@ class TestTrainAndPredict:
         assign = [j for j in range(n_labels) for _ in range(per_label)]
         X = one_hot_matrix(assign, n_labels)
         pseudo = {f"p{i}": (ids[j],) for i, j in enumerate(assign)}
-        cfg = ClassifierConfig(n_trees=2, max_leaf=max_leaf, beam_width=10,
-                               seed=seed)
+        cfg = ClassifierConfig(n_trees=2, max_leaf=max_leaf, seed=seed)
         clf = train_classifier(X, [f"p{i}" for i in range(len(assign))],
                                pseudo, ids, cfg)
         return clf, X, assign, ids
@@ -335,8 +334,7 @@ class TestTrainAndPredict:
         tree = clf.trees[0]
         assert tree.is_leaf
         x = csr_row(X, 0)
-        probs = predict_proba(LabelTreeClassifier(clf.label_ids, [tree], 10,
-                                                  clf.n_features), x)
+        probs = predict_proba(LabelTreeClassifier(clf.label_ids, [tree], clf.n_features), x)
         xn = SparseVec(x.indices, x.values / np.linalg.norm(x.values), x.dim)
         for j, lid in enumerate(tree.label_ids):
             z = float(tree.weights[j][xn.indices] @ xn.values) + tree.bias[j]
@@ -631,7 +629,7 @@ class TestRowSpaceFit:
         X = build_tfidf_matrix(corpus, build_vocabulary(corpus, 2))
         ids = [p.id for p in corpus]
         pseudo = {p.id: tuple(sorted(p.gold_labels)) for p in corpus}
-        cfg = ClassifierConfig(n_trees=2, max_leaf=6, beam_width=3, seed=8)
+        cfg = ClassifierConfig(n_trees=2, max_leaf=6, seed=8)
         fitted = {}
         for form in (False, True):
             monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape, f=form: f)
@@ -642,8 +640,8 @@ class TestRowSpaceFit:
             for x, y in zip(preorder(ta), preorder(tb)):
                 np.testing.assert_allclose(x.weights, y.weights, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(x.bias, y.bias, rtol=0, atol=1e-12)
-        (pa, ra), (pb, rb) = predict_matrix(primal, X), predict_matrix(dual, X)
-        np.testing.assert_array_equal(ra, rb)
+        pa, pb = stacked_probabilities(primal, X, 3), stacked_probabilities(dual, X, 3)
+        np.testing.assert_array_equal(pa > 0, pb > 0)  # the same labels reached
         np.testing.assert_allclose(pa, pb, rtol=0, atol=1e-12)
         pinned = [[] for _ in ids]
         assert final_rankings(pinned, pa, primal.label_ids) == \
@@ -652,7 +650,7 @@ class TestRowSpaceFit:
 
 def scalar_beam(clf, x, beam):
     """Per-document beam search with scalar logits: the reference for
-    predict_matrix."""
+    predict_blocks."""
     def sigmoid(z):
         if z >= 0:
             return 1.0 / (1.0 + math.exp(-z))
@@ -690,7 +688,7 @@ def depth(node):
 
 
 class TestBatchedBeam:
-    """predict_matrix against the scalar per-document beam search."""
+    """predict_blocks against the scalar per-document beam search."""
 
     @pytest.fixture(scope="class")
     def deep(self):
@@ -699,7 +697,7 @@ class TestBatchedBeam:
         ids = [f"L{j:02d}" for j in range(n_labels)]
         topics = [rng.choice(n_cols, size=5, replace=False) for _ in range(n_labels)]
         rows, pseudo = [], {}
-        for i in range(72):
+        for i in range(300):  # two full row blocks and a partial one
             own = sorted(set(rng.choice(np.arange(1, n_labels), size=2).tolist()))
             if 1 in own:  # L00 and L01 get identical pseudo-label rows
                 own = [0] + own
@@ -711,7 +709,7 @@ class TestBatchedBeam:
         indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])]).astype(np.int64)
         indices = np.concatenate(rows).astype(np.int64)
         X = CsrMatrix(rng.random(indices.size) + 0.2, indices, indptr, len(rows), n_cols)
-        cfg = ClassifierConfig(n_trees=2, max_leaf=1, beam_width=10, seed=4)
+        cfg = ClassifierConfig(n_trees=2, max_leaf=1, seed=4)
         clf = train_classifier(X, [f"p{i}" for i in range(len(rows))], pseudo, ids, cfg)
         return clf, X
 
@@ -727,24 +725,38 @@ class TestBatchedBeam:
     @pytest.mark.parametrize("beam", [1, 2, 3, 64])
     def test_matches_scalar_reference(self, deep, beam):
         clf, X = deep
-        probs, reached = predict_matrix(clf, X, beam)
-        for i in range(X.n_rows):
-            ref = scalar_beam(clf, csr_row(X, i), beam)
-            got = {lid for j, lid in enumerate(clf.label_ids) if reached[i, j]}
-            assert got == set(ref), i
-            for j, lid in enumerate(clf.label_ids):
-                assert abs(probs[i, j] - ref.get(lid, 0.0)) <= 1e-12
-
-    def test_stored_beam_width_is_the_default(self, deep):
-        clf, X = deep
-        np.testing.assert_array_equal(predict_matrix(clf, X)[0],
-                                      predict_matrix(clf, X, clf.beam_width)[0])
+        blocks = list(predict_blocks(clf, X, beam))
+        assert [(start, probs.shape) for start, probs in blocks] == \
+            [(0, (128, 12)), (128, (128, 12)), (256, (44, 12))]
+        for start, probs in blocks:
+            for r, row in enumerate(probs):
+                ref = scalar_beam(clf, csr_row(X, start + r), beam)
+                got = {lid for j, lid in enumerate(clf.label_ids) if row[j] > 0}
+                assert got == set(ref), start + r
+                for j, lid in enumerate(clf.label_ids):
+                    assert abs(row[j] - ref.get(lid, 0.0)) <= 1e-12
 
     def test_feature_width_mismatch_rejected(self, deep):
         clf, X = deep
         wider = CsrMatrix(X.data, X.indices, X.indptr, X.n_rows, X.n_cols + 1)
         with pytest.raises(ValueError, match="rerun self-train"):
-            predict_matrix(clf, wider)
+            next(predict_blocks(clf, wider, 10))
+
+    def test_holds_no_papers_by_labels_matrix(self):
+        rng = np.random.default_rng(13)
+        n_rows, n_labels = 4096, 512
+        clf = random_classifier(rng, n_labels, 64, 2, max_leaf=64)
+        X = random_csr(rng, n_rows, 64)
+        whole = n_rows * n_labels * 8  # one float64 probability matrix: 16 MiB
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in predict_blocks(clf, X, 10):
+                pass
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < whole, (peak, whole)
 
 
 class TestSearchPlan:
@@ -864,8 +876,7 @@ class TestPersistence:
             with open(path, "rb") as a, open(ref, "rb") as r, open(again, "rb") as b:
                 written = a.read()
                 assert written == r.read() and written == b.read()
-        assert (loaded.label_ids, loaded.beam_width, loaded.n_features) == \
-            (clf.label_ids, clf.beam_width, clf.n_features)
+        assert (loaded.label_ids, loaded.n_features) == (clf.label_ids, clf.n_features)
         for x, y in zip(clf.trees, loaded.trees, strict=True):
             for a, b in zip(preorder(x), preorder(y), strict=True):
                 assert (a.label_ids, len(a.children)) == (b.label_ids, len(b.children))
@@ -875,8 +886,7 @@ class TestPersistence:
     def test_single_leaf_root_roundtrip(self, tmp_path):
         root = selftrain.TreeNode(label_ids=("B", "A"), weights=np.eye(2, 3),
                                   bias=np.array([0.5, -1.0]))
-        clf = LabelTreeClassifier(label_ids=("A", "B"), trees=[root], beam_width=3,
-                                  n_features=3)
+        clf = LabelTreeClassifier(label_ids=("A", "B"), trees=[root], n_features=3)
         save_classifier(clf, tmp_path / "clf.npz")
         loaded = load_classifier(tmp_path / "clf.npz")
         assert loaded.trees[0].is_leaf and loaded.trees[0].label_ids == clf.trees[0].label_ids
@@ -924,23 +934,20 @@ def reference_save_classifier(clf, path):
     one array, then np.savez_compressed."""
     nodes, weights, biases = [], [], []
 
-    def serialize(node, position):
+    def serialize(node):
         slot = len(nodes)
-        rec = {"index": position[id(node)]}
+        rec = {"labels": list(node.label_ids)} if node.is_leaf else {}
         nodes.append(rec)
-        if node.is_leaf:
-            rec["labels"] = list(node.label_ids)
-        rec["clf"] = len(weights)
         for j in range(len(node.bias)):
             weights.append(node.weights[j])
             biases.append(node.bias[j])
         if not node.is_leaf:
-            rec["children"] = [serialize(c, position) for c in node.children]
+            rec["children"] = [serialize(c) for c in node.children]
         return slot
 
-    roots = [serialize(t, {id(n): i for i, n in enumerate(preorder(t))}) for t in clf.trees]
+    roots = [serialize(t) for t in clf.trees]
     meta = {"version": selftrain.CLASSIFIER_VERSION, "label_ids": list(clf.label_ids),
-            "beam_width": clf.beam_width, "n_features": clf.n_features,
+            "n_features": clf.n_features,
             "roots": roots, "nodes": nodes}
     with open(path, "wb") as fh:
         np.savez_compressed(
@@ -961,8 +968,7 @@ def random_classifier(rng, n_labels, n_features, n_trees, max_leaf):
             k = len(node.label_ids) if node.is_leaf else len(node.children)
             node.weights, node.bias = rng.normal(size=(k, n_features)), rng.normal(size=k)
         trees.append(tree)
-    return LabelTreeClassifier(label_ids=tuple(ids), trees=trees,
-                               beam_width=int(rng.integers(1, 20)), n_features=n_features)
+    return LabelTreeClassifier(label_ids=tuple(ids), trees=trees, n_features=n_features)
 
 
 def recursive_label_tree(features, label_ids, max_leaf, seed):
