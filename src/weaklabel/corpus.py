@@ -270,6 +270,23 @@ def read_jsonl(path, build=None):
             yield record
 
 
+def read_by_paper(path, build) -> dict:
+    """``{record["paper_id"]: build(record)}`` over a JSON Lines artifact;
+    a non-string or repeated id fails like any malformed line."""
+    seen: set[str] = set()
+
+    def keyed(record: dict):
+        pid = record["paper_id"]
+        if not isinstance(pid, str):
+            raise CorpusError(f"'paper_id' must be a string, got {type(pid).__name__}")
+        if pid in seen:
+            raise CorpusError(f"duplicate paper id {pid!r}")
+        seen.add(pid)
+        return pid, build(record)
+
+    return dict(read_jsonl(path, keyed))
+
+
 def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) -> list[Paper]:
     """Load a JSON Lines corpus, dropping paragraphs under the word threshold.
 

@@ -53,11 +53,16 @@ class BaseFeaturizer:
     across processes. Output vectors are L2-normalized; empty text maps
     to the zero vector.
 
-    Each gram hashes to a code ``2 * bucket + sign bit`` (bit set: +1).
-    Word codes are kept per instance, since a vocabulary is small and
-    each word recurs in many texts; bigrams are hashed on every
+    Each gram's 8-byte keyed blake2b digest, read as a little-endian
+    uint64 ``h``, gives its bucket ``h % dim`` and its sign (top bit set:
+    +1). Word digests are kept per instance, since a vocabulary is small
+    and each word recurs in many texts; bigrams are hashed on every
     occurrence, because there are many more distinct bigrams than words
     and a table of them all would grow with the corpus.
+
+    ``featurize_many`` is the one path (``featurize`` is a batch of one).
+    Its numpy calls cost about the same for one text as for hundreds, so
+    callers batch; a vector is bitwise the same in any batch.
     """
 
     def __init__(self, dim: int = DEFAULT_HASH_DIM, hash_seed: int = 0,
@@ -67,35 +72,45 @@ class BaseFeaturizer:
         self.max_tokens = max_tokens
         self._keyed = blake2b(digest_size=8,
                               key=int(hash_seed).to_bytes(8, "little", signed=True))
-        self._word_codes: dict[str, int] = {}
+        self._word_codes: dict[str, bytes] = {}
 
-    def _code(self, gram: str) -> int:
+    def _digest(self, gram: str) -> bytes:
         hasher = self._keyed.copy()
         hasher.update(gram.encode("utf-8"))
-        h = int.from_bytes(hasher.digest(), "little")
-        return 2 * (h % self.dim) + (h >> 63)
+        return hasher.digest()
 
     def featurize(self, text: str) -> SparseVec:
-        tokens = tokenize(text)[: self.max_tokens]
-        if not tokens:
-            return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), self.dim)
+        return self.featurize_many([text])[0]
+
+    def featurize_many(self, texts) -> list[SparseVec]:
+        """The feature vector of each text, in order."""
         words = self._word_codes
-        codes = []
-        for w in tokens:
-            c = words.get(w)
-            if c is None:
-                c = words[w] = self._code(w)
-            codes.append(c)
-        codes += [self._code(f"{a}\x1f{b}") for a, b in zip(tokens, tokens[1:])]
-        codes = np.array(codes, dtype=np.int64)
-        # sums of +-1.0 are exact, so the order of accumulation is immaterial
-        sums = np.bincount(codes >> 1, weights=2.0 * (codes & 1) - 1.0, minlength=self.dim)
-        idx = np.flatnonzero(sums)
-        val = sums[idx]
-        norm = math.sqrt(float(val @ val))
-        if norm > 0.0:
-            val /= norm
-        return SparseVec(idx, val, self.dim)
+        grams: list[bytes] = []  # each text's gram digests, joined
+        for text in texts:
+            tokens = tokenize(text)[: self.max_tokens]
+            digests = []
+            for w in tokens:
+                d = words.get(w)
+                if d is None:
+                    d = words[w] = self._digest(w)
+                digests.append(d)
+            digests += [self._digest(f"{a}\x1f{b}") for a, b in zip(tokens, tokens[1:])]
+            grams.append(b"".join(digests))
+        h = np.frombuffer(b"".join(grams), dtype="<u8")
+        keys = np.repeat(np.arange(len(grams), dtype=np.int64) * self.dim,
+                         [len(g) // 8 for g in grams])
+        keys, at = np.unique(keys + (h % self.dim).astype(np.int64), return_inverse=True)
+        # sums of +-1.0, and of their squares, are exact, so the order of
+        # accumulation is immaterial
+        sums = np.bincount(at, weights=(h >> 63).astype(np.float64) * 2.0 - 1.0)
+        live = sums != 0.0
+        keys, sums = keys[live], sums[live]
+        row = keys // self.dim
+        idx = keys - row * self.dim
+        val = sums / np.sqrt(np.bincount(row, weights=sums * sums))[row]
+        bounds = np.searchsorted(row, np.arange(len(grams) + 1)).tolist()
+        return [SparseVec(idx[lo:hi], val[lo:hi], self.dim)
+                for lo, hi in zip(bounds, bounds[1:])]
 
 
 @dataclass
@@ -240,7 +255,7 @@ def _batch_loss_grad(model: ScorerModel, x: np.ndarray, grad_proj: np.ndarray,
 def loss_gradient(model: ScorerModel, anchor_text: str, pos_text: str,
                   neg_text: str) -> tuple[np.ndarray, np.ndarray, float]:
     """Analytic gradient of the tuple loss w.r.t. (proj, w)."""
-    feats = [model.featurizer.featurize(t) for t in (anchor_text, pos_text, neg_text)]
+    feats = model.featurizer.featurize_many([anchor_text, pos_text, neg_text])
     x = _feature_block(feats, np.empty((3, model.hash_dim)))
     rows = np.flatnonzero(x.any(axis=0))
     grad_rows = np.empty((rows.size, model.embed_dim))
@@ -298,13 +313,12 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
     by_id = {p.id: p for p in corpus}
     feat_cache: dict[tuple[str, int], SparseVec] = {}
 
-    def features(ref) -> SparseVec:
-        key = (ref[0], ref[1])
-        sv = feat_cache.get(key)
-        if sv is None:
-            sv = model.featurizer.featurize(by_id[ref[0]].paragraphs[ref[1]].text)
-            feat_cache[key] = sv
-        return sv
+    def features(refs) -> list[SparseVec]:
+        # one featurizer call per step, over the references not seen before
+        new = list(dict.fromkeys(ref for ref in refs if ref not in feat_cache))
+        feat_cache.update(zip(new, model.featurizer.featurize_many(
+            [by_id[pid].paragraphs[i].text for pid, i in new])))
+        return [feat_cache[ref] for ref in refs]
 
     rng = np.random.default_rng(config.seed)
     total = config.resolve_total_steps(len(tuples))
@@ -330,10 +344,9 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
         batch = [tuples[i] for i in order[cursor:cursor + config.batch_size]]
         cursor += config.batch_size
 
-        feats = ([features(tup.anchor) for tup in batch]
-                 + [features(tup.positive) for tup in batch]
-                 + [features(tup.negative) for tup in batch])
-        _feature_block(feats, x)
+        _feature_block(features([tup.anchor for tup in batch]
+                                + [tup.positive for tup in batch]
+                                + [tup.negative for tup in batch]), x)
         # hash rows no text in the batch touches have an exactly zero gradient
         rows = np.flatnonzero(x.any(axis=0))
         grad_rows = grad_proj[:rows.size]

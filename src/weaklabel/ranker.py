@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import HierarchyNode, Paper, preorder, read_jsonl, write_jsonl
+from .corpus import HierarchyNode, Paper, preorder, read_by_paper, write_jsonl
 from . import encoder
 
 
@@ -110,5 +110,4 @@ def write_scores(scored: dict[str, list[CandidateScore]], path):
 
 
 def read_scores(path) -> dict[str, list[CandidateScore]]:
-    return dict(read_jsonl(path, lambda rec: (
-        rec["paper_id"], [CandidateScore(**c) for c in rec["candidates"]])))
+    return read_by_paper(path, lambda rec: [CandidateScore(**c) for c in rec["candidates"]])

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from weaklabel import kernels
+from weaklabel import encoder, kernels, pipeline, ranker
 from weaklabel.corpus import count_terms, load_corpus, load_labels
 from weaklabel.encoder import SparseVec, pair_features
 from weaklabel.selftrain import CsrMatrix, final_rankings, predict_blocks, tfidf_from_terms
@@ -182,3 +182,52 @@ def dense_batch_loss_grad(model, x, grad_proj, grad_w, rows=None):
     grad_r /= b
     np.matmul((x if rows is None else x[:, rows]).T, grad_r, out=grad_proj)
     return loss
+
+
+# the score stage as it was before it featurized a block of papers per call:
+# each text embedded on its own, in the order the stage meets it
+
+
+def per_text_stage_score(cfg):
+    """``pipeline.stage_score`` with one featurizer call per text."""
+    ctx = pipeline._context(cfg, None)
+    corpus, labels = ctx.corpus, ctx.labels
+    cands = pipeline._read_candidates(cfg, ctx)
+    model = encoder.load_model(pipeline._path(cfg, "encoder"))
+    overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
+                 if cfg.embeddings_path else {})
+    model.counters.reset()
+
+    def embedding(key, text, counted=True):
+        ov = overrides.get(key)
+        if ov is not None:
+            return ov
+        return encoder.bi_embed(model, text) if counted else encoder._embed_text(model, text)
+
+    label_embs = {l.id: embedding(l.id, l.text, cfg.use_hierarchy) for l in labels}
+    scored = {}
+    for paper in corpus:
+        cand_ids = cands[paper.id]
+        as_root = cfg.use_hierarchy and paper.is_empty
+        u = (embedding(paper.id, paper.title_abstract, as_root)
+             if cand_ids or as_root else None)
+        score_x = ranker.score_cross(model, u, label_embs, cand_ids)
+        if cfg.use_hierarchy:
+            leaf_embs = [embedding(f"{paper.id}#{i}", leaf.text)
+                         for i, leaf in enumerate(paper.paragraphs)]
+            agg = ranker.aggregate_hierarchy(paper, leaf_embs, fallback=u)
+            score_b = ranker.score_bi(agg.root, label_embs, cand_ids)
+        else:
+            score_b = dict(score_x)
+        scored[paper.id] = ranker.mrr_combine(score_b, score_x)
+
+    ranker.write_scores(scored, pipeline._path(cfg, "scores"))
+    stats = {
+        "bi_embed_calls": model.counters.bi_embed,
+        "cross_score_calls": model.counters.cross_score,
+        "sum_candidates": sum(len(c) for c in cands.values()),
+        "sum_paragraphs": sum(len(p.paragraphs) for p in corpus),
+        "n_labels": len(labels),
+        "n_empty_papers": sum(p.is_empty for p in corpus),
+    }
+    pipeline._write_json(cfg, "score_stats", stats, indent=2, sort_keys=True)

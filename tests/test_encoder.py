@@ -134,27 +134,33 @@ class TestFeaturizerGolden:
         assert set(f._word_codes) == {"graph", "neural", "network", "pruning"}
 
     def test_word_table_shared_by_threads(self):
-        # more threads than cores, switching often, all filling one word table
-        f = BaseFeaturizer(dim=256, hash_seed=3)
+        # more threads than cores, switching often, all filling one word table,
+        # with one text per call and then with a few texts per call
         rng = np.random.default_rng(1)
         texts = [rand_text(rng, 30, vocab=600) for _ in range(48)]
-        want = [per_gram_featurize(f, t) for t in texts]
+        for batch in (1, 5):
+            f = BaseFeaturizer(dim=256, hash_seed=3)
+            want = [per_gram_featurize(f, t) for t in texts]
 
-        def featurize_all(shift):
-            order = texts[shift:] + texts[:shift]
-            return [f.featurize(t) for t in order], shift
+            def featurize_all(shift):
+                order = texts[shift:] + texts[:shift]
+                if batch == 1:
+                    return [f.featurize(t) for t in order], shift
+                return [sv for lo in range(0, len(order), batch)
+                        for sv in f.featurize_many(order[lo:lo + batch])], shift
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(featurize_all, 6 * k) for k in range(8)]
-                results = [fut.result(timeout=60) for fut in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        for got, shift in results:
-            for sv, ref in zip(got, want[shift:] + want[:shift]):
-                assert_bitwise_equal(sv, ref)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    futures = [pool.submit(featurize_all, 6 * k) for k in range(8)]
+                    results = [fut.result(timeout=60) for fut in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            for got, shift in results:
+                assert len(got) == len(texts)
+                for sv, ref in zip(got, want[shift:] + want[:shift]):
+                    assert_bitwise_equal(sv, ref)
 
     @settings(max_examples=200, deadline=None)
     @given(texts=st.lists(st.text(max_size=80), min_size=1, max_size=4),
@@ -165,6 +171,25 @@ class TestFeaturizerGolden:
         f = BaseFeaturizer(dim=dim, hash_seed=hash_seed, max_tokens=max_tokens)
         for text in texts:
             assert_bitwise_equal(f.featurize(text), per_gram_featurize(f, text))
+
+    @settings(max_examples=200, deadline=None)
+    @given(texts=st.lists(st.one_of(
+               st.text(max_size=80),
+               st.sampled_from(["", "  ,.;!? -- ___ ... ", "Naïve Bayes für Ökonomie: 東京 Δx",
+                                LONG_TEXT]),
+               # mostly over max_tokens, with repeated words and bigrams
+               st.lists(st.sampled_from(["graph", "neural", "Graph", "net", "东京", "x1"]),
+                        max_size=20).map(" ".join)),
+               max_size=12),
+           dim=st.sampled_from([1, 2, 5, 64, 2048]),
+           hash_seed=st.integers(-2**63, 2**63 - 1),
+           max_tokens=st.integers(1, 8))
+    def test_batch_matches_reference(self, texts, dim, hash_seed, max_tokens):
+        f = BaseFeaturizer(dim=dim, hash_seed=hash_seed, max_tokens=max_tokens)
+        got = f.featurize_many(texts)
+        assert len(got) == len(texts)
+        for sv, text in zip(got, texts):
+            assert_bitwise_equal(sv, per_gram_featurize(f, text))
 
 
 class TestBiEmbed:

@@ -17,9 +17,10 @@ from hypothesis import given, settings, strategies as st
 from weaklabel import candidates as cand
 from weaklabel import citegraph, cli, encoder, metrics, pipeline, ranker, selftrain
 from weaklabel.config import ConfigError, PipelineConfig, make_config
-from weaklabel.corpus import Paper, load_corpus, load_labels, write_jsonl
+from weaklabel.corpus import Paper, load_corpus, load_labels, read_jsonl, write_jsonl
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
+from conftest import per_text_stage_score
 from numerics_rule import compare_outputs
 
 SPEC = SyntheticSpec(n_papers=120, n_labels=20, labels_per_paper=3, seed=2)
@@ -85,14 +86,16 @@ class TestEndToEnd:
 
 
 def record_featurized(monkeypatch) -> Counter:
-    """Count every text ``BaseFeaturizer.featurize`` is given from now on."""
+    """Count every text ``BaseFeaturizer.featurize_many`` is given from now on
+    (``featurize`` hands it its one text)."""
     texts = Counter()
-    featurize = encoder.BaseFeaturizer.featurize
+    featurize_many = encoder.BaseFeaturizer.featurize_many
 
-    def recording(self, text):
-        texts[text] += 1
-        return featurize(self, text)
-    monkeypatch.setattr(encoder.BaseFeaturizer, "featurize", recording)
+    def recording(self, batch):
+        batch = list(batch)
+        texts.update(batch)
+        return featurize_many(self, batch)
+    monkeypatch.setattr(encoder.BaseFeaturizer, "featurize_many", recording)
     return texts
 
 
@@ -256,7 +259,7 @@ class TestPredictionsRoundTrip:
             path = os.path.join(tmp, "predictions.jsonl")
             write_jsonl(({"paper_id": pid, "ranking": ranking, "top_k_scores": scores}
                          for pid, (ranking, scores) in records.items()), path)
-            assert [rec["top_k_scores"] for rec in pipeline.read_jsonl(path)] == \
+            assert [rec["top_k_scores"] for rec in read_jsonl(path)] == \
                 [scores for _, scores in records.values()]
             got = pipeline.read_predictions(path, limit=limit)
         assert list(got) == list(records)
@@ -330,7 +333,7 @@ class TestNumericsRule:
 
     def test_swapped_ranking_rejected(self, dirs):
         out, new = dirs
-        recs = list(pipeline.read_jsonl(new / "predictions.jsonl"))
+        recs = list(read_jsonl(new / "predictions.jsonl"))
         ranking = recs[3]["ranking"]
         ranking[0], ranking[1] = ranking[1], ranking[0]
         write_jsonl(recs, new / "predictions.jsonl")
@@ -375,7 +378,7 @@ class TestNumericsRule:
 
     def test_script_exits_1_and_prints_each_breach(self, dirs):
         out, new = dirs
-        recs = list(pipeline.read_jsonl(new / "predictions.jsonl"))
+        recs = list(read_jsonl(new / "predictions.jsonl"))
         recs[3]["ranking"].reverse()
         write_jsonl(recs, new / "predictions.jsonl")
         proc = self.script(out, new)
@@ -551,6 +554,65 @@ class TestScoreStage:
                     (key, threads)
 
 
+class TestScoreBlocks:
+    """The score stage featurizes a block of papers per call and writes what
+    the per-text loop writes, across block boundaries."""
+
+    N_PAPERS = 70  # two full blocks of 32 and a partial one
+    NO_CANDIDATES, EMPTY = 5, 40  # in the first and in the second block
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        assert pipeline.SCORE_BLOCK_PAPERS == 32
+        data = tmp_path_factory.mktemp("blocks")
+        write_synthetic(SyntheticSpec(n_papers=self.N_PAPERS, n_labels=12, seed=4),
+                        data / "corpus.jsonl", data / "labels.jsonl")
+        recs = list(read_jsonl(data / "corpus.jsonl"))
+        recs[self.NO_CANDIDATES].update(title="nothing to match", abstract="")
+        # a label name as the whole title: candidates, but no paragraph
+        name = next(read_jsonl(data / "labels.jsonl"))["names"][0]
+        recs[self.EMPTY].update(title=name, abstract="",
+                                sections=[{"name": "s", "paragraphs": ["too short"]}])
+        write_jsonl(recs, data / "corpus.jsonl")
+        out = data / "out"
+        cfg = base_config(data, out, tuple_count=120, train_steps=20)
+        for stage in ("candidates", "sample-tuples", "train-encoder"):
+            dict(pipeline.STAGES)[stage](cfg)
+        corpus = load_corpus(cfg.corpus_path)
+        cands = cand.read_candidates(artifact(out, "candidates"))
+        assert not cands[corpus[self.NO_CANDIDATES].id]
+        assert corpus[self.EMPTY].is_empty and cands[corpus[self.EMPTY].id]
+        return data, out, corpus
+
+    @pytest.mark.parametrize("use_hierarchy", [True, False])
+    @pytest.mark.parametrize("with_overrides", [False, True])
+    def test_equals_per_text_loop(self, trained, tmp_path, use_hierarchy, with_overrides):
+        data, out, corpus = trained
+        extra = {}
+        if with_overrides:
+            # a label, the empty paper, a paper of the last block and a
+            # paragraph of the second block
+            labels = load_labels(data / "labels.jsonl")
+            keys = [labels[3].id, corpus[self.EMPTY].id, corpus[66].id,
+                    f"{corpus[33].id}#1"]
+            rng = np.random.default_rng(3)
+            emb_file = tmp_path / "ext.jsonl"
+            write_jsonl(({"id": key, "embedding": rng.normal(size=encoder.DEFAULT_EMBED_DIM).tolist()}
+                         for key in keys), emb_file)
+            extra["embeddings_path"] = str(emb_file)
+        dirs = {}
+        for side in ("blocks", "per_text"):
+            dirs[side] = tmp_path / side
+            shutil.copytree(out, dirs[side])
+        pipeline.stage_score(base_config(data, dirs["blocks"], use_hierarchy=use_hierarchy,
+                                         **extra))
+        per_text_stage_score(base_config(data, dirs["per_text"], use_hierarchy=use_hierarchy,
+                                         **extra))
+        for key in ("scores", "score_stats"):
+            assert open(artifact(dirs["blocks"], key), "rb").read() == \
+                open(artifact(dirs["per_text"], key), "rb").read(), key
+
+
 class TestEmbeddingOverrides:
     def test_override_replaces_surrogate_embedding(self, data_dir, run, tmp_path):
         cfg, out, _, _ = run
@@ -636,9 +698,9 @@ class TestRankingLimit:
         shutil.copytree(out, copy)
         cfg = base_config(data_dir, copy, use_selftrain=use_selftrain, top_k=5)
         pipeline.stage_predict(cfg)
-        full = list(pipeline.read_jsonl(copy / "predictions.jsonl"))
+        full = list(read_jsonl(copy / "predictions.jsonl"))
         pipeline.stage_predict(dataclasses.replace(cfg, ranking_limit=1))
-        cut = list(pipeline.read_jsonl(copy / "predictions.jsonl"))
+        cut = list(read_jsonl(copy / "predictions.jsonl"))
         assert any(len(rec["top_k_scores"]) > 1 for rec in full)  # some are cut
         for want, got in zip(full, cut, strict=True):
             assert got["ranking"] == want["ranking"][:1]
@@ -916,7 +978,7 @@ class TestBlasThreads:
                 env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
             assert proc.returncode == 0, proc.stderr
             written[threads] = {rec["paper_id"]: rec for rec in
-                                pipeline.read_jsonl(copy / "predictions.jsonl")}
+                                read_jsonl(copy / "predictions.jsonl")}
         one, two = written["1"], written["2"]
         assert one.keys() == two.keys() and len(one) == SPEC.n_papers
         for pid, rec in one.items():
@@ -1059,6 +1121,35 @@ class TestMalformedArtifactLine:
         assert f"stage {stage} failed: {copy / name}: line 2: malformed record (" in err
         if fault == "missing field":
             assert f"(missing field '{field}')" in err
+        assert "Traceback" not in err
+
+
+class TestArtifactPaperIds:
+    """A repeated or non-string ``paper_id`` in an artifact line fails the
+    stage that reads it, naming the file and the line."""
+
+    @pytest.mark.parametrize("name, stage", [
+        ("candidates.jsonl", "score"), ("candidates.jsonl", "evaluate"),
+        ("scores.jsonl", "self-train"), ("predictions.jsonl", "evaluate"),
+    ])
+    @pytest.mark.parametrize("fault", ["duplicate", "list"])
+    def test_rejected(self, run, tmp_path, capsys, name, stage, fault):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        lines = (copy / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        first = json.loads(lines[0])
+        if fault == "duplicate":  # a second line for the first paper, appended
+            lines.append(json.dumps(first) + "\n")
+            where, message = len(lines), f"duplicate paper id {first['paper_id']!r}"
+        else:
+            lines[0] = json.dumps(first | {"paper_id": [first["paper_id"]]}) + "\n"
+            where, message = 1, "'paper_id' must be a string, got list"
+        (copy / name).write_text("".join(lines), encoding="utf-8")
+        assert cli.main([stage, "--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
+                         "--output-dir", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert f"stage {stage} failed: {copy / name}: line {where}: {message}" in err
         assert "Traceback" not in err
 
 
