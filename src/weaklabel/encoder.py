@@ -30,7 +30,7 @@ DEFAULT_HASH_DIM = 2048
 DEFAULT_EMBED_DIM = 256
 DEFAULT_MAX_TOKENS = 256
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 1 hashed each bigram with its own digest
 
 
 @dataclass
@@ -53,12 +53,12 @@ class BaseFeaturizer:
     across processes. Output vectors are L2-normalized; empty text maps
     to the zero vector.
 
-    Each gram's 8-byte keyed blake2b digest, read as a little-endian
-    uint64 ``h``, gives its bucket ``h % dim`` and its sign (top bit set:
-    +1). Word digests are kept per instance, since a vocabulary is small
-    and each word recurs in many texts; bigrams are hashed on every
-    occurrence, because there are many more distinct bigrams than words
-    and a table of them all would grow with the corpus.
+    Each gram's 64-bit code ``h`` gives its bucket ``h % dim`` and its
+    sign (top bit set: +1). A word's code is its 8-byte keyed blake2b
+    digest read as a little-endian uint64, kept per instance, since each
+    word recurs in many texts. A bigram's code is mixed in numpy from its
+    word codes ``a, b``: the splitmix64 finalizer of
+    ``a * 0x9E3779B97F4A7C15 + b`` (mod 2**64), so no bigram is digested.
 
     ``featurize_many`` is the one path (``featurize`` is a batch of one).
     Its numpy calls cost about the same for one text as for hundreds, so
@@ -74,31 +74,35 @@ class BaseFeaturizer:
                               key=int(hash_seed).to_bytes(8, "little", signed=True))
         self._word_codes: dict[str, bytes] = {}
 
-    def _digest(self, gram: str) -> bytes:
-        hasher = self._keyed.copy()
-        hasher.update(gram.encode("utf-8"))
-        return hasher.digest()
-
     def featurize(self, text: str) -> SparseVec:
         return self.featurize_many([text])[0]
 
     def featurize_many(self, texts) -> list[SparseVec]:
         """The feature vector of each text, in order."""
         words = self._word_codes
-        grams: list[bytes] = []  # each text's gram digests, joined
+        codes, counts = [], []  # every text's word codes, joined, and their counts
         for text in texts:
             tokens = tokenize(text)[: self.max_tokens]
-            digests = []
             for w in tokens:
-                d = words.get(w)
-                if d is None:
-                    d = words[w] = self._digest(w)
-                digests.append(d)
-            digests += [self._digest(f"{a}\x1f{b}") for a, b in zip(tokens, tokens[1:])]
-            grams.append(b"".join(digests))
-        h = np.frombuffer(b"".join(grams), dtype="<u8")
-        keys = np.repeat(np.arange(len(grams), dtype=np.int64) * self.dim,
-                         [len(g) // 8 for g in grams])
+                code = words.get(w)
+                if code is None:
+                    hasher = self._keyed.copy()
+                    hasher.update(w.encode("utf-8"))
+                    code = words[w] = hasher.digest()
+                codes.append(code)
+            counts.append(len(tokens))
+        u = np.frombuffer(b"".join(codes), dtype="<u8")
+        row = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        pair = row[1:] == row[:-1]  # adjacent tokens of one text
+        # uint64 arrays wrap mod 2**64 (a numpy scalar would warn instead)
+        x = u[:-1][pair] * np.uint64(0x9E3779B97F4A7C15) + u[1:][pair]
+        x ^= x >> np.uint64(30)  # the splitmix64 finalizer
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+        h = np.concatenate([u, x])
+        keys = np.concatenate([row, row[1:][pair]]) * self.dim
         keys, at = np.unique(keys + (h % self.dim).astype(np.int64), return_inverse=True)
         # sums of +-1.0, and of their squares, are exact, so the order of
         # accumulation is immaterial
@@ -108,7 +112,7 @@ class BaseFeaturizer:
         row = keys // self.dim
         idx = keys - row * self.dim
         val = sums / np.sqrt(np.bincount(row, weights=sums * sums))[row]
-        bounds = np.searchsorted(row, np.arange(len(grams) + 1)).tolist()
+        bounds = np.searchsorted(row, np.arange(len(counts) + 1)).tolist()
         return [SparseVec(idx[lo:hi], val[lo:hi], self.dim)
                 for lo, hi in zip(bounds, bounds[1:])]
 
@@ -157,19 +161,13 @@ def init_model(hash_dim: int = DEFAULT_HASH_DIM, embed_dim: int = DEFAULT_EMBED_
 def _embed_features(model: ScorerModel, sv: SparseVec) -> np.ndarray:
     r = kernels.project_rows(model.proj, sv.indices, sv.values)
     norm = math.sqrt(float(r @ r))
-    if norm == 0.0:
-        return np.zeros(model.embed_dim, dtype=np.float64)
-    return r / norm
-
-
-def _embed_text(model: ScorerModel, text: str) -> np.ndarray:
-    return _embed_features(model, model.featurizer.featurize(text))
+    return r / norm if norm != 0.0 else np.zeros(model.embed_dim, dtype=np.float64)
 
 
 def bi_embed(model: ScorerModel, text: str) -> np.ndarray:
     """Unit-norm embedding of one text (zero vector for empty text)."""
     model.counters.bi_embed += 1
-    return _embed_text(model, text)
+    return _embed_features(model, model.featurizer.featurize(text))
 
 
 def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -186,8 +184,9 @@ def cross_score_pair(model: ScorerModel, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def cross_score(model: ScorerModel, s: str, t: str) -> float:
-    """Joint score of a text pair; both texts are encoded per call."""
-    return cross_score_pair(model, _embed_text(model, s), _embed_text(model, t))
+    """Joint score of a text pair; both texts are featurized in one call."""
+    u, v = (_embed_features(model, sv) for sv in model.featurizer.featurize_many([s, t]))
+    return cross_score_pair(model, u, v)
 
 
 def contrastive_loss(s_pos: float, s_neg: float) -> float:
@@ -390,7 +389,8 @@ def load_model(path) -> ScorerModel:
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')!r}")
+            raise ValueError(f"{path}: checkpoint version {meta.get('version')!r} is not "
+                             f"{CHECKPOINT_VERSION}; rerun train-encoder")
         proj, w = data["proj"], data["w"]
     shapes = ((meta["hash_dim"], meta["embed_dim"]), (2 * meta["embed_dim"],))
     if (proj.shape, w.shape) != shapes:

@@ -38,9 +38,7 @@ def _sigmoid(z):
 
 
 def project_rows(proj, idx, val):
-    """r = sum_i val[i] * proj[idx[i], :] for a sparse feature vector."""
-    if idx.size == 0:
-        return np.zeros(proj.shape[1], dtype=np.float64)
+    """r = sum_i val[i] * proj[idx[i], :] for a sparse feature vector (zeros if empty)."""
     return val @ proj[idx]
 
 

@@ -511,7 +511,8 @@ def load_classifier(path) -> LabelTreeClassifier:
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode("utf-8"))
         if meta.get("version") != CLASSIFIER_VERSION:
-            raise ValueError(f"unsupported classifier version {meta.get('version')!r}")
+            raise ValueError(f"{path}: classifier version {meta.get('version')!r} is not "
+                             f"{CLASSIFIER_VERSION}; rerun self-train")
         weights = data["weights"]
         biases = data["biases"]
     recs = meta["nodes"]

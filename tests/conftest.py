@@ -202,7 +202,8 @@ def per_text_stage_score(cfg):
         ov = overrides.get(key)
         if ov is not None:
             return ov
-        return encoder.bi_embed(model, text) if counted else encoder._embed_text(model, text)
+        return (encoder.bi_embed(model, text) if counted else
+                encoder._embed_features(model, model.featurizer.featurize(text)))
 
     label_embs = {l.id: embedding(l.id, l.text, cfg.use_hierarchy) for l in labels}
     scored = {}

@@ -60,14 +60,32 @@ class TestFeaturizer:
         np.testing.assert_array_equal(a.values, b.values)
 
 
-def per_gram_buckets(dim, hash_seed, max_tokens, text):
-    """Bucket sums of the signed gram hashes, one keyed blake2b per gram."""
+MASK64 = (1 << 64) - 1
+
+
+def mix_bigram(a: int, b: int) -> int:
+    """A bigram's code from its word codes: the splitmix64 finalizer of
+    a * 0x9E3779B97F4A7C15 + b, in Python ints masked to 64 bits."""
+    x = (a * 0x9E3779B97F4A7C15 + b) & MASK64
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & MASK64
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & MASK64
+    return x ^ (x >> 31)
+
+
+def word_code(word: str, hash_seed: int) -> int:
     key = int(hash_seed).to_bytes(8, "little", signed=True)
-    tokens = tokenize(text)[:max_tokens]
+    return int.from_bytes(blake2b(word.encode("utf-8"), digest_size=8, key=key).digest(),
+                          "little")
+
+
+def per_gram_buckets(dim, hash_seed, max_tokens, text):
+    """Bucket sums of the signed gram codes: a keyed blake2b per word, a
+    mixed pair of word codes per bigram."""
+    words = [word_code(w, hash_seed) for w in tokenize(text)[:max_tokens]]
     buckets: dict[int, float] = {}
-    for gram in tokens + [f"{a}\x1f{b}" for a, b in zip(tokens, tokens[1:])]:
-        h = int.from_bytes(blake2b(gram.encode("utf-8"), digest_size=8, key=key).digest(),
-                           "little")
+    for h in words + [mix_bigram(a, b) for a, b in zip(words, words[1:])]:
         sign = 1.0 if h & (1 << 63) else -1.0
         buckets[h % dim] = buckets.get(h % dim, 0.0) + sign
     return buckets
@@ -95,10 +113,14 @@ def assert_bitwise_equal(a: SparseVec, b: SparseVec):
 
 LONG_TEXT = " ".join(f"w{i % 97} x{i % 13}" for i in range(400))  # 800 tokens
 TINY_DIM_TEXT = "graph neural network models on graph data"
+# at dim 3 the text above fills no bucket with a zero sum, so dim 3 takes its
+# cancellation case from a second text
+TINY_DIM3_TEXT = "text graph models on label data"
+TINY_DIM_TEXTS = {3: TINY_DIM3_TEXT, 4: TINY_DIM_TEXT}
 
 
 class TestFeaturizerGolden:
-    """The word-cached, bincount featurizer equals the per-gram reference bitwise."""
+    """The word-cached, numpy-mixed featurizer equals the per-gram reference bitwise."""
 
     @pytest.mark.parametrize("hash_seed", [0, -7])
     @pytest.mark.parametrize("dim, text", [
@@ -109,6 +131,7 @@ class TestFeaturizerGolden:
         (2048, "Naïve Bayes für Ökonomie: 東京 Δx → λ-calculus, naïve again"),
         (4, TINY_DIM_TEXT),
         (3, TINY_DIM_TEXT),
+        (3, TINY_DIM3_TEXT),
         (1, LONG_TEXT),
     ])
     def test_matches_per_gram_reference(self, dim, text, hash_seed):
@@ -122,9 +145,55 @@ class TestFeaturizerGolden:
     @pytest.mark.parametrize("dim", [3, 4])
     def test_tiny_dim_case_collides_and_cancels(self, dim, hash_seed):
         # the tiny-dim golden cases exercise collisions and +-1 cancellation
-        buckets = per_gram_buckets(dim, hash_seed, DEFAULT_MAX_TOKENS, TINY_DIM_TEXT)
+        buckets = per_gram_buckets(dim, hash_seed, DEFAULT_MAX_TOKENS, TINY_DIM_TEXTS[dim])
         assert any(v == 0.0 for v in buckets.values())
         assert any(abs(v) > 1.0 for v in buckets.values())
+
+    @pytest.mark.parametrize("a, b, code", [
+        # the first three outputs of splitmix64 seeded with 0
+        (1, 0, 0xE220A8397B1DCDAF),
+        (2, 0, 0x6E789E6AA1B965F4),
+        (3, 0, 0x06C45D188009454F),
+    ])
+    def test_mixer_pinned(self, a, b, code):
+        assert mix_bigram(a, b) == code
+        # the featurizer's own mixer: at dim 2**62 a gram's bucket and sign
+        # show all but bit 62 of its code
+        f = BaseFeaturizer(dim=1 << 62)
+        f._word_codes.update(x=a.to_bytes(8, "little"), y=b.to_bytes(8, "little"))
+        sv = f.featurize("x y")
+        signs = {int(i): v > 0 for i, v in zip(sv.indices, sv.values)}
+        assert signs[code & ((1 << 62) - 1)] == bool(code >> 63)
+        assert len(signs) == len({a, b, code})
+
+    @pytest.mark.parametrize("hash_seed", [0, -7, 2**63 - 1])
+    @pytest.mark.parametrize("word", ["graph", "ökonomie", "東京"])
+    def test_single_word_is_its_raw_digest(self, word, hash_seed):
+        assert tokenize(word) == [word]
+        key = hash_seed.to_bytes(8, "little", signed=True)
+        h = int.from_bytes(blake2b(word.encode("utf-8"), digest_size=8, key=key).digest(),
+                           "little")
+        sv = BaseFeaturizer(dim=1 << 62, hash_seed=hash_seed).featurize(word)
+        assert sv.indices.tolist() == [h & ((1 << 62) - 1)]
+        assert sv.values.tolist() == [1.0 if h >> 63 else -1.0]
+
+    def test_no_bigram_across_texts(self):
+        f = BaseFeaturizer(dim=1 << 62)
+        a, b = f.featurize_many(["a", "b"])
+        assert (a.nnz, b.nnz) == (1, 1)
+        assert_bitwise_equal(a, f.featurize("a"))
+        assert_bitwise_equal(b, f.featurize("b"))
+        assert f.featurize("a b").nnz == 3
+
+    @pytest.mark.parametrize("max_tokens", [1, 3, DEFAULT_MAX_TOKENS])
+    def test_edge_texts_mid_batch_equal_their_one_text_vectors(self, max_tokens):
+        edge = ["", "graph", " ".join(f"w{i}" for i in range(max_tokens + 5)), " ... "]
+        texts = ["graph neural network"] + [t for e in edge for t in (e, "neural graph data")]
+        f = BaseFeaturizer(dim=256, hash_seed=3, max_tokens=max_tokens)
+        for sv, text in zip(f.featurize_many(texts), texts):
+            assert_bitwise_equal(sv, BaseFeaturizer(dim=256, hash_seed=3,
+                                                    max_tokens=max_tokens).featurize(text))
+            assert_bitwise_equal(sv, per_gram_featurize(f, text))
 
     def test_word_table_shared_across_texts(self):
         f = BaseFeaturizer(dim=512, hash_seed=5)
@@ -258,6 +327,22 @@ class TestCrossScore:
             s, t = rand_text(rng, 15), rand_text(rng, 15)
             assert cross_score(model, s, t) == pytest.approx(
                 oracle_cross(model, s, t), abs=1e-12)
+
+    def test_one_featurizer_call_per_pair(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        model = init_model(hash_dim=128, embed_dim=16, seed=3)
+        model.w = rng.normal(size=32)
+        s, t = rand_text(rng, 15), rand_text(rng, 11)
+        u, v = (encoder._embed_features(model, model.featurizer.featurize(x)) for x in (s, t))
+        want = float(model.w @ encoder.pair_features(u, v))
+        calls = []
+        featurize_many = BaseFeaturizer.featurize_many
+        monkeypatch.setattr(BaseFeaturizer, "featurize_many",
+                            lambda self, texts: calls.append(list(texts))
+                            or featurize_many(self, texts))
+        got = cross_score(model, s, t)
+        assert calls == [[s, t]]
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_counter_counts_cross_not_bi(self):
         model = init_model(hash_dim=64, embed_dim=8)
@@ -554,6 +639,18 @@ class TestCheckpoint:
                  meta=np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8))
         with pytest.raises(ValueError, match="version"):
             load_model(path)
+
+    def test_version_1_checkpoint_names_train_encoder(self, tmp_path, monkeypatch):
+        # version 1 digested every bigram, so its projection rows were
+        # trained on other buckets
+        path = tmp_path / "encoder.npz"
+        monkeypatch.setattr(encoder, "CHECKPOINT_VERSION", 1)
+        save_model(init_model(hash_dim=16, embed_dim=4), path)
+        monkeypatch.undo()
+        with pytest.raises(ValueError) as err:
+            load_model(path)
+        assert str(err.value) == (f"{path}: checkpoint version 1 is not 2; "
+                                  "rerun train-encoder")
 
 
     @settings(max_examples=30, deadline=None)

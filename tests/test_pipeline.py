@@ -21,6 +21,7 @@ from weaklabel.corpus import Paper, load_corpus, load_labels, read_jsonl, write_
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import per_text_stage_score
+import quality_gate
 from numerics_rule import compare_outputs
 
 SPEC = SyntheticSpec(n_papers=120, n_labels=20, labels_per_paper=3, seed=2)
@@ -395,6 +396,81 @@ class TestNumericsRule:
             assert proc.stderr == f"not an output directory: {missing}\n"
             assert "Traceback" not in proc.stderr
         assert self.script(out).returncode == 2  # one directory only
+
+
+class TestQualityGate:
+    """``quality_gate.py`` fails a model change whose P@1, P@5, PSP@5 or
+    NDCG@5 falls beyond the relative bound ``BENCHMARK.json`` gives it."""
+
+    @pytest.fixture
+    def dirs(self, run, tmp_path):
+        _, out, _, _ = run
+        shutil.copytree(out, tmp_path / "out")
+        return out, tmp_path / "out"
+
+    @staticmethod
+    def script(*args):
+        return subprocess.run([sys.executable, os.path.join(os.path.dirname(__file__),
+                                                            "quality_gate.py"), *map(str, args)],
+                              capture_output=True, text=True)
+
+    @staticmethod
+    def scale(path, key, factor):
+        report = json.loads((path / "metrics.json").read_text())
+        report[key] *= factor
+        (path / "metrics.json").write_text(json.dumps(report))
+        return report[key]
+
+    def test_bounds_come_from_the_benchmark(self):
+        with open(os.path.join(os.path.dirname(__file__), "..", "BENCHMARK.json")) as fh:
+            spec = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+        assert quality_gate.bounds() == {
+            "P@1": spec["p_at_1"]["bound"], "P@5": spec["p_at_5"]["bound"],
+            "PSP@5": spec["psp_at_5"]["bound"], "NDCG@5": spec["ndcg_at_5"]["bound"]}
+        assert all(spec[name]["better"] == "higher" for name in quality_gate.METRICS.values())
+
+    def test_drops_within_the_bounds_and_rises_hold(self, dirs):
+        out, new = dirs
+        for key, bound in quality_gate.bounds().items():
+            self.scale(new, key, 1.0 - 0.9 * bound)
+        self.scale(new, "P@3", 0.0)  # not gated
+        assert quality_gate.compare_metrics(out, new) == []
+        assert quality_gate.compare_metrics(new, out) == []
+
+    def test_script_exits_0_when_the_gate_holds(self, dirs):
+        proc = self.script(*dirs, *dirs)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "the quality gate holds on 2 pair(s)\n", "")
+
+    def test_script_exits_1_and_prints_each_breach(self, dirs):
+        out, new = dirs
+        old = json.loads((out / "metrics.json").read_text())
+        low = self.scale(new, "NDCG@5", 0.8)
+        proc = self.script(out, out, out, new)
+        assert proc.returncode == 1
+        assert proc.stdout == (f"{new}: NDCG@5 {old['NDCG@5']:.6g} -> {low:.6g}, "
+                               "a drop of 0.2 relative (gate: 0.15)\n")
+
+    def test_nan_and_a_fall_from_zero_are_breaches(self, tmp_path):
+        for name, p1 in (("a", 0.0), ("b", -1e-9), ("c", math.nan)):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "metrics.json").write_text(json.dumps({"P@1": p1}))
+        limits = {"P@1": 0.1}
+        assert len(quality_gate.compare_metrics(tmp_path / "a", tmp_path / "b", limits)) == 1
+        assert len(quality_gate.compare_metrics(tmp_path / "a", tmp_path / "c", limits)) == 1
+        assert len(quality_gate.compare_metrics(tmp_path / "c", tmp_path / "a", limits)) == 1
+
+    def test_script_exits_2_on_bad_arguments(self, dirs, tmp_path):
+        out, _ = dirs
+        missing, empty = tmp_path / "no_such_out", tmp_path / "empty"
+        empty.mkdir()
+        for args, bad in (((out, missing), missing), ((missing, out), missing),
+                          ((out, empty), empty)):
+            proc = self.script(*args)
+            assert (proc.returncode, proc.stderr) == (2, f"not an output directory: {bad}\n")
+        for args in ((), (out,), (out, out, out)):
+            proc = self.script(*args)
+            assert proc.returncode == 2 and proc.stderr.startswith("usage:")
 
 
 def count_input_reads(monkeypatch):
@@ -813,6 +889,26 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert "stage score failed" in proc.stderr
+
+    def test_score_on_a_version_1_checkpoint_names_train_encoder(self, data_dir, run,
+                                                                 tmp_path):
+        _, out, _, _ = run
+        stale = tmp_path / "out"
+        shutil.copytree(out, stale)
+        with np.load(stale / "encoder.npz") as data:
+            members = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(members["meta"]).decode("utf-8"))
+        assert meta["version"] == encoder.CHECKPOINT_VERSION == 2
+        meta["version"] = 1
+        members["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(stale / "encoder.npz", **members)
+        scores = (stale / "scores.jsonl").read_bytes()
+        proc = run_cli("score", "--corpus", str(data_dir / "corpus.jsonl"),
+                       "--labels", str(data_dir / "labels.jsonl"), "--output-dir", str(stale))
+        assert proc.returncode == 1
+        assert proc.stderr == (f"stage score failed: {stale / 'encoder.npz'}: checkpoint "
+                               "version 1 is not 2; rerun train-encoder\n")
+        assert (stale / "scores.jsonl").read_bytes() == scores
 
     @pytest.mark.parametrize("args, names", [
         (["--papers", "0"], "counts must be positive"),

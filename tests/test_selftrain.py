@@ -928,6 +928,19 @@ class TestPersistence:
         with pytest.raises(ValueError, match="clf.npz: weights are .*rerun self-train"):
             load_classifier(path)
 
+    @pytest.mark.parametrize("version", [0, 2, None])
+    def test_other_version_names_self_train(self, tmp_path, version):
+        path = tmp_path / "clf.npz"
+        save_classifier(random_classifier(np.random.default_rng(7), 6, 3, 1, max_leaf=2), path)
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        meta["version"] = version
+        self.rewrite(path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+        with pytest.raises(ValueError) as err:
+            load_classifier(path)
+        assert str(err.value) == (f"{path}: classifier version {version!r} is not "
+                                  f"{selftrain.CLASSIFIER_VERSION}; rerun self-train")
+
 
 def reference_save_classifier(clf, path):
     """The classifier writer before streaming: every weight row stacked into
