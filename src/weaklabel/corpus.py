@@ -213,29 +213,25 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
-def write_npz(path, members: dict[str, list[np.ndarray]], compress: bool):
+def write_npz(path, members: dict[str, np.ndarray], compress: bool):
     """Write an ``.npz`` archive atomically (``atomic_write``), byte for
     byte as ``np.savez_compressed`` (``compress``) or ``np.savez`` writes
-    it, without joining any member into one array.
+    it for arrays not in Fortran order.
 
-    Each member is the row-wise concatenation of its blocks, which share a
-    dtype and trailing shape. Every block goes to the zip stream from its
-    own memory, so the only transient is zlib's output for one chunk.
+    Each member goes to the zip stream from its own memory (a copy only if
+    it is strided), at most NPZ_CHUNK_BYTES at a time, so the only
+    transient is zlib's output for one chunk.
     """
     method = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
     with atomic_write(path, "wb") as fh, zipfile.ZipFile(fh, "w", method) as zf:
-        for name, blocks in members.items():
-            dtype, tail = blocks[0].dtype, blocks[0].shape[1:]
-            if any(b.dtype != dtype or b.shape[1:] != tail for b in blocks):
-                raise ValueError(f"npz member {name!r}: blocks differ in dtype or row shape")
-            header = {"descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
-                      "shape": (sum(len(b) for b in blocks),) + tail}
+        for name, array in members.items():
+            header = {"descr": np.lib.format.dtype_to_descr(array.dtype),
+                      "fortran_order": False, "shape": array.shape}
             with zf.open(f"{name}.npy", "w", force_zip64=True) as out:  # as numpy does
                 np.lib.format.write_array_header_1_0(out, header)
-                for block in blocks:
-                    data = block.ravel().view(np.uint8)  # a copy only if block is strided
-                    for lo in range(0, data.size, NPZ_CHUNK_BYTES):
-                        out.write(data[lo:lo + NPZ_CHUNK_BYTES])
+                data = array.ravel().view(np.uint8)
+                for lo in range(0, data.size, NPZ_CHUNK_BYTES):
+                    out.write(data[lo:lo + NPZ_CHUNK_BYTES])
 
 
 def write_jsonl(records, path):

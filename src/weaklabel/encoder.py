@@ -380,8 +380,8 @@ def save_model(model: ScorerModel, path, train_config: "TrainConfig | None" = No
     }
     if train_config is not None:
         meta["train"] = asdict(train_config)
-    write_npz(path, {"proj": [model.proj], "w": [model.w],
-                     "meta": [np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)]},
+    write_npz(path, {"proj": model.proj, "w": model.w,
+                     "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)},
               compress=False)
 
 

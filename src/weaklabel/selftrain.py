@@ -132,17 +132,13 @@ def pseudo_labels(scored: dict[str, list[CandidateScore]], n: int) -> dict[str, 
 class TreeNode:
     label_ids: tuple[str, ...] | None = None  # set on leaves only
     children: list["TreeNode"] = field(default_factory=list)
-    # one logistic classifier (weight row, bias) per output: per child on a
-    # routing node, per label (one-vs-all) on a leaf
-    weights: np.ndarray | None = None
-    bias: np.ndarray | None = None
 
     @property
     def is_leaf(self) -> bool:
         return self.label_ids is not None
 
     @property
-    def n_outputs(self) -> int:
+    def n_outputs(self) -> int:  # its classifier rows: per child, or per label on a leaf
         return len(self.label_ids) if self.is_leaf else len(self.children)
 
 
@@ -204,10 +200,16 @@ def build_label_tree(features: np.ndarray, label_ids: list[str], max_leaf: int,
     return root
 
 
-def _first_rows(nodes: list[TreeNode]) -> list[int]:
-    """Each node's first classifier row when the rows of ``nodes`` are
-    numbered in order, then the total row count."""
-    return np.cumsum([0] + [node.n_outputs for node in nodes]).tolist()
+def _first_rows(trees: list[TreeNode]) -> tuple[dict[int, int], int]:
+    """Each node's first classifier row, keyed by ``id(node)``, and the
+    total row count, when the rows are numbered tree by tree, each tree's
+    nodes in preorder: the numbering of the fit, the search and the file."""
+    first, n_rows = {}, 0
+    for tree in trees:
+        for node in preorder(tree):
+            first[id(node)] = n_rows
+            n_rows += node.n_outputs
+    return first, n_rows
 
 
 @dataclass
@@ -295,9 +297,10 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray,
     return W, b
 
 
-def train_tree(tree: TreeNode, X: CsrMatrix, member: np.ndarray,
-               cfg: ClassifierConfig) -> TreeNode:
-    """Fit routing and leaf classifiers on (normalized) document rows.
+def train_tree(tree: TreeNode, X: CsrMatrix, member: np.ndarray, cfg: ClassifierConfig,
+               weights: np.ndarray, biases: np.ndarray):
+    """Fit routing and leaf classifiers on (normalized) document rows into
+    the tree's rows of ``weights`` and ``biases``, numbered by _first_rows([tree]).
 
     ``member`` (rows x the tree's labels, its leaves' labels in preorder)
     is True where a row carries a label as a pseudo label, so the labels of
@@ -312,9 +315,9 @@ def train_tree(tree: TreeNode, X: CsrMatrix, member: np.ndarray,
     if all_rows.size == 0:
         raise ValueError("no training documents carry pseudo labels")
 
-    nodes = preorder(tree)
+    first, _ = _first_rows([tree])
     width = {}  # each subtree's label count
-    for node in reversed(nodes):
+    for node in reversed(preorder(tree)):
         width[id(node)] = (node.n_outputs if node.is_leaf
                            else sum(width[id(c)] for c in node.children))
 
@@ -325,17 +328,20 @@ def train_tree(tree: TreeNode, X: CsrMatrix, member: np.ndarray,
         spans = [1] * node.n_outputs if node.is_leaf else [width[id(c)] for c in node.children]
         starts = np.cumsum([0] + spans[:-1])
         Y = np.logical_or.reduceat(member[rows, lo:lo + width[id(node)]], starts, axis=1)
-        node.weights, node.bias = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
+        at = slice(first[id(node)], first[id(node)] + node.n_outputs)
+        weights[at], biases[at] = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
         stack += [(child, rows[Y[:, j]], lo + int(starts[j]))
                   for j, child in enumerate(node.children)]
-    return tree
 
 
 @dataclass
 class LabelTreeClassifier:
+    """Label trees and their classifiers: row r of ``weights`` (rows x
+    tf-idf features) and ``biases`` is the one that _first_rows numbers r."""
     label_ids: tuple[str, ...]
     trees: list[TreeNode]
-    n_features: int
+    weights: np.ndarray
+    biases: np.ndarray
 
 
 def train_classifier(X: CsrMatrix, paper_ids: list[str],
@@ -364,12 +370,15 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
     trees = [build_label_tree(feats, label_ids, cfg.max_leaf, seed=cfg.seed + t)
              for t in range(cfg.n_trees)]
     del feats  # the fits need only the topologies; free the features before them
+    first, n_rows = _first_rows(trees)
+    weights, biases = np.zeros((n_rows, X.n_cols)), np.zeros(n_rows)
     Xn = _normalize_rows(X)
     for tree in trees:
         leaf_order = [column[lid] for node in preorder(tree) if node.is_leaf
                       for lid in node.label_ids]
-        train_tree(tree, Xn, member[:, leaf_order], cfg)
-    return LabelTreeClassifier(label_ids=tuple(label_ids), trees=trees, n_features=X.n_cols)
+        at = slice(first[id(tree)], None)  # train_tree writes the tree's rows from its first
+        train_tree(tree, Xn, member[:, leaf_order], cfg, weights[at], biases[at])
+    return LabelTreeClassifier(tuple(label_ids), trees, weights, biases)
 
 
 @dataclass
@@ -382,18 +391,11 @@ class _Level:
     label_col: np.ndarray  # per leaf label: its position in label_ids
 
 
-def _search_plan(tree: TreeNode, label_pos: dict[str, int]):
-    """Number a tree's classifier rows in preorder and lay out its levels.
-
-    Returns (nodes, first rows, levels): the nodes in preorder, their
-    first classifier rows (see _first_rows) and one _Level per depth. Each
-    level lists its nodes in preorder, since it takes its parents' children
-    in order.
-    """
-    nodes = preorder(tree)
-    first_rows = _first_rows(nodes)
-    first = {id(node): lo for node, lo in zip(nodes, first_rows)}
-
+def _search_plan(tree: TreeNode, label_pos: dict[str, int], first: dict[int, int]):
+    """Lay out a tree's beam search as one _Level per depth, with the
+    classifier rows that ``first`` (from _first_rows) gives its nodes.
+    Each level lists its nodes in preorder, since it takes its parents'
+    children in order."""
     levels = []
     level = [(tree, 0, -1)]  # (node, parent column, routing classifier row)
     while level:
@@ -411,36 +413,34 @@ def _search_plan(tree: TreeNode, label_pos: dict[str, int]):
             [p for _, p, _ in level], [r for _, _, r in level],
             leaf_col, leaf_row, label_col))))
         level = nxt
-    return nodes, first_rows, levels
+    return levels
 
 
 def predict_blocks(clf: LabelTreeClassifier, X: CsrMatrix, beam_width: int):
     """Beam-search label probabilities for the rows of a tf-idf matrix,
     one dense block of at most BLOCK_ROWS rows at a time.
 
-    Rows are L2-normalized to match training scaling. Per block and tree,
-    one product per node gives the logits of all its classifiers (stacking
-    a tree's weights into one matrix would copy them). The search then
-    walks the tree level by level for all rows of the block at once,
-    keeping per row the top ``beam_width`` nodes by path probability (ties
-    go to the node earlier in preorder). Yields (first row, probabilities),
-    the probabilities rows x labels in ``clf.label_ids`` order and averaged
-    over the trees; a label whose leaf a row reaches in no tree gets 0.
+    Rows are L2-normalized to match training scaling. Per block, one
+    product with ``clf.weights`` gives the logits of every classifier of
+    every tree. The search then walks each tree level by level for all rows
+    of the block at once, keeping per row the top ``beam_width`` nodes by
+    path probability (ties go to the node earlier in preorder). Yields
+    (first row, probabilities), the probabilities rows x labels in
+    ``clf.label_ids`` order and averaged over the trees; a label whose leaf
+    a row reaches in no tree gets 0.
     """
-    if X.n_cols != clf.n_features:
-        raise ValueError(f"classifier was fitted on {clf.n_features} tf-idf features but "
+    if X.n_cols != clf.weights.shape[1]:
+        raise ValueError(f"classifier was fitted on {clf.weights.shape[1]} tf-idf features but "
                          f"the corpus vocabulary has {X.n_cols}; rerun self-train")
     Xn = _normalize_rows(X)
     label_pos = {lid: j for j, lid in enumerate(clf.label_ids)}
-    plans = [_search_plan(tree, label_pos) for tree in clf.trees]
+    first, _ = _first_rows(clf.trees)
+    plans = [_search_plan(tree, label_pos, first) for tree in clf.trees]
     buf = np.zeros((min(X.n_rows, BLOCK_ROWS), X.n_cols))
     for start, dense in _dense_blocks(_row_blocks(Xn, np.arange(X.n_rows)), buf):
+        S = _sigmoid(dense @ clf.weights.T + clf.biases)
         probs = np.zeros((dense.shape[0], len(clf.label_ids)))
-        for nodes, first_rows, levels in plans:
-            z = np.empty((dense.shape[0], first_rows[-1]))
-            for node, lo, hi in zip(nodes, first_rows, first_rows[1:]):
-                z[:, lo:hi] = dense @ node.weights.T + node.bias
-            S = _sigmoid(z)
+        for levels in plans:
             P = np.ones((dense.shape[0], 1))
             alive = np.ones(P.shape, dtype=bool)
             for depth, lvl in enumerate(levels):
@@ -486,9 +486,9 @@ def final_rankings(pinned: list[list[str]], probs: np.ndarray, label_ids) -> lis
 
 
 def save_classifier(clf: LabelTreeClassifier, path):
-    """Write ``clf`` to ``path`` as a compressed npz: every node's weight
-    rows in preorder (``weights``, ``biases``) and the trees as JSON
-    (``meta``). The weights are streamed node by node, never stacked."""
+    """Write ``clf`` to ``path`` as a compressed npz: its classifier rows
+    (``weights``, ``biases``) and the trees as JSON (``meta``), every
+    tree's nodes in preorder, the order of the rows."""
     nodes = [node for tree in clf.trees for node in preorder(tree)]
     slot = {id(node): s for s, node in enumerate(nodes)}
     recs = [{"labels": list(node.label_ids)} if node.is_leaf else
@@ -496,15 +496,35 @@ def save_classifier(clf: LabelTreeClassifier, path):
     meta = {
         "version": CLASSIFIER_VERSION,
         "label_ids": list(clf.label_ids),
-        "n_features": clf.n_features,
+        "n_features": clf.weights.shape[1],
         "roots": [slot[id(tree)] for tree in clf.trees],
         "nodes": recs,
     }
-    write_npz(path, {
-        "weights": [node.weights for node in nodes] or [np.zeros((0, clf.n_features))],
-        "biases": [node.bias for node in nodes] or [np.zeros(0)],
-        "meta": [np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)],
-    }, compress=True)
+    write_npz(path, {"weights": clf.weights, "biases": clf.biases,
+                     "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)},
+              compress=True)
+
+
+def _tree_problem(recs: list[dict], roots: list, label_ids: list) -> str | None:
+    """What keeps a classifier meta's ``nodes`` from being its trees, or
+    None: a child that is not a later node, nodes that are not the trees'
+    preorders one after another, or a tree whose leaf labels are not a
+    permutation of the distinct ``label_ids``."""
+    pos, want = 0, sorted(label_ids)  # pos: the node the preorder reaches next
+    for t, root in enumerate(roots):
+        labels, stack = [], [root]
+        while stack:
+            if stack.pop() != pos or pos == len(recs):
+                return f"tree {t} does not continue the preorder at node {pos}"
+            children = recs[pos].get("children", ())
+            if not all(isinstance(c, int) and pos < c < len(recs) for c in children):
+                return f"node {pos} lists children {children}, not all of them later nodes"
+            labels += recs[pos].get("labels", ())
+            stack.extend(reversed(children))
+            pos += 1
+        if sorted(labels) != want or len(set(want)) < len(want):
+            return f"the leaves of tree {t} are not a permutation of the distinct label_ids"
+    return f"the trees hold {pos} of {len(recs)} nodes" if pos < len(recs) else None
 
 
 def load_classifier(path) -> LabelTreeClassifier:
@@ -516,19 +536,18 @@ def load_classifier(path) -> LabelTreeClassifier:
         weights = data["weights"]
         biases = data["biases"]
     recs = meta["nodes"]
+    problem = _tree_problem(recs, meta["roots"], meta["label_ids"])
+    if problem:
+        raise ValueError(f"{path}: {problem}; rerun self-train")
     nodes = [TreeNode(label_ids=tuple(rec["labels"]) if "labels" in rec else None)
              for rec in recs]
     for node, rec in zip(nodes, recs):
         node.children = [nodes[c] for c in rec.get("children", ())]
-    first_rows = _first_rows(nodes)  # save_classifier wrote the rows in this order
-    n_rows = first_rows[-1]
+    n_rows = sum(node.n_outputs for node in nodes)  # the rows follow the nodes
     expected = (n_rows, meta["n_features"])
     if weights.dtype != np.float64 or weights.shape != expected or biases.shape != (n_rows,):
         raise ValueError(f"{path}: weights are {weights.dtype} {weights.shape} and biases "
                          f"{biases.shape}, but its meta names float64 {expected} and "
                          f"({n_rows},); rerun self-train")
-    for node, lo, hi in zip(nodes, first_rows, first_rows[1:]):
-        node.weights, node.bias = weights[lo:hi], biases[lo:hi]
-    return LabelTreeClassifier(label_ids=tuple(meta["label_ids"]),
-                               trees=[nodes[r] for r in meta["roots"]],
-                               n_features=meta["n_features"])
+    return LabelTreeClassifier(tuple(meta["label_ids"]), [nodes[r] for r in meta["roots"]],
+                               weights, biases)

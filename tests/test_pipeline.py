@@ -988,9 +988,9 @@ class TestCli:
             assert got.read() == want.read()
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "weaklabel.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestStandalonePredict:
@@ -1033,12 +1033,13 @@ class TestStandalonePredict:
     def test_vocabulary_width_mismatch_fails(self, out, delta):
         copy, config = out
         fitted = selftrain.load_classifier(copy / "classifier.npz")
-        self.write_classifier(copy, list(fitted.label_ids), fitted.n_features + delta)
+        n_features = fitted.weights.shape[1]
+        self.write_classifier(copy, list(fitted.label_ids), n_features + delta)
         proc = run_cli("predict", "--config", config)
         assert proc.returncode == 1
         assert "stage predict failed" in proc.stderr
-        assert f"fitted on {fitted.n_features + delta} tf-idf features" in proc.stderr
-        assert f"vocabulary has {fitted.n_features}" in proc.stderr
+        assert f"fitted on {n_features + delta} tf-idf features" in proc.stderr
+        assert f"vocabulary has {n_features}" in proc.stderr
         assert "rerun self-train" in proc.stderr
         assert "Traceback" not in proc.stderr
 
@@ -1046,13 +1047,45 @@ class TestStandalonePredict:
         copy, config = out
         fitted = selftrain.load_classifier(copy / "classifier.npz")
         label_ids = list(fitted.label_ids[:-1]) + ["ghost"]
-        self.write_classifier(copy, label_ids, fitted.n_features)
+        self.write_classifier(copy, label_ids, fitted.weights.shape[1])
         proc = run_cli("predict", "--config", config)
         assert proc.returncode == 1
         assert "stage predict failed" in proc.stderr
         assert "different label set" in proc.stderr
         assert repr([fitted.label_ids[-1]]) in proc.stderr and "['ghost']" in proc.stderr
         assert "rerun self-train" in proc.stderr
+
+    @pytest.mark.parametrize("case, problem", [
+        ("root_twice", "tree 1 does not continue the preorder at node"),
+        ("child_out_of_range", "not all of them later nodes"),
+        ("leaf_label_not_in_label_ids", "tree 0 are not a permutation of the distinct label_ids"),
+        ("self_child", "not all of them later nodes"),
+    ])
+    def test_malformed_meta_fails(self, out, case, problem):
+        copy, config = out
+        proc = run_cli("self-train", "--config", config, "--max-leaf", "1")  # routing nodes
+        assert proc.returncode == 0, proc.stderr
+        path = copy / "classifier.npz"
+        with np.load(path) as data:
+            members = {key: data[key] for key in data.files}
+        meta = json.loads(bytes(members["meta"]).decode("utf-8"))
+        nodes = meta["nodes"]
+        inner = next(i for i, rec in enumerate(nodes) if "children" in rec)
+        if case == "root_twice":  # tree 0 would count twice in the average
+            meta["roots"][1] = meta["roots"][0]
+        elif case == "child_out_of_range":
+            nodes[inner]["children"][0] = len(nodes)
+        elif case == "leaf_label_not_in_label_ids":
+            next(rec for rec in nodes if "labels" in rec)["labels"][0] = "NOPE"
+        else:  # a walk of the meta's trees would never end
+            nodes[inner]["children"][0] = inner
+        members["meta"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez_compressed(path, **members)
+        proc = run_cli("predict", "--config", config, timeout=60)
+        assert proc.returncode == 1
+        assert f"stage predict failed: {path}: " in proc.stderr
+        assert problem in proc.stderr and "; rerun self-train" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestBlasThreads:

@@ -17,7 +17,7 @@ from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
     BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier, TreeNode,
     build_label_tree, final_rankings, load_classifier, predict_blocks, pseudo_labels,
-    save_classifier, train_classifier, train_tree, _fit_logistic, _in_row_space,
+    save_classifier, train_classifier, train_tree, _first_rows, _fit_logistic, _in_row_space,
     _normalize_rows, _search_plan,
 )
 from weaklabel.corpus import Vocabulary, build_vocabulary, load_corpus, load_labels, preorder
@@ -198,6 +198,23 @@ def leaves(tree):
     return [node for node in preorder(tree) if node.is_leaf]
 
 
+def node_rows(clf):
+    """Each node's classifier rows of ``clf`` as (weights, biases), keyed by
+    ``id(node)``: the rows _first_rows numbers for it."""
+    first, _ = _first_rows(clf.trees)
+    spans = {id(node): slice(first[id(node)], first[id(node)] + node.n_outputs)
+             for tree in clf.trees for node in preorder(tree)}
+    return {key: (clf.weights[at], clf.biases[at]) for key, at in spans.items()}
+
+
+def fit_tree(tree, X, member, cfg):
+    """train_tree into arrays of its own: (weights, biases)."""
+    _, n_rows = _first_rows([tree])
+    weights, biases = np.zeros((n_rows, X.n_cols)), np.zeros(n_rows)
+    train_tree(tree, X, member, cfg, weights, biases)
+    return weights, biases
+
+
 def topo(node):
     if node.is_leaf:
         return tuple(sorted(node.label_ids))
@@ -314,30 +331,30 @@ class TestTrainAndPredict:
         b = self.fitted(seed=3)[0]
         for ta, tb in zip(a.trees, b.trees):
             assert topo(ta) == topo(tb)
-            for x, y in zip(preorder(ta), preorder(tb)):
-                np.testing.assert_array_equal(x.weights, y.weights)
-                np.testing.assert_array_equal(x.bias, y.bias)
+        np.testing.assert_array_equal(a.weights, b.weights)
+        np.testing.assert_array_equal(a.biases, b.biases)
 
     def test_no_training_papers_rejected(self):
         X = one_hot_matrix([0, 1], 2)
         tree = build_label_tree(np.eye(2), ["A", "B"], max_leaf=1, seed=0)
         with pytest.raises(ValueError):
-            train_tree(tree, CsrMatrix(np.empty(0), np.empty(0, dtype=np.int64),
-                                       np.array([0], dtype=np.int64), 0, 2),
-                       np.zeros((0, 2), dtype=bool), ClassifierConfig())
+            fit_tree(tree, CsrMatrix(np.empty(0), np.empty(0, dtype=np.int64),
+                                     np.array([0], dtype=np.int64), 0, 2),
+                     np.zeros((0, 2), dtype=bool), ClassifierConfig())
         with pytest.raises(ValueError, match="pseudo"):
-            train_tree(tree, _normalize_rows(X), np.zeros((2, 2), dtype=bool),
-                       ClassifierConfig())
+            fit_tree(tree, _normalize_rows(X), np.zeros((2, 2), dtype=bool), ClassifierConfig())
 
     def test_single_leaf_equals_leaf_outputs(self):
         clf, X, assign, ids = self.fitted(max_leaf=10)  # one leaf holds all
         tree = clf.trees[0]
         assert tree.is_leaf
         x = csr_row(X, 0)
-        probs = predict_proba(LabelTreeClassifier(clf.label_ids, [tree], clf.n_features), x)
+        n = len(tree.label_ids)  # the first tree's rows come first
+        probs = predict_proba(LabelTreeClassifier(clf.label_ids, [tree], clf.weights[:n],
+                                                  clf.biases[:n]), x)
         xn = SparseVec(x.indices, x.values / np.linalg.norm(x.values), x.dim)
         for j, lid in enumerate(tree.label_ids):
-            z = float(tree.weights[j][xn.indices] @ xn.values) + tree.bias[j]
+            z = float(clf.weights[j][xn.indices] @ xn.values) + clf.biases[j]
             assert probs[lid] == pytest.approx(1 / (1 + math.exp(-z)), abs=1e-12)
 
     def test_beam_wider_than_leaves_equals_exhaustive(self):
@@ -347,15 +364,17 @@ class TestTrainAndPredict:
             norm = np.linalg.norm(x.values)
             xn = SparseVec(x.indices, x.values / norm, x.dim) if norm else x
             out = {}
+            rows = node_rows(clf)
 
             def walk(node, p):
+                weights, bias = rows[id(node)]
                 if node.is_leaf:
                     for j, lid in enumerate(node.label_ids):
-                        z = float(node.weights[j][xn.indices] @ xn.values) + node.bias[j]
+                        z = float(weights[j][xn.indices] @ xn.values) + bias[j]
                         out[lid] = out.get(lid, 0.0) + p / (1 + math.exp(-z))
                     return
                 for j, child in enumerate(node.children):
-                    z = float(node.weights[j][xn.indices] @ xn.values) + node.bias[j]
+                    z = float(weights[j][xn.indices] @ xn.values) + bias[j]
                     walk(child, p / (1 + math.exp(-z)))
 
             for tree in clf.trees:
@@ -484,13 +503,15 @@ class TestMembership:
         monkeypatch.setattr(selftrain, "_fit_logistic",
                             lambda X, rows, Y, cfg: fitted.append(rows) or fit(X, rows, Y, cfg))
         cfg = ClassifierConfig(epochs=5)
-        train_tree(tree, X, member[:, leaf_columns(tree, ids)], cfg)
+        weights, biases = fit_tree(tree, X, member[:, leaf_columns(tree, ids)], cfg)
         assert len(fitted) == len(preorder(tree))
         assert all(4 not in rows and 9 in rows for rows in fitted)
         want = reference_fits(tree, X, label_sets, cfg)
+        first, _ = _first_rows([tree])
         for node in preorder(tree):
             w, b = want[id(node)]
-            assert node.weights.tobytes() == w.tobytes() and node.bias.tobytes() == b.tobytes()
+            at = slice(first[id(node)], first[id(node)] + node.n_outputs)
+            assert weights[at].tobytes() == w.tobytes() and biases[at].tobytes() == b.tobytes()
 
 
 def random_csr(rng, n_rows, n_cols, max_nnz=8, empty_rows=()):
@@ -637,9 +658,8 @@ class TestRowSpaceFit:
         primal, dual = fitted[False], fitted[True]
         for ta, tb in zip(primal.trees, dual.trees):
             assert topo(ta) == topo(tb)
-            for x, y in zip(preorder(ta), preorder(tb)):
-                np.testing.assert_allclose(x.weights, y.weights, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(x.bias, y.bias, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(primal.weights, dual.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(primal.biases, dual.biases, rtol=0, atol=1e-12)
         pa, pb = stacked_probabilities(primal, X, 3), stacked_probabilities(dual, X, 3)
         np.testing.assert_array_equal(pa > 0, pb > 0)  # the same labels reached
         np.testing.assert_allclose(pa, pb, rtol=0, atol=1e-12)
@@ -662,6 +682,7 @@ def scalar_beam(clf, x, beam):
 
     norm = math.sqrt(float(x.values @ x.values)) if x.nnz else 0.0
     xn = SparseVec(x.indices, x.values / norm, x.dim) if norm > 0 else x
+    rows = node_rows(clf)
     acc = {}
     for tree in clf.trees:
         position = {id(node): i for i, node in enumerate(preorder(tree))}
@@ -671,13 +692,14 @@ def scalar_beam(clf, x, beam):
             frontier = frontier[:beam]
             nxt = []
             for p, node in frontier:
+                weights, bias = rows[id(node)]
                 if node.is_leaf:
                     for j, lid in enumerate(node.label_ids):
-                        s = p * sigmoid(logit(node.weights[j], node.bias[j]))
+                        s = p * sigmoid(logit(weights[j], bias[j]))
                         acc[lid] = acc.get(lid, 0.0) + s
                 else:
                     for j, child in enumerate(node.children):
-                        q = p * sigmoid(logit(node.weights[j], node.bias[j]))
+                        q = p * sigmoid(logit(weights[j], bias[j]))
                         nxt.append((q, child))
             frontier = nxt
     return {lid: v / len(clf.trees) for lid, v in acc.items()}
@@ -720,7 +742,8 @@ class TestBatchedBeam:
             twins = [n for n in preorder(tree) if not n.is_leaf
                      and {c.label_ids for c in n.children} == {("L00",), ("L01",)}]
             assert twins, "L00 and L01 should be sibling leaves"
-            np.testing.assert_array_equal(twins[0].weights[0], twins[0].weights[1])
+            weights, _ = node_rows(clf)[id(twins[0])]
+            np.testing.assert_array_equal(weights[0], weights[1])
 
     @pytest.mark.parametrize("beam", [1, 2, 3, 64])
     def test_matches_scalar_reference(self, deep, beam):
@@ -766,11 +789,10 @@ class TestSearchPlan:
     def test_levels_list_nodes_in_preorder(self, n_labels, max_leaf, seed):
         clf = random_classifier(np.random.default_rng(seed), n_labels, 2, 1, max_leaf)
         tree = clf.trees[0]
-        nodes, first_rows, levels = _search_plan(
-            tree, {lid: j for j, lid in enumerate(clf.label_ids)})
-        assert nodes == preorder(tree)
+        first, _ = _first_rows(clf.trees)
+        levels = _search_plan(tree, {lid: j for j, lid in enumerate(clf.label_ids)}, first)
+        nodes = preorder(tree)
         position = {id(node): i for i, node in enumerate(nodes)}
-        first = {id(node): lo for node, lo in zip(nodes, first_rows)}
         level, seen = [tree], []
         for d, lvl in enumerate(levels):
             if d:  # each node from its parent's column and its routing row
@@ -780,6 +802,61 @@ class TestSearchPlan:
             assert at == sorted(at)
             seen += at
         assert sorted(seen) == list(range(len(nodes)))
+
+
+class TestOneRowNumbering:
+    """The fit, the search and the file number the classifier rows alike:
+    tree by tree, each tree's nodes in preorder."""
+
+    @staticmethod
+    def path_probabilities(clf):
+        """Each label's mean over the trees of the product of sigmoid(bias)
+        along its path, rows counted off in that order by a recursion."""
+        rows = iter(range(clf.biases.size))
+        acc = dict.fromkeys(clf.label_ids, 0.0)
+
+        def walk(node, p):
+            s = [1.0 / (1.0 + math.exp(-clf.biases[next(rows)])) for _ in range(node.n_outputs)]
+            if node.is_leaf:
+                for lid, q in zip(node.label_ids, s):
+                    acc[lid] += p * q
+            for child, q in zip(node.children, s):
+                walk(child, p * q)
+
+        for tree in clf.trees:
+            walk(tree, 1.0)
+        return np.array([acc[lid] / len(clf.trees) for lid in clf.label_ids])
+
+    def test_zero_weights_give_the_biases_of_each_path(self, tmp_path):
+        rng = np.random.default_rng(14)
+        clf = random_classifier(rng, 11, 4, 3, max_leaf=2)
+        clf.weights[:] = 0.0
+        clf.biases[:] = rng.permutation(clf.biases.size) / clf.biases.size * 6.0 - 3.0
+        want = self.path_probabilities(clf)
+        save_classifier(clf, tmp_path / "clf.npz")
+        X = random_csr(rng, 5, 4, max_nnz=3, empty_rows={2})
+        for fitted in (clf, load_classifier(tmp_path / "clf.npz")):
+            probs = stacked_probabilities(fitted, X, beam_width=64)
+            for row in probs:
+                np.testing.assert_allclose(row, want, rtol=1e-12, atol=0)
+
+    def test_fit_writes_each_tree_at_its_offset(self):
+        ids = [f"L{j}" for j in range(6)]
+        assign = [j % 6 for j in range(30)]
+        pseudo = {f"p{i}": (ids[j],) for i, j in enumerate(assign)}
+        X = one_hot_matrix(assign, 6)
+        cfg = ClassifierConfig(n_trees=3, max_leaf=2)
+        clf = train_classifier(X, list(pseudo), pseudo, ids, cfg)
+        first, n_rows = _first_rows(clf.trees)
+        assert clf.weights.shape == (n_rows, 6) and clf.biases.shape == (n_rows,)
+        assert 0 < first[id(clf.trees[1])] < first[id(clf.trees[2])]
+        member = np.eye(6, dtype=bool)[assign]
+        for tree in clf.trees:
+            weights, biases = fit_tree(tree, _normalize_rows(X),
+                                       member[:, leaf_columns(tree, ids)], cfg)
+            at = slice(first[id(tree)], first[id(tree)] + biases.size)
+            assert clf.weights[at].tobytes() == weights.tobytes()
+            assert clf.biases[at].tobytes() == biases.tobytes()
 
 
 class TestFinalRanking:
@@ -876,25 +953,26 @@ class TestPersistence:
             with open(path, "rb") as a, open(ref, "rb") as r, open(again, "rb") as b:
                 written = a.read()
                 assert written == r.read() and written == b.read()
-        assert (loaded.label_ids, loaded.n_features) == (clf.label_ids, clf.n_features)
+        assert loaded.label_ids == clf.label_ids
         for x, y in zip(clf.trees, loaded.trees, strict=True):
             for a, b in zip(preorder(x), preorder(y), strict=True):
                 assert (a.label_ids, len(a.children)) == (b.label_ids, len(b.children))
-                np.testing.assert_array_equal(a.weights, b.weights)
-                np.testing.assert_array_equal(a.bias, b.bias)
+        assert loaded.weights.shape == clf.weights.shape == (clf.biases.size, n_features)
+        np.testing.assert_array_equal(loaded.weights, clf.weights)
+        np.testing.assert_array_equal(loaded.biases, clf.biases)
 
     def test_single_leaf_root_roundtrip(self, tmp_path):
-        root = selftrain.TreeNode(label_ids=("B", "A"), weights=np.eye(2, 3),
-                                  bias=np.array([0.5, -1.0]))
-        clf = LabelTreeClassifier(label_ids=("A", "B"), trees=[root], n_features=3)
+        root = selftrain.TreeNode(label_ids=("B", "A"))
+        clf = LabelTreeClassifier(("A", "B"), [root], np.eye(2, 3), np.array([0.5, -1.0]))
         save_classifier(clf, tmp_path / "clf.npz")
         loaded = load_classifier(tmp_path / "clf.npz")
         assert loaded.trees[0].is_leaf and loaded.trees[0].label_ids == clf.trees[0].label_ids
-        np.testing.assert_array_equal(loaded.trees[0].weights, clf.trees[0].weights)
+        np.testing.assert_array_equal(loaded.weights, clf.weights)
+        np.testing.assert_array_equal(loaded.biases, clf.biases)
 
     def test_save_holds_no_second_copy_of_the_weights(self, tmp_path):
         clf = random_classifier(np.random.default_rng(5), 32, 20_000, 1, max_leaf=16)
-        weight_bytes = sum(node.weights.nbytes for node in preorder(clf.trees[0]))
+        weight_bytes = clf.weights.nbytes
         assert weight_bytes >= 4 * 2**20
         tracemalloc.start()
         try:
@@ -943,28 +1021,30 @@ class TestPersistence:
 
 
 def reference_save_classifier(clf, path):
-    """The classifier writer before streaming: every weight row stacked into
-    one array, then np.savez_compressed."""
+    """The classifier writer before streaming: every node's weight rows
+    stacked into one array in preorder, then np.savez_compressed."""
     nodes, weights, biases = [], [], []
+    rows = node_rows(clf)
 
     def serialize(node):
         slot = len(nodes)
         rec = {"labels": list(node.label_ids)} if node.is_leaf else {}
         nodes.append(rec)
-        for j in range(len(node.bias)):
-            weights.append(node.weights[j])
-            biases.append(node.bias[j])
+        node_weights, node_bias = rows[id(node)]
+        for j in range(len(node_bias)):
+            weights.append(node_weights[j])
+            biases.append(node_bias[j])
         if not node.is_leaf:
             rec["children"] = [serialize(c) for c in node.children]
         return slot
 
     roots = [serialize(t) for t in clf.trees]
     meta = {"version": selftrain.CLASSIFIER_VERSION, "label_ids": list(clf.label_ids),
-            "n_features": clf.n_features,
+            "n_features": clf.weights.shape[1],
             "roots": roots, "nodes": nodes}
     with open(path, "wb") as fh:
         np.savez_compressed(
-            fh, weights=np.vstack(weights) if weights else np.zeros((0, clf.n_features)),
+            fh, weights=np.vstack(weights) if weights else np.zeros((0, clf.weights.shape[1])),
             biases=np.array(biases),
             meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
 
@@ -973,15 +1053,15 @@ def random_classifier(rng, n_labels, n_features, n_trees, max_leaf):
     """Label trees from build_label_tree with random weights on every node.
     Some labels get all-zero features, so some trees pool them in a leaf."""
     ids = [f"L{j}" for j in range(n_labels)]
-    trees = []
+    trees, weights, biases = [], [], []
     for t in range(n_trees):
         feats = rng.normal(size=(n_labels, 3)) * (rng.random((n_labels, 1)) < 0.8)
         tree = build_label_tree(feats, ids, max_leaf, seed=t)
         for node in preorder(tree):
-            k = len(node.label_ids) if node.is_leaf else len(node.children)
-            node.weights, node.bias = rng.normal(size=(k, n_features)), rng.normal(size=k)
+            weights.append(rng.normal(size=(node.n_outputs, n_features)))
+            biases.append(rng.normal(size=node.n_outputs))
         trees.append(tree)
-    return LabelTreeClassifier(label_ids=tuple(ids), trees=trees, n_features=n_features)
+    return LabelTreeClassifier(tuple(ids), trees, np.concatenate(weights), np.concatenate(biases))
 
 
 def recursive_label_tree(features, label_ids, max_leaf, seed):
@@ -1036,7 +1116,9 @@ class TestNoReferenceCycles:
         tree = build_label_tree(np.eye(6), ids, max_leaf=2, seed=0)
         X = _normalize_rows(one_hot_matrix(assign, 6))
         member = np.eye(6, dtype=bool)[assign][:, leaf_columns(tree, ids)]
-        assert garbage_after(train_tree, tree, X, member, ClassifierConfig()) == 0
+        _, n_rows = _first_rows([tree])
+        assert garbage_after(train_tree, tree, X, member, ClassifierConfig(),
+                             np.zeros((n_rows, 6)), np.zeros(n_rows)) == 0
 
     def test_save_and_load_classifier(self, tmp_path):
         clf = random_classifier(np.random.default_rng(10), 20, 5, 2, max_leaf=3)
