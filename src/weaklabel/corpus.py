@@ -234,6 +234,30 @@ def write_npz(path, members: dict[str, np.ndarray], compress: bool):
                     out.write(data[lo:lo + NPZ_CHUNK_BYTES])
 
 
+def read_npz(path, kind: str, version: int, stage: str,
+             ints: tuple[str, ...] = ()) -> tuple[dict, dict[str, np.ndarray]]:
+    """The decoded JSON ``meta`` member of an ``.npz`` archive, and its other
+    members. A meta that is not an object of version ``version`` (of the
+    file ``kind``) with ints at its ``ints`` keys raises
+    ValueError("<path>: ...; rerun <stage>")."""
+    with np.load(path) as data:
+        members = {name: data[name] for name in data.files}
+    try:
+        meta = json.loads(bytes(members.pop("meta")).decode("utf-8"))
+    except (KeyError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
+        raise ValueError(f"{path}: unreadable meta ({exc}); rerun {stage}") from None
+    if not isinstance(meta, dict):
+        problem = f"meta is a JSON {type(meta).__name__}, not an object"
+    elif meta.get("version") != version:
+        problem = f"{kind} version {meta.get('version')!r} is not {version}"
+    else:
+        problem = next((f"meta key {key!r} is missing or not an int" for key in ints
+                        if type(meta.get(key)) is not int), None)
+    if problem:
+        raise ValueError(f"{path}: {problem}; rerun {stage}")
+    return meta, members
+
+
 def write_jsonl(records, path):
     """Write each record as one line of JSON, atomically (``atomic_write``)."""
     with atomic_write(path) as fh:

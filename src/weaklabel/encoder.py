@@ -24,7 +24,7 @@ from hashlib import blake2b
 import numpy as np
 
 from . import kernels
-from .corpus import tokenize, write_npz
+from .corpus import read_npz, tokenize, write_npz
 
 DEFAULT_HASH_DIM = 2048
 DEFAULT_EMBED_DIM = 256
@@ -386,12 +386,12 @@ def save_model(model: ScorerModel, path, train_config: "TrainConfig | None" = No
 
 
 def load_model(path) -> ScorerModel:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"{path}: checkpoint version {meta.get('version')!r} is not "
-                             f"{CHECKPOINT_VERSION}; rerun train-encoder")
-        proj, w = data["proj"], data["w"]
+    meta, members = read_npz(path, "checkpoint", CHECKPOINT_VERSION, "train-encoder",
+                             ints=("hash_dim", "embed_dim", "hash_seed", "max_tokens"))
+    proj, w = members["proj"], members["w"]
+    if meta["max_tokens"] < 1:  # a slice to 0 or fewer tokens would silently drop words
+        raise ValueError(f"{path}: meta max_tokens {meta['max_tokens']} is not positive; "
+                         "rerun train-encoder")
     shapes = ((meta["hash_dim"], meta["embed_dim"]), (2 * meta["embed_dim"],))
     if (proj.shape, w.shape) != shapes:
         raise ValueError(f"{path}: proj is {proj.shape} and w {w.shape}, but its meta names "

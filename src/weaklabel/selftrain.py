@@ -6,17 +6,21 @@ label trees with logistic routing and one-vs-all leaf classifiers,
 predicted via per-level beam search. The classifier reranks every label
 outside the pinned top-N, so documents can receive labels that the
 name-matching retrieval stage could never surface.
+
+The trees are one table of node records, tree after tree and each tree
+in preorder (LabelTreeClassifier): the fit, the search and
+``classifier.npz`` read and write that one form.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TermCounts, Vocabulary, preorder, write_npz
+from .corpus import TermCounts, Vocabulary, read_npz, write_npz
 from .kernels import _sigmoid
 from .ranker import CandidateScore
 
@@ -128,20 +132,6 @@ def pseudo_labels(scored: dict[str, list[CandidateScore]], n: int) -> dict[str, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
-class TreeNode:
-    label_ids: tuple[str, ...] | None = None  # set on leaves only
-    children: list["TreeNode"] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.label_ids is not None
-
-    @property
-    def n_outputs(self) -> int:  # its classifier rows: per child, or per label on a leaf
-        return len(self.label_ids) if self.is_leaf else len(self.children)
-
-
 def _balanced_split(feats: np.ndarray, rng: np.random.Generator,
                     max_iter: int = 50) -> np.ndarray:
     """Two-way spherical clustering with split sizes differing by <= 1."""
@@ -166,11 +156,14 @@ def _balanced_split(feats: np.ndarray, rng: np.random.Generator,
 
 
 def build_label_tree(features: np.ndarray, label_ids: list[str], max_leaf: int,
-                     seed: int) -> TreeNode:
+                     seed: int, start: int = 0) -> list[dict]:
     """Recursive balanced two-way clustering of labels down to leaf size.
 
     ``features`` rows align with ``label_ids``; all-zero rows (labels
-    with no pseudo-positive documents) are pooled into one dedicated leaf.
+    with no pseudo-positive documents) are pooled into one dedicated leaf,
+    last, under a new root. Returns the tree's nodes in preorder, root
+    first: a leaf is ``{"labels": [label ids]}``, a routing node
+    ``{"children": [positions]}``, positions counted from ``start``.
     """
     if max_leaf < 1:
         raise ValueError("max_leaf must be positive")
@@ -180,36 +173,35 @@ def build_label_tree(features: np.ndarray, label_ids: list[str], max_leaf: int,
     rng = np.random.default_rng(seed)
 
     if not featured:
-        return TreeNode(label_ids=tuple(label_ids[i] for i in unfeatured))
+        return [{"labels": [label_ids[i] for i in unfeatured]}]
 
     unit = features[featured] / norms[featured, None]
+    top = {"children": []}  # the new root over the pooled leaf, if there is one
+    nodes = [top] if unfeatured else []
     # split in preorder, so the clustering draws from rng in a fixed order
-    root = TreeNode()
-    stack = [(root, np.arange(len(featured)))]
+    stack = [(top, np.arange(len(featured)))]  # (parent, rows)
     while stack:
-        node, rows = stack.pop()
+        parent, rows = stack.pop()
+        parent["children"].append(start + len(nodes))
         if rows.size <= max_leaf:
-            node.label_ids = tuple(label_ids[featured[i]] for i in rows)
+            nodes.append({"labels": [label_ids[featured[i]] for i in rows]})
             continue
         left = _balanced_split(unit[rows], rng)
-        node.children = [TreeNode(), TreeNode()]
-        stack += [(node.children[1], rows[~left]), (node.children[0], rows[left])]
+        nodes.append({"children": []})
+        stack += [(nodes[-1], rows[~left]), (nodes[-1], rows[left])]
     if unfeatured:
-        pooled = TreeNode(label_ids=tuple(label_ids[i] for i in unfeatured))
-        root = TreeNode(children=[root, pooled])
-    return root
+        top["children"].append(start + len(nodes))
+        nodes.append({"labels": [label_ids[i] for i in unfeatured]})
+    return nodes
 
 
-def _first_rows(trees: list[TreeNode]) -> tuple[dict[int, int], int]:
-    """Each node's first classifier row, keyed by ``id(node)``, and the
-    total row count, when the rows are numbered tree by tree, each tree's
-    nodes in preorder: the numbering of the fit, the search and the file."""
-    first, n_rows = {}, 0
-    for tree in trees:
-        for node in preorder(tree):
-            first[id(node)] = n_rows
-            n_rows += node.n_outputs
-    return first, n_rows
+def _first_rows(nodes: list[dict]) -> np.ndarray:
+    """Node p's classifier rows are ``first[p]:first[p + 1]``, one per label
+    on a leaf and one per child on a routing node: rows follow the nodes,
+    tree by tree and each tree in preorder, in the fit, the search and the
+    file. ``first[-1]`` is the row count."""
+    return np.cumsum([0] + [len(rec["labels"]) if "labels" in rec else len(rec["children"])
+                            for rec in nodes])
 
 
 @dataclass
@@ -297,10 +289,11 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray,
     return W, b
 
 
-def train_tree(tree: TreeNode, X: CsrMatrix, member: np.ndarray, cfg: ClassifierConfig,
-               weights: np.ndarray, biases: np.ndarray):
-    """Fit routing and leaf classifiers on (normalized) document rows into
-    the tree's rows of ``weights`` and ``biases``, numbered by _first_rows([tree]).
+def train_tree(nodes: list[dict], root: int, X: CsrMatrix, member: np.ndarray,
+               cfg: ClassifierConfig, weights: np.ndarray, biases: np.ndarray):
+    """Fit the routing and leaf classifiers of the tree at position ``root``
+    of ``nodes`` on (normalized) document rows into its rows of ``weights``
+    and ``biases``, numbered by _first_rows(nodes).
 
     ``member`` (rows x the tree's labels, its leaves' labels in preorder)
     is True where a row carries a label as a pseudo label, so the labels of
@@ -315,31 +308,39 @@ def train_tree(tree: TreeNode, X: CsrMatrix, member: np.ndarray, cfg: Classifier
     if all_rows.size == 0:
         raise ValueError("no training documents carry pseudo labels")
 
-    first, _ = _first_rows([tree])
-    width = {}  # each subtree's label count
-    for node in reversed(preorder(tree)):
-        width[id(node)] = (node.n_outputs if node.is_leaf
-                           else sum(width[id(c)] for c in node.children))
+    first = _first_rows(nodes)
+    width = [0] * len(nodes)  # each subtree's label count; children follow their parent
+    for pos in reversed(range(len(nodes))):
+        rec = nodes[pos]
+        width[pos] = (len(rec["labels"]) if "labels" in rec
+                      else sum(width[c] for c in rec["children"]))
 
-    stack = [(tree, all_rows, 0)]  # (node, its rows, its first membership column)
+    stack = [(root, all_rows, 0)]  # (node, its rows, its first membership column)
     while stack:
-        node, rows, lo = stack.pop()
+        pos, rows, lo = stack.pop()
+        children = nodes[pos].get("children", [])
         # one output per label on a leaf, per child subtree on a routing node
-        spans = [1] * node.n_outputs if node.is_leaf else [width[id(c)] for c in node.children]
+        spans = [1] * width[pos] if "labels" in nodes[pos] else [width[c] for c in children]
         starts = np.cumsum([0] + spans[:-1])
-        Y = np.logical_or.reduceat(member[rows, lo:lo + width[id(node)]], starts, axis=1)
-        at = slice(first[id(node)], first[id(node)] + node.n_outputs)
+        Y = np.logical_or.reduceat(member[rows, lo:lo + width[pos]], starts, axis=1)
+        at = slice(first[pos], first[pos + 1])
         weights[at], biases[at] = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
-        stack += [(child, rows[Y[:, j]], lo + int(starts[j]))
-                  for j, child in enumerate(node.children)]
+        stack += [(child, rows[Y[:, j]], lo + int(starts[j])) for j, child in enumerate(children)]
 
 
 @dataclass
 class LabelTreeClassifier:
-    """Label trees and their classifiers: row r of ``weights`` (rows x
-    tf-idf features) and ``biases`` is the one that _first_rows numbers r."""
+    """Label trees and their classifiers, as ``classifier.npz`` stores them.
+
+    ``nodes`` lists every tree's nodes, tree after tree, each tree in
+    preorder; ``roots`` gives each tree's root position. A leaf is
+    ``{"labels": [label ids]}``, a routing node ``{"children":
+    [positions]}``. Row r of ``weights`` (rows x tf-idf features) and
+    ``biases`` is the one that _first_rows(nodes) numbers r.
+    """
     label_ids: tuple[str, ...]
-    trees: list[TreeNode]
+    roots: list[int]
+    nodes: list[dict]
     weights: np.ndarray
     biases: np.ndarray
 
@@ -367,18 +368,19 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
             feats[j] = np.bincount(X.indices[take], weights=X.data[take],
                                    minlength=X.n_cols) / rows.size
 
-    trees = [build_label_tree(feats, label_ids, cfg.max_leaf, seed=cfg.seed + t)
-             for t in range(cfg.n_trees)]
+    roots, nodes = [], []
+    for t in range(cfg.n_trees):
+        roots.append(len(nodes))
+        nodes += build_label_tree(feats, label_ids, cfg.max_leaf, seed=cfg.seed + t,
+                                  start=len(nodes))
     del feats  # the fits need only the topologies; free the features before them
-    first, n_rows = _first_rows(trees)
+    n_rows = _first_rows(nodes)[-1]
     weights, biases = np.zeros((n_rows, X.n_cols)), np.zeros(n_rows)
     Xn = _normalize_rows(X)
-    for tree in trees:
-        leaf_order = [column[lid] for node in preorder(tree) if node.is_leaf
-                      for lid in node.label_ids]
-        at = slice(first[id(tree)], None)  # train_tree writes the tree's rows from its first
-        train_tree(tree, Xn, member[:, leaf_order], cfg, weights[at], biases[at])
-    return LabelTreeClassifier(tuple(label_ids), trees, weights, biases)
+    for root, end in zip(roots, roots[1:] + [len(nodes)]):
+        leaf_order = [column[lid] for rec in nodes[root:end] for lid in rec.get("labels", ())]
+        train_tree(nodes, root, Xn, member[:, leaf_order], cfg, weights, biases)
+    return LabelTreeClassifier(tuple(label_ids), roots, nodes, weights, biases)
 
 
 @dataclass
@@ -391,24 +393,22 @@ class _Level:
     label_col: np.ndarray  # per leaf label: its position in label_ids
 
 
-def _search_plan(tree: TreeNode, label_pos: dict[str, int], first: dict[int, int]):
-    """Lay out a tree's beam search as one _Level per depth, with the
-    classifier rows that ``first`` (from _first_rows) gives its nodes.
-    Each level lists its nodes in preorder, since it takes its parents'
-    children in order."""
+def _search_plan(nodes: list[dict], root: int, label_pos: dict[str, int], first: np.ndarray):
+    """Lay out the beam search of the tree at position ``root`` of
+    ``nodes`` as one _Level per depth, with the classifier rows that
+    ``first`` (from _first_rows) gives its nodes. Each level lists its
+    nodes in preorder, since it takes its parents' children in order."""
     levels = []
-    level = [(tree, 0, -1)]  # (node, parent column, routing classifier row)
+    level = [(root, 0, -1)]  # (node, parent column, routing classifier row)
     while level:
         nxt, leaf_col, leaf_row, label_col = [], [], [], []
-        for c, (node, _, _) in enumerate(level):
-            if node.is_leaf:
-                for j, lid in enumerate(node.label_ids):
-                    leaf_col.append(c)
-                    leaf_row.append(first[id(node)] + j)
-                    label_col.append(label_pos[lid])
-            else:
-                nxt.extend((child, c, first[id(node)] + j)
-                           for j, child in enumerate(node.children))
+        for c, (pos, _, _) in enumerate(level):
+            rec, row = nodes[pos], int(first[pos])
+            for j, lid in enumerate(rec.get("labels", ())):
+                leaf_col.append(c)
+                leaf_row.append(row + j)
+                label_col.append(label_pos[lid])
+            nxt.extend((child, c, row + j) for j, child in enumerate(rec.get("children", ())))
         levels.append(_Level(*(np.array(v, dtype=np.int64) for v in (
             [p for _, p, _ in level], [r for _, _, r in level],
             leaf_col, leaf_row, label_col))))
@@ -434,8 +434,8 @@ def predict_blocks(clf: LabelTreeClassifier, X: CsrMatrix, beam_width: int):
                          f"the corpus vocabulary has {X.n_cols}; rerun self-train")
     Xn = _normalize_rows(X)
     label_pos = {lid: j for j, lid in enumerate(clf.label_ids)}
-    first, _ = _first_rows(clf.trees)
-    plans = [_search_plan(tree, label_pos, first) for tree in clf.trees]
+    first = _first_rows(clf.nodes)
+    plans = [_search_plan(clf.nodes, root, label_pos, first) for root in clf.roots]
     buf = np.zeros((min(X.n_rows, BLOCK_ROWS), X.n_cols))
     for start, dense in _dense_blocks(_row_blocks(Xn, np.arange(X.n_rows)), buf):
         S = _sigmoid(dense @ clf.weights.T + clf.biases)
@@ -455,7 +455,7 @@ def predict_blocks(clf: LabelTreeClassifier, X: CsrMatrix, beam_width: int):
                 if lvl.leaf_col.size:
                     probs[:, lvl.label_col] += np.where(
                         alive[:, lvl.leaf_col], P[:, lvl.leaf_col] * S[:, lvl.leaf_row], 0.0)
-        probs /= len(clf.trees)
+        probs /= len(clf.roots)
         yield start, probs
 
 
@@ -487,39 +487,54 @@ def final_rankings(pinned: list[list[str]], probs: np.ndarray, label_ids) -> lis
 
 def save_classifier(clf: LabelTreeClassifier, path):
     """Write ``clf`` to ``path`` as a compressed npz: its classifier rows
-    (``weights``, ``biases``) and the trees as JSON (``meta``), every
-    tree's nodes in preorder, the order of the rows."""
-    nodes = [node for tree in clf.trees for node in preorder(tree)]
-    slot = {id(node): s for s, node in enumerate(nodes)}
-    recs = [{"labels": list(node.label_ids)} if node.is_leaf else
-            {"children": [slot[id(c)] for c in node.children]} for node in nodes]
+    (``weights``, ``biases``) and, as JSON (``meta``), its ``label_ids``,
+    ``roots`` and ``nodes`` as they are."""
     meta = {
         "version": CLASSIFIER_VERSION,
         "label_ids": list(clf.label_ids),
         "n_features": clf.weights.shape[1],
-        "roots": [slot[id(tree)] for tree in clf.trees],
-        "nodes": recs,
+        "roots": clf.roots,
+        "nodes": clf.nodes,
     }
     write_npz(path, {"weights": clf.weights, "biases": clf.biases,
                      "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)},
               compress=True)
 
 
-def _tree_problem(recs: list[dict], roots: list, label_ids: list) -> str | None:
-    """What keeps a classifier meta's ``nodes`` from being its trees, or
-    None: a child that is not a later node, nodes that are not the trees'
+def _list_of(value, kind: type) -> bool:
+    return isinstance(value, list) and all(type(v) is kind for v in value)
+
+
+def _tree_problem(meta: dict) -> str | None:
+    """What keeps a classifier meta from holding a classifier's trees, or
+    None: ``roots`` that is not a nonempty list of ints, ``label_ids`` that
+    is not a list of strings, a node that holds not exactly one of
+    ``labels`` (a list of strings) and ``children`` (a list of ints), a
+    child that is not a later node, nodes that are not the trees'
     preorders one after another, or a tree whose leaf labels are not a
-    permutation of the distinct ``label_ids``."""
+    permutation of the distinct ``label_ids``. Other node keys are ignored."""
+    roots, recs, label_ids = meta.get("roots"), meta.get("nodes"), meta.get("label_ids")
+    if not (roots and _list_of(roots, int)):
+        return "roots is not a nonempty list of ints"
+    if not _list_of(label_ids, str):
+        return "label_ids is not a list of strings"
+    if not isinstance(recs, list):
+        return "nodes is not a list"
+    for pos, rec in enumerate(recs):
+        keys = [key for key in ("labels", "children") if isinstance(rec, dict) and key in rec]
+        if keys not in (["labels"], ["children"]) or not _list_of(
+                rec[keys[0]], str if keys == ["labels"] else int):
+            return f"node {pos} is not one of {{labels: [strings]}} and {{children: [ints]}}"
     pos, want = 0, sorted(label_ids)  # pos: the node the preorder reaches next
     for t, root in enumerate(roots):
         labels, stack = [], [root]
         while stack:
             if stack.pop() != pos or pos == len(recs):
                 return f"tree {t} does not continue the preorder at node {pos}"
-            children = recs[pos].get("children", ())
-            if not all(isinstance(c, int) and pos < c < len(recs) for c in children):
+            children = recs[pos].get("children", [])
+            if not all(pos < c < len(recs) for c in children):
                 return f"node {pos} lists children {children}, not all of them later nodes"
-            labels += recs[pos].get("labels", ())
+            labels += recs[pos].get("labels", [])
             stack.extend(reversed(children))
             pos += 1
         if sorted(labels) != want or len(set(want)) < len(want):
@@ -528,26 +543,18 @@ def _tree_problem(recs: list[dict], roots: list, label_ids: list) -> str | None:
 
 
 def load_classifier(path) -> LabelTreeClassifier:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        if meta.get("version") != CLASSIFIER_VERSION:
-            raise ValueError(f"{path}: classifier version {meta.get('version')!r} is not "
-                             f"{CLASSIFIER_VERSION}; rerun self-train")
-        weights = data["weights"]
-        biases = data["biases"]
-    recs = meta["nodes"]
-    problem = _tree_problem(recs, meta["roots"], meta["label_ids"])
+    meta, members = read_npz(path, "classifier", CLASSIFIER_VERSION, "self-train",
+                             ints=("n_features",))
+    problem = _tree_problem(meta)
     if problem:
         raise ValueError(f"{path}: {problem}; rerun self-train")
-    nodes = [TreeNode(label_ids=tuple(rec["labels"]) if "labels" in rec else None)
-             for rec in recs]
-    for node, rec in zip(nodes, recs):
-        node.children = [nodes[c] for c in rec.get("children", ())]
-    n_rows = sum(node.n_outputs for node in nodes)  # the rows follow the nodes
+    nodes = [{key: rec[key]} for rec in meta["nodes"] for key in ("labels", "children")
+             if key in rec]  # the known key of each node only
+    weights, biases = members["weights"], members["biases"]
+    n_rows = int(_first_rows(nodes)[-1])  # the rows follow the nodes
     expected = (n_rows, meta["n_features"])
     if weights.dtype != np.float64 or weights.shape != expected or biases.shape != (n_rows,):
         raise ValueError(f"{path}: weights are {weights.dtype} {weights.shape} and biases "
                          f"{biases.shape}, but its meta names float64 {expected} and "
                          f"({n_rows},); rerun self-train")
-    return LabelTreeClassifier(tuple(meta["label_ids"]), [nodes[r] for r in meta["roots"]],
-                               weights, biases)
+    return LabelTreeClassifier(tuple(meta["label_ids"]), meta["roots"], nodes, weights, biases)

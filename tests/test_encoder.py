@@ -677,6 +677,24 @@ class TestCheckpoint:
                 loaded.featurizer.max_tokens) == (hash_dim, embed_dim, hash_seed, max_tokens)
         assert loaded.proj.flags.writeable and loaded.w.flags.writeable
 
+    # the missing, mistyped and non-JSON cases run through ``weaklabel score``
+    # in test_pipeline's TestStandalonePredict::test_mistyped_meta_fails
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda m: {**m, "max_tokens": -1}, "meta max_tokens -1 is not positive"),
+        (lambda m: {**m, "max_tokens": 0}, "meta max_tokens 0 is not positive"),
+        (lambda m: {**m, "hash_dim": True}, "meta key 'hash_dim' is missing or not an int"),
+    ])
+    def test_malformed_meta_names_train_encoder(self, tmp_path, edit, problem):
+        path = tmp_path / "model.npz"
+        model = init_model(hash_dim=16, embed_dim=4)
+        save_model(model, path)
+        with np.load(path) as data:
+            meta = edit(json.loads(bytes(data["meta"]).decode("utf-8")))
+        raw = meta if isinstance(meta, bytes) else json.dumps(meta).encode("utf-8")
+        np.savez(path, proj=model.proj, w=model.w, meta=np.frombuffer(raw, dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"model.npz: {problem}; rerun train-encoder$"):
+            load_model(path)
+
     @pytest.mark.parametrize("proj_shape, w_len", [((17, 4), 8), ((15, 4), 8), ((16, 5), 8),
                                                    ((16, 4), 9), ((16, 4), 4)])
     def test_archive_disagreeing_with_its_meta_rejected(self, tmp_path, proj_shape, w_len):

@@ -1087,6 +1087,37 @@ class TestStandalonePredict:
         assert problem in proc.stderr and "; rerun self-train" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("name, stage, edit, problem", [
+        ("classifier", "predict", lambda m: {**m, "nodes": [5] + m["nodes"][1:]},
+         "node 0 is not one of {labels: [strings]} and {children: [ints]}"),
+        ("classifier", "predict", lambda m: {k: v for k, v in m.items() if k != "nodes"},
+         "nodes is not a list"),
+        ("classifier", "predict", lambda m: {**m, "roots": 0},
+         "roots is not a nonempty list of ints"),
+        ("classifier", "predict", lambda m: b"{version: 1}",
+         "unreadable meta (Expecting property name"),
+        ("encoder", "score", lambda m: {k: v for k, v in m.items() if k != "hash_seed"},
+         "meta key 'hash_seed' is missing or not an int"),
+        ("encoder", "score", lambda m: [1], "meta is a JSON list, not an object"),
+        ("encoder", "score", lambda m: {**m, "max_tokens": "x"},
+         "meta key 'max_tokens' is missing or not an int"),
+        ("encoder", "score", lambda m: b"{version: 2}", "unreadable meta (Expecting property name"),
+    ])
+    def test_mistyped_meta_fails(self, out, name, stage, edit, problem):
+        copy, config = out
+        path = copy / f"{name}.npz"
+        with np.load(path) as data:
+            members = {key: data[key] for key in data.files}
+        meta = edit(json.loads(bytes(members["meta"]).decode("utf-8")))
+        raw = meta if isinstance(meta, bytes) else json.dumps(meta).encode("utf-8")
+        members["meta"] = np.frombuffer(raw, dtype=np.uint8)
+        np.savez(path, **members)
+        proc = run_cli(stage, "--config", config)
+        rerun = {"classifier": "self-train", "encoder": "train-encoder"}[name]
+        assert proc.returncode == 1
+        assert f"stage {stage} failed: {path}: {problem}" in proc.stderr
+        assert f"; rerun {rerun}" in proc.stderr and "Traceback" not in proc.stderr
+
 
 class TestBlasThreads:
     """``weaklabel predict`` on one classifier under 1 and 2 BLAS threads:

@@ -15,7 +15,7 @@ from weaklabel import kernels, selftrain
 from weaklabel.encoder import SparseVec
 from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
-    BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier, TreeNode,
+    BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier,
     build_label_tree, final_rankings, load_classifier, predict_blocks, pseudo_labels,
     save_classifier, train_classifier, train_tree, _first_rows, _fit_logistic, _in_row_space,
     _normalize_rows, _search_plan,
@@ -194,31 +194,66 @@ class TestPseudoLabels:
             pseudo_labels({}, 0)
 
 
-def leaves(tree):
-    return [node for node in preorder(tree) if node.is_leaf]
+# A label tree is a table of node records in preorder (see LabelTreeClassifier):
+# ``{"labels": [ids]}`` on a leaf, ``{"children": [positions]}`` on a routing node.
+
+
+def subtree(nodes, pos=0):
+    """The positions of the subtree at ``pos``, in preorder, by a recursion."""
+    return [pos] + [p for c in nodes[pos].get("children", []) for p in subtree(nodes, c)]
+
+
+def leaves(nodes, pos=0):
+    """The leaf records of the subtree at ``pos``, in preorder."""
+    return [nodes[p] for p in subtree(nodes, pos) if "labels" in nodes[p]]
 
 
 def node_rows(clf):
     """Each node's classifier rows of ``clf`` as (weights, biases), keyed by
-    ``id(node)``: the rows _first_rows numbers for it."""
-    first, _ = _first_rows(clf.trees)
-    spans = {id(node): slice(first[id(node)], first[id(node)] + node.n_outputs)
-             for tree in clf.trees for node in preorder(tree)}
-    return {key: (clf.weights[at], clf.biases[at]) for key, at in spans.items()}
+    its position: the rows _first_rows numbers for it."""
+    first = _first_rows(clf.nodes)
+    return {pos: (clf.weights[first[pos]:first[pos + 1]], clf.biases[first[pos]:first[pos + 1]])
+            for pos in range(len(clf.nodes))}
 
 
-def fit_tree(tree, X, member, cfg):
-    """train_tree into arrays of its own: (weights, biases)."""
-    _, n_rows = _first_rows([tree])
+def fit_tree(nodes, X, member, cfg, root=0):
+    """train_tree into arrays of its own, sized for all of ``nodes``: (weights, biases)."""
+    n_rows = _first_rows(nodes)[-1]
     weights, biases = np.zeros((n_rows, X.n_cols)), np.zeros(n_rows)
-    train_tree(tree, X, member, cfg, weights, biases)
+    train_tree(nodes, root, X, member, cfg, weights, biases)
     return weights, biases
 
 
-def topo(node):
-    if node.is_leaf:
-        return tuple(sorted(node.label_ids))
-    return tuple(topo(c) for c in node.children)
+def topo(nodes, pos=0):
+    rec = nodes[pos]
+    if "labels" in rec:
+        return tuple(sorted(rec["labels"]))
+    return tuple(topo(nodes, c) for c in rec["children"])
+
+
+def depth(nodes, pos=0):
+    children = nodes[pos].get("children", [])
+    return 1 + max(depth(nodes, c) for c in children) if children else 0
+
+
+class RefNode:
+    """A linked label-tree node, as the trees were held before the table."""
+
+    def __init__(self, label_ids=None, children=None):
+        self.label_ids = label_ids  # set on leaves only
+        self.children = children or []
+
+    @property
+    def is_leaf(self):
+        return self.label_ids is not None
+
+
+def flatten(root, start=0):
+    """A linked tree as node records in preorder, positions from ``start``."""
+    nodes = recursive_preorder(root)
+    slot = {id(node): start + s for s, node in enumerate(nodes)}
+    return [{"labels": list(node.label_ids)} if node.is_leaf else
+            {"children": [slot[id(c)] for c in node.children]} for node in nodes]
 
 
 def recursive_preorder(node):
@@ -227,9 +262,9 @@ def recursive_preorder(node):
 
 label_trees = st.recursive(
     st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=3).map(
-        lambda ids: TreeNode(label_ids=tuple(ids))),
+        lambda ids: RefNode(label_ids=tuple(ids))),
     lambda kids: st.lists(kids, min_size=1, max_size=4).map(
-        lambda children: TreeNode(children=children)),
+        lambda children: RefNode(children=children)),
     max_leaves=30)
 
 
@@ -238,19 +273,44 @@ def test_preorder_matches_recursive_reference(tree):
     assert preorder(tree) == recursive_preorder(tree)  # nodes compare by identity
 
 
+def reference_label_tree(features, label_ids, max_leaf, seed):
+    """build_label_tree as it built linked nodes: the reference for the table."""
+    norms = np.linalg.norm(features, axis=1)
+    featured = [i for i in range(len(label_ids)) if norms[i] > 0]
+    unfeatured = [i for i in range(len(label_ids)) if norms[i] == 0]
+    rng = np.random.default_rng(seed)
+    if not featured:
+        return RefNode(label_ids=tuple(label_ids[i] for i in unfeatured))
+    unit = features[featured] / norms[featured, None]
+    root = RefNode()
+    stack = [(root, np.arange(len(featured)))]
+    while stack:
+        node, rows = stack.pop()
+        if rows.size <= max_leaf:
+            node.label_ids = tuple(label_ids[featured[i]] for i in rows)
+            continue
+        left = selftrain._balanced_split(unit[rows], rng)
+        node.children = [RefNode(), RefNode()]
+        stack += [(node.children[1], rows[~left]), (node.children[0], rows[left])]
+    if unfeatured:
+        pooled = RefNode(label_ids=tuple(label_ids[i] for i in unfeatured))
+        root = RefNode(children=[root, pooled])
+    return root
+
+
 class TestBuildLabelTree:
     def test_planted_pairs_colocated(self):
         feats = np.array([[1.0, 0.05], [0.9, 0.0], [0.0, 1.0], [0.05, 0.95]])
         tree = build_label_tree(feats, ["A", "B", "C", "D"], max_leaf=2, seed=0)
-        groups = {frozenset(l.label_ids) for l in leaves(tree)}
+        groups = {frozenset(l["labels"]) for l in leaves(tree)}
         assert groups == {frozenset({"A", "B"}), frozenset({"C", "D"})}
-        assert not tree.is_leaf and all(c.is_leaf for c in tree.children)
+        assert "children" in tree[0] and all("labels" in tree[c] for c in tree[0]["children"])
 
     def test_single_leaf_when_small(self):
         feats = np.eye(3)
         tree = build_label_tree(feats, ["A", "B", "C"], max_leaf=100, seed=0)
-        assert tree.is_leaf
-        assert set(tree.label_ids) == {"A", "B", "C"}
+        assert len(tree) == 1 and "labels" in tree[0]
+        assert set(tree[0]["labels"]) == {"A", "B", "C"}
 
     def test_same_seed_same_topology(self):
         rng = np.random.default_rng(5)
@@ -258,29 +318,30 @@ class TestBuildLabelTree:
         ids = [f"L{i}" for i in range(30)]
         t1 = build_label_tree(feats, ids, max_leaf=4, seed=9)
         t2 = build_label_tree(feats, ids, max_leaf=4, seed=9)
-        assert topo(t1) == topo(t2)
+        assert topo(t1) == topo(t2) and t1 == t2
 
     def test_balanced_splits(self):
         rng = np.random.default_rng(6)
         feats = rng.random((17, 5))
         tree = build_label_tree(feats, [f"L{i}" for i in range(17)], max_leaf=1, seed=0)
 
-        def check(node):
-            if node.is_leaf:
+        def check(pos):
+            if "labels" in tree[pos]:
                 return 1
-            sizes = [check(c) for c in node.children]
+            sizes = [check(c) for c in tree[pos]["children"]]
             assert abs(sizes[0] - sizes[1]) <= 1
             return sum(sizes)
 
-        assert check(tree) == 17
+        assert check(0) == 17
 
     def test_zero_feature_labels_pooled(self):
         feats = np.vstack([np.eye(4), np.zeros((3, 4))])
         ids = [f"F{i}" for i in range(4)] + [f"Z{i}" for i in range(3)]
         tree = build_label_tree(feats, ids, max_leaf=2, seed=0)
-        pools = [set(l.label_ids) for l in leaves(tree)]
+        pools = [set(l["labels"]) for l in leaves(tree)]
         assert {"Z0", "Z1", "Z2"} in pools
-        assert sorted(lid for l in leaves(tree) for lid in l.label_ids) == sorted(ids)
+        assert sorted(lid for l in leaves(tree) for lid in l["labels"]) == sorted(ids)
+        assert tree[0]["children"] == [1, len(tree) - 1]  # the pooled leaf last, under the root
 
     def test_every_label_in_exactly_one_leaf(self):
         rng = np.random.default_rng(7)
@@ -288,8 +349,20 @@ class TestBuildLabelTree:
         feats[5] = 0.0
         ids = [f"L{i}" for i in range(23)]
         tree = build_label_tree(feats, ids, max_leaf=3, seed=1)
-        seen = [lid for leaf in leaves(tree) for lid in leaf.label_ids]
+        seen = [lid for leaf in leaves(tree) for lid in leaf["labels"]]
         assert sorted(seen) == sorted(ids)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n_labels=st.integers(1, 24), seed=st.integers(0, 2**32 - 1),
+           start=st.integers(0, 50))
+    def test_equals_the_linked_reference(self, data, n_labels, seed, start):
+        rng = np.random.default_rng(seed)
+        feats = rng.normal(size=(n_labels, 4))
+        feats[rng.random(n_labels) < data.draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
+        max_leaf = data.draw(st.integers(1, n_labels))
+        ids = [f"L{i}" for i in range(n_labels)]
+        want = flatten(reference_label_tree(feats, ids, max_leaf, seed), start)
+        assert build_label_tree(feats, ids, max_leaf, seed, start=start) == want
 
 
 def one_hot_matrix(assignments, n_cols):
@@ -329,8 +402,7 @@ class TestTrainAndPredict:
     def test_deterministic_weights(self):
         a = self.fitted(seed=3)[0]
         b = self.fitted(seed=3)[0]
-        for ta, tb in zip(a.trees, b.trees):
-            assert topo(ta) == topo(tb)
+        assert (a.roots, a.nodes) == (b.roots, b.nodes)
         np.testing.assert_array_equal(a.weights, b.weights)
         np.testing.assert_array_equal(a.biases, b.biases)
 
@@ -346,14 +418,14 @@ class TestTrainAndPredict:
 
     def test_single_leaf_equals_leaf_outputs(self):
         clf, X, assign, ids = self.fitted(max_leaf=10)  # one leaf holds all
-        tree = clf.trees[0]
-        assert tree.is_leaf
+        leaf = clf.nodes[clf.roots[0]]
+        assert clf.roots == [0, 1] and "labels" in leaf
         x = csr_row(X, 0)
-        n = len(tree.label_ids)  # the first tree's rows come first
-        probs = predict_proba(LabelTreeClassifier(clf.label_ids, [tree], clf.weights[:n],
+        n = len(leaf["labels"])  # the first tree's rows come first
+        probs = predict_proba(LabelTreeClassifier(clf.label_ids, [0], [leaf], clf.weights[:n],
                                                   clf.biases[:n]), x)
         xn = SparseVec(x.indices, x.values / np.linalg.norm(x.values), x.dim)
-        for j, lid in enumerate(tree.label_ids):
+        for j, lid in enumerate(leaf["labels"]):
             z = float(clf.weights[j][xn.indices] @ xn.values) + clf.biases[j]
             assert probs[lid] == pytest.approx(1 / (1 + math.exp(-z)), abs=1e-12)
 
@@ -366,20 +438,20 @@ class TestTrainAndPredict:
             out = {}
             rows = node_rows(clf)
 
-            def walk(node, p):
-                weights, bias = rows[id(node)]
-                if node.is_leaf:
-                    for j, lid in enumerate(node.label_ids):
+            def walk(pos, p):
+                weights, bias = rows[pos]
+                if "labels" in clf.nodes[pos]:
+                    for j, lid in enumerate(clf.nodes[pos]["labels"]):
                         z = float(weights[j][xn.indices] @ xn.values) + bias[j]
                         out[lid] = out.get(lid, 0.0) + p / (1 + math.exp(-z))
                     return
-                for j, child in enumerate(node.children):
+                for j, child in enumerate(clf.nodes[pos]["children"]):
                     z = float(weights[j][xn.indices] @ xn.values) + bias[j]
                     walk(child, p / (1 + math.exp(-z)))
 
-            for tree in clf.trees:
-                walk(tree, 1.0)
-            return {k: v / len(clf.trees) for k, v in out.items()}
+            for root in clf.roots:
+                walk(root, 1.0)
+            return {k: v / len(clf.roots) for k, v in out.items()}
 
         for i in (0, 7, 20):
             x = csr_row(X, i)
@@ -402,10 +474,10 @@ class TestTrainAndPredict:
         assert len(narrow) < len(wide)
 
 
-def leaf_columns(tree, label_ids):
+def leaf_columns(nodes, label_ids, root=0):
     """The column in ``label_ids`` of each of the tree's leaf labels, leaves in preorder."""
     column = {lid: j for j, lid in enumerate(label_ids)}
-    return [column[lid] for leaf in leaves(tree) for lid in leaf.label_ids]
+    return [column[lid] for leaf in leaves(nodes, root) for lid in leaf["labels"]]
 
 
 def reference_label_features(X, paper_ids, pseudo, label_ids):
@@ -427,22 +499,23 @@ def reference_label_features(X, paper_ids, pseudo, label_ids):
     return feats
 
 
-def reference_fits(tree, X, label_sets, cfg):
-    """Each node's (weights, bias) by a descent over label sets: a document
-    reaches a child when it carries a label of the child's subtree."""
-    def labels_under(node):
-        return {lid for leaf in leaves(node) for lid in leaf.label_ids}
+def reference_fits(nodes, X, label_sets, cfg):
+    """Each node's (weights, bias), keyed by position, by a descent over label
+    sets: a document reaches a child when it carries a label of the child's subtree."""
+    def labels_under(pos):
+        return {lid for leaf in leaves(nodes, pos) for lid in leaf["labels"]}
 
     out = {}
-    todo = [(tree, np.flatnonzero([bool(labels) for labels in label_sets]))]
+    todo = [(0, np.flatnonzero([bool(labels) for labels in label_sets]))]
     while todo:
-        node, rows = todo.pop()
-        groups = ([{lid} for lid in node.label_ids] if node.is_leaf
-                  else [labels_under(c) for c in node.children])
+        pos, rows = todo.pop()
+        children = nodes[pos].get("children", [])
+        groups = ([{lid} for lid in nodes[pos]["labels"]] if "labels" in nodes[pos]
+                  else [labels_under(c) for c in children])
         Y = np.array([[bool(label_sets[i] & g) for g in groups] for i in rows],
                      dtype=bool).reshape(rows.size, len(groups))
-        out[id(node)] = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
-        todo += [(c, rows[Y[:, j]]) for j, c in enumerate(node.children)]
+        out[pos] = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
+        todo += [(c, rows[Y[:, j]]) for j, c in enumerate(children)]
     return out
 
 
@@ -504,13 +577,13 @@ class TestMembership:
                             lambda X, rows, Y, cfg: fitted.append(rows) or fit(X, rows, Y, cfg))
         cfg = ClassifierConfig(epochs=5)
         weights, biases = fit_tree(tree, X, member[:, leaf_columns(tree, ids)], cfg)
-        assert len(fitted) == len(preorder(tree))
+        assert len(fitted) == len(tree)
         assert all(4 not in rows and 9 in rows for rows in fitted)
         want = reference_fits(tree, X, label_sets, cfg)
-        first, _ = _first_rows([tree])
-        for node in preorder(tree):
-            w, b = want[id(node)]
-            at = slice(first[id(node)], first[id(node)] + node.n_outputs)
+        first = _first_rows(tree)
+        for pos in range(len(tree)):
+            w, b = want[pos]
+            at = slice(first[pos], first[pos + 1])
             assert weights[at].tobytes() == w.tobytes() and biases[at].tobytes() == b.tobytes()
 
 
@@ -656,8 +729,7 @@ class TestRowSpaceFit:
             monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape, f=form: f)
             fitted[form] = train_classifier(X, ids, pseudo, label_ids, cfg)
         primal, dual = fitted[False], fitted[True]
-        for ta, tb in zip(primal.trees, dual.trees):
-            assert topo(ta) == topo(tb)
+        assert (primal.roots, primal.nodes) == (dual.roots, dual.nodes)
         np.testing.assert_allclose(primal.weights, dual.weights, rtol=0, atol=1e-12)
         np.testing.assert_allclose(primal.biases, dual.biases, rtol=0, atol=1e-12)
         pa, pb = stacked_probabilities(primal, X, 3), stacked_probabilities(dual, X, 3)
@@ -684,29 +756,23 @@ def scalar_beam(clf, x, beam):
     xn = SparseVec(x.indices, x.values / norm, x.dim) if norm > 0 else x
     rows = node_rows(clf)
     acc = {}
-    for tree in clf.trees:
-        position = {id(node): i for i, node in enumerate(preorder(tree))}
-        frontier = [(1.0, tree)]
+    for root in clf.roots:
+        position = {pos: i for i, pos in enumerate(subtree(clf.nodes, root))}  # preorder rank
+        frontier = [(1.0, root)]
         while frontier:
-            frontier.sort(key=lambda item: (-item[0], position[id(item[1])]))
+            frontier.sort(key=lambda item: (-item[0], position[item[1]]))
             frontier = frontier[:beam]
             nxt = []
-            for p, node in frontier:
-                weights, bias = rows[id(node)]
-                if node.is_leaf:
-                    for j, lid in enumerate(node.label_ids):
-                        s = p * sigmoid(logit(weights[j], bias[j]))
-                        acc[lid] = acc.get(lid, 0.0) + s
-                else:
-                    for j, child in enumerate(node.children):
-                        q = p * sigmoid(logit(weights[j], bias[j]))
-                        nxt.append((q, child))
+            for p, pos in frontier:
+                weights, bias = rows[pos]
+                for j, lid in enumerate(clf.nodes[pos].get("labels", [])):
+                    s = p * sigmoid(logit(weights[j], bias[j]))
+                    acc[lid] = acc.get(lid, 0.0) + s
+                for j, child in enumerate(clf.nodes[pos].get("children", [])):
+                    q = p * sigmoid(logit(weights[j], bias[j]))
+                    nxt.append((q, child))
             frontier = nxt
-    return {lid: v / len(clf.trees) for lid, v in acc.items()}
-
-
-def depth(node):
-    return 0 if node.is_leaf else 1 + max(depth(c) for c in node.children)
+    return {lid: v / len(clf.roots) for lid, v in acc.items()}
 
 
 class TestBatchedBeam:
@@ -737,12 +803,13 @@ class TestBatchedBeam:
 
     def test_trees_are_deep_and_tie(self, deep):
         clf, _ = deep
-        assert all(depth(t) >= 3 for t in clf.trees)
-        for tree in clf.trees:
-            twins = [n for n in preorder(tree) if not n.is_leaf
-                     and {c.label_ids for c in n.children} == {("L00",), ("L01",)}]
+        assert len(clf.roots) == 2 and all(depth(clf.nodes, r) >= 3 for r in clf.roots)
+        for root in clf.roots:
+            twins = [p for p in subtree(clf.nodes, root) if {
+                tuple(clf.nodes[c].get("labels", ())) for c in clf.nodes[p].get("children", [])
+            } == {("L00",), ("L01",)}]
             assert twins, "L00 and L01 should be sibling leaves"
-            weights, _ = node_rows(clf)[id(twins[0])]
+            weights, _ = node_rows(clf)[twins[0]]
             np.testing.assert_array_equal(weights[0], weights[1])
 
     @pytest.mark.parametrize("beam", [1, 2, 3, 64])
@@ -787,21 +854,20 @@ class TestSearchPlan:
     @given(n_labels=st.integers(1, 30), max_leaf=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1))
     def test_levels_list_nodes_in_preorder(self, n_labels, max_leaf, seed):
-        clf = random_classifier(np.random.default_rng(seed), n_labels, 2, 1, max_leaf)
-        tree = clf.trees[0]
-        first, _ = _first_rows(clf.trees)
-        levels = _search_plan(tree, {lid: j for j, lid in enumerate(clf.label_ids)}, first)
-        nodes = preorder(tree)
-        position = {id(node): i for i, node in enumerate(nodes)}
-        level, seen = [tree], []
+        clf = random_classifier(np.random.default_rng(seed), n_labels, 2, 2, max_leaf)
+        root, nodes = clf.roots[1], clf.nodes  # the second tree, whose rows do not start at 0
+        first = _first_rows(nodes)
+        levels = _search_plan(nodes, root, {lid: j for j, lid in enumerate(clf.label_ids)}, first)
+        position = {pos: i for i, pos in enumerate(subtree(nodes, root))}  # preorder rank
+        level, seen = [root], []
         for d, lvl in enumerate(levels):
             if d:  # each node from its parent's column and its routing row
-                level = [level[p].children[r - first[id(level[p])]]
+                level = [nodes[level[p]]["children"][r - first[level[p]]]
                          for p, r in zip(lvl.parent, lvl.row)]
-            at = [position[id(node)] for node in level]
+            at = [position[pos] for pos in level]
             assert at == sorted(at)
             seen += at
-        assert sorted(seen) == list(range(len(nodes)))
+        assert sorted(seen) == list(range(len(position)))
 
 
 class TestOneRowNumbering:
@@ -815,17 +881,17 @@ class TestOneRowNumbering:
         rows = iter(range(clf.biases.size))
         acc = dict.fromkeys(clf.label_ids, 0.0)
 
-        def walk(node, p):
-            s = [1.0 / (1.0 + math.exp(-clf.biases[next(rows)])) for _ in range(node.n_outputs)]
-            if node.is_leaf:
-                for lid, q in zip(node.label_ids, s):
-                    acc[lid] += p * q
-            for child, q in zip(node.children, s):
+        def walk(pos, p):
+            outputs = clf.nodes[pos].get("labels", clf.nodes[pos].get("children"))
+            s = [1.0 / (1.0 + math.exp(-clf.biases[next(rows)])) for _ in outputs]
+            for lid, q in zip(clf.nodes[pos].get("labels", []), s):
+                acc[lid] += p * q
+            for child, q in zip(clf.nodes[pos].get("children", []), s):
                 walk(child, p * q)
 
-        for tree in clf.trees:
-            walk(tree, 1.0)
-        return np.array([acc[lid] / len(clf.trees) for lid in clf.label_ids])
+        for root in clf.roots:
+            walk(root, 1.0)
+        return np.array([acc[lid] / len(clf.roots) for lid in clf.label_ids])
 
     def test_zero_weights_give_the_biases_of_each_path(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -847,16 +913,19 @@ class TestOneRowNumbering:
         X = one_hot_matrix(assign, 6)
         cfg = ClassifierConfig(n_trees=3, max_leaf=2)
         clf = train_classifier(X, list(pseudo), pseudo, ids, cfg)
-        first, n_rows = _first_rows(clf.trees)
-        assert clf.weights.shape == (n_rows, 6) and clf.biases.shape == (n_rows,)
-        assert 0 < first[id(clf.trees[1])] < first[id(clf.trees[2])]
+        first = _first_rows(clf.nodes)
+        assert clf.weights.shape == (first[-1], 6) and clf.biases.shape == (first[-1],)
+        assert 0 < first[clf.roots[1]] < first[clf.roots[2]]
         member = np.eye(6, dtype=bool)[assign]
-        for tree in clf.trees:
-            weights, biases = fit_tree(tree, _normalize_rows(X),
-                                       member[:, leaf_columns(tree, ids)], cfg)
-            at = slice(first[id(tree)], first[id(tree)] + biases.size)
-            assert clf.weights[at].tobytes() == weights.tobytes()
-            assert clf.biases[at].tobytes() == biases.tobytes()
+        for t, root in enumerate(clf.roots):
+            weights, biases = fit_tree(clf.nodes, _normalize_rows(X),
+                                       member[:, leaf_columns(clf.nodes, ids, root)], cfg, root)
+            at = slice(first[root], first[clf.roots[t + 1]] if t + 1 < 3 else None)
+            others = biases.copy()
+            others[at] = 0.0
+            assert biases[at].any() and not others.any()  # the fit wrote its tree's rows only
+            assert clf.weights[at].tobytes() == weights[at].tobytes()
+            assert clf.biases[at].tobytes() == biases[at].tobytes()
 
 
 class TestFinalRanking:
@@ -954,19 +1023,17 @@ class TestPersistence:
                 written = a.read()
                 assert written == r.read() and written == b.read()
         assert loaded.label_ids == clf.label_ids
-        for x, y in zip(clf.trees, loaded.trees, strict=True):
-            for a, b in zip(preorder(x), preorder(y), strict=True):
-                assert (a.label_ids, len(a.children)) == (b.label_ids, len(b.children))
+        assert (loaded.roots, loaded.nodes) == (clf.roots, clf.nodes)
         assert loaded.weights.shape == clf.weights.shape == (clf.biases.size, n_features)
         np.testing.assert_array_equal(loaded.weights, clf.weights)
         np.testing.assert_array_equal(loaded.biases, clf.biases)
 
     def test_single_leaf_root_roundtrip(self, tmp_path):
-        root = selftrain.TreeNode(label_ids=("B", "A"))
-        clf = LabelTreeClassifier(("A", "B"), [root], np.eye(2, 3), np.array([0.5, -1.0]))
+        clf = LabelTreeClassifier(("A", "B"), [0], [{"labels": ["B", "A"]}], np.eye(2, 3),
+                                  np.array([0.5, -1.0]))
         save_classifier(clf, tmp_path / "clf.npz")
         loaded = load_classifier(tmp_path / "clf.npz")
-        assert loaded.trees[0].is_leaf and loaded.trees[0].label_ids == clf.trees[0].label_ids
+        assert loaded.roots == [0] and loaded.nodes == [{"labels": ["B", "A"]}]
         np.testing.assert_array_equal(loaded.weights, clf.weights)
         np.testing.assert_array_equal(loaded.biases, clf.biases)
 
@@ -989,6 +1056,69 @@ class TestPersistence:
         arrays.update(changes)
         np.savez_compressed(path, **arrays)
 
+    def rewrite_meta(self, path, edit):
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+        edit(meta)
+        self.rewrite(path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+
+    def test_older_node_keys_load_and_predict_alike(self, tmp_path):
+        # files written before the one weight matrix also held each node's
+        # rows as ``index`` and ``clf`` and the meta a ``beam_width``
+        clf = random_classifier(np.random.default_rng(9), 13, 5, 2, max_leaf=3)
+        path = tmp_path / "clf.npz"
+        save_classifier(clf, path)
+        first = _first_rows(clf.nodes)
+
+        def older(meta):
+            meta["beam_width"] = 10
+            for pos, rec in enumerate(meta["nodes"]):
+                rec.update(index=pos, clf={"rows": [int(first[pos]), int(first[pos + 1])]})
+
+        self.rewrite_meta(path, older)
+        loaded = load_classifier(path)
+        assert (loaded.roots, loaded.nodes) == (clf.roots, clf.nodes)
+        X = random_csr(np.random.default_rng(3), 20, 5, max_nnz=4, empty_rows={4})
+        for beam in (1, 3, 10):
+            assert stacked_probabilities(loaded, X, beam).tobytes() == \
+                stacked_probabilities(clf, X, beam).tobytes()
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda m: m["nodes"].__setitem__(1, 5), "node 1 is not one of"),
+        (lambda m: m["nodes"][0].update(labels=["L0"]), "node 0 is not one of"),
+        (lambda m: m["nodes"][0].update(children=[1.0, 2]), "node 0 is not one of"),
+        (lambda m: next(r for r in m["nodes"] if "labels" in r)["labels"].append(3),
+         "is not one of"),
+        (lambda m: next(r for r in m["nodes"] if "labels" in r).pop("labels"), "is not one of"),
+        (lambda m: m.pop("nodes"), "nodes is not a list"),
+        (lambda m: m.update(roots=0), "roots is not a nonempty list of ints"),
+        (lambda m: m.update(roots=[]), "roots is not a nonempty list of ints"),
+        (lambda m: m.update(roots=[True]), "roots is not a nonempty list of ints"),
+        (lambda m: m.update(label_ids=[1, 2]), "label_ids is not a list of strings"),
+        (lambda m: m.update(n_features="4"), "meta key 'n_features' is missing or not an int"),
+        (lambda m: m.pop("n_features"), "meta key 'n_features' is missing or not an int"),
+    ])
+    def test_malformed_meta_named(self, tmp_path, edit, problem):
+        path = tmp_path / "clf.npz"
+        save_classifier(random_classifier(np.random.default_rng(7), 6, 3, 1, max_leaf=2), path)
+        self.rewrite_meta(path, edit)
+        with pytest.raises(ValueError) as err:
+            load_classifier(path)
+        assert str(err.value).startswith(f"{path}: ") and problem in str(err.value)
+        assert str(err.value).endswith("; rerun self-train")
+
+    @pytest.mark.parametrize("raw, problem", [
+        (b"{version: 1}", r"unreadable meta \(Expecting property name .*\)"),
+        (b"\xff", r"unreadable meta \(.*utf-8.*\)"),
+        (b"[1]", "meta is a JSON list, not an object"),
+    ])
+    def test_meta_that_is_no_json_object_named(self, tmp_path, raw, problem):
+        path = tmp_path / "clf.npz"
+        save_classifier(random_classifier(np.random.default_rng(7), 6, 3, 1, max_leaf=2), path)
+        self.rewrite(path, meta=np.frombuffer(raw, dtype=np.uint8))
+        with pytest.raises(ValueError, match=f"clf.npz: {problem}; rerun self-train$"):
+            load_classifier(path)
+
     @pytest.mark.parametrize("change", ["short_weights", "float32_weights", "wide_weights",
                                         "short_biases"])
     def test_archive_disagreeing_with_its_meta_rejected(self, tmp_path, change):
@@ -1010,10 +1140,7 @@ class TestPersistence:
     def test_other_version_names_self_train(self, tmp_path, version):
         path = tmp_path / "clf.npz"
         save_classifier(random_classifier(np.random.default_rng(7), 6, 3, 1, max_leaf=2), path)
-        with np.load(path) as data:
-            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        meta["version"] = version
-        self.rewrite(path, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+        self.rewrite_meta(path, lambda meta: meta.update(version=version))
         with pytest.raises(ValueError) as err:
             load_classifier(path)
         assert str(err.value) == (f"{path}: classifier version {version!r} is not "
@@ -1026,19 +1153,19 @@ def reference_save_classifier(clf, path):
     nodes, weights, biases = [], [], []
     rows = node_rows(clf)
 
-    def serialize(node):
+    def serialize(pos):
         slot = len(nodes)
-        rec = {"labels": list(node.label_ids)} if node.is_leaf else {}
+        rec = {"labels": list(clf.nodes[pos]["labels"])} if "labels" in clf.nodes[pos] else {}
         nodes.append(rec)
-        node_weights, node_bias = rows[id(node)]
+        node_weights, node_bias = rows[pos]
         for j in range(len(node_bias)):
             weights.append(node_weights[j])
             biases.append(node_bias[j])
-        if not node.is_leaf:
-            rec["children"] = [serialize(c) for c in node.children]
+        if "children" in clf.nodes[pos]:
+            rec["children"] = [serialize(c) for c in clf.nodes[pos]["children"]]
         return slot
 
-    roots = [serialize(t) for t in clf.trees]
+    roots = [serialize(root) for root in clf.roots]
     meta = {"version": selftrain.CLASSIFIER_VERSION, "label_ids": list(clf.label_ids),
             "n_features": clf.weights.shape[1],
             "roots": roots, "nodes": nodes}
@@ -1053,15 +1180,17 @@ def random_classifier(rng, n_labels, n_features, n_trees, max_leaf):
     """Label trees from build_label_tree with random weights on every node.
     Some labels get all-zero features, so some trees pool them in a leaf."""
     ids = [f"L{j}" for j in range(n_labels)]
-    trees, weights, biases = [], [], []
+    roots, nodes, weights, biases = [], [], [], []
     for t in range(n_trees):
         feats = rng.normal(size=(n_labels, 3)) * (rng.random((n_labels, 1)) < 0.8)
-        tree = build_label_tree(feats, ids, max_leaf, seed=t)
-        for node in preorder(tree):
-            weights.append(rng.normal(size=(node.n_outputs, n_features)))
-            biases.append(rng.normal(size=node.n_outputs))
-        trees.append(tree)
-    return LabelTreeClassifier(tuple(ids), trees, np.concatenate(weights), np.concatenate(biases))
+        roots.append(len(nodes))
+        for rec in build_label_tree(feats, ids, max_leaf, seed=t, start=len(nodes)):
+            n_outputs = len(rec.get("labels", rec.get("children")))
+            weights.append(rng.normal(size=(n_outputs, n_features)))
+            biases.append(rng.normal(size=n_outputs))
+            nodes.append(rec)
+    return LabelTreeClassifier(tuple(ids), roots, nodes, np.concatenate(weights),
+                               np.concatenate(biases))
 
 
 def recursive_label_tree(features, label_ids, max_leaf, seed):
@@ -1074,19 +1203,14 @@ def recursive_label_tree(features, label_ids, max_leaf, seed):
 
     def recurse(rows):
         if rows.size <= max_leaf:
-            return selftrain.TreeNode(label_ids=tuple(label_ids[featured[i]] for i in rows))
+            return RefNode(label_ids=tuple(label_ids[featured[i]] for i in rows))
         left = selftrain._balanced_split(unit[rows], rng)
-        return selftrain.TreeNode(children=[recurse(rows[left]), recurse(rows[~left])])
+        return RefNode(children=[recurse(rows[left]), recurse(rows[~left])])
 
     root = recurse(np.arange(len(featured)))
     if unfeatured:
-        root = selftrain.TreeNode(children=[root, selftrain.TreeNode(
-            label_ids=tuple(label_ids[i] for i in unfeatured))])
+        root = RefNode(children=[root, RefNode(label_ids=tuple(label_ids[i] for i in unfeatured))])
     return root
-
-
-def ordered_topo(node):
-    return node.label_ids if node.is_leaf else tuple(ordered_topo(c) for c in node.children)
 
 
 class TestNoReferenceCycles:
@@ -1107,8 +1231,8 @@ class TestNoReferenceCycles:
         feats = rng.random((40, 6))
         feats[[3, 17]] = 0.0
         ids = [f"L{i}" for i in range(40)]
-        assert ordered_topo(build_label_tree(feats, ids, max_leaf, seed=4)) == \
-            ordered_topo(recursive_label_tree(feats, ids, max_leaf, seed=4))
+        assert build_label_tree(feats, ids, max_leaf, seed=4) == \
+            flatten(recursive_label_tree(feats, ids, max_leaf, seed=4))
 
     def test_train_tree(self):
         ids = [f"L{j}" for j in range(6)]
@@ -1116,8 +1240,8 @@ class TestNoReferenceCycles:
         tree = build_label_tree(np.eye(6), ids, max_leaf=2, seed=0)
         X = _normalize_rows(one_hot_matrix(assign, 6))
         member = np.eye(6, dtype=bool)[assign][:, leaf_columns(tree, ids)]
-        _, n_rows = _first_rows([tree])
-        assert garbage_after(train_tree, tree, X, member, ClassifierConfig(),
+        n_rows = _first_rows(tree)[-1]
+        assert garbage_after(train_tree, tree, 0, X, member, ClassifierConfig(),
                              np.zeros((n_rows, 6)), np.zeros(n_rows)) == 0
 
     def test_save_and_load_classifier(self, tmp_path):
