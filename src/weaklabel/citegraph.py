@@ -174,6 +174,17 @@ def write_tuples(tuples, path):
     write_jsonl(({k: list(getattr(t, k)) for k in _TUPLE_KEYS} for t in tuples), path)
 
 
+def _reference(rec: dict, key: str) -> tuple[str, int]:
+    ref = rec[key]
+    if not (type(ref) is list and len(ref) == 2 and isinstance(ref[0], str)
+            and type(ref[1]) is int):  # a bool is an int too
+        raise ValueError(f"{key!r} must be a [paper id string, paragraph index int] pair, "
+                         f"got {ref!r}")
+    return ref[0], ref[1]
+
+
 def read_tuples(path) -> list[ContrastiveTuple]:
+    """The tuples of a ``write_tuples`` file; a reference that is not a
+    [string, int] pair fails like any malformed line."""
     return list(read_jsonl(path, lambda rec: ContrastiveTuple(
-        *((rec[k][0], int(rec[k][1])) for k in _TUPLE_KEYS))))
+        *(_reference(rec, k) for k in _TUPLE_KEYS))))

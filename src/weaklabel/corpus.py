@@ -140,6 +140,16 @@ def _checked(key: str, value, kind: type):
     return value
 
 
+def as_id(value, what: str) -> str:
+    """``value`` as an id: a string, or an int (not a bool) read as its
+    decimal string; anything else raises CorpusError naming ``what``."""
+    if isinstance(value, str):
+        return value
+    if type(value) is not int:  # a bool is an int too
+        raise CorpusError(f"{what} must be a string or an int, got {type(value).__name__}")
+    return str(value)
+
+
 def _build_section_node(sec: dict, min_words: int, kind: str) -> HierarchyNode | None:
     if not isinstance(sec, dict):  # kind names the list the entry came from
         raise CorpusError(f"'{kind}s' entries must be objects, got {type(sec).__name__}")
@@ -160,7 +170,7 @@ def _build_section_node(sec: dict, min_words: int, kind: str) -> HierarchyNode |
 
 
 def _build_paper(record: dict, min_words: int) -> Paper:
-    pid = record["id"]
+    pid = as_id(record["id"], "'id'")
     title = _checked("title", record.get("title", ""), str)
     abstract = _checked("abstract", record.get("abstract", ""), str)
     root = HierarchyNode(kind="paper")
@@ -178,17 +188,18 @@ def _build_paper(record: dict, min_words: int) -> Paper:
         if node is not None:
             root.children.append(node)
 
-    bib_refs = _checked("bib_refs", record.get("bib_refs", []), list)
+    bib_refs = [as_id(r, "'bib_refs' entry")
+                for r in _checked("bib_refs", record.get("bib_refs", []), list)]
     labels = record.get("labels")
     if labels is not None:
-        _checked("labels", labels, list)
+        labels = frozenset(as_id(l, "'labels' entry") for l in _checked("labels", labels, list))
     return Paper(
         id=pid,
         title=title,
         abstract=abstract,
         hierarchy=root,
-        bib_refs=frozenset(str(r) for r in bib_refs if str(r) != ""),
-        gold_labels=frozenset(str(l) for l in labels) if labels is not None else None,
+        bib_refs=frozenset(r for r in bib_refs if r),
+        gold_labels=labels,
     )
 
 
@@ -265,19 +276,20 @@ def write_jsonl(records, path):
             fh.write(json.dumps(rec) + "\n")
 
 
-def read_jsonl(path, build=None):
+def read_jsonl(path, build=None, parse=json.loads):
     """Yield the record on each nonblank line, one at a time, or
-    ``build(record)`` when ``build`` is given.
+    ``build(record)`` when ``build`` is given; ``parse`` turns a line into
+    its record.
 
-    A line that is not JSON, or whose record ``build`` rejects, raises
-    CorpusError naming the file and the line.
+    A line that ``parse`` fails on, or whose record ``build`` rejects,
+    raises CorpusError naming the file and the line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = parse(line)
                 if build is not None:
                     record = build(record)
             except CorpusError as exc:
@@ -290,21 +302,28 @@ def read_jsonl(path, build=None):
             yield record
 
 
+def read_keyed(path, build, what: str, parse=json.loads) -> dict:
+    """``dict(read_jsonl(path, build, parse))`` for a ``build`` returning
+    ``(key, value)``; a key that an earlier line gave fails its line as a
+    duplicate ``what``."""
+    out: dict = {}
+
+    def entry(record):
+        key, value = build(record)
+        if key in out:
+            raise CorpusError(f"duplicate {what} {key!r}")
+        return key, value
+
+    for key, value in read_jsonl(path, entry, parse):
+        out[key] = value
+    return out
+
+
 def read_by_paper(path, build) -> dict:
     """``{record["paper_id"]: build(record)}`` over a JSON Lines artifact;
     a non-string or repeated id fails like any malformed line."""
-    seen: set[str] = set()
-
-    def keyed(record: dict):
-        pid = record["paper_id"]
-        if not isinstance(pid, str):
-            raise CorpusError(f"'paper_id' must be a string, got {type(pid).__name__}")
-        if pid in seen:
-            raise CorpusError(f"duplicate paper id {pid!r}")
-        seen.add(pid)
-        return pid, build(record)
-
-    return dict(read_jsonl(path, keyed))
+    return read_keyed(path, lambda rec: (_checked("paper_id", rec["paper_id"], str),
+                                         build(rec)), "paper id")
 
 
 def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) -> list[Paper]:
@@ -315,19 +334,14 @@ def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) ->
     """
     if min_paragraph_words < 1:
         raise ValueError("min_paragraph_words must be positive")
-    seen: set[str] = set()
 
-    def build(record: dict) -> Paper:
-        if not isinstance(record, dict) or "id" not in record or not str(record["id"]):
+    def build(record: dict) -> tuple[str, Paper]:
+        if not isinstance(record, dict) or record.get("id", "") == "":
             raise CorpusError("record must be an object with a nonempty 'id'")
-        record["id"] = str(record["id"])
         paper = _build_paper(record, min_paragraph_words)
-        if paper.id in seen:
-            raise CorpusError(f"duplicate paper id {paper.id!r}")
-        seen.add(paper.id)
-        return paper
+        return paper.id, paper
 
-    papers = list(read_jsonl(path, build))
+    papers = list(read_keyed(path, build, "paper id").values())
     n_empty = sum(p.is_empty for p in papers)
     if n_empty:
         log.warning("%d of %d papers have no surviving paragraphs", n_empty, len(papers))
@@ -336,16 +350,12 @@ def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) ->
 
 def load_labels(path) -> list[Label]:
     """Load the label space from a JSON Lines file."""
-    seen: set[str] = set()
-
-    def build(record: dict) -> Label:
-        lid = str(record["id"])
+    def build(record: dict) -> tuple[str, Label]:
+        lid = as_id(record["id"], "'id'")
         names = tuple(_checked("names", record["names"], list))
         desc = _checked("description", record.get("description", ""), str)
         if not lid:
             raise CorpusError("empty label id")
-        if lid in seen:
-            raise CorpusError(f"duplicate label id {lid!r}")
         if not names:
             raise CorpusError(f"label {lid!r} has zero names")
         for name in names:
@@ -353,10 +363,9 @@ def load_labels(path) -> list[Label]:
                 raise CorpusError(f"'names' entries must be strings, got {type(name).__name__}")
             if not tokenize(name):
                 raise CorpusError(f"label {lid!r} name {name!r} normalizes to the empty sequence")
-        seen.add(lid)
-        return Label(id=lid, names=names, description=desc)
+        return lid, Label(id=lid, names=names, description=desc)
 
-    labels = list(read_jsonl(path, build))
+    labels = list(read_keyed(path, build, "label id").values())
     if not labels:
         log.warning("label file %s is empty", path)
     return labels

@@ -24,7 +24,7 @@ from hashlib import blake2b
 import numpy as np
 
 from . import kernels
-from .corpus import read_npz, tokenize, write_npz
+from .corpus import CorpusError, as_id, read_keyed, read_npz, tokenize, write_npz
 
 DEFAULT_HASH_DIM = 2048
 DEFAULT_EMBED_DIM = 256
@@ -409,32 +409,24 @@ def load_embedding_overrides(path, embed_dim: int | None = None) -> dict[str, np
     leaves are keyed ``<paper_id>#<leaf_index>``, labels and papers by
     their plain ids.
     """
-    out: dict[str, np.ndarray] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                if line.lstrip().startswith("{"):
-                    rec = json.loads(line)
-                    key, vec = str(rec["id"]), np.asarray(rec["embedding"], dtype=np.float64)
-                else:
-                    key, _, rest = line.partition("\t")
-                    if not rest:
-                        raise ValueError("expected id<TAB>values")
-                    vec = np.array(rest.split(), dtype=np.float64)
-                if vec.ndim != 1:
-                    raise ValueError("the embedding must be a flat list of numbers")
-            except (ValueError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}: line {lineno}: malformed record ({exc})") from None
-            if embed_dim is not None and vec.shape[0] != embed_dim:
-                raise ValueError(
-                    f"{path}: line {lineno}: embedding dim {vec.shape[0]} != {embed_dim}")
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}: line {lineno}: non-finite embedding value")
-            if key in out:
-                raise ValueError(f"{path}: line {lineno}: duplicate id {key!r}")
-            norm = np.linalg.norm(vec)
-            out[key] = vec / norm if norm > 0 else vec
-    return out
+    def parse(line: str) -> tuple[str, np.ndarray]:
+        if line.lstrip().startswith("{"):
+            rec = json.loads(line)
+            return as_id(rec["id"], "'id'"), np.asarray(rec["embedding"], dtype=np.float64)
+        key, _, rest = line.rstrip("\n").partition("\t")
+        if not rest:
+            raise ValueError("expected id<TAB>values")
+        return key, np.array(rest.split(), dtype=np.float64)
+
+    def build(entry: tuple[str, np.ndarray]) -> tuple[str, np.ndarray]:
+        key, vec = entry
+        if vec.ndim != 1:
+            raise ValueError("the embedding must be a flat list of numbers")
+        if embed_dim is not None and vec.shape[0] != embed_dim:
+            raise CorpusError(f"embedding dim {vec.shape[0]} != {embed_dim}")
+        if not np.isfinite(vec).all():
+            raise CorpusError("non-finite embedding value")
+        norm = np.linalg.norm(vec)
+        return key, vec / norm if norm > 0 else vec
+
+    return read_keyed(path, build, "id", parse)

@@ -33,8 +33,14 @@ ADAMW_SCALE_FLOOR = 1e-8
 
 
 def _sigmoid(z):
-    e = np.exp(-np.abs(z))  # never overflows
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    """1 / (1 + e) where z >= 0, else e / (1 + e), with e = exp(-|z|): no
+    exp overflows. Two float arrays the size of ``z`` are made."""
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = e + 1.0
+    np.copyto(e, 1.0, where=z >= 0)
+    return np.divide(e, d, out=d)
 
 
 def project_rows(proj, idx, val):

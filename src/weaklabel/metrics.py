@@ -20,23 +20,13 @@ DEFAULT_NDCG_KS = (3, 5)
 
 def precision_at_k(ranking, relevant: set[str], k: int) -> float:
     """Fraction of the top-k that is relevant; short rankings pad as misses."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    hits = sum(1 for lid in ranking[:k] if lid in relevant)
-    return hits / k
+    return psp_at_k(ranking, relevant, {}, k)
 
 
 def ndcg_at_k(ranking, relevant: set[str], k: int) -> float:
     """DCG of the top-k over the ideal prefix; 0 when nothing relevant is
     ranked. The log base cancels (natural log here)."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if not relevant:
-        raise ValueError("ndcg is undefined without relevant labels")
-    dcg = sum(1.0 / math.log(i + 2) for i, lid in enumerate(ranking[:k])
-              if lid in relevant)
-    ideal = sum(1.0 / math.log(i + 2) for i in range(min(k, len(relevant))))
-    return dcg / ideal
+    return psn_at_k(ranking, relevant, {}, k)
 
 
 def propensity(n_l: int, n_docs: int, a: float = DEFAULT_A,
@@ -44,6 +34,10 @@ def propensity(n_l: int, n_docs: int, a: float = DEFAULT_A,
     """Reward 1/p_l for a label relevant to ``n_l`` of ``n_docs`` documents."""
     if n_l < 0:
         raise ValueError("n_l must be nonnegative")
+    if b <= -1:  # (b + 1) ** a needs b + 1 > 0
+        raise ValueError(f"b must be greater than -1, got {b}")
+    if n_l + b <= 0:  # and (n_l + b) ** -a needs n_l + b > 0
+        raise ValueError(f"n_l + b must be positive, got {n_l} + {b}")
     c = (math.log(n_docs) - 1.0) * (b + 1.0) ** a
     if c <= 0:
         raise ValueError(f"corpus of {n_docs} documents gives a nonpositive constant")
@@ -73,7 +67,7 @@ def psn_at_k(ranking, relevant: set[str], rewards: dict[str, float], k: int) -> 
     if k < 1:
         raise ValueError("k must be positive")
     if not relevant:
-        raise ValueError("psn is undefined without relevant labels")
+        raise ValueError("the metric is undefined without relevant labels")
     dcg = sum(rewards.get(lid, 1.0) / math.log(i + 2)
               for i, lid in enumerate(ranking[:k]) if lid in relevant)
     ideal = sum(1.0 / math.log(i + 2) for i in range(min(k, len(relevant))))
@@ -123,20 +117,16 @@ def evaluate(rankings: dict[str, list[str]], gold: dict[str, set[str]],
     evaluated = [pid for pid in rankings if gold.get(pid)]
     skipped = len(rankings) - len(evaluated)
 
-    def mean(fn, k) -> float:
+    def mean(fn, rewards, k) -> float:
         if not evaluated:
             return 0.0
-        return sum(fn(rankings[pid], gold[pid], k) for pid in evaluated) / len(evaluated)
+        return sum(fn(rankings[pid], gold[pid], rewards, k) for pid in evaluated) / len(evaluated)
 
     return MetricsReport(
-        precision={k: mean(precision_at_k, k) for k in precision_ks},
-        ndcg={k: mean(ndcg_at_k, k) for k in ndcg_ks},
-        psp={} if rewards is None else
-            {k: mean(lambda r, z, kk: psp_at_k(r, z, rewards, kk), k)
-             for k in precision_ks},
-        psn={} if rewards is None else
-            {k: mean(lambda r, z, kk: psn_at_k(r, z, rewards, kk), k)
-             for k in ndcg_ks},
+        precision={k: mean(psp_at_k, {}, k) for k in precision_ks},
+        ndcg={k: mean(psn_at_k, {}, k) for k in ndcg_ks},
+        psp={} if rewards is None else {k: mean(psp_at_k, rewards, k) for k in precision_ks},
+        psn={} if rewards is None else {k: mean(psn_at_k, rewards, k) for k in ndcg_ks},
         n_papers=len(rankings),
         n_evaluated=len(evaluated),
         n_skipped=skipped,

@@ -112,22 +112,27 @@ def _write_json(cfg: PipelineConfig, key: str, obj, **kwargs):
         json.dump(obj, fh, **kwargs)
 
 
-def _check_paper_ids(found: dict, ctx: RunContext, key: str, stage: str):
-    """Reject an artifact written for a corpus with other paper ids."""
-    ids = ctx.paper_ids
+def _read_paper_keyed(cfg: PipelineConfig, ctx: RunContext, key: str, *args) -> dict:
+    """The paper-keyed artifact under ``key``, read by its reader (with
+    ``args``), checked against the corpus's paper ids and the label file."""
+    # the stage that writes the artifact, its reader, and the label ids of one paper's entry
+    stage, read, label_ids = {
+        "candidates": ("candidates", cand.read_candidates, lambda ids: ids),
+        "scores": ("score", ranker.read_scores, lambda rows: (r.label_id for r in rows)),
+        "predictions": ("predict", read_predictions, lambda ranking: ranking),
+    }[key]
+    found, ids = read(_path(cfg, key), *args), ctx.paper_ids
     if found.keys() != ids:
         raise ValueError(f"{ARTIFACTS[key]} was written for another corpus: it has "
                          f"{len(found)} papers, the corpus has {len(ids)}, "
                          f"{len(ids & found.keys())} in both; rerun {stage}")
-
-
-def _check_label_ids(found, ctx: RunContext, key: str, stage: str):
-    """Reject an artifact naming label ids (``found``) the label file lacks."""
-    unknown = sorted(set(found) - {l.id for l in ctx.labels})
+    unknown = sorted({lid for entry in found.values() for lid in label_ids(entry)}
+                     - {l.id for l in ctx.labels})
     if unknown:
         raise ValueError(f"{ARTIFACTS[key]} was written for another label set: "
                          f"{len(unknown)} of its label ids are not in the label file "
                          f"(first {unknown[:5]}); rerun {stage}")
+    return found
 
 
 def _check_tuple_refs(tuples, corpus):
@@ -141,15 +146,6 @@ def _check_tuple_refs(tuples, corpus):
                 raise ValueError(f"{ARTIFACTS['tuples']} was written for another corpus: "
                                  f"reference ({pid!r}, {i}) does not resolve ({why}); "
                                  f"rerun sample-tuples")
-
-
-def _read_candidates(cfg: PipelineConfig, ctx: RunContext) -> dict[str, list[str]]:
-    """The candidates stage's output, checked against the corpus and the label file."""
-    cands = cand.read_candidates(_path(cfg, "candidates"))
-    _check_paper_ids(cands, ctx, "candidates", "candidates")
-    _check_label_ids((lid for ids in cands.values() for lid in ids), ctx, "candidates",
-                     "candidates")
-    return cands
 
 
 def stage_ingest(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict:
@@ -207,7 +203,7 @@ def stage_score(cfg: PipelineConfig,
                 ctx: RunContext | None = None) -> dict[str, list[ranker.CandidateScore]]:
     ctx = _context(cfg, ctx)
     corpus, labels = ctx.corpus, ctx.labels
-    cands = _read_candidates(cfg, ctx)
+    cands = _read_paper_keyed(cfg, ctx, "candidates")
     model = encoder.load_model(_path(cfg, "encoder"))
     overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
                  if cfg.embeddings_path else {})
@@ -265,20 +261,10 @@ def stage_score(cfg: PipelineConfig,
     return scored
 
 
-def _read_scores(cfg: PipelineConfig,
-                 ctx: RunContext) -> dict[str, list[ranker.CandidateScore]]:
-    """The score stage's output, checked against the corpus and the label file."""
-    scored = ranker.read_scores(_path(cfg, "scores"))
-    _check_paper_ids(scored, ctx, "scores", "score")
-    _check_label_ids((r.label_id for rows in scored.values() for r in rows), ctx, "scores",
-                     "score")
-    return scored
-
-
 def stage_self_train(cfg: PipelineConfig,
                      ctx: RunContext | None = None) -> selftrain.LabelTreeClassifier:
     ctx = _context(cfg, ctx)
-    scored = _read_scores(cfg, ctx)
+    scored = _read_paper_keyed(cfg, ctx, "scores")
     pseudo = selftrain.pseudo_labels(scored, cfg.pseudo_top_n)
     clf_cfg = selftrain.ClassifierConfig(
         n_trees=cfg.n_trees, max_leaf=cfg.max_leaf, epochs=cfg.classifier_epochs,
@@ -302,7 +288,7 @@ def _check_label_set(clf: selftrain.LabelTreeClassifier, label_ids: list[str]):
 def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[str, list[str]]:
     ctx = _context(cfg, ctx)
     corpus = ctx.corpus
-    scored = _read_scores(cfg, ctx)
+    scored = _read_paper_keyed(cfg, ctx, "scores")
 
     top_k = min(cfg.top_k, cfg.ranking_limit or cfg.top_k)  # scores only stored labels
     rankings: dict[str, list[str]] = {}
@@ -344,18 +330,15 @@ def stage_evaluate(cfg: PipelineConfig,
                    ctx: RunContext | None = None) -> metrics.MetricsReport | None:
     ctx = _context(cfg, ctx)
     # every metric reads only the top k of a ranking
-    rankings = read_predictions(_path(cfg, "predictions"),
-                                limit=max((*cfg.precision_ks, *cfg.ndcg_ks), default=0))
-    _check_paper_ids(rankings, ctx, "predictions", "predict")
-    _check_label_ids((lid for ranking in rankings.values() for lid in ranking), ctx,
-                     "predictions", "predict")
+    rankings = _read_paper_keyed(cfg, ctx, "predictions",
+                                 max((*cfg.precision_ks, *cfg.ndcg_ks), default=0))
     gold = {p.id: set(p.gold_labels) for p in ctx.corpus if p.gold_labels is not None}
     if not any(gold.values()):
         log.warning("no ground-truth labels in the corpus; skipping evaluation")
         return None
     mean_c = None
     if os.path.exists(_path(cfg, "candidates")):
-        mean_c = cand.candidate_stats(_read_candidates(cfg, ctx)).mean_candidates
+        mean_c = cand.candidate_stats(_read_paper_keyed(cfg, ctx, "candidates")).mean_candidates
     report = metrics.evaluate(rankings, gold, precision_ks=tuple(cfg.precision_ks),
                               ndcg_ks=tuple(cfg.ndcg_ks), a=cfg.propensity_a,
                               b=cfg.propensity_b, mean_candidates=mean_c)

@@ -39,13 +39,9 @@ def aggregate_hierarchy(paper: Paper, leaf_embeddings,
             raise ValueError(f"paper {paper.id!r} is empty and no fallback was given")
         return AggregatedEmbeddings(by_node={}, root=np.asarray(fallback, dtype=np.float64))
 
-    by_leaf = {id(node): np.asarray(e, dtype=np.float64)
-               for node, e in zip(leaves, leaf_embeddings)}
-    by_node: dict[HierarchyNode, np.ndarray] = {}
+    by_node = {node: np.asarray(e, dtype=np.float64) for node, e in zip(leaves, leaf_embeddings)}
     for node in reversed(preorder(paper.hierarchy)):  # children before their parent
-        if node.kind == "paragraph":
-            by_node[node] = by_leaf[id(node)]
-        else:
+        if node.kind != "paragraph":
             by_node[node] = sum(by_node[c] for c in node.children) / len(node.children)
     return AggregatedEmbeddings(by_node=by_node, root=by_node[paper.hierarchy])
 

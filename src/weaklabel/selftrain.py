@@ -438,7 +438,9 @@ def predict_blocks(clf: LabelTreeClassifier, X: CsrMatrix, beam_width: int):
     plans = [_search_plan(clf.nodes, root, label_pos, first) for root in clf.roots]
     buf = np.zeros((min(X.n_rows, BLOCK_ROWS), X.n_cols))
     for start, dense in _dense_blocks(_row_blocks(Xn, np.arange(X.n_rows)), buf):
-        S = _sigmoid(dense @ clf.weights.T + clf.biases)
+        logits = dense @ clf.weights.T
+        logits += clf.biases
+        S = _sigmoid(logits)
         probs = np.zeros((dense.shape[0], len(clf.label_ids)))
         for levels in plans:
             P = np.ones((dense.shape[0], 1))

@@ -192,7 +192,7 @@ def per_text_stage_score(cfg):
     """``pipeline.stage_score`` with one featurizer call per text."""
     ctx = pipeline._context(cfg, None)
     corpus, labels = ctx.corpus, ctx.labels
-    cands = pipeline._read_candidates(cfg, ctx)
+    cands = pipeline._read_paper_keyed(cfg, ctx, "candidates")
     model = encoder.load_model(pipeline._path(cfg, "encoder"))
     overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
                  if cfg.embeddings_path else {})

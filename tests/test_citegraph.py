@@ -1,3 +1,4 @@
+import json
 import os
 import tempfile
 
@@ -9,6 +10,7 @@ from weaklabel.citegraph import (
     CITES, CO_REFERENCE, ContrastiveTuple, MetaPath, build_graph, neighborhood, read_tuples,
     sample_tuples, write_tuples,
 )
+from weaklabel.corpus import CorpusError
 
 from conftest import load_corpus_records, paper_record
 
@@ -208,3 +210,21 @@ class TestTupleIO:
             path = os.path.join(tmp, "tuples.jsonl")
             write_tuples(tuples, path)
             assert read_tuples(path) == tuples
+
+
+class TestTupleReferences:
+    """A reference in tuples.jsonl is a [string, int] pair; any other shape
+    fails with the file and the line named."""
+
+    @pytest.mark.parametrize("anchor", [[["A"], 0], ["A", 3.9], ["A", True], ["A", "0"],
+                                        [7, 0], ["A", 0, 1], {"A": 0}],
+                             ids=["list id", "float index", "bool index", "string index",
+                                  "int id", "three items", "object"])
+    def test_rejected(self, tmp_path, anchor):
+        path = tmp_path / "tuples.jsonl"
+        good = {"anchor": ["A", 0], "positive": ["B", 0], "negative": ["C", 0]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(good | {"anchor": anchor}) + "\n")
+        with pytest.raises(CorpusError, match=r"tuples\.jsonl: line 2: malformed record "
+                                              r"\('anchor' must be a \[paper id string, "
+                                              r"paragraph index int\] pair"):
+            read_tuples(path)

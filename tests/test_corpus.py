@@ -396,3 +396,56 @@ class TestVocabulary:
         v2 = build_vocabulary(corpus, min_df=1)
         assert v1.word_index == v2.word_index
         assert list(v1.word_index) == sorted(v1.word_index)
+
+
+class TestIdTypes:
+    """An id, or an entry of an id list, is a string or an int (not a bool)
+    read as its decimal string; anything else fails with the file, the line
+    and the field named, never coerced with ``str``."""
+
+    @pytest.mark.parametrize("record, message", [
+        (paper_record("p2") | {"id": None}, "'id' must be a string or an int, got NoneType$"),
+        (paper_record("p2") | {"id": ["P2"]}, "'id' must be a string or an int, got list$"),
+        (paper_record("p2") | {"id": True}, "'id' must be a string or an int, got bool$"),
+        (paper_record("p2", labels=[["L1"]]),
+         "'labels' entry must be a string or an int, got list$"),
+        (paper_record("p2", bib_refs=[{"x": 1}]),
+         "'bib_refs' entry must be a string or an int, got dict$"),
+        (paper_record("p2", bib_refs=[False]),
+         "'bib_refs' entry must be a string or an int, got bool$"),
+    ], ids=["null id", "list id", "bool id", "list label", "object ref", "bool ref"])
+    def test_corpus_rejected(self, tmp_path, record, message):
+        with pytest.raises(CorpusError, match=rf"corpus\.jsonl: line 2: {message}"):
+            load_corpus_records(tmp_path, [paper_record("p1"), record])
+
+    @pytest.mark.parametrize("lid, kind", [(True, "bool"), (None, "NoneType"),
+                                           (["L2"], "list"), (2.0, "float")])
+    def test_label_id_rejected(self, tmp_path, lid, kind):
+        with pytest.raises(CorpusError, match=rf"labels\.jsonl: line 2: 'id' must be a string "
+                                              rf"or an int, got {kind}$"):
+            load_label_records(tmp_path, [{"id": "L1", "names": ["graph"]},
+                                          {"id": lid, "names": ["nets"]}])
+
+    def test_ints_read_as_decimal_strings(self, tmp_path):
+        paper, = load_corpus_records(tmp_path, [paper_record(12, bib_refs=[7, "P3", ""],
+                                                             labels=[3, "L4"])])
+        assert paper.id == "12"
+        assert paper.bib_refs == frozenset({"7", "P3"})  # an empty reference is dropped
+        assert paper.gold_labels == frozenset({"3", "L4"})
+        label, = load_label_records(tmp_path, [{"id": 3, "names": ["graph"]}])
+        assert label.id == "3"
+
+    def test_int_and_string_spellings_are_one_id(self, tmp_path):
+        with pytest.raises(CorpusError, match=r"line 2: duplicate paper id '12'"):
+            load_corpus_records(tmp_path, [paper_record(12), paper_record("12")])
+
+    def test_cli_names_the_stage(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl([paper_record("p1"), paper_record("p2", labels=[["L1"]])], corpus)
+        labels = tmp_path / "labels.jsonl"
+        write_jsonl([{"id": "L1", "names": ["graph"]}], labels)
+        assert main(["ingest", "--corpus", str(corpus), "--labels", str(labels),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert (f"stage ingest failed: {corpus}: line 2: 'labels' entry must be a string or "
+                "an int, got list") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

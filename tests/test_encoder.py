@@ -774,3 +774,38 @@ class TestEmbeddingOverrides:
         path.write_text("L0\t1 0 0 0\n" + line)
         with pytest.raises(ValueError, match=r"emb\.txt: line 2: malformed record"):
             load_embedding_overrides(path, embed_dim=4)
+
+    @pytest.mark.parametrize("key, kind", [("null", "NoneType"), ('["L1"]', "list"),
+                                           ("true", "bool"), ("1.5", "float")])
+    def test_jsonl_id_must_be_a_string_or_an_int(self, tmp_path, key, kind):
+        path = tmp_path / "emb.txt"
+        path.write_text('L0\t1 0 0 0\n{"id": ' + key + ', "embedding": [1, 0, 0, 0]}\n')
+        with pytest.raises(ValueError, match=rf"emb\.txt: line 2: 'id' must be a string or "
+                                             rf"an int, got {kind}$"):
+            load_embedding_overrides(path, embed_dim=4)
+
+    def test_jsonl_int_id_is_its_decimal_string(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": 17, "embedding": [0, 2, 0, 0]}\n')
+        assert list(load_embedding_overrides(path, embed_dim=4)) == ["17"]
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("L0\t1 0 0 0\n\n   \n\t\nL1\t1 nan 0 0\n")
+        with pytest.raises(ValueError, match=r"emb\.txt: line 5: non-finite"):
+            load_embedding_overrides(path, embed_dim=4)
+
+    @pytest.mark.parametrize("line", ["L1\t\n", "L1\t"], ids=["newline", "last line"])
+    def test_tab_without_values_rejected(self, tmp_path, line):
+        path = tmp_path / "emb.txt"
+        path.write_text("L0\t1 0 0 0\n" + line)
+        with pytest.raises(ValueError, match=r"emb\.txt: line 2: malformed record "
+                                             r"\(expected id<TAB>values\)"):
+            load_embedding_overrides(path, embed_dim=4)
+
+    @pytest.mark.parametrize("line", ["{not json\n", "  {\"id\": \"L1\"\n", "{}}\n"])
+    def test_brace_line_that_is_not_json_names_its_line(self, tmp_path, line):
+        path = tmp_path / "emb.txt"
+        path.write_text("L0\t1 0 0 0\n\n" + line)
+        with pytest.raises(ValueError, match=r"emb\.txt: line 3: malformed record \("):
+            load_embedding_overrides(path, embed_dim=4)

@@ -268,3 +268,28 @@ def test_adamw_row_form_bitwise_equals_dense_form_across_folds(beta1, beta2):
     np.testing.assert_array_equal(p, p_d)
     np.testing.assert_array_equal(m, m_d)
     np.testing.assert_array_equal(v, v_d)
+
+
+def sigmoid_reference(z):
+    """The sigmoid formula before it shared one ``1 + e``."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_sigmoid_bitwise_equals_reference():
+    rng = np.random.default_rng(11)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324,
+                      709.8, -709.8, 745.2, -745.2, 36.0, -36.0, 1.0, -1.0])
+    z = np.concatenate([edges, rng.normal(0.0, 1.0, 200_000),
+                        rng.normal(0.0, 40.0, 200_000),
+                        rng.uniform(-800.0, 800.0, 100_000)]).reshape(-1, 4)
+    before = z.copy()
+    got = kernels._sigmoid(z)
+    want = sigmoid_reference(z)
+    assert got.shape == z.shape and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    assert z.tobytes() == before.tobytes()  # the input is left as it was
+
+
+def test_sigmoid_of_nan_is_nan():
+    assert np.isnan(kernels._sigmoid(np.array([np.nan]))).all()

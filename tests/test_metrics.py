@@ -217,3 +217,40 @@ class TestEvaluate:
                           precision_ks=(1,), ndcg_ks=(1,))
         assert report.psp == {}
         assert report.precision[1] == 1.0
+
+
+class TestOneMetricForm:
+    """P@k and NDCG@k are PSP@k and PSN@k with unit rewards, bit for bit."""
+
+    def test_unit_reward_forms_are_bitwise_equal(self):
+        rng = np.random.default_rng(3)
+        labels = [f"L{i}" for i in range(12)]
+        for _ in range(300):
+            ranking = list(rng.permutation(labels)[:rng.integers(0, 13)])
+            rel = set(rng.choice(labels, size=rng.integers(1, 7), replace=False))
+            for k in (1, 2, 3, 5, 8, 20):
+                hits = sum(1 for lid in ranking[:k] if lid in rel)
+                assert precision_at_k(ranking, rel, k) == hits / k
+                dcg = sum(1.0 / math.log(i + 2) for i, lid in enumerate(ranking[:k])
+                          if lid in rel)
+                ideal = sum(1.0 / math.log(i + 2) for i in range(min(k, len(rel))))
+                assert ndcg_at_k(ranking, rel, k) == dcg / ideal
+                assert psp_at_k(ranking, rel, {}, k) == precision_at_k(ranking, rel, k)
+                assert psn_at_k(ranking, rel, {}, k) == ndcg_at_k(ranking, rel, k)
+
+
+class TestPropensityRange:
+    @pytest.mark.parametrize("b", [-1.0, -2.0, -1e9])
+    def test_b_at_or_below_minus_one_rejected(self, b):
+        with pytest.raises(ValueError, match=r"^b must be greater than -1"):
+            propensity(3, 1000, b=b)
+
+    def test_b_just_above_minus_one_accepted(self):
+        assert propensity(3, 1000, b=-0.999) > 1.0
+
+    @pytest.mark.parametrize("b", [-0.5, -0.001, 0.0])
+    def test_unseen_label_with_b_at_or_below_zero_rejected(self, b):
+        # (n_l + b) ** -a of a nonpositive base is complex or infinite, not a reward
+        with pytest.raises(ValueError, match=r"^n_l \+ b must be positive"):
+            propensity(0, 1000, b=b)
+        assert propensity(1, 1000, b=b) > 1.0

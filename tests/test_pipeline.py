@@ -1420,3 +1420,53 @@ class TestConfig:
         assert cfg.stage_seed("a") == cfg.stage_seed("a")
         other = make_config(None, {"seed": 6})
         assert cfg.stage_seed("a") != other.stage_seed("a")
+
+
+class TestPropensityRange:
+    """``propensity_b`` must exceed -1, since the propensity constant takes
+    ``(b + 1) ** a``; a config that breaks this fails before any stage."""
+
+    @pytest.mark.parametrize("b", [-1, -1.0, -2.0, -1e9])
+    def test_rejected(self, b):
+        with pytest.raises(ConfigError, match=r"^propensity_b must be greater than -1$"):
+            make_config(None, {"propensity_b": b})
+
+    def test_just_above_accepted(self):
+        assert make_config(None, {"propensity_b": -0.999}).propensity_b == -0.999
+
+    @pytest.mark.parametrize("b", ["-1", "-2"])
+    def test_cli_exits_2_before_writing(self, data_dir, tmp_path, capsys, b):
+        config_file = tmp_path / "config.json"
+        config_file.write_text('{"propensity_b": ' + b + "}")
+        assert cli.main(["run-all", "--corpus", str(data_dir / "corpus.jsonl"),
+                         "--labels", str(data_dir / "labels.jsonl"),
+                         "--output-dir", str(tmp_path / "out"),
+                         "--config", str(config_file)]) == 2
+        assert ("config error: propensity_b must be greater than -1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+
+class TestTupleReferenceTypes:
+    """train-encoder rejects a tuples.jsonl reference that is not a
+    [string, int] pair, naming the file and the line, and trains nothing."""
+
+    @pytest.mark.parametrize("reshape", [lambda ref: [[ref[0]], ref[1]],
+                                         lambda ref: [ref[0], ref[1] + 0.9]],
+                             ids=["list id", "float index"])
+    def test_rejected(self, run, tmp_path, capsys, reshape):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        lines = (copy / "tuples.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        rec = json.loads(lines[1])
+        lines[1] = json.dumps(rec | {"anchor": reshape(rec["anchor"])}) + "\n"
+        (copy / "tuples.jsonl").write_text("".join(lines), encoding="utf-8")
+        before = (copy / "encoder.npz").read_bytes()
+        assert cli.main(["train-encoder", "--corpus", cfg.corpus_path,
+                         "--labels", cfg.labels_path, "--output-dir", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert (f"stage train-encoder failed: {copy / 'tuples.jsonl'}: line 2: malformed "
+                "record ('anchor' must be a [paper id string, paragraph index int] pair") in err
+        assert "Traceback" not in err
+        assert (copy / "encoder.npz").read_bytes() == before
