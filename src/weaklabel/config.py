@@ -95,6 +95,8 @@ class PipelineConfig:
             raise ConfigError("train_steps must be positive when set")
         if self.ranking_limit is not None and self.ranking_limit < 1:
             raise ConfigError("ranking_limit must be positive when set")
+        if not -2**63 <= self.seed < 2**63:  # stage_seed keys on its signed 8 bytes
+            raise ConfigError("seed must lie in [-2**63, 2**63)")
         if self.propensity_b <= -1:  # the propensity constant takes (b + 1) ** a
             raise ConfigError("propensity_b must be greater than -1")
         if any(k < 1 for k in tuple(self.precision_ks) + tuple(self.ndcg_ks)):

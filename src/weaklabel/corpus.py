@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import CsrMatrix
+
 log = logging.getLogger(__name__)
 
 DEFAULT_MIN_PARAGRAPH_WORDS = 10
@@ -281,8 +283,9 @@ def read_jsonl(path, build=None, parse=json.loads):
     ``build(record)`` when ``build`` is given; ``parse`` turns a line into
     its record.
 
-    A line that ``parse`` fails on, or whose record ``build`` rejects,
-    raises CorpusError naming the file and the line.
+    A line that ``parse`` fails on, or whose record ``build`` rejects or
+    nests too deeply to decode, raises CorpusError naming the file and the
+    line.
     """
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -299,6 +302,9 @@ def read_jsonl(path, build=None, parse=json.loads):
                                   f"(missing field {exc})") from None
             except (ValueError, TypeError, IndexError, AttributeError) as exc:
                 raise CorpusError(f"{path}: line {lineno}: malformed record ({exc})") from None
+            except RecursionError:  # from the JSON decoder or a nested build
+                raise CorpusError(f"{path}: line {lineno}: malformed record "
+                                  "(nested too deeply)") from None
             yield record
 
 
@@ -371,27 +377,9 @@ def load_labels(path) -> list[Label]:
     return labels
 
 
-@dataclass
-class TermCounts:
-    """Each paper's full-text term counts over one word table.
-
-    Paper ``i`` holds the term ids ``ids[indptr[i]:indptr[i + 1]]``
-    (ascending, each once), occurring ``counts[...]`` times; ``words[t]``
-    is the word of id ``t``, ids numbered in order of first occurrence.
-    """
-
-    words: list[str]
-    ids: np.ndarray
-    counts: np.ndarray
-    indptr: np.ndarray
-
-    @property
-    def n_docs(self) -> int:
-        return self.indptr.size - 1
-
-
-def count_terms(corpus: list[Paper]) -> TermCounts:
-    """Tokenize each paper's full text once and count its terms."""
+def count_terms(corpus: list[Paper]) -> tuple[list[str], CsrMatrix]:
+    """Tokenize each paper's full text once and count its terms: the word
+    table (ids in order of first occurrence) and a papers x ids count matrix."""
     table: defaultdict[str, int] = defaultdict()
     table.default_factory = table.__len__  # a new word gets the next id
     ids, counts, indptr = [], [], [0]
@@ -402,25 +390,26 @@ def count_terms(corpus: list[Paper]) -> TermCounts:
         ids.append(u)
         counts.append(c)
         indptr.append(indptr[-1] + u.size)
-    return TermCounts(words=list(table),
-                      ids=np.concatenate(ids) if ids else np.empty(0, dtype=np.int64),
-                      counts=np.concatenate(counts) if counts else np.empty(0, dtype=np.int64),
-                      indptr=np.array(indptr, dtype=np.int64))
+    return list(table), CsrMatrix(
+        data=np.concatenate(counts) if counts else np.empty(0, dtype=np.int64),
+        indices=np.concatenate(ids) if ids else np.empty(0, dtype=np.int64),
+        indptr=np.array(indptr, dtype=np.int64), n_rows=len(corpus), n_cols=len(table))
 
 
-def vocabulary_from_terms(terms: TermCounts, min_df: int) -> Vocabulary:
+def vocabulary_from_terms(terms: tuple[list[str], CsrMatrix], min_df: int) -> Vocabulary:
     """Index every word of ``terms`` appearing in at least ``min_df`` documents."""
-    if not terms.n_docs:
+    words, counts = terms
+    if not counts.n_rows:
         raise ValueError("cannot build a vocabulary over an empty corpus")
     if min_df < 1:
         raise ValueError("min_df must be positive")
-    df = np.bincount(terms.ids, minlength=len(terms.words))
-    kept = sorted((terms.words[t], t) for t in np.flatnonzero(df >= min_df).tolist())
+    df = np.bincount(counts.indices, minlength=len(words))
+    kept = sorted((words[t], t) for t in np.flatnonzero(df >= min_df).tolist())
     if not kept:
         log.warning("vocabulary is empty at min_df=%d", min_df)
     return Vocabulary(word_index={w: i for i, (w, _) in enumerate(kept)},
                       doc_freq=df[[t for _, t in kept]].astype(np.int64),
-                      n_docs=terms.n_docs)
+                      n_docs=counts.n_rows)
 
 
 def build_vocabulary(corpus: list[Paper], min_df: int = DEFAULT_MIN_DF) -> Vocabulary:
@@ -428,12 +417,12 @@ def build_vocabulary(corpus: list[Paper], min_df: int = DEFAULT_MIN_DF) -> Vocab
     return vocabulary_from_terms(count_terms(corpus), min_df)
 
 
-def corpus_stats(corpus: list[Paper], terms: TermCounts) -> dict:
+def corpus_stats(corpus: list[Paper], terms: tuple[list[str], CsrMatrix]) -> dict:
     """Aggregate statistics reported after loading; ``terms`` are the
     corpus's term counts (``count_terms``)."""
     n = len(corpus)
     n_paragraphs = sum(len(p.paragraphs) for p in corpus)
-    n_words = int(terms.counts.sum())
+    n_words = int(terms[1].data.sum())
     return {
         "n_papers": n,
         "n_paragraphs": n_paragraphs,

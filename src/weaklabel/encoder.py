@@ -33,19 +33,6 @@ DEFAULT_MAX_TOKENS = 256
 CHECKPOINT_VERSION = 2  # 1 hashed each bigram with its own digest
 
 
-@dataclass
-class SparseVec:
-    """Sparse real vector: sorted unique indices with nonzero values."""
-
-    indices: np.ndarray  # int64
-    values: np.ndarray  # float64
-    dim: int
-
-    @property
-    def nnz(self) -> int:
-        return int(self.indices.size)
-
-
 class BaseFeaturizer:
     """Deterministic tf-weighted signed-hash features over 1/2-grams.
 
@@ -62,7 +49,7 @@ class BaseFeaturizer:
 
     ``featurize_many`` is the one path (``featurize`` is a batch of one).
     Its numpy calls cost about the same for one text as for hundreds, so
-    callers batch; a vector is bitwise the same in any batch.
+    callers batch; a row is bitwise the same in any batch.
     """
 
     def __init__(self, dim: int = DEFAULT_HASH_DIM, hash_seed: int = 0,
@@ -74,11 +61,11 @@ class BaseFeaturizer:
                               key=int(hash_seed).to_bytes(8, "little", signed=True))
         self._word_codes: dict[str, bytes] = {}
 
-    def featurize(self, text: str) -> SparseVec:
-        return self.featurize_many([text])[0]
+    def featurize(self, text: str) -> kernels.CsrMatrix:
+        return self.featurize_many([text])
 
-    def featurize_many(self, texts) -> list[SparseVec]:
-        """The feature vector of each text, in order."""
+    def featurize_many(self, texts) -> kernels.CsrMatrix:
+        """The feature vectors of the texts, as the rows of one matrix in order."""
         words = self._word_codes
         codes, counts = [], []  # every text's word codes, joined, and their counts
         for text in texts:
@@ -112,9 +99,8 @@ class BaseFeaturizer:
         row = keys // self.dim
         idx = keys - row * self.dim
         val = sums / np.sqrt(np.bincount(row, weights=sums * sums))[row]
-        bounds = np.searchsorted(row, np.arange(len(counts) + 1)).tolist()
-        return [SparseVec(idx[lo:hi], val[lo:hi], self.dim)
-                for lo, hi in zip(bounds, bounds[1:])]
+        return kernels.CsrMatrix(val, idx, np.searchsorted(row, np.arange(len(counts) + 1)),
+                                 len(counts), self.dim)
 
 
 @dataclass
@@ -158,8 +144,10 @@ def init_model(hash_dim: int = DEFAULT_HASH_DIM, embed_dim: int = DEFAULT_EMBED_
     return ScorerModel(featurizer=feat, proj=proj, w=w)
 
 
-def _embed_features(model: ScorerModel, sv: SparseVec) -> np.ndarray:
-    r = kernels.project_rows(model.proj, sv.indices, sv.values)
+def _embed_features(model: ScorerModel, X: kernels.CsrMatrix, i: int) -> np.ndarray:
+    """The unit-norm embedding of row ``i`` of a feature matrix."""
+    lo, hi = X.indptr[i], X.indptr[i + 1]
+    r = kernels.project_rows(model.proj, X.indices[lo:hi], X.data[lo:hi])
     norm = math.sqrt(float(r @ r))
     return r / norm if norm != 0.0 else np.zeros(model.embed_dim, dtype=np.float64)
 
@@ -167,7 +155,7 @@ def _embed_features(model: ScorerModel, sv: SparseVec) -> np.ndarray:
 def bi_embed(model: ScorerModel, text: str) -> np.ndarray:
     """Unit-norm embedding of one text (zero vector for empty text)."""
     model.counters.bi_embed += 1
-    return _embed_features(model, model.featurizer.featurize(text))
+    return _embed_features(model, model.featurizer.featurize(text), 0)
 
 
 def pair_features(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -185,21 +173,14 @@ def cross_score_pair(model: ScorerModel, u: np.ndarray, v: np.ndarray) -> float:
 
 def cross_score(model: ScorerModel, s: str, t: str) -> float:
     """Joint score of a text pair; both texts are featurized in one call."""
-    u, v = (_embed_features(model, sv) for sv in model.featurizer.featurize_many([s, t]))
+    X = model.featurizer.featurize_many([s, t])
+    u, v = _embed_features(model, X, 0), _embed_features(model, X, 1)
     return cross_score_pair(model, u, v)
 
 
 def contrastive_loss(s_pos: float, s_neg: float) -> float:
     """-log(exp(s_pos) / (exp(s_pos) + exp(s_neg))), overflow-safe."""
     return float(np.logaddexp(0.0, s_neg - s_pos))
-
-
-def _feature_block(feats, out: np.ndarray) -> np.ndarray:
-    """Write sparse feature vectors as the dense rows of ``out``."""
-    out.fill(0.0)
-    for row, sv in zip(out, feats):
-        row[sv.indices] = sv.values
-    return out
 
 
 def _batch_loss_grad(model: ScorerModel, x: np.ndarray, grad_proj: np.ndarray,
@@ -254,8 +235,9 @@ def _batch_loss_grad(model: ScorerModel, x: np.ndarray, grad_proj: np.ndarray,
 def loss_gradient(model: ScorerModel, anchor_text: str, pos_text: str,
                   neg_text: str) -> tuple[np.ndarray, np.ndarray, float]:
     """Analytic gradient of the tuple loss w.r.t. (proj, w)."""
-    feats = model.featurizer.featurize_many([anchor_text, pos_text, neg_text])
-    x = _feature_block(feats, np.empty((3, model.hash_dim)))
+    X = model.featurizer.featurize_many([anchor_text, pos_text, neg_text])
+    _, x = next(kernels._dense_blocks(kernels._row_blocks(X, np.arange(3), 3),
+                                      np.zeros((3, model.hash_dim))))
     rows = np.flatnonzero(x.any(axis=0))
     grad_rows = np.empty((rows.size, model.embed_dim))
     grad_w = np.empty_like(model.w)
@@ -309,19 +291,28 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
     if not tuples:
         raise ValueError("cannot train on an empty tuple sequence")
 
-    by_id = {p.id: p for p in corpus}
-    feat_cache: dict[tuple[str, int], SparseVec] = {}
-
-    def features(refs) -> list[SparseVec]:
-        # one featurizer call per step, over the references not seen before
-        new = list(dict.fromkeys(ref for ref in refs if ref not in feat_cache))
-        feat_cache.update(zip(new, model.featurizer.featurize_many(
-            [by_id[pid].paragraphs[i].text for pid, i in new])))
-        return [feat_cache[ref] for ref in refs]
-
     rng = np.random.default_rng(config.seed)
     total = config.resolve_total_steps(len(tuples))
     n = len(tuples)
+    b = min(config.batch_size, n)  # tuples per step
+
+    # lay out every step first: row_of numbers the distinct drawn paragraphs,
+    # featurized in one call; a step's rows are its anchors, positives, negatives
+    row_of: dict[tuple[str, int], int] = {}
+    steps = np.empty((total, 3 * b), dtype=np.int64)
+    order = rng.permutation(n)
+    cursor = 0
+    for t in range(total):
+        if cursor + config.batch_size > n:
+            order = rng.permutation(n)
+            cursor = 0
+        batch = [tuples[i] for i in order[cursor:cursor + config.batch_size]]
+        cursor += config.batch_size
+        steps[t] = [row_of.setdefault(ref, len(row_of)) for ref in
+                    [tup.anchor for tup in batch] + [tup.positive for tup in batch]
+                    + [tup.negative for tup in batch]]
+    paragraphs = {p.id: p.paragraphs for p in corpus}
+    feats = model.featurizer.featurize_many([paragraphs[pid][k].text for pid, k in row_of])
 
     m_proj, v_proj = np.zeros_like(model.proj), np.zeros_like(model.proj)
     m_w, v_w = np.zeros_like(model.w), np.zeros_like(model.w)
@@ -331,21 +322,11 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
     # costs fresh pages every step
     adamw_scratch = (np.empty_like(model.proj[:kernels.ADAMW_BLOCK_ROWS]),
                      np.empty_like(model.proj[:kernels.ADAMW_BLOCK_ROWS]))
-    x = np.empty((3 * min(config.batch_size, n), model.hash_dim))
+    blocks = kernels._row_blocks(feats, steps.reshape(-1), 3 * b)  # one per step
 
     losses = np.empty(total, dtype=np.float64)
-    order = rng.permutation(n)
-    cursor = 0
-    for t in range(1, total + 1):
-        if cursor + config.batch_size > n:
-            order = rng.permutation(n)
-            cursor = 0
-        batch = [tuples[i] for i in order[cursor:cursor + config.batch_size]]
-        cursor += config.batch_size
-
-        _feature_block(features([tup.anchor for tup in batch]
-                                + [tup.positive for tup in batch]
-                                + [tup.negative for tup in batch]), x)
+    for t, (_, x) in enumerate(kernels._dense_blocks(blocks, np.zeros((3 * b, model.hash_dim))),
+                               start=1):
         # hash rows no text in the batch touches have an exactly zero gradient
         rows = np.flatnonzero(x.any(axis=0))
         grad_rows = grad_proj[:rows.size]

@@ -1,26 +1,27 @@
-"""Numeric kernels on plain numpy arrays.
+"""Numeric kernels on plain numpy arrays, and the one sparse-row type.
 
-The pipeline calls ``project_rows`` (embedding one text) and
-``adamw_step`` (the scorer's optimizer). The scorer passes ``adamw_step``
-only the projection rows its batch touches (``rows``), since every other
-row of the gradient is exactly zero, and the parameter update runs over
-blocks of ``ADAMW_BLOCK_ROWS`` rows; both give the dense update bit for
+``CsrMatrix`` holds every sparse row the package makes: hashed text
+features, term counts and tf-idf. ``_row_blocks`` and ``_dense_blocks``
+write its rows densely, a block at a time, for the scorer's steps and the
+label-tree fits and predictions. The pipeline also calls ``project_rows``
+(embedding one text) and ``adamw_step`` (the scorer's optimizer), which the
+scorer passes only the projection rows its batch touches (``rows``), since
+every other row of the gradient is exactly zero; the parameter update runs
+over blocks of ``ADAMW_BLOCK_ROWS`` rows. Both give the dense update bit for
 bit. Its moments are kept scaled (``adamw_step`` says how, and when the
 scale folds back), so that a row without a gradient term needs neither a
 decay nor a square root; the update matches the textbook formula up to
 rounding (README, "Numerics rule"). ``scatter_add_outer``, ``csr_matvec``
 and ``logistic_epochs`` are per-vector forms of the batched scorer and
-label-tree code, kept as its test references (``logistic_epochs`` checks
-``selftrain._fit_logistic``) and timed by ``pipebench/bench_kernels.py``.
-
-All sparse inputs use plain arrays: either a single (indices, values)
-pair for one vector, or CSR triplets (data, indices, indptr) for a row
-matrix. indices are int64, floats are float64.
+label-tree code on plain arrays, kept as its test references
+(``logistic_epochs`` checks ``selftrain._fit_logistic``) and timed by
+``pipebench/bench_kernels.py``. Indices are int64, floats are float64.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +31,56 @@ BACKEND = "numpy"
 ADAMW_BLOCK_ROWS = 128
 # the least beta**k the AdamW moments are scaled by before they fold back
 ADAMW_SCALE_FLOOR = 1e-8
+
+
+@dataclass
+class CsrMatrix:
+    """Sparse rows: row i holds ``data[indptr[i]:indptr[i + 1]]`` at the
+    columns ``indices[...]``, ascending and each at most once; ``indices``
+    and ``indptr`` are int64."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    n_rows: int
+    n_cols: int
+
+
+def _nonzeros(X: CsrMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in X.data and X.indices of the nonzeros of ``rows``,
+    row after row, and each row's nonzero count."""
+    lo = X.indptr[rows]
+    lengths = X.indptr[rows + 1] - lo
+    ends = np.cumsum(lengths)
+    return np.arange(int(ends[-1])) + np.repeat(lo - (ends - lengths), lengths), lengths
+
+
+def _row_blocks(X: CsrMatrix, rows: np.ndarray, block_rows: int):
+    """Cut ``rows`` of X (a row may repeat) into runs of at most
+    ``block_rows`` rows.
+
+    Yields (start, count, flat, values): writing ``values`` at ``flat``
+    into a zeroed, raveled (count, n_cols) buffer gives rows
+    ``rows[start:start + count]`` densely.
+    """
+    for start in range(0, rows.size, block_rows):
+        block = rows[start:start + block_rows]
+        take, lengths = _nonzeros(X, block)
+        local = np.repeat(np.arange(block.size), lengths)
+        yield start, block.size, local * X.n_cols + X.indices[take], X.data[take]
+
+
+def _dense_blocks(blocks, buf: np.ndarray):
+    """Yield (start, dense rows) for each of ``blocks``, reusing ``buf``.
+
+    A yielded view is valid until the next one is requested; ``buf`` is
+    left zeroed.
+    """
+    flat = buf.reshape(-1)
+    for start, count, pos, values in blocks:
+        flat[pos] = values
+        yield start, buf[:count]
+        flat[pos] = 0.0
 
 
 def _sigmoid(z):

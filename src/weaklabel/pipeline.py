@@ -24,9 +24,9 @@ import numpy as np
 from . import candidates as cand
 from . import citegraph, encoder, metrics, ranker, selftrain
 from .config import PipelineConfig
-from .corpus import (Label, Paper, TermCounts, Vocabulary, atomic_write, corpus_stats,
-                     count_terms, load_corpus, load_labels, read_by_paper, vocabulary_from_terms,
-                     write_jsonl)
+from .corpus import (Label, Paper, Vocabulary, atomic_write, corpus_stats, count_terms,
+                     load_corpus, load_labels, read_by_paper, vocabulary_from_terms, write_jsonl)
+from .kernels import CsrMatrix
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +79,7 @@ class RunContext:
         return frozenset(p.id for p in self.corpus)
 
     @cached_property
-    def terms(self) -> TermCounts:
+    def terms(self) -> tuple[list[str], CsrMatrix]:
         return count_terms(self.corpus)
 
     @cached_property
@@ -87,7 +87,7 @@ class RunContext:
         return vocabulary_from_terms(self.terms, self.cfg.min_df)
 
     @cached_property
-    def tfidf(self) -> selftrain.CsrMatrix:
+    def tfidf(self) -> CsrMatrix:
         X = selftrain.tfidf_from_terms(self.terms, self.vocab)
         del self.terms  # no later stage reads the counts; free them before the fit
         return X
@@ -146,6 +146,21 @@ def _check_tuple_refs(tuples, corpus):
                 raise ValueError(f"{ARTIFACTS['tuples']} was written for another corpus: "
                                  f"reference ({pid!r}, {i}) does not resolve ({why}); "
                                  f"rerun sample-tuples")
+
+
+def _check_override_ids(path, overrides: dict, corpus: list[Paper], labels: list[Label]):
+    """Reject an embeddings file none of whose ids is a label id, a paper id
+    or a ``<paper_id>#<i>`` paragraph id of this run; warn about the ids of
+    a file that match in part."""
+    known = ({l.id for l in labels} | {p.id for p in corpus}
+             | {f"{p.id}#{i}" for p in corpus for i in range(len(p.paragraphs))})
+    unknown = [key for key in overrides if key not in known]
+    if len(unknown) == len(overrides):
+        raise ValueError(f"{path}: none of its {len(overrides)} ids is a label id, a paper "
+                         "id or a <paper_id>#<i> paragraph id of this corpus")
+    if unknown:
+        log.warning("%s: %d of its %d ids match no label, paper or paragraph (first %s)",
+                    path, len(unknown), len(overrides), unknown[:5])
 
 
 def stage_ingest(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict:
@@ -207,6 +222,8 @@ def stage_score(cfg: PipelineConfig,
     model = encoder.load_model(_path(cfg, "encoder"))
     overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
                  if cfg.embeddings_path else {})
+    if overrides:
+        _check_override_ids(cfg.embeddings_path, overrides, corpus, labels)
     model.counters.reset()
 
     def embeddings(items) -> list[np.ndarray]:
@@ -214,9 +231,10 @@ def stage_score(cfg: PipelineConfig,
         under ``key``, or else the model's, with one featurizer call for all."""
         own = [(text, counted) for key, text, counted in items if key not in overrides]
         model.counters.bi_embed += sum(counted for _, counted in own)
-        feats = iter(model.featurizer.featurize_many([text for text, _ in own]))
+        feats = model.featurizer.featurize_many([text for text, _ in own])
+        rows = iter(range(feats.n_rows))
         return [overrides[key] if key in overrides else
-                encoder._embed_features(model, next(feats)) for key, _, _ in items]
+                encoder._embed_features(model, feats, next(rows)) for key, _, _ in items]
 
     # both scorers read the label vectors; bi calls count them only on the bi path
     label_embs = dict(zip((l.id for l in labels),

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import TermCounts, Vocabulary, read_npz, write_npz
-from .kernels import _sigmoid
+from .corpus import Vocabulary, read_npz, write_npz
+from .kernels import CsrMatrix, _dense_blocks, _nonzeros, _row_blocks, _sigmoid
 from .ranker import CandidateScore
 
 CLASSIFIER_VERSION = 1
@@ -34,36 +34,27 @@ GRAM_MAX_ROWS = 1024  # largest node fitted in row space: its Gram matrix is at 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CsrMatrix:
-    data: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    n_rows: int
-    n_cols: int
-
-
-def tfidf_from_terms(terms: TermCounts, vocab: Vocabulary) -> CsrMatrix:
+def tfidf_from_terms(terms: tuple[list[str], CsrMatrix], vocab: Vocabulary) -> CsrMatrix:
     """tf(w, d) * ln(|D| / df(w)) over each paper's full-text term counts.
 
     Row i is paper i with its columns ascending. Words outside the
     vocabulary, and words present in every document (zero idf), contribute
     no entries.
     """
+    words, counts = terms
     # a word outside the vocabulary maps to one extra column of zero idf
-    column = np.array([vocab.word_index.get(w, len(vocab)) for w in terms.words],
-                      dtype=np.int64)
+    column = np.array([vocab.word_index.get(w, len(vocab)) for w in words], dtype=np.int64)
     idf = np.append(np.log(vocab.n_docs / vocab.doc_freq), 0.0)
-    cols = column[terms.ids]
-    vals = terms.counts * idf[cols]
+    cols = column[counts.indices]
+    vals = counts.data * idf[cols]
     keep = np.flatnonzero(vals)
-    rows = np.repeat(np.arange(terms.n_docs), np.diff(terms.indptr))[keep]
+    rows = np.repeat(np.arange(counts.n_rows), np.diff(counts.indptr))[keep]
     cols, vals = cols[keep], vals[keep]
     order = np.argsort(rows * len(vocab) + cols)
     return CsrMatrix(
         data=vals[order], indices=cols[order],
-        indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=terms.n_docs)))),
-        n_rows=terms.n_docs, n_cols=len(vocab),
+        indptr=np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=counts.n_rows)))),
+        n_rows=counts.n_rows, n_cols=len(vocab),
     )
 
 
@@ -75,43 +66,6 @@ def _normalize_rows(X: CsrMatrix) -> CsrMatrix:
         if norm > 0.0:
             data[lo:hi] /= norm
     return CsrMatrix(data, X.indices, X.indptr, X.n_rows, X.n_cols)
-
-
-def _nonzeros(X: CsrMatrix, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions in X.data and X.indices of the nonzeros of ``rows``,
-    row after row, and each row's nonzero count."""
-    lo = X.indptr[rows]
-    lengths = X.indptr[rows + 1] - lo
-    ends = np.cumsum(lengths)
-    return np.arange(int(ends[-1])) + np.repeat(lo - (ends - lengths), lengths), lengths
-
-
-def _row_blocks(X: CsrMatrix, rows: np.ndarray):
-    """Cut ``rows`` of X into runs of at most BLOCK_ROWS rows.
-
-    Yields (start, count, flat, values): writing ``values`` at ``flat``
-    into a zeroed, raveled (count, n_cols) buffer gives rows
-    ``rows[start:start + count]`` densely. Each row must hold a column at
-    most once, as tfidf_from_terms makes them.
-    """
-    for start in range(0, rows.size, BLOCK_ROWS):
-        block = rows[start:start + BLOCK_ROWS]
-        take, lengths = _nonzeros(X, block)
-        local = np.repeat(np.arange(block.size), lengths)
-        yield start, block.size, local * X.n_cols + X.indices[take], X.data[take]
-
-
-def _dense_blocks(blocks, buf: np.ndarray):
-    """Yield (start, dense rows) for each of ``blocks``, reusing ``buf``.
-
-    A yielded view is valid until the next one is requested; ``buf`` is
-    left zeroed.
-    """
-    flat = buf.reshape(-1)
-    for start, count, pos, values in blocks:
-        flat[pos] = values
-        yield start, buf[:count]
-        flat[pos] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +203,7 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray,
     b = np.zeros(k)
     if n == 0:
         return W, b
-    blocks = list(_row_blocks(X, rows))
+    blocks = list(_row_blocks(X, rows, BLOCK_ROWS))
     buf = np.zeros((min(n, BLOCK_ROWS), X.n_cols))
     part = np.empty_like(W)
     if _in_row_space(n, X.n_cols, k, cfg.epochs):
@@ -437,7 +391,7 @@ def predict_blocks(clf: LabelTreeClassifier, X: CsrMatrix, beam_width: int):
     first = _first_rows(clf.nodes)
     plans = [_search_plan(clf.nodes, root, label_pos, first) for root in clf.roots]
     buf = np.zeros((min(X.n_rows, BLOCK_ROWS), X.n_cols))
-    for start, dense in _dense_blocks(_row_blocks(Xn, np.arange(X.n_rows)), buf):
+    for start, dense in _dense_blocks(_row_blocks(Xn, np.arange(X.n_rows), BLOCK_ROWS), buf):
         logits = dense @ clf.weights.T
         logits += clf.biases
         S = _sigmoid(logits)

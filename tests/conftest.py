@@ -7,8 +7,9 @@ import pytest
 
 from weaklabel import encoder, kernels, pipeline, ranker
 from weaklabel.corpus import count_terms, load_corpus, load_labels
-from weaklabel.encoder import SparseVec, pair_features
-from weaklabel.selftrain import CsrMatrix, final_rankings, predict_blocks, tfidf_from_terms
+from weaklabel.encoder import pair_features
+from weaklabel.kernels import CsrMatrix
+from weaklabel.selftrain import final_rankings, predict_blocks, tfidf_from_terms
 
 # the CLI tests run ``python -m weaklabel.cli`` in subprocesses, which import it from here
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -76,9 +77,11 @@ def build_tfidf_matrix(corpus, vocab) -> CsrMatrix:
     return tfidf_from_terms(count_terms(corpus), vocab)
 
 
-def csr_row(X: CsrMatrix, i: int) -> SparseVec:
+def csr_row(X: CsrMatrix, i: int) -> CsrMatrix:
+    """Row i of X as a one-row matrix."""
     lo, hi = X.indptr[i], X.indptr[i + 1]
-    return SparseVec(X.indices[lo:hi], X.data[lo:hi], X.n_cols)
+    return CsrMatrix(X.data[lo:hi], X.indices[lo:hi], np.array([0, hi - lo], dtype=np.int64),
+                     1, X.n_cols)
 
 
 def stacked_probabilities(clf, X: CsrMatrix, beam_width: int = 10) -> np.ndarray:
@@ -87,11 +90,10 @@ def stacked_probabilities(clf, X: CsrMatrix, beam_width: int = 10) -> np.ndarray
                      + [probs for _, probs in predict_blocks(clf, X, beam_width)])
 
 
-def predict_proba(clf, x: SparseVec, beam_width: int = 10) -> dict[str, float]:
-    """predict_blocks for one document, as {label id: probability} over
-    the labels it reached (probability > 0)."""
-    X = CsrMatrix(x.values, x.indices, np.array([0, x.nnz], dtype=np.int64), 1, x.dim)
-    probs = stacked_probabilities(clf, X, beam_width)[0]
+def predict_proba(clf, x: CsrMatrix, beam_width: int = 10) -> dict[str, float]:
+    """predict_blocks for one document (a one-row matrix), as {label id:
+    probability} over the labels it reached (probability > 0)."""
+    probs = stacked_probabilities(clf, x, beam_width)[0]
     return {lid: float(probs[j]) for j, lid in enumerate(clf.label_ids) if probs[j] > 0}
 
 
@@ -203,7 +205,7 @@ def per_text_stage_score(cfg):
         if ov is not None:
             return ov
         return (encoder.bi_embed(model, text) if counted else
-                encoder._embed_features(model, model.featurizer.featurize(text)))
+                encoder._embed_features(model, model.featurizer.featurize(text), 0))
 
     label_embs = {l.id: embedding(l.id, l.text, cfg.use_hierarchy) for l in labels}
     scored = {}

@@ -257,6 +257,22 @@ class TestJsonLines:
         with pytest.raises(CorpusError, match=r"r\.jsonl: line 2: malformed record"):
             next(records)
 
+    @pytest.mark.parametrize("levels", [600, 3000])
+    def test_deeply_nested_record_names_file_and_line(self, tmp_path, capsys, levels):
+        # written by hand: json.dumps recurses as deep as the record nests
+        leaf = json.dumps({"name": "s", "paragraphs": [words(12)]})
+        nested = ('{"id": "p1", "sections": [' + '{"name": "s", "subsections": [' * levels
+                  + leaf + "]}" * levels + "]}")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps(paper_record("p0", title=words(12))) + "\n" + nested + "\n")
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text('{"id": "L", "names": ["w1"]}\n')
+        assert main(["ingest", "--corpus", str(corpus), "--labels", str(labels),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert (f"stage ingest failed: {corpus}: line 2: malformed record (nested too deeply)"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     def test_failed_write_keeps_earlier_file(self, tmp_path):
         path = tmp_path / "r.jsonl"
         write_jsonl([{"a": 1}, {"b": 2}], path)

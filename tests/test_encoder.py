@@ -11,16 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaklabel import encoder
+from weaklabel import encoder, kernels
 from weaklabel.encoder import (
-    DEFAULT_MAX_TOKENS, BaseFeaturizer, SparseVec, TrainingDiverged, bi_embed, contrastive_loss,
+    DEFAULT_MAX_TOKENS, BaseFeaturizer, TrainingDiverged, bi_embed, contrastive_loss,
     cross_score, init_model, load_embedding_overrides, load_model,
     loss_gradient, save_model, train, TrainConfig,
 )
 
 from weaklabel.corpus import tokenize
+from weaklabel.kernels import CsrMatrix
 
-from conftest import load_corpus_records, paper_record
+from conftest import csr_row, load_corpus_records, paper_record
 from test_kernels import adamw_allocating_reference
 
 
@@ -31,18 +32,18 @@ def rand_text(rng, n, vocab=40):
 class TestFeaturizer:
     def test_empty_text_zero_vector(self):
         sv = BaseFeaturizer(dim=64).featurize("")
-        assert sv.nnz == 0 and sv.values.size == 0 and sv.dim == 64
+        assert sv.indices.size == 0 and sv.data.size == 0 and sv.n_cols == 64
 
     def test_deterministic(self):
         f = BaseFeaturizer(dim=256, hash_seed=3)
         a = f.featurize("graph neural network")
         b = f.featurize("graph neural network")
         np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.data, b.data)
 
     def test_unit_norm(self):
         sv = BaseFeaturizer(dim=512).featurize("graph neural network")
-        assert np.linalg.norm(sv.values) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(sv.data) == pytest.approx(1.0, abs=1e-12)
 
     def test_seed_changes_feature_space(self):
         a = BaseFeaturizer(dim=512, hash_seed=0).featurize("graph neural network")
@@ -57,7 +58,7 @@ class TestFeaturizer:
         a = f.featurize(" ".join(tokens))
         b = f.featurize(" ".join(tokens[:256]))
         np.testing.assert_array_equal(a.indices, b.indices)
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a.data, b.data)
 
 
 MASK64 = (1 << 64) - 1
@@ -91,24 +92,27 @@ def per_gram_buckets(dim, hash_seed, max_tokens, text):
     return buckets
 
 
-def per_gram_featurize(f: BaseFeaturizer, text: str) -> SparseVec:
-    """Reference featurizer: sums the per-gram signs in a dict, then normalizes."""
+def per_gram_featurize(f: BaseFeaturizer, text: str) -> CsrMatrix:
+    """Reference featurizer: sums the per-gram signs in a dict, then
+    normalizes; one row."""
     if not tokenize(text):
-        return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), f.dim)
+        return CsrMatrix(np.empty(0), np.empty(0, dtype=np.int64),
+                         np.zeros(2, dtype=np.int64), 1, f.dim)
     buckets = per_gram_buckets(f.dim, f.hash_seed, f.max_tokens, text)
     idx = np.array(sorted(b for b, v in buckets.items() if v != 0.0), dtype=np.int64)
     val = np.array([buckets[b] for b in idx], dtype=np.float64)
     norm = math.sqrt(float(val @ val))
     if norm > 0.0:
         val /= norm
-    return SparseVec(idx, val, f.dim)
+    return CsrMatrix(val, idx, np.array([0, idx.size], dtype=np.int64), 1, f.dim)
 
 
-def assert_bitwise_equal(a: SparseVec, b: SparseVec):
-    assert a.dim == b.dim
-    assert a.indices.dtype == b.indices.dtype and a.values.dtype == b.values.dtype
+def assert_bitwise_equal(a: CsrMatrix, b: CsrMatrix):
+    assert (a.n_rows, a.n_cols) == (b.n_rows, b.n_cols)
+    assert a.indices.dtype == b.indices.dtype and a.data.dtype == b.data.dtype
+    assert a.indptr.tobytes() == b.indptr.tobytes()
     assert a.indices.tobytes() == b.indices.tobytes()
-    assert a.values.tobytes() == b.values.tobytes()
+    assert a.data.tobytes() == b.data.tobytes()
 
 
 LONG_TEXT = " ".join(f"w{i % 97} x{i % 13}" for i in range(400))  # 800 tokens
@@ -162,7 +166,7 @@ class TestFeaturizerGolden:
         f = BaseFeaturizer(dim=1 << 62)
         f._word_codes.update(x=a.to_bytes(8, "little"), y=b.to_bytes(8, "little"))
         sv = f.featurize("x y")
-        signs = {int(i): v > 0 for i, v in zip(sv.indices, sv.values)}
+        signs = {int(i): v > 0 for i, v in zip(sv.indices, sv.data)}
         assert signs[code & ((1 << 62) - 1)] == bool(code >> 63)
         assert len(signs) == len({a, b, code})
 
@@ -175,22 +179,25 @@ class TestFeaturizerGolden:
                            "little")
         sv = BaseFeaturizer(dim=1 << 62, hash_seed=hash_seed).featurize(word)
         assert sv.indices.tolist() == [h & ((1 << 62) - 1)]
-        assert sv.values.tolist() == [1.0 if h >> 63 else -1.0]
+        assert sv.data.tolist() == [1.0 if h >> 63 else -1.0]
 
     def test_no_bigram_across_texts(self):
         f = BaseFeaturizer(dim=1 << 62)
-        a, b = f.featurize_many(["a", "b"])
-        assert (a.nnz, b.nnz) == (1, 1)
+        X = f.featurize_many(["a", "b"])
+        a, b = csr_row(X, 0), csr_row(X, 1)
+        assert (a.data.size, b.data.size) == (1, 1)
         assert_bitwise_equal(a, f.featurize("a"))
         assert_bitwise_equal(b, f.featurize("b"))
-        assert f.featurize("a b").nnz == 3
+        assert f.featurize("a b").data.size == 3
 
     @pytest.mark.parametrize("max_tokens", [1, 3, DEFAULT_MAX_TOKENS])
     def test_edge_texts_mid_batch_equal_their_one_text_vectors(self, max_tokens):
         edge = ["", "graph", " ".join(f"w{i}" for i in range(max_tokens + 5)), " ... "]
         texts = ["graph neural network"] + [t for e in edge for t in (e, "neural graph data")]
         f = BaseFeaturizer(dim=256, hash_seed=3, max_tokens=max_tokens)
-        for sv, text in zip(f.featurize_many(texts), texts):
+        X = f.featurize_many(texts)
+        for i, text in enumerate(texts):
+            sv = csr_row(X, i)
             assert_bitwise_equal(sv, BaseFeaturizer(dim=256, hash_seed=3,
                                                     max_tokens=max_tokens).featurize(text))
             assert_bitwise_equal(sv, per_gram_featurize(f, text))
@@ -215,8 +222,9 @@ class TestFeaturizerGolden:
                 order = texts[shift:] + texts[:shift]
                 if batch == 1:
                     return [f.featurize(t) for t in order], shift
-                return [sv for lo in range(0, len(order), batch)
-                        for sv in f.featurize_many(order[lo:lo + batch])], shift
+                return [csr_row(X, i) for lo in range(0, len(order), batch)
+                        for X in [f.featurize_many(order[lo:lo + batch])]
+                        for i in range(X.n_rows)], shift
 
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
@@ -256,9 +264,9 @@ class TestFeaturizerGolden:
     def test_batch_matches_reference(self, texts, dim, hash_seed, max_tokens):
         f = BaseFeaturizer(dim=dim, hash_seed=hash_seed, max_tokens=max_tokens)
         got = f.featurize_many(texts)
-        assert len(got) == len(texts)
-        for sv, text in zip(got, texts):
-            assert_bitwise_equal(sv, per_gram_featurize(f, text))
+        assert got.n_rows == len(texts)
+        for i, text in enumerate(texts):
+            assert_bitwise_equal(csr_row(got, i), per_gram_featurize(f, text))
 
 
 class TestBiEmbed:
@@ -267,8 +275,9 @@ class TestBiEmbed:
         model.proj[:] = 0.0
         for i in range(4):
             model.proj[i, i] = 1.0
-        one_hot = SparseVec(np.array([2], dtype=np.int64), np.array([1.0]), 8)
-        emb = encoder._embed_features(model, one_hot)
+        one_hot = CsrMatrix(np.array([1.0]), np.array([2], dtype=np.int64),
+                            np.array([0, 1], dtype=np.int64), 1, 8)
+        emb = encoder._embed_features(model, one_hot, 0)
         np.testing.assert_array_equal(emb, np.array([0.0, 0.0, 1.0, 0.0]))
 
     def test_unit_norm_for_nonempty_text(self):
@@ -298,8 +307,8 @@ def oracle_cross(model, s, t):
     """Dense re-derivation of w . psi(embed(s), embed(t))."""
     def emb(text):
         sv = model.featurizer.featurize(text)
-        dense = np.zeros(sv.dim)
-        dense[sv.indices] = sv.values
+        dense = np.zeros(sv.n_cols)
+        dense[sv.indices] = sv.data
         r = model.proj.T @ dense
         n = np.linalg.norm(r)
         return r / n if n > 0 else np.zeros_like(r)
@@ -333,7 +342,7 @@ class TestCrossScore:
         model = init_model(hash_dim=128, embed_dim=16, seed=3)
         model.w = rng.normal(size=32)
         s, t = rand_text(rng, 15), rand_text(rng, 11)
-        u, v = (encoder._embed_features(model, model.featurizer.featurize(x)) for x in (s, t))
+        u, v = (encoder._embed_features(model, model.featurizer.featurize(x), 0) for x in (s, t))
         want = float(model.w @ encoder.pair_features(u, v))
         calls = []
         featurize_many = BaseFeaturizer.featurize_many
@@ -445,8 +454,9 @@ class TestLossGradient:
         texts[2][1] = ""  # a zero-norm row in the same block as nonzero rows
         singles = [loss_gradient(model, *tup) for tup in texts]
 
-        feats = [model.featurizer.featurize(tup[arm]) for arm in range(3) for tup in texts]
-        x = encoder._feature_block(feats, np.empty((12, 64)))
+        feats = model.featurizer.featurize_many([tup[arm] for arm in range(3) for tup in texts])
+        _, x = next(kernels._dense_blocks(kernels._row_blocks(feats, np.arange(12), 12),
+                                          np.zeros((12, 64))))
         rows = np.flatnonzero(x.any(axis=0))
         grad_rows, grad_w = np.empty((rows.size, model.embed_dim)), np.empty_like(model.w)
         loss = encoder._batch_loss_grad(model, x, grad_rows, grad_w, rows)
@@ -559,6 +569,28 @@ class TestTrain:
         with pytest.raises(TrainingDiverged, match="non-finite parameter at step 5$"):
             train(model, tuples, corpus, TrainConfig(total_steps=5, seed=8))
 
+    @pytest.mark.parametrize("batch_size", [8, 50])  # 50 > 40 tuples: each step draws all
+    def test_featurizes_the_drawn_paragraphs_in_one_call(self, tmp_path, monkeypatch,
+                                                         batch_size):
+        corpus = tiny_corpus(tmp_path)
+        tuples = tuples_for(corpus, 40, seed=1)
+        config = TrainConfig(total_steps=2, batch_size=batch_size, seed=5)
+        order = np.random.default_rng(config.seed).permutation(40)  # train's first draw
+        drawn = [tuples[i] for i in order[:2 * batch_size]]
+        by_id = {p.id: p for p in corpus}
+        want = {ref: by_id[ref[0]].paragraphs[ref[1]].text
+                for tup in drawn for ref in (tup.anchor, tup.positive, tup.negative)}
+        calls = []
+        featurize_many = BaseFeaturizer.featurize_many
+        monkeypatch.setattr(BaseFeaturizer, "featurize_many",
+                            lambda self, texts: calls.append(list(texts))
+                            or featurize_many(self, texts))
+        train(init_model(hash_dim=128, embed_dim=16, seed=0), tuples, corpus, config)
+        assert len(calls) == 1
+        assert sorted(calls[0]) == sorted(want.values())  # one text per distinct reference
+        if batch_size == 8:
+            assert len(calls[0]) < sum(len(p.paragraphs) for p in corpus)
+
     def test_empty_tuples_rejected(self, tmp_path):
         corpus = tiny_corpus(tmp_path)
         model = init_model(hash_dim=64, embed_dim=8)
@@ -585,7 +617,7 @@ def dense_reference_train(model, tuples, corpus, config):
         x = np.zeros((len(refs), model.hash_dim))
         for row, (pid, k) in zip(x, refs):
             sv = model.featurizer.featurize(by_id[pid].paragraphs[k].text)
-            row[sv.indices] = sv.values
+            row[sv.indices] = sv.data
         rows = np.flatnonzero(x.any(axis=0))
         grad_rows, grad_w = np.empty((rows.size, model.embed_dim)), np.empty_like(model.w)
         losses.append(encoder._batch_loss_grad(model, x, grad_rows, grad_w, rows))

@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from weaklabel import kernels
+from weaklabel.corpus import build_vocabulary, count_terms
+from weaklabel.encoder import BaseFeaturizer
+from weaklabel.selftrain import tfidf_from_terms
+
+from conftest import load_corpus_records, paper_record
 
 
 def test_project_rows_empty_vector_is_zero():
@@ -293,3 +298,72 @@ def test_sigmoid_bitwise_equals_reference():
 
 def test_sigmoid_of_nan_is_nan():
     assert np.isnan(kernels._sigmoid(np.array([np.nan]))).all()
+
+
+def assert_csr_rows(X, n_rows, n_cols):
+    """X is a CsrMatrix of n_rows x n_cols with int64 indices and indptr and
+    ascending unique columns in each row."""
+    assert isinstance(X, kernels.CsrMatrix)
+    assert X.indices.dtype == np.int64 and X.indptr.dtype == np.int64
+    assert (X.n_rows, X.n_cols, X.indptr.size) == (n_rows, n_cols, n_rows + 1)
+    assert X.indptr[0] == 0 and X.indptr[-1] == X.indices.size == X.data.size
+    for i in range(n_rows):
+        cols = X.indices[X.indptr[i]:X.indptr[i + 1]]
+        assert (np.diff(cols) > 0).all() and (cols >= 0).all() and (cols < n_cols).all()
+
+
+TEXTS = ["graph neural network graph", "", "  ,.;!? ", "network pruning of graph neural network",
+         "graph graph graph"]
+
+
+class TestCsrProducers:
+    """Every producer of sparse rows returns the one CsrMatrix form."""
+
+    @pytest.mark.parametrize("texts", [TEXTS, []])
+    def test_featurize_many(self, texts):
+        assert_csr_rows(BaseFeaturizer(dim=4, hash_seed=3).featurize_many(texts), len(texts), 4)
+        assert_csr_rows(BaseFeaturizer(dim=2048).featurize_many(texts), len(texts), 2048)
+
+    def test_count_terms_and_tfidf(self, tmp_path):
+        recs = [paper_record(f"p{i}", title=text.split(" ")[0],
+                             sections=[{"name": "s", "paragraphs": [text]}])
+                for i, text in enumerate(TEXTS)]
+        corpus = load_corpus_records(tmp_path, recs, min_words=1)
+        words, counts = count_terms(corpus)
+        assert_csr_rows(counts, len(corpus), len(words))
+        assert counts.data.dtype == np.int64 and (counts.data > 0).all()
+        vocab = build_vocabulary(corpus, min_df=1)
+        X = tfidf_from_terms((words, counts), vocab)
+        assert_csr_rows(X, len(corpus), len(vocab))
+        assert X.data.dtype == np.float64 and (X.data != 0.0).all()
+
+
+def per_row_scatter(X, rows):
+    """The rows of X, dense, one row at a time."""
+    out = np.zeros((rows.size, X.n_cols))
+    for k, r in enumerate(rows):
+        lo, hi = X.indptr[r], X.indptr[r + 1]
+        out[k, X.indices[lo:hi]] = X.data[lo:hi]
+    return out
+
+
+class TestDenseBlocks:
+    # rows 1 and 4 are empty
+    X = kernels.CsrMatrix(np.arange(1.0, 9.0), np.array([0, 3, 9, 2, 5, 1, 4, 7], dtype=np.int64),
+                          np.array([0, 3, 3, 5, 6, 6, 8], dtype=np.int64), 6, 10)
+
+    @pytest.mark.parametrize("rows, block_rows", [
+        ([2, 2, 1, 0, 4, 3, 2, 2, 1, 4], 4),  # repeats; the last block holds empty rows only
+        ([5, 5, 5], 3),  # one block of one repeated row
+        ([1], 1),
+        ([0, 1, 2, 3, 4, 5], 128),
+    ])
+    def test_equal_a_per_row_scatter(self, rows, block_rows):
+        rows = np.array(rows, dtype=np.int64)
+        buf = np.zeros((min(rows.size, block_rows), self.X.n_cols))
+        got = [(start, dense.copy()) for start, dense in
+               kernels._dense_blocks(kernels._row_blocks(self.X, rows, block_rows), buf)]
+        assert [start for start, _ in got] == list(range(0, rows.size, block_rows))
+        np.testing.assert_array_equal(np.vstack([dense for _, dense in got]),
+                                      per_row_scatter(self.X, rows))
+        assert not buf.any()  # left zeroed for the next caller

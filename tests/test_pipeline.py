@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import os
 import shutil
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklabel import candidates as cand
-from weaklabel import citegraph, cli, encoder, metrics, pipeline, ranker, selftrain
+from weaklabel import citegraph, cli, encoder, kernels, metrics, pipeline, ranker, selftrain
 from weaklabel.config import ConfigError, PipelineConfig, make_config
 from weaklabel.corpus import Paper, load_corpus, load_labels, read_jsonl, write_jsonl
 from weaklabel.synth import SyntheticSpec, write_synthetic
@@ -569,9 +570,9 @@ def per_candidate_cross(model, paper, labels_by_id, cand_ids, overrides):
             out[lid] = encoder.cross_score(model, paper.title_abstract, labels_by_id[lid].text)
             continue
         u = u_over if u_over is not None else encoder._embed_features(
-            model, model.featurizer.featurize(paper.title_abstract))
+            model, model.featurizer.featurize(paper.title_abstract), 0)
         v = v_over if v_over is not None else encoder._embed_features(
-            model, model.featurizer.featurize(labels_by_id[lid].text))
+            model, model.featurizer.featurize(labels_by_id[lid].text), 0)
         out[lid] = encoder.cross_score_pair(model, u, v)
     return out
 
@@ -712,6 +713,57 @@ class TestEmbeddingOverrides:
             a.label_id == labels[0].id and a.score_b != b.score_b
             for pid in scored for a, b in zip(scored[pid], baseline[pid]))
         assert changed
+
+
+class TestOverrideIds:
+    """An embeddings file none of whose ids names a label, a paper or a
+    paragraph of the corpus fails the score stage before it writes; ids
+    that name none in a file that matches in part are warned about."""
+
+    @staticmethod
+    def write_tsv(path, ids, dim):
+        """One line per id, its vector drawn from a generator seeded by the id."""
+        path.write_text("".join(
+            f"{key}\t" + " ".join(map(repr, np.random.default_rng(list(key.encode()))
+                                      .normal(size=dim).tolist())) + "\n" for key in ids))
+        return path
+
+    def test_file_matching_nothing_fails_and_writes_nothing(self, run, tmp_path, capsys):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        emb_file = self.write_tsv(tmp_path / "ext.tsv", ["nosuch"], cfg.embed_dim)
+        assert cli.main(["score", "--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
+                         "--output-dir", str(copy), "--embeddings", str(emb_file)]) == 1
+        assert (f"stage score failed: {emb_file}: none of its 1 ids is a label id, a paper id "
+                "or a <paper_id>#<i> paragraph id of this corpus") in capsys.readouterr().err
+        for key in ("scores", "score_stats"):
+            assert open(artifact(copy, key), "rb").read() == open(artifact(out, key), "rb").read()
+        assert sorted(os.listdir(copy)) == sorted(os.listdir(out))
+
+    @pytest.mark.parametrize("kind", ["label", "paper", "paragraph"])
+    def test_unknown_ids_warned_and_the_rest_used(self, run, tmp_path, caplog, kind):
+        cfg, out, _, _ = run
+        corpus = load_corpus(cfg.corpus_path)
+        known = {"label": load_labels(cfg.labels_path)[0].id, "paper": corpus[1].id,
+                 "paragraph": f"{corpus[2].id}#{len(corpus[2].paragraphs) - 1}"}[kind]
+        unknown = [f"nosuch{i}" for i in range(3)] + [f"{corpus[2].id}#999", "x#0", "P"]
+        files = {"known": [known], "mixed": unknown[:3] + [known] + unknown[3:]}
+        for name, ids in files.items():
+            copy = tmp_path / name
+            shutil.copytree(out, copy)
+            emb_file = self.write_tsv(tmp_path / f"{name}.tsv", ids, cfg.embed_dim)
+            with caplog.at_level(logging.WARNING, logger="weaklabel.pipeline"):
+                pipeline.stage_score(dataclasses.replace(cfg, output_dir=str(copy),
+                                                         embeddings_path=str(emb_file)))
+        warned = [r.getMessage() for r in caplog.records if "match no label" in r.getMessage()]
+        assert warned == [f"{tmp_path / 'mixed.tsv'}: 6 of its 7 ids match no label, paper or "
+                          f"paragraph (first {unknown[:5]})"]
+        for key in ("scores", "score_stats"):
+            assert open(artifact(tmp_path / "mixed", key), "rb").read() == \
+                open(artifact(tmp_path / "known", key), "rb").read(), key
+        assert open(artifact(tmp_path / "known", "scores"), "rb").read() != \
+            open(artifact(out, "scores"), "rb").read()  # the known id was used
 
 
 class TestEmptyPaperFallback:
@@ -1022,8 +1074,8 @@ class TestStandalonePredict:
         assert outputs["1"] != outputs["10"]
 
     def write_classifier(self, copy, label_ids, n_features):
-        X = selftrain.CsrMatrix(np.ones(2), np.array([0, 1], dtype=np.int64),
-                      np.array([0, 1, 2], dtype=np.int64), 2, n_features)
+        X = kernels.CsrMatrix(np.ones(2), np.array([0, 1], dtype=np.int64),
+                              np.array([0, 1, 2], dtype=np.int64), 2, n_features)
         clf = selftrain.train_classifier(
             X, ["a", "b"], {"a": (label_ids[0],), "b": (label_ids[1],)}, label_ids,
             selftrain.ClassifierConfig(n_trees=1, epochs=1))
@@ -1444,6 +1496,29 @@ class TestPropensityRange:
                          "--config", str(config_file)]) == 2
         assert ("config error: propensity_b must be greater than -1"
                 in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+
+class TestSeedRange:
+    """``seed`` must fit the signed 8-byte key of ``stage_seed``; a seed
+    outside it fails before any stage."""
+
+    @pytest.mark.parametrize("seed", [-2**63, 2**63 - 1])
+    def test_ends_accepted(self, seed):
+        cfg = make_config(None, {"seed": seed})
+        assert cfg.seed == seed and 0 <= cfg.stage_seed("sample-tuples") < 2**63
+
+    @pytest.mark.parametrize("seed", [-2**63 - 1, 2**63, 99999999999999999999])
+    def test_outside_rejected(self, seed):
+        with pytest.raises(ConfigError, match=r"^seed must lie in \[-2\*\*63, 2\*\*63\)$"):
+            make_config(None, {"seed": seed})
+
+    @pytest.mark.parametrize("seed", [str(-2**63 - 1), str(2**63), "99999999999999999999"])
+    def test_cli_exits_2_before_writing(self, data_dir, tmp_path, capsys, seed):
+        assert cli.main(["run-all", "--corpus", str(data_dir / "corpus.jsonl"),
+                         "--labels", str(data_dir / "labels.jsonl"),
+                         "--output-dir", str(tmp_path / "out"), "--seed", seed]) == 2
+        assert "config error: seed must lie in [-2**63, 2**63)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -12,10 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklabel import kernels, selftrain
-from weaklabel.encoder import SparseVec
+from weaklabel.kernels import CsrMatrix
 from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
-    BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, CsrMatrix, LabelTreeClassifier,
+    BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, LabelTreeClassifier,
     build_label_tree, final_rankings, load_classifier, predict_blocks, pseudo_labels,
     save_classifier, train_classifier, train_tree, _first_rows, _fit_logistic, _in_row_space,
     _normalize_rows, _search_plan,
@@ -33,20 +34,23 @@ def scored_rows(pairs):
             for i, (lid, mrr) in enumerate(pairs)]
 
 
-def tfidf_vector(paper, vocab: Vocabulary) -> SparseVec:
-    """Reference tf-idf row: a per-token dict loop over the paper's full text."""
+def tfidf_vector(paper, vocab: Vocabulary) -> CsrMatrix:
+    """Reference tf-idf row: a per-token dict loop over the paper's full
+    text; one row."""
     counts: dict[int, int] = {}
     for tok in paper.full_text_tokens():
         j = vocab.word_index.get(tok)
         if j is not None:
             counts[j] = counts.get(j, 0) + 1
     if not counts:
-        return SparseVec(np.empty(0, dtype=np.int64), np.empty(0), len(vocab))
+        return CsrMatrix(np.empty(0), np.empty(0, dtype=np.int64),
+                         np.zeros(2, dtype=np.int64), 1, len(vocab))
     idx = np.array(sorted(counts), dtype=np.int64)
     idf = np.log(vocab.n_docs / vocab.doc_freq[idx])
     val = np.array([counts[j] for j in idx], dtype=np.float64) * idf
     keep = val != 0.0
-    return SparseVec(idx[keep], val[keep], len(vocab))
+    return CsrMatrix(val[keep], idx[keep], np.array([0, keep.sum()], dtype=np.int64), 1,
+                     len(vocab))
 
 
 def reference_vocabulary(corpus, min_df) -> Vocabulary:
@@ -73,11 +77,11 @@ def assert_same_features(corpus, min_df):
     assert (X.n_rows, X.n_cols) == (len(corpus), len(want))
     assert X.indices.dtype == np.int64 and X.indptr.dtype == np.int64
     assert X.data.dtype == np.float64
-    np.testing.assert_array_equal(X.indptr, np.cumsum([0] + [sv.nnz for sv in rows]))
+    np.testing.assert_array_equal(X.indptr, np.cumsum([0] + [sv.data.size for sv in rows]))
     for i, sv in enumerate(rows):
         got = csr_row(X, i)
         np.testing.assert_array_equal(got.indices, sv.indices)
-        assert got.values.tobytes() == sv.values.tobytes()
+        assert got.data.tobytes() == sv.data.tobytes()
     return vocab, X
 
 
@@ -97,7 +101,7 @@ class TestTfIdf:
         corpus, vocab = self.build(tmp_path, ["rare rare rare", "other words"])
         sv = csr_row(build_tfidf_matrix(corpus, vocab), 0)
         j = vocab.word_index["rare"]
-        value = dict(zip(sv.indices.tolist(), sv.values.tolist()))[j]
+        value = dict(zip(sv.indices.tolist(), sv.data.tolist()))[j]
         assert value == pytest.approx(3 * math.log(2), abs=1e-12)
         assert value == pytest.approx(2.0794, abs=5e-4)
 
@@ -106,7 +110,7 @@ class TestTfIdf:
                 paper_record("p1")]
         corpus = load_corpus_records(tmp_path, recs)
         vocab = build_vocabulary(corpus, min_df=1)
-        assert csr_row(build_tfidf_matrix(corpus, vocab), 1).nnz == 0
+        assert csr_row(build_tfidf_matrix(corpus, vocab), 1).data.size == 0
 
     def test_matrix_rows_match_vectors(self, tmp_path):
         corpus, vocab = self.build(tmp_path, ["alpha beta alpha", "beta gamma",
@@ -116,7 +120,7 @@ class TestTfIdf:
             sv = tfidf_vector(paper, vocab)
             row = csr_row(X, i)
             np.testing.assert_array_equal(row.indices, sv.indices)
-            np.testing.assert_array_equal(row.values, sv.values)
+            np.testing.assert_array_equal(row.data, sv.data)
 
 
 class TestOnePassFeatures:
@@ -152,13 +156,13 @@ class TestOnePassFeatures:
     def test_empty_paper(self, tmp_path):
         corpus = self.corpus(tmp_path, ["alpha beta", "", "beta gamma alpha"])
         _, X = assert_same_features(corpus, 1)
-        assert csr_row(X, 1).nnz == 0
+        assert csr_row(X, 1).data.size == 0
 
     def test_paper_without_vocabulary_words(self, tmp_path):
         corpus = self.corpus(tmp_path, ["alpha beta", "lonely", "beta alpha gamma"])
         vocab, X = assert_same_features(corpus, 2)
         assert "lonely" not in vocab.word_index
-        assert csr_row(X, 1).nnz == 0
+        assert csr_row(X, 1).data.size == 0
 
     def test_empty_vocabulary(self, tmp_path, caplog):
         corpus = self.corpus(tmp_path, ["alpha", "beta", "gamma"])
@@ -174,7 +178,7 @@ class TestOnePassFeatures:
         X = build_tfidf_matrix(corpus, other)
         for i, paper in enumerate(corpus):
             np.testing.assert_array_equal(csr_row(X, i).indices, tfidf_vector(paper, other).indices)
-            np.testing.assert_array_equal(csr_row(X, i).values, tfidf_vector(paper, other).values)
+            np.testing.assert_array_equal(csr_row(X, i).data, tfidf_vector(paper, other).data)
 
 
 class TestPseudoLabels:
@@ -424,17 +428,17 @@ class TestTrainAndPredict:
         n = len(leaf["labels"])  # the first tree's rows come first
         probs = predict_proba(LabelTreeClassifier(clf.label_ids, [0], [leaf], clf.weights[:n],
                                                   clf.biases[:n]), x)
-        xn = SparseVec(x.indices, x.values / np.linalg.norm(x.values), x.dim)
+        xn = dataclasses.replace(x, data=x.data / np.linalg.norm(x.data))
         for j, lid in enumerate(leaf["labels"]):
-            z = float(clf.weights[j][xn.indices] @ xn.values) + clf.biases[j]
+            z = float(clf.weights[j][xn.indices] @ xn.data) + clf.biases[j]
             assert probs[lid] == pytest.approx(1 / (1 + math.exp(-z)), abs=1e-12)
 
     def test_beam_wider_than_leaves_equals_exhaustive(self):
         clf, X, assign, ids = self.fitted(n_labels=8, per_label=4, max_leaf=1)
 
         def exhaustive(clf, x):
-            norm = np.linalg.norm(x.values)
-            xn = SparseVec(x.indices, x.values / norm, x.dim) if norm else x
+            norm = np.linalg.norm(x.data)
+            xn = dataclasses.replace(x, data=x.data / norm) if norm else x
             out = {}
             rows = node_rows(clf)
 
@@ -442,11 +446,11 @@ class TestTrainAndPredict:
                 weights, bias = rows[pos]
                 if "labels" in clf.nodes[pos]:
                     for j, lid in enumerate(clf.nodes[pos]["labels"]):
-                        z = float(weights[j][xn.indices] @ xn.values) + bias[j]
+                        z = float(weights[j][xn.indices] @ xn.data) + bias[j]
                         out[lid] = out.get(lid, 0.0) + p / (1 + math.exp(-z))
                     return
                 for j, child in enumerate(clf.nodes[pos]["children"]):
-                    z = float(weights[j][xn.indices] @ xn.values) + bias[j]
+                    z = float(weights[j][xn.indices] @ xn.data) + bias[j]
                     walk(child, p / (1 + math.exp(-z)))
 
             for root in clf.roots:
@@ -494,7 +498,7 @@ def reference_label_features(X, paper_ids, pseudo, label_ids):
             acc = np.zeros(X.n_cols)
             for r in rows:
                 sv = csr_row(X, r)
-                acc[sv.indices] += sv.values
+                acc[sv.indices] += sv.data
             feats[j] = acc / len(rows)
     return feats
 
@@ -750,10 +754,10 @@ def scalar_beam(clf, x, beam):
         return ez / (1.0 + ez)
 
     def logit(w, b):
-        return float(w[xn.indices] @ xn.values) + b if xn.nnz else b
+        return float(w[xn.indices] @ xn.data) + b if xn.data.size else b
 
-    norm = math.sqrt(float(x.values @ x.values)) if x.nnz else 0.0
-    xn = SparseVec(x.indices, x.values / norm, x.dim) if norm > 0 else x
+    norm = math.sqrt(float(x.data @ x.data)) if x.data.size else 0.0
+    xn = dataclasses.replace(x, data=x.data / norm) if norm > 0 else x
     rows = node_rows(clf)
     acc = {}
     for root in clf.roots:
