@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .corpus import Label, Paper, read_by_paper, tokenize, write_jsonl
+from .corpus import Label, Paper, read_by_paper, str_list, tokenize, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -75,4 +75,4 @@ def write_candidates(candidates: dict[str, list[str]], path):
 
 
 def read_candidates(path) -> dict[str, list[str]]:
-    return read_by_paper(path, lambda rec: list(rec["candidates"]))
+    return read_by_paper(path, lambda rec: str_list("candidates", rec["candidates"]))

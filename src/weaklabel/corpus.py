@@ -1,4 +1,4 @@
-"""Corpus ingestion: documents, in-document hierarchy trees, labels, vocabulary.
+"""Corpus ingestion: documents, their section hierarchies, labels, vocabulary.
 
 The corpus file is JSON Lines, one document per line:
 
@@ -19,7 +19,7 @@ import re
 import zipfile
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,53 +44,42 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(eq=False)
-class HierarchyNode:
-    """One node of a document's section/paragraph tree.
-
-    ``children`` is empty iff ``kind == "paragraph"``; ``text`` is nonempty
-    only on paragraph leaves.
-    """
-
-    kind: str  # "paper" | "section" | "subsection" | "paragraph"
-    children: list["HierarchyNode"] = field(default_factory=list)
-    text: str = ""
-    is_abstract: bool = False
-
-
-def preorder(root) -> list:
-    """``root`` and every node below it, each before its children and the
-    children in order, for any tree whose nodes list theirs in ``children``."""
-    out, stack = [], [root]
+def _flatten(hierarchy: list) -> list[str]:
+    """The paragraph texts of a document hierarchy in document order (preorder)."""
+    out, stack = [], [hierarchy]
     while stack:
         node = stack.pop()
-        out.append(node)
-        stack.extend(reversed(node.children))
+        if isinstance(node, str):
+            out.append(node)
+        else:
+            stack.extend(reversed(node))
     return out
 
 
 @dataclass(eq=False)
 class Paper:
-    """A document with its title/abstract, hierarchy tree and references."""
+    """A document with its title/abstract, hierarchy and references.
+
+    ``hierarchy`` is nested lists: a paragraph is its text, and a section,
+    or the whole document, is the list of its children in order. The
+    title+abstract group, when the word filter keeps it, is the one text
+    directly in the document's list. ``paragraphs`` holds every paragraph
+    text in document order, that group included.
+    """
 
     id: str
     title: str
     abstract: str
-    hierarchy: HierarchyNode
+    hierarchy: list
     bib_refs: frozenset[str] = frozenset()
     gold_labels: frozenset[str] | None = None
 
     def __post_init__(self):
-        self._paragraphs = [n for n in preorder(self.hierarchy) if n.kind == "paragraph"]
-
-    @property
-    def paragraphs(self) -> list[HierarchyNode]:
-        """All paragraph leaves, the title+abstract group included."""
-        return self._paragraphs
+        self.paragraphs = _flatten(self.hierarchy)
 
     @property
     def is_empty(self) -> bool:
-        return not self._paragraphs
+        return not self.paragraphs
 
     @property
     def title_abstract(self) -> str:
@@ -99,9 +88,8 @@ class Paper:
     def full_text_tokens(self) -> list[str]:
         """Tokens of title + abstract + every body paragraph."""
         toks = tokenize(self.title) + tokenize(self.abstract)
-        for leaf in self._paragraphs:
-            if not leaf.is_abstract:
-                toks.extend(tokenize(leaf.text))
+        for text in _flatten([node for node in self.hierarchy if not isinstance(node, str)]):
+            toks.extend(tokenize(text))
         return toks
 
 
@@ -142,6 +130,18 @@ def _checked(key: str, value, kind: type):
     return value
 
 
+def str_list(key: str, value) -> list:
+    """``value`` if it is a list of strings, else raise TypeError naming
+    ``key`` (``read_jsonl`` reports it as a malformed record)."""
+    if type(value) is not list:
+        raise TypeError(f"{key!r} must be a list, got {type(value).__name__}")
+    other = set(map(type, value)) - {str}
+    if other:
+        raise TypeError(f"{key!r} entries must be strings, got "
+                        f"{', '.join(sorted(t.__name__ for t in other))}")
+    return value
+
+
 def as_id(value, what: str) -> str:
     """``value`` as an id: a string, or an int (not a bool) read as its
     decimal string; anything else raises CorpusError naming ``what``."""
@@ -152,22 +152,21 @@ def as_id(value, what: str) -> str:
     return str(value)
 
 
-def _build_section_node(sec: dict, min_words: int, kind: str) -> HierarchyNode | None:
+def _build_section_node(sec: dict, min_words: int, kind: str) -> list:
+    """The section ``sec`` as the list of its kept paragraphs and sections;
+    an empty list when the word filter keeps nothing under it (pruned)."""
     if not isinstance(sec, dict):  # kind names the list the entry came from
         raise CorpusError(f"'{kind}s' entries must be objects, got {type(sec).__name__}")
-    node = HierarchyNode(kind=kind)
+    node = []
     for para in _checked("paragraphs", sec.get("paragraphs", []), list):
         if not isinstance(para, str):
             raise CorpusError("paragraph entries must be strings")
         if len(tokenize(para)) >= min_words:
-            node.children.append(HierarchyNode(kind="paragraph", text=para))
+            node.append(para)
     for sub in _checked("subsections", sec.get("subsections", []), list):
         child = _build_section_node(sub, min_words, kind="subsection")
-        if child is not None:
-            node.children.append(child)
-    # prune internal nodes left childless by the paragraph filter
-    if not node.children:
-        return None
+        if child:
+            node.append(child)
     return node
 
 
@@ -175,20 +174,15 @@ def _build_paper(record: dict, min_words: int) -> Paper:
     pid = as_id(record["id"], "'id'")
     title = _checked("title", record.get("title", ""), str)
     abstract = _checked("abstract", record.get("abstract", ""), str)
-    root = HierarchyNode(kind="paper")
 
     # The title+abstract group sits directly under the root so that
     # bottom-up aggregation sees it as one child of the whole document.
     ta_text = f"{title} {abstract}".strip()
-    if len(tokenize(ta_text)) >= min_words:
-        root.children.append(
-            HierarchyNode(kind="paragraph", text=ta_text, is_abstract=True)
-        )
-
+    root = [ta_text] if len(tokenize(ta_text)) >= min_words else []
     for sec in _checked("sections", record.get("sections", []), list):
         node = _build_section_node(sec, min_words, kind="section")
-        if node is not None:
-            root.children.append(node)
+        if node:
+            root.append(node)
 
     bib_refs = [as_id(r, "'bib_refs' entry")
                 for r in _checked("bib_refs", record.get("bib_refs", []), list)]
@@ -300,7 +294,7 @@ def read_jsonl(path, build=None, parse=json.loads):
             except KeyError as exc:
                 raise CorpusError(f"{path}: line {lineno}: malformed record "
                                   f"(missing field {exc})") from None
-            except (ValueError, TypeError, IndexError, AttributeError) as exc:
+            except (ValueError, TypeError, IndexError, AttributeError, OverflowError) as exc:
                 raise CorpusError(f"{path}: line {lineno}: malformed record ({exc})") from None
             except RecursionError:  # from the JSON decoder or a nested build
                 raise CorpusError(f"{path}: line {lineno}: malformed record "

@@ -312,7 +312,7 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
                     [tup.anchor for tup in batch] + [tup.positive for tup in batch]
                     + [tup.negative for tup in batch]]
     paragraphs = {p.id: p.paragraphs for p in corpus}
-    feats = model.featurizer.featurize_many([paragraphs[pid][k].text for pid, k in row_of])
+    feats = model.featurizer.featurize_many([paragraphs[pid][k] for pid, k in row_of])
 
     m_proj, v_proj = np.zeros_like(model.proj), np.zeros_like(model.proj)
     m_w, v_w = np.zeros_like(model.w), np.zeros_like(model.w)
@@ -373,6 +373,9 @@ def load_model(path) -> ScorerModel:
     if meta["max_tokens"] < 1:  # a slice to 0 or fewer tokens would silently drop words
         raise ValueError(f"{path}: meta max_tokens {meta['max_tokens']} is not positive; "
                          "rerun train-encoder")
+    if not -2**63 <= meta["hash_seed"] < 2**63:  # the hash key is its 8 bytes
+        raise ValueError(f"{path}: meta hash_seed {meta['hash_seed']} is not a signed "
+                         "64-bit int; rerun train-encoder")
     shapes = ((meta["hash_dim"], meta["embed_dim"]), (2 * meta["embed_dim"],))
     if (proj.shape, w.shape) != shapes:
         raise ValueError(f"{path}: proj is {proj.shape} and w {w.shape}, but its meta names "
@@ -393,7 +396,10 @@ def load_embedding_overrides(path, embed_dim: int | None = None) -> dict[str, np
     def parse(line: str) -> tuple[str, np.ndarray]:
         if line.lstrip().startswith("{"):
             rec = json.loads(line)
-            return as_id(rec["id"], "'id'"), np.asarray(rec["embedding"], dtype=np.float64)
+            values = rec["embedding"]
+            if type(values) is not list or any(type(v) not in (int, float) for v in values):
+                raise ValueError("the embedding must be a flat list of numbers")
+            return as_id(rec["id"], "'id'"), np.array(values, dtype=np.float64)
         key, _, rest = line.rstrip("\n").partition("\t")
         if not rest:
             raise ValueError("expected id<TAB>values")
@@ -401,8 +407,6 @@ def load_embedding_overrides(path, embed_dim: int | None = None) -> dict[str, np
 
     def build(entry: tuple[str, np.ndarray]) -> tuple[str, np.ndarray]:
         key, vec = entry
-        if vec.ndim != 1:
-            raise ValueError("the embedding must be a flat list of numbers")
         if embed_dim is not None and vec.shape[0] != embed_dim:
             raise CorpusError(f"embedding dim {vec.shape[0]} != {embed_dim}")
         if not np.isfinite(vec).all():

@@ -25,7 +25,8 @@ from . import candidates as cand
 from . import citegraph, encoder, metrics, ranker, selftrain
 from .config import PipelineConfig
 from .corpus import (Label, Paper, Vocabulary, atomic_write, corpus_stats, count_terms,
-                     load_corpus, load_labels, read_by_paper, vocabulary_from_terms, write_jsonl)
+                     load_corpus, load_labels, read_by_paper, str_list, vocabulary_from_terms,
+                     write_jsonl)
 from .kernels import CsrMatrix
 
 log = logging.getLogger(__name__)
@@ -251,8 +252,8 @@ def stage_score(cfg: PipelineConfig,
             if cands[paper.id] or root:
                 items.append((paper.id, paper.title_abstract, root))
             if cfg.use_hierarchy:
-                items += [(f"{paper.id}#{i}", leaf.text, True)
-                          for i, leaf in enumerate(paper.paragraphs)]
+                items += [(f"{paper.id}#{i}", text, True)
+                          for i, text in enumerate(paper.paragraphs)]
         vecs = iter(embeddings(items))
         for paper, root in zip(block, as_root):
             cand_ids = cands[paper.id]
@@ -260,8 +261,8 @@ def stage_score(cfg: PipelineConfig,
             score_x = ranker.score_cross(model, u, label_embs, cand_ids)
             if cfg.use_hierarchy:
                 leaf_embs = [next(vecs) for _ in paper.paragraphs]
-                agg = ranker.aggregate_hierarchy(paper, leaf_embs, fallback=u)
-                score_b = ranker.score_bi(agg.root, label_embs, cand_ids)
+                root_emb = ranker.aggregate_hierarchy(paper, leaf_embs, fallback=u)
+                score_b = ranker.score_bi(root_emb, label_embs, cand_ids)
             else:
                 score_b = dict(score_x)  # degenerate ensemble: joint scores only
             scored[paper.id] = ranker.mrr_combine(score_b, score_x)
@@ -341,7 +342,7 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[st
 
 def read_predictions(path, limit: int | None = None) -> dict[str, list[str]]:
     """Each paper's ranking, cut to its first ``limit`` labels when given."""
-    return read_by_paper(path, lambda rec: rec["ranking"][:limit])
+    return read_by_paper(path, lambda rec: str_list("ranking", rec["ranking"])[:limit])
 
 
 def stage_evaluate(cfg: PipelineConfig,

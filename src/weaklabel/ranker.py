@@ -1,7 +1,7 @@
 """Hierarchy aggregation, candidate scoring and reciprocal-rank ensembling.
 
-Each internal tree node's embedding is the plain mean of its children's
-embeddings, bottom-up; the root embedding represents the whole document.
+A section's embedding is the plain mean of its children's, bottom-up, and
+the document's (the root embedding) is the mean of its top-level children.
 Candidates are scored two ways (cosine against the root embedding, and a
 joint score over title+abstract and label text) and the two rankings are
 combined by summing reciprocal ranks.
@@ -13,37 +13,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import HierarchyNode, Paper, preorder, read_by_paper, write_jsonl
+from .corpus import Paper, read_by_paper, write_jsonl
 from . import encoder
 
 
-@dataclass
-class AggregatedEmbeddings:
-    by_node: dict[HierarchyNode, np.ndarray]
-    root: np.ndarray  # the document embedding
-
-
 def aggregate_hierarchy(paper: Paper, leaf_embeddings,
-                        fallback: np.ndarray | None = None) -> AggregatedEmbeddings:
-    """Bottom-up mean aggregation over the document tree.
+                        fallback: np.ndarray | None = None) -> np.ndarray:
+    """The document embedding: bottom-up mean aggregation over the hierarchy.
 
-    ``leaf_embeddings`` align with ``paper.paragraphs`` order. Documents
-    with no paragraphs take ``fallback`` (their title+abstract embedding)
-    as the root.
+    ``leaf_embeddings`` align with ``paper.paragraphs``. A document with
+    no paragraphs takes ``fallback`` (its title+abstract embedding).
     """
-    leaves = paper.paragraphs
-    if len(leaves) != len(leaf_embeddings):
+    if len(paper.paragraphs) != len(leaf_embeddings):
         raise ValueError("leaf embedding count does not match paragraph count")
-    if not leaves:
+    if not paper.paragraphs:
         if fallback is None:
             raise ValueError(f"paper {paper.id!r} is empty and no fallback was given")
-        return AggregatedEmbeddings(by_node={}, root=np.asarray(fallback, dtype=np.float64))
+        return np.asarray(fallback, dtype=np.float64)
 
-    by_node = {node: np.asarray(e, dtype=np.float64) for node, e in zip(leaves, leaf_embeddings)}
-    for node in reversed(preorder(paper.hierarchy)):  # children before their parent
-        if node.kind != "paragraph":
-            by_node[node] = sum(by_node[c] for c in node.children) / len(node.children)
-    return AggregatedEmbeddings(by_node=by_node, root=by_node[paper.hierarchy])
+    leaves, root = iter(leaf_embeddings), []
+    # each frame: a list's children still to visit, their values, its parent's values
+    stack = [(iter(paper.hierarchy), [], root)]
+    while stack:
+        children, values, parent = stack[-1]
+        child = next(children, None)
+        if isinstance(child, str):
+            values.append(np.asarray(next(leaves), dtype=np.float64))
+        elif child is not None:
+            stack.append((iter(child), [], values))
+        elif values:
+            stack.pop()
+            parent.append(sum(values) / len(values))
+        else:
+            raise ValueError(f"paper {paper.id!r} has a section with no paragraphs")
+    return root[0]
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
@@ -105,5 +108,21 @@ def write_scores(scored: dict[str, list[CandidateScore]], path):
                  for pid, rows in scored.items()), path)
 
 
+# the JSON types a stored candidate's fields may take, and how an error names them
+_NUMBER, _INT, _STRING = ((int, float), "a number"), ((int,), "an int"), ((str,), "a string")
+_FIELD_TYPES = {"label_id": _STRING, "score_b": _NUMBER, "score_x": _NUMBER,
+                "rank_b": _INT, "rank_x": _INT, "mrr": _NUMBER}
+
+
+def _stored_candidate(entry) -> CandidateScore:
+    row = CandidateScore(**entry)
+    for name, (types, what) in _FIELD_TYPES.items():
+        value = getattr(row, name)
+        if type(value) not in types:  # a bool is not an int here
+            raise TypeError(f"candidate field {name!r} must be {what}, "
+                            f"got {type(value).__name__}")
+    return row
+
+
 def read_scores(path) -> dict[str, list[CandidateScore]]:
-    return read_by_paper(path, lambda rec: [CandidateScore(**c) for c in rec["candidates"]])
+    return read_by_paper(path, lambda rec: [_stored_candidate(c) for c in rec["candidates"]])

@@ -216,10 +216,10 @@ def per_text_stage_score(cfg):
              if cand_ids or as_root else None)
         score_x = ranker.score_cross(model, u, label_embs, cand_ids)
         if cfg.use_hierarchy:
-            leaf_embs = [embedding(f"{paper.id}#{i}", leaf.text)
-                         for i, leaf in enumerate(paper.paragraphs)]
-            agg = ranker.aggregate_hierarchy(paper, leaf_embs, fallback=u)
-            score_b = ranker.score_bi(agg.root, label_embs, cand_ids)
+            leaf_embs = [embedding(f"{paper.id}#{i}", text)
+                         for i, text in enumerate(paper.paragraphs)]
+            root_emb = ranker.aggregate_hierarchy(paper, leaf_embs, fallback=u)
+            score_b = ranker.score_bi(root_emb, label_embs, cand_ids)
         else:
             score_b = dict(score_x)
         scored[paper.id] = ranker.mrr_combine(score_b, score_x)

@@ -1,0 +1,107 @@
+"""The byte-identity protocol: two source trees run on the same inputs.
+
+A change that should leave every output as it was is checked on the
+README's eleven inputs (see "Numerics rule"): synth seeds 1-5 at
+500 x 50 (default config), seeds 1-5 at 1000 x 220 (``--train-steps
+50``) and seed 1 at 5000 x 500 (``--train-steps 50``). Run
+
+    python tests/protocol.py PARENT_TREE CHANGE_TREE
+
+where each tree is a checkout of this repository (``git archive`` of a
+commit, say). For each input the parent tree's ``weaklabel synth`` writes
+the corpus; then ``weaklabel run-all --seed 7`` runs from each tree's
+``src/`` in a fresh process with ``OPENBLAS_NUM_THREADS=1``. One line per
+input says ``cmp-identical`` (every output file byte for byte),
+``within the numerics rule`` (naming the files that differ) or each
+breach that ``numerics_rule.compare_outputs`` finds.
+
+The exit status is 0 when every input holds the rule, 1 on a breach or
+a failed run, and 2 on a wrong argument count or a path that is not a
+source tree.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))  # numerics_rule, run as a script
+from numerics_rule import compare_outputs  # noqa: E402
+
+# (synth seed, papers, labels, run-all flags besides the seed)
+INPUTS = ([(seed, 500, 50, ()) for seed in range(1, 6)]
+          + [(seed, 1000, 220, ("--train-steps", "50")) for seed in range(1, 6)]
+          + [(1, 5000, 500, ("--train-steps", "50"))])
+RUN_SEED = "7"
+
+# the CLI of the tree whose src/ is the first argument, imported from nowhere else
+_LAUNCH = ("import sys; src = sys.argv.pop(1); sys.path.insert(0, src)\n"
+           "import weaklabel.cli as cli\n"
+           "if not cli.__file__.startswith(src): sys.exit(f'imported {cli.__file__}')\n"
+           "sys.exit(cli.main(sys.argv[1:]))")
+
+
+def weaklabel(tree, work, *args) -> subprocess.CompletedProcess:
+    """``weaklabel *args`` from ``tree``'s ``src/``, in a fresh process in ``work``."""
+    src = os.path.join(os.path.realpath(tree), "src") + os.sep
+    return subprocess.run([sys.executable, "-c", _LAUNCH, src, *args], cwd=work,
+                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True)
+
+
+def compare_input(parent, change, spec, work) -> tuple[int, str]:
+    """The exit status and report line of one input ``spec`` (an entry of
+    INPUTS), its files written under the new directory ``work``."""
+    seed, papers, labels, flags = spec
+    name = " ".join([f"synth seed {seed}, {papers} x {labels}", *flags])
+    work = Path(work)
+    work.mkdir(parents=True)
+    data = ["--corpus", str(work / "corpus.jsonl"), "--labels", str(work / "labels.jsonl")]
+    steps = [(parent, "synth", ["synth", "--papers", str(papers), "--label-count", str(labels),
+                                "--seed", str(seed), "--out-dir", str(work)])]
+    steps += [(tree, f"the {out} run-all", ["run-all", *data, "--output-dir", str(work / out),
+                                            "--seed", RUN_SEED, *flags])
+              for tree, out in ((parent, "parent"), (change, "change"))]
+    for tree, what, args in steps:
+        proc = weaklabel(tree, work, *args)
+        if proc.returncode:
+            why = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+            return 1, f"{name}: {what} failed with exit {proc.returncode}: {why}"
+
+    ref, new = work / "parent", work / "change"
+    files = sorted(p.name for p in ref.iterdir())
+    differ = [f for f in files if not (new / f).is_file()
+              or (new / f).read_bytes() != (ref / f).read_bytes()]
+    if not differ and files == sorted(p.name for p in new.iterdir()):
+        return 0, f"{name}: cmp-identical"
+    breaches = compare_outputs(ref, new)
+    if breaches:
+        return 1, f"{name}: " + "; ".join(breaches)
+    return 0, f"{name}: within the numerics rule ({', '.join(differ)} differ)"
+
+
+def main(argv: list[str]) -> int:
+    """The script's exit status for ``argv`` (the two trees)."""
+    if len(argv) != 2:
+        print("usage: python tests/protocol.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    missing = [tree for tree in argv if not (Path(tree) / "src" / "weaklabel").is_dir()]
+    if missing:
+        print(f"not a source tree (no src/weaklabel): {missing[0]}", file=sys.stderr)
+        return 2
+    status = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, spec in enumerate(INPUTS):
+            code, line = compare_input(*argv, spec, Path(tmp) / str(i))
+            print(line, flush=True)
+            status = max(status, code)
+            shutil.rmtree(Path(tmp) / str(i))  # the 5000 x 500 run writes tens of MB
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -7,10 +7,11 @@ from hypothesis import given, strategies as st
 
 from weaklabel.cli import main
 from weaklabel.corpus import (
-    CorpusError, HierarchyNode, Paper, atomic_write, build_vocabulary, corpus_stats,
+    CorpusError, Paper, atomic_write, build_vocabulary, corpus_stats,
     count_terms, load_corpus, NPZ_CHUNK_BYTES, load_labels, read_jsonl, tokenize,
     write_jsonl, write_npz,
 )
+from weaklabel.ranker import aggregate_hierarchy
 
 from conftest import load_corpus_records, load_label_records, paper_record
 
@@ -54,10 +55,12 @@ class TestLoadCorpus:
         rec = paper_record("p1", title=words(4, "t"), abstract=words(10, "a"),
                            sections=[{"name": "s", "paragraphs": [words(15)]}])
         paper, = load_corpus_records(tmp_path, [rec])
-        flags = [leaf.is_abstract for leaf in paper.paragraphs]
-        assert flags == [True, False]
+        title_abstract = f"{words(4, 't')} {words(10, 'a')}"
+        assert paper.paragraphs == [title_abstract, words(15)]
         # it hangs directly off the root, not buried under a section
-        assert paper.hierarchy.children[0].is_abstract
+        assert paper.hierarchy == [title_abstract, [words(15)]]
+        # and is not counted twice in the full text
+        assert paper.full_text_tokens() == tokenize(title_abstract) + tokenize(words(15))
 
     def test_subsections_nest(self, tmp_path):
         rec = paper_record("p1", sections=[{
@@ -65,9 +68,8 @@ class TestLoadCorpus:
             "subsections": [{"name": "ss", "paragraphs": [words(12), words(13)]}],
         }])
         paper, = load_corpus_records(tmp_path, [rec])
-        section = paper.hierarchy.children[0]
-        assert [c.kind for c in section.children] == ["paragraph", "subsection"]
-        assert len(paper.paragraphs) == 3
+        assert paper.hierarchy == [[words(11), [words(12), words(13)]]]
+        assert paper.paragraphs == [words(11), words(12), words(13)]
 
     def test_childless_internal_nodes_pruned(self, tmp_path):
         rec = paper_record("p1", sections=[
@@ -75,8 +77,7 @@ class TestLoadCorpus:
             {"name": "alive", "paragraphs": [words(20)]},
         ])
         paper, = load_corpus_records(tmp_path, [rec])
-        assert len(paper.hierarchy.children) == 1
-        assert len(paper.hierarchy.children[0].children) == 1
+        assert paper.hierarchy == [[words(20)]]
 
     def test_duplicate_id_rejected(self, tmp_path):
         with pytest.raises(CorpusError, match="duplicate paper id"):
@@ -107,8 +108,8 @@ class TestLoadCorpus:
                                  words(j + 7) for j in range(5)]}])
                 for i in range(8)]
         for paper in load_corpus_records(tmp_path, recs):
-            for leaf in paper.paragraphs:
-                assert len(tokenize(leaf.text)) >= 10
+            for text in paper.paragraphs:
+                assert len(tokenize(text)) >= 10
 
     def test_stats(self, tmp_path):
         recs = [
@@ -133,25 +134,22 @@ class TestLoadCorpus:
 
 
 def paragraphs_in_document_order(node):
-    """Recursive reference: the paragraph leaves under ``node``, left to right."""
-    if node.kind == "paragraph":
+    """Recursive reference: the paragraph texts under ``node``, left to right."""
+    if isinstance(node, str):
         return [node]
-    return [leaf for child in node.children for leaf in paragraphs_in_document_order(child)]
+    return [text for child in node for text in paragraphs_in_document_order(child)]
 
 
 document_trees = st.lists(st.recursive(
-    st.builds(lambda i: HierarchyNode(kind="paragraph", text=f"p{i}"), st.integers(0, 9)),
-    lambda kids: st.lists(kids, max_size=4).map(
-        lambda children: HierarchyNode(kind="section", children=children)),
-    max_leaves=40), max_size=4).map(lambda children: HierarchyNode(kind="paper",
-                                                                   children=children))
+    st.integers(0, 9).map(lambda i: f"p{i}"),
+    lambda kids: st.lists(kids, max_size=4), max_leaves=40), max_size=4)
 
 
 class TestParagraphs:
     @given(document_trees)
     def test_paper_paragraphs_in_document_order(self, root):
         paper = Paper(id="p", title="", abstract="", hierarchy=root)
-        assert paper.paragraphs == paragraphs_in_document_order(root)  # nodes compare by identity
+        assert paper.paragraphs == paragraphs_in_document_order(root)
         assert paper.is_empty == (not paper.paragraphs)
 
 
@@ -272,6 +270,25 @@ class TestJsonLines:
         assert (f"stage ingest failed: {corpus}: line 2: malformed record (nested too deeply)"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
+
+    def test_deep_document_loads_and_aggregates(self, tmp_path):
+        # 450 levels is near the JSON decoder's recursion limit (493 levels
+        # in a bare process); the hierarchy walks themselves keep no call stack
+        levels = 450
+        leaf = json.dumps({"name": "s", "paragraphs": [words(12)]})
+        nested = ('{"id": "p1", "sections": [' + '{"name": "s", "subsections": [' * levels
+                  + leaf + "]}" * levels + "]}")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(nested + "\n")
+        paper, = load_corpus(corpus)
+        assert paper.paragraphs == [words(12)]
+        node, depth = paper.hierarchy, 0
+        while isinstance(node, list):
+            node, = node
+            depth += 1
+        assert depth == levels + 2  # the document, each section and the leaf section
+        emb = np.array([0.25, -1.0])
+        np.testing.assert_array_equal(aggregate_hierarchy(paper, [emb]), emb)
 
     def test_failed_write_keeps_earlier_file(self, tmp_path):
         path = tmp_path / "r.jsonl"

@@ -551,7 +551,7 @@ class TestTrain:
         model = init_model(hash_dim=128, embed_dim=16, seed=8)
         first = np.random.default_rng(config.seed).permutation(len(tuples))[0]  # train's draw
         pid, k = tuples[first].anchor
-        text = next(p for p in corpus if p.id == pid).paragraphs[k].text
+        text = next(p for p in corpus if p.id == pid).paragraphs[k]
         model.proj[model.featurizer.featurize(text).indices[0], 0] = np.nan
         with pytest.warns(RuntimeWarning), \
                 pytest.raises(TrainingDiverged, match="non-finite loss at step 1$"):
@@ -563,8 +563,8 @@ class TestTrain:
         corpus = tiny_corpus(tmp_path)
         tuples = tuples_for(corpus, 40, seed=7)
         model = init_model(hash_dim=4096, embed_dim=16, seed=8)
-        touched = np.unique(np.concatenate([model.featurizer.featurize(par.text).indices
-                                            for p in corpus for par in p.paragraphs]))
+        touched = np.unique(np.concatenate([model.featurizer.featurize(text).indices
+                                            for p in corpus for text in p.paragraphs]))
         model.proj[np.setdiff1d(np.arange(4096), touched)[0], 0] = np.nan
         with pytest.raises(TrainingDiverged, match="non-finite parameter at step 5$"):
             train(model, tuples, corpus, TrainConfig(total_steps=5, seed=8))
@@ -578,7 +578,7 @@ class TestTrain:
         order = np.random.default_rng(config.seed).permutation(40)  # train's first draw
         drawn = [tuples[i] for i in order[:2 * batch_size]]
         by_id = {p.id: p for p in corpus}
-        want = {ref: by_id[ref[0]].paragraphs[ref[1]].text
+        want = {ref: by_id[ref[0]].paragraphs[ref[1]]
                 for tup in drawn for ref in (tup.anchor, tup.positive, tup.negative)}
         calls = []
         featurize_many = BaseFeaturizer.featurize_many
@@ -616,7 +616,7 @@ def dense_reference_train(model, tuples, corpus, config):
                 + [tup.negative for tup in batch])
         x = np.zeros((len(refs), model.hash_dim))
         for row, (pid, k) in zip(x, refs):
-            sv = model.featurizer.featurize(by_id[pid].paragraphs[k].text)
+            sv = model.featurizer.featurize(by_id[pid].paragraphs[k])
             row[sv.indices] = sv.data
         rows = np.flatnonzero(x.any(axis=0))
         grad_rows, grad_w = np.empty((rows.size, model.embed_dim)), np.empty_like(model.w)
@@ -634,7 +634,7 @@ def dense_reference_train(model, tuples, corpus, config):
 def test_train_bitwise_equals_dense_reference_loop(tmp_path):
     from weaklabel.citegraph import ContrastiveTuple
     corpus = tiny_corpus(tmp_path)
-    corpus[0].paragraphs[1].text = ""  # featurizes to an all-zero batch row
+    corpus[0].paragraphs[1] = ""  # featurizes to an all-zero batch row
     tuples = tuples_for(corpus, 60, seed=9)
     tuples += [ContrastiveTuple(("p0", 1), ("p2", 0), ("p1", 0))] * 4
     config = TrainConfig(total_steps=160, warmup_steps=30, seed=3)
@@ -687,7 +687,7 @@ class TestCheckpoint:
 
     @settings(max_examples=30, deadline=None)
     @given(hash_dim=st.integers(1, 64), embed_dim=st.integers(1, 12),
-           hash_seed=st.integers(0, 2**31), max_tokens=st.integers(1, 500),
+           hash_seed=st.integers(-2**63, 2**63 - 1), max_tokens=st.integers(1, 500),
            trained=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_roundtrip_and_bytes_equal_savez(self, hash_dim, embed_dim, hash_seed, max_tokens,
                                              trained, seed):
@@ -715,6 +715,11 @@ class TestCheckpoint:
         (lambda m: {**m, "max_tokens": -1}, "meta max_tokens -1 is not positive"),
         (lambda m: {**m, "max_tokens": 0}, "meta max_tokens 0 is not positive"),
         (lambda m: {**m, "hash_dim": True}, "meta key 'hash_dim' is missing or not an int"),
+        (lambda m: {**m, "hash_seed": 2**70},
+         f"meta hash_seed {2**70} is not a signed 64-bit int"),
+        (lambda m: {**m, "hash_seed": 2**63}, f"meta hash_seed {2**63} is not a signed 64-bit int"),
+        (lambda m: {**m, "hash_seed": -2**63 - 1},
+         f"meta hash_seed {-2**63 - 1} is not a signed 64-bit int"),
     ])
     def test_malformed_meta_names_train_encoder(self, tmp_path, edit, problem):
         path = tmp_path / "model.npz"
@@ -796,11 +801,22 @@ class TestEmbeddingOverrides:
         with pytest.raises(ValueError, match="TAB"):
             load_embedding_overrides(tsv)
 
+    @pytest.mark.parametrize("values", ['["0.5", 0, 0, 0]', "[1, 0, 0, true]",
+                                        "[1, null, 0, 0]", "[[1, 0], 0, 0]", '{"0": 1}'])
+    def test_jsonl_values_must_be_json_numbers(self, tmp_path, values):
+        path = tmp_path / "emb.txt"
+        path.write_text('L0\t1 0 0 0\n{"id": "L1", "embedding": ' + values + "}\n")
+        with pytest.raises(ValueError, match=r"emb\.txt: line 2: malformed record \(the "
+                                             r"embedding must be a flat list of numbers\)$"):
+            load_embedding_overrides(path, embed_dim=4)
+
     @pytest.mark.parametrize("line", ['{"id": "L1", "embedding": [1, 0, 0, 0\n',
                                       '{"embedding": [1, 0, 0, 0]}\n',
                                       '{"id": "L1", "vector": [1, 0, 0, 0]}\n',
                                       "L1\t1 x 0 0\n",
-                                      '{"id": "L1", "embedding": 5}\n'])
+                                      '{"id": "L1", "embedding": 5}\n',
+                                      # an int too large for a float
+                                      '{"id": "L1", "embedding": [1' + "0" * 400 + ']}\n'])
     def test_malformed_record_names_file_and_line(self, tmp_path, line):
         path = tmp_path / "emb.txt"
         path.write_text("L0\t1 0 0 0\n" + line)

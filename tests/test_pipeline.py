@@ -108,7 +108,7 @@ def score_stage_texts(cfg) -> Counter:
     cands = cand.read_candidates(artifact(cfg.output_dir, "candidates"))
     want = Counter(l.text for l in load_labels(cfg.labels_path))
     for paper in load_corpus(cfg.corpus_path):
-        want.update(leaf.text for leaf in paper.paragraphs)
+        want.update(paper.paragraphs)
         if cands[paper.id] or paper.is_empty:
             want[paper.title_abstract] += 1
     return want
@@ -1363,6 +1363,60 @@ class TestArtifactPaperIds:
         err = capsys.readouterr().err
         assert f"stage {stage} failed: {copy / name}: line {where}: {message}" in err
         assert "Traceback" not in err
+
+
+def _first_candidate(**fields):
+    """A change to a scores.jsonl record: ``fields`` set in its first candidate."""
+    return lambda rec: rec | {"candidates": [rec["candidates"][0] | fields]
+                                            + rec["candidates"][1:]}
+
+
+class TestArtifactFieldTypes:
+    """A label id that is not a string, a candidate list or ranking that is
+    not a list, or a stored score of another JSON type fails the stage that
+    reads it as a malformed line naming the file and the line."""
+
+    @pytest.mark.parametrize("name, stage, change, problem", [
+        ("candidates.jsonl", "score", lambda rec: rec | {"candidates": [["L0001"]]},
+         "'candidates' entries must be strings, got list"),
+        ("candidates.jsonl", "evaluate", lambda rec: rec | {"candidates": "L0001"},
+         "'candidates' must be a list, got str"),
+        ("predictions.jsonl", "evaluate",
+         lambda rec: rec | {"ranking": [rec["ranking"][:1]] + rec["ranking"][1:]},
+         "'ranking' entries must be strings, got list"),
+        ("predictions.jsonl", "evaluate", lambda rec: rec | {"ranking": "L0001"},
+         "'ranking' must be a list, got str"),
+        ("scores.jsonl", "self-train", _first_candidate(label_id=["L0001"]),
+         "candidate field 'label_id' must be a string, got list"),
+        ("scores.jsonl", "predict", _first_candidate(mrr="2.0"),
+         "candidate field 'mrr' must be a number, got str"),
+        ("scores.jsonl", "predict", _first_candidate(score_b=True),
+         "candidate field 'score_b' must be a number, got bool"),
+        ("scores.jsonl", "self-train", _first_candidate(score_x=None),
+         "candidate field 'score_x' must be a number, got NoneType"),
+        ("scores.jsonl", "predict", _first_candidate(rank_b=1.0),
+         "candidate field 'rank_b' must be an int, got float"),
+        ("scores.jsonl", "self-train", _first_candidate(rank_x=False),
+         "candidate field 'rank_x' must be an int, got bool"),
+    ])
+    def test_rejected(self, run, tmp_path, capsys, name, stage, change, problem):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        lines = (copy / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        # the first line whose record has a candidate to change
+        where = next(i for i, line in enumerate(lines, start=1)
+                     if json.loads(line).get("candidates", True))
+        lines[where - 1] = json.dumps(change(json.loads(lines[where - 1]))) + "\n"
+        (copy / name).write_text("".join(lines), encoding="utf-8")
+        outputs = {p.name: p.read_bytes() for p in copy.iterdir()}
+        assert cli.main([stage, "--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
+                         "--output-dir", str(copy)]) == 1
+        err = capsys.readouterr().err
+        assert (f"stage {stage} failed: {copy / name}: line {where}: malformed record "
+                f"({problem})") in err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in copy.iterdir()} == outputs
 
 
 class TestTuplesFromAnotherCorpus:

@@ -1,0 +1,54 @@
+"""tests/protocol.py, run on one tiny input."""
+
+import shutil
+from pathlib import Path
+
+import pytest
+
+import protocol
+
+REPO = Path(__file__).resolve().parent.parent
+TINY = (3, 40, 6, ("--train-steps", "5"))
+NAME = "synth seed 3, 40 x 6 --train-steps 5"
+
+
+def changed_tree(tmp_path, module, old, new):
+    """A copy of this repository's ``src/`` with ``old`` replaced by ``new`` in ``module``."""
+    tree = tmp_path / "change"
+    shutil.copytree(REPO / "src", tree / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tree / "src" / "weaklabel" / module
+    source = path.read_text(encoding="utf-8")
+    assert source.count(old) == 1
+    path.write_text(source.replace(old, new), encoding="utf-8")
+    return tree
+
+
+def test_same_tree_is_cmp_identical(tmp_path):
+    assert protocol.compare_input(REPO, REPO, TINY, tmp_path / "w") == (0, f"{NAME}: cmp-identical")
+
+
+def test_reordered_sum_holds_the_numerics_rule(tmp_path):
+    # a division turned into a product by the reciprocal moves score_b by rounding only
+    tree = changed_tree(tmp_path, "ranker.py", "parent.append(sum(values) / len(values))",
+                        "parent.append(sum(values) * (1.0 / len(values)))")
+    assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
+        0, f"{NAME}: within the numerics rule (scores.jsonl differ)")
+
+
+def test_changed_output_is_a_breach(tmp_path):
+    tree = changed_tree(tmp_path, "config.py", "top_k: int = 5", "top_k: int = 4")
+    code, line = protocol.compare_input(REPO, tree, TINY, tmp_path / "w")
+    assert code == 1
+    assert line.startswith(f"{NAME}: predictions.jsonl: paper ")
+    assert "top_k_scores: shape (1, 5) != (1, 4)" in line
+
+
+@pytest.mark.parametrize("argv", [[], ["a"], ["a", "b", "c"]])
+def test_wrong_argument_count_exits_2(argv, capsys):
+    assert protocol.main(argv) == 2
+    assert "usage: python tests/protocol.py PARENT_TREE CHANGE_TREE" in capsys.readouterr().err
+
+
+def test_path_that_is_not_a_tree_exits_2(tmp_path, capsys):
+    assert protocol.main([str(REPO), str(tmp_path)]) == 2
+    assert f"not a source tree (no src/weaklabel): {tmp_path}" in capsys.readouterr().err

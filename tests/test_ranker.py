@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weaklabel.corpus import HierarchyNode, Paper
+from weaklabel.corpus import Paper
 from weaklabel.ranker import (
     CandidateScore, aggregate_hierarchy, cosine, mrr_combine, read_scores,
     score_bi, write_scores,
@@ -19,67 +19,69 @@ def make_paper(root, pid="d1", title="t", abstract="a"):
 
 
 def random_tree(rng, max_depth=5, max_fanout=6):
-    def build(depth, kind):
+    """A document hierarchy (nested lists of paragraph texts) with at least one list."""
+    def build(depth):
         if depth >= max_depth or (depth > 0 and rng.random() < 0.35):
-            return HierarchyNode(kind="paragraph", text=f"leaf {rng.integers(1e6)}")
-        n_children = int(rng.integers(1, max_fanout + 1))
-        child_kind = "section" if kind == "paper" else "subsection"
-        node = HierarchyNode(kind=kind if depth else "paper")
-        node.kind = kind
-        node.children = [build(depth + 1, child_kind) for _ in range(n_children)]
-        return node
+            return f"leaf {rng.integers(1e6)}"
+        return [build(depth + 1) for _ in range(int(rng.integers(1, max_fanout + 1)))]
 
-    root = build(0, "paper")
-    if root.kind == "paragraph":  # ensure at least one internal level
-        root = HierarchyNode(kind="paper", children=[root])
-    return root
+    return build(0)
 
 
-def oracle_aggregate(node, emb_by_leaf):
-    """Reference recursion: internal node = mean of child embeddings."""
-    if node.kind == "paragraph":
-        return emb_by_leaf[id(node)]
-    child = [oracle_aggregate(c, emb_by_leaf) for c in node.children]
+def oracle_aggregate(node, leaves):
+    """Reference recursion: a list is the mean of its children; ``leaves``
+    yields the leaf embeddings in document order."""
+    if isinstance(node, str):
+        return next(leaves)
+    child = [oracle_aggregate(c, leaves) for c in node]
     return sum(child) / len(child)
+
+
+def subtrees(root, embs):
+    """Each list in ``root``, ``root`` first, with its leaves' embeddings
+    (leaves matched to ``embs`` by position, as two may share a text)."""
+    out, seen = [], 0
+
+    def walk(node):
+        nonlocal seen
+        if isinstance(node, str):
+            seen += 1
+            return
+        at, first = len(out), seen
+        out.append(None)
+        for child in node:
+            walk(child)
+        out[at] = (node, embs[first:seen])
+
+    walk(root)
+    return out
 
 
 class TestAggregateHierarchy:
     def test_constant_field(self):
-        root = HierarchyNode(kind="paper", children=[
-            HierarchyNode(kind="paragraph", text="p1"),
-            HierarchyNode(kind="section", children=[
-                HierarchyNode(kind="paragraph", text="p2"),
-                HierarchyNode(kind="paragraph", text="p3")])])
-        paper = make_paper(root)
+        root = ["p1", ["p2", "p3"]]
         v = np.array([0.3, -0.7, 0.2])
-        agg = aggregate_hierarchy(paper, [v] * 3)
-        for emb in agg.by_node.values():
-            np.testing.assert_allclose(emb, v)
+        for tree, embs in subtrees(root, [v] * 3):
+            np.testing.assert_allclose(aggregate_hierarchy(make_paper(tree), embs), v)
 
     def test_two_level_mean(self):
         # leaf (1,0) and a section holding (0,1) and (0,3) under the root
-        section = HierarchyNode(kind="section", children=[
-            HierarchyNode(kind="paragraph", text="a"),
-            HierarchyNode(kind="paragraph", text="b")])
-        root = HierarchyNode(kind="paper", children=[
-            HierarchyNode(kind="paragraph", text="c"), section])
-        paper = make_paper(root)
+        section = ["a", "b"]
+        paper = make_paper(["c", section])
         embs = [np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([0.0, 3.0])]
-        agg = aggregate_hierarchy(paper, embs)
-        np.testing.assert_allclose(agg.by_node[section], [0.0, 2.0])
-        np.testing.assert_allclose(agg.root, [0.5, 1.0])
+        np.testing.assert_allclose(aggregate_hierarchy(paper, embs), [0.5, 1.0])
+        np.testing.assert_allclose(aggregate_hierarchy(make_paper(section), embs[1:]),
+                                   [0.0, 2.0])
 
     def test_matches_recursion_oracle_on_random_trees(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             paper = make_paper(random_tree(rng))
             embs = [rng.normal(size=4) for _ in paper.paragraphs]
-            agg = aggregate_hierarchy(paper, embs)
-            by_leaf = {id(n): e for n, e in zip(paper.paragraphs, embs)}
-            expected = oracle_aggregate(paper.hierarchy, by_leaf)
-            np.testing.assert_array_equal(agg.root, expected)
-            for node, emb in agg.by_node.items():
-                np.testing.assert_array_equal(emb, oracle_aggregate(node, by_leaf))
+            for tree, leaf_embs in subtrees(paper.hierarchy, embs):
+                np.testing.assert_array_equal(
+                    aggregate_hierarchy(make_paper(tree), leaf_embs),
+                    oracle_aggregate(tree, iter(leaf_embs)))
 
     def test_leaves_no_reference_cycle(self):
         rng = np.random.default_rng(2)
@@ -91,23 +93,26 @@ class TestAggregateHierarchy:
         rng = np.random.default_rng(1)
         paper = make_paper(random_tree(rng))
         embs = [rng.normal(size=3) for _ in paper.paragraphs]
-        a = aggregate_hierarchy(paper, embs)
-        b = aggregate_hierarchy(paper, [5.0 * e for e in embs])
-        for node in a.by_node:
-            np.testing.assert_allclose(b.by_node[node], 5.0 * a.by_node[node],
-                                       rtol=1e-12, atol=1e-12)
+        for tree, leaf_embs in subtrees(paper.hierarchy, embs):
+            a = aggregate_hierarchy(make_paper(tree), leaf_embs)
+            b = aggregate_hierarchy(make_paper(tree), [5.0 * e for e in leaf_embs])
+            np.testing.assert_allclose(b, 5.0 * a, rtol=1e-12, atol=1e-12)
 
     def test_empty_paper_uses_fallback(self):
-        paper = make_paper(HierarchyNode(kind="paper"))
         fb = np.array([0.1, 0.2])
-        agg = aggregate_hierarchy(paper, [], fallback=fb)
-        np.testing.assert_array_equal(agg.root, fb)
-        with pytest.raises(ValueError, match="empty"):
-            aggregate_hierarchy(paper, [])
+        for root in ([], [[]], [[], [[]]]):
+            paper = make_paper(root)
+            np.testing.assert_array_equal(aggregate_hierarchy(paper, [], fallback=fb), fb)
+            with pytest.raises(ValueError, match="empty"):
+                aggregate_hierarchy(paper, [])
+
+    @pytest.mark.parametrize("root", [["x", []], [["x"], [[]]], [[[], "x"]]])
+    def test_empty_section_rejected(self, root):
+        with pytest.raises(ValueError, match="paper 'd1' has a section with no paragraphs"):
+            aggregate_hierarchy(make_paper(root), [np.ones(2)], fallback=np.ones(2))
 
     def test_count_mismatch_rejected(self):
-        paper = make_paper(HierarchyNode(kind="paper", children=[
-            HierarchyNode(kind="paragraph", text="x")]))
+        paper = make_paper(["x"])
         with pytest.raises(ValueError, match="count"):
             aggregate_hierarchy(paper, [])
 

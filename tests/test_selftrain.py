@@ -21,7 +21,7 @@ from weaklabel.selftrain import (
     save_classifier, train_classifier, train_tree, _first_rows, _fit_logistic, _in_row_space,
     _normalize_rows, _search_plan,
 )
-from weaklabel.corpus import Vocabulary, build_vocabulary, load_corpus, load_labels, preorder
+from weaklabel.corpus import Vocabulary, build_vocabulary, load_corpus, load_labels
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import (build_tfidf_matrix, csr_row, final_ranking, garbage_after,
@@ -262,19 +262,6 @@ def flatten(root, start=0):
 
 def recursive_preorder(node):
     return [node] + [n for child in node.children for n in recursive_preorder(child)]
-
-
-label_trees = st.recursive(
-    st.lists(st.sampled_from("ABCDEF"), min_size=1, max_size=3).map(
-        lambda ids: RefNode(label_ids=tuple(ids))),
-    lambda kids: st.lists(kids, min_size=1, max_size=4).map(
-        lambda children: RefNode(children=children)),
-    max_leaves=30)
-
-
-@given(label_trees)
-def test_preorder_matches_recursive_reference(tree):
-    assert preorder(tree) == recursive_preorder(tree)  # nodes compare by identity
 
 
 def reference_label_tree(features, label_ids, max_leaf, seed):

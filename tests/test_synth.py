@@ -46,8 +46,8 @@ class TestGeneration:
         corpus = load_corpus(tmp / "corpus.jsonl")
         assert all(not p.is_empty for p in corpus)
         for paper in corpus:
-            for leaf in paper.paragraphs:
-                assert len(tokenize(leaf.text)) >= 10
+            for text in paper.paragraphs:
+                assert len(tokenize(text)) >= 10
 
     def test_abstract_names_all_retrieved(self, generated):
         tmp, _, _, manifest = generated
