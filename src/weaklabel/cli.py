@@ -1,11 +1,10 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages (``ingest``, ``candidates``,
-``sample-tuples``, ``train-encoder``, ``score``, ``self-train``,
-``predict``, ``evaluate``), plus ``run-all`` for the whole pipeline and
-``synth`` for generating a planted-label test corpus. Configuration
-comes from an optional JSON file (``--config``) with flag overrides on
-top; exit status is nonzero on failure, with the failing stage named.
+Subcommands mirror the pipeline stages (``pipeline.STAGES``), plus
+``run-all`` for the whole pipeline and ``synth`` for generating a
+planted-label test corpus. Configuration comes from an optional JSON
+file (``--config``) with flag overrides on top; exit status is nonzero
+on failure, with the failing stage named.
 """
 
 from __future__ import annotations

@@ -35,6 +35,13 @@ NPZ_CHUNK_BYTES = 1 << 20  # most bytes handed to zlib at once, which bounds its
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 
+def _no_constant(name: str):
+    raise ValueError(f"non-finite number {name}")
+
+
+_JSON = json.JSONDecoder(parse_constant=_no_constant)  # every line file's and .npz meta's parser
+
+
 class CorpusError(ValueError):
     """Raised on malformed corpus or label files."""
 
@@ -206,7 +213,8 @@ def atomic_write(path, mode: str = "w"):
     the block completes.
 
     If the block raises, the temporary file is removed and an earlier file
-    at ``path`` is left as it was, so no reader sees a truncated artifact.
+    at ``path`` is left as it was, so no reader sees a truncated artifact;
+    a plain ValueError (say, a NaN the JSON encoder refuses) is raised naming ``path``.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     os.makedirs(os.path.dirname(os.path.abspath(tmp)), exist_ok=True)
@@ -214,16 +222,19 @@ def atomic_write(path, mode: str = "w"):
         with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if type(exc) is ValueError:
+            raise ValueError(f"{path}: {exc}") from None
         raise
 
 
-def write_npz(path, members: dict[str, np.ndarray], compress: bool):
-    """Write an ``.npz`` archive atomically (``atomic_write``), byte for
-    byte as ``np.savez_compressed`` (``compress``) or ``np.savez`` writes
-    it for arrays not in Fortran order.
+def write_npz(path, members: dict[str, np.ndarray], meta: dict, compress: bool):
+    """Write an ``.npz`` archive of ``members`` and, last, a ``meta`` member
+    holding ``meta`` as JSON, atomically (``atomic_write``), byte for byte
+    as ``np.savez_compressed`` (``compress``) or ``np.savez`` writes it for
+    arrays not in Fortran order.
 
     Each member goes to the zip stream from its own memory (a copy only if
     it is strided), at most NPZ_CHUNK_BYTES at a time, so the only
@@ -231,7 +242,8 @@ def write_npz(path, members: dict[str, np.ndarray], compress: bool):
     """
     method = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
     with atomic_write(path, "wb") as fh, zipfile.ZipFile(fh, "w", method) as zf:
-        for name, array in members.items():
+        raw = json.dumps(meta, allow_nan=False).encode("utf-8")
+        for name, array in {**members, "meta": np.frombuffer(raw, dtype=np.uint8)}.items():
             header = {"descr": np.lib.format.dtype_to_descr(array.dtype),
                       "fortran_order": False, "shape": array.shape}
             with zf.open(f"{name}.npy", "w", force_zip64=True) as out:  # as numpy does
@@ -241,18 +253,18 @@ def write_npz(path, members: dict[str, np.ndarray], compress: bool):
                     out.write(data[lo:lo + NPZ_CHUNK_BYTES])
 
 
-def read_npz(path, kind: str, version: int, stage: str,
+def read_npz(path, kind: str, version: int,
              ints: tuple[str, ...] = ()) -> tuple[dict, dict[str, np.ndarray]]:
     """The decoded JSON ``meta`` member of an ``.npz`` archive, and its other
     members. A meta that is not an object of version ``version`` (of the
-    file ``kind``) with ints at its ``ints`` keys raises
-    ValueError("<path>: ...; rerun <stage>")."""
+    file ``kind``) with ints at its ``ints`` keys, or a float member
+    holding a NaN or an infinity, raises ValueError("<path>: ...")."""
     with np.load(path) as data:
         members = {name: data[name] for name in data.files}
     try:
-        meta = json.loads(bytes(members.pop("meta")).decode("utf-8"))
+        meta = _JSON.decode(bytes(members.pop("meta")).decode("utf-8"))
     except (KeyError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
-        raise ValueError(f"{path}: unreadable meta ({exc}); rerun {stage}") from None
+        raise ValueError(f"{path}: unreadable meta ({exc})") from None
     if not isinstance(meta, dict):
         problem = f"meta is a JSON {type(meta).__name__}, not an object"
     elif meta.get("version") != version:
@@ -260,8 +272,10 @@ def read_npz(path, kind: str, version: int, stage: str,
     else:
         problem = next((f"meta key {key!r} is missing or not an int" for key in ints
                         if type(meta.get(key)) is not int), None)
+    problem = problem or next((f"non-finite value in {name}" for name, a in members.items()
+                               if a.dtype.kind == "f" and not np.isfinite(a).all()), None)
     if problem:
-        raise ValueError(f"{path}: {problem}; rerun {stage}")
+        raise ValueError(f"{path}: {problem}")
     return meta, members
 
 
@@ -269,10 +283,10 @@ def write_jsonl(records, path):
     """Write each record as one line of JSON, atomically (``atomic_write``)."""
     with atomic_write(path) as fh:
         for rec in records:
-            fh.write(json.dumps(rec) + "\n")
+            fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
-def read_jsonl(path, build=None, parse=json.loads):
+def read_jsonl(path, build=None, parse=_JSON.decode):
     """Yield the record on each nonblank line, one at a time, or
     ``build(record)`` when ``build`` is given; ``parse`` turns a line into
     its record.
@@ -302,7 +316,7 @@ def read_jsonl(path, build=None, parse=json.loads):
             yield record
 
 
-def read_keyed(path, build, what: str, parse=json.loads) -> dict:
+def read_keyed(path, build, what: str, parse=_JSON.decode) -> dict:
     """``dict(read_jsonl(path, build, parse))`` for a ``build`` returning
     ``(key, value)``; a key that an earlier line gave fails its line as a
     duplicate ``what``."""

@@ -361,25 +361,21 @@ def save_model(model: ScorerModel, path, train_config: "TrainConfig | None" = No
     }
     if train_config is not None:
         meta["train"] = asdict(train_config)
-    write_npz(path, {"proj": model.proj, "w": model.w,
-                     "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)},
-              compress=False)
+    write_npz(path, {"proj": model.proj, "w": model.w}, meta, compress=False)
 
 
 def load_model(path) -> ScorerModel:
-    meta, members = read_npz(path, "checkpoint", CHECKPOINT_VERSION, "train-encoder",
+    meta, members = read_npz(path, "checkpoint", CHECKPOINT_VERSION,
                              ints=("hash_dim", "embed_dim", "hash_seed", "max_tokens"))
     proj, w = members["proj"], members["w"]
     if meta["max_tokens"] < 1:  # a slice to 0 or fewer tokens would silently drop words
-        raise ValueError(f"{path}: meta max_tokens {meta['max_tokens']} is not positive; "
-                         "rerun train-encoder")
+        raise ValueError(f"{path}: meta max_tokens {meta['max_tokens']} is not positive")
     if not -2**63 <= meta["hash_seed"] < 2**63:  # the hash key is its 8 bytes
-        raise ValueError(f"{path}: meta hash_seed {meta['hash_seed']} is not a signed "
-                         "64-bit int; rerun train-encoder")
+        raise ValueError(f"{path}: meta hash_seed {meta['hash_seed']} is not a signed 64-bit int")
     shapes = ((meta["hash_dim"], meta["embed_dim"]), (2 * meta["embed_dim"],))
     if (proj.shape, w.shape) != shapes:
         raise ValueError(f"{path}: proj is {proj.shape} and w {w.shape}, but its meta names "
-                         f"{shapes[0]} and {shapes[1]}; rerun train-encoder")
+                         f"{shapes[0]} and {shapes[1]}")
     feat = BaseFeaturizer(dim=meta["hash_dim"], hash_seed=meta["hash_seed"],
                           max_tokens=meta["max_tokens"])
     return ScorerModel(featurizer=feat, proj=proj, w=w)

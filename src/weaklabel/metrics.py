@@ -98,7 +98,7 @@ class MetricsReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
 
 
 def evaluate(rankings: dict[str, list[str]], gold: dict[str, set[str]],

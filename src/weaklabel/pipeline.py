@@ -7,9 +7,9 @@ byte-identical to a stage-by-stage one. The inputs a stage derives from
 the corpus and label files come from a ``RunContext``: a full run shares
 one, so each input is read and each feature matrix built once per run.
 
-Stage order: candidates -> sample-tuples -> train-encoder -> score
-(joint scores, hierarchy aggregation, rank ensembling) -> self-train ->
-predict -> evaluate.
+Stage order: ingest -> candidates -> sample-tuples -> train-encoder ->
+score (joint scores, hierarchy aggregation, rank ensembling) ->
+self-train -> predict -> evaluate.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+from contextlib import contextmanager
 from functools import cached_property
 
 import numpy as np
@@ -24,24 +25,24 @@ import numpy as np
 from . import candidates as cand
 from . import citegraph, encoder, metrics, ranker, selftrain
 from .config import PipelineConfig
-from .corpus import (Label, Paper, Vocabulary, atomic_write, corpus_stats, count_terms,
-                     load_corpus, load_labels, read_by_paper, str_list, vocabulary_from_terms,
-                     write_jsonl)
+from .corpus import (CorpusError, Label, Paper, Vocabulary, atomic_write, corpus_stats,
+                     count_terms, load_corpus, load_labels, read_by_paper, str_list,
+                     vocabulary_from_terms, write_jsonl)
 from .kernels import CsrMatrix
 
 log = logging.getLogger(__name__)
 
-ARTIFACTS = {
-    "ingest": "ingest.json",
-    "candidates": "candidates.jsonl",
-    "tuples": "tuples.jsonl",
-    "encoder": "encoder.npz",
-    "loss_trace": "loss_trace.json",
-    "scores": "scores.jsonl",
-    "score_stats": "score_stats.json",
-    "classifier": "classifier.npz",
-    "predictions": "predictions.jsonl",
-    "metrics": "metrics.json",
+ARTIFACTS = {  # key: (its file in the output directory, the stage that writes it)
+    "ingest": ("ingest.json", "ingest"),
+    "candidates": ("candidates.jsonl", "candidates"),
+    "tuples": ("tuples.jsonl", "sample-tuples"),
+    "encoder": ("encoder.npz", "train-encoder"),
+    "loss_trace": ("loss_trace.json", "train-encoder"),
+    "scores": ("scores.jsonl", "score"),
+    "score_stats": ("score_stats.json", "score"),
+    "classifier": ("classifier.npz", "self-train"),
+    "predictions": ("predictions.jsonl", "predict"),
+    "metrics": ("metrics.json", "evaluate"),
 }
 
 
@@ -51,7 +52,17 @@ SCORE_BLOCK_PAPERS = 32
 
 
 def _path(cfg: PipelineConfig, key: str) -> str:
-    return os.path.join(cfg.output_dir, ARTIFACTS[key])
+    return os.path.join(cfg.output_dir, ARTIFACTS[key][0])
+
+
+@contextmanager
+def _upstream(cfg: PipelineConfig, key: str):
+    """The path of artifact ``key``; the block's ValueError or OSError gets "; rerun <writer>"."""
+    try:
+        yield _path(cfg, key)
+    except (ValueError, OSError) as exc:  # a CorpusError or an OSError keeps its type
+        kind = type(exc) if isinstance(exc, (CorpusError, OSError)) else ValueError
+        raise kind(f"{exc}; rerun {ARTIFACTS[key][1]}") from None
 
 
 class RunContext:
@@ -74,10 +85,6 @@ class RunContext:
     @cached_property
     def labels(self) -> list[Label]:
         return load_labels(self.cfg.labels_path)
-
-    @cached_property
-    def paper_ids(self) -> frozenset[str]:
-        return frozenset(p.id for p in self.corpus)
 
     @cached_property
     def terms(self) -> tuple[list[str], CsrMatrix]:
@@ -110,29 +117,26 @@ def _context(cfg: PipelineConfig, ctx: RunContext | None) -> RunContext:
 
 def _write_json(cfg: PipelineConfig, key: str, obj, **kwargs):
     with atomic_write(_path(cfg, key)) as fh:
-        json.dump(obj, fh, **kwargs)
+        json.dump(obj, fh, allow_nan=False, **kwargs)
 
 
 def _read_paper_keyed(cfg: PipelineConfig, ctx: RunContext, key: str, *args) -> dict:
-    """The paper-keyed artifact under ``key``, read by its reader (with
-    ``args``), checked against the corpus's paper ids and the label file."""
-    # the stage that writes the artifact, its reader, and the label ids of one paper's entry
-    stage, read, label_ids = {
-        "candidates": ("candidates", cand.read_candidates, lambda ids: ids),
-        "scores": ("score", ranker.read_scores, lambda rows: (r.label_id for r in rows)),
-        "predictions": ("predict", read_predictions, lambda ranking: ranking),
-    }[key]
-    found, ids = read(_path(cfg, key), *args), ctx.paper_ids
-    if found.keys() != ids:
-        raise ValueError(f"{ARTIFACTS[key]} was written for another corpus: it has "
-                         f"{len(found)} papers, the corpus has {len(ids)}, "
-                         f"{len(ids & found.keys())} in both; rerun {stage}")
-    unknown = sorted({lid for entry in found.values() for lid in label_ids(entry)}
-                     - {l.id for l in ctx.labels})
-    if unknown:
-        raise ValueError(f"{ARTIFACTS[key]} was written for another label set: "
-                         f"{len(unknown)} of its label ids are not in the label file "
-                         f"(first {unknown[:5]}); rerun {stage}")
+    """The paper-keyed artifact under ``key`` (label ids or scored candidates per paper),
+    read with ``args`` and checked against the corpus's paper ids and the label file."""
+    read = {"candidates": cand.read_candidates, "scores": ranker.read_scores,
+            "predictions": read_predictions}[key]
+    file, ids = ARTIFACTS[key][0], {p.id for p in ctx.corpus}
+    with _upstream(cfg, key) as path:
+        found = read(path, *args)
+        if found.keys() != ids:
+            raise ValueError(f"{file} was written for another corpus: it has {len(found)} "
+                             f"papers, the corpus has {len(ids)}, "
+                             f"{len(ids & found.keys())} in both")
+        unknown = sorted({getattr(c, "label_id", c) for entry in found.values() for c in entry}
+                         - {l.id for l in ctx.labels})
+        if unknown:
+            raise ValueError(f"{file} was written for another label set: {len(unknown)} of "
+                             f"its label ids are not in the label file (first {unknown[:5]})")
     return found
 
 
@@ -144,9 +148,8 @@ def _check_tuple_refs(tuples, corpus):
             n = n_paragraphs.get(pid)
             if n is None or not 0 <= i < n:
                 why = "no such paper" if n is None else f"the paper has {n} paragraphs"
-                raise ValueError(f"{ARTIFACTS['tuples']} was written for another corpus: "
-                                 f"reference ({pid!r}, {i}) does not resolve ({why}); "
-                                 f"rerun sample-tuples")
+                raise ValueError(f"{ARTIFACTS['tuples'][0]} was written for another corpus: "
+                                 f"reference ({pid!r}, {i}) does not resolve ({why})")
 
 
 def _check_override_ids(path, overrides: dict, corpus: list[Paper], labels: list[Label]):
@@ -199,8 +202,9 @@ def stage_sample_tuples(cfg: PipelineConfig,
 def stage_train_encoder(cfg: PipelineConfig,
                         ctx: RunContext | None = None) -> encoder.ScorerModel:
     corpus = _context(cfg, ctx).corpus
-    tuples = citegraph.read_tuples(_path(cfg, "tuples"))
-    _check_tuple_refs(tuples, corpus)
+    with _upstream(cfg, "tuples") as path:
+        tuples = citegraph.read_tuples(path)
+        _check_tuple_refs(tuples, corpus)
     model = encoder.init_model(cfg.hash_dim, cfg.embed_dim, seed=cfg.stage_seed("init-model"))
     train_cfg = encoder.TrainConfig(
         batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
@@ -220,7 +224,8 @@ def stage_score(cfg: PipelineConfig,
     ctx = _context(cfg, ctx)
     corpus, labels = ctx.corpus, ctx.labels
     cands = _read_paper_keyed(cfg, ctx, "candidates")
-    model = encoder.load_model(_path(cfg, "encoder"))
+    with _upstream(cfg, "encoder") as path:
+        model = encoder.load_model(path)
     overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
                  if cfg.embeddings_path else {})
     if overrides:
@@ -299,9 +304,8 @@ def _check_label_set(clf: selftrain.LabelTreeClassifier, label_ids: list[str]):
     only_file = sorted(set(label_ids) - set(clf.label_ids))
     only_clf = sorted(set(clf.label_ids) - set(label_ids))
     if only_file or only_clf:
-        raise ValueError(f"classifier was fitted on a different label set (only in the "
-                         f"label file: {only_file[:5]}, only in the classifier: "
-                         f"{only_clf[:5]}); rerun self-train")
+        raise ValueError(f"classifier was fitted on a different label set (only in the label "
+                         f"file: {only_file[:5]}, only in the classifier: {only_clf[:5]})")
 
 
 def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[str, list[str]]:
@@ -313,12 +317,15 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[st
     rankings: dict[str, list[str]] = {}
     top_scores: dict[str, list[float]] = {}
     if cfg.use_selftrain:
-        clf = selftrain.load_classifier(_path(cfg, "classifier"))
-        _check_label_set(clf, [l.id for l in ctx.labels])
+        X = ctx.tfidf  # built outside the block: its errors are no fault of classifier.npz
+        with _upstream(cfg, "classifier") as path:
+            clf = selftrain.load_classifier(path)
+            _check_label_set(clf, [l.id for l in ctx.labels])
+            blocks = selftrain.predict_blocks(clf, X, cfg.beam_width)  # checks X's width
         column = {lid: j for j, lid in enumerate(clf.label_ids)}
         pinned = selftrain.pseudo_labels(scored, cfg.pseudo_top_n)
         # one row block at a time, so no papers x labels matrix is ever held
-        for start, probs in selftrain.predict_blocks(clf, ctx.tfidf, cfg.beam_width):
+        for start, probs in blocks:
             papers = corpus[start:start + probs.shape[0]]
             ranked = selftrain.final_rankings([pinned[p.id] for p in papers], probs,
                                               clf.label_ids)

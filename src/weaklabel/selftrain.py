@@ -14,7 +14,6 @@ in preorder (LabelTreeClassifier): the fit, the search and
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -383,15 +382,18 @@ def predict_blocks(clf: LabelTreeClassifier, X: CsrMatrix, beam_width: int):
     ``clf.label_ids`` order and averaged over the trees; a label whose leaf
     a row reaches in no tree gets 0.
     """
-    if X.n_cols != clf.weights.shape[1]:
+    if X.n_cols != clf.weights.shape[1]:  # raised at the call, not at the first block
         raise ValueError(f"classifier was fitted on {clf.weights.shape[1]} tf-idf features but "
-                         f"the corpus vocabulary has {X.n_cols}; rerun self-train")
-    Xn = _normalize_rows(X)
+                         f"the corpus vocabulary has {X.n_cols}")
+    return _beam_blocks(clf, _normalize_rows(X), beam_width)
+
+
+def _beam_blocks(clf: LabelTreeClassifier, Xn: CsrMatrix, beam_width: int):
     label_pos = {lid: j for j, lid in enumerate(clf.label_ids)}
     first = _first_rows(clf.nodes)
     plans = [_search_plan(clf.nodes, root, label_pos, first) for root in clf.roots]
-    buf = np.zeros((min(X.n_rows, BLOCK_ROWS), X.n_cols))
-    for start, dense in _dense_blocks(_row_blocks(Xn, np.arange(X.n_rows), BLOCK_ROWS), buf):
+    buf = np.zeros((min(Xn.n_rows, BLOCK_ROWS), Xn.n_cols))
+    for start, dense in _dense_blocks(_row_blocks(Xn, np.arange(Xn.n_rows), BLOCK_ROWS), buf):
         logits = dense @ clf.weights.T
         logits += clf.biases
         S = _sigmoid(logits)
@@ -452,9 +454,7 @@ def save_classifier(clf: LabelTreeClassifier, path):
         "roots": clf.roots,
         "nodes": clf.nodes,
     }
-    write_npz(path, {"weights": clf.weights, "biases": clf.biases,
-                     "meta": np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)},
-              compress=True)
+    write_npz(path, {"weights": clf.weights, "biases": clf.biases}, meta, compress=True)
 
 
 def _list_of(value, kind: type) -> bool:
@@ -499,11 +499,10 @@ def _tree_problem(meta: dict) -> str | None:
 
 
 def load_classifier(path) -> LabelTreeClassifier:
-    meta, members = read_npz(path, "classifier", CLASSIFIER_VERSION, "self-train",
-                             ints=("n_features",))
+    meta, members = read_npz(path, "classifier", CLASSIFIER_VERSION, ints=("n_features",))
     problem = _tree_problem(meta)
     if problem:
-        raise ValueError(f"{path}: {problem}; rerun self-train")
+        raise ValueError(f"{path}: {problem}")
     nodes = [{key: rec[key]} for rec in meta["nodes"] for key in ("labels", "children")
              if key in rec]  # the known key of each node only
     weights, biases = members["weights"], members["biases"]
@@ -511,6 +510,5 @@ def load_classifier(path) -> LabelTreeClassifier:
     expected = (n_rows, meta["n_features"])
     if weights.dtype != np.float64 or weights.shape != expected or biases.shape != (n_rows,):
         raise ValueError(f"{path}: weights are {weights.dtype} {weights.shape} and biases "
-                         f"{biases.shape}, but its meta names float64 {expected} and "
-                         f"({n_rows},); rerun self-train")
+                         f"{biases.shape}, but its meta names float64 {expected} and ({n_rows},)")
     return LabelTreeClassifier(tuple(meta["label_ids"]), meta["roots"], nodes, weights, biases)

@@ -1,5 +1,6 @@
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, strategies as st
 from weaklabel.cli import main
 from weaklabel.corpus import (
     CorpusError, Paper, atomic_write, build_vocabulary, corpus_stats,
-    count_terms, load_corpus, NPZ_CHUNK_BYTES, load_labels, read_jsonl, tokenize,
+    count_terms, load_corpus, NPZ_CHUNK_BYTES, load_labels, read_jsonl, read_npz, tokenize,
     write_jsonl, write_npz,
 )
 from weaklabel.ranker import aggregate_hierarchy
@@ -255,6 +256,14 @@ class TestJsonLines:
         with pytest.raises(CorpusError, match=r"r\.jsonl: line 2: malformed record"):
             next(records)
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_is_a_malformed_line(self, tmp_path, constant):
+        path = tmp_path / "r.jsonl"
+        path.write_text(f'{{"a": 1}}\n{{"b": [0.5, {constant}]}}\n')
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: line 2: malformed "
+                                              rf"record \(non-finite number {constant}\)$"):
+            list(read_jsonl(path))
+
     @pytest.mark.parametrize("levels", [600, 3000])
     def test_deeply_nested_record_names_file_and_line(self, tmp_path, capsys, levels):
         # written by hand: json.dumps recurses as deep as the record nests
@@ -313,6 +322,16 @@ class TestJsonLines:
                 raise ValueError("boom")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_refused(self, tmp_path, value):
+        path = tmp_path / "r.jsonl"
+        write_jsonl([{"a": 1}], path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Out of range float"):
+            write_jsonl([{"a": 2}, {"b": [0.5, value]}], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
+
     def test_write_replaces_earlier_file(self, tmp_path):
         path = tmp_path / "r.jsonl"
         write_jsonl([{"a": 1}, {"b": 2}], path)
@@ -322,7 +341,8 @@ class TestJsonLines:
 
 
 class TestWriteNpz:
-    """write_npz writes the bytes np.savez_compressed / np.savez write."""
+    """write_npz writes the bytes np.savez_compressed / np.savez write, its
+    meta as JSON in a last ``meta`` member."""
 
     @pytest.mark.parametrize("compress", [True, False])
     def test_bytes_equal_numpy(self, tmp_path, compress):
@@ -330,11 +350,33 @@ class TestWriteNpz:
         wide = rng.normal(size=(5, 9))
         members = {"weights": rng.normal(size=(310, NPZ_CHUNK_BYTES // 8 // 100)),  # spans chunks
                    "strided": wide[:, ::2], "strided_1d": wide[0, ::3], "flags": wide > 0,
-                   "meta": np.frombuffer(b'{"k": [1, 2]}', dtype=np.uint8),
                    "empty": np.zeros((0, 4))}
-        write_npz(tmp_path / "a.npz", members, compress)
-        (np.savez_compressed if compress else np.savez)(tmp_path / "b.npz", **members)
+        write_npz(tmp_path / "a.npz", members, {"k": [1, 2]}, compress)
+        (np.savez_compressed if compress else np.savez)(
+            tmp_path / "b.npz", **members, meta=np.frombuffer(b'{"k": [1, 2]}', dtype=np.uint8))
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_member_rejected(self, tmp_path, dtype):
+        path = tmp_path / "a.npz"
+        w = np.zeros((3, 4), dtype=dtype)
+        write_npz(path, {"b": np.zeros(3), "w": w, "n": np.arange(3)}, {"version": 1}, False)
+        assert read_npz(path, "test", 1)[1]["w"].dtype == dtype
+        w[2, 1] = np.inf
+        write_npz(path, {"b": np.zeros(3), "w": w, "n": np.arange(3)}, {"version": 1}, False)
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: non-finite value "
+                                             r"in w$"):
+            read_npz(path, "test", 1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_meta_refused(self, tmp_path, value):
+        path = tmp_path / "a.npz"
+        write_npz(path, {"w": np.zeros(2)}, {"k": 1}, compress=False)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Out of range float"):
+            write_npz(path, {"w": np.ones(2)}, {"k": value}, compress=False)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.npz"]
 
 
 class TestLoadLabels:

@@ -681,8 +681,7 @@ class TestCheckpoint:
         monkeypatch.undo()
         with pytest.raises(ValueError) as err:
             load_model(path)
-        assert str(err.value) == (f"{path}: checkpoint version 1 is not 2; "
-                                  "rerun train-encoder")
+        assert str(err.value) == f"{path}: checkpoint version 1 is not 2"
 
 
     @settings(max_examples=30, deadline=None)
@@ -729,7 +728,7 @@ class TestCheckpoint:
             meta = edit(json.loads(bytes(data["meta"]).decode("utf-8")))
         raw = meta if isinstance(meta, bytes) else json.dumps(meta).encode("utf-8")
         np.savez(path, proj=model.proj, w=model.w, meta=np.frombuffer(raw, dtype=np.uint8))
-        with pytest.raises(ValueError, match=f"model.npz: {problem}; rerun train-encoder$"):
+        with pytest.raises(ValueError, match=f"model.npz: {problem}$"):
             load_model(path)
 
     @pytest.mark.parametrize("proj_shape, w_len", [((17, 4), 8), ((15, 4), 8), ((16, 5), 8),
@@ -740,7 +739,7 @@ class TestCheckpoint:
         with np.load(path) as data:
             meta = data["meta"]
         np.savez(path, proj=np.zeros(proj_shape), w=np.zeros(w_len), meta=meta)
-        with pytest.raises(ValueError, match=r"model.npz: proj is .*rerun train-encoder"):
+        with pytest.raises(ValueError, match=r"model.npz: proj is .*\)$"):
             load_model(path)
 
 

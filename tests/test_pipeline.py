@@ -54,7 +54,7 @@ def run(data_dir, tmp_path_factory):
 
 
 def artifact(out, key):
-    return os.path.join(str(out), pipeline.ARTIFACTS[key])
+    return os.path.join(str(out), pipeline.ARTIFACTS[key][0])
 
 
 class TestEndToEnd:
@@ -930,7 +930,7 @@ class TestCli:
                          "--labels", str(data_dir / "labels.jsonl"),
                          "--output-dir", str(out), "--tuple-count", "200",
                          "--train-steps", "20"]) == 0
-        assert sorted(os.listdir(out)) == sorted(pipeline.ARTIFACTS.values())
+        assert sorted(os.listdir(out)) == sorted(file for file, _ in pipeline.ARTIFACTS.values())
 
     def test_missing_artifact_names_stage(self, data_dir, tmp_path):
         proc = subprocess.run(
@@ -941,6 +941,8 @@ class TestCli:
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert "stage score failed" in proc.stderr
+        assert proc.stderr.endswith(f"{tmp_path / 'empty' / 'candidates.jsonl'}'; "
+                                    "rerun candidates\n")
 
     def test_score_on_a_version_1_checkpoint_names_train_encoder(self, data_dir, run,
                                                                  tmp_path):
@@ -1417,6 +1419,73 @@ class TestArtifactFieldTypes:
                 f"({problem})") in err
         assert "Traceback" not in err
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == outputs
+
+
+class TestNonFiniteArtifacts:
+    """A NaN in an upstream artifact fails the stage that reads it, naming
+    the file and the stage to rerun, and leaves the stage's output as it was."""
+
+    @pytest.fixture
+    def copy(self, run, tmp_path):
+        cfg, out, _, _ = run
+        shutil.copytree(out, tmp_path / "out")
+        return tmp_path / "out", ("--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
+                                  "--output-dir", str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("name, member, stage, output, rerun", [
+        ("encoder.npz", "proj", "score", "scores.jsonl", "train-encoder"),
+        ("classifier.npz", "weights", "predict", "predictions.jsonl", "self-train"),
+    ])
+    def test_npz_member(self, copy, capsys, name, member, stage, output, rerun):
+        out, args = copy
+        with np.load(out / name) as data:
+            members = {key: data[key] for key in data.files}
+        if member == "proj":  # one NaN
+            members["proj"][3, 1] = np.nan
+        else:
+            members["weights"][:] = np.nan
+        np.savez(out / name, **members)
+        before = (out / output).read_bytes()
+        assert cli.main([stage, *args]) == 1
+        assert (f"stage {stage} failed: {out / name}: non-finite value in {member}; "
+                f"rerun {rerun}\n") in capsys.readouterr().err
+        assert (out / output).read_bytes() == before
+
+    def test_stored_score(self, copy, capsys):
+        out, args = copy
+        lines = (out / "scores.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        rec = json.loads(lines[0])
+        rec["candidates"][0]["mrr"] = float("nan")
+        lines[0] = json.dumps(rec) + "\n"
+        assert "NaN" in lines[0]
+        (out / "scores.jsonl").write_text("".join(lines), encoding="utf-8")
+        before = (out / "predictions.jsonl").read_bytes()
+        assert cli.main(["predict", *args]) == 1
+        assert (f"stage predict failed: {out / 'scores.jsonl'}: line 1: malformed record "
+                "(non-finite number NaN); rerun score\n") in capsys.readouterr().err
+        assert (out / "predictions.jsonl").read_bytes() == before
+
+
+class TestArtifactTable:
+    """Run stage by stage in a fresh output directory, each stage adds the
+    files that ``pipeline.ARTIFACTS`` assigns to it and no other file."""
+
+    @pytest.mark.parametrize("use_selftrain", [True, False])
+    def test_each_stage_adds_its_artifacts(self, data_dir, tmp_path, use_selftrain):
+        cfg = base_config(data_dir, tmp_path / "out", tuple_count=200, train_steps=20,
+                          use_selftrain=use_selftrain)
+        ctx, seen = pipeline.RunContext(cfg), set()
+        for name, fn in pipeline.stages(cfg):
+            fn(cfg, ctx)
+            files = set(os.listdir(tmp_path / "out"))
+            assert seen <= files
+            assert files - seen == {file for file, writer in pipeline.ARTIFACTS.values()
+                                    if writer == name}, name
+            seen = files
+        assert [name for name, _ in pipeline.stages(cfg)] == \
+            [name for name, _ in pipeline.STAGES if use_selftrain or name != "self-train"]
+        assert ("classifier.npz" in seen) == use_selftrain
+        assert len(seen) == len(pipeline.ARTIFACTS) - (not use_selftrain)
 
 
 class TestTuplesFromAnotherCorpus:

@@ -820,7 +820,8 @@ class TestBatchedBeam:
     def test_feature_width_mismatch_rejected(self, deep):
         clf, X = deep
         wider = CsrMatrix(X.data, X.indices, X.indptr, X.n_rows, X.n_cols + 1)
-        with pytest.raises(ValueError, match="rerun self-train"):
+        with pytest.raises(ValueError, match=f"tf-idf features but the corpus vocabulary has "
+                                             f"{X.n_cols + 1}$"):
             next(predict_blocks(clf, wider, 10))
 
     def test_holds_no_papers_by_labels_matrix(self):
@@ -1096,7 +1097,7 @@ class TestPersistence:
         with pytest.raises(ValueError) as err:
             load_classifier(path)
         assert str(err.value).startswith(f"{path}: ") and problem in str(err.value)
-        assert str(err.value).endswith("; rerun self-train")
+        assert "rerun" not in str(err.value)
 
     @pytest.mark.parametrize("raw, problem", [
         (b"{version: 1}", r"unreadable meta \(Expecting property name .*\)"),
@@ -1107,7 +1108,7 @@ class TestPersistence:
         path = tmp_path / "clf.npz"
         save_classifier(random_classifier(np.random.default_rng(7), 6, 3, 1, max_leaf=2), path)
         self.rewrite(path, meta=np.frombuffer(raw, dtype=np.uint8))
-        with pytest.raises(ValueError, match=f"clf.npz: {problem}; rerun self-train$"):
+        with pytest.raises(ValueError, match=f"clf.npz: {problem}$"):
             load_classifier(path)
 
     @pytest.mark.parametrize("change", ["short_weights", "float32_weights", "wide_weights",
@@ -1124,7 +1125,7 @@ class TestPersistence:
             "wide_weights": {"weights": np.hstack([weights, weights[:, :1]])},
             "short_biases": {"biases": biases[:-1]},
         }[change])
-        with pytest.raises(ValueError, match="clf.npz: weights are .*rerun self-train"):
+        with pytest.raises(ValueError, match=r"clf.npz: weights are .*\)$"):
             load_classifier(path)
 
     @pytest.mark.parametrize("version", [0, 2, None])
@@ -1135,7 +1136,7 @@ class TestPersistence:
         with pytest.raises(ValueError) as err:
             load_classifier(path)
         assert str(err.value) == (f"{path}: classifier version {version!r} is not "
-                                  f"{selftrain.CLASSIFIER_VERSION}; rerun self-train")
+                                  f"{selftrain.CLASSIFIER_VERSION}")
 
 
 def reference_save_classifier(clf, path):
