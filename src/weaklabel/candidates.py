@@ -10,9 +10,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 
-from .corpus import Label, Paper, read_by_paper, str_list, tokenize, write_jsonl
+from .corpus import Label, Paper, read_by_paper, tokenize, write_jsonl
 
 log = logging.getLogger(__name__)
+
+CANDIDATES_FIELDS = {"paper_id": "str", "candidates": "list[str]"}  # a candidates.jsonl line
 
 
 @dataclass
@@ -75,4 +77,4 @@ def write_candidates(candidates: dict[str, list[str]], path):
 
 
 def read_candidates(path) -> dict[str, list[str]]:
-    return read_by_paper(path, lambda rec: str_list("candidates", rec["candidates"]))
+    return read_by_paper(path, CANDIDATES_FIELDS, lambda rec: rec["candidates"])

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import read_jsonl, write_jsonl
+from .corpus import _check, read_jsonl, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -167,24 +167,15 @@ def sample_tuples(graph: CitationGraph, corpus, path: MetaPath, count: int,
     return out
 
 
-_TUPLE_KEYS = ("anchor", "positive", "negative")
+TUPLE_FIELDS = {f.name: f.type for f in fields(ContrastiveTuple)}  # a tuples.jsonl line
 
 
 def write_tuples(tuples, path):
-    write_jsonl(({k: list(getattr(t, k)) for k in _TUPLE_KEYS} for t in tuples), path)
-
-
-def _reference(rec: dict, key: str) -> tuple[str, int]:
-    ref = rec[key]
-    if not (type(ref) is list and len(ref) == 2 and isinstance(ref[0], str)
-            and type(ref[1]) is int):  # a bool is an int too
-        raise ValueError(f"{key!r} must be a [paper id string, paragraph index int] pair, "
-                         f"got {ref!r}")
-    return ref[0], ref[1]
+    write_jsonl(({k: list(getattr(t, k)) for k in TUPLE_FIELDS} for t in tuples), path)
 
 
 def read_tuples(path) -> list[ContrastiveTuple]:
     """The tuples of a ``write_tuples`` file; a reference that is not a
     [string, int] pair fails like any malformed line."""
-    return list(read_jsonl(path, lambda rec: ContrastiveTuple(
-        *(_reference(rec, k) for k in _TUPLE_KEYS))))
+    return [ContrastiveTuple(*[tuple(rec[k]) for k in TUPLE_FIELDS])
+            for rec in read_jsonl(path, lambda rec: _check(rec, TUPLE_FIELDS))]

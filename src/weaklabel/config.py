@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, fields
 from hashlib import blake2b
 
 from .citegraph import MetaPath
+from .corpus import _check
 
 
 class ConfigError(ValueError):
@@ -77,10 +77,6 @@ class PipelineConfig:
         for name in positive:
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be nonnegative")
         for name in ["learning_rate", "classifier_lr", "epsilon"]:
@@ -115,26 +111,7 @@ class PipelineConfig:
         return int.from_bytes(digest, "little") >> 1
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(PipelineConfig)}
-_TYPE_CHECKS = {
-    "str": lambda v: isinstance(v, str),
-    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "bool": lambda v: isinstance(v, bool),
-}
-
-
-def _check_type(key: str, value, annotation: str):
-    if annotation.endswith(" | None"):
-        if value is None:
-            return
-        annotation = annotation[:-len(" | None")]
-    if annotation == "tuple[int, ...]":
-        ok = isinstance(value, (list, tuple)) and all(map(_TYPE_CHECKS["int"], value))
-    else:
-        ok = _TYPE_CHECKS[annotation](value)
-    if not ok:
-        raise ConfigError(f"{key} must be {annotation}, got {value!r}")
+_FIELD_TYPES = {f"{f.name}?": f.type for f in fields(PipelineConfig)}  # each has a default
 
 
 def make_config(file_path=None, overrides: dict | None = None) -> PipelineConfig:
@@ -144,18 +121,20 @@ def make_config(file_path=None, overrides: dict | None = None) -> PipelineConfig
         with open(file_path, "r", encoding="utf-8") as fh:
             try:
                 loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, or too deep
                 raise ConfigError(f"{file_path}: invalid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{file_path}: expected a JSON object")
         values.update(loaded)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(values) - set(_FIELD_TYPES)
+    unknown = set(values) - {name[:-1] for name in _FIELD_TYPES}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in values.items():
-        _check_type(key, value, _FIELD_TYPES[key])
+    try:
+        _check(values, _FIELD_TYPES)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from None
     for key in ("precision_ks", "ndcg_ks"):
         if key in values:
             values[key] = tuple(values[key])

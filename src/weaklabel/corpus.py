@@ -1,25 +1,22 @@
 """Corpus ingestion: documents, their section hierarchies, labels, vocabulary.
 
-The corpus file is JSON Lines, one document per line:
-
-    {"id": ..., "title": ..., "abstract": ...,
-     "sections": [{"name": ..., "paragraphs": [...], "subsections": [...]}],
-     "bib_refs": [...], "labels": [...]}
-
-The label file is JSON Lines with ``id``, ``names`` (non-empty array of
-strings, first entry canonical) and an optional string ``description``.
+The corpus and label files are JSON Lines, one record of PAPER_FIELDS or
+LABEL_FIELDS a line; a section is an object of SECTION_FIELDS. Each
+declares its fields as ``{name: annotation}``, a name ending in "?" optional.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import re
 import zipfile
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -129,81 +126,104 @@ class Vocabulary:
         return len(self.word_index)
 
 
-def _checked(key: str, value, kind: type):
-    """Return ``value`` if it is a ``kind`` (list or str), else raise naming ``key``."""
-    if not isinstance(value, kind):
-        raise CorpusError(f"{key!r} must be a {'list' if kind is list else 'string'}, "
-                          f"got {type(value).__name__}")
-    return value
+PAPER_FIELDS = {"id": "id", "title?": "str", "abstract?": "str", "sections?": "list[object]",
+                "bib_refs?": "list[id]", "labels?": "list[id] | None"}
+SECTION_FIELDS = {"paragraphs?": "list[str]", "subsections?": "list[object]"}
+LABEL_FIELDS = {"id": "id", "names": "list[str]", "description?": "str"}
+
+_SCALARS = {  # annotation: (the Python types of its values, its phrase in an error)
+    "str": ({str}, "a string"), "int": ({int}, "an int"),  # by type(): a bool is no int
+    "float": ({int, float}, "a finite number"), "bool": ({bool}, "a bool"),
+    "id": ({str, int}, "a string or an int"), "object": ({dict}, "an object"),
+}
+_SEQ = (list, tuple)
+_ABSENT = type("Absent", (), {})()  # a field a record lacks; optional fields' types hold its type
+_PLANS: dict = {}  # id of a declaration given to _check: (it, its fields resolved)
 
 
-def str_list(key: str, value) -> list:
-    """``value`` if it is a list of strings, else raise TypeError naming
-    ``key`` (``read_jsonl`` reports it as a malformed record)."""
-    if type(value) is not list:
-        raise TypeError(f"{key!r} must be a list, got {type(value).__name__}")
-    other = set(map(type, value)) - {str}
-    if other:
-        raise TypeError(f"{key!r} entries must be strings, got "
-                        f"{', '.join(sorted(t.__name__ for t in other))}")
-    return value
+@cache
+def _resolve(annotation: str) -> tuple:
+    """``(types, phrase, test, parts)`` of a _SCALARS key, ``list[T]`` or ``tuple[T, ...]``
+    (T a scalar), a pair of scalars ``tuple[A, B]`` or ``T | None``: a value has it if its
+    type is in ``types`` or ``test`` holds, and ``parts`` resolve the entries' types."""
+    if annotation.endswith(" | None"):
+        types, phrase, test, parts = _resolve(annotation[:-len(" | None")])
+        return types | {type(None)}, f"{phrase} or null", test, parts
+    head, _, args = annotation.partition("[")
+    if not args:
+        return (*_SCALARS[annotation], None, ())
+    names = [name for name in args[:-1].split(", ") if name != "..."]
+    kinds, parts = [_SCALARS[name][0] for name in names], tuple(map(_resolve, names))
+    floats = any(float in kind for kind in kinds)  # then each float must be finite too
+    finite = lambda v: all(map(math.isfinite, [x for x in v if type(x) is float]))
+    if head == "tuple" and len(names) == 2 and not args.endswith("...]"):
+        a, b = kinds
+        return (set(), f"a [{names[0]}, {names[1]}] pair", lambda v: type(v) in _SEQ
+                and len(v) == 2 and type(v[0]) in a and type(v[1]) in b
+                and (not floats or finite(v)), parts)
+    if len(names) != 1 or head != "list" and not args.endswith(", ...]"):
+        raise KeyError(annotation)  # also for any other annotation, by _SCALARS above
+    return (set(), "a list", lambda v: type(v) in _SEQ and set(map(type, v)) <= kinds[0]
+            and (not floats or finite(v)), parts)
 
 
-def as_id(value, what: str) -> str:
-    """``value`` as an id: a string, or an int (not a bool) read as its
-    decimal string; anything else raises CorpusError naming ``what``."""
-    if isinstance(value, str):
-        return value
-    if type(value) is not int:  # a bool is an int too
-        raise CorpusError(f"{what} must be a string or an int, got {type(value).__name__}")
-    return str(value)
+def _check(record, fields: dict) -> dict:
+    """``record`` if it is an object holding each field of ``fields`` (``{name: annotation}``,
+    a name ending in "?" optional) with a value of its type, other keys ignored; else TypeError:
+    "missing field 'f'", "'f' must be <type>, got <type>" or "'f' entry must be ..."."""
+    held = _PLANS.get(id(fields))
+    if held is None:  # the first check against ``fields``, held so no other object takes its id
+        held = _PLANS[id(fields)] = fields, [
+            (name.rstrip("?"), types | {type(_ABSENT)} if name.endswith("?") else types, test, a)
+            for name, a in fields.items() for types, _, test, _ in [_resolve(a)]]
+    if type(record) is not dict:
+        raise TypeError(f"expected an object, got {type(record).__name__}")
+    for key, types, test, annotation in held[1]:
+        value = record.get(key, _ABSENT)
+        kind = type(value)
+        if (kind in types and (kind is not float or math.isfinite(value))
+                or test is not None and test(value)):
+            continue
+        if value is _ABSENT:
+            raise TypeError(f"missing field {key!r}")
+        _, phrase, _, parts = _resolve(annotation)
+        what, got = repr(key), kind.__name__
+        if kind in _SEQ and len(parts) == 1:  # a list with an entry of another type
+            phrase, what = parts[0][1], f"{what} entry"
+            got = next(type(v) for v in value if not test([v])).__name__
+        elif kind in _SEQ and parts:
+            got = f"[{', '.join(type(v).__name__ for v in value)}]"
+        raise TypeError(f"{what} must be {phrase}, got {got}")
+    return record
 
 
-def _build_section_node(sec: dict, min_words: int, kind: str) -> list:
+def _build_section_node(sec: dict, min_words: int) -> list:
     """The section ``sec`` as the list of its kept paragraphs and sections;
     an empty list when the word filter keeps nothing under it (pruned)."""
-    if not isinstance(sec, dict):  # kind names the list the entry came from
-        raise CorpusError(f"'{kind}s' entries must be objects, got {type(sec).__name__}")
-    node = []
-    for para in _checked("paragraphs", sec.get("paragraphs", []), list):
-        if not isinstance(para, str):
-            raise CorpusError("paragraph entries must be strings")
-        if len(tokenize(para)) >= min_words:
-            node.append(para)
-    for sub in _checked("subsections", sec.get("subsections", []), list):
-        child = _build_section_node(sub, min_words, kind="subsection")
-        if child:
+    _check(sec, SECTION_FIELDS)
+    node = [para for para in sec.get("paragraphs", []) if len(tokenize(para)) >= min_words]
+    for sub in sec.get("subsections", []):  # a loop, so a level costs one frame
+        if child := _build_section_node(sub, min_words):
             node.append(child)
     return node
 
 
-def _build_paper(record: dict, min_words: int) -> Paper:
-    pid = as_id(record["id"], "'id'")
-    title = _checked("title", record.get("title", ""), str)
-    abstract = _checked("abstract", record.get("abstract", ""), str)
+def _build_paper(record: dict, min_words: int) -> tuple[str, Paper]:
+    pid, labels = str(_check(record, PAPER_FIELDS)["id"]), record.get("labels")
+    title, abstract = record.get("title", ""), record.get("abstract", "")
+    if not pid:
+        raise CorpusError("empty paper id")
 
     # The title+abstract group sits directly under the root so that
     # bottom-up aggregation sees it as one child of the whole document.
     ta_text = f"{title} {abstract}".strip()
     root = [ta_text] if len(tokenize(ta_text)) >= min_words else []
-    for sec in _checked("sections", record.get("sections", []), list):
-        node = _build_section_node(sec, min_words, kind="section")
-        if node:
-            root.append(node)
+    root += [node for sec in record.get("sections", [])
+             if (node := _build_section_node(sec, min_words))]
 
-    bib_refs = [as_id(r, "'bib_refs' entry")
-                for r in _checked("bib_refs", record.get("bib_refs", []), list)]
-    labels = record.get("labels")
-    if labels is not None:
-        labels = frozenset(as_id(l, "'labels' entry") for l in _checked("labels", labels, list))
-    return Paper(
-        id=pid,
-        title=title,
-        abstract=abstract,
-        hierarchy=root,
-        bib_refs=frozenset(r for r in bib_refs if r),
-        gold_labels=labels,
-    )
+    return pid, Paper(pid, title, abstract, root,
+                      frozenset(str(r) for r in record.get("bib_refs", []) if r != ""),
+                      None if labels is None else frozenset(map(str, labels)))
 
 
 @contextmanager
@@ -253,29 +273,30 @@ def write_npz(path, members: dict[str, np.ndarray], meta: dict, compress: bool):
                     out.write(data[lo:lo + NPZ_CHUNK_BYTES])
 
 
-def read_npz(path, kind: str, version: int,
-             ints: tuple[str, ...] = ()) -> tuple[dict, dict[str, np.ndarray]]:
-    """The decoded JSON ``meta`` member of an ``.npz`` archive, and its other
-    members. A meta that is not an object of version ``version`` (of the
-    file ``kind``) with ints at its ``ints`` keys, or a float member
-    holding a NaN or an infinity, raises ValueError("<path>: ...")."""
-    with np.load(path) as data:
-        members = {name: data[name] for name in data.files}
+def read_npz(path, kind: str, version: int, fields: dict | None = None) -> tuple[dict, dict]:
+    """The JSON ``meta`` member of an ``.npz`` archive and its other members. An unreadable
+    archive, a meta not of version ``version`` (of the file ``kind``) and of ``fields``
+    (_check), or a float member holding a NaN or an infinity raises ValueError("<path>: ...")."""
+    try:
+        with np.load(path) as data:
+            members = {name: data[name] for name in data.files}
+    except OSError:
+        raise
+    except Exception as exc:  # BadZipFile, EOFError, zlib.error, numpy's ValueError, ...
+        raise ValueError(f"{path}: unreadable archive ({exc})") from None
     try:
         meta = _JSON.decode(bytes(members.pop("meta")).decode("utf-8"))
     except (KeyError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
         raise ValueError(f"{path}: unreadable meta ({exc})") from None
-    if not isinstance(meta, dict):
-        problem = f"meta is a JSON {type(meta).__name__}, not an object"
-    elif meta.get("version") != version:
-        problem = f"{kind} version {meta.get('version')!r} is not {version}"
-    else:
-        problem = next((f"meta key {key!r} is missing or not an int" for key in ints
-                        if type(meta.get(key)) is not int), None)
-    problem = problem or next((f"non-finite value in {name}" for name, a in members.items()
-                               if a.dtype.kind == "f" and not np.isfinite(a).all()), None)
-    if problem:
-        raise ValueError(f"{path}: {problem}")
+    if type(meta) is dict and meta.get("version") != version:
+        raise ValueError(f"{path}: {kind} version {meta.get('version')!r} is not {version}")
+    try:
+        _check(meta, fields or {})
+    except TypeError as exc:
+        raise ValueError(f"{path}: malformed meta ({exc})") from None
+    for name, array in members.items():
+        if array.dtype.kind == "f" and not np.isfinite(array).all():
+            raise ValueError(f"{path}: non-finite value in {name}")
     return meta, members
 
 
@@ -286,28 +307,26 @@ def write_jsonl(records, path):
             fh.write(json.dumps(rec, allow_nan=False) + "\n")
 
 
-def read_jsonl(path, build=None, parse=_JSON.decode):
-    """Yield the record on each nonblank line, one at a time, or
-    ``build(record)`` when ``build`` is given; ``parse`` turns a line into
-    its record.
-
-    A line that ``parse`` fails on, or whose record ``build`` rejects or
-    nests too deeply to decode, raises CorpusError naming the file and the
-    line.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+def read_jsonl(path, build=None, parse=None):
+    """Yield the record on each nonblank line, one at a time, or ``build(record)`` when
+    ``build`` is given; ``parse``, if given, turns a stripped line into its record, in place
+    of the JSON decoder. A line that is not
+    UTF-8, that ``parse`` fails on, or whose record ``build`` rejects or nests too deeply to
+    decode, raises CorpusError naming the file and the line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                record = parse(line)
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                # raw_decode, since the line is stripped: decode() scans twice for whitespace
+                record, end = (parse(line), len(line)) if parse else _JSON.raw_decode(line)
+                if end < len(line):
+                    raise ValueError(f"extra data at column {end + 1}")
                 if build is not None:
                     record = build(record)
             except CorpusError as exc:
                 raise CorpusError(f"{path}: line {lineno}: {exc}") from None
-            except KeyError as exc:
-                raise CorpusError(f"{path}: line {lineno}: malformed record "
-                                  f"(missing field {exc})") from None
             except (ValueError, TypeError, IndexError, AttributeError, OverflowError) as exc:
                 raise CorpusError(f"{path}: line {lineno}: malformed record ({exc})") from None
             except RecursionError:  # from the JSON decoder or a nested build
@@ -316,7 +335,7 @@ def read_jsonl(path, build=None, parse=_JSON.decode):
             yield record
 
 
-def read_keyed(path, build, what: str, parse=_JSON.decode) -> dict:
+def read_keyed(path, build, what: str, parse=None) -> dict:
     """``dict(read_jsonl(path, build, parse))`` for a ``build`` returning
     ``(key, value)``; a key that an earlier line gave fails its line as a
     duplicate ``what``."""
@@ -333,11 +352,11 @@ def read_keyed(path, build, what: str, parse=_JSON.decode) -> dict:
     return out
 
 
-def read_by_paper(path, build) -> dict:
-    """``{record["paper_id"]: build(record)}`` over a JSON Lines artifact;
-    a non-string or repeated id fails like any malformed line."""
-    return read_keyed(path, lambda rec: (_checked("paper_id", rec["paper_id"], str),
-                                         build(rec)), "paper id")
+def read_by_paper(path, fields: dict, build) -> dict:
+    """``{record["paper_id"]: build(record)}`` over a JSON Lines artifact of ``fields``
+    (see _check, a string ``paper_id`` among them); a repeated id fails its line."""
+    return read_keyed(path, lambda rec: (_check(rec, fields)["paper_id"], build(rec)),
+                      "paper id")
 
 
 def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) -> list[Paper]:
@@ -349,13 +368,8 @@ def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) ->
     if min_paragraph_words < 1:
         raise ValueError("min_paragraph_words must be positive")
 
-    def build(record: dict) -> tuple[str, Paper]:
-        if not isinstance(record, dict) or record.get("id", "") == "":
-            raise CorpusError("record must be an object with a nonempty 'id'")
-        paper = _build_paper(record, min_paragraph_words)
-        return paper.id, paper
-
-    papers = list(read_keyed(path, build, "paper id").values())
+    papers = list(read_keyed(path, lambda rec: _build_paper(rec, min_paragraph_words),
+                             "paper id").values())
     n_empty = sum(p.is_empty for p in papers)
     if n_empty:
         log.warning("%d of %d papers have no surviving paragraphs", n_empty, len(papers))
@@ -365,19 +379,15 @@ def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) ->
 def load_labels(path) -> list[Label]:
     """Load the label space from a JSON Lines file."""
     def build(record: dict) -> tuple[str, Label]:
-        lid = as_id(record["id"], "'id'")
-        names = tuple(_checked("names", record["names"], list))
-        desc = _checked("description", record.get("description", ""), str)
+        lid, names = str(_check(record, LABEL_FIELDS)["id"]), tuple(record["names"])
         if not lid:
             raise CorpusError("empty label id")
         if not names:
             raise CorpusError(f"label {lid!r} has zero names")
         for name in names:
-            if not isinstance(name, str):
-                raise CorpusError(f"'names' entries must be strings, got {type(name).__name__}")
             if not tokenize(name):
                 raise CorpusError(f"label {lid!r} name {name!r} normalizes to the empty sequence")
-        return lid, Label(id=lid, names=names, description=desc)
+        return lid, Label(id=lid, names=names, description=record.get("description", ""))
 
     labels = list(read_keyed(path, build, "label id").values())
     if not labels:

@@ -16,7 +16,6 @@ with ``s_* = w . psi(embed(anchor), embed(other))``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from hashlib import blake2b
@@ -24,13 +23,16 @@ from hashlib import blake2b
 import numpy as np
 
 from . import kernels
-from .corpus import CorpusError, as_id, read_keyed, read_npz, tokenize, write_npz
+from .corpus import _JSON, CorpusError, _check, read_keyed, read_npz, tokenize, write_npz
 
 DEFAULT_HASH_DIM = 2048
 DEFAULT_EMBED_DIM = 256
 DEFAULT_MAX_TOKENS = 256
 
 CHECKPOINT_VERSION = 2  # 1 hashed each bigram with its own digest
+META_FIELDS = {"version": "int", "hash_dim": "int", "embed_dim": "int", "hash_seed": "int",
+               "max_tokens": "int", "train?": "object"}  # encoder.npz's meta
+OVERRIDE_FIELDS = {"id": "id", "embedding": "list[float]"}  # an --embeddings line
 
 
 class BaseFeaturizer:
@@ -365,8 +367,7 @@ def save_model(model: ScorerModel, path, train_config: "TrainConfig | None" = No
 
 
 def load_model(path) -> ScorerModel:
-    meta, members = read_npz(path, "checkpoint", CHECKPOINT_VERSION,
-                             ints=("hash_dim", "embed_dim", "hash_seed", "max_tokens"))
+    meta, members = read_npz(path, "checkpoint", CHECKPOINT_VERSION, META_FIELDS)
     proj, w = members["proj"], members["w"]
     if meta["max_tokens"] < 1:  # a slice to 0 or fewer tokens would silently drop words
         raise ValueError(f"{path}: meta max_tokens {meta['max_tokens']} is not positive")
@@ -385,29 +386,23 @@ def load_embedding_overrides(path, embed_dim: int | None = None) -> dict[str, np
     """Load externally computed embeddings, keyed by id.
 
     Accepts JSON Lines (``{"id": ..., "embedding": [...]}``) or TSV
-    (``id<TAB>v1 v2 ...``). Vectors are L2-normalized on load. Paragraph
-    leaves are keyed ``<paper_id>#<leaf_index>``, labels and papers by
-    their plain ids.
+    (``id<TAB>v1 v2 ...``), a TSV line read as that record with float
+    values. Vectors are L2-normalized on load. Paragraph leaves are keyed
+    ``<paper_id>#<leaf_index>``, labels and papers by their plain ids.
     """
-    def parse(line: str) -> tuple[str, np.ndarray]:
-        if line.lstrip().startswith("{"):
-            rec = json.loads(line)
-            values = rec["embedding"]
-            if type(values) is not list or any(type(v) not in (int, float) for v in values):
-                raise ValueError("the embedding must be a flat list of numbers")
-            return as_id(rec["id"], "'id'"), np.array(values, dtype=np.float64)
-        key, _, rest = line.rstrip("\n").partition("\t")
+    def parse(line: str) -> dict:
+        if line.startswith("{"):
+            return _JSON.decode(line)
+        key, _, rest = line.partition("\t")
         if not rest:
             raise ValueError("expected id<TAB>values")
-        return key, np.array(rest.split(), dtype=np.float64)
+        return {"id": key, "embedding": [float(v) for v in rest.split()]}
 
-    def build(entry: tuple[str, np.ndarray]) -> tuple[str, np.ndarray]:
-        key, vec = entry
+    def build(rec: dict) -> tuple[str, np.ndarray]:
+        vec = np.array(_check(rec, OVERRIDE_FIELDS)["embedding"], dtype=np.float64)
         if embed_dim is not None and vec.shape[0] != embed_dim:
             raise CorpusError(f"embedding dim {vec.shape[0]} != {embed_dim}")
-        if not np.isfinite(vec).all():
-            raise CorpusError("non-finite embedding value")
         norm = np.linalg.norm(vec)
-        return key, vec / norm if norm > 0 else vec
+        return str(rec["id"]), vec / norm if norm > 0 else vec
 
     return read_keyed(path, build, "id", parse)

@@ -26,7 +26,7 @@ from . import candidates as cand
 from . import citegraph, encoder, metrics, ranker, selftrain
 from .config import PipelineConfig
 from .corpus import (CorpusError, Label, Paper, Vocabulary, atomic_write, corpus_stats,
-                     count_terms, load_corpus, load_labels, read_by_paper, str_list,
+                     count_terms, load_corpus, load_labels, read_by_paper,
                      vocabulary_from_terms, write_jsonl)
 from .kernels import CsrMatrix
 
@@ -347,9 +347,12 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[st
     return rankings  # the stored rankings, cut to ranking_limit
 
 
+PREDICTIONS_FIELDS = {"paper_id": "str", "ranking": "list[str]", "top_k_scores": "list[float]"}
+
+
 def read_predictions(path, limit: int | None = None) -> dict[str, list[str]]:
     """Each paper's ranking, cut to its first ``limit`` labels when given."""
-    return read_by_paper(path, lambda rec: str_list("ranking", rec["ranking"])[:limit])
+    return read_by_paper(path, PREDICTIONS_FIELDS, lambda rec: rec["ranking"][:limit])
 
 
 def stage_evaluate(cfg: PipelineConfig,

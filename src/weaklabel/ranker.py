@@ -9,11 +9,11 @@ combined by summing reciprocal ranks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .corpus import Paper, read_by_paper, write_jsonl
+from .corpus import Paper, _check, read_by_paper, write_jsonl
 from . import encoder
 
 
@@ -108,21 +108,11 @@ def write_scores(scored: dict[str, list[CandidateScore]], path):
                  for pid, rows in scored.items()), path)
 
 
-# the JSON types a stored candidate's fields may take, and how an error names them
-_NUMBER, _INT, _STRING = ((int, float), "a number"), ((int,), "an int"), ((str,), "a string")
-_FIELD_TYPES = {"label_id": _STRING, "score_b": _NUMBER, "score_x": _NUMBER,
-                "rank_b": _INT, "rank_x": _INT, "mrr": _NUMBER}
-
-
-def _stored_candidate(entry) -> CandidateScore:
-    row = CandidateScore(**entry)
-    for name, (types, what) in _FIELD_TYPES.items():
-        value = getattr(row, name)
-        if type(value) not in types:  # a bool is not an int here
-            raise TypeError(f"candidate field {name!r} must be {what}, "
-                            f"got {type(value).__name__}")
-    return row
+SCORES_FIELDS = {"paper_id": "str", "candidates": "list[object]"}  # a scores.jsonl line
+CANDIDATE_FIELDS = {f.name: f.type for f in fields(CandidateScore)}  # each of its candidates
 
 
 def read_scores(path) -> dict[str, list[CandidateScore]]:
-    return read_by_paper(path, lambda rec: [_stored_candidate(c) for c in rec["candidates"]])
+    return read_by_paper(path, SCORES_FIELDS, lambda rec: [
+        CandidateScore(*map(_check(c, CANDIDATE_FIELDS).__getitem__, CANDIDATE_FIELDS))
+        for c in rec["candidates"]])

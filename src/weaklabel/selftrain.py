@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Vocabulary, read_npz, write_npz
+from .corpus import Vocabulary, _check, read_npz, write_npz
 from .kernels import CsrMatrix, _dense_blocks, _nonzeros, _row_blocks, _sigmoid
 from .ranker import CandidateScore
 
@@ -457,30 +457,26 @@ def save_classifier(clf: LabelTreeClassifier, path):
     write_npz(path, {"weights": clf.weights, "biases": clf.biases}, meta, compress=True)
 
 
-def _list_of(value, kind: type) -> bool:
-    return isinstance(value, list) and all(type(v) is kind for v in value)
+META_FIELDS = {"version": "int", "label_ids": "list[str]", "n_features": "int",
+               "roots": "list[int]", "nodes": "list[object]"}  # classifier.npz's meta
+NODE_FIELDS = {"labels?": "list[str]", "children?": "list[int]"}  # each of its nodes
 
 
 def _tree_problem(meta: dict) -> str | None:
-    """What keeps a classifier meta from holding a classifier's trees, or
-    None: ``roots`` that is not a nonempty list of ints, ``label_ids`` that
-    is not a list of strings, a node that holds not exactly one of
-    ``labels`` (a list of strings) and ``children`` (a list of ints), a
-    child that is not a later node, nodes that are not the trees'
-    preorders one after another, or a tree whose leaf labels are not a
-    permutation of the distinct ``label_ids``. Other node keys are ignored."""
-    roots, recs, label_ids = meta.get("roots"), meta.get("nodes"), meta.get("label_ids")
-    if not (roots and _list_of(roots, int)):
-        return "roots is not a nonempty list of ints"
-    if not _list_of(label_ids, str):
-        return "label_ids is not a list of strings"
-    if not isinstance(recs, list):
-        return "nodes is not a list"
+    """What keeps a classifier meta (of META_FIELDS) from holding a classifier's trees, or
+    None: no ``roots``, a node not of NODE_FIELDS or holding not exactly one of ``labels``
+    and ``children``, a child that is not a later node, nodes that are not the trees'
+    preorders in turn, or a tree whose leaves are not a permutation of ``label_ids``."""
+    roots, recs, label_ids = meta["roots"], meta["nodes"], meta["label_ids"]
+    if not roots:
+        return "roots is empty"
     for pos, rec in enumerate(recs):
-        keys = [key for key in ("labels", "children") if isinstance(rec, dict) and key in rec]
-        if keys not in (["labels"], ["children"]) or not _list_of(
-                rec[keys[0]], str if keys == ["labels"] else int):
-            return f"node {pos} is not one of {{labels: [strings]}} and {{children: [ints]}}"
+        try:
+            _check(rec, NODE_FIELDS)
+        except TypeError as exc:
+            return f"node {pos}: {exc}"
+        if ("labels" in rec) == ("children" in rec):
+            return f"node {pos} holds not exactly one of labels and children"
     pos, want = 0, sorted(label_ids)  # pos: the node the preorder reaches next
     for t, root in enumerate(roots):
         labels, stack = [], [root]
@@ -499,7 +495,7 @@ def _tree_problem(meta: dict) -> str | None:
 
 
 def load_classifier(path) -> LabelTreeClassifier:
-    meta, members = read_npz(path, "classifier", CLASSIFIER_VERSION, ints=("n_features",))
+    meta, members = read_npz(path, "classifier", CLASSIFIER_VERSION, META_FIELDS)
     problem = _tree_problem(meta)
     if problem:
         raise ValueError(f"{path}: {problem}")

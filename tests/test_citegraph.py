@@ -225,6 +225,6 @@ class TestTupleReferences:
         good = {"anchor": ["A", 0], "positive": ["B", 0], "negative": ["C", 0]}
         path.write_text(json.dumps(good) + "\n" + json.dumps(good | {"anchor": anchor}) + "\n")
         with pytest.raises(CorpusError, match=r"tuples\.jsonl: line 2: malformed record "
-                                              r"\('anchor' must be a \[paper id string, "
-                                              r"paragraph index int\] pair"):
+                                              r"\('anchor' must be a \[str, int\] pair, "
+                                              r"got "):
             read_tuples(path)

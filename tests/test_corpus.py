@@ -174,7 +174,8 @@ class TestMistypedFields:
     ])
     def test_corpus_field(self, tmp_path, field, record, kind):
         with pytest.raises(CorpusError,
-                           match=rf"corpus\.jsonl: line 2: '{field}' must be a {kind}"):
+                           match=rf"corpus\.jsonl: line 2: malformed record \('{field}' must "
+                                 rf"be a {kind}"):
             load_corpus_records(tmp_path, [paper_record("p1"), record])
 
     @pytest.mark.parametrize("field, record", [
@@ -184,8 +185,8 @@ class TestMistypedFields:
     ])
     def test_non_object_section_entry(self, tmp_path, field, record):
         with pytest.raises(CorpusError,
-                           match=rf"corpus\.jsonl: line 2: '{field}' entries must be objects, "
-                                 r"got str$"):
+                           match=rf"corpus\.jsonl: line 2: malformed record \('{field}' entry "
+                                 r"must be an object, got str\)$"):
             load_corpus_records(tmp_path, [paper_record("p1"), record])
 
     def test_cli_names_non_object_section_entry(self, tmp_path, capsys):
@@ -197,22 +198,24 @@ class TestMistypedFields:
                      "--output-dir", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert "stage ingest failed: " in err
-        assert "line 1: 'sections' entries must be objects, got str" in err
+        assert "line 1: malformed record ('sections' entry must be an object, got str)" in err
 
     def test_label_names(self, tmp_path):
-        with pytest.raises(CorpusError, match=r"labels\.jsonl: line 2: 'names' must be a list"):
+        with pytest.raises(CorpusError, match=r"labels\.jsonl: line 2: malformed record "
+                                              r"\('names' must be a list"):
             load_label_records(tmp_path, [{"id": "L1", "names": ["graph"]},
                                           {"id": "L2", "names": "nets"}])
 
     @pytest.mark.parametrize("record, message", [
         ({"id": "L2", "names": [["graph", "mining"]]},
-         "'names' entries must be strings, got list$"),
-        ({"id": "L2", "names": ["nets", 7]}, "'names' entries must be strings, got int$"),
+         r"'names' entry must be a string, got list\)$"),
+        ({"id": "L2", "names": ["nets", 7]}, r"'names' entry must be a string, got int\)$"),
         ({"id": "L2", "names": ["nets"], "description": 7},
-         "'description' must be a string, got int$"),
+         r"'description' must be a string, got int\)$"),
     ])
     def test_label_field_entries(self, tmp_path, record, message):
-        with pytest.raises(CorpusError, match=rf"labels\.jsonl: line 2: {message}"):
+        with pytest.raises(CorpusError,
+                           match=rf"labels\.jsonl: line 2: malformed record \({message}"):
             load_label_records(tmp_path, [{"id": "L1", "names": ["graph"]}, record])
 
     def test_cli_rejects_a_list_as_a_label_name(self, tmp_path, capsys):
@@ -222,7 +225,21 @@ class TestMistypedFields:
         write_jsonl([{"id": "L1", "names": [["graph", "mining"]]}], labels)
         assert main(["ingest", "--corpus", str(corpus), "--labels", str(labels),
                      "--output-dir", str(tmp_path / "out")]) == 1
-        assert "line 1: 'names' entries must be strings, got list" in capsys.readouterr().err
+        assert ("line 1: malformed record ('names' entry must be a string, got list)"
+                in capsys.readouterr().err)
+
+    def test_cli_names_the_line_of_a_byte_that_is_not_utf8(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl([paper_record(f"p{i}", title=words(12)) for i in range(8)], corpus)
+        lines = corpus.read_bytes().splitlines(keepends=True)
+        lines[5] = lines[5].replace(b'"title": "', b'"title": "\xff', 1)
+        corpus.write_bytes(b"".join(lines))
+        labels = tmp_path / "labels.jsonl"
+        write_jsonl([{"id": "L1", "names": ["graph"]}], labels)
+        assert main(["ingest", "--corpus", str(corpus), "--labels", str(labels),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+        assert (f"stage ingest failed: {corpus}: line 6: malformed record ('utf-8' codec can't "
+                "decode byte 0xff") in capsys.readouterr().err
 
     def test_null_labels_mean_no_ground_truth(self, tmp_path):
         paper, = load_corpus_records(tmp_path, [paper_record("p1") | {"labels": None}])
@@ -368,6 +385,24 @@ class TestWriteNpz:
                                              r"in w$"):
             read_npz(path, "test", 1)
 
+    @pytest.mark.parametrize("cut", [lambda raw: raw[:len(raw) // 2], lambda raw: b"0123456789",
+                                     lambda raw: b""], ids=["halved", "junk", "empty"])
+    def test_unreadable_archive_named(self, tmp_path, cut):
+        path = tmp_path / "a.npz"
+        write_npz(path, {"w": np.arange(5000.0)}, {"version": 1}, compress=True)
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unreadable archive \("):
+            read_npz(path, "test", 1)
+
+    def test_corrupt_member_named(self, tmp_path):
+        path = tmp_path / "a.npz"
+        write_npz(path, {"w": np.arange(5000.0)}, {"version": 1}, compress=True)
+        raw = bytearray(path.read_bytes())
+        raw[200:260] = bytes(60)  # inside the deflated data of member w
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unreadable archive \("):
+            read_npz(path, "test", 1)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_meta_refused(self, tmp_path, value):
         path = tmp_path / "a.npz"
@@ -479,25 +514,26 @@ class TestIdTypes:
     and the field named, never coerced with ``str``."""
 
     @pytest.mark.parametrize("record, message", [
-        (paper_record("p2") | {"id": None}, "'id' must be a string or an int, got NoneType$"),
-        (paper_record("p2") | {"id": ["P2"]}, "'id' must be a string or an int, got list$"),
-        (paper_record("p2") | {"id": True}, "'id' must be a string or an int, got bool$"),
+        (paper_record("p2") | {"id": None}, r"'id' must be a string or an int, got NoneType\)$"),
+        (paper_record("p2") | {"id": ["P2"]}, r"'id' must be a string or an int, got list\)$"),
+        (paper_record("p2") | {"id": True}, r"'id' must be a string or an int, got bool\)$"),
         (paper_record("p2", labels=[["L1"]]),
-         "'labels' entry must be a string or an int, got list$"),
+         r"'labels' entry must be a string or an int, got list\)$"),
         (paper_record("p2", bib_refs=[{"x": 1}]),
-         "'bib_refs' entry must be a string or an int, got dict$"),
+         r"'bib_refs' entry must be a string or an int, got dict\)$"),
         (paper_record("p2", bib_refs=[False]),
-         "'bib_refs' entry must be a string or an int, got bool$"),
+         r"'bib_refs' entry must be a string or an int, got bool\)$"),
     ], ids=["null id", "list id", "bool id", "list label", "object ref", "bool ref"])
     def test_corpus_rejected(self, tmp_path, record, message):
-        with pytest.raises(CorpusError, match=rf"corpus\.jsonl: line 2: {message}"):
+        with pytest.raises(CorpusError,
+                           match=rf"corpus\.jsonl: line 2: malformed record \({message}"):
             load_corpus_records(tmp_path, [paper_record("p1"), record])
 
     @pytest.mark.parametrize("lid, kind", [(True, "bool"), (None, "NoneType"),
                                            (["L2"], "list"), (2.0, "float")])
     def test_label_id_rejected(self, tmp_path, lid, kind):
-        with pytest.raises(CorpusError, match=rf"labels\.jsonl: line 2: 'id' must be a string "
-                                              rf"or an int, got {kind}$"):
+        with pytest.raises(CorpusError, match=rf"labels\.jsonl: line 2: malformed record \('id' "
+                                              rf"must be a string or an int, got {kind}\)$"):
             load_label_records(tmp_path, [{"id": "L1", "names": ["graph"]},
                                           {"id": lid, "names": ["nets"]}])
 
@@ -521,6 +557,6 @@ class TestIdTypes:
         write_jsonl([{"id": "L1", "names": ["graph"]}], labels)
         assert main(["ingest", "--corpus", str(corpus), "--labels", str(labels),
                      "--output-dir", str(tmp_path / "out")]) == 1
-        assert (f"stage ingest failed: {corpus}: line 2: 'labels' entry must be a string or "
-                "an int, got list") in capsys.readouterr().err
+        assert (f"stage ingest failed: {corpus}: line 2: malformed record ('labels' entry must "
+                "be a string or an int, got list)") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

@@ -713,7 +713,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("edit, problem", [
         (lambda m: {**m, "max_tokens": -1}, "meta max_tokens -1 is not positive"),
         (lambda m: {**m, "max_tokens": 0}, "meta max_tokens 0 is not positive"),
-        (lambda m: {**m, "hash_dim": True}, "meta key 'hash_dim' is missing or not an int"),
+        (lambda m: {**m, "hash_dim": True},
+         r"malformed meta \('hash_dim' must be an int, got bool\)"),
         (lambda m: {**m, "hash_seed": 2**70},
          f"meta hash_seed {2**70} is not a signed 64-bit int"),
         (lambda m: {**m, "hash_seed": 2**63}, f"meta hash_seed {2**63} is not a signed 64-bit int"),
@@ -791,7 +792,8 @@ class TestEmbeddingOverrides:
     def test_nonfinite_rejected(self, tmp_path, line):
         path = tmp_path / "emb.txt"
         path.write_text("L0\t1 0 0 0\n" + line)
-        with pytest.raises(ValueError, match=r"emb\.txt: line 2: non-finite"):
+        with pytest.raises(ValueError, match=r"emb\.txt: line 2: malformed record \((non-finite "
+                                             r"number|'embedding' entry must be a finite number)"):
             load_embedding_overrides(path, embed_dim=4)
 
     def test_malformed_tsv_rejected(self, tmp_path):
@@ -805,8 +807,9 @@ class TestEmbeddingOverrides:
     def test_jsonl_values_must_be_json_numbers(self, tmp_path, values):
         path = tmp_path / "emb.txt"
         path.write_text('L0\t1 0 0 0\n{"id": "L1", "embedding": ' + values + "}\n")
-        with pytest.raises(ValueError, match=r"emb\.txt: line 2: malformed record \(the "
-                                             r"embedding must be a flat list of numbers\)$"):
+        with pytest.raises(ValueError, match=r"emb\.txt: line 2: malformed record \('embedding' "
+                                             r"(entry must be a finite number|must be a list), "
+                                             r"got \w+\)$"):
             load_embedding_overrides(path, embed_dim=4)
 
     @pytest.mark.parametrize("line", ['{"id": "L1", "embedding": [1, 0, 0, 0\n',
@@ -827,8 +830,8 @@ class TestEmbeddingOverrides:
     def test_jsonl_id_must_be_a_string_or_an_int(self, tmp_path, key, kind):
         path = tmp_path / "emb.txt"
         path.write_text('L0\t1 0 0 0\n{"id": ' + key + ', "embedding": [1, 0, 0, 0]}\n')
-        with pytest.raises(ValueError, match=rf"emb\.txt: line 2: 'id' must be a string or "
-                                             rf"an int, got {kind}$"):
+        with pytest.raises(ValueError, match=rf"emb\.txt: line 2: malformed record \('id' must "
+                                             rf"be a string or an int, got {kind}\)$"):
             load_embedding_overrides(path, embed_dim=4)
 
     def test_jsonl_int_id_is_its_decimal_string(self, tmp_path):
@@ -839,7 +842,8 @@ class TestEmbeddingOverrides:
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("L0\t1 0 0 0\n\n   \n\t\nL1\t1 nan 0 0\n")
-        with pytest.raises(ValueError, match=r"emb\.txt: line 5: non-finite"):
+        with pytest.raises(ValueError, match=r"emb\.txt: line 5: malformed record \('embedding' "
+                                             r"entry must be a finite number, got float\)$"):
             load_embedding_overrides(path, embed_dim=4)
 
     @pytest.mark.parametrize("line", ["L1\t\n", "L1\t"], ids=["newline", "last line"])

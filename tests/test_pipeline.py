@@ -884,14 +884,17 @@ class TestCli:
 
     @pytest.mark.parametrize("text, names", [
         ('{"batch_size": 8,', "config.json: invalid JSON"),
-        ('{"batch_size": "8"}', "batch_size must be int"),
-        ('{"classifier_lr": NaN}', "classifier_lr must be finite"),
-        ('{"propensity_b": -Infinity}', "propensity_b must be finite"),
+        ('{"batch_size": "8"}', "'batch_size' must be an int, got str"),
+        ('{"classifier_lr": NaN}', "'classifier_lr' must be a finite number, got float"),
+        ('{"propensity_b": -Infinity}', "'propensity_b' must be a finite number, got float"),
         ('{"ranking_limit": 0}', "ranking_limit must be positive"),
-    ])
+        (b'{"batch_size": 8, "x": "\xff"}', "config.json: invalid JSON: 'utf-8' codec can't decode"),
+        ('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+         "config.json: invalid JSON: maximum recursion depth exceeded"),
+    ], ids=["truncated", "string int", "NaN", "-Infinity", "zero limit", "not UTF-8", "too deep"])
     def test_bad_config_file_exits_2(self, tmp_path, text, names):
         config_file = tmp_path / "config.json"
-        config_file.write_text(text)
+        config_file.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         proc = subprocess.run(
             [sys.executable, "-m", "weaklabel.cli", "ingest",
              "--corpus", "x.jsonl", "--labels", "y.jsonl",
@@ -1143,18 +1146,18 @@ class TestStandalonePredict:
 
     @pytest.mark.parametrize("name, stage, edit, problem", [
         ("classifier", "predict", lambda m: {**m, "nodes": [5] + m["nodes"][1:]},
-         "node 0 is not one of {labels: [strings]} and {children: [ints]}"),
+         "malformed meta ('nodes' entry must be an object, got int)"),
         ("classifier", "predict", lambda m: {k: v for k, v in m.items() if k != "nodes"},
-         "nodes is not a list"),
+         "malformed meta (missing field 'nodes')"),
         ("classifier", "predict", lambda m: {**m, "roots": 0},
-         "roots is not a nonempty list of ints"),
+         "malformed meta ('roots' must be a list, got int)"),
         ("classifier", "predict", lambda m: b"{version: 1}",
          "unreadable meta (Expecting property name"),
         ("encoder", "score", lambda m: {k: v for k, v in m.items() if k != "hash_seed"},
-         "meta key 'hash_seed' is missing or not an int"),
-        ("encoder", "score", lambda m: [1], "meta is a JSON list, not an object"),
+         "malformed meta (missing field 'hash_seed')"),
+        ("encoder", "score", lambda m: [1], "malformed meta (expected an object, got list)"),
         ("encoder", "score", lambda m: {**m, "max_tokens": "x"},
-         "meta key 'max_tokens' is missing or not an int"),
+         "malformed meta ('max_tokens' must be an int, got str)"),
         ("encoder", "score", lambda m: b"{version: 2}", "unreadable meta (Expecting property name"),
     ])
     def test_mistyped_meta_fails(self, out, name, stage, edit, problem):
@@ -1358,7 +1361,7 @@ class TestArtifactPaperIds:
             where, message = len(lines), f"duplicate paper id {first['paper_id']!r}"
         else:
             lines[0] = json.dumps(first | {"paper_id": [first["paper_id"]]}) + "\n"
-            where, message = 1, "'paper_id' must be a string, got list"
+            where, message = 1, "malformed record ('paper_id' must be a string, got list)"
         (copy / name).write_text("".join(lines), encoding="utf-8")
         assert cli.main([stage, "--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
                          "--output-dir", str(copy)]) == 1
@@ -1380,26 +1383,26 @@ class TestArtifactFieldTypes:
 
     @pytest.mark.parametrize("name, stage, change, problem", [
         ("candidates.jsonl", "score", lambda rec: rec | {"candidates": [["L0001"]]},
-         "'candidates' entries must be strings, got list"),
+         "'candidates' entry must be a string, got list"),
         ("candidates.jsonl", "evaluate", lambda rec: rec | {"candidates": "L0001"},
          "'candidates' must be a list, got str"),
         ("predictions.jsonl", "evaluate",
          lambda rec: rec | {"ranking": [rec["ranking"][:1]] + rec["ranking"][1:]},
-         "'ranking' entries must be strings, got list"),
+         "'ranking' entry must be a string, got list"),
         ("predictions.jsonl", "evaluate", lambda rec: rec | {"ranking": "L0001"},
          "'ranking' must be a list, got str"),
         ("scores.jsonl", "self-train", _first_candidate(label_id=["L0001"]),
-         "candidate field 'label_id' must be a string, got list"),
+         "'label_id' must be a string, got list"),
         ("scores.jsonl", "predict", _first_candidate(mrr="2.0"),
-         "candidate field 'mrr' must be a number, got str"),
+         "'mrr' must be a finite number, got str"),
         ("scores.jsonl", "predict", _first_candidate(score_b=True),
-         "candidate field 'score_b' must be a number, got bool"),
+         "'score_b' must be a finite number, got bool"),
         ("scores.jsonl", "self-train", _first_candidate(score_x=None),
-         "candidate field 'score_x' must be a number, got NoneType"),
+         "'score_x' must be a finite number, got NoneType"),
         ("scores.jsonl", "predict", _first_candidate(rank_b=1.0),
-         "candidate field 'rank_b' must be an int, got float"),
+         "'rank_b' must be an int, got float"),
         ("scores.jsonl", "self-train", _first_candidate(rank_x=False),
-         "candidate field 'rank_x' must be an int, got bool"),
+         "'rank_x' must be an int, got bool"),
     ])
     def test_rejected(self, run, tmp_path, capsys, name, stage, change, problem):
         cfg, out, _, _ = run
@@ -1419,6 +1422,44 @@ class TestArtifactFieldTypes:
                 f"({problem})") in err
         assert "Traceback" not in err
         assert {p.name: p.read_bytes() for p in copy.iterdir()} == outputs
+
+
+class TestUnreadableArtifacts:
+    """A JSONL artifact line that is not UTF-8, or an ``.npz`` artifact that is
+    not a readable archive, fails the stage that reads it, naming the file
+    (and the line) and the stage to rerun."""
+
+    @pytest.fixture
+    def copy(self, run, tmp_path):
+        cfg, out, _, _ = run
+        shutil.copytree(out, tmp_path / "out")
+        return tmp_path / "out", ("--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
+                                  "--output-dir", str(tmp_path / "out"))
+
+    def test_scores_line_not_utf8(self, copy, capsys):
+        out, args = copy
+        lines = (out / "scores.jsonl").read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"paper_id": "', b'"paper_id": "\xff', 1)
+        (out / "scores.jsonl").write_bytes(b"".join(lines))
+        before = (out / "predictions.jsonl").read_bytes()
+        assert cli.main(["predict", *args]) == 1
+        err = capsys.readouterr().err
+        assert f"stage predict failed: {out / 'scores.jsonl'}: line 3: malformed record (" in err
+        assert "'utf-8' codec can't decode byte 0xff" in err
+        assert err.endswith("; rerun score\n") and "Traceback" not in err
+        assert (out / "predictions.jsonl").read_bytes() == before
+
+    @pytest.mark.parametrize("name, stage, rerun, cut", [
+        ("classifier.npz", "predict", "self-train", lambda raw: raw[:len(raw) // 2]),
+        ("encoder.npz", "score", "train-encoder", lambda raw: b"0123456789"),
+    ], ids=["halved classifier", "junk encoder"])
+    def test_npz_not_an_archive(self, copy, capsys, name, stage, rerun, cut):
+        out, args = copy
+        (out / name).write_bytes(cut((out / name).read_bytes()))
+        assert cli.main([stage, *args]) == 1
+        err = capsys.readouterr().err
+        assert f"stage {stage} failed: {out / name}: unreadable archive (" in err
+        assert err.endswith(f"; rerun {rerun}\n") and "Traceback" not in err
 
 
 class TestNonFiniteArtifacts:
@@ -1559,7 +1600,7 @@ class TestConfig:
     ])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_floats_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        with pytest.raises(ConfigError, match=f"^'{key}' must be a finite number, got float$"):
             make_config(None, {key: value})
 
     @pytest.mark.parametrize("limit", [-1, 0])
@@ -1665,6 +1706,6 @@ class TestTupleReferenceTypes:
                          "--labels", cfg.labels_path, "--output-dir", str(copy)]) == 1
         err = capsys.readouterr().err
         assert (f"stage train-encoder failed: {copy / 'tuples.jsonl'}: line 2: malformed "
-                "record ('anchor' must be a [paper id string, paragraph index int] pair") in err
+                "record ('anchor' must be a [str, int] pair, got [") in err
         assert "Traceback" not in err
         assert (copy / "encoder.npz").read_bytes() == before

@@ -1076,19 +1076,25 @@ class TestPersistence:
                 stacked_probabilities(clf, X, beam).tobytes()
 
     @pytest.mark.parametrize("edit, problem", [
-        (lambda m: m["nodes"].__setitem__(1, 5), "node 1 is not one of"),
-        (lambda m: m["nodes"][0].update(labels=["L0"]), "node 0 is not one of"),
-        (lambda m: m["nodes"][0].update(children=[1.0, 2]), "node 0 is not one of"),
+        (lambda m: m["nodes"].__setitem__(1, 5),
+         "malformed meta ('nodes' entry must be an object, got int)"),
+        (lambda m: m["nodes"][0].update(labels=["L0"]),
+         "node 0 holds not exactly one of labels and children"),
+        (lambda m: m["nodes"][0].update(children=[1.0, 2]),
+         "node 0: 'children' entry must be an int, got float"),
         (lambda m: next(r for r in m["nodes"] if "labels" in r)["labels"].append(3),
-         "is not one of"),
-        (lambda m: next(r for r in m["nodes"] if "labels" in r).pop("labels"), "is not one of"),
-        (lambda m: m.pop("nodes"), "nodes is not a list"),
-        (lambda m: m.update(roots=0), "roots is not a nonempty list of ints"),
-        (lambda m: m.update(roots=[]), "roots is not a nonempty list of ints"),
-        (lambda m: m.update(roots=[True]), "roots is not a nonempty list of ints"),
-        (lambda m: m.update(label_ids=[1, 2]), "label_ids is not a list of strings"),
-        (lambda m: m.update(n_features="4"), "meta key 'n_features' is missing or not an int"),
-        (lambda m: m.pop("n_features"), "meta key 'n_features' is missing or not an int"),
+         ": 'labels' entry must be a string, got int"),
+        (lambda m: next(r for r in m["nodes"] if "labels" in r).pop("labels"),
+         "holds not exactly one of labels and children"),
+        (lambda m: m.pop("nodes"), "malformed meta (missing field 'nodes')"),
+        (lambda m: m.update(roots=0), "malformed meta ('roots' must be a list, got int)"),
+        (lambda m: m.update(roots=[]), "roots is empty"),
+        (lambda m: m.update(roots=[True]), "malformed meta ('roots' entry must be an int, got bool)"),
+        (lambda m: m.update(label_ids=[1, 2]),
+         "malformed meta ('label_ids' entry must be a string, got int)"),
+        (lambda m: m.update(n_features="4"),
+         "malformed meta ('n_features' must be an int, got str)"),
+        (lambda m: m.pop("n_features"), "malformed meta (missing field 'n_features')"),
     ])
     def test_malformed_meta_named(self, tmp_path, edit, problem):
         path = tmp_path / "clf.npz"
@@ -1102,7 +1108,7 @@ class TestPersistence:
     @pytest.mark.parametrize("raw, problem", [
         (b"{version: 1}", r"unreadable meta \(Expecting property name .*\)"),
         (b"\xff", r"unreadable meta \(.*utf-8.*\)"),
-        (b"[1]", "meta is a JSON list, not an object"),
+        (b"[1]", r"malformed meta \(expected an object, got list\)"),
     ])
     def test_meta_that_is_no_json_object_named(self, tmp_path, raw, problem):
         path = tmp_path / "clf.npz"
