@@ -114,8 +114,21 @@ class PipelineConfig:
 _FIELD_TYPES = {f"{f.name}?": f.type for f in fields(PipelineConfig)}  # each has a default
 
 
+def _checked(values: dict, where: str) -> dict:
+    """``values`` if each key is a config field holding a value of its type;
+    else ConfigError, its message prefixed with ``where``."""
+    unknown = set(values) - {name[:-1] for name in _FIELD_TYPES}
+    if unknown:
+        raise ConfigError(f"{where}unknown config keys: {sorted(unknown)}")
+    try:
+        return _check(values, _FIELD_TYPES)
+    except TypeError as exc:
+        raise ConfigError(f"{where}{exc}") from None
+
+
 def make_config(file_path=None, overrides: dict | None = None) -> PipelineConfig:
-    """Config file values first, explicit overrides on top."""
+    """Config file values first, explicit overrides on top. Each is checked
+    before the merge, so a fault in the file names the file."""
     values: dict = {}
     if file_path:
         with open(file_path, "r", encoding="utf-8") as fh:
@@ -125,16 +138,9 @@ def make_config(file_path=None, overrides: dict | None = None) -> PipelineConfig
                 raise ConfigError(f"{file_path}: invalid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{file_path}: expected a JSON object")
-        values.update(loaded)
+        values.update(_checked(loaded, f"{file_path}: "))
     if overrides:
-        values.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(values) - {name[:-1] for name in _FIELD_TYPES}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        _check(values, _FIELD_TYPES)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from None
+        values.update(_checked({k: v for k, v in overrides.items() if v is not None}, ""))
     for key in ("precision_ks", "ndcg_ks"):
         if key in values:
             values[key] = tuple(values[key])

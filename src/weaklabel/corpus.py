@@ -27,6 +27,9 @@ log = logging.getLogger(__name__)
 DEFAULT_MIN_PARAGRAPH_WORDS = 10
 DEFAULT_MIN_DF = 5
 NPZ_CHUNK_BYTES = 1 << 20  # most bytes handed to zlib at once, which bounds its output
+_HIGH = ".high"  # the suffix of a float64 member's two high byte planes (write_npz)
+_FLOAT, _LOW = np.dtype("<f8"), np.dtype("V6")  # a split member, its low six bytes
+_CHUNK_VALUES = NPZ_CHUNK_BYTES // 8  # the values of a split member written or read at once
 
 # Lowercase, then split on anything that is not a Unicode letter or digit.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
@@ -252,38 +255,131 @@ def atomic_write(path, mode: str = "w"):
 
 def write_npz(path, members: dict[str, np.ndarray], meta: dict, compress: bool):
     """Write an ``.npz`` archive of ``members`` and, last, a ``meta`` member
-    holding ``meta`` as JSON, atomically (``atomic_write``), byte for byte
-    as ``np.savez_compressed`` (``compress``) or ``np.savez`` writes it for
-    arrays not in Fortran order.
+    holding ``meta`` as JSON, atomically (``atomic_write``).
+
+    Stored (not ``compress``), the bytes are those ``np.savez`` writes for
+    arrays not in Fortran order. Deflated, each member is as
+    ``np.savez_compressed`` writes it except a float64 one, which becomes
+    two: under its own name, stored, the low six bytes of each little-endian
+    value as a ``|V6`` array of its shape (so ``np.load`` still counts its
+    zeros); and ``<name>.high``, deflated, the bytes 6 and 7 (sign, exponent,
+    top mantissa bits) as a uint8 array of shape ``(2, *shape)``, one plane
+    per byte. The six mantissa bytes cannot shrink, so deflating them only
+    costs time; read_npz_members joins the two.
 
     Each member goes to the zip stream from its own memory (a copy only if
     it is strided), at most NPZ_CHUNK_BYTES at a time, so the only
-    transient is zlib's output for one chunk.
+    transient is one chunk and zlib's output for it.
     """
     method = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
     with atomic_write(path, "wb") as fh, zipfile.ZipFile(fh, "w", method) as zf:
         raw = json.dumps(meta, allow_nan=False).encode("utf-8")
         for name, array in {**members, "meta": np.frombuffer(raw, dtype=np.uint8)}.items():
-            header = {"descr": np.lib.format.dtype_to_descr(array.dtype),
-                      "fortran_order": False, "shape": array.shape}
-            with zf.open(f"{name}.npy", "w", force_zip64=True) as out:  # as numpy does
-                np.lib.format.write_array_header_1_0(out, header)
-                data = array.ravel().view(np.uint8)
-                for lo in range(0, data.size, NPZ_CHUNK_BYTES):
-                    out.write(data[lo:lo + NPZ_CHUNK_BYTES])
+            if not (compress and array.dtype == _FLOAT):
+                flat = array.ravel().view(np.uint8)
+                _write_member(zf, name, method, array.dtype, array.shape,
+                              (flat[lo:lo + NPZ_CHUNK_BYTES]
+                               for lo in range(0, flat.size, NPZ_CHUNK_BYTES)))
+                continue
+            values = _value_bytes(np.ascontiguousarray(array))
+            chunks = range(0, len(values), _CHUNK_VALUES)
+            _write_member(zf, name, zipfile.ZIP_STORED, _LOW, array.shape,
+                          (values[lo:lo + _CHUNK_VALUES, :6] for lo in chunks))
+            _write_member(zf, name + _HIGH, method, np.dtype(np.uint8), (2, *array.shape),
+                          (values[lo:lo + _CHUNK_VALUES, byte] for byte in (6, 7)
+                           for lo in chunks))
 
 
-def read_npz(path, kind: str, version: int, fields: dict | None = None) -> tuple[dict, dict]:
-    """The JSON ``meta`` member of an ``.npz`` archive and its other members. An unreadable
-    archive, a meta not of version ``version`` (of the file ``kind``) and of ``fields``
-    (_check), or a float member holding a NaN or an infinity raises ValueError("<path>: ...")."""
+def _value_bytes(array: np.ndarray) -> np.ndarray:
+    """The bytes of a contiguous float64 ``array``, one row of 8 per value."""
+    return array.reshape(-1).view(np.uint8).reshape(-1, 8)
+
+
+def _write_member(zf: zipfile.ZipFile, name: str, method: int, dtype, shape, chunks):
+    """One ``<name>.npy`` member, as numpy writes it: its header for ``dtype``
+    and ``shape``, then each of the uint8 ``chunks``."""
+    info = zipfile.ZipInfo(f"{name}.npy")
+    info.compress_type = method
+    with zf.open(info, "w", force_zip64=True) as out:  # force_zip64 as numpy does
+        np.lib.format.write_array_header_1_0(out, {
+            "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,
+            "shape": shape})
+        for chunk in chunks:
+            out.write(np.ascontiguousarray(chunk))
+
+
+def _read_header(fh) -> tuple:
+    """(shape, fortran order, dtype) of the npy stream ``fh``."""
+    major, _ = np.lib.format.read_magic(fh)
+    read = np.lib.format.read_array_header_1_0 if major == 1 else \
+        np.lib.format.read_array_header_2_0
+    return read(fh)
+
+
+def _read_exactly(fh, n: int) -> np.ndarray:
+    data = fh.read(n)
+    if len(data) != n:
+        raise ValueError("member data ends early")
+    return np.frombuffer(data, dtype=np.uint8)
+
+
+def _join_planes(name: str, low, high) -> np.ndarray:
+    """The float64 member ``name`` from its streams ``low`` (``|V6``) and
+    ``high`` (its byte planes), decoded into one array a chunk at a time."""
+    shape, fortran, dtype = _read_header(low)
+    high_shape, high_fortran, high_dtype = _read_header(high)
+    if (dtype, high_dtype, fortran or high_fortran, high_shape) != \
+            (_LOW, np.uint8, False, (2, *shape)):
+        raise ValueError(f"{name}{_HIGH} is {high_dtype} {high_shape} beside {name} "
+                         f"{dtype} {shape}")
+    out = np.empty(shape, dtype=_FLOAT)
+    values = _value_bytes(out)
+    chunks = range(0, len(values), _CHUNK_VALUES)
+    for lo in chunks:
+        rows = values[lo:lo + _CHUNK_VALUES]
+        rows[:, :6] = _read_exactly(low, len(rows) * 6).reshape(-1, 6)
+    for byte in (6, 7):
+        for lo in chunks:
+            plane = values[lo:lo + _CHUNK_VALUES, byte]
+            plane[:] = _read_exactly(high, plane.size)
+    return out
+
+
+def read_npz_members(path) -> dict[str, np.ndarray]:
+    """Every member of the ``.npz`` archive at ``path`` by name, ``meta`` as
+    its raw uint8 bytes and a float64 member that write_npz split in two
+    joined back, bit for bit; an archive as ``np.savez`` or
+    ``np.savez_compressed`` writes it reads the same. An unreadable archive,
+    or a ``<name>.high`` member without a ``<name>`` of its shape beside it,
+    raises ValueError("<path>: unreadable archive (...)")."""
     try:
-        with np.load(path) as data:
-            members = {name: data[name] for name in data.files}
+        with zipfile.ZipFile(path) as zf:
+            infos = {info.filename.removesuffix(".npy"): info for info in zf.infolist()}
+            members = {}
+            for name, info in infos.items():
+                base, high = name.removesuffix(_HIGH), infos.get(name + _HIGH)
+                if base != name:  # read with its low bytes
+                    if base not in infos:
+                        raise ValueError(f"{name} has no {base} beside it")
+                elif high is None:
+                    with zf.open(info) as fh:
+                        members[name] = np.lib.format.read_array(fh, allow_pickle=False)
+                else:
+                    with zf.open(info) as low, zf.open(high) as planes:
+                        members[name] = _join_planes(name, low, planes)
     except OSError:
         raise
     except Exception as exc:  # BadZipFile, EOFError, zlib.error, numpy's ValueError, ...
         raise ValueError(f"{path}: unreadable archive ({exc})") from None
+    return members
+
+
+def read_npz(path, kind: str, version: int, fields: dict | None = None) -> tuple[dict, dict]:
+    """The JSON ``meta`` member of an ``.npz`` archive and its other members
+    (read_npz_members). An unreadable archive, a meta not of version
+    ``version`` (of the file ``kind``) and of ``fields`` (_check), or a float
+    member holding a NaN or an infinity raises ValueError("<path>: ...")."""
+    members = read_npz_members(path)
     try:
         meta = _JSON.decode(bytes(members.pop("meta")).decode("utf-8"))
     except (KeyError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON

@@ -25,7 +25,8 @@ from .ranker import CandidateScore
 
 CLASSIFIER_VERSION = 1
 BLOCK_ROWS = 128  # rows per dense block in the fitting and prediction products
-GRAM_MAX_ROWS = 1024  # largest node fitted in row space: its Gram matrix is at most 8 MiB
+# most rows of a Gram matrix, one node's or the one all nodes share: at most 8 MiB
+GRAM_MAX_ROWS = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +168,35 @@ class ClassifierConfig:
     seed: int = 0
 
 
-def _in_row_space(n: int, n_cols: int, k: int, epochs: int) -> bool:
+def _in_row_space(n: int, n_cols: int, k: int, epochs: int, given: bool = False) -> bool:
     """Whether _fit_logistic fits an n-row, k-output node in row space:
-    when that needs fewer flops than the primal form and the node's Gram
+    when that needs fewer flops than the primal form, the cost of building
+    the node's Gram matrix counted unless it is ``given``, and the Gram
     matrix has at most GRAM_MAX_ROWS rows."""
     primal = 2 * epochs * n * n_cols * k
-    row_space = n * n * n_cols + 2 * epochs * n * n * k + 2 * n * n_cols * k
+    row_space = (0 if given else n * n * n_cols) + 2 * epochs * n * n * k + 2 * n * n_cols * k
     return n <= GRAM_MAX_ROWS and row_space < primal
 
 
-def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray,
-                  cfg: ClassifierConfig) -> tuple[np.ndarray, np.ndarray]:
+def _gram(X: CsrMatrix, rows: np.ndarray) -> np.ndarray:
+    """The Gram matrix ``K = X X'`` over ``rows`` of X, from pairs of dense row blocks."""
+    n = rows.size
+    blocks = list(_row_blocks(X, rows, BLOCK_ROWS))
+    buf = np.zeros((min(n, BLOCK_ROWS), X.n_cols))
+    other = np.zeros_like(buf)
+    K = np.empty((n, n))
+    for i, (top, left) in enumerate(_dense_blocks(blocks, buf)):
+        here = slice(top, top + left.shape[0])
+        for lo, right in _dense_blocks(blocks[:i + 1], other):
+            there = slice(lo, lo + right.shape[0])
+            K[here, there] = left @ right.T
+            K[there, here] = K[here, there].T
+    return K
+
+
+def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: ClassifierConfig,
+                  K: np.ndarray | None = None,
+                  at: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Multi-output L2 logistic regression on ``rows`` of X, from zero.
 
     Column j of ``Y`` (rows x k) gets the full-batch gradient descent of
@@ -188,42 +207,42 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray,
     - primal: each epoch is one pass over the rows, a block product for
       the logits and a transposed one for the weight gradient
       (``2 E n C k`` flops for n rows, C columns, k outputs, E epochs);
-    - row space: since W stays ``A'X`` for an n x k matrix A, build the
-      Gram matrix ``K = X X'`` once from pairs of blocks, run each epoch
-      as ``Z = K A + b``, ``A <- s A - lr D``, and form ``W = A'X`` at
-      the end (``n^2 C + 2 E n^2 k + 2 n C k`` flops).
+    - row space: since W stays ``A'X`` for an n x k matrix A, take the
+      Gram matrix ``K = X X'`` of the rows, run each epoch as ``Z = K A +
+      b``, ``A <- s A - lr D``, and form ``W = A'X`` at the end (``2 E n^2
+      k + 2 n C k`` flops, and ``n^2 C`` more to build K from pairs of
+      blocks).
 
-    A node is fitted in row space when that needs fewer flops and it has
-    at most GRAM_MAX_ROWS rows (see _in_row_space). Returns the weights
-    (k x n_cols) and biases (k,).
+    ``K``, if given, is the Gram matrix of a set of rows that holds
+    ``rows`` at its positions ``at`` (all of them when ``at`` is None), so
+    the row-space form takes its sub-block instead of building one. A node
+    is fitted in row space when that needs fewer flops and it has at most
+    GRAM_MAX_ROWS rows (see _in_row_space). Returns the weights (k x
+    n_cols) and biases (k,).
     """
     n, k = Y.shape
     W = np.zeros((k, X.n_cols))
     b = np.zeros(k)
     if n == 0:
         return W, b
-    blocks = list(_row_blocks(X, rows, BLOCK_ROWS))
     buf = np.zeros((min(n, BLOCK_ROWS), X.n_cols))
     part = np.empty_like(W)
-    if _in_row_space(n, X.n_cols, k, cfg.epochs):
-        K = np.empty((n, n))
-        other = np.zeros_like(buf)
-        for i, (top, left) in enumerate(_dense_blocks(blocks, buf)):
-            here = slice(top, top + left.shape[0])
-            for lo, right in _dense_blocks(blocks[:i + 1], other):
-                there = slice(lo, lo + right.shape[0])
-                K[here, there] = left @ right.T
-                K[there, here] = K[here, there].T
+    if _in_row_space(n, X.n_cols, k, cfg.epochs, K is not None):
+        if K is None:
+            K = _gram(X, rows)
+        elif at is not None:
+            K = K[np.ix_(at, at)]
         A = np.zeros((n, k))
         shrink = 1.0 - cfg.learning_rate * cfg.l2
         for _ in range(cfg.epochs):
             D = (_sigmoid(K @ A + b) - Y) / n
             A = shrink * A - cfg.learning_rate * D
             b -= cfg.learning_rate * D.sum(axis=0)
-        for start, dense in _dense_blocks(blocks, buf):
+        for start, dense in _dense_blocks(_row_blocks(X, rows, BLOCK_ROWS), buf):
             np.matmul(A[start:start + dense.shape[0]].T, dense, out=part)
             W += part
         return W, b
+    blocks = list(_row_blocks(X, rows, BLOCK_ROWS))
     D = np.empty((n, k))
     G = np.empty_like(W)
     for _ in range(cfg.epochs):
@@ -243,7 +262,8 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray,
 
 
 def train_tree(nodes: list[dict], root: int, X: CsrMatrix, member: np.ndarray,
-               cfg: ClassifierConfig, weights: np.ndarray, biases: np.ndarray):
+               cfg: ClassifierConfig, weights: np.ndarray, biases: np.ndarray,
+               K: np.ndarray | None = None):
     """Fit the routing and leaf classifiers of the tree at position ``root``
     of ``nodes`` on (normalized) document rows into its rows of ``weights``
     and ``biases``, numbered by _first_rows(nodes).
@@ -254,6 +274,8 @@ def train_tree(nodes: list[dict], root: int, X: CsrMatrix, member: np.ndarray,
     every child whose subtree contains one of their labels; leaf
     classifiers are one-vs-all among the documents that reach the leaf.
     Each node fits all its classifiers as one multi-output regression.
+    ``K``, if given, is the Gram matrix (_gram) of the rows that carry a
+    label, which every node takes its sub-block of (_fit_logistic).
     """
     if X.n_rows == 0:
         raise ValueError("no training documents")
@@ -268,17 +290,20 @@ def train_tree(nodes: list[dict], root: int, X: CsrMatrix, member: np.ndarray,
         width[pos] = (len(rec["labels"]) if "labels" in rec
                       else sum(width[c] for c in rec["children"]))
 
-    stack = [(root, all_rows, 0)]  # (node, its rows, its first membership column)
+    # (node, the positions of its rows in all_rows, its first membership column)
+    stack = [(root, np.arange(all_rows.size), 0)]
     while stack:
-        pos, rows, lo = stack.pop()
+        pos, at, lo = stack.pop()
+        rows = all_rows[at]
         children = nodes[pos].get("children", [])
         # one output per label on a leaf, per child subtree on a routing node
         spans = [1] * width[pos] if "labels" in nodes[pos] else [width[c] for c in children]
         starts = np.cumsum([0] + spans[:-1])
         Y = np.logical_or.reduceat(member[rows, lo:lo + width[pos]], starts, axis=1)
-        at = slice(first[pos], first[pos + 1])
-        weights[at], biases[at] = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
-        stack += [(child, rows[Y[:, j]], lo + int(starts[j])) for j, child in enumerate(children)]
+        out = slice(first[pos], first[pos + 1])
+        weights[out], biases[out] = _fit_logistic(
+            X, rows, Y.astype(np.float64), cfg, K, None if at.size == all_rows.size else at)
+        stack += [(child, at[Y[:, j]], lo + int(starts[j])) for j, child in enumerate(children)]
 
 
 @dataclass
@@ -306,7 +331,9 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
     Tree topologies differ only by clustering seed. Label features for
     tree building are the mean raw tf-idf of each label's pseudo-positive
     documents. One papers x labels membership matrix gives both these
-    features and every tree's training targets.
+    features and every tree's training targets. When at most GRAM_MAX_ROWS
+    papers carry a pseudo label, their Gram matrix is built once and every
+    node of every tree fits from it (train_tree); it is freed on return.
     """
     column = {lid: j for j, lid in enumerate(label_ids)}
     member = np.zeros((len(paper_ids), len(label_ids)), dtype=bool)
@@ -330,9 +357,12 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
     n_rows = _first_rows(nodes)[-1]
     weights, biases = np.zeros((n_rows, X.n_cols)), np.zeros(n_rows)
     Xn = _normalize_rows(X)
+    labelled = np.flatnonzero(member.any(axis=1))
+    # one Gram matrix for every node of every tree, when it fits the budget
+    K = _gram(Xn, labelled) if labelled.size <= GRAM_MAX_ROWS else None
     for root, end in zip(roots, roots[1:] + [len(nodes)]):
         leaf_order = [column[lid] for rec in nodes[root:end] for lid in rec.get("labels", ())]
-        train_tree(nodes, root, Xn, member[:, leaf_order], cfg, weights, biases)
+        train_tree(nodes, root, Xn, member[:, leaf_order], cfg, weights, biases, K)
     return LabelTreeClassifier(tuple(label_ids), roots, nodes, weights, biases)
 
 

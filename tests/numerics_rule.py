@@ -14,9 +14,12 @@ only within these bounds (README, "Numerics rule"):
 - ``classifier.npz``: within 1e-12 absolute;
 - every other file: byte-identical.
 
-A differing ``meta`` member of an npz is a breach; the message names the
-places where the two JSON documents differ (``nodes[].index`` for a key of
-every entry of the ``nodes`` list).
+An npz's members are compared as ``weaklabel.corpus.read_npz_members``
+decodes them, so a float64 member compares by value whether it is stored
+whole or split into its low bytes and high byte planes. A differing
+``meta`` member is a breach; the message names the places where the two
+JSON documents differ (``nodes[].index`` for a key of every entry of the
+``nodes`` list).
 
 Compare two output directories from the command line with
 
@@ -33,6 +36,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))  # run as a script
+from weaklabel.corpus import read_npz_members  # noqa: E402
 
 REL, ABS = "relative", "absolute"
 
@@ -93,21 +99,21 @@ def _json_diff(a, b, path: str = "") -> set[str]:
 
 
 def _npz(ref: Path, new: Path, tol: float) -> list[str]:
-    with np.load(ref) as fa, np.load(new) as fb:
-        if sorted(fa.files) != sorted(fb.files):
-            return [f"{new.name}: members {sorted(fb.files)} != {sorted(fa.files)}"]
-        out = []
-        for key in fa.files:
-            a, b = fa[key], fb[key]
-            if a.dtype.kind == "f" and a.dtype == b.dtype:
-                out += _breach(f"{new.name}: {key}", a, b, tol, ABS)
-            elif key == "meta" and not np.array_equal(a, b):
-                places = _json_diff(*(json.loads(bytes(m).decode("utf-8")) for m in (a, b)))
-                out.append(f"{new.name}: meta differs "
-                           f"({', '.join(sorted(places)) or 'same JSON, other bytes'})")
-            elif a.dtype != b.dtype or not np.array_equal(a, b):
-                out.append(f"{new.name}: {key} differs")
-        return out
+    fa, fb = read_npz_members(ref), read_npz_members(new)
+    if sorted(fa) != sorted(fb):
+        return [f"{new.name}: members {sorted(fb)} != {sorted(fa)}"]
+    out = []
+    for key, a in fa.items():
+        b = fb[key]
+        if a.dtype.kind == "f" and a.dtype == b.dtype:
+            out += _breach(f"{new.name}: {key}", a, b, tol, ABS)
+        elif key == "meta" and not np.array_equal(a, b):
+            places = _json_diff(*(json.loads(bytes(m).decode("utf-8")) for m in (a, b)))
+            out.append(f"{new.name}: meta differs "
+                       f"({', '.join(sorted(places)) or 'same JSON, other bytes'})")
+        elif a.dtype != b.dtype or not np.array_equal(a, b):
+            out.append(f"{new.name}: {key} differs")
+    return out
 
 
 def _json_numbers(ref: Path, new: Path, tol: float) -> list[str]:

@@ -1,16 +1,17 @@
 import json
 import logging
 import re
+import zipfile
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from weaklabel.cli import main
 from weaklabel.corpus import (
     CorpusError, Paper, atomic_write, build_vocabulary, corpus_stats,
-    count_terms, load_corpus, NPZ_CHUNK_BYTES, load_labels, read_jsonl, read_npz, tokenize,
-    write_jsonl, write_npz,
+    count_terms, load_corpus, NPZ_CHUNK_BYTES, load_labels, read_jsonl, read_npz,
+    read_npz_members, tokenize, write_jsonl, write_npz,
 )
 from weaklabel.ranker import aggregate_hierarchy
 
@@ -357,21 +358,116 @@ class TestJsonLines:
         assert [p.name for p in tmp_path.iterdir()] == ["r.jsonl"]
 
 
-class TestWriteNpz:
-    """write_npz writes the bytes np.savez_compressed / np.savez write, its
-    meta as JSON in a last ``meta`` member."""
+def assert_same_members(got: dict, want: dict):
+    assert list(got) == list(want)
+    for name, array in want.items():
+        assert (got[name].dtype, got[name].shape) == (array.dtype, array.shape), name
+        assert got[name].tobytes() == array.tobytes(), name
 
-    @pytest.mark.parametrize("compress", [True, False])
-    def test_bytes_equal_numpy(self, tmp_path, compress):
+
+class TestWriteNpz:
+    """write_npz writes its members and, in a last ``meta`` member, its meta
+    as JSON: stored, the bytes np.savez writes; deflated, a float64 member
+    split into its low bytes and its high byte planes, which read_npz_members
+    joins back bit for bit."""
+
+    def members(self):
         rng = np.random.default_rng(0)
         wide = rng.normal(size=(5, 9))
-        members = {"weights": rng.normal(size=(310, NPZ_CHUNK_BYTES // 8 // 100)),  # spans chunks
-                   "strided": wide[:, ::2], "strided_1d": wide[0, ::3], "flags": wide > 0,
-                   "empty": np.zeros((0, 4))}
-        write_npz(tmp_path / "a.npz", members, {"k": [1, 2]}, compress)
-        (np.savez_compressed if compress else np.savez)(
-            tmp_path / "b.npz", **members, meta=np.frombuffer(b'{"k": [1, 2]}', dtype=np.uint8))
+        return {"weights": rng.normal(size=(310, NPZ_CHUNK_BYTES // 8 // 100)),  # spans chunks
+                "strided": wide[:, ::2], "strided_1d": wide[0, ::3], "flags": wide > 0,
+                "empty": np.zeros((0, 4)), "count": np.arange(3)}
+
+    def test_stored_bytes_equal_numpy(self, tmp_path):
+        members = self.members()
+        write_npz(tmp_path / "a.npz", members, {"k": [1, 2]}, compress=False)
+        np.savez(tmp_path / "b.npz", **members,
+                 meta=np.frombuffer(b'{"k": [1, 2]}', dtype=np.uint8))
         assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+    def test_deflated_members_equal_numpy_bitwise(self, tmp_path):
+        members = self.members()
+        write_npz(tmp_path / "a.npz", members, {"k": [1, 2]}, compress=True)
+        np.savez_compressed(tmp_path / "b.npz", **members,
+                            meta=np.frombuffer(b'{"k": [1, 2]}', dtype=np.uint8))
+        with np.load(tmp_path / "b.npz") as data:
+            want = {name: data[name] for name in data.files}
+        assert_same_members(read_npz_members(tmp_path / "a.npz"), want)
+        assert_same_members(read_npz_members(tmp_path / "b.npz"), want)  # the plain layout
+
+    def test_float_members_split_in_two(self, tmp_path):
+        members = self.members()
+        path = tmp_path / "a.npz"
+        write_npz(path, members, {"k": 1}, compress=True)
+        with zipfile.ZipFile(path) as zf:
+            infos = {info.filename: info for info in zf.infolist()}
+        split = ["weights", "strided", "strided_1d", "empty"]
+        assert list(infos) == [f"{name}{part}.npy" for name in members
+                               for part in (("", ".high") if name in split else ("",))
+                               ] + ["meta.npy"]
+        with np.load(path) as data:
+            for name in split:
+                values = np.ascontiguousarray(members[name]).view(np.uint8).reshape(-1, 8)
+                low, high = data[name], data[f"{name}.high"]
+                assert (low.dtype, low.shape) == (np.dtype("V6"), members[name].shape)
+                assert low.tobytes() == values[:, :6].tobytes()
+                assert (high.dtype, high.shape) == (np.uint8, (2, *members[name].shape))
+                assert high.tobytes() == values[:, 6:].T.tobytes()
+                # np.load counts a zero weight as a zero of its low bytes
+                assert np.count_nonzero(low) == np.count_nonzero(members[name])
+        stored = {name for name, info in infos.items()
+                  if info.compress_type == zipfile.ZIP_STORED}
+        assert stored == {f"{name}.npy" for name in split}
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.one_of(
+               st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                                np.finfo(np.float64).max, -np.finfo(np.float64).max,
+                                np.finfo(np.float64).tiny]),
+               st.floats(allow_nan=False, allow_infinity=False)), max_size=40),
+           rows=st.sampled_from([None, 0, 1]), seed=st.integers(0, 2**16))
+    def test_split_round_trip_is_bitwise(self, tmp_path_factory, values, rows, seed):
+        array = np.array(values, dtype=np.float64)
+        if rows is not None:  # a 0-row or 1-row matrix
+            array = np.zeros((0, 3)) if rows == 0 else array.reshape(1, -1)
+        rng = np.random.default_rng(seed)
+        path = tmp_path_factory.mktemp("npz") / "a.npz"
+        members = {"w": array, "b": rng.normal(size=3) * 10.0 ** rng.integers(-300, 300)}
+        write_npz(path, members, {"version": 1}, compress=True)
+        got = read_npz(path, "test", 1)[1]
+        for name, want in members.items():
+            assert (got[name].dtype, got[name].shape) == (np.float64, want.shape)
+            assert got[name].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("problem", ["no_low", "other_shape", "low_not_v6"])
+    def test_high_planes_without_their_low_bytes_named(self, tmp_path, problem):
+        path = tmp_path / "a.npz"
+        write_npz(path, {"w": np.arange(12.0).reshape(3, 4)}, {"version": 1}, compress=True)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        if problem == "no_low":
+            del arrays["w"]
+        elif problem == "other_shape":
+            arrays["w"] = arrays["w"][:2]
+        else:
+            arrays["w"] = np.zeros((3, 4))
+        np.savez_compressed(path, **arrays)
+        message = {"no_low": "w.high has no w beside it",
+                   "other_shape": "w.high is uint8 (2, 3, 4) beside w |V6 (2, 4)",
+                   "low_not_v6": "w.high is uint8 (2, 3, 4) beside w float64 (3, 4)"}[problem]
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unreadable archive "
+                                             rf"\({re.escape(message)}\)$"):
+            read_npz(path, "test", 1)
+
+    def test_non_finite_value_through_the_planes_rejected(self, tmp_path):
+        path = tmp_path / "a.npz"
+        w = np.zeros((3, 4))
+        w[1, 2] = np.nan
+        write_npz(path, {"w": w}, {"version": 1}, compress=True)
+        with np.load(path) as data:
+            assert "w.high" in data.files
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: non-finite value in w$"):
+            read_npz(path, "test", 1)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_non_finite_member_rejected(self, tmp_path, dtype):
@@ -394,11 +490,17 @@ class TestWriteNpz:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unreadable archive \("):
             read_npz(path, "test", 1)
 
-    def test_corrupt_member_named(self, tmp_path):
+    @pytest.mark.parametrize("member", ["w.npy", "w.high.npy"])  # stored, deflated
+    def test_corrupt_member_named(self, tmp_path, member):
         path = tmp_path / "a.npz"
         write_npz(path, {"w": np.arange(5000.0)}, {"version": 1}, compress=True)
+        with zipfile.ZipFile(path) as zf:
+            info = zf.getinfo(member)
+        # the middle of the member's data: past its local header, whose extra field
+        # (zip64, as numpy writes it) is 20 bytes
+        middle = info.header_offset + 30 + len(member) + 20 + info.compress_size // 2
         raw = bytearray(path.read_bytes())
-        raw[200:260] = bytes(60)  # inside the deflated data of member w
+        raw[middle:middle + 60] = b"\xff" * 60
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unreadable archive \("):
             read_npz(path, "test", 1)

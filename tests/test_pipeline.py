@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from hypothesis import given, settings, strategies as st
 from weaklabel import candidates as cand
 from weaklabel import citegraph, cli, encoder, kernels, metrics, pipeline, ranker, selftrain
 from weaklabel.config import ConfigError, PipelineConfig, make_config
-from weaklabel.corpus import Paper, load_corpus, load_labels, read_jsonl, write_jsonl
+from weaklabel.corpus import (Paper, load_corpus, load_labels, read_jsonl, read_npz_members,
+                              write_jsonl)
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import per_text_stage_score
@@ -884,14 +886,18 @@ class TestCli:
 
     @pytest.mark.parametrize("text, names", [
         ('{"batch_size": 8,', "config.json: invalid JSON"),
-        ('{"batch_size": "8"}', "'batch_size' must be an int, got str"),
-        ('{"classifier_lr": NaN}', "'classifier_lr' must be a finite number, got float"),
-        ('{"propensity_b": -Infinity}', "'propensity_b' must be a finite number, got float"),
+        ('{"batch_size": "8"}', "config.json: 'batch_size' must be an int, got str"),
+        ('{"classifier_lr": NaN}',
+         "config.json: 'classifier_lr' must be a finite number, got float"),
+        ('{"propensity_b": -Infinity}',
+         "config.json: 'propensity_b' must be a finite number, got float"),
+        ('{"batch_sise": 8}', "config.json: unknown config keys: ['batch_sise']"),
         ('{"ranking_limit": 0}', "ranking_limit must be positive"),
         (b'{"batch_size": 8, "x": "\xff"}', "config.json: invalid JSON: 'utf-8' codec can't decode"),
         ('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}",
          "config.json: invalid JSON: maximum recursion depth exceeded"),
-    ], ids=["truncated", "string int", "NaN", "-Infinity", "zero limit", "not UTF-8", "too deep"])
+    ], ids=["truncated", "string int", "NaN", "-Infinity", "unknown key", "zero limit",
+            "not UTF-8", "too deep"])
     def test_bad_config_file_exits_2(self, tmp_path, text, names):
         config_file = tmp_path / "config.json"
         config_file.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
@@ -1143,6 +1149,25 @@ class TestStandalonePredict:
         assert f"stage predict failed: {path}: " in proc.stderr
         assert problem in proc.stderr and "; rerun self-train" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("case, problem", [
+        ("no_low", "weights.high has no weights beside it"),
+        ("other_shape", "weights.high is uint8 (2, "),
+    ])
+    def test_high_planes_without_their_low_bytes_fail(self, out, case, problem):
+        copy, config = out
+        path = copy / "classifier.npz"
+        with np.load(path) as data:
+            members = {key: data[key] for key in data.files}
+        if case == "no_low":
+            del members["weights"]
+        else:
+            members["weights"] = members["weights"][1:]
+        np.savez_compressed(path, **members)
+        proc = run_cli("predict", "--config", config)
+        assert proc.returncode == 1
+        assert f"stage predict failed: {path}: unreadable archive ({problem}" in proc.stderr
+        assert "; rerun self-train" in proc.stderr and "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("name, stage, edit, problem", [
         ("classifier", "predict", lambda m: {**m, "nodes": [5] + m["nodes"][1:]},
@@ -1479,8 +1504,7 @@ class TestNonFiniteArtifacts:
     ])
     def test_npz_member(self, copy, capsys, name, member, stage, output, rerun):
         out, args = copy
-        with np.load(out / name) as data:
-            members = {key: data[key] for key in data.files}
+        members = read_npz_members(out / name)  # each float64 member whole
         if member == "proj":  # one NaN
             members["proj"][3, 1] = np.nan
         else:
@@ -1616,6 +1640,26 @@ class TestConfig:
         cfg = make_config(None, {"learning_rate": 1, "train_steps": None,
                                  "precision_ks": [1, 2]})
         assert cfg.learning_rate == 1 and cfg.precision_ks == (1, 2)
+
+    def test_file_faults_name_the_file_before_the_overrides_merge(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"batch_size": "8"}')
+        # the flag's valid value would hide the file's string after a merge
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: 'batch_size' must be "
+                                              f"an int, got str$"):
+            make_config(path, {"batch_size": 8})
+        path.write_text('{"batch_sise": 8}')
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: unknown config keys: "
+                                              r"\['batch_sise'\]$"):
+            make_config(path, {"batch_size": 8})
+
+    def test_override_faults_name_no_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"batch_size": 8}')
+        with pytest.raises(ConfigError, match="^'batch_size' must be an int, got str$"):
+            make_config(path, {"batch_size": "8"})
+        with pytest.raises(ConfigError, match=r"^unknown config keys: \['x'\]$"):
+            make_config(path, {"x": 1})
 
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -3,9 +3,12 @@
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import protocol
+from numerics_rule import compare_outputs
+from weaklabel.corpus import write_npz
 
 REPO = Path(__file__).resolve().parent.parent
 TINY = (3, 40, 6, ("--train-steps", "5"))
@@ -52,3 +55,37 @@ def test_wrong_argument_count_exits_2(argv, capsys):
 def test_path_that_is_not_a_tree_exits_2(tmp_path, capsys):
     assert protocol.main([str(REPO), str(tmp_path)]) == 2
     assert f"not a source tree (no src/weaklabel): {tmp_path}" in capsys.readouterr().err
+
+
+def classifier_dirs(tmp_path, weights, change):
+    """Two output directories holding only a classifier.npz of ``weights``: the
+    parent's as np.savez_compressed writes it (each float64 member whole), the
+    change's through write_npz (split into low bytes and high byte planes), its
+    weights first passed through ``change``."""
+    ref, new = tmp_path / "ref", tmp_path / "new"
+    ref.mkdir()
+    new.mkdir()
+    meta = b'{"version": 1}'
+    biases = np.linspace(-1.0, 1.0, weights.shape[0])
+    np.savez_compressed(ref / "classifier.npz", weights=weights, biases=biases,
+                        meta=np.frombuffer(meta, dtype=np.uint8))
+    write_npz(new / "classifier.npz", {"weights": change(weights.copy()), "biases": biases},
+              {"version": 1}, compress=True)
+    return ref, new
+
+
+def test_split_layout_of_the_same_weights_holds_the_numerics_rule(tmp_path):
+    weights = np.random.default_rng(1).normal(size=(40, 30))
+    assert compare_outputs(*classifier_dirs(tmp_path, weights, lambda w: w)) == []
+
+
+def test_perturbed_split_weights_are_a_breach(tmp_path):
+    weights = np.random.default_rng(1).normal(size=(40, 30))
+
+    def perturb(w):
+        w[7, 3] += 1e-10
+        return w
+
+    breaches = compare_outputs(*classifier_dirs(tmp_path, weights, perturb))
+    assert len(breaches) == 1
+    assert breaches[0].startswith("classifier.npz: weights: differs by up to 1e-10 absolute")

@@ -312,9 +312,8 @@ def test_a_field_of_another_json_type_is_named(name, data):
         read_back(name, [first, rec])
     message = str(failure.value)
     assert f"'{key}'" in message or key == "version" and " version " in message, message
-    if name != "config":
-        path_named = message.split(": ")[0]
-        assert os.path.basename(path_named).startswith(name.split(".")[0]), message
+    path_named = message.split(": ")[0]
+    assert os.path.basename(path_named).startswith(name.split(".")[0]), message
     if name in LINE_FILES:
         assert isinstance(failure.value, CorpusError) and ": line 2: " in message, message
 

@@ -18,10 +18,11 @@ from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
     BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, LabelTreeClassifier,
     build_label_tree, final_rankings, load_classifier, predict_blocks, pseudo_labels,
-    save_classifier, train_classifier, train_tree, _first_rows, _fit_logistic, _in_row_space,
-    _normalize_rows, _search_plan,
+    save_classifier, train_classifier, train_tree, _first_rows, _fit_logistic, _gram,
+    _in_row_space, _normalize_rows, _search_plan,
 )
-from weaklabel.corpus import Vocabulary, build_vocabulary, load_corpus, load_labels
+from weaklabel.corpus import (Vocabulary, build_vocabulary, load_corpus, load_labels,
+                              read_npz_members)
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import (build_tfidf_matrix, csr_row, final_ranking, garbage_after,
@@ -220,11 +221,11 @@ def node_rows(clf):
             for pos in range(len(clf.nodes))}
 
 
-def fit_tree(nodes, X, member, cfg, root=0):
+def fit_tree(nodes, X, member, cfg, root=0, K=None):
     """train_tree into arrays of its own, sized for all of ``nodes``: (weights, biases)."""
     n_rows = _first_rows(nodes)[-1]
     weights, biases = np.zeros((n_rows, X.n_cols)), np.zeros(n_rows)
-    train_tree(nodes, root, X, member, cfg, weights, biases)
+    train_tree(nodes, root, X, member, cfg, weights, biases, K)
     return weights, biases
 
 
@@ -565,7 +566,7 @@ class TestMembership:
         fitted = []
         fit = selftrain._fit_logistic
         monkeypatch.setattr(selftrain, "_fit_logistic",
-                            lambda X, rows, Y, cfg: fitted.append(rows) or fit(X, rows, Y, cfg))
+                            lambda X, rows, *rest: fitted.append(rows) or fit(X, rows, *rest))
         cfg = ClassifierConfig(epochs=5)
         weights, biases = fit_tree(tree, X, member[:, leaf_columns(tree, ids)], cfg)
         assert len(fitted) == len(tree)
@@ -599,15 +600,27 @@ def csr_subset(X, rows):
                      np.concatenate([i for _, i in pieces]), indptr, len(rows), X.n_cols)
 
 
+def supplied_gram(X, rows, gram):
+    """_fit_logistic's (K, at) for ``gram``: None, the Gram matrix of
+    ``rows`` ("rows") or that of every row of X, ``rows`` at their positions
+    ("superset")."""
+    if gram is None:
+        return None, None
+    if gram == "rows":
+        return _gram(X, rows), None
+    return _gram(X, np.arange(X.n_rows)), rows
+
+
 class TestMultiOutputFit:
     """_fit_logistic against one kernels.logistic_epochs call per output."""
 
+    @pytest.mark.parametrize("gram", [None, "rows", "superset"])
     @pytest.mark.parametrize("n_rows, k, subset", [
         (2 * BLOCK_ROWS + 37, 5, True),  # several blocks, the last one partial
         (60, 1, False),
         (1, 3, False),
     ])
-    def test_matches_per_label_kernel(self, n_rows, k, subset):
+    def test_matches_per_label_kernel(self, n_rows, k, subset, gram):
         rng = np.random.default_rng(n_rows + k)
         X = random_csr(rng, n_rows, 40, empty_rows={0, n_rows // 2} if n_rows > 2 else ())
         rows = (np.sort(rng.choice(n_rows, size=2 * n_rows // 3, replace=False))
@@ -617,7 +630,7 @@ class TestMultiOutputFit:
             Y[:, 1] = 0.0
             Y[:, 2] = 1.0
         cfg = ClassifierConfig(epochs=20, learning_rate=2.0, l2=1e-4)
-        W, b = _fit_logistic(X, rows, Y, cfg)
+        W, b = _fit_logistic(X, rows, Y, cfg, *supplied_gram(X, rows, gram))
         sub = csr_subset(X, rows)
         for j in range(k):
             w = np.zeros(X.n_cols)
@@ -646,6 +659,7 @@ def kernel_fit(X, rows, Y, cfg):
 class TestRowSpaceFit:
     """The row-space (Gram matrix) form of _fit_logistic."""
 
+    @pytest.mark.parametrize("gram", [None, "rows", "superset"])
     @pytest.mark.parametrize("n_rows, k, subset", [
         (3 * BLOCK_ROWS + 37, 6, True),  # several blocks, the last one partial
         (3 * BLOCK_ROWS + 37, 1, True),
@@ -653,7 +667,7 @@ class TestRowSpaceFit:
         (BLOCK_ROWS + 1, 1, False),
         (7, 3, False),
     ])
-    def test_matches_per_label_kernel(self, monkeypatch, n_rows, k, subset):
+    def test_matches_per_label_kernel(self, monkeypatch, n_rows, k, subset, gram):
         monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: True)
         rng = np.random.default_rng(100 * n_rows + k)
         X = random_csr(rng, n_rows, 50, empty_rows={0, 3, n_rows // 2, n_rows - 1})
@@ -664,10 +678,24 @@ class TestRowSpaceFit:
             Y[:, 1] = 0.0
             Y[:, 2] = 1.0
         cfg = ClassifierConfig(epochs=20, learning_rate=2.0, l2=1e-4)
-        W, b = _fit_logistic(X, rows, Y, cfg)
+        W, b = _fit_logistic(X, rows, Y, cfg, *supplied_gram(X, rows, gram))
         W_ref, b_ref = kernel_fit(X, rows, Y, cfg)
         np.testing.assert_allclose(W, W_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12)
+
+    def test_supplied_gram_builds_none_and_its_sub_block_fits_alike(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        X = random_csr(rng, 40, 30)
+        rows = np.arange(3, 40, 3)
+        Y = (rng.random((rows.size, 3)) < 0.5).astype(np.float64)
+        full = _gram(X, np.arange(40))
+        monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: True)
+        monkeypatch.setattr(selftrain, "_gram", lambda *args: pytest.fail("a Gram was built"))
+        cfg = ClassifierConfig(epochs=9)
+        by_rows = _fit_logistic(X, rows, Y, cfg, full[np.ix_(rows, rows)])
+        by_positions = _fit_logistic(X, rows, Y, cfg, full, rows)
+        for a, b in zip(by_rows, by_positions):
+            assert a.tobytes() == b.tobytes()
 
     def test_chosen_without_forcing_on_a_wide_leaf(self):
         rng = np.random.default_rng(3)
@@ -690,21 +718,30 @@ class TestRowSpaceFit:
             for c in (40, 2080, 4400):
                 for k in (1, 2, 55, 100):
                     for e in (1, 20):
-                        row_space = n * n * c + 2 * e * n * n * k + 2 * n * c * k
-                        want = n <= GRAM_MAX_ROWS and row_space < 2 * e * n * c * k
-                        assert _in_row_space(n, c, k, e) == want, (n, c, k, e)
+                        for given in (False, True):
+                            build = 0 if given else n * n * c
+                            row_space = build + 2 * e * n * n * k + 2 * n * c * k
+                            want = n <= GRAM_MAX_ROWS and row_space < 2 * e * n * c * k
+                            assert _in_row_space(n, c, k, e, given) == want, (n, c, k, e, given)
+                        assert _in_row_space(n, c, k, e) == _in_row_space(n, c, k, e, False)
         assert _in_row_space(400, 2080, 55, 20)  # a leaf
         assert not _in_row_space(400, 2080, 2, 20)  # a routing node
+        assert _in_row_space(400, 2080, 2, 20, given=True)  # ... unless its Gram is given
+        assert not _in_row_space(1000, 40, 2, 20, given=True)  # more rows than columns
         assert _in_row_space(GRAM_MAX_ROWS, 4400, 100, 20)
         assert not _in_row_space(GRAM_MAX_ROWS + 1, 4400, 100, 20)  # fewer flops, too big
+        assert not _in_row_space(GRAM_MAX_ROWS + 1, 4400, 100, 20, given=True)
 
-    def test_fit_asks_the_rule_with_the_node_shape(self, monkeypatch):
+    @pytest.mark.parametrize("given", [False, True])
+    def test_fit_asks_the_rule_with_the_node_shape(self, monkeypatch, given):
         asked = []
         monkeypatch.setattr(selftrain, "_in_row_space",
                             lambda *shape: asked.append(shape) or False)
         X = random_csr(np.random.default_rng(4), 30, 12)
-        _fit_logistic(X, np.arange(0, 30, 2), np.zeros((15, 4)), ClassifierConfig(epochs=7))
-        assert asked == [(15, 12, 4, 7)]
+        K = _gram(X, np.arange(30)) if given else None
+        _fit_logistic(X, np.arange(0, 30, 2), np.zeros((15, 4)), ClassifierConfig(epochs=7),
+                      K, np.arange(0, 30, 2) if given else None)
+        assert asked == [(15, 12, 4, 7, given)]
 
     def test_train_classifier_forms_agree(self, monkeypatch, tmp_path):
         write_synthetic(SyntheticSpec(n_papers=160, n_labels=24, seed=5),
@@ -729,6 +766,41 @@ class TestRowSpaceFit:
         pinned = [[] for _ in ids]
         assert final_rankings(pinned, pa, primal.label_ids) == \
             final_rankings(pinned, pb, dual.label_ids)
+
+
+class TestSharedGram:
+    """train_classifier builds one Gram matrix for every node of every tree when at most
+    GRAM_MAX_ROWS papers carry a pseudo label, and leaves each node its own rule above."""
+
+    @staticmethod
+    def fit(monkeypatch, n_labelled):
+        rng = np.random.default_rng(16)
+        n_papers, ids = GRAM_MAX_ROWS + 40, [f"L{j}" for j in range(120)]
+        X = random_csr(rng, n_papers, 2000, max_nnz=12)
+        pseudo = {f"p{i}": tuple(rng.choice(ids, size=2, replace=False))
+                  for i in range(n_labelled)}
+        builds, asked = [], []
+        gram, rule = selftrain._gram, selftrain._in_row_space
+        monkeypatch.setattr(selftrain, "_gram", lambda X, rows: builds.append(rows.size)
+                            or gram(X, rows))
+        monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: asked.append(
+            (shape, rule(*shape))) or asked[-1][1])
+        train_classifier(X, [f"p{i}" for i in range(n_papers)], pseudo, ids,
+                         ClassifierConfig(n_trees=2, max_leaf=40, epochs=20))
+        return builds, asked
+
+    def test_one_build_at_the_budget(self, monkeypatch):
+        builds, asked = self.fit(monkeypatch, GRAM_MAX_ROWS)
+        assert builds == [GRAM_MAX_ROWS]
+        assert asked and all(shape[4] for shape, _ in asked)  # every node is given it
+        assert all(in_row_space for _, in_row_space in asked)
+
+    def test_per_node_builds_above_the_budget(self, monkeypatch):
+        builds, asked = self.fit(monkeypatch, GRAM_MAX_ROWS + 1)
+        assert not any(shape[4] for shape, _ in asked)
+        own = [shape[0] for shape, in_row_space in asked if in_row_space]
+        assert own and builds == own  # one build per node fitted in row space
+        assert asked[0] == ((GRAM_MAX_ROWS + 1, 2000, 2, 20, False), False)  # a root
 
 
 def scalar_beam(clf, x, beam):
@@ -909,9 +981,10 @@ class TestOneRowNumbering:
         assert clf.weights.shape == (first[-1], 6) and clf.biases.shape == (first[-1],)
         assert 0 < first[clf.roots[1]] < first[clf.roots[2]]
         member = np.eye(6, dtype=bool)[assign]
+        K = _gram(_normalize_rows(X), np.arange(30))  # the Gram train_classifier shares
         for t, root in enumerate(clf.roots):
             weights, biases = fit_tree(clf.nodes, _normalize_rows(X),
-                                       member[:, leaf_columns(clf.nodes, ids, root)], cfg, root)
+                                       member[:, leaf_columns(clf.nodes, ids, root)], cfg, root, K)
             at = slice(first[root], first[clf.roots[t + 1]] if t + 1 < 3 else None)
             others = biases.copy()
             others[at] = 0.0
@@ -1011,9 +1084,15 @@ class TestPersistence:
             reference_save_classifier(clf, ref)
             loaded = load_classifier(path)
             save_classifier(loaded, again)
-            with open(path, "rb") as a, open(ref, "rb") as r, open(again, "rb") as b:
-                written = a.read()
-                assert written == r.read() and written == b.read()
+            with open(path, "rb") as a, open(again, "rb") as b:
+                assert a.read() == b.read()
+            with np.load(ref) as data:
+                want = {name: data[name] for name in data.files}
+            got = read_npz_members(path)
+            assert list(got) == list(want)
+            for name, array in want.items():
+                assert got[name].dtype == array.dtype and got[name].shape == array.shape
+                assert got[name].tobytes() == array.tobytes()
         assert loaded.label_ids == clf.label_ids
         assert (loaded.roots, loaded.nodes) == (clf.roots, clf.nodes)
         assert loaded.weights.shape == clf.weights.shape == (clf.biases.size, n_features)
@@ -1042,9 +1121,36 @@ class TestPersistence:
             tracemalloc.stop()
         assert peak < weight_bytes / 2, (peak, weight_bytes)
 
-    def rewrite(self, path, **changes):
+    def test_load_holds_no_second_copy_of_the_weights(self, tmp_path):
+        clf = random_classifier(np.random.default_rng(5), 32, 20_000, 1, max_leaf=16)
+        save_classifier(clf, tmp_path / "clf.npz")
+        weight_bytes = clf.weights.nbytes
+        assert weight_bytes >= 4 * 2**20
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loaded = load_classifier(tmp_path / "clf.npz")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * weight_bytes, (peak, weight_bytes)  # the weights, and a chunk
+        assert loaded.weights.tobytes() == clf.weights.tobytes()
+
+    def test_plain_layout_loads_bitwise(self, tmp_path):
+        clf = random_classifier(np.random.default_rng(15), 9, 7, 2, max_leaf=3)
+        path = tmp_path / "clf.npz"
+        reference_save_classifier(clf, path)  # np.savez_compressed: float64 members whole
         with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
+            assert sorted(data.files) == ["biases", "meta", "weights"]
+        loaded = load_classifier(path)
+        assert (loaded.roots, loaded.nodes) == (clf.roots, clf.nodes)
+        assert loaded.weights.tobytes() == clf.weights.tobytes()
+        assert loaded.biases.tobytes() == clf.biases.tobytes()
+
+    def rewrite(self, path, **changes):
+        """Rewrite the classifier at ``path`` with ``changes`` as np.savez_compressed
+        writes it: each float64 member whole."""
+        arrays = read_npz_members(path)
         arrays.update(changes)
         np.savez_compressed(path, **arrays)
 
@@ -1123,8 +1229,8 @@ class TestPersistence:
         clf = random_classifier(np.random.default_rng(6), 30, 4, 2, max_leaf=3)
         path = tmp_path / "clf.npz"
         save_classifier(clf, path)
-        with np.load(path) as data:
-            weights, biases = data["weights"], data["biases"]
+        members = read_npz_members(path)
+        weights, biases = members["weights"], members["biases"]
         self.rewrite(path, **{
             "short_weights": {"weights": weights[:-10]},
             "float32_weights": {"weights": weights.astype(np.float32)},
