@@ -42,8 +42,7 @@ def retrieve_candidates(paper: Paper, index: NameIndex,
     Matching runs over the title+abstract token sequence; ``full_text``
     extends it with every body paragraph (ablation use only).
     """
-    tokens = (paper.full_text_tokens() if full_text
-              else tokenize(paper.title) + tokenize(paper.abstract))
+    tokens = paper.full_text_tokens() if full_text else tokenize(paper.title_abstract)
     found: set[str] = set()
     n = len(tokens)
     for i in range(n):

@@ -126,9 +126,19 @@ def _checked(values: dict, where: str) -> dict:
         raise ConfigError(f"{where}{exc}") from None
 
 
+def _fault(values: dict) -> str | None:
+    """The message PipelineConfig(**values).validate() fails with, or None."""
+    try:
+        PipelineConfig(**values).validate()
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
 def make_config(file_path=None, overrides: dict | None = None) -> PipelineConfig:
     """Config file values first, explicit overrides on top. Each is checked
-    before the merge, so a fault in the file names the file."""
+    before the merge, and a range fault that only the file's values cause
+    is prefixed with the file, so a fault in the file names the file."""
     values: dict = {}
     if file_path:
         with open(file_path, "r", encoding="utf-8") as fh:
@@ -139,9 +149,15 @@ def make_config(file_path=None, overrides: dict | None = None) -> PipelineConfig
         if not isinstance(loaded, dict):
             raise ConfigError(f"{file_path}: expected a JSON object")
         values.update(_checked(loaded, f"{file_path}: "))
-    if overrides:
-        values.update(_checked({k: v for k, v in overrides.items() if v is not None}, ""))
+    flags = _checked({k: v for k, v in (overrides or {}).items() if v is not None}, "")
+    values.update(flags)
     for key in ("precision_ks", "ndcg_ks"):
         if key in values:
             values[key] = tuple(values[key])
-    return PipelineConfig(**values).validate()
+    try:
+        return PipelineConfig(**values).validate()
+    except ConfigError as exc:
+        # the file's fault when the flags alone, over the defaults, do not fail the same way
+        if file_path and str(exc) != _fault(flags):
+            raise ConfigError(f"{file_path}: {exc}") from None
+        raise

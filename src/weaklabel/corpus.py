@@ -3,6 +3,10 @@
 The corpus and label files are JSON Lines, one record of PAPER_FIELDS or
 LABEL_FIELDS a line; a section is an object of SECTION_FIELDS. Each
 declares its fields as ``{name: annotation}``, a name ending in "?" optional.
+A token is a lowercase run of characters for which ``str.isalnum()`` holds
+(``tokenize``). ``load_corpus`` builds each paper's hierarchy;
+``load_paper_labels`` checks the same records but keeps only their ids and
+gold labels.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ import json
 import logging
 import math
 import os
-import re
 import zipfile
 from collections import defaultdict
 from contextlib import contextmanager
@@ -31,8 +34,9 @@ _HIGH = ".high"  # the suffix of a float64 member's two high byte planes (write_
 _FLOAT, _LOW = np.dtype("<f8"), np.dtype("V6")  # a split member, its low six bytes
 _CHUNK_VALUES = NPZ_CHUNK_BYTES // 8  # the values of a split member written or read at once
 
-# Lowercase, then split on anything that is not a Unicode letter or digit.
-_TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# papers whose tokens count_terms holds at once; the block's token list, not
+# the corpus's, bounds its transient memory
+COUNT_BLOCK_PAPERS = 64
 
 
 def _no_constant(name: str):
@@ -46,9 +50,24 @@ class CorpusError(ValueError):
     """Raised on malformed corpus or label files."""
 
 
+class _Split(dict):
+    """``str.translate``'s table for tokenize: a code point ``c`` maps to
+    itself when ``chr(c).isalnum()``, else to a space; each entry is made on
+    first use and kept."""
+
+    def __missing__(self, c: int):
+        self[c] = out = c if chr(c).isalnum() else " "
+        return out
+
+
+_SPLIT = _Split()
+
+
 def tokenize(text: str) -> list[str]:
-    """Deterministic tokenization: lowercase, alphanumeric runs only."""
-    return _TOKEN_RE.findall(text.lower())
+    """The lowercased text's maximal runs of characters with ``str.isalnum()``:
+    the runs of the regex ``[^\\W_]+``, since in Unicode mode its word class
+    is exactly ``isalnum()`` or "_"."""
+    return text.lower().translate(_SPLIT).split()
 
 
 def _flatten(hierarchy: list) -> list[str]:
@@ -93,11 +112,11 @@ class Paper:
         return f"{self.title} {self.abstract}".strip()
 
     def full_text_tokens(self) -> list[str]:
-        """Tokens of title + abstract + every body paragraph."""
-        toks = tokenize(self.title) + tokenize(self.abstract)
-        for text in _flatten([node for node in self.hierarchy if not isinstance(node, str)]):
-            toks.extend(tokenize(text))
-        return toks
+        """Tokens of title + abstract + every body paragraph, from one
+        tokenize call: a space ends a token, so joining the texts by one
+        gives the tokens of each text in turn."""
+        body = _flatten([node for node in self.hierarchy if not isinstance(node, str)])
+        return tokenize(" ".join([self.title, self.abstract, *body]))
 
 
 @dataclass(frozen=True)
@@ -211,11 +230,23 @@ def _build_section_node(sec: dict, min_words: int) -> list:
     return node
 
 
-def _build_paper(record: dict, min_words: int) -> tuple[str, Paper]:
+def _check_section(sec: dict):
+    """Check ``sec`` and every section under it as _build_section_node does."""
+    for sub in _check(sec, SECTION_FIELDS).get("subsections", []):
+        _check_section(sub)
+
+
+def _paper_labels(record: dict) -> tuple[str, frozenset[str] | None]:
+    """The id and gold labels of a paper record, checked as _build_paper checks it."""
     pid, labels = str(_check(record, PAPER_FIELDS)["id"]), record.get("labels")
-    title, abstract = record.get("title", ""), record.get("abstract", "")
     if not pid:
         raise CorpusError("empty paper id")
+    return pid, None if labels is None else frozenset(map(str, labels))
+
+
+def _build_paper(record: dict, min_words: int) -> tuple[str, Paper]:
+    pid, labels = _paper_labels(record)
+    title, abstract = record.get("title", ""), record.get("abstract", "")
 
     # The title+abstract group sits directly under the root so that
     # bottom-up aggregation sees it as one child of the whole document.
@@ -226,7 +257,7 @@ def _build_paper(record: dict, min_words: int) -> tuple[str, Paper]:
 
     return pid, Paper(pid, title, abstract, root,
                       frozenset(str(r) for r in record.get("bib_refs", []) if r != ""),
-                      None if labels is None else frozenset(map(str, labels)))
+                      labels)
 
 
 @contextmanager
@@ -472,6 +503,20 @@ def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) ->
     return papers
 
 
+def load_paper_labels(path) -> dict[str, frozenset[str] | None]:
+    """``{paper id: gold labels or None}`` of a JSON Lines corpus in file
+    order. Each record and section is checked as load_corpus checks it, and
+    a bad line fails with the same message, but no hierarchy is built and
+    nothing is tokenized."""
+    def build(record: dict) -> tuple[str, frozenset[str] | None]:
+        key = _paper_labels(record)
+        for sec in record.get("sections", []):
+            _check_section(sec)
+        return key
+
+    return read_keyed(path, build, "paper id")
+
+
 def load_labels(path) -> list[Label]:
     """Load the label space from a JSON Lines file."""
     def build(record: dict) -> tuple[str, Label]:
@@ -493,21 +538,35 @@ def load_labels(path) -> list[Label]:
 
 def count_terms(corpus: list[Paper]) -> tuple[list[str], CsrMatrix]:
     """Tokenize each paper's full text once and count its terms: the word
-    table (ids in order of first occurrence) and a papers x ids count matrix."""
+    table (ids in order of first occurrence) and a papers x ids count matrix.
+
+    Papers go COUNT_BLOCK_PAPERS at a time, and one ``np.unique`` over the
+    block's (row, word id) keys counts them, so only one block's tokens are
+    held. The blocks' counts wait as int32, and each is freed as it is
+    joined, so the transient past a block's is 4 bytes per stored count."""
     table: defaultdict[str, int] = defaultdict()
     table.default_factory = table.__len__  # a new word gets the next id
-    ids, counts, indptr = [], [], [0]
-    for paper in corpus:
-        toks = paper.full_text_tokens()
-        u, c = np.unique(np.fromiter(map(table.__getitem__, toks), dtype=np.int64,
-                                     count=len(toks)), return_counts=True)
-        ids.append(u)
-        counts.append(c)
-        indptr.append(indptr[-1] + u.size)
+    empty = np.empty(0, dtype=np.int32)
+    ids, counts, sizes = [empty], [empty], [np.zeros(1, dtype=np.int64)]  # indptr's 0
+    for lo in range(0, len(corpus), COUNT_BLOCK_PAPERS):
+        toks, lens = [], []
+        for paper in corpus[lo:lo + COUNT_BLOCK_PAPERS]:
+            paper_toks = paper.full_text_tokens()
+            toks += paper_toks
+            lens.append(len(paper_toks))
+        word = np.fromiter(map(table.__getitem__, toks), dtype=np.int64, count=len(toks))
+        del toks
+        width = len(table)
+        keys, c = np.unique(np.repeat(np.arange(len(lens)) * width, lens) + word,
+                            return_counts=True)
+        ids.append((keys % width).astype(np.int32))
+        counts.append(c.astype(np.int32))
+        sizes.append(np.bincount(keys // width, minlength=len(lens)))
+    data = np.concatenate(counts, dtype=np.int64)
+    del counts
     return list(table), CsrMatrix(
-        data=np.concatenate(counts) if counts else np.empty(0, dtype=np.int64),
-        indices=np.concatenate(ids) if ids else np.empty(0, dtype=np.int64),
-        indptr=np.array(indptr, dtype=np.int64), n_rows=len(corpus), n_cols=len(table))
+        data=data, indices=np.concatenate(ids, dtype=np.int64),
+        indptr=np.cumsum(np.concatenate(sizes)), n_rows=len(corpus), n_cols=len(table))
 
 
 def vocabulary_from_terms(terms: tuple[list[str], CsrMatrix], min_df: int) -> Vocabulary:

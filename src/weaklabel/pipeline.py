@@ -6,6 +6,7 @@ in isolation (including in a separate process) and a single-shot run is
 byte-identical to a stage-by-stage one. The inputs a stage derives from
 the corpus and label files come from a ``RunContext``: a full run shares
 one, so each input is read and each feature matrix built once per run.
+Evaluate reads only the corpus's paper ids and gold labels.
 
 Stage order: ingest -> candidates -> sample-tuples -> train-encoder ->
 score (joint scores, hierarchy aggregation, rank ensembling) ->
@@ -26,8 +27,8 @@ from . import candidates as cand
 from . import citegraph, encoder, metrics, ranker, selftrain
 from .config import PipelineConfig
 from .corpus import (CorpusError, Label, Paper, Vocabulary, atomic_write, corpus_stats,
-                     count_terms, load_corpus, load_labels, read_by_paper,
-                     vocabulary_from_terms, write_jsonl)
+                     count_terms, load_corpus, load_labels, load_paper_labels,
+                     read_by_paper, vocabulary_from_terms, write_jsonl)
 from .kernels import CsrMatrix
 
 log = logging.getLogger(__name__)
@@ -71,8 +72,11 @@ class RunContext:
     ``run_pipeline`` and the CLI pass one context to every stage they run,
     so the corpus and labels are parsed once, and the ingest statistics,
     vocabulary and tf-idf matrix all come from one tokenization of each
-    paper (``terms``, dropped once the matrix is built). A stage called
-    without a context builds its own.
+    paper (``terms``, dropped once the matrix is built). ``paper_labels``,
+    each paper's id and gold labels, is all that evaluate reads of the
+    corpus: it comes from the loaded corpus when there is one, else from
+    a pass that checks every record but builds and tokenizes nothing. A
+    stage called without a context builds its own.
     """
 
     def __init__(self, cfg: PipelineConfig):
@@ -81,6 +85,12 @@ class RunContext:
     @cached_property
     def corpus(self) -> list[Paper]:
         return load_corpus(self.cfg.corpus_path, self.cfg.min_paragraph_words)
+
+    @cached_property
+    def paper_labels(self) -> dict[str, frozenset[str] | None]:
+        if "corpus" in self.__dict__:  # loaded: no second read of the file
+            return {p.id: p.gold_labels for p in self.corpus}
+        return load_paper_labels(self.cfg.corpus_path)
 
     @cached_property
     def labels(self) -> list[Label]:
@@ -101,17 +111,19 @@ class RunContext:
         return X
 
 
-def _context(cfg: PipelineConfig, ctx: RunContext | None) -> RunContext:
+def _context(cfg: PipelineConfig, ctx: RunContext | None,
+             corpus_view: str = "corpus") -> RunContext:
     """``ctx``, or a new context for a stage run on its own.
 
-    Either way the corpus and labels are loaded here, so a bad input fails
-    the stage before any artifact is read.
+    Either way the labels and the context's ``corpus_view`` ("corpus" or
+    "paper_labels") are loaded here, so a bad input fails the stage before
+    any artifact is read.
     """
     if ctx is None:
         ctx = RunContext(cfg)
     elif ctx.cfg != cfg:
         raise ValueError("the run context was built for another config")
-    ctx.corpus, ctx.labels  # first access reads both files
+    getattr(ctx, corpus_view), ctx.labels  # first access reads both files
     return ctx
 
 
@@ -125,7 +137,7 @@ def _read_paper_keyed(cfg: PipelineConfig, ctx: RunContext, key: str, *args) -> 
     read with ``args`` and checked against the corpus's paper ids and the label file."""
     read = {"candidates": cand.read_candidates, "scores": ranker.read_scores,
             "predictions": read_predictions}[key]
-    file, ids = ARTIFACTS[key][0], {p.id for p in ctx.corpus}
+    file, ids = ARTIFACTS[key][0], ctx.paper_labels.keys()
     with _upstream(cfg, key) as path:
         found = read(path, *args)
         if found.keys() != ids:
@@ -357,11 +369,14 @@ def read_predictions(path, limit: int | None = None) -> dict[str, list[str]]:
 
 def stage_evaluate(cfg: PipelineConfig,
                    ctx: RunContext | None = None) -> metrics.MetricsReport | None:
-    ctx = _context(cfg, ctx)
+    """Score the stored rankings against the corpus's gold labels; of the
+    corpus it reads only ``ctx.paper_labels``, so on its own it tokenizes nothing."""
+    ctx = _context(cfg, ctx, "paper_labels")
     # every metric reads only the top k of a ranking
     rankings = _read_paper_keyed(cfg, ctx, "predictions",
                                  max((*cfg.precision_ks, *cfg.ndcg_ks), default=0))
-    gold = {p.id: set(p.gold_labels) for p in ctx.corpus if p.gold_labels is not None}
+    gold = {pid: set(labels) for pid, labels in ctx.paper_labels.items()
+            if labels is not None}
     if not any(gold.values()):
         log.warning("no ground-truth labels in the corpus; skipping evaluation")
         return None

@@ -1,17 +1,20 @@
 import json
 import logging
 import re
+import sys
+import tracemalloc
 import zipfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weaklabel import corpus as corpus_mod
 from weaklabel.cli import main
 from weaklabel.corpus import (
-    CorpusError, Paper, atomic_write, build_vocabulary, corpus_stats,
-    count_terms, load_corpus, NPZ_CHUNK_BYTES, load_labels, read_jsonl, read_npz,
-    read_npz_members, tokenize, write_jsonl, write_npz,
+    COUNT_BLOCK_PAPERS, CorpusError, Paper, atomic_write, build_vocabulary, corpus_stats,
+    count_terms, load_corpus, load_paper_labels, NPZ_CHUNK_BYTES, load_labels, read_jsonl,
+    read_npz, read_npz_members, tokenize, write_jsonl, write_npz,
 )
 from weaklabel.ranker import aggregate_hierarchy
 
@@ -36,6 +39,24 @@ class TestTokenize:
 
     def test_underscore_splits(self):
         assert tokenize("foo_bar") == ["foo", "bar"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_matches_the_regex(self, text):
+        assert tokenize(text) == regex_tokens(text)
+
+    def test_every_code_point_matches_the_regex(self, monkeypatch):
+        # a fresh table, so its entry for every code point goes when the test ends
+        monkeypatch.setattr(corpus_mod, "_SPLIT", corpus_mod._Split())
+        pieces = [f"a{chr(c)}b{chr(c).upper()}c" for c in range(sys.maxunicode + 1)]
+        for lo in range(0, len(pieces), 1 << 16):
+            text = " ".join(pieces[lo:lo + (1 << 16)])
+            assert tokenize(text) == regex_tokens(text), hex(lo)
+
+
+def regex_tokens(text: str) -> list[str]:
+    """The tokenizer's oracle: the lowercased text's runs of Unicode letters and digits."""
+    return re.findall(r"[^\W_]+", text.lower())
 
 
 class TestLoadCorpus:
@@ -608,6 +629,98 @@ class TestVocabulary:
         v2 = build_vocabulary(corpus, min_df=1)
         assert v1.word_index == v2.word_index
         assert list(v1.word_index) == sorted(v1.word_index)
+
+
+def random_papers(n: int, seed: int = 0) -> list[Paper]:
+    """``n`` papers of 100-200 tokens drawn from 3,000 words, a tenth with no text."""
+    rng = np.random.default_rng(seed)
+    pool = np.array([f"w{i}" for i in range(3000)])
+    papers = []
+    for i in range(n):
+        if i % 10 == 3:
+            papers.append(Paper(f"p{i}", "", "", []))
+            continue
+        body = [" ".join(rng.choice(pool, size=rng.integers(20, 40))) for _ in range(4)]
+        papers.append(Paper(f"p{i}", "T " + str(i), "", [body[0], [body[1], [body[2]]],
+                                                         [body[3]]]))
+    return papers
+
+
+class TestCountTerms:
+    def test_matches_a_count_per_paper(self):
+        papers = random_papers(3 * COUNT_BLOCK_PAPERS + 5)
+        words, counts = count_terms(papers)
+        first_seen = {}
+        for paper in papers:
+            for tok in paper.full_text_tokens():
+                first_seen.setdefault(tok, len(first_seen))
+        assert words == list(first_seen)
+        assert counts.indptr.dtype == counts.indices.dtype == counts.data.dtype == np.int64
+        assert (counts.n_rows, counts.n_cols) == (len(papers), len(words))
+        for r, paper in enumerate(papers):
+            ids, n = np.unique([first_seen[t] for t in paper.full_text_tokens()],
+                               return_counts=True)
+            lo, hi = counts.indptr[r], counts.indptr[r + 1]
+            assert counts.indices[lo:hi].tolist() == ids.tolist()
+            assert counts.data[lo:hi].tolist() == n.tolist()
+
+    def test_empty_corpus(self):
+        words, counts = count_terms([])
+        assert words == [] and counts.indptr.tolist() == [0] and counts.data.size == 0
+
+    def test_a_first_block_without_tokens(self):
+        papers = [Paper(f"p{i}", "", "...", []) for i in range(COUNT_BLOCK_PAPERS)]
+        words, counts = count_terms(papers + [Paper("q", "x y x", "", [])])
+        assert words == ["x", "y"] and counts.indptr[-2:].tolist() == [0, 2]
+        assert counts.indices.tolist() == [0, 1] and counts.data.tolist() == [2, 1]
+
+    def test_full_text_tokens_join_the_texts(self):
+        paper = Paper("p", "Title-one", "the ABSTRACT", ["Title-one the ABSTRACT",
+                                                         ["first para", ["x_y"]], ["z9"]])
+        assert paper.full_text_tokens() == ["title", "one", "the", "abstract", "first",
+                                            "para", "x", "y", "z9"]
+
+    def test_transient_peak_does_not_grow_with_the_corpus(self):
+        def transient(papers) -> int:
+            """count_terms' traced peak less the bytes it returns."""
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                result = count_terms(papers)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert held - start > 0 and result
+            return peak - held
+
+        papers = random_papers(8 * COUNT_BLOCK_PAPERS)
+        count_terms(papers)  # fills the tokenizer's table
+        small, big = transient(papers[:4 * COUNT_BLOCK_PAPERS]), transient(papers)
+        # a corpus-wide token list, or a copy of every count, would double it
+        assert big < 1.5 * small, (small, big)
+
+
+class TestLoadPaperLabels:
+    def test_ids_and_gold_labels_in_file_order(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl([paper_record("b", labels=["L2", 3]), paper_record(7),
+                     paper_record("a", labels=[])], path)
+        assert list(load_paper_labels(path).items()) == [
+            ("b", frozenset({"L2", "3"})), ("7", None), ("a", frozenset())]
+
+    @pytest.mark.parametrize("section", [
+        {"subsections": [{"paragraphs": ["ok"]}, "not a section"]},
+        {"subsections": [{"subsections": [{"paragraphs": ["ok", 5]}]}]},
+        {"paragraphs": "one string"},
+    ], ids=["section", "paragraph", "paragraphs"])
+    def test_a_bad_section_fails_as_load_corpus_fails(self, tmp_path, section):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl([paper_record("p1"), paper_record("p2", sections=[section])], path)
+        with pytest.raises(CorpusError) as want:
+            load_corpus(path)
+        with pytest.raises(CorpusError) as got:
+            load_paper_labels(path)
+        assert str(got.value) == str(want.value) and "line 2: malformed record" in str(want.value)
 
 
 class TestIdTypes:

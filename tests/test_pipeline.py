@@ -502,6 +502,18 @@ def count_input_reads(monkeypatch):
     return calls, corpora
 
 
+def count_paper_label_reads(monkeypatch) -> list[int]:
+    """Count the pipeline's passes over the corpus file for ids and gold labels alone."""
+    views = [0]
+    read = pipeline.load_paper_labels
+
+    def counted(*args):
+        views[0] += 1
+        return read(*args)
+    monkeypatch.setattr(pipeline, "load_paper_labels", counted)
+    return views
+
+
 class TestRunContext:
     """One context per run: each input is read, and each feature matrix
     built, once; the context is released when the run returns."""
@@ -554,6 +566,40 @@ class TestRunContext:
         for key in ("scores", "classifier", "predictions"):
             assert open(artifact(out, key), "rb").read() == \
                 open(artifact(copy, key), "rb").read(), key
+
+    def test_standalone_evaluate_reads_only_ids_and_gold_labels(self, monkeypatch, run,
+                                                                 tmp_path, capsys):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        (copy / "metrics.json").unlink()
+        calls, _ = count_input_reads(monkeypatch)
+        views = count_paper_label_reads(monkeypatch)
+        pipeline.stage_evaluate(dataclasses.replace(cfg, output_dir=str(copy)))
+        assert calls == {"load_corpus": 0, "load_labels": 1, "count_terms": 0,
+                         "vocabulary_from_terms": 0, "tfidf_from_terms": 0,
+                         "full_text_tokens": 0}
+        assert views == [1]
+        assert (copy / "metrics.json").read_bytes() == \
+            open(artifact(out, "metrics"), "rb").read()
+        capsys.readouterr()
+
+    def test_evaluate_in_a_shared_context_reads_no_file_again(self, monkeypatch, run,
+                                                               tmp_path, capsys):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        cfg = dataclasses.replace(cfg, output_dir=str(copy))
+        calls, _ = count_input_reads(monkeypatch)
+        views = count_paper_label_reads(monkeypatch)
+        ctx = pipeline.RunContext(cfg)
+        for fn in (pipeline.stage_score, pipeline.stage_predict, pipeline.stage_evaluate):
+            fn(cfg, ctx)
+        assert calls["load_corpus"] == calls["load_labels"] == 1 and views == [0]
+        for key in ("scores", "predictions", "metrics"):
+            assert open(artifact(out, key), "rb").read() == \
+                open(artifact(copy, key), "rb").read(), key
+        capsys.readouterr()
 
     def test_context_of_another_config_rejected(self, run):
         cfg, _, _, _ = run
@@ -892,7 +938,7 @@ class TestCli:
         ('{"propensity_b": -Infinity}',
          "config.json: 'propensity_b' must be a finite number, got float"),
         ('{"batch_sise": 8}', "config.json: unknown config keys: ['batch_sise']"),
-        ('{"ranking_limit": 0}', "ranking_limit must be positive"),
+        ('{"ranking_limit": 0}', "config.json: ranking_limit must be positive"),
         (b'{"batch_size": 8, "x": "\xff"}', "config.json: invalid JSON: 'utf-8' codec can't decode"),
         ('{"x": ' + "[" * 100_000 + "]" * 100_000 + "}",
          "config.json: invalid JSON: maximum recursion depth exceeded"),
@@ -911,6 +957,25 @@ class TestCli:
         assert names in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("file_top_k, flag_top_k, code, names", [
+        (0, "3", 1, "stage ingest failed"),  # the flag's valid value wins
+        (3, "0", 2, "config error: top_k must be positive"),  # the flag's fault names no file
+        (0, "0", 2, "config error: top_k must be positive"),
+    ], ids=["flag mends the file", "flag at fault", "both at fault"])
+    def test_flag_over_a_config_file_value(self, tmp_path, file_top_k, flag_top_k, code,
+                                            names):
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps({"top_k": file_top_k}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "weaklabel.cli", "ingest",
+             "--corpus", str(tmp_path / "x.jsonl"), "--labels", str(tmp_path / "y.jsonl"),
+             "--config", str(config_file), "--top-k", flag_top_k],
+            capture_output=True, text=True)
+        assert proc.returncode == code
+        assert names in proc.stderr
+        assert "config.json: top_k" not in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_zero_epsilon_rejected_before_training(self, data_dir, tmp_path):
         # with epsilon 0, a hash row no batch has touched divides 0 by 0
         config_file = tmp_path / "config.json"
@@ -922,7 +987,7 @@ class TestCli:
              "--output-dir", str(tmp_path / "out"), "--config", str(config_file)],
             capture_output=True, text=True)
         assert proc.returncode == 2
-        assert "config error: epsilon must be positive" in proc.stderr
+        assert f"config error: {config_file}: epsilon must be positive" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 
@@ -1331,6 +1396,40 @@ class TestEvaluateChecksCandidates:
         assert (copy / "metrics.json").read_bytes() == before
 
 
+class TestEvaluateCorpusFaults:
+    """evaluate reads only paper ids and gold labels, yet a bad corpus line
+    fails it with the message it fails predict with."""
+
+    @pytest.mark.parametrize("fault", [
+        lambda rec: {**rec, "sections": [{"subsections": [["a section as a list"]]}]},
+        lambda rec: {**rec, "sections": [{"subsections": [{"paragraphs": ["ok", 7]}]}]},
+        "duplicate", lambda rec: {**rec, "id": ""}, "not UTF-8",
+    ], ids=["wrong-typed section", "non-string paragraph", "duplicate id", "empty id",
+            "not UTF-8"])
+    def test_fails_as_predict_fails(self, run, tmp_path, capsys, fault):
+        cfg, out, _, _ = run
+        lines = open(cfg.corpus_path, "rb").read().splitlines(keepends=True)
+        if fault == "duplicate":
+            lines[5] = lines[0]
+        elif fault == "not UTF-8":
+            lines[5] = lines[5].replace(b'"title": "', b'"title": "\xff', 1)
+        else:
+            lines[5] = (json.dumps(fault(json.loads(lines[5]))) + "\n").encode("utf-8")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"".join(lines))
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        errors = []
+        for stage in ("predict", "evaluate"):
+            assert cli.main([stage, "--corpus", str(corpus), "--labels", cfg.labels_path,
+                             "--output-dir", str(copy)]) == 1
+            errors.append(capsys.readouterr().err.removeprefix(f"stage {stage} failed: "))
+        assert errors[0] == errors[1] and f"{corpus}: line 6: " in errors[0], errors
+        for key in ("predictions", "metrics"):
+            assert open(artifact(out, key), "rb").read() == \
+                open(artifact(copy, key), "rb").read(), key
+
+
 class TestMalformedArtifactLine:
     """A malformed line of a JSONL artifact fails the stage that reads it,
     naming the file and the line."""
@@ -1702,7 +1801,7 @@ class TestPropensityRange:
                          "--labels", str(data_dir / "labels.jsonl"),
                          "--output-dir", str(tmp_path / "out"),
                          "--config", str(config_file)]) == 2
-        assert ("config error: propensity_b must be greater than -1"
+        assert (f"config error: {config_file}: propensity_b must be greater than -1"
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
