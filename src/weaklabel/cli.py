@@ -13,6 +13,7 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields
 
 from . import pipeline
 from .config import ConfigError, make_config
@@ -67,24 +68,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-all", help="run every stage in order")
     _add_config_flags(p)
 
-    p = sub.add_parser("synth", help="generate a planted-label corpus")
-    p.add_argument("--papers", type=int, default=500)
-    p.add_argument("--label-count", type=int, default=50)
-    p.add_argument("--labels-per-paper", type=int, default=3)
-    p.add_argument("--fulltext-fraction", type=float, default=1.0 / 3.0)
-    p.add_argument("--vocab-size", type=int, default=300)
-    p.add_argument("--edge-prob", type=float, default=0.08)
-    p.add_argument("--seed", type=int, default=1)
+    # a flag left out leaves its SyntheticSpec field at the field's default
+    p = sub.add_parser("synth", help="generate a planted-label corpus",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--papers", type=int, dest="n_papers")
+    p.add_argument("--label-count", type=int, dest="n_labels")
+    p.add_argument("--labels-per-paper", type=int)
+    p.add_argument("--fulltext-fraction", type=float, dest="fulltext_only_fraction")
+    p.add_argument("--vocab-size", type=int)
+    p.add_argument("--edge-prob", type=float)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", default=".")
     return parser
 
 
 def _run_synth(args) -> int:
-    spec = SyntheticSpec(n_papers=args.papers, n_labels=args.label_count,
-                         labels_per_paper=args.labels_per_paper,
-                         fulltext_only_fraction=args.fulltext_fraction,
-                         vocab_size=args.vocab_size, seed=args.seed,
-                         edge_prob=args.edge_prob)
+    names = {f.name for f in fields(SyntheticSpec)}
+    spec = SyntheticSpec(**{k: v for k, v in vars(args).items() if k in names})
     try:
         spec.validate()
     except ValueError as exc:

@@ -6,8 +6,8 @@ import json
 from dataclasses import dataclass, fields
 from hashlib import blake2b
 
+from . import corpus, metrics
 from .citegraph import MetaPath
-from .corpus import _check
 
 
 class ConfigError(ValueError):
@@ -23,8 +23,8 @@ class PipelineConfig:
     embeddings_path: str | None = None  # optional external-embedding file
 
     # corpus
-    min_paragraph_words: int = 10
-    min_df: int = 5
+    min_paragraph_words: int = corpus.DEFAULT_MIN_PARAGRAPH_WORDS
+    min_df: int = corpus.DEFAULT_MIN_DF
 
     # retrieval
     match_full_text: bool = False
@@ -56,10 +56,10 @@ class PipelineConfig:
     classifier_l2: float = 1e-4
 
     # evaluation
-    precision_ks: tuple[int, ...] = (1, 3, 5)
-    ndcg_ks: tuple[int, ...] = (3, 5)
-    propensity_a: float = 0.55
-    propensity_b: float = 1.5
+    precision_ks: tuple[int, ...] = metrics.DEFAULT_PRECISION_KS
+    ndcg_ks: tuple[int, ...] = metrics.DEFAULT_NDCG_KS
+    propensity_a: float = metrics.DEFAULT_A
+    propensity_b: float = metrics.DEFAULT_B
     top_k: int = 5
     ranking_limit: int | None = None  # cap stored rankings (>= 1); None keeps all labels
 
@@ -121,7 +121,7 @@ def _checked(values: dict, where: str) -> dict:
     if unknown:
         raise ConfigError(f"{where}unknown config keys: {sorted(unknown)}")
     try:
-        return _check(values, _FIELD_TYPES)
+        return corpus._check(values, _FIELD_TYPES)
     except TypeError as exc:
         raise ConfigError(f"{where}{exc}") from None
 

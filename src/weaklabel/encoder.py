@@ -17,21 +17,25 @@ with ``s_* = w . psi(embed(anchor), embed(other))``.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from hashlib import blake2b
 
 import numpy as np
 
 from . import kernels
+from .config import PipelineConfig
 from .corpus import _JSON, CorpusError, _check, read_keyed, read_npz, tokenize, write_npz
 
-DEFAULT_HASH_DIM = 2048
-DEFAULT_EMBED_DIM = 256
 DEFAULT_MAX_TOKENS = 256
 
 CHECKPOINT_VERSION = 2  # 1 hashed each bigram with its own digest
 META_FIELDS = {"version": "int", "hash_dim": "int", "embed_dim": "int", "hash_seed": "int",
                "max_tokens": "int", "train?": "object"}  # encoder.npz's meta
+# meta "train": each key and the PipelineConfig field it records, then the training "seed"
+TRAIN_META = {"batch_size": "batch_size", "learning_rate": "learning_rate",
+              "warmup_steps": "warmup_steps", "weight_decay": "weight_decay",
+              "epsilon": "epsilon", "beta1": "beta1", "beta2": "beta2",
+              "total_steps": "train_steps", "epochs": "train_epochs"}
 OVERRIDE_FIELDS = {"id": "id", "embedding": "list[float]"}  # an --embeddings line
 
 
@@ -54,7 +58,7 @@ class BaseFeaturizer:
     callers batch; a row is bitwise the same in any batch.
     """
 
-    def __init__(self, dim: int = DEFAULT_HASH_DIM, hash_seed: int = 0,
+    def __init__(self, dim: int = PipelineConfig.hash_dim, hash_seed: int = 0,
                  max_tokens: int = DEFAULT_MAX_TOKENS):
         self.dim = dim
         self.hash_seed = hash_seed
@@ -132,8 +136,8 @@ class ScorerModel:
         return self.proj.shape[1]
 
 
-def init_model(hash_dim: int = DEFAULT_HASH_DIM, embed_dim: int = DEFAULT_EMBED_DIM,
-               seed: int = 0) -> ScorerModel:
+def init_model(hash_dim: int = PipelineConfig.hash_dim,
+               embed_dim: int = PipelineConfig.embed_dim, seed: int = 0) -> ScorerModel:
     """Seeded init: uniform projection scaled by 1/sqrt(hash_dim), zero head.
 
     A zero head makes every initial score 0, so the first training batch
@@ -249,25 +253,6 @@ def loss_gradient(model: ScorerModel, anchor_text: str, pos_text: str,
     return grad_proj, grad_w, loss
 
 
-@dataclass
-class TrainConfig:
-    batch_size: int = 8
-    learning_rate: float = 1e-2
-    warmup_steps: int = 100
-    weight_decay: float = 0.01
-    epsilon: float = 1e-8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    total_steps: int | None = None
-    epochs: int = 3
-    seed: int = 0
-
-    def resolve_total_steps(self, n_tuples: int) -> int:
-        if self.total_steps is not None:
-            return self.total_steps
-        return self.epochs * math.ceil(n_tuples / self.batch_size)
-
-
 def _schedule(t: int, warmup: int, total: int) -> float:
     # linear warmup to 1 at `warmup`, then linear decay to 0 at `total`
     if warmup > 0 and t <= warmup:
@@ -281,21 +266,24 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None):
-    """Seeded mini-batch AdamW training on contrastive tuples.
+def train(model: ScorerModel, tuples, corpus, config: PipelineConfig | None = None,
+          seed: int = 0):
+    """Mini-batch AdamW training on contrastive tuples, its draws seeded by ``seed``.
 
-    ``tuples`` carry (paper id, paragraph index) references resolved
-    against ``corpus``. Returns ``(model, per-step mean losses)``; the
-    model is updated in place.
+    ``tuples`` carry (paper id, paragraph index) references into ``corpus``.
+    Reads ``config``'s batch_size, learning_rate, warmup_steps, weight_decay,
+    epsilon, beta1, beta2, and train_steps, or train_epochs passes when that
+    is None. Returns ``(model, per-step mean losses)``, the model updated in place.
     """
     if config is None:
-        config = TrainConfig()
+        config = PipelineConfig()
     if not tuples:
         raise ValueError("cannot train on an empty tuple sequence")
 
-    rng = np.random.default_rng(config.seed)
-    total = config.resolve_total_steps(len(tuples))
+    rng = np.random.default_rng(seed)
     n = len(tuples)
+    total = (config.train_steps if config.train_steps is not None
+             else config.train_epochs * math.ceil(n / config.batch_size))
     b = min(config.batch_size, n)  # tuples per step
 
     # lay out every step first: row_of numbers the distinct drawn paragraphs,
@@ -353,7 +341,10 @@ def train(model: ScorerModel, tuples, corpus, config: TrainConfig | None = None)
     return model, losses
 
 
-def save_model(model: ScorerModel, path, train_config: "TrainConfig | None" = None):
+def save_model(model: ScorerModel, path, config: PipelineConfig | None = None,
+               seed: int = 0):
+    """Write ``model`` to ``path``; given the ``config`` and ``seed`` it was trained
+    with, its meta "train" records their TRAIN_META fields and the seed."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "hash_dim": model.hash_dim,
@@ -361,8 +352,9 @@ def save_model(model: ScorerModel, path, train_config: "TrainConfig | None" = No
         "hash_seed": model.featurizer.hash_seed,
         "max_tokens": model.featurizer.max_tokens,
     }
-    if train_config is not None:
-        meta["train"] = asdict(train_config)
+    if config is not None:
+        meta["train"] = {key: getattr(config, name) for key, name in TRAIN_META.items()}
+        meta["train"]["seed"] = seed
     write_npz(path, {"proj": model.proj, "w": model.w}, meta, compress=False)
 
 

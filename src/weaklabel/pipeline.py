@@ -218,14 +218,9 @@ def stage_train_encoder(cfg: PipelineConfig,
         tuples = citegraph.read_tuples(path)
         _check_tuple_refs(tuples, corpus)
     model = encoder.init_model(cfg.hash_dim, cfg.embed_dim, seed=cfg.stage_seed("init-model"))
-    train_cfg = encoder.TrainConfig(
-        batch_size=cfg.batch_size, learning_rate=cfg.learning_rate,
-        warmup_steps=cfg.warmup_steps, weight_decay=cfg.weight_decay,
-        epsilon=cfg.epsilon, beta1=cfg.beta1, beta2=cfg.beta2,
-        total_steps=cfg.train_steps, epochs=cfg.train_epochs,
-        seed=cfg.stage_seed("train-encoder"))
-    model, losses = encoder.train(model, tuples, corpus, train_cfg)
-    encoder.save_model(model, _path(cfg, "encoder"), train_config=train_cfg)
+    seed = cfg.stage_seed("train-encoder")
+    model, losses = encoder.train(model, tuples, corpus, cfg, seed)
+    encoder.save_model(model, _path(cfg, "encoder"), cfg, seed)
     _write_json(cfg, "loss_trace", {"losses": losses.tolist()})
     log.info("trained scorer: first-batch loss %.4f, final %.4f", losses[0], losses[-1])
     return model
@@ -302,12 +297,9 @@ def stage_self_train(cfg: PipelineConfig,
     ctx = _context(cfg, ctx)
     scored = _read_paper_keyed(cfg, ctx, "scores")
     pseudo = selftrain.pseudo_labels(scored, cfg.pseudo_top_n)
-    clf_cfg = selftrain.ClassifierConfig(
-        n_trees=cfg.n_trees, max_leaf=cfg.max_leaf, epochs=cfg.classifier_epochs,
-        learning_rate=cfg.classifier_lr, l2=cfg.classifier_l2,
-        seed=cfg.stage_seed("self-train"))
     clf = selftrain.train_classifier(ctx.tfidf, [p.id for p in ctx.corpus], pseudo,
-                                     [l.id for l in ctx.labels], clf_cfg)
+                                     [l.id for l in ctx.labels], cfg,
+                                     cfg.stage_seed("self-train"))
     selftrain.save_classifier(clf, _path(cfg, "classifier"))
     return clf
 
@@ -383,9 +375,8 @@ def stage_evaluate(cfg: PipelineConfig,
     mean_c = None
     if os.path.exists(_path(cfg, "candidates")):
         mean_c = cand.candidate_stats(_read_paper_keyed(cfg, ctx, "candidates")).mean_candidates
-    report = metrics.evaluate(rankings, gold, precision_ks=tuple(cfg.precision_ks),
-                              ndcg_ks=tuple(cfg.ndcg_ks), a=cfg.propensity_a,
-                              b=cfg.propensity_b, mean_candidates=mean_c)
+    report = metrics.evaluate(rankings, gold, cfg.precision_ks, cfg.ndcg_ks, cfg.propensity_a,
+                              cfg.propensity_b, mean_candidates=mean_c)
     with atomic_write(_path(cfg, "metrics")) as fh:
         fh.write(report.to_json() + "\n")
     print(report.to_json())

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PipelineConfig
 from .corpus import Vocabulary, _check, read_npz, write_npz
 from .kernels import CsrMatrix, _dense_blocks, _nonzeros, _row_blocks, _sigmoid
 from .ranker import CandidateScore
@@ -158,16 +159,6 @@ def _first_rows(nodes: list[dict]) -> np.ndarray:
                             for rec in nodes])
 
 
-@dataclass
-class ClassifierConfig:
-    n_trees: int = 3
-    max_leaf: int = 100
-    epochs: int = 20
-    learning_rate: float = 2.0
-    l2: float = 1e-4
-    seed: int = 0
-
-
 def _in_row_space(n: int, n_cols: int, k: int, epochs: int, given: bool = False) -> bool:
     """Whether _fit_logistic fits an n-row, k-output node in row space:
     when that needs fewer flops than the primal form, the cost of building
@@ -194,7 +185,7 @@ def _gram(X: CsrMatrix, rows: np.ndarray) -> np.ndarray:
     return K
 
 
-def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: ClassifierConfig,
+def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: PipelineConfig,
                   K: np.ndarray | None = None,
                   at: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Multi-output L2 logistic regression on ``rows`` of X, from zero.
@@ -202,7 +193,8 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: Classifier
     Column j of ``Y`` (rows x k) gets the full-batch gradient descent of
     kernels.logistic_epochs on its own: per epoch, ``D = (sigmoid(X W' +
     b) - Y) / n``, ``W <- s W - lr D'X`` and ``b <- b - lr sum(D)``, where
-    ``s = 1 - lr l2``. Two exact forms of it run on dense row blocks:
+    ``s = 1 - lr l2``, with ``cfg``'s classifier_lr, classifier_l2 and E =
+    classifier_epochs epochs. Two exact forms of it run on dense row blocks:
 
     - primal: each epoch is one pass over the rows, a block product for
       the logits and a transposed one for the weight gradient
@@ -227,17 +219,17 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: Classifier
         return W, b
     buf = np.zeros((min(n, BLOCK_ROWS), X.n_cols))
     part = np.empty_like(W)
-    if _in_row_space(n, X.n_cols, k, cfg.epochs, K is not None):
+    if _in_row_space(n, X.n_cols, k, cfg.classifier_epochs, K is not None):
         if K is None:
             K = _gram(X, rows)
         elif at is not None:
             K = K[np.ix_(at, at)]
         A = np.zeros((n, k))
-        shrink = 1.0 - cfg.learning_rate * cfg.l2
-        for _ in range(cfg.epochs):
+        shrink = 1.0 - cfg.classifier_lr * cfg.classifier_l2
+        for _ in range(cfg.classifier_epochs):
             D = (_sigmoid(K @ A + b) - Y) / n
-            A = shrink * A - cfg.learning_rate * D
-            b -= cfg.learning_rate * D.sum(axis=0)
+            A = shrink * A - cfg.classifier_lr * D
+            b -= cfg.classifier_lr * D.sum(axis=0)
         for start, dense in _dense_blocks(_row_blocks(X, rows, BLOCK_ROWS), buf):
             np.matmul(A[start:start + dense.shape[0]].T, dense, out=part)
             W += part
@@ -245,7 +237,7 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: Classifier
     blocks = list(_row_blocks(X, rows, BLOCK_ROWS))
     D = np.empty((n, k))
     G = np.empty_like(W)
-    for _ in range(cfg.epochs):
+    for _ in range(cfg.classifier_epochs):
         G.fill(0.0)
         for start, dense in _dense_blocks(blocks, buf):
             stop = start + dense.shape[0]
@@ -256,13 +248,13 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: Classifier
             d /= n
             np.matmul(d.T, dense, out=part)
             G += part
-        W -= cfg.learning_rate * (G + cfg.l2 * W)
-        b -= cfg.learning_rate * D.sum(axis=0)
+        W -= cfg.classifier_lr * (G + cfg.classifier_l2 * W)
+        b -= cfg.classifier_lr * D.sum(axis=0)
     return W, b
 
 
 def train_tree(nodes: list[dict], root: int, X: CsrMatrix, member: np.ndarray,
-               cfg: ClassifierConfig, weights: np.ndarray, biases: np.ndarray,
+               cfg: PipelineConfig, weights: np.ndarray, biases: np.ndarray,
                K: np.ndarray | None = None):
     """Fit the routing and leaf classifiers of the tree at position ``root``
     of ``nodes`` on (normalized) document rows into its rows of ``weights``
@@ -325,15 +317,17 @@ class LabelTreeClassifier:
 
 def train_classifier(X: CsrMatrix, paper_ids: list[str],
                      pseudo: dict[str, tuple[str, ...]], label_ids: list[str],
-                     cfg: ClassifierConfig) -> LabelTreeClassifier:
+                     cfg: PipelineConfig, seed: int = 0) -> LabelTreeClassifier:
     """Build and fit the tree ensemble from pseudo-labeled documents.
 
-    Tree topologies differ only by clustering seed. Label features for
-    tree building are the mean raw tf-idf of each label's pseudo-positive
-    documents. One papers x labels membership matrix gives both these
-    features and every tree's training targets. When at most GRAM_MAX_ROWS
-    papers carry a pseudo label, their Gram matrix is built once and every
-    node of every tree fits from it (train_tree); it is freed on return.
+    Reads ``cfg``'s n_trees and max_leaf (and _fit_logistic's fields). Tree
+    topologies differ only by clustering seed, ``seed + t`` for tree t.
+    Label features for tree building are the mean raw tf-idf of each
+    label's pseudo-positive documents. One papers x labels membership
+    matrix gives both these features and every tree's training targets.
+    When at most GRAM_MAX_ROWS papers carry a pseudo label, their Gram
+    matrix is built once and every node of every tree fits from it
+    (train_tree); it is freed on return.
     """
     column = {lid: j for j, lid in enumerate(label_ids)}
     member = np.zeros((len(paper_ids), len(label_ids)), dtype=bool)
@@ -351,7 +345,7 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
     roots, nodes = [], []
     for t in range(cfg.n_trees):
         roots.append(len(nodes))
-        nodes += build_label_tree(feats, label_ids, cfg.max_leaf, seed=cfg.seed + t,
+        nodes += build_label_tree(feats, label_ids, cfg.max_leaf, seed=seed + t,
                                   start=len(nodes))
     del feats  # the fits need only the topologies; free the features before them
     n_rows = _first_rows(nodes)[-1]

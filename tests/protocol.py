@@ -13,7 +13,8 @@ the corpus; then ``weaklabel run-all --seed 7`` runs from each tree's
 ``src/`` in a fresh process with ``OPENBLAS_NUM_THREADS=1``. One line per
 input says ``cmp-identical`` (every output file byte for byte),
 ``within the numerics rule`` (naming the files that differ) or each
-breach that ``numerics_rule.compare_outputs`` finds.
+breach that ``numerics_rule.compare_outputs`` finds. A last line gives
+each tree's ``src/`` line count, as ``wc -l src/weaklabel/*.py`` counts.
 
 The exit status is 0 when every input holds the rule, 1 on a breach or
 a failed run, and 2 on a wrong argument count or a path that is not a
@@ -84,6 +85,14 @@ def compare_input(parent, change, spec, work) -> tuple[int, str]:
     return 0, f"{name}: within the numerics rule ({', '.join(differ)} differ)"
 
 
+def src_lines(parent, change) -> str:
+    """The report line of both trees' ``src/weaklabel/*.py`` newline counts."""
+    n, m = (sum(path.read_bytes().count(b"\n")
+                for path in (Path(tree) / "src" / "weaklabel").glob("*.py"))
+            for tree in (parent, change))
+    return f"src/ lines: parent {n}, change {m} ({m - n:+d})"
+
+
 def main(argv: list[str]) -> int:
     """The script's exit status for ``argv`` (the two trees)."""
     if len(argv) != 2:
@@ -100,6 +109,7 @@ def main(argv: list[str]) -> int:
             print(line, flush=True)
             status = max(status, code)
             shutil.rmtree(Path(tmp) / str(i))  # the 5000 x 500 run writes tens of MB
+    print(src_lines(*argv))
     return status
 
 

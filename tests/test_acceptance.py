@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from weaklabel import encoder, kernels, metrics, pipeline
-from weaklabel.config import make_config
+from weaklabel.config import PipelineConfig, make_config
 from weaklabel.corpus import Paper, load_corpus
 from weaklabel.citegraph import CO_REFERENCE, build_graph, sample_tuples
 from weaklabel.ranker import CandidateScore, aggregate_hierarchy, mrr_combine
@@ -204,8 +204,7 @@ def test_c06_initial_loss_anchor(tmp_path):
     graph = build_graph(corpus)
     tuples = sample_tuples(graph, corpus, CO_REFERENCE, 64, seed=6)
     model = encoder.init_model(seed=6)  # zero scoring head
-    _, losses = encoder.train(model, tuples, corpus,
-                              encoder.TrainConfig(total_steps=3, seed=6))
+    _, losses = encoder.train(model, tuples, corpus, PipelineConfig(train_steps=3), seed=6)
     err = abs(losses[0] - math.log(2))
     report(6, "zero-head first batch loss equals ln 2", err < 1e-12,
            f"err {err:.1e}")
@@ -224,8 +223,7 @@ def test_c07_contrastive_training_effectiveness(tmp_path):
     tuples = sample_tuples(graph, corpus, CO_REFERENCE, 2200, seed=3)
     train_tuples, held_out = tuples[:2000], tuples[2000:]
     model = encoder.init_model(seed=5)
-    model, _ = encoder.train(model, train_tuples, corpus,
-                             encoder.TrainConfig(seed=5))
+    model, _ = encoder.train(model, train_tuples, corpus, PipelineConfig(), seed=5)
     by_id = {p.id: p for p in corpus}
 
     def text(ref):

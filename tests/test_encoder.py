@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -15,8 +14,9 @@ from weaklabel import encoder, kernels
 from weaklabel.encoder import (
     DEFAULT_MAX_TOKENS, BaseFeaturizer, TrainingDiverged, bi_embed, contrastive_loss,
     cross_score, init_model, load_embedding_overrides, load_model,
-    loss_gradient, save_model, train, TrainConfig,
+    loss_gradient, save_model, train,
 )
+from weaklabel.config import PipelineConfig
 
 from weaklabel.corpus import tokenize
 from weaklabel.kernels import CsrMatrix
@@ -497,7 +497,7 @@ class TestTrain:
         tuples = tuples_for(corpus, 40, seed=1)
         model = init_model(hash_dim=128, embed_dim=16, seed=0)
         _, losses = train(model, tuples, corpus,
-                          TrainConfig(total_steps=5, warmup_steps=2, seed=0))
+                          PipelineConfig(train_steps=5, warmup_steps=2), seed=0)
         assert losses[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_loss_decreases_on_two_topic_corpus(self, tmp_path):
@@ -505,7 +505,7 @@ class TestTrain:
         tuples = tuples_for(corpus, 300, seed=2)
         model = init_model(hash_dim=256, embed_dim=32, seed=0)
         _, losses = train(model, tuples, corpus,
-                          TrainConfig(total_steps=150, warmup_steps=20, seed=0))
+                          PipelineConfig(train_steps=150, warmup_steps=20), seed=0)
         tail = len(losses) // 10
         assert losses[-tail:].mean() < losses[:tail].mean()
 
@@ -516,7 +516,7 @@ class TestTrain:
         for _ in range(2):
             model = init_model(hash_dim=128, embed_dim=16, seed=4)
             model, losses = train(model, tuples, corpus,
-                                  TrainConfig(total_steps=30, warmup_steps=5, seed=4))
+                                  PipelineConfig(train_steps=30, warmup_steps=5), seed=4)
             runs.append((model.proj.copy(), model.w.copy(), losses.copy()))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
@@ -528,8 +528,8 @@ class TestTrain:
         model = init_model(hash_dim=128, embed_dim=16, seed=6)
         before = model.proj.copy()
         train(model, tuples, corpus,
-              TrainConfig(total_steps=10, warmup_steps=2, learning_rate=0.0,
-                          weight_decay=0.01, seed=6))
+              PipelineConfig(train_steps=10, warmup_steps=2, learning_rate=0.0,
+                             weight_decay=0.01), seed=6)
         assert not np.array_equal(model.proj, before)  # decay shrinks
         assert np.all(np.abs(model.proj) <= np.abs(before) + 1e-15)
 
@@ -539,23 +539,23 @@ class TestTrain:
         model = init_model(hash_dim=128, embed_dim=16, seed=6)
         before_proj, before_w = model.proj.copy(), model.w.copy()
         train(model, tuples, corpus,
-              TrainConfig(total_steps=10, warmup_steps=2, learning_rate=0.0,
-                          weight_decay=0.0, seed=6))
+              PipelineConfig(train_steps=10, warmup_steps=2, learning_rate=0.0,
+                             weight_decay=0.0), seed=6)
         np.testing.assert_array_equal(model.proj, before_proj)
         np.testing.assert_array_equal(model.w, before_w)
 
     def test_nonfinite_row_in_first_batch_aborts_at_step_1(self, tmp_path):
         corpus = tiny_corpus(tmp_path)
         tuples = tuples_for(corpus, 40, seed=7)
-        config = TrainConfig(total_steps=5, seed=8)
+        config, seed = PipelineConfig(train_steps=5), 8
         model = init_model(hash_dim=128, embed_dim=16, seed=8)
-        first = np.random.default_rng(config.seed).permutation(len(tuples))[0]  # train's draw
+        first = np.random.default_rng(seed).permutation(len(tuples))[0]  # train's draw
         pid, k = tuples[first].anchor
         text = next(p for p in corpus if p.id == pid).paragraphs[k]
         model.proj[model.featurizer.featurize(text).indices[0], 0] = np.nan
         with pytest.warns(RuntimeWarning), \
                 pytest.raises(TrainingDiverged, match="non-finite loss at step 1$"):
-            train(model, tuples, corpus, config)
+            train(model, tuples, corpus, config, seed)
 
     def test_nonfinite_untouched_row_caught_by_parameter_check(self, tmp_path):
         # no batch reads the row, so the loss stays finite; the last
@@ -567,15 +567,15 @@ class TestTrain:
                                             for p in corpus for text in p.paragraphs]))
         model.proj[np.setdiff1d(np.arange(4096), touched)[0], 0] = np.nan
         with pytest.raises(TrainingDiverged, match="non-finite parameter at step 5$"):
-            train(model, tuples, corpus, TrainConfig(total_steps=5, seed=8))
+            train(model, tuples, corpus, PipelineConfig(train_steps=5), seed=8)
 
     @pytest.mark.parametrize("batch_size", [8, 50])  # 50 > 40 tuples: each step draws all
     def test_featurizes_the_drawn_paragraphs_in_one_call(self, tmp_path, monkeypatch,
                                                          batch_size):
         corpus = tiny_corpus(tmp_path)
         tuples = tuples_for(corpus, 40, seed=1)
-        config = TrainConfig(total_steps=2, batch_size=batch_size, seed=5)
-        order = np.random.default_rng(config.seed).permutation(40)  # train's first draw
+        config, seed = PipelineConfig(train_steps=2, batch_size=batch_size), 5
+        order = np.random.default_rng(seed).permutation(40)  # train's first draw
         drawn = [tuples[i] for i in order[:2 * batch_size]]
         by_id = {p.id: p for p in corpus}
         want = {ref: by_id[ref[0]].paragraphs[ref[1]]
@@ -585,7 +585,7 @@ class TestTrain:
         monkeypatch.setattr(BaseFeaturizer, "featurize_many",
                             lambda self, texts: calls.append(list(texts))
                             or featurize_many(self, texts))
-        train(init_model(hash_dim=128, embed_dim=16, seed=0), tuples, corpus, config)
+        train(init_model(hash_dim=128, embed_dim=16, seed=0), tuples, corpus, config, seed)
         assert len(calls) == 1
         assert sorted(calls[0]) == sorted(want.values())  # one text per distinct reference
         if batch_size == 8:
@@ -598,11 +598,12 @@ class TestTrain:
             train(model, [], corpus)
 
 
-def dense_reference_train(model, tuples, corpus, config):
-    """``train`` written with a dense gradient and dense AdamW."""
+def dense_reference_train(model, tuples, corpus, config, seed):
+    """``train`` written with a dense gradient and dense AdamW, for a
+    ``config`` that sets ``train_steps``."""
     by_id = {p.id: p for p in corpus}
-    rng = np.random.default_rng(config.seed)
-    n, total = len(tuples), config.resolve_total_steps(len(tuples))
+    rng = np.random.default_rng(seed)
+    n, total = len(tuples), config.train_steps
     m_proj, v_proj = np.zeros_like(model.proj), np.zeros_like(model.proj)
     m_w, v_w = np.zeros_like(model.w), np.zeros_like(model.w)
     losses = []
@@ -637,11 +638,11 @@ def test_train_bitwise_equals_dense_reference_loop(tmp_path):
     corpus[0].paragraphs[1] = ""  # featurizes to an all-zero batch row
     tuples = tuples_for(corpus, 60, seed=9)
     tuples += [ContrastiveTuple(("p0", 1), ("p2", 0), ("p1", 0))] * 4
-    config = TrainConfig(total_steps=160, warmup_steps=30, seed=3)
+    config = PipelineConfig(train_steps=160, warmup_steps=30)
     model, losses = train(init_model(hash_dim=256, embed_dim=32, seed=2), tuples, corpus,
-                          config)
+                          config, seed=3)
     ref, ref_losses = dense_reference_train(init_model(hash_dim=256, embed_dim=32, seed=2),
-                                            tuples, corpus, config)
+                                            tuples, corpus, config, seed=3)
     assert 0.0 < losses[-1] < losses[0]  # the run learned, so the check is not vacuous
     np.testing.assert_array_equal(losses, ref_losses)
     np.testing.assert_array_equal(model.proj, ref.proj)
@@ -694,11 +695,11 @@ class TestCheckpoint:
         model.featurizer = BaseFeaturizer(dim=hash_dim, hash_seed=hash_seed,
                                           max_tokens=max_tokens)
         model.w = np.random.default_rng(seed).normal(size=2 * embed_dim)
-        config = TrainConfig(total_steps=7, seed=seed) if trained else None
+        config = PipelineConfig(train_steps=7) if trained else None
         with tempfile.TemporaryDirectory() as tmp:
             path, ref = os.path.join(tmp, "model.npz"), os.path.join(tmp, "ref.npz")
-            save_model(model, path, config)
-            reference_save_model(model, ref, config)
+            save_model(model, path, config, seed)
+            reference_save_model(model, ref, config, seed)
             with open(path, "rb") as a, open(ref, "rb") as r:
                 assert a.read() == r.read()
             loaded = load_model(path)
@@ -744,13 +745,18 @@ class TestCheckpoint:
             load_model(path)
 
 
-def reference_save_model(model, path, train_config=None):
+def reference_save_model(model, path, config=None, seed=0):
     """The checkpoint writer before write_npz: np.savez of the arrays."""
     meta = {"version": encoder.CHECKPOINT_VERSION, "hash_dim": model.hash_dim,
             "embed_dim": model.embed_dim, "hash_seed": model.featurizer.hash_seed,
             "max_tokens": model.featurizer.max_tokens}
-    if train_config is not None:
-        meta["train"] = dataclasses.asdict(train_config)
+    if config is not None:
+        meta["train"] = {"batch_size": config.batch_size, "learning_rate": config.learning_rate,
+                         "warmup_steps": config.warmup_steps,
+                         "weight_decay": config.weight_decay, "epsilon": config.epsilon,
+                         "beta1": config.beta1, "beta2": config.beta2,
+                         "total_steps": config.train_steps, "epochs": config.train_epochs,
+                         "seed": seed}
     with open(path, "wb") as fh:
         np.savez(fh, proj=model.proj, w=model.w,
                  meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))

@@ -81,6 +81,17 @@ class TestEndToEnd:
         trace = json.load(open(artifact(out, "loss_trace")))
         assert trace["losses"][0] == pytest.approx(math.log(2), abs=1e-12)
 
+    def test_encoder_meta_records_the_training_config(self, run):
+        cfg, out, _, _ = run
+        members = read_npz_members(artifact(out, "encoder"))
+        meta = json.loads(bytes(members["meta"]).decode("utf-8"))
+        assert list(meta["train"].items()) == [
+            ("batch_size", cfg.batch_size), ("learning_rate", cfg.learning_rate),
+            ("warmup_steps", cfg.warmup_steps), ("weight_decay", cfg.weight_decay),
+            ("epsilon", cfg.epsilon), ("beta1", cfg.beta1), ("beta2", cfg.beta2),
+            ("total_steps", cfg.train_steps), ("epochs", cfg.train_epochs),
+            ("seed", cfg.stage_seed("train-encoder"))]
+
     def test_ingest_stats(self, run):
         _, out, _, _ = run
         stats = json.load(open(artifact(out, "ingest")))
@@ -722,7 +733,8 @@ class TestScoreBlocks:
                     f"{corpus[33].id}#1"]
             rng = np.random.default_rng(3)
             emb_file = tmp_path / "ext.jsonl"
-            write_jsonl(({"id": key, "embedding": rng.normal(size=encoder.DEFAULT_EMBED_DIM).tolist()}
+            embed_dim = base_config(data, out).embed_dim
+            write_jsonl(({"id": key, "embedding": rng.normal(size=embed_dim).tolist()}
                          for key in keys), emb_file)
             extra["embeddings_path"] = str(emb_file)
         dirs = {}
@@ -1154,7 +1166,7 @@ class TestStandalonePredict:
                               np.array([0, 1, 2], dtype=np.int64), 2, n_features)
         clf = selftrain.train_classifier(
             X, ["a", "b"], {"a": (label_ids[0],), "b": (label_ids[1],)}, label_ids,
-            selftrain.ClassifierConfig(n_trees=1, epochs=1))
+            PipelineConfig(n_trees=1, classifier_epochs=1))
         selftrain.save_classifier(clf, copy / "classifier.npz")
 
     @pytest.mark.parametrize("delta", [-1, 1])

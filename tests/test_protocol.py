@@ -46,6 +46,16 @@ def test_changed_output_is_a_breach(tmp_path):
     assert "top_k_scores: shape (1, 5) != (1, 4)" in line
 
 
+def test_reports_net_src_lines_last(tmp_path, monkeypatch, capsys):
+    tree = changed_tree(tmp_path, "config.py", "class ConfigError(ValueError):\n",
+                        "class ConfigError(ValueError):\n    \"\"\"A config fault.\"\"\"\n")
+    n = sum(len(path.read_text(encoding="utf-8").splitlines())
+            for path in (REPO / "src" / "weaklabel").glob("*.py"))
+    monkeypatch.setattr(protocol, "INPUTS", [])
+    assert protocol.main([str(REPO), str(tree)]) == 0
+    assert capsys.readouterr().out == f"src/ lines: parent {n}, change {n + 1} (+1)\n"
+
+
 @pytest.mark.parametrize("argv", [[], ["a"], ["a", "b", "c"]])
 def test_wrong_argument_count_exits_2(argv, capsys):
     assert protocol.main(argv) == 2

@@ -13,10 +13,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weaklabel import kernels, selftrain
+from weaklabel.config import PipelineConfig
 from weaklabel.kernels import CsrMatrix
 from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
-    BLOCK_ROWS, GRAM_MAX_ROWS, ClassifierConfig, LabelTreeClassifier,
+    BLOCK_ROWS, GRAM_MAX_ROWS, LabelTreeClassifier,
     build_label_tree, final_rankings, load_classifier, predict_blocks, pseudo_labels,
     save_classifier, train_classifier, train_tree, _first_rows, _fit_logistic, _gram,
     _in_row_space, _normalize_rows, _search_plan,
@@ -370,9 +371,9 @@ class TestTrainAndPredict:
         assign = [j for j in range(n_labels) for _ in range(per_label)]
         X = one_hot_matrix(assign, n_labels)
         pseudo = {f"p{i}": (ids[j],) for i, j in enumerate(assign)}
-        cfg = ClassifierConfig(n_trees=2, max_leaf=max_leaf, seed=seed)
+        cfg = PipelineConfig(n_trees=2, max_leaf=max_leaf)
         clf = train_classifier(X, [f"p{i}" for i in range(len(assign))],
-                               pseudo, ids, cfg)
+                               pseudo, ids, cfg, seed=seed)
         return clf, X, assign, ids
 
     def test_separable_training_accuracy(self):
@@ -386,7 +387,7 @@ class TestTrainAndPredict:
 
     def test_single_paper_single_label(self):
         X = one_hot_matrix([0], 3)
-        cfg = ClassifierConfig(n_trees=1, max_leaf=10)
+        cfg = PipelineConfig(n_trees=1, max_leaf=10)
         clf = train_classifier(X, ["p0"], {"p0": ("L0",)}, ["L0"], cfg)
         probs = predict_proba(clf, csr_row(X, 0))
         assert probs["L0"] > 0.5
@@ -404,9 +405,9 @@ class TestTrainAndPredict:
         with pytest.raises(ValueError):
             fit_tree(tree, CsrMatrix(np.empty(0), np.empty(0, dtype=np.int64),
                                      np.array([0], dtype=np.int64), 0, 2),
-                     np.zeros((0, 2), dtype=bool), ClassifierConfig())
+                     np.zeros((0, 2), dtype=bool), PipelineConfig())
         with pytest.raises(ValueError, match="pseudo"):
-            fit_tree(tree, _normalize_rows(X), np.zeros((2, 2), dtype=bool), ClassifierConfig())
+            fit_tree(tree, _normalize_rows(X), np.zeros((2, 2), dtype=bool), PipelineConfig())
 
     def test_single_leaf_equals_leaf_outputs(self):
         clf, X, assign, ids = self.fitted(max_leaf=10)  # one leaf holds all
@@ -530,7 +531,7 @@ class TestMembership:
         monkeypatch.setattr(selftrain, "build_label_tree",
                             lambda feats, *args, **kw: seen.append(feats.copy())
                             or build(feats, *args, **kw))
-        train_classifier(X, ids, pseudo, label_ids, ClassifierConfig(n_trees=2, epochs=1))
+        train_classifier(X, ids, pseudo, label_ids, PipelineConfig(n_trees=2, classifier_epochs=1))
         want = reference_label_features(X, ids, pseudo, label_ids)
         assert not want[0].any() and want[1:].any(axis=1).all()
         assert len(seen) == 2
@@ -548,7 +549,7 @@ class TestMembership:
         monkeypatch.setattr(selftrain, "_fit_logistic", lambda *args: alive_at_fit.append(
             any(ref() is not None for ref in features)) or fit(*args))
         train_classifier(one_hot_matrix(assign, 6), list(pseudo), pseudo, ids,
-                         ClassifierConfig(n_trees=3, max_leaf=2))
+                         PipelineConfig(n_trees=3, max_leaf=2))
         assert len(features) == 3 and alive_at_fit and not any(alive_at_fit)
 
     def test_paper_without_labels_and_paper_with_every_label(self, monkeypatch):
@@ -567,7 +568,7 @@ class TestMembership:
         fit = selftrain._fit_logistic
         monkeypatch.setattr(selftrain, "_fit_logistic",
                             lambda X, rows, *rest: fitted.append(rows) or fit(X, rows, *rest))
-        cfg = ClassifierConfig(epochs=5)
+        cfg = PipelineConfig(classifier_epochs=5)
         weights, biases = fit_tree(tree, X, member[:, leaf_columns(tree, ids)], cfg)
         assert len(fitted) == len(tree)
         assert all(4 not in rows and 9 in rows for rows in fitted)
@@ -629,20 +630,21 @@ class TestMultiOutputFit:
         if k >= 3:
             Y[:, 1] = 0.0
             Y[:, 2] = 1.0
-        cfg = ClassifierConfig(epochs=20, learning_rate=2.0, l2=1e-4)
+        cfg = PipelineConfig(classifier_epochs=20, classifier_lr=2.0, classifier_l2=1e-4)
         W, b = _fit_logistic(X, rows, Y, cfg, *supplied_gram(X, rows, gram))
         sub = csr_subset(X, rows)
         for j in range(k):
             w = np.zeros(X.n_cols)
             bj = kernels.logistic_epochs(sub.data, sub.indices, sub.indptr, Y[:, j].copy(),
-                                         w, 0.0, cfg.epochs, cfg.learning_rate, cfg.l2)
+                                         w, 0.0, cfg.classifier_epochs, cfg.classifier_lr,
+                                         cfg.classifier_l2)
             np.testing.assert_allclose(W[j], w, rtol=0, atol=1e-12)
             assert abs(b[j] - bj) <= 1e-12
 
     def test_no_rows_leaves_zeros(self):
         X = random_csr(np.random.default_rng(0), 5, 10)
         W, b = _fit_logistic(X, np.empty(0, dtype=np.int64), np.zeros((0, 2)),
-                             ClassifierConfig())
+                             PipelineConfig())
         assert W.shape == (2, 10) and not W.any() and not b.any()
 
 
@@ -652,7 +654,8 @@ def kernel_fit(X, rows, Y, cfg):
     W, b = np.zeros((Y.shape[1], X.n_cols)), np.zeros(Y.shape[1])
     for j in range(Y.shape[1]):
         b[j] = kernels.logistic_epochs(sub.data, sub.indices, sub.indptr, Y[:, j].copy(),
-                                       W[j], 0.0, cfg.epochs, cfg.learning_rate, cfg.l2)
+                                       W[j], 0.0, cfg.classifier_epochs, cfg.classifier_lr,
+                                       cfg.classifier_l2)
     return W, b
 
 
@@ -677,7 +680,7 @@ class TestRowSpaceFit:
         if k >= 3:
             Y[:, 1] = 0.0
             Y[:, 2] = 1.0
-        cfg = ClassifierConfig(epochs=20, learning_rate=2.0, l2=1e-4)
+        cfg = PipelineConfig(classifier_epochs=20, classifier_lr=2.0, classifier_l2=1e-4)
         W, b = _fit_logistic(X, rows, Y, cfg, *supplied_gram(X, rows, gram))
         W_ref, b_ref = kernel_fit(X, rows, Y, cfg)
         np.testing.assert_allclose(W, W_ref, rtol=0, atol=1e-12)
@@ -691,7 +694,7 @@ class TestRowSpaceFit:
         full = _gram(X, np.arange(40))
         monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: True)
         monkeypatch.setattr(selftrain, "_gram", lambda *args: pytest.fail("a Gram was built"))
-        cfg = ClassifierConfig(epochs=9)
+        cfg = PipelineConfig(classifier_epochs=9)
         by_rows = _fit_logistic(X, rows, Y, cfg, full[np.ix_(rows, rows)])
         by_positions = _fit_logistic(X, rows, Y, cfg, full, rows)
         for a, b in zip(by_rows, by_positions):
@@ -706,7 +709,7 @@ class TestRowSpaceFit:
         Y = (rng.random((n_rows, k)) < 0.2).astype(np.float64)
         Y[:, 0] = 0.0
         Y[:, 1] = 1.0
-        cfg = ClassifierConfig(epochs=20, learning_rate=2.0, l2=1e-4)
+        cfg = PipelineConfig(classifier_epochs=20, classifier_lr=2.0, classifier_l2=1e-4)
         W, b = _fit_logistic(X, rows, Y, cfg)
         W_ref, b_ref = kernel_fit(X, rows, Y, cfg)
         np.testing.assert_allclose(W, W_ref, rtol=0, atol=1e-12)
@@ -739,8 +742,9 @@ class TestRowSpaceFit:
                             lambda *shape: asked.append(shape) or False)
         X = random_csr(np.random.default_rng(4), 30, 12)
         K = _gram(X, np.arange(30)) if given else None
-        _fit_logistic(X, np.arange(0, 30, 2), np.zeros((15, 4)), ClassifierConfig(epochs=7),
-                      K, np.arange(0, 30, 2) if given else None)
+        _fit_logistic(X, np.arange(0, 30, 2), np.zeros((15, 4)),
+                      PipelineConfig(classifier_epochs=7), K,
+                      np.arange(0, 30, 2) if given else None)
         assert asked == [(15, 12, 4, 7, given)]
 
     def test_train_classifier_forms_agree(self, monkeypatch, tmp_path):
@@ -751,11 +755,11 @@ class TestRowSpaceFit:
         X = build_tfidf_matrix(corpus, build_vocabulary(corpus, 2))
         ids = [p.id for p in corpus]
         pseudo = {p.id: tuple(sorted(p.gold_labels)) for p in corpus}
-        cfg = ClassifierConfig(n_trees=2, max_leaf=6, seed=8)
+        cfg = PipelineConfig(n_trees=2, max_leaf=6)
         fitted = {}
         for form in (False, True):
             monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape, f=form: f)
-            fitted[form] = train_classifier(X, ids, pseudo, label_ids, cfg)
+            fitted[form] = train_classifier(X, ids, pseudo, label_ids, cfg, seed=8)
         primal, dual = fitted[False], fitted[True]
         assert (primal.roots, primal.nodes) == (dual.roots, dual.nodes)
         np.testing.assert_allclose(primal.weights, dual.weights, rtol=0, atol=1e-12)
@@ -786,7 +790,7 @@ class TestSharedGram:
         monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: asked.append(
             (shape, rule(*shape))) or asked[-1][1])
         train_classifier(X, [f"p{i}" for i in range(n_papers)], pseudo, ids,
-                         ClassifierConfig(n_trees=2, max_leaf=40, epochs=20))
+                         PipelineConfig(n_trees=2, max_leaf=40, classifier_epochs=20))
         return builds, asked
 
     def test_one_build_at_the_budget(self, monkeypatch):
@@ -860,8 +864,8 @@ class TestBatchedBeam:
         indptr = np.concatenate([[0], np.cumsum([r.size for r in rows])]).astype(np.int64)
         indices = np.concatenate(rows).astype(np.int64)
         X = CsrMatrix(rng.random(indices.size) + 0.2, indices, indptr, len(rows), n_cols)
-        cfg = ClassifierConfig(n_trees=2, max_leaf=1, seed=4)
-        clf = train_classifier(X, [f"p{i}" for i in range(len(rows))], pseudo, ids, cfg)
+        cfg = PipelineConfig(n_trees=2, max_leaf=1)
+        clf = train_classifier(X, [f"p{i}" for i in range(len(rows))], pseudo, ids, cfg, seed=4)
         return clf, X
 
     def test_trees_are_deep_and_tie(self, deep):
@@ -975,7 +979,7 @@ class TestOneRowNumbering:
         assign = [j % 6 for j in range(30)]
         pseudo = {f"p{i}": (ids[j],) for i, j in enumerate(assign)}
         X = one_hot_matrix(assign, 6)
-        cfg = ClassifierConfig(n_trees=3, max_leaf=2)
+        cfg = PipelineConfig(n_trees=3, max_leaf=2)
         clf = train_classifier(X, list(pseudo), pseudo, ids, cfg)
         first = _first_rows(clf.nodes)
         assert clf.weights.shape == (first[-1], 6) and clf.biases.shape == (first[-1],)
@@ -1061,7 +1065,7 @@ class TestPersistence:
         X = one_hot_matrix(assign, 5)
         pseudo = {f"p{i}": (ids[j],) for i, j in enumerate(assign)}
         clf = train_classifier(X, [f"p{i}" for i in range(25)], pseudo, ids,
-                               ClassifierConfig(n_trees=3, max_leaf=2, seed=1))
+                               PipelineConfig(n_trees=3, max_leaf=2), seed=1)
         path = tmp_path / "clf.npz"
         save_classifier(clf, path)
         loaded = load_classifier(path)
@@ -1345,7 +1349,7 @@ class TestNoReferenceCycles:
         X = _normalize_rows(one_hot_matrix(assign, 6))
         member = np.eye(6, dtype=bool)[assign][:, leaf_columns(tree, ids)]
         n_rows = _first_rows(tree)[-1]
-        assert garbage_after(train_tree, tree, 0, X, member, ClassifierConfig(),
+        assert garbage_after(train_tree, tree, 0, X, member, PipelineConfig(),
                              np.zeros((n_rows, 6)), np.zeros(n_rows)) == 0
 
     def test_save_and_load_classifier(self, tmp_path):
