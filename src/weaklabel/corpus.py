@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 DEFAULT_MIN_PARAGRAPH_WORDS = 10
 DEFAULT_MIN_DF = 5
 NPZ_CHUNK_BYTES = 1 << 20  # most bytes handed to zlib at once, which bounds its output
+NPZ_LEVEL = 1  # zlib level of every deflated .npz member: level 6 took 2-4x as long
 _HIGH = ".high"  # the suffix of a float64 member's two high byte planes (write_npz)
 _FLOAT, _LOW = np.dtype("<f8"), np.dtype("V6")  # a split member, its low six bytes
 _CHUNK_VALUES = NPZ_CHUNK_BYTES // 8  # the values of a split member written or read at once
@@ -284,31 +285,29 @@ def atomic_write(path, mode: str = "w"):
         raise
 
 
-def write_npz(path, members: dict[str, np.ndarray], meta: dict, compress: bool):
+def write_npz(path, members: dict[str, np.ndarray], meta: dict):
     """Write an ``.npz`` archive of ``members`` and, last, a ``meta`` member
     holding ``meta`` as JSON, atomically (``atomic_write``).
 
-    Stored (not ``compress``), the bytes are those ``np.savez`` writes for
-    arrays not in Fortran order. Deflated, each member is as
-    ``np.savez_compressed`` writes it except a float64 one, which becomes
-    two: under its own name, stored, the low six bytes of each little-endian
-    value as a ``|V6`` array of its shape (so ``np.load`` still counts its
-    zeros); and ``<name>.high``, deflated, the bytes 6 and 7 (sign, exponent,
-    top mantissa bits) as a uint8 array of shape ``(2, *shape)``, one plane
-    per byte. The six mantissa bytes cannot shrink, so deflating them only
+    Each member is a ``<name>.npy`` stream as numpy writes it, deflated at
+    NPZ_LEVEL, except a float64 one, which becomes two: under its own name,
+    stored, the low six bytes of each little-endian value as a ``|V6``
+    array of its shape (so ``np.load`` still counts its zeros); and
+    ``<name>.high``, deflated, the bytes 6 and 7 (sign, exponent, top
+    mantissa bits) as a uint8 array of shape ``(2, *shape)``, one plane per
+    byte. The six mantissa bytes cannot shrink, so deflating them only
     costs time; read_npz_members joins the two.
 
     Each member goes to the zip stream from its own memory (a copy only if
     it is strided), at most NPZ_CHUNK_BYTES at a time, so the only
     transient is one chunk and zlib's output for it.
     """
-    method = zipfile.ZIP_DEFLATED if compress else zipfile.ZIP_STORED
-    with atomic_write(path, "wb") as fh, zipfile.ZipFile(fh, "w", method) as zf:
+    with atomic_write(path, "wb") as fh, zipfile.ZipFile(fh, "w") as zf:
         raw = json.dumps(meta, allow_nan=False).encode("utf-8")
         for name, array in {**members, "meta": np.frombuffer(raw, dtype=np.uint8)}.items():
-            if not (compress and array.dtype == _FLOAT):
+            if array.dtype != _FLOAT:
                 flat = array.ravel().view(np.uint8)
-                _write_member(zf, name, method, array.dtype, array.shape,
+                _write_member(zf, name, zipfile.ZIP_DEFLATED, array.dtype, array.shape,
                               (flat[lo:lo + NPZ_CHUNK_BYTES]
                                for lo in range(0, flat.size, NPZ_CHUNK_BYTES)))
                 continue
@@ -316,7 +315,8 @@ def write_npz(path, members: dict[str, np.ndarray], meta: dict, compress: bool):
             chunks = range(0, len(values), _CHUNK_VALUES)
             _write_member(zf, name, zipfile.ZIP_STORED, _LOW, array.shape,
                           (values[lo:lo + _CHUNK_VALUES, :6] for lo in chunks))
-            _write_member(zf, name + _HIGH, method, np.dtype(np.uint8), (2, *array.shape),
+            _write_member(zf, name + _HIGH, zipfile.ZIP_DEFLATED, np.dtype(np.uint8),
+                          (2, *array.shape),
                           (values[lo:lo + _CHUNK_VALUES, byte] for byte in (6, 7)
                            for lo in chunks))
 
@@ -329,8 +329,9 @@ def _value_bytes(array: np.ndarray) -> np.ndarray:
 def _write_member(zf: zipfile.ZipFile, name: str, method: int, dtype, shape, chunks):
     """One ``<name>.npy`` member, as numpy writes it: its header for ``dtype``
     and ``shape``, then each of the uint8 ``chunks``."""
-    info = zipfile.ZipInfo(f"{name}.npy")
+    info = zipfile.ZipInfo(f"{name}.npy")  # its fixed 1980 date keeps reruns byte-identical
     info.compress_type = method
+    info._compresslevel = NPZ_LEVEL  # a hand-built ZipInfo ignores ZipFile(compresslevel=)
     with zf.open(info, "w", force_zip64=True) as out:  # force_zip64 as numpy does
         np.lib.format.write_array_header_1_0(out, {
             "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": False,

@@ -355,7 +355,7 @@ def save_model(model: ScorerModel, path, config: PipelineConfig | None = None,
     if config is not None:
         meta["train"] = {key: getattr(config, name) for key, name in TRAIN_META.items()}
         meta["train"]["seed"] = seed
-    write_npz(path, {"proj": model.proj, "w": model.w}, meta, compress=False)
+    write_npz(path, {"proj": model.proj, "w": model.w}, meta)
 
 
 def load_model(path) -> ScorerModel:

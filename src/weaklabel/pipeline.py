@@ -28,7 +28,7 @@ from . import citegraph, encoder, metrics, ranker, selftrain
 from .config import PipelineConfig
 from .corpus import (CorpusError, Label, Paper, Vocabulary, atomic_write, corpus_stats,
                      count_terms, load_corpus, load_labels, load_paper_labels,
-                     read_by_paper, vocabulary_from_terms, write_jsonl)
+                     read_by_paper, vocabulary_from_terms)
 from .kernels import CsrMatrix
 
 log = logging.getLogger(__name__)
@@ -259,20 +259,27 @@ def stage_score(cfg: PipelineConfig,
         # one title+abstract vector serves the joint scorer and, for a paper
         # with no paragraphs, the root; a bi call counts it only as the root
         as_root = [cfg.use_hierarchy and paper.is_empty for paper in block]
+        # paragraph 0's vector is the title+abstract's when it is that text and
+        # no override names either
+        as_leaf = [cfg.use_hierarchy and paper.paragraphs[:1] == [paper.title_abstract]
+                   and paper.id not in overrides and f"{paper.id}#0" not in overrides
+                   for paper in block]
         items = []
-        for paper, root in zip(block, as_root):
-            if cands[paper.id] or root:
+        for paper, root, leaf in zip(block, as_root, as_leaf):
+            if (cands[paper.id] or root) and not leaf:
                 items.append((paper.id, paper.title_abstract, root))
             if cfg.use_hierarchy:
                 items += [(f"{paper.id}#{i}", text, True)
                           for i, text in enumerate(paper.paragraphs)]
         vecs = iter(embeddings(items))
-        for paper, root in zip(block, as_root):
+        for paper, root, leaf in zip(block, as_root, as_leaf):
             cand_ids = cands[paper.id]
-            u = next(vecs) if cand_ids or root else None
+            u = next(vecs) if (cand_ids or root) and not leaf else None
+            leaf_embs = [next(vecs) for _ in paper.paragraphs] if cfg.use_hierarchy else []
+            if leaf:
+                u = leaf_embs[0]
             score_x = ranker.score_cross(model, u, label_embs, cand_ids)
             if cfg.use_hierarchy:
-                leaf_embs = [next(vecs) for _ in paper.paragraphs]
                 root_emb = ranker.aggregate_hierarchy(paper, leaf_embs, fallback=u)
                 score_b = ranker.score_bi(root_emb, label_embs, cand_ids)
             else:
@@ -346,8 +353,13 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[st
             rankings[paper.id] = [r.label_id for r in rows]
             top_scores[paper.id] = [r.mrr for r in rows[:top_k]]
 
-    write_jsonl(({"paper_id": pid, "ranking": rankings[pid], "top_k_scores": top_scores[pid]}
-                 for pid in rankings), _path(cfg, "predictions"))
+    # each line as write_jsonl writes it, each label id JSON-encoded once
+    quoted = {l.id: json.dumps(l.id) for l in ctx.labels}
+    with atomic_write(_path(cfg, "predictions")) as fh:
+        for pid, ranking in rankings.items():
+            labels = ", ".join(map(quoted.__getitem__, ranking))
+            fh.write(f'{{"paper_id": {json.dumps(pid)}, "ranking": [{labels}], '
+                     f'"top_k_scores": {json.dumps(top_scores[pid], allow_nan=False)}}}\n')
     return rankings  # the stored rankings, cut to ranking_limit
 
 

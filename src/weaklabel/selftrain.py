@@ -478,7 +478,7 @@ def save_classifier(clf: LabelTreeClassifier, path):
         "roots": clf.roots,
         "nodes": clf.nodes,
     }
-    write_npz(path, {"weights": clf.weights, "biases": clf.biases}, meta, compress=True)
+    write_npz(path, {"weights": clf.weights, "biases": clf.biases}, meta)
 
 
 META_FIELDS = {"version": "int", "label_ids": "list[str]", "n_features": "int",

@@ -13,8 +13,9 @@ the corpus; then ``weaklabel run-all --seed 7`` runs from each tree's
 ``src/`` in a fresh process with ``OPENBLAS_NUM_THREADS=1``. One line per
 input says ``cmp-identical`` (every output file byte for byte),
 ``within the numerics rule`` (naming the files that differ) or each
-breach that ``numerics_rule.compare_outputs`` finds. A last line gives
-each tree's ``src/`` line count, as ``wc -l src/weaklabel/*.py`` counts.
+breach that ``numerics_rule.compare_outputs`` finds, then the bytes of
+each tree's output directory. A last line gives each tree's ``src/`` line
+count, as ``wc -l src/weaklabel/*.py`` counts.
 
 The exit status is 0 when every input holds the rule, 1 on a breach or
 a failed run, and 2 on a wrong argument count or a path that is not a
@@ -74,15 +75,27 @@ def compare_input(parent, change, spec, work) -> tuple[int, str]:
             return 1, f"{name}: {what} failed with exit {proc.returncode}: {why}"
 
     ref, new = work / "parent", work / "change"
+    code, verdict = _verdict(ref, new)
+    n, m = output_bytes(ref), output_bytes(new)
+    return code, f"{name}: {verdict}; output bytes: parent {n}, change {m} ({m - n:+d})"
+
+
+def _verdict(ref: Path, new: Path) -> tuple[int, str]:
+    """The exit status and verdict of the output directories ``ref`` and ``new``."""
     files = sorted(p.name for p in ref.iterdir())
     differ = [f for f in files if not (new / f).is_file()
               or (new / f).read_bytes() != (ref / f).read_bytes()]
     if not differ and files == sorted(p.name for p in new.iterdir()):
-        return 0, f"{name}: cmp-identical"
+        return 0, "cmp-identical"
     breaches = compare_outputs(ref, new)
     if breaches:
-        return 1, f"{name}: " + "; ".join(breaches)
-    return 0, f"{name}: within the numerics rule ({', '.join(differ)} differ)"
+        return 1, "; ".join(breaches)
+    return 0, f"within the numerics rule ({', '.join(differ)} differ)"
+
+
+def output_bytes(directory: Path) -> int:
+    """The bytes of the files in ``directory``."""
+    return sum(path.stat().st_size for path in directory.iterdir() if path.is_file())
 
 
 def src_lines(parent, change) -> str:

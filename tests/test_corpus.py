@@ -388,9 +388,8 @@ def assert_same_members(got: dict, want: dict):
 
 class TestWriteNpz:
     """write_npz writes its members and, in a last ``meta`` member, its meta
-    as JSON: stored, the bytes np.savez writes; deflated, a float64 member
-    split into its low bytes and its high byte planes, which read_npz_members
-    joins back bit for bit."""
+    as JSON, deflated at NPZ_LEVEL, a float64 member split into its low bytes
+    and its high byte planes, which read_npz_members joins back bit for bit."""
 
     def members(self):
         rng = np.random.default_rng(0)
@@ -399,16 +398,9 @@ class TestWriteNpz:
                 "strided": wide[:, ::2], "strided_1d": wide[0, ::3], "flags": wide > 0,
                 "empty": np.zeros((0, 4)), "count": np.arange(3)}
 
-    def test_stored_bytes_equal_numpy(self, tmp_path):
-        members = self.members()
-        write_npz(tmp_path / "a.npz", members, {"k": [1, 2]}, compress=False)
-        np.savez(tmp_path / "b.npz", **members,
-                 meta=np.frombuffer(b'{"k": [1, 2]}', dtype=np.uint8))
-        assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
-
     def test_deflated_members_equal_numpy_bitwise(self, tmp_path):
         members = self.members()
-        write_npz(tmp_path / "a.npz", members, {"k": [1, 2]}, compress=True)
+        write_npz(tmp_path / "a.npz", members, {"k": [1, 2]})
         np.savez_compressed(tmp_path / "b.npz", **members,
                             meta=np.frombuffer(b'{"k": [1, 2]}', dtype=np.uint8))
         with np.load(tmp_path / "b.npz") as data:
@@ -419,7 +411,7 @@ class TestWriteNpz:
     def test_float_members_split_in_two(self, tmp_path):
         members = self.members()
         path = tmp_path / "a.npz"
-        write_npz(path, members, {"k": 1}, compress=True)
+        write_npz(path, members, {"k": 1})
         with zipfile.ZipFile(path) as zf:
             infos = {info.filename: info for info in zf.infolist()}
         split = ["weights", "strided", "strided_1d", "empty"]
@@ -440,6 +432,20 @@ class TestWriteNpz:
                   if info.compress_type == zipfile.ZIP_STORED}
         assert stored == {f"{name}.npy" for name in split}
 
+    def test_deflate_level_reaches_zlib(self, tmp_path, monkeypatch):
+        # a hand-built ZipInfo takes no level from its ZipFile, so _write_member sets it
+        members = {"w": np.random.default_rng(0).normal(size=(200, 100))}
+        sizes, level_used = {}, corpus_mod.NPZ_LEVEL
+        for level in (level_used, 9):
+            monkeypatch.setattr(corpus_mod, "NPZ_LEVEL", level)
+            path = tmp_path / f"{level}.npz"
+            write_npz(path, members, {"k": 1})
+            assert_same_members(read_npz_members(path),
+                                {**members, "meta": np.frombuffer(b'{"k": 1}', dtype=np.uint8)})
+            with zipfile.ZipFile(path) as zf:
+                sizes[level] = zf.getinfo("w.high.npy").compress_size
+        assert sizes[level_used] > sizes[9]
+
     @settings(max_examples=60, deadline=None)
     @given(values=st.lists(st.one_of(
                st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
@@ -454,7 +460,7 @@ class TestWriteNpz:
         rng = np.random.default_rng(seed)
         path = tmp_path_factory.mktemp("npz") / "a.npz"
         members = {"w": array, "b": rng.normal(size=3) * 10.0 ** rng.integers(-300, 300)}
-        write_npz(path, members, {"version": 1}, compress=True)
+        write_npz(path, members, {"version": 1})
         got = read_npz(path, "test", 1)[1]
         for name, want in members.items():
             assert (got[name].dtype, got[name].shape) == (np.float64, want.shape)
@@ -463,7 +469,7 @@ class TestWriteNpz:
     @pytest.mark.parametrize("problem", ["no_low", "other_shape", "low_not_v6"])
     def test_high_planes_without_their_low_bytes_named(self, tmp_path, problem):
         path = tmp_path / "a.npz"
-        write_npz(path, {"w": np.arange(12.0).reshape(3, 4)}, {"version": 1}, compress=True)
+        write_npz(path, {"w": np.arange(12.0).reshape(3, 4)}, {"version": 1})
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
         if problem == "no_low":
@@ -484,7 +490,7 @@ class TestWriteNpz:
         path = tmp_path / "a.npz"
         w = np.zeros((3, 4))
         w[1, 2] = np.nan
-        write_npz(path, {"w": w}, {"version": 1}, compress=True)
+        write_npz(path, {"w": w}, {"version": 1})
         with np.load(path) as data:
             assert "w.high" in data.files
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: non-finite value in w$"):
@@ -494,10 +500,10 @@ class TestWriteNpz:
     def test_non_finite_member_rejected(self, tmp_path, dtype):
         path = tmp_path / "a.npz"
         w = np.zeros((3, 4), dtype=dtype)
-        write_npz(path, {"b": np.zeros(3), "w": w, "n": np.arange(3)}, {"version": 1}, False)
+        write_npz(path, {"b": np.zeros(3), "w": w, "n": np.arange(3)}, {"version": 1})
         assert read_npz(path, "test", 1)[1]["w"].dtype == dtype
         w[2, 1] = np.inf
-        write_npz(path, {"b": np.zeros(3), "w": w, "n": np.arange(3)}, {"version": 1}, False)
+        write_npz(path, {"b": np.zeros(3), "w": w, "n": np.arange(3)}, {"version": 1})
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: non-finite value "
                                              r"in w$"):
             read_npz(path, "test", 1)
@@ -506,7 +512,7 @@ class TestWriteNpz:
                                      lambda raw: b""], ids=["halved", "junk", "empty"])
     def test_unreadable_archive_named(self, tmp_path, cut):
         path = tmp_path / "a.npz"
-        write_npz(path, {"w": np.arange(5000.0)}, {"version": 1}, compress=True)
+        write_npz(path, {"w": np.arange(5000.0)}, {"version": 1})
         path.write_bytes(cut(path.read_bytes()))
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unreadable archive \("):
             read_npz(path, "test", 1)
@@ -514,7 +520,7 @@ class TestWriteNpz:
     @pytest.mark.parametrize("member", ["w.npy", "w.high.npy"])  # stored, deflated
     def test_corrupt_member_named(self, tmp_path, member):
         path = tmp_path / "a.npz"
-        write_npz(path, {"w": np.arange(5000.0)}, {"version": 1}, compress=True)
+        write_npz(path, {"w": np.arange(5000.0)}, {"version": 1})
         with zipfile.ZipFile(path) as zf:
             info = zf.getinfo(member)
         # the middle of the member's data: past its local header, whose extra field
@@ -529,10 +535,10 @@ class TestWriteNpz:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_meta_refused(self, tmp_path, value):
         path = tmp_path / "a.npz"
-        write_npz(path, {"w": np.zeros(2)}, {"k": 1}, compress=False)
+        write_npz(path, {"w": np.zeros(2)}, {"k": 1})
         before = path.read_bytes()
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: Out of range float"):
-            write_npz(path, {"w": np.ones(2)}, {"k": value}, compress=False)
+            write_npz(path, {"w": np.ones(2)}, {"k": value})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["a.npz"]
 

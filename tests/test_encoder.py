@@ -18,7 +18,7 @@ from weaklabel.encoder import (
 )
 from weaklabel.config import PipelineConfig
 
-from weaklabel.corpus import tokenize
+from weaklabel.corpus import tokenize, write_npz
 from weaklabel.kernels import CsrMatrix
 
 from conftest import csr_row, load_corpus_records, paper_record
@@ -689,8 +689,8 @@ class TestCheckpoint:
     @given(hash_dim=st.integers(1, 64), embed_dim=st.integers(1, 12),
            hash_seed=st.integers(-2**63, 2**63 - 1), max_tokens=st.integers(1, 500),
            trained=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_roundtrip_and_bytes_equal_savez(self, hash_dim, embed_dim, hash_seed, max_tokens,
-                                             trained, seed):
+    def test_roundtrip_and_bytes_equal_write_npz(self, hash_dim, embed_dim, hash_seed,
+                                                 max_tokens, trained, seed):
         model = init_model(hash_dim=hash_dim, embed_dim=embed_dim, seed=seed)
         model.featurizer = BaseFeaturizer(dim=hash_dim, hash_seed=hash_seed,
                                           max_tokens=max_tokens)
@@ -708,6 +708,21 @@ class TestCheckpoint:
         assert (loaded.hash_dim, loaded.embed_dim, loaded.featurizer.hash_seed,
                 loaded.featurizer.max_tokens) == (hash_dim, embed_dim, hash_seed, max_tokens)
         assert loaded.proj.flags.writeable and loaded.w.flags.writeable
+
+    def test_checkpoint_saved_whole_by_savez_loads_bit_for_bit(self, tmp_path):
+        # every checkpoint written before write_npz split its float64 members
+        rng = np.random.default_rng(4)
+        model = init_model(hash_dim=64, embed_dim=8, seed=4)
+        model.proj = rng.normal(size=model.proj.shape) * 10.0 ** rng.integers(-300, 300,
+                                                                            model.proj.shape)
+        model.w = rng.normal(size=16)
+        path = tmp_path / "model.npz"
+        meta = json.dumps(reference_meta(model, PipelineConfig(train_steps=7), 3)).encode()
+        np.savez(path, proj=model.proj, w=model.w, meta=np.frombuffer(meta, dtype=np.uint8))
+        loaded = load_model(path)
+        assert loaded.proj.tobytes() == model.proj.tobytes()
+        assert loaded.w.tobytes() == model.w.tobytes()
+        assert loaded.featurizer.hash_seed == model.featurizer.hash_seed
 
     # the missing, mistyped and non-JSON cases run through ``weaklabel score``
     # in test_pipeline's TestStandalonePredict::test_mistyped_meta_fails
@@ -745,8 +760,8 @@ class TestCheckpoint:
             load_model(path)
 
 
-def reference_save_model(model, path, config=None, seed=0):
-    """The checkpoint writer before write_npz: np.savez of the arrays."""
+def reference_meta(model, config=None, seed=0):
+    """A checkpoint's meta, each key written out."""
     meta = {"version": encoder.CHECKPOINT_VERSION, "hash_dim": model.hash_dim,
             "embed_dim": model.embed_dim, "hash_seed": model.featurizer.hash_seed,
             "max_tokens": model.featurizer.max_tokens}
@@ -757,9 +772,12 @@ def reference_save_model(model, path, config=None, seed=0):
                          "beta1": config.beta1, "beta2": config.beta2,
                          "total_steps": config.train_steps, "epochs": config.train_epochs,
                          "seed": seed}
-    with open(path, "wb") as fh:
-        np.savez(fh, proj=model.proj, w=model.w,
-                 meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+    return meta
+
+
+def reference_save_model(model, path, config=None, seed=0):
+    """write_npz of the arrays and the meta written out."""
+    write_npz(path, {"proj": model.proj, "w": model.w}, reference_meta(model, config, seed))
 
 
 class TestEmbeddingOverrides:

@@ -20,7 +20,7 @@ from weaklabel import candidates as cand
 from weaklabel import citegraph, cli, encoder, kernels, metrics, pipeline, ranker, selftrain
 from weaklabel.config import ConfigError, PipelineConfig, make_config
 from weaklabel.corpus import (Paper, load_corpus, load_labels, read_jsonl, read_npz_members,
-                              write_jsonl)
+                              write_jsonl, write_npz)
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import per_text_stage_score
@@ -117,12 +117,14 @@ def record_featurized(monkeypatch) -> Counter:
 def score_stage_texts(cfg) -> Counter:
     """The texts the score stage must embed, each once: every label text and
     paragraph, and the title+abstract of each paper with candidates or
-    without paragraphs."""
+    without paragraphs unless it is the paper's paragraph 0 (no embeddings
+    file, hierarchy on)."""
     cands = cand.read_candidates(artifact(cfg.output_dir, "candidates"))
     want = Counter(l.text for l in load_labels(cfg.labels_path))
     for paper in load_corpus(cfg.corpus_path):
         want.update(paper.paragraphs)
-        if cands[paper.id] or paper.is_empty:
+        if (cands[paper.id] or paper.is_empty) and \
+                paper.paragraphs[:1] != [paper.title_abstract]:
             want[paper.title_abstract] += 1
     return want
 
@@ -337,10 +339,10 @@ class TestNumericsRule:
     def test_within_the_bounds_holds(self, dirs):
         out, new = dirs
         assert compare_outputs(out, new) == []
-        with np.load(new / "encoder.npz") as data:
-            members = {key: data[key] for key in data.files}
-        members["proj"] = members["proj"] + 1e-10
-        np.savez(new / "encoder.npz", **members)
+        members = read_npz_members(new / "encoder.npz")
+        meta = json.loads(bytes(members.pop("meta")).decode("utf-8"))
+        members["proj"] += 1e-10
+        write_npz(new / "encoder.npz", members, meta)
         trace = json.loads((new / "loss_trace.json").read_text())
         trace["losses"][-1] *= 1.0 + 1e-10
         (new / "loss_trace.json").write_text(json.dumps(trace))
@@ -748,6 +750,27 @@ class TestScoreBlocks:
         for key in ("scores", "score_stats"):
             assert open(artifact(dirs["blocks"], key), "rb").read() == \
                 open(artifact(dirs["per_text"], key), "rb").read(), key
+
+    def test_paper_override_alone_sets_u(self, trained, tmp_path):
+        # the stage reuses paragraph 0's vector as the joint scorer's u when
+        # paragraph 0 is the title+abstract, but not when a file names the paper
+        data, out, corpus = trained
+        cands = cand.read_candidates(artifact(out, "candidates"))
+        paper = next(p for p in corpus if p.paragraphs[:1] == [p.title_abstract] and cands[p.id])
+        emb_file = tmp_path / "ext.jsonl"
+        vec = np.random.default_rng(5).normal(size=base_config(data, out).embed_dim)
+        write_jsonl([{"id": paper.id, "embedding": vec.tolist()}], emb_file)
+        scores = {}
+        for side, score, extra in (("plain", pipeline.stage_score, {}),
+                                   ("blocks", pipeline.stage_score,
+                                    {"embeddings_path": str(emb_file)}),
+                                   ("per_text", per_text_stage_score,
+                                    {"embeddings_path": str(emb_file)})):
+            shutil.copytree(out, tmp_path / side)
+            score(base_config(data, tmp_path / side, **extra))
+            scores[side] = ranker.read_scores(artifact(tmp_path / side, "scores"))[paper.id]
+        assert scores["blocks"] == scores["per_text"]
+        assert [c.score_x for c in scores["blocks"]] != [c.score_x for c in scores["plain"]]
 
 
 class TestEmbeddingOverrides:

@@ -26,8 +26,17 @@ def changed_tree(tmp_path, module, old, new):
     return tree
 
 
+def sizes(work):
+    """The report's output-bytes clause for the two run directories under ``work``."""
+    n, m = (sum(path.stat().st_size for path in (work / side).iterdir())
+            for side in ("parent", "change"))
+    return f"; output bytes: parent {n}, change {m} ({m - n:+d})"
+
+
 def test_same_tree_is_cmp_identical(tmp_path):
-    assert protocol.compare_input(REPO, REPO, TINY, tmp_path / "w") == (0, f"{NAME}: cmp-identical")
+    code, line = protocol.compare_input(REPO, REPO, TINY, tmp_path / "w")
+    assert sizes(tmp_path / "w").endswith(" (+0)")
+    assert (code, line) == (0, f"{NAME}: cmp-identical" + sizes(tmp_path / "w"))
 
 
 def test_reordered_sum_holds_the_numerics_rule(tmp_path):
@@ -35,7 +44,7 @@ def test_reordered_sum_holds_the_numerics_rule(tmp_path):
     tree = changed_tree(tmp_path, "ranker.py", "parent.append(sum(values) / len(values))",
                         "parent.append(sum(values) * (1.0 / len(values)))")
     assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
-        0, f"{NAME}: within the numerics rule (scores.jsonl differ)")
+        0, f"{NAME}: within the numerics rule (scores.jsonl differ)" + sizes(tmp_path / "w"))
 
 
 def test_changed_output_is_a_breach(tmp_path):
@@ -44,6 +53,8 @@ def test_changed_output_is_a_breach(tmp_path):
     assert code == 1
     assert line.startswith(f"{NAME}: predictions.jsonl: paper ")
     assert "top_k_scores: shape (1, 5) != (1, 4)" in line
+    # one score fewer a paper: the change's outputs are smaller
+    assert line.endswith(sizes(tmp_path / "w")) and "(-" in sizes(tmp_path / "w")
 
 
 def test_reports_net_src_lines_last(tmp_path, monkeypatch, capsys):
@@ -80,7 +91,7 @@ def classifier_dirs(tmp_path, weights, change):
     np.savez_compressed(ref / "classifier.npz", weights=weights, biases=biases,
                         meta=np.frombuffer(meta, dtype=np.uint8))
     write_npz(new / "classifier.npz", {"weights": change(weights.copy()), "biases": biases},
-              {"version": 1}, compress=True)
+              {"version": 1})
     return ref, new
 
 

@@ -156,7 +156,7 @@ def write_encoder(path, meta):
     dims = meta["hash_dim"], meta["embed_dim"]
     if {type(d) for d in dims} != {int}:  # a mistyped meta, which fails before the shapes
         dims = 1, 1
-    write_npz(path, {"proj": np.zeros(dims), "w": np.zeros(2 * dims[1])}, meta, compress=False)
+    write_npz(path, {"proj": np.zeros(dims), "w": np.zeros(2 * dims[1])}, meta)
 
 
 def load_encoder(path):
@@ -182,8 +182,7 @@ def write_classifier(path, meta):
         shape = sum(len(rec["labels"]) for rec in meta["nodes"]), int(meta["n_features"])
     except (TypeError, KeyError, ValueError):  # a mistyped meta, which fails before the shapes
         shape = 1, 1
-    write_npz(path, {"weights": np.zeros(shape), "biases": np.zeros(shape[0])}, meta,
-              compress=True)
+    write_npz(path, {"weights": np.zeros(shape), "biases": np.zeros(shape[0])}, meta)
 
 
 def load_classifier(path):
