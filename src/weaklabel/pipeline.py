@@ -6,7 +6,8 @@ in isolation (including in a separate process) and a single-shot run is
 byte-identical to a stage-by-stage one. The inputs a stage derives from
 the corpus and label files come from a ``RunContext``: a full run shares
 one, so each input is read and each feature matrix built once per run.
-Evaluate reads only the corpus's paper ids and gold labels.
+Evaluate reads only the corpus's paper ids and gold labels. A stage's
+product is its artifacts; predict and evaluate also return theirs.
 
 Stage order: ingest -> candidates -> sample-tuples -> train-encoder ->
 score (joint scores, hierarchy aggregation, rank ensembling) ->
@@ -179,17 +180,15 @@ def _check_override_ids(path, overrides: dict, corpus: list[Paper], labels: list
                     path, len(unknown), len(overrides), unknown[:5])
 
 
-def stage_ingest(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict:
+def stage_ingest(cfg: PipelineConfig, ctx: RunContext | None = None):
     ctx = _context(cfg, ctx)
     stats = corpus_stats(ctx.corpus, ctx.terms)
     stats["n_labels"] = len(ctx.labels)
     _write_json(cfg, "ingest", stats, indent=2, sort_keys=True)
     log.info("ingested %d papers, %d labels", stats["n_papers"], len(ctx.labels))
-    return stats
 
 
-def stage_candidates(cfg: PipelineConfig,
-                     ctx: RunContext | None = None) -> dict[str, list[str]]:
+def stage_candidates(cfg: PipelineConfig, ctx: RunContext | None = None):
     ctx = _context(cfg, ctx)
     index = cand.build_name_index(ctx.labels)
     out = {p.id: cand.retrieve_candidates(p, index, full_text=cfg.match_full_text)
@@ -198,21 +197,17 @@ def stage_candidates(cfg: PipelineConfig,
     stats = cand.candidate_stats(out)
     log.info("retrieval: mean %.2f candidates/paper, %d empty",
              stats.mean_candidates, stats.n_empty)
-    return out
 
 
-def stage_sample_tuples(cfg: PipelineConfig,
-                        ctx: RunContext | None = None) -> list[citegraph.ContrastiveTuple]:
+def stage_sample_tuples(cfg: PipelineConfig, ctx: RunContext | None = None):
     corpus = _context(cfg, ctx).corpus
     graph = citegraph.build_graph(corpus)
     tuples = citegraph.sample_tuples(graph, corpus, citegraph.MetaPath.parse(cfg.meta_path),
                                      cfg.tuple_count, seed=cfg.stage_seed("sample-tuples"))
     citegraph.write_tuples(tuples, _path(cfg, "tuples"))
-    return tuples
 
 
-def stage_train_encoder(cfg: PipelineConfig,
-                        ctx: RunContext | None = None) -> encoder.ScorerModel:
+def stage_train_encoder(cfg: PipelineConfig, ctx: RunContext | None = None):
     corpus = _context(cfg, ctx).corpus
     with _upstream(cfg, "tuples") as path:
         tuples = citegraph.read_tuples(path)
@@ -223,11 +218,9 @@ def stage_train_encoder(cfg: PipelineConfig,
     encoder.save_model(model, _path(cfg, "encoder"), cfg, seed)
     _write_json(cfg, "loss_trace", {"losses": losses.tolist()})
     log.info("trained scorer: first-batch loss %.4f, final %.4f", losses[0], losses[-1])
-    return model
 
 
-def stage_score(cfg: PipelineConfig,
-                ctx: RunContext | None = None) -> dict[str, list[ranker.CandidateScore]]:
+def stage_score(cfg: PipelineConfig, ctx: RunContext | None = None):
     ctx = _context(cfg, ctx)
     corpus, labels = ctx.corpus, ctx.labels
     cands = _read_paper_keyed(cfg, ctx, "candidates")
@@ -237,49 +230,31 @@ def stage_score(cfg: PipelineConfig,
                  if cfg.embeddings_path else {})
     if overrides:
         _check_override_ids(cfg.embeddings_path, overrides, corpus, labels)
-    model.counters.reset()
 
     def embeddings(items) -> list[np.ndarray]:
-        """The vector of each ``(key, text, counted)``: the external vector
-        under ``key``, or else the model's, with one featurizer call for all."""
-        own = [(text, counted) for key, text, counted in items if key not in overrides]
-        model.counters.bi_embed += sum(counted for _, counted in own)
-        feats = model.featurizer.featurize_many([text for text, _ in own])
-        rows = iter(range(feats.n_rows))
-        return [overrides[key] if key in overrides else
-                encoder._embed_features(model, feats, next(rows)) for key, _, _ in items]
+        """The vector of each ``(key, text)``: the external vector under ``key``,
+        or else the model's, from one featurizer call over the distinct texts."""
+        texts = list(dict.fromkeys(text for key, text in items if key not in overrides))
+        feats = model.featurizer.featurize_many(texts)
+        vec = {text: encoder._embed_features(model, feats, i) for i, text in enumerate(texts)}
+        return [overrides[key] if key in overrides else vec[text] for key, text in items]
 
-    # both scorers read the label vectors; bi calls count them only on the bi path
-    label_embs = dict(zip((l.id for l in labels),
-                          embeddings([(l.id, l.text, cfg.use_hierarchy) for l in labels])))
-
+    label_embs = dict(zip((l.id for l in labels), embeddings([(l.id, l.text) for l in labels])))
     scored: dict[str, list[ranker.CandidateScore]] = {}
     for lo in range(0, len(corpus), SCORE_BLOCK_PAPERS):
         block = corpus[lo:lo + SCORE_BLOCK_PAPERS]
-        # one title+abstract vector serves the joint scorer and, for a paper
-        # with no paragraphs, the root; a bi call counts it only as the root
-        as_root = [cfg.use_hierarchy and paper.is_empty for paper in block]
-        # paragraph 0's vector is the title+abstract's when it is that text and
-        # no override names either
-        as_leaf = [cfg.use_hierarchy and paper.paragraphs[:1] == [paper.title_abstract]
-                   and paper.id not in overrides and f"{paper.id}#0" not in overrides
-                   for paper in block]
-        items = []
-        for paper, root, leaf in zip(block, as_root, as_leaf):
-            if (cands[paper.id] or root) and not leaf:
-                items.append((paper.id, paper.title_abstract, root))
-            if cfg.use_hierarchy:
-                items += [(f"{paper.id}#{i}", text, True)
-                          for i, text in enumerate(paper.paragraphs)]
-        vecs = iter(embeddings(items))
-        for paper, root, leaf in zip(block, as_root, as_leaf):
+        # every title+abstract, then (hierarchy on) every paragraph as a leaf
+        items = [(paper.id, paper.title_abstract) for paper in block]
+        if cfg.use_hierarchy:
+            items += [(f"{paper.id}#{i}", text)
+                      for paper in block for i, text in enumerate(paper.paragraphs)]
+        vecs = embeddings(items)
+        leaves = iter(vecs[len(block):])
+        for paper, u in zip(block, vecs):
             cand_ids = cands[paper.id]
-            u = next(vecs) if (cand_ids or root) and not leaf else None
-            leaf_embs = [next(vecs) for _ in paper.paragraphs] if cfg.use_hierarchy else []
-            if leaf:
-                u = leaf_embs[0]
             score_x = ranker.score_cross(model, u, label_embs, cand_ids)
             if cfg.use_hierarchy:
+                leaf_embs = [next(leaves) for _ in paper.paragraphs]
                 root_emb = ranker.aggregate_hierarchy(paper, leaf_embs, fallback=u)
                 score_b = ranker.score_bi(root_emb, label_embs, cand_ids)
             else:
@@ -287,8 +262,14 @@ def stage_score(cfg: PipelineConfig,
             scored[paper.id] = ranker.mrr_combine(score_b, score_x)
 
     ranker.write_scores(scored, _path(cfg, "scores"))
+    # the bi path's own embeddings: each label, each paragraph and the title+abstract
+    # of each paper with no paragraphs (its root), less those the file gives
+    bi_keys = []
+    if cfg.use_hierarchy:
+        bi_keys = [l.id for l in labels] + [p.id for p in corpus if p.is_empty]
+        bi_keys += [f"{p.id}#{i}" for p in corpus for i in range(len(p.paragraphs))]
     stats = {
-        "bi_embed_calls": model.counters.bi_embed,
+        "bi_embed_calls": sum(key not in overrides for key in bi_keys),
         "cross_score_calls": model.counters.cross_score,
         "sum_candidates": sum(len(c) for c in cands.values()),
         "sum_paragraphs": sum(len(p.paragraphs) for p in corpus),
@@ -296,11 +277,9 @@ def stage_score(cfg: PipelineConfig,
         "n_empty_papers": sum(p.is_empty for p in corpus),
     }
     _write_json(cfg, "score_stats", stats, indent=2, sort_keys=True)
-    return scored
 
 
-def stage_self_train(cfg: PipelineConfig,
-                     ctx: RunContext | None = None) -> selftrain.LabelTreeClassifier:
+def stage_self_train(cfg: PipelineConfig, ctx: RunContext | None = None):
     ctx = _context(cfg, ctx)
     scored = _read_paper_keyed(cfg, ctx, "scores")
     pseudo = selftrain.pseudo_labels(scored, cfg.pseudo_top_n)
@@ -308,7 +287,6 @@ def stage_self_train(cfg: PipelineConfig,
                                      [l.id for l in ctx.labels], cfg,
                                      cfg.stage_seed("self-train"))
     selftrain.save_classifier(clf, _path(cfg, "classifier"))
-    return clf
 
 
 def _check_label_set(clf: selftrain.LabelTreeClassifier, label_ids: list[str]):
@@ -417,12 +395,8 @@ def run_pipeline(cfg: PipelineConfig):
     """Run ``stages(cfg)`` in order over one ``RunContext``; returns
     (rankings, metrics report or None)."""
     ctx = RunContext(cfg)
-    kept = {}
+    returned = {}
     for name, fn in stages(cfg):
         log.info("stage %s", name)
-        # later stages must not hold earlier results in memory, except the two returned
-        if name in ("predict", "evaluate"):
-            kept[name] = fn(cfg, ctx)
-        else:
-            fn(cfg, ctx)
-    return kept.get("predict"), kept.get("evaluate")
+        returned[name] = fn(cfg, ctx)
+    return returned["predict"], returned["evaluate"]

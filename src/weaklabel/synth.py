@@ -17,6 +17,10 @@ import numpy as np
 
 from .corpus import write_jsonl
 
+TOPIC_WORDS_PER_LABEL = 6
+SYNONYM_EVERY = 5  # every k-th label gets a second name
+TITLE_INJECT_PROB = 0.25
+
 
 @dataclass
 class SyntheticSpec:
@@ -27,9 +31,6 @@ class SyntheticSpec:
     vocab_size: int = 300  # filler word pool
     seed: int = 1
     edge_prob: float = 0.08  # citation probability between same-label papers
-    topic_words_per_label: int = 6
-    synonym_every: int = 5  # every k-th label gets a second name
-    title_inject_prob: float = 0.25
 
     def validate(self):
         if self.labels_per_paper > self.n_labels:
@@ -59,7 +60,7 @@ def generate_synthetic(spec: SyntheticSpec):
 
     filler = _words("lorem", spec.vocab_size)
     name_pool = _words("term", 3 * spec.n_labels)
-    topic_pool = _words("topic", spec.n_labels * spec.topic_words_per_label)
+    topic_pool = _words("topic", spec.n_labels * TOPIC_WORDS_PER_LABEL)
 
     labels = []
     label_names: list[list[str]] = []
@@ -68,10 +69,10 @@ def generate_synthetic(spec: SyntheticSpec):
     for j in range(spec.n_labels):
         names = [f"{name_pool[w]} {name_pool[w + 1]}"]
         w += 2
-        if spec.synonym_every and j % spec.synonym_every == 0:
+        if j % SYNONYM_EVERY == 0:
             names.append(name_pool[w])
             w += 1
-        topics = topic_pool[j * spec.topic_words_per_label:(j + 1) * spec.topic_words_per_label]
+        topics = topic_pool[j * TOPIC_WORDS_PER_LABEL:(j + 1) * TOPIC_WORDS_PER_LABEL]
         desc_words = topics[:4] + [filler[rng.integers(len(filler))] for _ in range(4)]
         labels.append({"id": f"L{j:04d}", "names": names,
                        "description": " ".join(desc_words)})
@@ -121,7 +122,7 @@ def generate_synthetic(spec: SyntheticSpec):
         abstract_inj: list[tuple[int, list[str]]] = []
         for l in abstract_labels:
             name = label_names[l][int(rng.integers(len(label_names[l])))]
-            if rng.random() < spec.title_inject_prob:
+            if rng.random() < TITLE_INJECT_PROB:
                 title_inj.append((int(rng.integers(len(title_base) + 1)), name.split()))
             else:
                 abstract_inj.append((int(rng.integers(len(abstract_base) + 1)), name.split()))

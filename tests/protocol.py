@@ -10,16 +10,20 @@ README's eleven inputs (see "Numerics rule"): synth seeds 1-5 at
 where each tree is a checkout of this repository (``git archive`` of a
 commit, say). For each input the parent tree's ``weaklabel synth`` writes
 the corpus; then ``weaklabel run-all --seed 7`` runs from each tree's
-``src/`` in a fresh process with ``OPENBLAS_NUM_THREADS=1``. One line per
-input says ``cmp-identical`` (every output file byte for byte),
-``within the numerics rule`` (naming the files that differ) or each
-breach that ``numerics_rule.compare_outputs`` finds, then the bytes of
-each tree's output directory. A last line gives each tree's ``src/`` line
-count, as ``wc -l src/weaklabel/*.py`` counts.
+``src/`` in a fresh process with ``OPENBLAS_NUM_THREADS=1``, and the
+change tree's ``weaklabel score`` reruns on its own over the change's
+output, where it must rewrite ``scores.jsonl`` and ``score_stats.json``
+byte for byte (a stage run alone builds its own inputs, as the score of
+the retag-1000 benchmark workload does). One line per input says
+``cmp-identical`` (every output file byte for byte), ``within the
+numerics rule`` (naming the files that differ) or each breach that
+``numerics_rule.compare_outputs`` finds, then the bytes of each tree's
+output directory. A last line gives each tree's ``src/`` line count, as
+``wc -l src/weaklabel/*.py`` counts.
 
-The exit status is 0 when every input holds the rule, 1 on a breach or
-a failed run, and 2 on a wrong argument count or a path that is not a
-source tree.
+The exit status is 0 when every input holds the rule, 1 on a breach, a
+failed run or a stand-alone score whose bytes differ, and 2 on a wrong
+argument count or a path that is not a source tree.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ INPUTS = ([(seed, 500, 50, ()) for seed in range(1, 6)]
           + [(seed, 1000, 220, ("--train-steps", "50")) for seed in range(1, 6)]
           + [(1, 5000, 500, ("--train-steps", "50"))])
 RUN_SEED = "7"
+RESCORED = ("scores.jsonl", "score_stats.json")  # what a stand-alone score rewrites
 
 # the CLI of the tree whose src/ is the first argument, imported from nowhere else
 _LAUNCH = ("import sys; src = sys.argv.pop(1); sys.path.insert(0, src)\n"
@@ -62,19 +67,31 @@ def compare_input(parent, change, spec, work) -> tuple[int, str]:
     name = " ".join([f"synth seed {seed}, {papers} x {labels}", *flags])
     work = Path(work)
     work.mkdir(parents=True)
+    ref, new = work / "parent", work / "change"
     data = ["--corpus", str(work / "corpus.jsonl"), "--labels", str(work / "labels.jsonl")]
-    steps = [(parent, "synth", ["synth", "--papers", str(papers), "--label-count", str(labels),
-                                "--seed", str(seed), "--out-dir", str(work)])]
-    steps += [(tree, f"the {out} run-all", ["run-all", *data, "--output-dir", str(work / out),
-                                            "--seed", RUN_SEED, *flags])
-              for tree, out in ((parent, "parent"), (change, "change"))]
-    for tree, what, args in steps:
+
+    def failure(tree, what, *args) -> str | None:
         proc = weaklabel(tree, work, *args)
         if proc.returncode:
             why = (proc.stderr.strip().splitlines() or ["no output"])[-1]
-            return 1, f"{name}: {what} failed with exit {proc.returncode}: {why}"
+            return f"{name}: {what} failed with exit {proc.returncode}: {why}"
 
-    ref, new = work / "parent", work / "change"
+    steps = [(parent, "synth", "synth", "--papers", str(papers), "--label-count", str(labels),
+              "--seed", str(seed), "--out-dir", str(work))]
+    steps += [(tree, f"the {out.name} run-all", "run-all", *data, "--output-dir", str(out),
+               "--seed", RUN_SEED, *flags) for tree, out in ((parent, ref), (change, new))]
+    for step in steps:
+        if why := failure(*step):
+            return 1, why
+    # the change's score, run on its own over its run-all's output, rewrites the same bytes
+    ran = {file: (new / file).read_bytes() for file in RESCORED}
+    if why := failure(change, "the change's stand-alone score", "score", *data,
+                      "--output-dir", str(new), "--seed", RUN_SEED, *flags):
+        return 1, why
+    moved = [file for file in RESCORED if (new / file).read_bytes() != ran[file]]
+    if moved:
+        return 1, f"{name}: the change's stand-alone score rewrote {', '.join(moved)}"
+
     code, verdict = _verdict(ref, new)
     n, m = output_bytes(ref), output_bytes(new)
     return code, f"{name}: {verdict}; output bytes: parent {n}, change {m} ({m - n:+d})"

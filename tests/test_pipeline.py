@@ -100,38 +100,36 @@ class TestEndToEnd:
         assert stats["paragraphs_per_paper"] > 1
 
 
-def record_featurized(monkeypatch) -> Counter:
-    """Count every text ``BaseFeaturizer.featurize_many`` is given from now on
-    (``featurize`` hands it its one text)."""
-    texts = Counter()
+def record_featurized(monkeypatch) -> list[Counter]:
+    """The texts of each ``BaseFeaturizer.featurize_many`` call from now on, one
+    Counter a call (``featurize`` hands it its one text)."""
+    calls = []
     featurize_many = encoder.BaseFeaturizer.featurize_many
 
     def recording(self, batch):
         batch = list(batch)
-        texts.update(batch)
+        calls.append(Counter(batch))
         return featurize_many(self, batch)
     monkeypatch.setattr(encoder.BaseFeaturizer, "featurize_many", recording)
-    return texts
+    return calls
 
 
-def score_stage_texts(cfg) -> Counter:
-    """The texts the score stage must embed, each once: every label text and
-    paragraph, and the title+abstract of each paper with candidates or
-    without paragraphs unless it is the paper's paragraph 0 (no embeddings
-    file, hierarchy on)."""
-    cands = cand.read_candidates(artifact(cfg.output_dir, "candidates"))
-    want = Counter(l.text for l in load_labels(cfg.labels_path))
-    for paper in load_corpus(cfg.corpus_path):
-        want.update(paper.paragraphs)
-        if (cands[paper.id] or paper.is_empty) and \
-                paper.paragraphs[:1] != [paper.title_abstract]:
-            want[paper.title_abstract] += 1
-    return want
+def score_stage_texts(cfg) -> list[Counter]:
+    """The texts of each featurizer call the score stage must make (no embeddings
+    file, hierarchy on): one call for the label texts, then one per block of
+    ``SCORE_BLOCK_PAPERS`` papers for every paper's title+abstract and
+    paragraphs, each distinct text once a call."""
+    corpus = load_corpus(cfg.corpus_path)
+    blocks = [corpus[lo:lo + pipeline.SCORE_BLOCK_PAPERS]
+              for lo in range(0, len(corpus), pipeline.SCORE_BLOCK_PAPERS)]
+    return [Counter({l.text for l in load_labels(cfg.labels_path)})] + [
+        Counter({text for p in block for text in (p.title_abstract, *p.paragraphs)})
+        for block in blocks]
 
 
 def rescore_recording_texts(cfg, monkeypatch, tmp_path):
-    """Rerun ``stage_score`` on a copy of ``cfg``'s output; returns the texts
-    it featurized and the copy's config."""
+    """Rerun ``stage_score`` on a copy of ``cfg``'s output; returns the texts of
+    each featurizer call it made and the copy's config."""
     copy = tmp_path / "rescored"
     shutil.copytree(cfg.output_dir, copy)
     cfg = dataclasses.replace(cfg, output_dir=str(copy))
@@ -752,8 +750,8 @@ class TestScoreBlocks:
                 open(artifact(dirs["per_text"], key), "rb").read(), key
 
     def test_paper_override_alone_sets_u(self, trained, tmp_path):
-        # the stage reuses paragraph 0's vector as the joint scorer's u when
-        # paragraph 0 is the title+abstract, but not when a file names the paper
+        # one vector serves paragraph 0 and the joint scorer's u when both are
+        # the title+abstract, but a file that names the paper sets u alone
         data, out, corpus = trained
         cands = cand.read_candidates(artifact(out, "candidates"))
         paper = next(p for p in corpus if p.paragraphs[:1] == [p.title_abstract] and cands[p.id])
@@ -889,12 +887,14 @@ class TestEmptyPaperFallback:
             stats["sum_paragraphs"] + stats["n_labels"] + 1
 
     def test_empty_paper_title_abstract_embedded_once(self, empty_run, monkeypatch, tmp_path):
-        # one vector serves both the joint scorer and the root fallback
+        # one vector serves both the joint scorer and the root fallback; the body
+        # paragraph and title+abstract that papers A-D share are featurized once
         cfg, _ = empty_run
         empty = next(p for p in load_corpus(cfg.corpus_path) if p.is_empty)
         texts, rescored = rescore_recording_texts(cfg, monkeypatch, tmp_path)
-        assert texts[empty.title_abstract] == 1
+        assert sum(texts, Counter())[empty.title_abstract] == 1
         assert texts == score_stage_texts(rescored)
+        assert sum(texts[1].values()) == 3  # E's title+abstract, A-D's, and the body
         for key in ("scores", "score_stats"):
             assert open(artifact(rescored.output_dir, key), "rb").read() == \
                 open(artifact(cfg.output_dir, key), "rb").read(), key
@@ -955,6 +955,24 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(tmp_path / "out" / "predictions.jsonl")
         assert '"P@1"' in proc.stdout
+
+    def test_full_text_match_flag(self, tmp_path):
+        # synth plants each fulltext_labels name in body paragraphs only
+        assert cli.main(["synth", "--papers", "40", "--label-count", "8", "--seed", "3",
+                         "--out-dir", str(tmp_path)]) == 0
+        planted = {m["paper_id"]: set(m["fulltext_labels"])
+                   for m in read_jsonl(tmp_path / "synth_manifest.jsonl")}
+        assert all(planted.values())
+        found = {}
+        for flags in ([], ["--full-text-match"]):
+            out = tmp_path / ("full" if flags else "plain")
+            assert cli.main(["candidates", "--corpus", str(tmp_path / "corpus.jsonl"),
+                             "--labels", str(tmp_path / "labels.jsonl"),
+                             "--output-dir", str(out), *flags]) == 0
+            got = cand.read_candidates(artifact(out, "candidates"))
+            found[bool(flags)] = {pid: planted[pid] & set(got[pid]) for pid in planted}
+        assert found[True] == planted
+        assert not any(found[False].values())
 
     def test_bad_config_exits_2(self, tmp_path):
         proc = subprocess.run(
@@ -1667,7 +1685,8 @@ class TestNonFiniteArtifacts:
 
 class TestArtifactTable:
     """Run stage by stage in a fresh output directory, each stage adds the
-    files that ``pipeline.ARTIFACTS`` assigns to it and no other file."""
+    files that ``pipeline.ARTIFACTS`` assigns to it and no other file; only
+    predict and evaluate return a value."""
 
     @pytest.mark.parametrize("use_selftrain", [True, False])
     def test_each_stage_adds_its_artifacts(self, data_dir, tmp_path, use_selftrain):
@@ -1675,7 +1694,8 @@ class TestArtifactTable:
                           use_selftrain=use_selftrain)
         ctx, seen = pipeline.RunContext(cfg), set()
         for name, fn in pipeline.stages(cfg):
-            fn(cfg, ctx)
+            returned = fn(cfg, ctx)
+            assert (returned is None) == (name not in ("predict", "evaluate")), name
             files = set(os.listdir(tmp_path / "out"))
             assert seen <= files
             assert files - seen == {file for file, writer in pipeline.ARTIFACTS.values()

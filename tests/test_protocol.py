@@ -57,6 +57,14 @@ def test_changed_output_is_a_breach(tmp_path):
     assert line.endswith(sizes(tmp_path / "w")) and "(-" in sizes(tmp_path / "w")
 
 
+def test_stand_alone_score_that_differs_from_run_all_fails(tmp_path):
+    # by score, run-all's shared context still holds ingest's term counts
+    tree = changed_tree(tmp_path, "pipeline.py", '"n_labels": len(labels),',
+                        '"n_labels": len(labels) + ("terms" in ctx.__dict__),')
+    assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
+        1, f"{NAME}: the change's stand-alone score rewrote score_stats.json")
+
+
 def test_reports_net_src_lines_last(tmp_path, monkeypatch, capsys):
     tree = changed_tree(tmp_path, "config.py", "class ConfigError(ValueError):\n",
                         "class ConfigError(ValueError):\n    \"\"\"A config fault.\"\"\"\n")
