@@ -341,11 +341,10 @@ def _write_member(zf: zipfile.ZipFile, name: str, method: int, dtype, shape, chu
 
 
 def _read_header(fh) -> tuple:
-    """(shape, fortran order, dtype) of the npy stream ``fh``."""
-    major, _ = np.lib.format.read_magic(fh)
-    read = np.lib.format.read_array_header_1_0 if major == 1 else \
-        np.lib.format.read_array_header_2_0
-    return read(fh)
+    """(shape, fortran order, dtype) of an npy stream with _write_member's 1.0 header."""
+    if (version := np.lib.format.read_magic(fh)) != (1, 0):
+        raise ValueError(f"npy header version {version}, not (1, 0)")
+    return np.lib.format.read_array_header_1_0(fh)
 
 
 def _read_exactly(fh, n: int) -> np.ndarray:

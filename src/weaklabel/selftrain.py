@@ -253,49 +253,41 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: PipelineCo
     return W, b
 
 
-def train_tree(nodes: list[dict], root: int, X: CsrMatrix, member: np.ndarray,
-               cfg: PipelineConfig, weights: np.ndarray, biases: np.ndarray,
-               K: np.ndarray | None = None):
-    """Fit the routing and leaf classifiers of the tree at position ``root``
-    of ``nodes`` on (normalized) document rows into its rows of ``weights``
-    and ``biases``, numbered by _first_rows(nodes).
+def _fit_nodes(nodes: list[dict], positions, X: CsrMatrix, member: np.ndarray,
+               cfg: PipelineConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The weights and biases of every row _first_rows(nodes) numbers: those
+    of ``positions`` of ``nodes`` fitted on (normalized) rows of X, the rest 0.
 
-    ``member`` (rows x the tree's labels, its leaves' labels in preorder)
-    is True where a row carries a label as a pseudo label, so the labels of
-    every subtree are one contiguous column range. Documents descend toward
-    every child whose subtree contains one of their labels; leaf
-    classifiers are one-vs-all among the documents that reach the leaf.
-    Each node fits all its classifiers as one multi-output regression.
-    ``K``, if given, is the Gram matrix (_gram) of the rows that carry a
-    label, which every node takes its sub-block of (_fit_logistic).
+    ``member`` (rows x every leaf's labels, in table order) is True where a
+    row carries a pseudo label. A subtree's leaves are consecutive in
+    preorder, so node p's labels are the columns ``lo[p]:hi[p]``, its rows
+    those with a label there and its targets, one per label on a leaf and
+    one per child on a routing node, whether a row has a label in that part
+    of the span. No node reads another's fit, so any order fits them alike.
+    When at most GRAM_MAX_ROWS rows carry a label, every node takes its
+    sub-block of their one Gram matrix (_fit_logistic).
     """
-    if X.n_rows == 0:
-        raise ValueError("no training documents")
-    all_rows = np.flatnonzero(member.any(axis=1))
-    if all_rows.size == 0:
+    labelled = np.flatnonzero(member.any(axis=1))
+    if labelled.size == 0:
         raise ValueError("no training documents carry pseudo labels")
-
-    first = _first_rows(nodes)
-    width = [0] * len(nodes)  # each subtree's label count; children follow their parent
+    K = _gram(X, labelled) if labelled.size <= GRAM_MAX_ROWS else None
+    lo = np.cumsum([0] + [len(rec.get("labels", ())) for rec in nodes])
+    hi = lo[1:].copy()  # a routing node's span ends where its last child's does
     for pos in reversed(range(len(nodes))):
-        rec = nodes[pos]
-        width[pos] = (len(rec["labels"]) if "labels" in rec
-                      else sum(width[c] for c in rec["children"]))
-
-    # (node, the positions of its rows in all_rows, its first membership column)
-    stack = [(root, np.arange(all_rows.size), 0)]
-    while stack:
-        pos, at, lo = stack.pop()
-        rows = all_rows[at]
-        children = nodes[pos].get("children", [])
-        # one output per label on a leaf, per child subtree on a routing node
-        spans = [1] * width[pos] if "labels" in nodes[pos] else [width[c] for c in children]
-        starts = np.cumsum([0] + spans[:-1])
-        Y = np.logical_or.reduceat(member[rows, lo:lo + width[pos]], starts, axis=1)
+        if "children" in nodes[pos]:
+            hi[pos] = hi[nodes[pos]["children"][-1]]
+    first = _first_rows(nodes)
+    weights, biases = np.zeros((first[-1], X.n_cols)), np.zeros(first[-1])
+    for pos in positions:
+        span = member[:, lo[pos]:hi[pos]]
+        rows = np.flatnonzero(span.any(axis=1))
+        starts = (lo[nodes[pos]["children"]] if "children" in nodes[pos] else
+                  np.arange(lo[pos], hi[pos])) - lo[pos]
+        Y = np.logical_or.reduceat(span[rows], starts, axis=1).astype(np.float64)
+        at = None if rows.size == labelled.size else np.searchsorted(labelled, rows)
         out = slice(first[pos], first[pos + 1])
-        weights[out], biases[out] = _fit_logistic(
-            X, rows, Y.astype(np.float64), cfg, K, None if at.size == all_rows.size else at)
-        stack += [(child, at[Y[:, j]], lo + int(starts[j])) for j, child in enumerate(children)]
+        weights[out], biases[out] = _fit_logistic(X, rows, Y, cfg, K, at)
+    return weights, biases
 
 
 @dataclass
@@ -324,10 +316,9 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
     topologies differ only by clustering seed, ``seed + t`` for tree t.
     Label features for tree building are the mean raw tf-idf of each
     label's pseudo-positive documents. One papers x labels membership
-    matrix gives both these features and every tree's training targets.
-    When at most GRAM_MAX_ROWS papers carry a pseudo label, their Gram
-    matrix is built once and every node of every tree fits from it
-    (train_tree); it is freed on return.
+    matrix gives these features; reordered once to the table's leaf order,
+    it gives every node of every tree its rows and targets from the node's
+    label span, and one pass over the table fits them (_fit_nodes).
     """
     column = {lid: j for j, lid in enumerate(label_ids)}
     member = np.zeros((len(paper_ids), len(label_ids)), dtype=bool)
@@ -348,15 +339,8 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
         nodes += build_label_tree(feats, label_ids, cfg.max_leaf, seed=seed + t,
                                   start=len(nodes))
     del feats  # the fits need only the topologies; free the features before them
-    n_rows = _first_rows(nodes)[-1]
-    weights, biases = np.zeros((n_rows, X.n_cols)), np.zeros(n_rows)
-    Xn = _normalize_rows(X)
-    labelled = np.flatnonzero(member.any(axis=1))
-    # one Gram matrix for every node of every tree, when it fits the budget
-    K = _gram(Xn, labelled) if labelled.size <= GRAM_MAX_ROWS else None
-    for root, end in zip(roots, roots[1:] + [len(nodes)]):
-        leaf_order = [column[lid] for rec in nodes[root:end] for lid in rec.get("labels", ())]
-        train_tree(nodes, root, Xn, member[:, leaf_order], cfg, weights, biases, K)
+    member = member[:, [column[lid] for rec in nodes for lid in rec.get("labels", ())]]
+    weights, biases = _fit_nodes(nodes, range(len(nodes)), _normalize_rows(X), member, cfg)
     return LabelTreeClassifier(tuple(label_ids), roots, nodes, weights, biases)
 
 

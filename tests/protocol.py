@@ -10,11 +10,13 @@ README's eleven inputs (see "Numerics rule"): synth seeds 1-5 at
 where each tree is a checkout of this repository (``git archive`` of a
 commit, say). For each input the parent tree's ``weaklabel synth`` writes
 the corpus; then ``weaklabel run-all --seed 7`` runs from each tree's
-``src/`` in a fresh process with ``OPENBLAS_NUM_THREADS=1``, and the
-change tree's ``weaklabel score`` reruns on its own over the change's
-output, where it must rewrite ``scores.jsonl`` and ``score_stats.json``
-byte for byte (a stage run alone builds its own inputs, as the score of
-the retag-1000 benchmark workload does). One line per input says
+``src/`` in a fresh process with ``OPENBLAS_NUM_THREADS=1``. Then the
+change tree's ``weaklabel score``, ``predict`` and ``evaluate`` rerun,
+each on its own, over the change's output, where they must rewrite
+``scores.jsonl`` and ``score_stats.json``, ``predictions.jsonl`` and
+``metrics.json`` byte for byte (a stage run alone builds its own inputs,
+as the retag-1000 benchmark workload's ops do; evaluate then reads the
+gold labels through ``load_paper_labels``). One line per input says
 ``cmp-identical`` (every output file byte for byte), ``within the
 numerics rule`` (naming the files that differ) or each breach that
 ``numerics_rule.compare_outputs`` finds, then the bytes of each tree's
@@ -22,7 +24,7 @@ output directory. A last line gives each tree's ``src/`` line count, as
 ``wc -l src/weaklabel/*.py`` counts.
 
 The exit status is 0 when every input holds the rule, 1 on a breach, a
-failed run or a stand-alone score whose bytes differ, and 2 on a wrong
+failed run or a stand-alone stage whose bytes differ, and 2 on a wrong
 argument count or a path that is not a source tree.
 """
 
@@ -43,7 +45,9 @@ INPUTS = ([(seed, 500, 50, ()) for seed in range(1, 6)]
           + [(seed, 1000, 220, ("--train-steps", "50")) for seed in range(1, 6)]
           + [(1, 5000, 500, ("--train-steps", "50"))])
 RUN_SEED = "7"
-RESCORED = ("scores.jsonl", "score_stats.json")  # what a stand-alone score rewrites
+# the stages rerun on their own over the change's run-all output, in turn, and what each rewrites
+RERUNS = (("score", ("scores.jsonl", "score_stats.json")), ("predict", ("predictions.jsonl",)),
+          ("evaluate", ("metrics.json",)))
 
 # the CLI of the tree whose src/ is the first argument, imported from nowhere else
 _LAUNCH = ("import sys; src = sys.argv.pop(1); sys.path.insert(0, src)\n"
@@ -83,14 +87,15 @@ def compare_input(parent, change, spec, work) -> tuple[int, str]:
     for step in steps:
         if why := failure(*step):
             return 1, why
-    # the change's score, run on its own over its run-all's output, rewrites the same bytes
-    ran = {file: (new / file).read_bytes() for file in RESCORED}
-    if why := failure(change, "the change's stand-alone score", "score", *data,
-                      "--output-dir", str(new), "--seed", RUN_SEED, *flags):
-        return 1, why
-    moved = [file for file in RESCORED if (new / file).read_bytes() != ran[file]]
-    if moved:
-        return 1, f"{name}: the change's stand-alone score rewrote {', '.join(moved)}"
+    # each stage of RERUNS, run alone over the change's run-all output, rewrites the same bytes
+    for stage, files in RERUNS:
+        ran = {file: (new / file).read_bytes() for file in files}
+        if why := failure(change, f"the change's stand-alone {stage}", stage, *data,
+                          "--output-dir", str(new), "--seed", RUN_SEED, *flags):
+            return 1, why
+        moved = [file for file in files if (new / file).read_bytes() != ran[file]]
+        if moved:
+            return 1, f"{name}: the change's stand-alone {stage} rewrote {', '.join(moved)}"
 
     code, verdict = _verdict(ref, new)
     n, m = output_bytes(ref), output_bytes(new)

@@ -486,6 +486,24 @@ class TestWriteNpz:
                                              rf"\({re.escape(message)}\)$"):
             read_npz(path, "test", 1)
 
+    @pytest.mark.parametrize("stream", ["w", "w.high"])
+    def test_split_member_of_another_header_version_unreadable(self, tmp_path, stream):
+        path = tmp_path / "a.npz"
+        write_npz(path, {"w": np.arange(12.0).reshape(3, 4)}, {"version": 1})
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        for version in ((1, 0), (2, 0)):  # the same streams, one of them under another header
+            with zipfile.ZipFile(path, "w") as zf:
+                for name, array in arrays.items():
+                    with zf.open(f"{name}.npy", "w") as fh:
+                        np.lib.format.write_array(
+                            fh, array, version=version if name == stream else (1, 0))
+            if version == (1, 0):
+                assert read_npz(path, "test", 1)[1]["w"].tobytes() == np.arange(12.0).tobytes()
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unreadable archive "
+                                             r"\(npy header version \(2, 0\), not \(1, 0\)\)$"):
+            read_npz(path, "test", 1)
+
     def test_non_finite_value_through_the_planes_rejected(self, tmp_path):
         path = tmp_path / "a.npz"
         w = np.zeros((3, 4))

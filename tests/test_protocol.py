@@ -65,6 +65,15 @@ def test_stand_alone_score_that_differs_from_run_all_fails(tmp_path):
         1, f"{NAME}: the change's stand-alone score rewrote score_stats.json")
 
 
+def test_stand_alone_evaluate_that_differs_from_run_all_fails(tmp_path):
+    # only evaluate run alone reads the gold labels through load_paper_labels
+    tree = changed_tree(tmp_path, "corpus.py", "        key = _paper_labels(record)\n",
+                        "        key = _paper_labels(record)\n"
+                        "        key = key[0], key[1] and frozenset(sorted(key[1])[:1])\n")
+    assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
+        1, f"{NAME}: the change's stand-alone evaluate rewrote metrics.json")
+
+
 def test_reports_net_src_lines_last(tmp_path, monkeypatch, capsys):
     tree = changed_tree(tmp_path, "config.py", "class ConfigError(ValueError):\n",
                         "class ConfigError(ValueError):\n    \"\"\"A config fault.\"\"\"\n")

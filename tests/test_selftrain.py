@@ -19,7 +19,7 @@ from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
     BLOCK_ROWS, GRAM_MAX_ROWS, LabelTreeClassifier,
     build_label_tree, final_rankings, load_classifier, predict_blocks, pseudo_labels,
-    save_classifier, train_classifier, train_tree, _first_rows, _fit_logistic, _gram,
+    save_classifier, train_classifier, _first_rows, _fit_logistic, _fit_nodes, _gram,
     _in_row_space, _normalize_rows, _search_plan,
 )
 from weaklabel.corpus import (Vocabulary, build_vocabulary, load_corpus, load_labels,
@@ -222,14 +222,6 @@ def node_rows(clf):
             for pos in range(len(clf.nodes))}
 
 
-def fit_tree(nodes, X, member, cfg, root=0, K=None):
-    """train_tree into arrays of its own, sized for all of ``nodes``: (weights, biases)."""
-    n_rows = _first_rows(nodes)[-1]
-    weights, biases = np.zeros((n_rows, X.n_cols)), np.zeros(n_rows)
-    train_tree(nodes, root, X, member, cfg, weights, biases, K)
-    return weights, biases
-
-
 def topo(nodes, pos=0):
     rec = nodes[pos]
     if "labels" in rec:
@@ -403,11 +395,12 @@ class TestTrainAndPredict:
         X = one_hot_matrix([0, 1], 2)
         tree = build_label_tree(np.eye(2), ["A", "B"], max_leaf=1, seed=0)
         with pytest.raises(ValueError):
-            fit_tree(tree, CsrMatrix(np.empty(0), np.empty(0, dtype=np.int64),
-                                     np.array([0], dtype=np.int64), 0, 2),
-                     np.zeros((0, 2), dtype=bool), PipelineConfig())
+            _fit_nodes(tree, range(len(tree)), CsrMatrix(np.empty(0), np.empty(0, dtype=np.int64),
+                                                         np.array([0], dtype=np.int64), 0, 2),
+                       np.zeros((0, 2), dtype=bool), PipelineConfig())
         with pytest.raises(ValueError, match="pseudo"):
-            fit_tree(tree, _normalize_rows(X), np.zeros((2, 2), dtype=bool), PipelineConfig())
+            _fit_nodes(tree, range(len(tree)), _normalize_rows(X), np.zeros((2, 2), dtype=bool),
+                       PipelineConfig())
 
     def test_single_leaf_equals_leaf_outputs(self):
         clf, X, assign, ids = self.fitted(max_leaf=10)  # one leaf holds all
@@ -492,23 +485,28 @@ def reference_label_features(X, paper_ids, pseudo, label_ids):
     return feats
 
 
-def reference_fits(nodes, X, label_sets, cfg):
-    """Each node's (weights, bias), keyed by position, by a descent over label
-    sets: a document reaches a child when it carries a label of the child's subtree."""
+def reference_fits(nodes, X, label_sets, cfg, root=0):
+    """Each node's (weights, bias) of the tree at ``root``, keyed by position,
+    by a descent over label sets: a document reaches a child when it carries
+    a label of the child's subtree. Every node takes its sub-block of the
+    Gram matrix of the documents that carry a label, as _fit_nodes does."""
     def labels_under(pos):
         return {lid for leaf in leaves(nodes, pos) for lid in leaf["labels"]}
 
     out = {}
-    todo = [(0, np.flatnonzero([bool(labels) for labels in label_sets]))]
+    labelled = np.flatnonzero([bool(labels) for labels in label_sets])
+    K = _gram(X, labelled)
+    todo = [(root, np.arange(labelled.size))]  # (node, its rows' positions in labelled)
     while todo:
-        pos, rows = todo.pop()
+        pos, at = todo.pop()
+        rows = labelled[at]
         children = nodes[pos].get("children", [])
         groups = ([{lid} for lid in nodes[pos]["labels"]] if "labels" in nodes[pos]
                   else [labels_under(c) for c in children])
         Y = np.array([[bool(label_sets[i] & g) for g in groups] for i in rows],
                      dtype=bool).reshape(rows.size, len(groups))
-        out[pos] = _fit_logistic(X, rows, Y.astype(np.float64), cfg)
-        todo += [(c, rows[Y[:, j]]) for j, c in enumerate(children)]
+        out[pos] = _fit_logistic(X, rows, Y.astype(np.float64), cfg, K, at)
+        todo += [(c, at[Y[:, j]]) for j, c in enumerate(children)]
     return out
 
 
@@ -569,7 +567,8 @@ class TestMembership:
         monkeypatch.setattr(selftrain, "_fit_logistic",
                             lambda X, rows, *rest: fitted.append(rows) or fit(X, rows, *rest))
         cfg = PipelineConfig(classifier_epochs=5)
-        weights, biases = fit_tree(tree, X, member[:, leaf_columns(tree, ids)], cfg)
+        weights, biases = _fit_nodes(tree, range(len(tree)), X,
+                                     member[:, leaf_columns(tree, ids)], cfg)
         assert len(fitted) == len(tree)
         assert all(4 not in rows and 9 in rows for rows in fitted)
         want = reference_fits(tree, X, label_sets, cfg)
@@ -578,6 +577,61 @@ class TestMembership:
             w, b = want[pos]
             at = slice(first[pos], first[pos + 1])
             assert weights[at].tobytes() == w.tobytes() and biases[at].tobytes() == b.tobytes()
+
+
+class TestFlatFit:
+    """_fit_nodes fits every node of the table in one pass over it, each node's rows and
+    targets from its label span alone."""
+
+    def test_three_trees_of_two_depths(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        ids = [f"L{j}" for j in range(9)]
+        feats = rng.random((9, 4))
+        feats[7] = 0.0  # pooled in a leaf of its own
+        roots, nodes = [], []
+        for t, max_leaf in enumerate((1, 2, 1)):
+            roots.append(len(nodes))
+            nodes += build_label_tree(feats, ids, max_leaf, seed=t, start=len(nodes))
+        assert depth(nodes, roots[0]) > depth(nodes, roots[1])
+        X = random_csr(rng, 40, 15, empty_rows={2})
+        label_sets = [frozenset(rng.choice(ids, size=int(rng.integers(1, 3)), replace=False))
+                      for _ in range(40)]
+        label_sets[4], label_sets[9] = frozenset(), frozenset(ids)
+        member = np.array([[lid in labels for lid in ids] for labels in label_sets])
+        member = member[:, [c for root in roots for c in leaf_columns(nodes, ids, root)]]
+        cfg = PipelineConfig(classifier_epochs=5)
+        calls = []
+        fit = selftrain._fit_logistic
+        monkeypatch.setattr(selftrain, "_fit_logistic",
+                            lambda *args: calls.append(args) or fit(*args))
+        weights, biases = _fit_nodes(nodes, range(len(nodes)), X, member, cfg)
+        assert len(calls) == len(nodes)
+        want = {pos: fits for root in roots
+                for pos, fits in reference_fits(nodes, X, label_sets, cfg, root).items()}
+        assert sorted(want) == list(range(len(nodes)))
+        first = _first_rows(nodes)
+        for pos, (w, b) in want.items():
+            at = slice(first[pos], first[pos + 1])
+            assert weights[at].tobytes() == w.tobytes() and biases[at].tobytes() == b.tobytes()
+        # backwards, every child before its parent: no node reads another's fit
+        backwards = _fit_nodes(nodes, reversed(range(len(nodes))), X, member, cfg)
+        assert backwards[0].tobytes() == weights.tobytes()
+        assert backwards[1].tobytes() == biases.tobytes()
+
+    def test_train_classifier_fits_each_node_once(self, monkeypatch):
+        ids = [f"L{j}" for j in range(6)]
+        assign = [j % 6 for j in range(30)]
+        pseudo = {f"p{i}": (ids[j],) for i, j in enumerate(assign)}
+        fitted = []
+        fit = selftrain._fit_logistic
+        monkeypatch.setattr(selftrain, "_fit_logistic",
+                            lambda X, rows, Y, *rest: fitted.append(Y.shape) or
+                            fit(X, rows, Y, *rest))
+        clf = train_classifier(one_hot_matrix(assign, 6), list(pseudo), pseudo, ids,
+                               PipelineConfig(n_trees=3, max_leaf=2))
+        first = _first_rows(clf.nodes)
+        assert len(clf.roots) == 3 and len(fitted) == len(clf.nodes)
+        assert [k for _, k in fitted] == np.diff(first).tolist()  # in table order
 
 
 def random_csr(rng, n_rows, n_cols, max_nnz=8, empty_rows=()):
@@ -984,12 +1038,12 @@ class TestOneRowNumbering:
         first = _first_rows(clf.nodes)
         assert clf.weights.shape == (first[-1], 6) and clf.biases.shape == (first[-1],)
         assert 0 < first[clf.roots[1]] < first[clf.roots[2]]
-        member = np.eye(6, dtype=bool)[assign]
-        K = _gram(_normalize_rows(X), np.arange(30))  # the Gram train_classifier shares
-        for t, root in enumerate(clf.roots):
-            weights, biases = fit_tree(clf.nodes, _normalize_rows(X),
-                                       member[:, leaf_columns(clf.nodes, ids, root)], cfg, root, K)
-            at = slice(first[root], first[clf.roots[t + 1]] if t + 1 < 3 else None)
+        member = np.eye(6, dtype=bool)[assign][
+            :, [c for root in clf.roots for c in leaf_columns(clf.nodes, ids, root)]]
+        for root, end in zip(clf.roots, clf.roots[1:] + [len(clf.nodes)]):
+            weights, biases = _fit_nodes(clf.nodes, range(root, end), _normalize_rows(X), member,
+                                         cfg)  # one tree's nodes only
+            at = slice(first[root], first[end])
             others = biases.copy()
             others[at] = 0.0
             assert biases[at].any() and not others.any()  # the fit wrote its tree's rows only
@@ -1342,15 +1396,13 @@ class TestNoReferenceCycles:
         assert build_label_tree(feats, ids, max_leaf, seed=4) == \
             flatten(recursive_label_tree(feats, ids, max_leaf, seed=4))
 
-    def test_train_tree(self):
+    def test_fit_nodes(self):
         ids = [f"L{j}" for j in range(6)]
         assign = [j % 6 for j in range(30)]
         tree = build_label_tree(np.eye(6), ids, max_leaf=2, seed=0)
         X = _normalize_rows(one_hot_matrix(assign, 6))
         member = np.eye(6, dtype=bool)[assign][:, leaf_columns(tree, ids)]
-        n_rows = _first_rows(tree)[-1]
-        assert garbage_after(train_tree, tree, 0, X, member, PipelineConfig(),
-                             np.zeros((n_rows, 6)), np.zeros(n_rows)) == 0
+        assert garbage_after(_fit_nodes, tree, range(len(tree)), X, member, PipelineConfig()) == 0
 
     def test_save_and_load_classifier(self, tmp_path):
         clf = random_classifier(np.random.default_rng(10), 20, 5, 2, max_leaf=3)
