@@ -90,11 +90,10 @@ def _run_synth(args) -> int:
     except ValueError as exc:
         print(f"synth error: {exc}", file=sys.stderr)
         return 2
-    corpus_path = os.path.join(args.out_dir, "corpus.jsonl")
-    labels_path = os.path.join(args.out_dir, "labels.jsonl")
-    manifest_path = os.path.join(args.out_dir, "synth_manifest.jsonl")
-    write_synthetic(spec, corpus_path, labels_path, manifest_path)
-    print(f"wrote {corpus_path}, {labels_path}, {manifest_path}")
+    paths = [os.path.join(args.out_dir, name)
+             for name in ("corpus.jsonl", "labels.jsonl", "synth_manifest.jsonl")]
+    write_synthetic(spec, *paths)
+    print(f"wrote {', '.join(paths)}")
     return 0
 
 

@@ -38,6 +38,9 @@ _CHUNK_VALUES = NPZ_CHUNK_BYTES // 8  # the values of a split member written or 
 # papers whose tokens count_terms holds at once; the block's token list, not
 # the corpus's, bounds its transient memory
 COUNT_BLOCK_PAPERS = 64
+# sections nest at most this deep (a top-level section is 1), so a line's JSON decoding and
+# the hierarchy walks stay far inside Python's recursion limit at any caller's stack depth
+MAX_SECTION_DEPTH = 64
 
 
 def _no_constant(name: str):
@@ -73,14 +76,8 @@ def tokenize(text: str) -> list[str]:
 
 def _flatten(hierarchy: list) -> list[str]:
     """The paragraph texts of a document hierarchy in document order (preorder)."""
-    out, stack = [], [hierarchy]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, str):
-            out.append(node)
-        else:
-            stack.extend(reversed(node))
-    return out
+    return [text for node in hierarchy
+            for text in ([node] if isinstance(node, str) else _flatten(node))]
 
 
 @dataclass(eq=False)
@@ -220,21 +217,26 @@ def _check(record, fields: dict) -> dict:
     return record
 
 
-def _build_section_node(sec: dict, min_words: int) -> list:
-    """The section ``sec`` as the list of its kept paragraphs and sections;
-    an empty list when the word filter keeps nothing under it (pruned)."""
+def _build_section_node(sec: dict, min_words: int, depth: int = 1) -> list:
+    """The section ``sec``, at nesting ``depth`` (a top-level section is 1), as
+    the list of its kept paragraphs and sections; an empty list when the word
+    filter keeps nothing under it (pruned)."""
+    if depth > MAX_SECTION_DEPTH:
+        raise ValueError("nested too deeply")
     _check(sec, SECTION_FIELDS)
     node = [para for para in sec.get("paragraphs", []) if len(tokenize(para)) >= min_words]
-    for sub in sec.get("subsections", []):  # a loop, so a level costs one frame
-        if child := _build_section_node(sub, min_words):
+    for sub in sec.get("subsections", []):
+        if child := _build_section_node(sub, min_words, depth + 1):
             node.append(child)
     return node
 
 
-def _check_section(sec: dict):
+def _check_section(sec: dict, depth: int = 1):
     """Check ``sec`` and every section under it as _build_section_node does."""
+    if depth > MAX_SECTION_DEPTH:
+        raise ValueError("nested too deeply")
     for sub in _check(sec, SECTION_FIELDS).get("subsections", []):
-        _check_section(sub)
+        _check_section(sub, depth + 1)
 
 
 def _paper_labels(record: dict) -> tuple[str, frozenset[str] | None]:

@@ -361,8 +361,10 @@ def save_model(model: ScorerModel, path, config: PipelineConfig | None = None,
 def load_model(path) -> ScorerModel:
     meta, members = read_npz(path, "checkpoint", CHECKPOINT_VERSION, META_FIELDS)
     proj, w = members["proj"], members["w"]
-    if meta["max_tokens"] < 1:  # a slice to 0 or fewer tokens would silently drop words
-        raise ValueError(f"{path}: meta max_tokens {meta['max_tokens']} is not positive")
+    # a zero width scores every pair 0 or indexes nothing; a slice to 0 tokens drops every word
+    for key in ("hash_dim", "embed_dim", "max_tokens"):
+        if meta[key] < 1:
+            raise ValueError(f"{path}: meta {key} {meta[key]} is not positive")
     if not -2**63 <= meta["hash_seed"] < 2**63:  # the hash key is its 8 bytes
         raise ValueError(f"{path}: meta hash_seed {meta['hash_seed']} is not a signed 64-bit int")
     shapes = ((meta["hash_dim"], meta["embed_dim"]), (2 * meta["embed_dim"],))

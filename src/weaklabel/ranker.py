@@ -31,22 +31,17 @@ def aggregate_hierarchy(paper: Paper, leaf_embeddings,
             raise ValueError(f"paper {paper.id!r} is empty and no fallback was given")
         return np.asarray(fallback, dtype=np.float64)
 
-    leaves, root = iter(leaf_embeddings), []
-    # each frame: a list's children still to visit, their values, its parent's values
-    stack = [(iter(paper.hierarchy), [], root)]
-    while stack:
-        children, values, parent = stack[-1]
-        child = next(children, None)
-        if isinstance(child, str):
-            values.append(np.asarray(next(leaves), dtype=np.float64))
-        elif child is not None:
-            stack.append((iter(child), [], values))
-        elif values:
-            stack.pop()
-            parent.append(sum(values) / len(values))
-        else:
-            raise ValueError(f"paper {paper.id!r} has a section with no paragraphs")
-    return root[0]
+    return _mean(paper.hierarchy, iter(leaf_embeddings), paper.id)
+
+
+def _mean(node: list, leaves, pid: str) -> np.ndarray:
+    """The mean of the values of ``node``'s children, a paragraph's value the
+    next of ``leaves`` and a section's its own ``_mean``."""
+    if not node:
+        raise ValueError(f"paper {pid!r} has a section with no paragraphs")
+    values = [np.asarray(next(leaves), dtype=np.float64) if isinstance(child, str)
+              else _mean(child, leaves, pid) for child in node]
+    return sum(values) / len(values)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

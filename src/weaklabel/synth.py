@@ -48,6 +48,16 @@ def _words(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{i:04d}" for i in range(n)]
 
 
+def _insert(words: list[str], injections: list[tuple[int, list[str]]]) -> list[str]:
+    """``words`` with each ``(position, phrase)`` of ``injections`` put before the
+    base word at that position, from the last (position, draw order) pair to the
+    first, so phrases at one position keep their draw order."""
+    out = list(words)
+    for pos, phrase in sorted(injections, key=lambda inj: inj[0])[::-1]:
+        out[pos:pos] = phrase
+    return out
+
+
 def generate_synthetic(spec: SyntheticSpec):
     """Build corpus, label and manifest records (deterministic per seed).
 
@@ -59,48 +69,26 @@ def generate_synthetic(spec: SyntheticSpec):
     rng = np.random.default_rng(spec.seed)
 
     filler = _words("lorem", spec.vocab_size)
-    name_pool = _words("term", 3 * spec.n_labels)
-    topic_pool = _words("topic", spec.n_labels * TOPIC_WORDS_PER_LABEL)
+    name_pool = iter(_words("term", 3 * spec.n_labels))
+    topic_pool = iter(_words("topic", spec.n_labels * TOPIC_WORDS_PER_LABEL))
+    label_topics = [[next(topic_pool) for _ in range(TOPIC_WORDS_PER_LABEL)]
+                    for _ in range(spec.n_labels)]
 
     labels = []
-    label_names: list[list[str]] = []
-    label_topics: list[list[str]] = []
-    w = 0
     for j in range(spec.n_labels):
-        names = [f"{name_pool[w]} {name_pool[w + 1]}"]
-        w += 2
+        names = [f"{next(name_pool)} {next(name_pool)}"]
         if j % SYNONYM_EVERY == 0:
-            names.append(name_pool[w])
-            w += 1
-        topics = topic_pool[j * TOPIC_WORDS_PER_LABEL:(j + 1) * TOPIC_WORDS_PER_LABEL]
-        desc_words = topics[:4] + [filler[rng.integers(len(filler))] for _ in range(4)]
-        labels.append({"id": f"L{j:04d}", "names": names,
-                       "description": " ".join(desc_words)})
-        label_names.append(names)
-        label_topics.append(topics)
+            names.append(next(name_pool))
+        desc_words = label_topics[j][:4] + [filler[rng.integers(len(filler))] for _ in range(4)]
+        labels.append({"id": f"L{j:04d}", "names": names, "description": " ".join(desc_words)})
 
     def sentence(topics: list[str], n: int) -> list[str]:
-        out = []
-        for _ in range(n):
-            if topics and rng.random() < 0.4:
-                out.append(topics[rng.integers(len(topics))])
-            else:
-                out.append(filler[rng.integers(len(filler))])
-        return out
+        return [topics[rng.integers(len(topics))] if rng.random() < 0.4
+                else filler[rng.integers(len(filler))] for _ in range(n)]
 
-    def assemble(base: list[str], injections: list[tuple[int, list[str]]]) -> list[str]:
-        # positions refer to the base list, so injected phrases never split
-        # one another; same-position phrases keep draw order
-        at: dict[int, list[list[str]]] = {}
-        for pos, toks in injections:
-            at.setdefault(pos, []).append(toks)
-        out: list[str] = []
-        for i in range(len(base) + 1):
-            for toks in at.get(i, ()):
-                out.extend(toks)
-            if i < len(base):
-                out.append(base[i])
-        return out
+    def name_of(l: int) -> list[str]:
+        names = labels[l]["names"]
+        return names[int(rng.integers(len(names)))].split()
 
     n_fulltext = int(round(spec.labels_per_paper * spec.fulltext_only_fraction))
     papers = []
@@ -110,51 +98,40 @@ def generate_synthetic(spec: SyntheticSpec):
         mine = sorted(int(x) for x in rng.choice(spec.n_labels, size=spec.labels_per_paper,
                                                  replace=False))
         paper_label_idx.append(mine)
-        ft_pick = set(int(x) for x in rng.choice(len(mine), size=n_fulltext, replace=False)) \
-            if n_fulltext else set()
+        ft_pick = rng.choice(len(mine), size=n_fulltext, replace=False) if n_fulltext else []
         fulltext_labels = [mine[k] for k in sorted(ft_pick)]
-        abstract_labels = [l for l in mine if l not in set(fulltext_labels)]
+        abstract_labels = [l for l in mine if l not in fulltext_labels]
         topics = [t for l in mine for t in label_topics[l]]
 
-        title_base = sentence(topics, int(rng.integers(4, 8)))
-        abstract_base = sentence(topics, int(rng.integers(25, 35)))
-        title_inj: list[tuple[int, list[str]]] = []
-        abstract_inj: list[tuple[int, list[str]]] = []
+        front = {"title": sentence(topics, int(rng.integers(4, 8))),
+                 "abstract": sentence(topics, int(rng.integers(25, 35)))}
+        front_inj: dict[str, list] = {part: [] for part in front}
         for l in abstract_labels:
-            name = label_names[l][int(rng.integers(len(label_names[l])))]
-            if rng.random() < TITLE_INJECT_PROB:
-                title_inj.append((int(rng.integers(len(title_base) + 1)), name.split()))
-            else:
-                abstract_inj.append((int(rng.integers(len(abstract_base) + 1)), name.split()))
-        title_words = assemble(title_base, title_inj)
-        abstract_words = assemble(abstract_base, abstract_inj)
+            name = name_of(l)
+            part = "title" if rng.random() < TITLE_INJECT_PROB else "abstract"
+            front_inj[part].append((int(rng.integers(len(front[part]) + 1)), name))
 
         sections = []
         for _ in range(2):
-            paragraphs = []
-            for _ in range(int(rng.integers(2, 4))):
-                para = sentence(topics, int(rng.integers(14, 24)))
-                paragraphs.append(para)
-            sec = {"name": sentence(topics, 2), "paragraphs": paragraphs}
-            sections.append(sec)
+            paragraphs = [sentence(topics, int(rng.integers(14, 24)))
+                          for _ in range(int(rng.integers(2, 4)))]
+            sections.append((sentence(topics, 2), paragraphs))
         # plant full-text-only names into body paragraphs, twice each
-        flat = [p for sec in sections for p in sec["paragraphs"]]
+        flat = [p for _, paragraphs in sections for p in paragraphs]
         body_inj: list[list[tuple[int, list[str]]]] = [[] for _ in flat]
         for l in fulltext_labels:
-            name = label_names[l][int(rng.integers(len(label_names[l])))]
+            name = name_of(l)
             for _ in range(2):
                 k = int(rng.integers(len(flat)))
-                body_inj[k].append((int(rng.integers(len(flat[k]) + 1)), name.split()))
-        for k, para in enumerate(flat):
-            para[:] = assemble(para, body_inj[k])
+                body_inj[k].append((int(rng.integers(len(flat[k]) + 1)), name))
+        for para, inj in zip(flat, body_inj):
+            para[:] = _insert(para, inj)
 
         papers.append({
             "id": f"P{i:05d}",
-            "title": " ".join(title_words),
-            "abstract": " ".join(abstract_words),
-            "sections": [{"name": " ".join(sec["name"]),
-                          "paragraphs": [" ".join(p) for p in sec["paragraphs"]]}
-                         for sec in sections],
+            **{part: " ".join(_insert(words, front_inj[part])) for part, words in front.items()},
+            "sections": [{"name": " ".join(name), "paragraphs": [" ".join(p) for p in paragraphs]}
+                         for name, paragraphs in sections],
             "bib_refs": [],
             "labels": [f"L{j:04d}" for j in mine],
         })

@@ -9,8 +9,11 @@ README's eleven inputs (see "Numerics rule"): synth seeds 1-5 at
 
 where each tree is a checkout of this repository (``git archive`` of a
 commit, say). For each input the parent tree's ``weaklabel synth`` writes
-the corpus; then ``weaklabel run-all --seed 7`` runs from each tree's
-``src/`` in a fresh process with ``OPENBLAS_NUM_THREADS=1``. Then the
+the corpus, and the change tree's, run with the same arguments into a
+second directory, must write the same ``corpus.jsonl``, ``labels.jsonl``
+and ``synth_manifest.jsonl`` byte for byte. Then ``weaklabel run-all
+--seed 7`` runs from each tree's ``src/`` in a fresh process with
+``OPENBLAS_NUM_THREADS=1``, and the
 change tree's ``weaklabel score``, ``predict`` and ``evaluate`` rerun,
 each on its own, over the change's output, where they must rewrite
 ``scores.jsonl`` and ``score_stats.json``, ``predictions.jsonl`` and
@@ -24,8 +27,8 @@ output directory. A last line gives each tree's ``src/`` line count, as
 ``wc -l src/weaklabel/*.py`` counts.
 
 The exit status is 0 when every input holds the rule, 1 on a breach, a
-failed run or a stand-alone stage whose bytes differ, and 2 on a wrong
-argument count or a path that is not a source tree.
+failed run, or a synth or stand-alone stage whose bytes differ, and 2 on a
+wrong argument count or a path that is not a source tree.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ INPUTS = ([(seed, 500, 50, ()) for seed in range(1, 6)]
           + [(seed, 1000, 220, ("--train-steps", "50")) for seed in range(1, 6)]
           + [(1, 5000, 500, ("--train-steps", "50"))])
 RUN_SEED = "7"
+SYNTH_FILES = ("corpus.jsonl", "labels.jsonl", "synth_manifest.jsonl")
 # the stages rerun on their own over the change's run-all output, in turn, and what each rewrites
 RERUNS = (("score", ("scores.jsonl", "score_stats.json")), ("predict", ("predictions.jsonl",)),
           ("evaluate", ("metrics.json",)))
@@ -80,12 +84,19 @@ def compare_input(parent, change, spec, work) -> tuple[int, str]:
             why = (proc.stderr.strip().splitlines() or ["no output"])[-1]
             return f"{name}: {what} failed with exit {proc.returncode}: {why}"
 
-    steps = [(parent, "synth", "synth", "--papers", str(papers), "--label-count", str(labels),
-              "--seed", str(seed), "--out-dir", str(work))]
-    steps += [(tree, f"the {out.name} run-all", "run-all", *data, "--output-dir", str(out),
-               "--seed", RUN_SEED, *flags) for tree, out in ((parent, ref), (change, new))]
-    for step in steps:
-        if why := failure(*step):
+    # the parent's synth writes the inputs; the change's, run alike, must write the same bytes
+    synth = ("synth", "--papers", str(papers), "--label-count", str(labels), "--seed", str(seed))
+    for tree, what, out in ((parent, "synth", work),
+                            (change, "the change's synth", work / "synth")):
+        if why := failure(tree, what, *synth, "--out-dir", str(out)):
+            return 1, why
+    moved = [file for file in SYNTH_FILES
+             if (work / "synth" / file).read_bytes() != (work / file).read_bytes()]
+    if moved:
+        return 1, f"{name}: the change's synth wrote other {', '.join(moved)}"
+    for tree, out in ((parent, ref), (change, new)):
+        if why := failure(tree, f"the {out.name} run-all", "run-all", *data,
+                          "--output-dir", str(out), "--seed", RUN_SEED, *flags):
             return 1, why
     # each stage of RERUNS, run alone over the change's run-all output, rewrites the same bytes
     for stage, files in RERUNS:

@@ -12,9 +12,9 @@ from hypothesis import given, settings, strategies as st
 from weaklabel import corpus as corpus_mod
 from weaklabel.cli import main
 from weaklabel.corpus import (
-    COUNT_BLOCK_PAPERS, CorpusError, Paper, atomic_write, build_vocabulary, corpus_stats,
-    count_terms, load_corpus, load_paper_labels, NPZ_CHUNK_BYTES, load_labels, read_jsonl,
-    read_npz, read_npz_members, tokenize, write_jsonl, write_npz,
+    COUNT_BLOCK_PAPERS, MAX_SECTION_DEPTH, CorpusError, Paper, atomic_write, build_vocabulary,
+    corpus_stats, count_terms, load_corpus, load_paper_labels, NPZ_CHUNK_BYTES, load_labels,
+    read_jsonl, read_npz, read_npz_members, tokenize, write_jsonl, write_npz,
 )
 from weaklabel.ranker import aggregate_hierarchy
 
@@ -23,6 +23,15 @@ from conftest import load_corpus_records, load_label_records, paper_record
 
 def words(n, tag="w"):
     return " ".join(f"{tag}{i}" for i in range(n))
+
+
+def nested_paper(levels):
+    """The JSON line of paper "p1" whose sections nest ``levels`` deep, the
+    innermost holding one paragraph; written by hand, since json.dumps
+    recurses as deep as the record nests."""
+    leaf = json.dumps({"name": "s", "paragraphs": [words(12)]})
+    return ('{"id": "p1", "sections": [' + '{"name": "s", "subsections": [' * (levels - 1)
+            + leaf + "]}" * (levels - 1) + "]}")
 
 
 class TestTokenize:
@@ -303,40 +312,53 @@ class TestJsonLines:
                                               rf"record \(non-finite number {constant}\)$"):
             list(read_jsonl(path))
 
-    @pytest.mark.parametrize("levels", [600, 3000])
+    @pytest.mark.parametrize("levels", [MAX_SECTION_DEPTH + 1, 600, 3000])
     def test_deeply_nested_record_names_file_and_line(self, tmp_path, capsys, levels):
-        # written by hand: json.dumps recurses as deep as the record nests
-        leaf = json.dumps({"name": "s", "paragraphs": [words(12)]})
-        nested = ('{"id": "p1", "sections": [' + '{"name": "s", "subsections": [' * levels
-                  + leaf + "]}" * levels + "]}")
+        # past the cap, or past what the JSON decoder can nest: the same message
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(json.dumps(paper_record("p0", title=words(12))) + "\n" + nested + "\n")
+        corpus.write_text(json.dumps(paper_record("p0", title=words(12))) + "\n"
+                          + nested_paper(levels) + "\n")
         labels = tmp_path / "labels.jsonl"
         labels.write_text('{"id": "L", "names": ["w1"]}\n')
-        assert main(["ingest", "--corpus", str(corpus), "--labels", str(labels),
-                     "--output-dir", str(tmp_path / "out")]) == 1
-        assert (f"stage ingest failed: {corpus}: line 2: malformed record (nested too deeply)"
-                in capsys.readouterr().err)
+        for stage in ("ingest", "evaluate"):  # evaluate reads the corpus with load_paper_labels
+            assert main([stage, "--corpus", str(corpus), "--labels", str(labels),
+                         "--output-dir", str(tmp_path / "out")]) == 1
+            assert (f"stage {stage} failed: {corpus}: line 2: malformed record "
+                    "(nested too deeply)") in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_deep_document_loads_and_aggregates(self, tmp_path):
-        # 450 levels is near the JSON decoder's recursion limit (493 levels
-        # in a bare process); the hierarchy walks themselves keep no call stack
-        levels = 450
-        leaf = json.dumps({"name": "s", "paragraphs": [words(12)]})
-        nested = ('{"id": "p1", "sections": [' + '{"name": "s", "subsections": [' * levels
-                  + leaf + "]}" * levels + "]}")
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(nested + "\n")
+        corpus.write_text(nested_paper(MAX_SECTION_DEPTH) + "\n")
         paper, = load_corpus(corpus)
         assert paper.paragraphs == [words(12)]
         node, depth = paper.hierarchy, 0
         while isinstance(node, list):
             node, = node
             depth += 1
-        assert depth == levels + 2  # the document, each section and the leaf section
+        assert depth == MAX_SECTION_DEPTH + 1  # the document and each section
         emb = np.array([0.25, -1.0])
         np.testing.assert_array_equal(aggregate_hierarchy(paper, [emb]), emb)
+
+    @pytest.mark.parametrize("load", [load_corpus, load_paper_labels])
+    @pytest.mark.parametrize("levels", [MAX_SECTION_DEPTH, MAX_SECTION_DEPTH + 1, 400])
+    def test_nesting_outcome_does_not_depend_on_stack_depth(self, tmp_path, load, levels):
+        # the JSON decoder shares Python's recursion limit, so without the cap a
+        # line some hundreds of levels deep loads or fails by the caller's depth
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(nested_paper(levels) + "\n")
+
+        def outcome(frames):
+            if frames:
+                return outcome(frames - 1)
+            try:
+                return len(load(corpus))
+            except CorpusError as exc:
+                return str(exc)
+
+        expected = (1 if levels <= MAX_SECTION_DEPTH
+                    else f"{corpus}: line 1: malformed record (nested too deeply)")
+        assert outcome(0) == outcome(300) == expected
 
     def test_failed_write_keeps_earlier_file(self, tmp_path):
         path = tmp_path / "r.jsonl"

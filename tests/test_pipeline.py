@@ -1318,6 +1318,25 @@ class TestStandalonePredict:
         assert f"stage {stage} failed: {path}: {problem}" in proc.stderr
         assert f"; rerun {rerun}" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("key", ["hash_dim", "embed_dim"])
+    def test_zero_width_encoder_fails(self, out, key):
+        # members shaped as the meta says: embed_dim 0 would score every pair 0.0,
+        # hash_dim 0 would fail indexing a row, naming neither file nor stage
+        copy, config = out
+        path = copy / "encoder.npz"
+        members = read_npz_members(path)
+        meta = {**json.loads(bytes(members["meta"]).decode("utf-8")), key: 0}
+        members.update(proj=np.zeros((meta["hash_dim"], meta["embed_dim"])),
+                       w=np.zeros(2 * meta["embed_dim"]),
+                       meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8))
+        np.savez(path, **members)
+        before = (copy / "scores.jsonl").read_bytes()
+        proc = run_cli("score", "--config", config)
+        assert proc.returncode == 1
+        assert proc.stderr.endswith(f"stage score failed: {path}: meta {key} 0 is not positive; "
+                                    "rerun train-encoder\n")
+        assert (copy / "scores.jsonl").read_bytes() == before
+
 
 class TestBlasThreads:
     """``weaklabel predict`` on one classifier under 1 and 2 BLAS threads:

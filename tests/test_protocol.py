@@ -41,8 +41,8 @@ def test_same_tree_is_cmp_identical(tmp_path):
 
 def test_reordered_sum_holds_the_numerics_rule(tmp_path):
     # a division turned into a product by the reciprocal moves score_b by rounding only
-    tree = changed_tree(tmp_path, "ranker.py", "parent.append(sum(values) / len(values))",
-                        "parent.append(sum(values) * (1.0 / len(values)))")
+    tree = changed_tree(tmp_path, "ranker.py", "return sum(values) / len(values)",
+                        "return sum(values) * (1.0 / len(values))")
     assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
         0, f"{NAME}: within the numerics rule (scores.jsonl differ)" + sizes(tmp_path / "w"))
 
@@ -55,6 +55,12 @@ def test_changed_output_is_a_breach(tmp_path):
     assert "top_k_scores: shape (1, 5) != (1, 4)" in line
     # one score fewer a paper: the change's outputs are smaller
     assert line.endswith(sizes(tmp_path / "w")) and "(-" in sizes(tmp_path / "w")
+
+
+def test_synth_that_writes_other_bytes_fails(tmp_path):
+    tree = changed_tree(tmp_path, "synth.py", "TITLE_INJECT_PROB = 0.25", "TITLE_INJECT_PROB = 0.5")
+    assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
+        1, f"{NAME}: the change's synth wrote other corpus.jsonl")
 
 
 def test_stand_alone_score_that_differs_from_run_all_fails(tmp_path):
