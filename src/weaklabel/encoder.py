@@ -368,9 +368,9 @@ def load_model(path) -> ScorerModel:
     if not -2**63 <= meta["hash_seed"] < 2**63:  # the hash key is its 8 bytes
         raise ValueError(f"{path}: meta hash_seed {meta['hash_seed']} is not a signed 64-bit int")
     shapes = ((meta["hash_dim"], meta["embed_dim"]), (2 * meta["embed_dim"],))
-    if (proj.shape, w.shape) != shapes:
-        raise ValueError(f"{path}: proj is {proj.shape} and w {w.shape}, but its meta names "
-                         f"{shapes[0]} and {shapes[1]}")
+    if (proj.dtype, w.dtype) != (np.float64,) * 2 or (proj.shape, w.shape) != shapes:
+        raise ValueError(f"{path}: proj is {proj.dtype} {proj.shape} and w {w.dtype} {w.shape}, "
+                         f"but its meta names float64 {shapes[0]} and {shapes[1]}")
     feat = BaseFeaturizer(dim=meta["hash_dim"], hash_seed=meta["hash_seed"],
                           max_tokens=meta["max_tokens"])
     return ScorerModel(featurizer=feat, proj=proj, w=w)
@@ -396,6 +396,9 @@ def load_embedding_overrides(path, embed_dim: int | None = None) -> dict[str, np
         vec = np.array(_check(rec, OVERRIDE_FIELDS)["embedding"], dtype=np.float64)
         if embed_dim is not None and vec.shape[0] != embed_dim:
             raise CorpusError(f"embedding dim {vec.shape[0]} != {embed_dim}")
+        scale = np.abs(vec).max(initial=0.0)
+        if scale >= 1e150 or scale > 0 and np.linalg.norm(vec) < 1e-150:
+            vec = vec / scale  # else the squares in the norm over- or underflow
         norm = np.linalg.norm(vec)
         return str(rec["id"]), vec / norm if norm > 0 else vec
 

@@ -7,7 +7,8 @@ byte-identical to a stage-by-stage one. The inputs a stage derives from
 the corpus and label files come from a ``RunContext``: a full run shares
 one, so each input is read and each feature matrix built once per run.
 Evaluate reads only the corpus's paper ids and gold labels. A stage's
-product is its artifacts; predict and evaluate also return theirs.
+product is its artifacts, and evaluate also returns its report; predict
+writes each block of papers to predictions.jsonl as it ranks it.
 
 Stage order: ingest -> candidates -> sample-tuples -> train-encoder ->
 score (joint scores, hierarchy aggregation, rank ensembling) ->
@@ -297,14 +298,10 @@ def _check_label_set(clf: selftrain.LabelTreeClassifier, label_ids: list[str]):
                          f"file: {only_file[:5]}, only in the classifier: {only_clf[:5]})")
 
 
-def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[str, list[str]]:
+def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None):
     ctx = _context(cfg, ctx)
-    corpus = ctx.corpus
     scored = _read_paper_keyed(cfg, ctx, "scores")
-
     top_k = min(cfg.top_k, cfg.ranking_limit or cfg.top_k)  # scores only stored labels
-    rankings: dict[str, list[str]] = {}
-    top_scores: dict[str, list[float]] = {}
     if cfg.use_selftrain:
         X = ctx.tfidf  # built outside the block: its errors are no fault of classifier.npz
         with _upstream(cfg, "classifier") as path:
@@ -313,32 +310,30 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None) -> dict[st
             blocks = selftrain.predict_blocks(clf, X, cfg.beam_width)  # checks X's width
         column = {lid: j for j, lid in enumerate(clf.label_ids)}
         pinned = selftrain.pseudo_labels(scored, cfg.pseudo_top_n)
-        # one row block at a time, so no papers x labels matrix is ever held
-        for start, probs in blocks:
-            papers = corpus[start:start + probs.shape[0]]
-            ranked = selftrain.final_rankings([pinned[p.id] for p in papers], probs,
-                                              clf.label_ids)
-            for paper, ranking, row in zip(papers, ranked, probs):
-                n_pinned = len(pinned[paper.id])
-                # a slice copies the list: an uncut ranking is kept as it is
-                rankings[paper.id] = ranking[:cfg.ranking_limit] if cfg.ranking_limit else ranking
-                top_scores[paper.id] = [scored[paper.id][j].mrr if j < n_pinned
-                                        else float(row[column[lid]])  # unreached labels hold 0
-                                        for j, lid in enumerate(ranking[:top_k])]
-    else:
-        for paper in corpus:
-            rows = scored[paper.id][:cfg.ranking_limit]
-            rankings[paper.id] = [r.label_id for r in rows]
-            top_scores[paper.id] = [r.mrr for r in rows[:top_k]]
 
     # each line as write_jsonl writes it, each label id JSON-encoded once
     quoted = {l.id: json.dumps(l.id) for l in ctx.labels}
     with atomic_write(_path(cfg, "predictions")) as fh:
-        for pid, ranking in rankings.items():
-            labels = ", ".join(map(quoted.__getitem__, ranking))
+        def write(pid: str, ranking: list[str], top_scores: list[float]):
+            labels = ", ".join(map(quoted.__getitem__, ranking[:cfg.ranking_limit]))
             fh.write(f'{{"paper_id": {json.dumps(pid)}, "ranking": [{labels}], '
-                     f'"top_k_scores": {json.dumps(top_scores[pid], allow_nan=False)}}}\n')
-    return rankings  # the stored rankings, cut to ranking_limit
+                     f'"top_k_scores": {json.dumps(top_scores, allow_nan=False)}}}\n')
+
+        if not cfg.use_selftrain:
+            for paper in ctx.corpus:
+                rows = scored[paper.id]
+                write(paper.id, [r.label_id for r in rows], [r.mrr for r in rows[:top_k]])
+            return
+        # one row block at a time, each paper written as its block is ranked, so
+        # neither a papers x labels matrix nor the corpus's rankings are ever held
+        for start, probs in blocks:
+            papers = ctx.corpus[start:start + probs.shape[0]]
+            ranked = selftrain.final_rankings([pinned[p.id] for p in papers], probs, clf.label_ids)
+            for paper, ranking, row in zip(papers, ranked, probs):
+                n_pinned = len(pinned[paper.id])
+                write(paper.id, ranking, [scored[paper.id][j].mrr if j < n_pinned
+                                          else float(row[column[lid]])  # unreached labels hold 0
+                                          for j, lid in enumerate(ranking[:top_k])])
 
 
 PREDICTIONS_FIELDS = {"paper_id": "str", "ranking": "list[str]", "top_k_scores": "list[float]"}
@@ -391,12 +386,12 @@ def stages(cfg: PipelineConfig) -> list:
     return [(name, fn) for name, fn in STAGES if cfg.use_selftrain or name != "self-train"]
 
 
-def run_pipeline(cfg: PipelineConfig):
-    """Run ``stages(cfg)`` in order over one ``RunContext``; returns
-    (rankings, metrics report or None)."""
+def run_pipeline(cfg: PipelineConfig) -> metrics.MetricsReport | None:
+    """Run ``stages(cfg)`` in order over one ``RunContext``; returns what the
+    last stage, evaluate, returns: the metrics report, or None when the
+    corpus has no gold labels."""
     ctx = RunContext(cfg)
-    returned = {}
     for name, fn in stages(cfg):
         log.info("stage %s", name)
-        returned[name] = fn(cfg, ctx)
-    return returned["predict"], returned["evaluate"]
+        report = fn(cfg, ctx)
+    return report

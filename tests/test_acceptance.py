@@ -18,7 +18,7 @@ from weaklabel import encoder, kernels, metrics, pipeline
 from weaklabel.config import PipelineConfig, make_config
 from weaklabel.corpus import Paper, load_corpus
 from weaklabel.citegraph import CO_REFERENCE, build_graph, sample_tuples
-from weaklabel.ranker import CandidateScore, aggregate_hierarchy, mrr_combine
+from weaklabel.ranker import CandidateScore, aggregate_hierarchy, mrr_combine, read_scores
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import dense_batch_loss_grad, final_ranking, unfolded_adamw_step
@@ -55,11 +55,12 @@ def planted(tmp_path_factory):
 
     out = tmp_path_factory.mktemp("planted_out")
     t0 = time.perf_counter()
-    rankings, rep = pipeline.run_pipeline(config(out))
+    rep = pipeline.run_pipeline(config(out))
     elapsed = time.perf_counter() - t0
     return {
         "data": data, "config": config, "out": out,
-        "rankings": rankings, "report": rep, "elapsed": elapsed,
+        "rankings": pipeline.read_predictions(out / "predictions.jsonl"),
+        "report": rep, "elapsed": elapsed,
         "tmp": tmp_path_factory,
     }
 
@@ -251,7 +252,7 @@ def test_c08_end_to_end_planted_run(planted):
     p5 = planted["report"].precision[5]
 
     abl_out = planted["tmp"].mktemp("ablation")
-    _, abl_report = pipeline.run_pipeline(
+    abl_report = pipeline.run_pipeline(
         planted["config"](abl_out, use_hierarchy=False, use_selftrain=False))
     gap = p5 - abl_report.precision[5]
 
@@ -266,8 +267,8 @@ def test_c09_selftraining_recovers_unretrievable_labels(planted):
     rankings = planted["rankings"]
 
     before_out = planted["tmp"].mktemp("before_st")
-    before_rankings, _ = pipeline.run_pipeline(
-        planted["config"](before_out, use_selftrain=False))
+    pipeline.run_pipeline(planted["config"](before_out, use_selftrain=False))
+    before_rankings = pipeline.read_predictions(before_out / "predictions.jsonl")
 
     def recovered(ranks):
         hit = total = 0
@@ -365,11 +366,16 @@ def test_planted_run_holds_the_numerics_rule_against_the_unfolded_step(planted,
 # without self-training a ranking holds only the paper's candidates, two
 # per paper here, so that case cuts to one label
 @pytest.mark.parametrize("use_selftrain, limit", [(True, 2), (False, 1)])
-def test_predict_returns_the_rankings_it_stores(planted, use_selftrain, limit):
+def test_predict_stores_rankings_cut_to_ranking_limit(planted, use_selftrain, limit):
     out = planted["tmp"].mktemp("ranking_limit")
     shutil.copytree(planted["out"], out, dirs_exist_ok=True)
     cfg = planted["config"](out, ranking_limit=limit, use_selftrain=use_selftrain)
-    rankings = pipeline.stage_predict(cfg)
-    assert rankings == pipeline.read_predictions(out / "predictions.jsonl")
+    assert pipeline.stage_predict(cfg) is None
+    rankings = pipeline.read_predictions(out / "predictions.jsonl")
     assert len(rankings) == SPEC.n_papers
     assert {len(ranking) for ranking in rankings.values()} == {limit}
+    # each the head of the uncut ranking: the planted run's, or the scored candidates
+    uncut = (planted["rankings"] if use_selftrain else
+             {pid: [r.label_id for r in rows]
+              for pid, rows in read_scores(out / "scores.jsonl").items()})
+    assert rankings == {pid: ranking[:limit] for pid, ranking in uncut.items()}

@@ -3,6 +3,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from hashlib import blake2b
 
@@ -803,6 +804,19 @@ class TestEmbeddingOverrides:
         path.write_text(text)
         with pytest.raises(ValueError, match=r"emb\.txt: line 3: duplicate id 'L1'"):
             load_embedding_overrides(path, embed_dim=4)
+
+    @pytest.mark.parametrize("exponent", [-200, -160, 160, 200])
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_extreme_scales_load_as_unit_vectors(self, tmp_path, fmt, exponent):
+        # the squares of these entries over- or underflow a plain norm
+        a, b = 3 * 10.0 ** exponent, 4 * 10.0 ** exponent
+        path = tmp_path / "emb.txt"
+        path.write_text(f"L1\t{a!r} {b!r} 0 0\n" if fmt == "tsv"
+                        else f'{{"id": "L1", "embedding": [{a!r}, {b!r}, 0, 0]}}\n')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = load_embedding_overrides(path, embed_dim=4)["L1"]
+        np.testing.assert_array_max_ulp(vec, np.array([0.6, 0.8, 0.0, 0.0]), maxulp=1)
 
     def test_dim_mismatch_rejected(self, tmp_path):
         tsv = tmp_path / "emb.tsv"

@@ -51,7 +51,9 @@ def data_dir(tmp_path_factory):
 def run(data_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
     cfg = base_config(data_dir, out)
-    rankings, report = pipeline.run_pipeline(cfg)
+    report = pipeline.run_pipeline(cfg)
+    # the stored rankings, parsed here without read_predictions, which a test checks
+    rankings = {rec["paper_id"]: rec["ranking"] for rec in read_jsonl(out / "predictions.jsonl")}
     return cfg, out, rankings, report
 
 
@@ -537,11 +539,12 @@ class TestRunContext:
                         data / "manifest.jsonl")
         cfg = base_config(data, tmp_path / "out", seed=7, tuple_count=400, train_steps=50)
         calls, corpora = count_input_reads(monkeypatch)
-        rankings, report = pipeline.run_pipeline(cfg)
-        assert len(rankings) == 500 and report is not None
+        report = pipeline.run_pipeline(cfg)
         assert calls == {"load_corpus": 1, "load_labels": 1, "count_terms": 1,
                          "vocabulary_from_terms": 1, "tfidf_from_terms": 1,
                          "full_text_tokens": 500}
+        assert len(pipeline.read_predictions(artifact(cfg.output_dir, "predictions"))) == 500
+        assert report is not None
         assert corpora[0]() is None  # nothing outlives the run's context
 
     def test_cli_run_all_reads_each_input_once(self, monkeypatch, data_dir, tmp_path):
@@ -872,8 +875,8 @@ class TestEmptyPaperFallback:
                         "description": "unrelated"}) + "\n")
         cfg = base_config(tmp_path, tmp_path / "out", tuple_count=40,
                           train_steps=10)
-        rankings, _ = pipeline.run_pipeline(cfg)
-        return cfg, rankings
+        pipeline.run_pipeline(cfg)
+        return cfg, pipeline.read_predictions(artifact(cfg.output_dir, "predictions"))
 
     def test_empty_paper_scored_via_title_abstract(self, empty_run, tmp_path):
         cfg, rankings = empty_run
@@ -918,10 +921,49 @@ class TestRankingLimit:
             assert got["top_k_scores"] == want["top_k_scores"][:len(got["ranking"])]
 
 
+class TestStreamedPredictions:
+    """predict writes each block of papers as it ranks it and returns nothing."""
+
+    @pytest.fixture
+    def copy(self, run, tmp_path, monkeypatch):
+        cfg, out, _, _ = run
+        shutil.copytree(out, tmp_path / "out")
+        monkeypatch.setattr(selftrain, "BLOCK_ROWS", 32)  # four blocks of the 120 papers
+        return dataclasses.replace(cfg, output_dir=str(tmp_path / "out")), tmp_path / "out", out
+
+    @pytest.mark.parametrize("use_selftrain", [True, False])
+    def test_returns_none_and_writes_every_paper(self, copy, use_selftrain):
+        cfg, output, out = copy
+        assert pipeline.stage_predict(dataclasses.replace(cfg, use_selftrain=use_selftrain)) is None
+        written = (output / "predictions.jsonl").read_bytes()
+        assert written.count(b"\n") == SPEC.n_papers
+        if use_selftrain:  # the block size does not show in the bytes
+            assert written == (out / "predictions.jsonl").read_bytes()
+
+    def test_failure_part_way_keeps_the_earlier_file(self, copy, monkeypatch):
+        cfg, output, out = copy
+        final_rankings, calls = selftrain.final_rankings, []
+
+        def failing(pinned, *args):
+            calls.append(len(pinned))
+            if len(calls) == 2:
+                raise RuntimeError("ranking failed")
+            return final_rankings(pinned, *args)
+
+        monkeypatch.setattr(selftrain, "final_rankings", failing)
+        with pytest.raises(RuntimeError, match="ranking failed"):
+            pipeline.stage_predict(cfg)
+        assert calls == [32, 32]
+        assert (output / "predictions.jsonl").read_bytes() == \
+            (out / "predictions.jsonl").read_bytes()
+        assert not list(output.glob("*.tmp"))
+
+
 class TestAblations:
     def test_no_selftrain_rankings_are_candidates_only(self, data_dir, tmp_path):
         cfg = base_config(data_dir, tmp_path / "nost", use_selftrain=False)
-        rankings, report = pipeline.run_pipeline(cfg)
+        report = pipeline.run_pipeline(cfg)
+        rankings = pipeline.read_predictions(artifact(tmp_path / "nost", "predictions"))
         from weaklabel.candidates import read_candidates
         cands = read_candidates(artifact(tmp_path / "nost", "candidates"))
         for pid, ranking in rankings.items():
@@ -1172,6 +1214,26 @@ class TestCli:
 def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "weaklabel.cli", *args],
                           capture_output=True, text=True, timeout=timeout)
+
+
+class TestEncoderOfAnotherDtype:
+    """``weaklabel score`` rejects an encoder.npz whose members are not float64."""
+
+    @pytest.mark.parametrize("dtype", ["int64", "float32"])
+    def test_score_fails_and_keeps_its_scores(self, run, tmp_path, dtype):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        members = read_npz_members(copy / "encoder.npz")
+        np.savez(copy / "encoder.npz", meta=members["meta"],
+                 **{name: members[name].astype(dtype) for name in ("proj", "w")})
+        proc = run_cli("score", "--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
+                       "--output-dir", str(copy), "--seed", str(cfg.seed))
+        assert proc.returncode == 1
+        assert re.search(rf"stage score failed: \S*encoder\.npz: proj is {dtype} \(\d+, \d+\) "
+                         rf"and w {dtype} \(\d+,\), but its meta names float64 .*; "
+                         r"rerun train-encoder$", proc.stderr.strip()), proc.stderr
+        assert (copy / "scores.jsonl").read_bytes() == (out / "scores.jsonl").read_bytes()
 
 
 class TestStandalonePredict:
@@ -1705,7 +1767,7 @@ class TestNonFiniteArtifacts:
 class TestArtifactTable:
     """Run stage by stage in a fresh output directory, each stage adds the
     files that ``pipeline.ARTIFACTS`` assigns to it and no other file; only
-    predict and evaluate return a value."""
+    evaluate returns a value."""
 
     @pytest.mark.parametrize("use_selftrain", [True, False])
     def test_each_stage_adds_its_artifacts(self, data_dir, tmp_path, use_selftrain):
@@ -1714,7 +1776,7 @@ class TestArtifactTable:
         ctx, seen = pipeline.RunContext(cfg), set()
         for name, fn in pipeline.stages(cfg):
             returned = fn(cfg, ctx)
-            assert (returned is None) == (name not in ("predict", "evaluate")), name
+            assert (returned is None) == (name != "evaluate"), name
             files = set(os.listdir(tmp_path / "out"))
             assert seen <= files
             assert files - seen == {file for file, writer in pipeline.ARTIFACTS.values()

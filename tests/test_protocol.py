@@ -80,6 +80,14 @@ def test_stand_alone_evaluate_that_differs_from_run_all_fails(tmp_path):
         1, f"{NAME}: the change's stand-alone evaluate rewrote metrics.json")
 
 
+def test_stand_alone_predict_branch_that_differs_fails(tmp_path):
+    # run-all takes the self-train branch; only the predict modes run the other one
+    tree = changed_tree(tmp_path, "pipeline.py", "[r.mrr for r in rows[:top_k]]",
+                        "[r.mrr for r in rows[:top_k]][::-1]")
+    assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
+        1, f"{NAME}: the change's stand-alone predict (--no-selftrain) wrote other bytes")
+
+
 def test_reports_net_src_lines_last(tmp_path, monkeypatch, capsys):
     tree = changed_tree(tmp_path, "config.py", "class ConfigError(ValueError):\n",
                         "class ConfigError(ValueError):\n    \"\"\"A config fault.\"\"\"\n")
