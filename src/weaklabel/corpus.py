@@ -4,9 +4,10 @@ The corpus and label files are JSON Lines, one record of PAPER_FIELDS or
 LABEL_FIELDS a line; a section is an object of SECTION_FIELDS. Each
 declares its fields as ``{name: annotation}``, a name ending in "?" optional.
 A token is a lowercase run of characters for which ``str.isalnum()`` holds
-(``tokenize``). ``load_corpus`` builds each paper's hierarchy;
-``load_paper_labels`` checks the same records but keeps only their ids and
-gold labels.
+(``tokenize``). Both corpus loaders read each record through one checked walk,
+``_read_paper``: ``load_corpus`` keeps the texts of ``min_paragraph_words`` or
+more tokens and builds each hierarchy; ``load_paper_labels`` keeps no text, so
+it tokenizes nothing and returns only the ids and gold labels.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ COUNT_BLOCK_PAPERS = 64
 # sections nest at most this deep (a top-level section is 1), so a line's JSON decoding and
 # the hierarchy walks stay far inside Python's recursion limit at any caller's stack depth
 MAX_SECTION_DEPTH = 64
+_KEEP_NONE = frozenset().__contains__  # load_paper_labels' keep: no text, no Python call per text
 
 
 def _no_constant(name: str):
@@ -217,50 +219,32 @@ def _check(record, fields: dict) -> dict:
     return record
 
 
-def _build_section_node(sec: dict, min_words: int, depth: int = 1) -> list:
+def _build_section_node(sec: dict, keep, depth: int = 1) -> list:
     """The section ``sec``, at nesting ``depth`` (a top-level section is 1), as
-    the list of its kept paragraphs and sections; an empty list when the word
-    filter keeps nothing under it (pruned)."""
+    the list of its paragraphs for which ``keep`` holds and its sections; an
+    empty list when it keeps nothing under it (pruned)."""
     if depth > MAX_SECTION_DEPTH:
         raise ValueError("nested too deeply")
-    _check(sec, SECTION_FIELDS)
-    node = [para for para in sec.get("paragraphs", []) if len(tokenize(para)) >= min_words]
-    for sub in sec.get("subsections", []):
-        if child := _build_section_node(sub, min_words, depth + 1):
+    node = list(filter(keep, _check(sec, SECTION_FIELDS).get("paragraphs", ())))
+    for sub in sec.get("subsections", ()):
+        if child := _build_section_node(sub, keep, depth + 1):
             node.append(child)
     return node
 
 
-def _check_section(sec: dict, depth: int = 1):
-    """Check ``sec`` and every section under it as _build_section_node does."""
-    if depth > MAX_SECTION_DEPTH:
-        raise ValueError("nested too deeply")
-    for sub in _check(sec, SECTION_FIELDS).get("subsections", []):
-        _check_section(sub, depth + 1)
-
-
-def _paper_labels(record: dict) -> tuple[str, frozenset[str] | None]:
-    """The id and gold labels of a paper record, checked as _build_paper checks it."""
+def _read_paper(record: dict, keep) -> tuple[str, frozenset[str] | None, list]:
+    """The id, gold labels and hierarchy (see Paper) of a paper record, the
+    hierarchy holding the texts for which ``keep`` holds; the record and each
+    section under it are checked, whatever ``keep`` keeps."""
     pid, labels = str(_check(record, PAPER_FIELDS)["id"]), record.get("labels")
     if not pid:
         raise CorpusError("empty paper id")
-    return pid, None if labels is None else frozenset(map(str, labels))
-
-
-def _build_paper(record: dict, min_words: int) -> tuple[str, Paper]:
-    pid, labels = _paper_labels(record)
-    title, abstract = record.get("title", ""), record.get("abstract", "")
-
-    # The title+abstract group sits directly under the root so that
-    # bottom-up aggregation sees it as one child of the whole document.
-    ta_text = f"{title} {abstract}".strip()
-    root = [ta_text] if len(tokenize(ta_text)) >= min_words else []
-    root += [node for sec in record.get("sections", [])
-             if (node := _build_section_node(sec, min_words))]
-
-    return pid, Paper(pid, title, abstract, root,
-                      frozenset(str(r) for r in record.get("bib_refs", []) if r != ""),
-                      labels)
+    ta_text = f"{record.get('title', '')} {record.get('abstract', '')}".strip()
+    root = [ta_text] if keep(ta_text) else []  # one child of the document, for aggregation
+    for sec in record.get("sections", ()):
+        if node := _build_section_node(sec, keep):
+            root.append(node)
+    return pid, None if labels is None else frozenset(map(str, labels)), root
 
 
 @contextmanager
@@ -407,22 +391,36 @@ def read_npz_members(path) -> dict[str, np.ndarray]:
     return members
 
 
-def read_npz(path, kind: str, version: int, fields: dict | None = None) -> tuple[dict, dict]:
+def read_npz(path, kind: str, version: int, fields: dict | None = None,
+             shapes=lambda meta: {}) -> tuple[dict, dict]:
     """The JSON ``meta`` member of an ``.npz`` archive and its other members
-    (read_npz_members). An unreadable archive, a meta not of version
-    ``version`` (of the file ``kind``) and of ``fields`` (_check), or a float
+    (read_npz_members). ``shapes`` takes the meta, once checked, to ``{name: shape}`` of the
+    float64 members it needs, or raises ValueError. An unreadable archive or meta, a meta
+    not of version ``version`` (of the file ``kind``) and of ``fields`` (_check) or that
+    ``shapes`` rejects, a member it needs missing or of another dtype or shape, or a float
     member holding a NaN or an infinity raises ValueError("<path>: ...")."""
     members = read_npz_members(path)
     try:
         meta = _JSON.decode(bytes(members.pop("meta")).decode("utf-8"))
     except (KeyError, ValueError) as exc:  # ValueError covers bad UTF-8 and bad JSON
         raise ValueError(f"{path}: unreadable meta ({exc})") from None
+    except RecursionError:
+        raise ValueError(f"{path}: unreadable meta (nested too deeply)") from None
     if type(meta) is dict and meta.get("version") != version:
         raise ValueError(f"{path}: {kind} version {meta.get('version')!r} is not {version}")
     try:
-        _check(meta, fields or {})
+        want = shapes(_check(meta, fields or {}))
     except TypeError as exc:
         raise ValueError(f"{path}: malformed meta ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if missing := [name for name in want if name not in members]:
+        raise ValueError(f"{path}: member {missing[0]} is missing")
+    held = {name: (members[name].dtype, members[name].shape) for name in want}
+    if held != {name: (_FLOAT, shape) for name, shape in want.items()}:
+        named = " and ".join(f"{name} {dtype} {shape}" for name, (dtype, shape) in held.items())
+        raise ValueError(f"{path}: {named.replace(' ', ' is ', 1)}, but its meta names float64 "
+                         + " and ".join(map(str, want.values())))
     for name, array in members.items():
         if array.dtype.kind == "f" and not np.isfinite(array).all():
             raise ValueError(f"{path}: non-finite value in {name}")
@@ -497,8 +495,16 @@ def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) ->
     if min_paragraph_words < 1:
         raise ValueError("min_paragraph_words must be positive")
 
-    papers = list(read_keyed(path, lambda rec: _build_paper(rec, min_paragraph_words),
-                             "paper id").values())
+    def keep(text: str) -> bool:
+        return len(tokenize(text)) >= min_paragraph_words
+
+    def build(record: dict) -> tuple[str, Paper]:
+        pid, labels, root = _read_paper(record, keep)
+        return pid, Paper(pid, record.get("title", ""), record.get("abstract", ""), root,
+                          frozenset(str(r) for r in record.get("bib_refs", ()) if r != ""),
+                          labels)
+
+    papers = list(read_keyed(path, build, "paper id").values())
     n_empty = sum(p.is_empty for p in papers)
     if n_empty:
         log.warning("%d of %d papers have no surviving paragraphs", n_empty, len(papers))
@@ -507,16 +513,10 @@ def load_corpus(path, min_paragraph_words: int = DEFAULT_MIN_PARAGRAPH_WORDS) ->
 
 def load_paper_labels(path) -> dict[str, frozenset[str] | None]:
     """``{paper id: gold labels or None}`` of a JSON Lines corpus in file
-    order. Each record and section is checked as load_corpus checks it, and
-    a bad line fails with the same message, but no hierarchy is built and
-    nothing is tokenized."""
-    def build(record: dict) -> tuple[str, frozenset[str] | None]:
-        key = _paper_labels(record)
-        for sec in record.get("sections", []):
-            _check_section(sec)
-        return key
-
-    return read_keyed(path, build, "paper id")
+    order, read through load_corpus's walk keeping no text: each record and
+    section is checked, and a bad line fails with the same message, but no
+    Paper is built and nothing is tokenized."""
+    return read_keyed(path, lambda rec: _read_paper(rec, _KEEP_NONE)[:2], "paper id")
 
 
 def load_labels(path) -> list[Label]:

@@ -358,22 +358,22 @@ def save_model(model: ScorerModel, path, config: PipelineConfig | None = None,
     write_npz(path, {"proj": model.proj, "w": model.w}, meta)
 
 
-def load_model(path) -> ScorerModel:
-    meta, members = read_npz(path, "checkpoint", CHECKPOINT_VERSION, META_FIELDS)
-    proj, w = members["proj"], members["w"]
+def _member_shapes(meta: dict) -> dict:
+    """The shapes of a checkpoint's ``proj`` and ``w`` under its meta (of META_FIELDS)."""
     # a zero width scores every pair 0 or indexes nothing; a slice to 0 tokens drops every word
     for key in ("hash_dim", "embed_dim", "max_tokens"):
         if meta[key] < 1:
-            raise ValueError(f"{path}: meta {key} {meta[key]} is not positive")
+            raise ValueError(f"meta {key} {meta[key]} is not positive")
     if not -2**63 <= meta["hash_seed"] < 2**63:  # the hash key is its 8 bytes
-        raise ValueError(f"{path}: meta hash_seed {meta['hash_seed']} is not a signed 64-bit int")
-    shapes = ((meta["hash_dim"], meta["embed_dim"]), (2 * meta["embed_dim"],))
-    if (proj.dtype, w.dtype) != (np.float64,) * 2 or (proj.shape, w.shape) != shapes:
-        raise ValueError(f"{path}: proj is {proj.dtype} {proj.shape} and w {w.dtype} {w.shape}, "
-                         f"but its meta names float64 {shapes[0]} and {shapes[1]}")
+        raise ValueError(f"meta hash_seed {meta['hash_seed']} is not a signed 64-bit int")
+    return {"proj": (meta["hash_dim"], meta["embed_dim"]), "w": (2 * meta["embed_dim"],)}
+
+
+def load_model(path) -> ScorerModel:
+    meta, members = read_npz(path, "checkpoint", CHECKPOINT_VERSION, META_FIELDS, _member_shapes)
     feat = BaseFeaturizer(dim=meta["hash_dim"], hash_seed=meta["hash_seed"],
                           max_tokens=meta["max_tokens"])
-    return ScorerModel(featurizer=feat, proj=proj, w=w)
+    return ScorerModel(featurizer=feat, proj=members["proj"], w=members["w"])
 
 
 def load_embedding_overrides(path, embed_dim: int | None = None) -> dict[str, np.ndarray]:

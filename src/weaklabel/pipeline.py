@@ -77,7 +77,8 @@ class RunContext:
     paper (``terms``, dropped once the matrix is built). ``paper_labels``,
     each paper's id and gold labels, is all that evaluate reads of the
     corpus: it comes from the loaded corpus when there is one, else from
-    a pass that checks every record but builds and tokenizes nothing. A
+    ``load_paper_labels``, which reads each record through load_corpus's
+    checked walk but keeps no text, so it builds and tokenizes nothing. A
     stage called without a context builds its own.
     """
 
@@ -347,7 +348,7 @@ def read_predictions(path, limit: int | None = None) -> dict[str, list[str]]:
 def stage_evaluate(cfg: PipelineConfig,
                    ctx: RunContext | None = None) -> metrics.MetricsReport | None:
     """Score the stored rankings against the corpus's gold labels; of the
-    corpus it reads only ``ctx.paper_labels``, so on its own it tokenizes nothing."""
+    corpus it reads only ``ctx.paper_labels``, so on its own it tokenizes no corpus text."""
     ctx = _context(cfg, ctx, "paper_labels")
     # every metric reads only the top k of a ranking
     rankings = _read_paper_keyed(cfg, ctx, "predictions",

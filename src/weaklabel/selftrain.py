@@ -470,49 +470,47 @@ META_FIELDS = {"version": "int", "label_ids": "list[str]", "n_features": "int",
 NODE_FIELDS = {"labels?": "list[str]", "children?": "list[int]"}  # each of its nodes
 
 
-def _tree_problem(meta: dict) -> str | None:
-    """What keeps a classifier meta (of META_FIELDS) from holding a classifier's trees, or
-    None: no ``roots``, a node not of NODE_FIELDS or holding not exactly one of ``labels``
-    and ``children``, a child that is not a later node, nodes that are not the trees'
-    preorders in turn, or a tree whose leaves are not a permutation of ``label_ids``."""
+def _member_shapes(meta: dict) -> dict:
+    """The shapes of a classifier's ``weights`` and ``biases`` under its meta (of
+    META_FIELDS); ValueError if the meta holds no classifier's trees: no ``roots``, a node
+    not of NODE_FIELDS or holding not exactly one of ``labels`` and ``children``, a child
+    that is not a later node, nodes that are not the trees' preorders in turn, or a tree
+    whose leaves are not a permutation of ``label_ids``."""
     roots, recs, label_ids = meta["roots"], meta["nodes"], meta["label_ids"]
     if not roots:
-        return "roots is empty"
+        raise ValueError("roots is empty")
     for pos, rec in enumerate(recs):
         try:
             _check(rec, NODE_FIELDS)
         except TypeError as exc:
-            return f"node {pos}: {exc}"
+            raise ValueError(f"node {pos}: {exc}") from None
         if ("labels" in rec) == ("children" in rec):
-            return f"node {pos} holds not exactly one of labels and children"
+            raise ValueError(f"node {pos} holds not exactly one of labels and children")
     pos, want = 0, sorted(label_ids)  # pos: the node the preorder reaches next
     for t, root in enumerate(roots):
         labels, stack = [], [root]
         while stack:
             if stack.pop() != pos or pos == len(recs):
-                return f"tree {t} does not continue the preorder at node {pos}"
+                raise ValueError(f"tree {t} does not continue the preorder at node {pos}")
             children = recs[pos].get("children", [])
             if not all(pos < c < len(recs) for c in children):
-                return f"node {pos} lists children {children}, not all of them later nodes"
+                raise ValueError(f"node {pos} lists children {children}, "
+                                 "not all of them later nodes")
             labels += recs[pos].get("labels", [])
             stack.extend(reversed(children))
             pos += 1
         if sorted(labels) != want or len(set(want)) < len(want):
-            return f"the leaves of tree {t} are not a permutation of the distinct label_ids"
-    return f"the trees hold {pos} of {len(recs)} nodes" if pos < len(recs) else None
+            raise ValueError(f"the leaves of tree {t} are not a permutation "
+                             "of the distinct label_ids")
+    if pos < len(recs):
+        raise ValueError(f"the trees hold {pos} of {len(recs)} nodes")
+    n_rows = int(_first_rows(recs)[-1])  # the rows follow the nodes
+    return {"weights": (n_rows, meta["n_features"]), "biases": (n_rows,)}
 
 
 def load_classifier(path) -> LabelTreeClassifier:
-    meta, members = read_npz(path, "classifier", CLASSIFIER_VERSION, META_FIELDS)
-    problem = _tree_problem(meta)
-    if problem:
-        raise ValueError(f"{path}: {problem}")
+    meta, members = read_npz(path, "classifier", CLASSIFIER_VERSION, META_FIELDS, _member_shapes)
     nodes = [{key: rec[key]} for rec in meta["nodes"] for key in ("labels", "children")
              if key in rec]  # the known key of each node only
-    weights, biases = members["weights"], members["biases"]
-    n_rows = int(_first_rows(nodes)[-1])  # the rows follow the nodes
-    expected = (n_rows, meta["n_features"])
-    if weights.dtype != np.float64 or weights.shape != expected or biases.shape != (n_rows,):
-        raise ValueError(f"{path}: weights are {weights.dtype} {weights.shape} and biases "
-                         f"{biases.shape}, but its meta names float64 {expected} and ({n_rows},)")
-    return LabelTreeClassifier(tuple(meta["label_ids"]), meta["roots"], nodes, weights, biases)
+    return LabelTreeClassifier(tuple(meta["label_ids"]), meta["roots"], nodes,
+                               members["weights"], members["biases"])

@@ -20,7 +20,7 @@ from weaklabel import candidates as cand
 from weaklabel import citegraph, cli, encoder, kernels, metrics, pipeline, ranker, selftrain
 from weaklabel.config import ConfigError, PipelineConfig, make_config
 from weaklabel.corpus import (Paper, load_corpus, load_labels, read_jsonl, read_npz_members,
-                              write_jsonl, write_npz)
+                              tokenize, write_jsonl, write_npz)
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import per_text_stage_score
@@ -594,6 +594,24 @@ class TestRunContext:
                          "vocabulary_from_terms": 0, "tfidf_from_terms": 0,
                          "full_text_tokens": 0}
         assert views == [1]
+        assert (copy / "metrics.json").read_bytes() == \
+            open(artifact(out, "metrics"), "rb").read()
+        capsys.readouterr()
+
+    def test_standalone_evaluate_tokenizes_no_corpus_text(self, monkeypatch, run, tmp_path,
+                                                          capsys):
+        # load_paper_labels walks each record as load_corpus does, but keeps no text
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        assert sum(len(paper.paragraphs) for paper in load_corpus(cfg.corpus_path)) > 0
+        names = [name for label in load_labels(cfg.labels_path) for name in label.names]
+        texts = []
+        monkeypatch.setattr("weaklabel.corpus.tokenize",
+                            lambda text: texts.append(text) or tokenize(text))
+        monkeypatch.setattr("weaklabel.corpus.Paper", None)  # and builds no paper
+        pipeline.stage_evaluate(dataclasses.replace(cfg, output_dir=str(copy)))
+        assert texts == names  # load_labels checks each label name: 0 corpus texts
         assert (copy / "metrics.json").read_bytes() == \
             open(artifact(out, "metrics"), "rb").read()
         capsys.readouterr()
@@ -1234,6 +1252,45 @@ class TestEncoderOfAnotherDtype:
                          rf"and w {dtype} \(\d+,\), but its meta names float64 .*; "
                          r"rerun train-encoder$", proc.stderr.strip()), proc.stderr
         assert (copy / "scores.jsonl").read_bytes() == (out / "scores.jsonl").read_bytes()
+
+
+class TestCheckpointMembers:
+    """A checkpoint lacking a member, holding one as int64 or float32, or whose
+    meta nests too deeply stops the stage that reads it, naming the file and
+    its writer, and leaves that stage's output as it was."""
+
+    READERS = {"encoder": ("score", "scores.jsonl", "train-encoder"),  # file: stage, output, writer
+               "classifier": ("predict", "predictions.jsonl", "self-train")}
+    CASES = [(name, member, fault) for name, members in (("encoder", ("proj", "w")),
+                                                         ("classifier", ("weights", "biases")))
+             for member in members for fault in ("missing", "int64", "float32")]
+
+    @pytest.mark.parametrize("name, member, fault", CASES + [("encoder", "meta", "deep"),
+                                                             ("classifier", "meta", "deep")])
+    def test_stage_fails_and_keeps_its_output(self, run, tmp_path, name, member, fault):
+        cfg, out, _, _ = run
+        copy = tmp_path / "out"
+        shutil.copytree(out, copy)
+        path = copy / f"{name}.npz"
+        members = read_npz_members(path)
+        if fault == "missing":
+            del members[member]
+            problem = rf"member {member} is missing"
+        elif fault == "deep":
+            members["meta"] = np.frombuffer(b"[" * 100_000 + b"]" * 100_000, dtype=np.uint8)
+            problem = r"unreadable meta \(nested too deeply\)"
+        else:
+            members[member] = members[member].astype(fault)
+            problem = rf"\b{member} (is )?{fault} \({members[member].shape[0]},.*, but its meta"
+        np.savez(path, **members)
+        stage, output, writer = self.READERS[name]
+        proc = run_cli(stage, "--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
+                       "--output-dir", str(copy), "--seed", str(cfg.seed))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"stage {stage} failed: {path}: "), proc.stderr
+        assert proc.stderr.endswith(f"; rerun {writer}\n"), proc.stderr
+        assert re.search(problem, proc.stderr), proc.stderr
+        assert (copy / output).read_bytes() == (out / output).read_bytes()
 
 
 class TestStandalonePredict:

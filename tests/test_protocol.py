@@ -73,9 +73,11 @@ def test_stand_alone_score_that_differs_from_run_all_fails(tmp_path):
 
 def test_stand_alone_evaluate_that_differs_from_run_all_fails(tmp_path):
     # only evaluate run alone reads the gold labels through load_paper_labels
-    tree = changed_tree(tmp_path, "corpus.py", "        key = _paper_labels(record)\n",
-                        "        key = _paper_labels(record)\n"
-                        "        key = key[0], key[1] and frozenset(sorted(key[1])[:1])\n")
+    # the mutation: a load_paper_labels that keeps one gold label per paper
+    read = '    return read_keyed(path, lambda rec: _read_paper(rec, _KEEP_NONE)[:2], "paper id")\n'
+    tree = changed_tree(tmp_path, "corpus.py", read,
+                        read.replace("return", "gold =") + "    return {pid: labels and "
+                        "frozenset(sorted(labels)[:1]) for pid, labels in gold.items()}\n")
     assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
         1, f"{NAME}: the change's stand-alone evaluate rewrote metrics.json")
 

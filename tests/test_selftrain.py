@@ -1295,7 +1295,7 @@ class TestPersistence:
             "wide_weights": {"weights": np.hstack([weights, weights[:, :1]])},
             "short_biases": {"biases": biases[:-1]},
         }[change])
-        with pytest.raises(ValueError, match=r"clf.npz: weights are .*\)$"):
+        with pytest.raises(ValueError, match=r"clf.npz: weights is .*\)$"):
             load_classifier(path)
 
     @pytest.mark.parametrize("version", [0, 2, None])
