@@ -26,8 +26,8 @@ from .ranker import CandidateScore
 
 CLASSIFIER_VERSION = 1
 BLOCK_ROWS = 128  # rows per dense block in the fitting and prediction products
-# most rows of a Gram matrix, one node's or the one all nodes share: at most 8 MiB
-GRAM_MAX_ROWS = 1024
+# most bytes of a Gram matrix, a leaf's or the one every node shares: 1,254 rows
+GRAM_MAX_BYTES = 12 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -160,17 +160,19 @@ def _first_rows(nodes: list[dict]) -> np.ndarray:
 
 
 def _in_row_space(n: int, n_cols: int, k: int, epochs: int, given: bool = False) -> bool:
-    """Whether _fit_logistic fits an n-row, k-output node in row space:
+    """Whether _fit_logistic fits an n-row, k-output problem in row space:
     when that needs fewer flops than the primal form, the cost of building
-    the node's Gram matrix counted unless it is ``given``, and the Gram
-    matrix has at most GRAM_MAX_ROWS rows."""
+    the Gram matrix counted unless it is ``given``, and the n x n Gram
+    matrix takes at most GRAM_MAX_BYTES."""
     primal = 2 * epochs * n * n_cols * k
     row_space = (0 if given else n * n * n_cols) + 2 * epochs * n * n * k + 2 * n * n_cols * k
-    return n <= GRAM_MAX_ROWS and row_space < primal
+    return 8 * n * n <= GRAM_MAX_BYTES and row_space < primal
 
 
 def _gram(X: CsrMatrix, rows: np.ndarray) -> np.ndarray:
-    """The Gram matrix ``K = X X'`` over ``rows`` of X, from pairs of dense row blocks."""
+    """The Gram matrix ``K = X X'`` over ``rows`` of X, from pairs of dense
+    row blocks. It is exactly symmetric: a block and its mirror are one
+    product, and a diagonal block is ``B B'``, which numpy mirrors itself."""
     n = rows.size
     blocks = list(_row_blocks(X, rows, BLOCK_ROWS))
     buf = np.zeros((min(n, BLOCK_ROWS), X.n_cols))
@@ -178,7 +180,8 @@ def _gram(X: CsrMatrix, rows: np.ndarray) -> np.ndarray:
     K = np.empty((n, n))
     for i, (top, left) in enumerate(_dense_blocks(blocks, buf)):
         here = slice(top, top + left.shape[0])
-        for lo, right in _dense_blocks(blocks[:i + 1], other):
+        K[here, here] = left @ left.T
+        for lo, right in _dense_blocks(blocks[:i], other):
             there = slice(lo, lo + right.shape[0])
             K[here, there] = left @ right.T
             K[there, here] = K[here, there].T
@@ -186,37 +189,42 @@ def _gram(X: CsrMatrix, rows: np.ndarray) -> np.ndarray:
 
 
 def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: PipelineConfig,
-                  K: np.ndarray | None = None,
-                  at: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  K: np.ndarray | None = None, at: np.ndarray | None = None,
+                  sizes: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Multi-output L2 logistic regression on ``rows`` of X, from zero.
 
     Column j of ``Y`` (rows x k) gets the full-batch gradient descent of
     kernels.logistic_epochs on its own: per epoch, ``D = (sigmoid(X W' +
-    b) - Y) / n``, ``W <- s W - lr D'X`` and ``b <- b - lr sum(D)``, where
-    ``s = 1 - lr l2``, with ``cfg``'s classifier_lr, classifier_l2 and E =
-    classifier_epochs epochs. Two exact forms of it run on dense row blocks:
+    b) - Y) / sizes``, ``W <- s W - lr D'X`` and ``b <- b - lr sum(D)``,
+    where ``s = 1 - lr l2``, with ``cfg``'s classifier_lr, classifier_l2
+    and E = classifier_epochs epochs. ``sizes`` (rows x k) divides D cell
+    by cell, every cell by the row count n when it is None; D is exactly
+    0 in an ``inf`` cell, so one call can fit many nodes (_fit_nodes).
+    Two exact forms of it run on dense row blocks:
 
     - primal: each epoch is one pass over the rows, a block product for
       the logits and a transposed one for the weight gradient
       (``2 E n C k`` flops for n rows, C columns, k outputs, E epochs);
     - row space: since W stays ``A'X`` for an n x k matrix A, take the
-      Gram matrix ``K = X X'`` of the rows, run each epoch as ``Z = K A +
-      b``, ``A <- s A - lr D``, and form ``W = A'X`` at the end (``2 E n^2
-      k + 2 n C k`` flops, and ``n^2 C`` more to build K from pairs of
-      blocks).
+      Gram matrix ``K = X X'`` of the rows, run each epoch on ``A'`` as
+      ``Z' = A' K + b`` (``(K A)'``, as K is exactly symmetric, and the
+      faster layout), ``A <- s A - lr D``, and form ``W = A'X`` at the end
+      (``2 E n^2 k + 2 n C k`` flops, and ``n^2 C`` more to build K from
+      pairs of blocks).
 
     ``K``, if given, is the Gram matrix of a set of rows that holds
     ``rows`` at its positions ``at`` (all of them when ``at`` is None), so
-    the row-space form takes its sub-block instead of building one. A node
-    is fitted in row space when that needs fewer flops and it has at most
-    GRAM_MAX_ROWS rows (see _in_row_space). Returns the weights (k x
-    n_cols) and biases (k,).
+    the row-space form takes its sub-block instead of building one. The
+    row-space form runs when it needs fewer flops and its Gram matrix
+    takes at most GRAM_MAX_BYTES (see _in_row_space). Returns the weights
+    (k x n_cols) and biases (k,).
     """
     n, k = Y.shape
     W = np.zeros((k, X.n_cols))
     b = np.zeros(k)
     if n == 0:
         return W, b
+    sizes = np.broadcast_to(float(n) if sizes is None else sizes, Y.shape)
     buf = np.zeros((min(n, BLOCK_ROWS), X.n_cols))
     part = np.empty_like(W)
     if _in_row_space(n, X.n_cols, k, cfg.classifier_epochs, K is not None):
@@ -224,14 +232,16 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: PipelineCo
             K = _gram(X, rows)
         elif at is not None:
             K = K[np.ix_(at, at)]
-        A = np.zeros((n, k))
+        At = np.zeros((k, n))  # A'
         shrink = 1.0 - cfg.classifier_lr * cfg.classifier_l2
         for _ in range(cfg.classifier_epochs):
-            D = (_sigmoid(K @ A + b) - Y) / n
-            A = shrink * A - cfg.classifier_lr * D
-            b -= cfg.classifier_lr * D.sum(axis=0)
+            Z = At @ K
+            Z += b[:, None]
+            D = (_sigmoid(Z) - Y.T) / sizes.T
+            At = shrink * At - cfg.classifier_lr * D
+            b -= cfg.classifier_lr * D.sum(axis=1)
         for start, dense in _dense_blocks(_row_blocks(X, rows, BLOCK_ROWS), buf):
-            np.matmul(A[start:start + dense.shape[0]].T, dense, out=part)
+            np.matmul(At[:, start:start + dense.shape[0]], dense, out=part)
             W += part
         return W, b
     blocks = list(_row_blocks(X, rows, BLOCK_ROWS))
@@ -245,7 +255,7 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: PipelineCo
             z += b
             d = D[start:stop]
             np.subtract(_sigmoid(z), Y[start:stop], out=d)
-            d /= n
+            d /= sizes[start:stop]
             np.matmul(d.T, dense, out=part)
             G += part
         W -= cfg.classifier_lr * (G + cfg.classifier_l2 * W)
@@ -264,13 +274,19 @@ def _fit_nodes(nodes: list[dict], positions, X: CsrMatrix, member: np.ndarray,
     those with a label there and its targets, one per label on a leaf and
     one per child on a routing node, whether a row has a label in that part
     of the span. No node reads another's fit, so any order fits them alike.
-    When at most GRAM_MAX_ROWS rows carry a label, every node takes its
-    sub-block of their one Gram matrix (_fit_logistic).
+
+    The routing nodes of ``positions`` fit in one _fit_logistic call over
+    the rows that carry a label: their targets stand side by side in table
+    order (whatever the order of ``positions``), 0 off each node's rows,
+    and ``sizes`` holds each node's row count on its rows and columns and
+    ``inf`` elsewhere. Each leaf fits in a call of its own, on its rows.
+    When the Gram matrix of the labelled rows takes at most GRAM_MAX_BYTES,
+    it is built once and every call takes it or its sub-block.
     """
     labelled = np.flatnonzero(member.any(axis=1))
     if labelled.size == 0:
         raise ValueError("no training documents carry pseudo labels")
-    K = _gram(X, labelled) if labelled.size <= GRAM_MAX_ROWS else None
+    K = _gram(X, labelled) if 8 * labelled.size ** 2 <= GRAM_MAX_BYTES else None
     lo = np.cumsum([0] + [len(rec.get("labels", ())) for rec in nodes])
     hi = lo[1:].copy()  # a routing node's span ends where its last child's does
     for pos in reversed(range(len(nodes))):
@@ -278,15 +294,27 @@ def _fit_nodes(nodes: list[dict], positions, X: CsrMatrix, member: np.ndarray,
             hi[pos] = hi[nodes[pos]["children"][-1]]
     first = _first_rows(nodes)
     weights, biases = np.zeros((first[-1], X.n_cols)), np.zeros(first[-1])
+    positions = sorted(positions)
+    routing = [pos for pos in positions if "children" in nodes[pos]]
+    if routing:
+        Y, sizes = [], []
+        for pos in routing:
+            y = np.logical_or.reduceat(member[labelled, lo[pos]:hi[pos]],
+                                       lo[nodes[pos]["children"]] - lo[pos], axis=1)
+            on = y.any(axis=1)
+            Y.append(y)
+            sizes.append(np.broadcast_to(np.where(on, on.sum(), np.inf)[:, None], y.shape))
+        out = np.concatenate([np.arange(first[pos], first[pos + 1]) for pos in routing])
+        weights[out], biases[out] = _fit_logistic(X, labelled, np.hstack(Y).astype(np.float64),
+                                                  cfg, K, sizes=np.hstack(sizes))
     for pos in positions:
-        span = member[:, lo[pos]:hi[pos]]
-        rows = np.flatnonzero(span.any(axis=1))
-        starts = (lo[nodes[pos]["children"]] if "children" in nodes[pos] else
-                  np.arange(lo[pos], hi[pos])) - lo[pos]
-        Y = np.logical_or.reduceat(span[rows], starts, axis=1).astype(np.float64)
-        at = None if rows.size == labelled.size else np.searchsorted(labelled, rows)
-        out = slice(first[pos], first[pos + 1])
-        weights[out], biases[out] = _fit_logistic(X, rows, Y, cfg, K, at)
+        if "labels" in nodes[pos]:
+            span = member[:, lo[pos]:hi[pos]]
+            rows = np.flatnonzero(span.any(axis=1))
+            at = None if rows.size == labelled.size else np.searchsorted(labelled, rows)
+            out = slice(first[pos], first[pos + 1])
+            weights[out], biases[out] = _fit_logistic(X, rows, span[rows].astype(np.float64),
+                                                      cfg, K, at)
     return weights, biases
 
 

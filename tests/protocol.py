@@ -27,8 +27,10 @@ same ``predictions.jsonl``. One line per input says
 ``cmp-identical`` (every output file byte for byte), ``within the
 numerics rule`` (naming the files that differ) or each breach that
 ``numerics_rule.compare_outputs`` finds, then the bytes of each tree's
-output directory. A last line gives each tree's ``src/`` line count, as
-``wc -l src/weaklabel/*.py`` counts.
+output directory. Once both run-alls have finished, a second line gives
+each tree's ``run-all`` wall time (the parent's runs first, so the trees
+alternate) and the change's relative to the parent's. A last line gives
+each tree's ``src/`` line count, as ``wc -l src/weaklabel/*.py`` counts.
 
 The exit status is 0 when every input holds the rule, 1 on a breach, a
 failed run, or a synth or stand-alone stage whose bytes differ, and 2 on a
@@ -43,6 +45,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))  # numerics_rule, run as a script
@@ -77,9 +80,10 @@ def weaklabel(tree, work, *args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def compare_input(parent, change, spec, work) -> tuple[int, str]:
-    """The exit status and report line of one input ``spec`` (an entry of
-    INPUTS), its files written under the new directory ``work``."""
+def compare_input(parent, change, spec, work) -> tuple[int, list[str]]:
+    """The exit status and report lines of one input ``spec`` (an entry of
+    INPUTS), its files written under the new directory ``work``: the verdict,
+    then, once both run-alls have finished, their wall times."""
     seed, papers, labels, flags = spec
     name = " ".join([f"synth seed {seed}, {papers} x {labels}", *flags])
     work = Path(work)
@@ -98,24 +102,30 @@ def compare_input(parent, change, spec, work) -> tuple[int, str]:
     for tree, what, out in ((parent, "synth", work),
                             (change, "the change's synth", work / "synth")):
         if why := failure(tree, what, *synth, "--out-dir", str(out)):
-            return 1, why
+            return 1, [why]
     moved = [file for file in SYNTH_FILES
              if (work / "synth" / file).read_bytes() != (work / file).read_bytes()]
     if moved:
-        return 1, f"{name}: the change's synth wrote other {', '.join(moved)}"
+        return 1, [f"{name}: the change's synth wrote other {', '.join(moved)}"]
+    wall = []
     for tree, out in ((parent, ref), (change, new)):
+        start = time.perf_counter()
         if why := failure(tree, f"the {out.name} run-all", "run-all", *data,
                           "--output-dir", str(out), "--seed", RUN_SEED, *flags):
-            return 1, why
+            return 1, [why]
+        wall.append(time.perf_counter() - start)
+    times = (f"{name}: run-all wall time: parent {wall[0]:.2f} s, change {wall[1]:.2f} s "
+             f"({wall[1] / wall[0] - 1:+.1%})")
     # each stage of RERUNS, run alone over the change's run-all output, rewrites the same bytes
     for stage, files in RERUNS:
         ran = {file: (new / file).read_bytes() for file in files}
         if why := failure(change, f"the change's stand-alone {stage}", stage, *data,
                           "--output-dir", str(new), "--seed", RUN_SEED, *flags):
-            return 1, why
+            return 1, [why, times]
         moved = [file for file in files if (new / file).read_bytes() != ran[file]]
         if moved:
-            return 1, f"{name}: the change's stand-alone {stage} rewrote {', '.join(moved)}"
+            return 1, [f"{name}: the change's stand-alone {stage} rewrote {', '.join(moved)}",
+                       times]
     (work / "ranking_limit.json").write_text('{"ranking_limit": 3}')
     for mode, extra in PREDICT_MODES:
         wrote = []
@@ -125,15 +135,16 @@ def compare_input(parent, change, spec, work) -> tuple[int, str]:
             if why := failure(tree, f"the {side}'s stand-alone predict ({mode})", "predict",
                               *data, "--output-dir", str(out), "--seed", RUN_SEED, *flags,
                               *extra):
-                return 1, why
+                return 1, [why, times]
             wrote.append((out / "predictions.jsonl").read_bytes())
             shutil.rmtree(out)
         if wrote[0] != wrote[1]:
-            return 1, f"{name}: the change's stand-alone predict ({mode}) wrote other bytes"
+            return 1, [f"{name}: the change's stand-alone predict ({mode}) wrote other bytes",
+                       times]
 
     code, verdict = _verdict(ref, new)
     n, m = output_bytes(ref), output_bytes(new)
-    return code, f"{name}: {verdict}; output bytes: parent {n}, change {m} ({m - n:+d})"
+    return code, [f"{name}: {verdict}; output bytes: parent {n}, change {m} ({m - n:+d})", times]
 
 
 def _verdict(ref: Path, new: Path) -> tuple[int, str]:
@@ -174,8 +185,8 @@ def main(argv: list[str]) -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, spec in enumerate(INPUTS):
-            code, line = compare_input(*argv, spec, Path(tmp) / str(i))
-            print(line, flush=True)
+            code, lines = compare_input(*argv, spec, Path(tmp) / str(i))
+            print(*lines, sep="\n", flush=True)
             status = max(status, code)
             shutil.rmtree(Path(tmp) / str(i))  # the 5000 x 500 run writes tens of MB
     print(src_lines(*argv))

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import json
 import logging
 import math
@@ -9,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -546,6 +548,25 @@ class TestRunContext:
         assert len(pipeline.read_predictions(artifact(cfg.output_dir, "predictions"))) == 500
         assert report is not None
         assert corpora[0]() is None  # nothing outlives the run's context
+
+    def test_a_second_run_holds_no_more_traced_memory(self, tmp_path):
+        # nothing a run makes is kept for the next: peak RSS that grows across run-alls in one
+        # process must then come from the allocator, not from a Python object kept alive
+        write_synthetic(SyntheticSpec(n_papers=40, n_labels=6, seed=3), tmp_path / "corpus.jsonl",
+                        tmp_path / "labels.jsonl", tmp_path / "manifest.jsonl")
+        cfg = make_config(None, dict(corpus_path=str(tmp_path / "corpus.jsonl"),
+                                     labels_path=str(tmp_path / "labels.jsonl"),
+                                     output_dir=str(tmp_path / "out"), seed=7, train_steps=5))
+        held = []
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                pipeline.run_pipeline(cfg)
+                gc.collect()
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert abs(held[1] - held[0]) <= 64 * 2 ** 10, held
 
     def test_cli_run_all_reads_each_input_once(self, monkeypatch, data_dir, tmp_path):
         calls, _ = count_input_reads(monkeypatch)

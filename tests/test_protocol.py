@@ -1,5 +1,6 @@
 """tests/protocol.py, run on one tiny input."""
 
+import re
 import shutil
 from pathlib import Path
 
@@ -13,6 +14,8 @@ from weaklabel.corpus import write_npz
 REPO = Path(__file__).resolve().parent.parent
 TINY = (3, 40, 6, ("--train-steps", "5"))
 NAME = "synth seed 3, 40 x 6 --train-steps 5"
+TIMES = re.compile(re.escape(NAME) + r": run-all wall time: parent \d+\.\d\d s, "
+                   r"change \d+\.\d\d s \([+-]\d+\.\d%\)")
 
 
 def changed_tree(tmp_path, module, old, new):
@@ -26,6 +29,14 @@ def changed_tree(tmp_path, module, old, new):
     return tree
 
 
+def compare(tree, tmp_path):
+    """compare_input of this repository and ``tree`` on TINY: (exit status,
+    verdict line), once its second line, the two run-alls' wall times, is checked."""
+    code, lines = protocol.compare_input(REPO, tree, TINY, tmp_path / "w")
+    assert len(lines) == 2 and TIMES.fullmatch(lines[1]), lines
+    return code, lines[0]
+
+
 def sizes(work):
     """The report's output-bytes clause for the two run directories under ``work``."""
     n, m = (sum(path.stat().st_size for path in (work / side).iterdir())
@@ -34,7 +45,7 @@ def sizes(work):
 
 
 def test_same_tree_is_cmp_identical(tmp_path):
-    code, line = protocol.compare_input(REPO, REPO, TINY, tmp_path / "w")
+    code, line = compare(REPO, tmp_path)
     assert sizes(tmp_path / "w").endswith(" (+0)")
     assert (code, line) == (0, f"{NAME}: cmp-identical" + sizes(tmp_path / "w"))
 
@@ -43,13 +54,13 @@ def test_reordered_sum_holds_the_numerics_rule(tmp_path):
     # a division turned into a product by the reciprocal moves score_b by rounding only
     tree = changed_tree(tmp_path, "ranker.py", "return sum(values) / len(values)",
                         "return sum(values) * (1.0 / len(values))")
-    assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
+    assert compare(tree, tmp_path) == (
         0, f"{NAME}: within the numerics rule (scores.jsonl differ)" + sizes(tmp_path / "w"))
 
 
 def test_changed_output_is_a_breach(tmp_path):
     tree = changed_tree(tmp_path, "config.py", "top_k: int = 5", "top_k: int = 4")
-    code, line = protocol.compare_input(REPO, tree, TINY, tmp_path / "w")
+    code, line = compare(tree, tmp_path)
     assert code == 1
     assert line.startswith(f"{NAME}: predictions.jsonl: paper ")
     assert "top_k_scores: shape (1, 5) != (1, 4)" in line
@@ -59,15 +70,16 @@ def test_changed_output_is_a_breach(tmp_path):
 
 def test_synth_that_writes_other_bytes_fails(tmp_path):
     tree = changed_tree(tmp_path, "synth.py", "TITLE_INJECT_PROB = 0.25", "TITLE_INJECT_PROB = 0.5")
+    # no run-all ran, so there are no wall times to report
     assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
-        1, f"{NAME}: the change's synth wrote other corpus.jsonl")
+        1, [f"{NAME}: the change's synth wrote other corpus.jsonl"])
 
 
 def test_stand_alone_score_that_differs_from_run_all_fails(tmp_path):
     # by score, run-all's shared context still holds ingest's term counts
     tree = changed_tree(tmp_path, "pipeline.py", '"n_labels": len(labels),',
                         '"n_labels": len(labels) + ("terms" in ctx.__dict__),')
-    assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
+    assert compare(tree, tmp_path) == (
         1, f"{NAME}: the change's stand-alone score rewrote score_stats.json")
 
 
@@ -78,7 +90,7 @@ def test_stand_alone_evaluate_that_differs_from_run_all_fails(tmp_path):
     tree = changed_tree(tmp_path, "corpus.py", read,
                         read.replace("return", "gold =") + "    return {pid: labels and "
                         "frozenset(sorted(labels)[:1]) for pid, labels in gold.items()}\n")
-    assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
+    assert compare(tree, tmp_path) == (
         1, f"{NAME}: the change's stand-alone evaluate rewrote metrics.json")
 
 
@@ -86,7 +98,7 @@ def test_stand_alone_predict_branch_that_differs_fails(tmp_path):
     # run-all takes the self-train branch; only the predict modes run the other one
     tree = changed_tree(tmp_path, "pipeline.py", "[r.mrr for r in rows[:top_k]]",
                         "[r.mrr for r in rows[:top_k]][::-1]")
-    assert protocol.compare_input(REPO, tree, TINY, tmp_path / "w") == (
+    assert compare(tree, tmp_path) == (
         1, f"{NAME}: the change's stand-alone predict (--no-selftrain) wrote other bytes")
 
 
@@ -98,6 +110,17 @@ def test_reports_net_src_lines_last(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(protocol, "INPUTS", [])
     assert protocol.main([str(REPO), str(tree)]) == 0
     assert capsys.readouterr().out == f"src/ lines: parent {n}, change {n + 1} (+1)\n"
+
+
+def test_prints_each_input_s_verdict_then_its_wall_times(monkeypatch, capsys):
+    n = sum(len(path.read_text(encoding="utf-8").splitlines())
+            for path in (REPO / "src" / "weaklabel").glob("*.py"))
+    monkeypatch.setattr(protocol, "INPUTS", [TINY])
+    assert protocol.main([str(REPO), str(REPO)]) == 0
+    verdict, times, lines = capsys.readouterr().out.splitlines()
+    assert verdict.startswith(f"{NAME}: cmp-identical; output bytes: parent ")
+    assert TIMES.fullmatch(times)
+    assert lines == f"src/ lines: parent {n}, change {n} (+0)"
 
 
 @pytest.mark.parametrize("argv", [[], ["a"], ["a", "b", "c"]])

@@ -17,7 +17,7 @@ from weaklabel.config import PipelineConfig
 from weaklabel.kernels import CsrMatrix
 from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
-    BLOCK_ROWS, GRAM_MAX_ROWS, LabelTreeClassifier,
+    BLOCK_ROWS, GRAM_MAX_BYTES, LabelTreeClassifier,
     build_label_tree, final_rankings, load_classifier, predict_blocks, pseudo_labels,
     save_classifier, train_classifier, _first_rows, _fit_logistic, _fit_nodes, _gram,
     _in_row_space, _normalize_rows, _search_plan,
@@ -28,6 +28,10 @@ from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import (build_tfidf_matrix, csr_row, final_ranking, garbage_after,
                       load_corpus_records, paper_record, predict_proba, stacked_probabilities)
+
+
+# the most rows whose float64 Gram matrix takes at most GRAM_MAX_BYTES
+GRAM_ROWS = math.isqrt(GRAM_MAX_BYTES // 8)
 
 
 def scored_rows(pairs):
@@ -510,6 +514,20 @@ def reference_fits(nodes, X, label_sets, cfg, root=0):
     return out
 
 
+def assert_node_rows(nodes, weights, biases, want):
+    """``weights`` and ``biases`` hold ``want[pos]``, (weights, bias) of a fit of node pos's
+    own, at each node's rows: a routing node's within 1e-12 absolute, since its columns shared
+    one masked fit with every other routing node; a leaf's bitwise."""
+    first = _first_rows(nodes)
+    for pos, (w, b) in want.items():
+        at = slice(first[pos], first[pos + 1])
+        if "children" in nodes[pos]:
+            np.testing.assert_allclose(weights[at], w, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(biases[at], b, rtol=0, atol=1e-12)
+        else:
+            assert weights[at].tobytes() == w.tobytes() and biases[at].tobytes() == b.tobytes()
+
+
 class TestMembership:
     """One papers x labels membership matrix for the label features and the targets."""
 
@@ -544,8 +562,8 @@ class TestMembership:
         build, fit = selftrain.build_label_tree, selftrain._fit_logistic
         monkeypatch.setattr(selftrain, "build_label_tree", lambda feats, *args, **kw:
                             features.append(weakref.ref(feats)) or build(feats, *args, **kw))
-        monkeypatch.setattr(selftrain, "_fit_logistic", lambda *args: alive_at_fit.append(
-            any(ref() is not None for ref in features)) or fit(*args))
+        monkeypatch.setattr(selftrain, "_fit_logistic", lambda *args, **kw: alive_at_fit.append(
+            any(ref() is not None for ref in features)) or fit(*args, **kw))
         train_classifier(one_hot_matrix(assign, 6), list(pseudo), pseudo, ids,
                          PipelineConfig(n_trees=3, max_leaf=2))
         assert len(features) == 3 and alive_at_fit and not any(alive_at_fit)
@@ -565,18 +583,14 @@ class TestMembership:
         fitted = []
         fit = selftrain._fit_logistic
         monkeypatch.setattr(selftrain, "_fit_logistic",
-                            lambda X, rows, *rest: fitted.append(rows) or fit(X, rows, *rest))
+                            lambda X, rows, *rest, **kw: fitted.append(rows)
+                            or fit(X, rows, *rest, **kw))
         cfg = PipelineConfig(classifier_epochs=5)
         weights, biases = _fit_nodes(tree, range(len(tree)), X,
                                      member[:, leaf_columns(tree, ids)], cfg)
-        assert len(fitted) == len(tree)
+        assert len(fitted) == 1 + sum("labels" in rec for rec in tree)  # routing, then leaves
         assert all(4 not in rows and 9 in rows for rows in fitted)
-        want = reference_fits(tree, X, label_sets, cfg)
-        first = _first_rows(tree)
-        for pos in range(len(tree)):
-            w, b = want[pos]
-            at = slice(first[pos], first[pos + 1])
-            assert weights[at].tobytes() == w.tobytes() and biases[at].tobytes() == b.tobytes()
+        assert_node_rows(tree, weights, biases, reference_fits(tree, X, label_sets, cfg))
 
 
 class TestFlatFit:
@@ -603,17 +617,15 @@ class TestFlatFit:
         calls = []
         fit = selftrain._fit_logistic
         monkeypatch.setattr(selftrain, "_fit_logistic",
-                            lambda *args: calls.append(args) or fit(*args))
+                            lambda *args, **kw: calls.append(args) or fit(*args, **kw))
         weights, biases = _fit_nodes(nodes, range(len(nodes)), X, member, cfg)
-        assert len(calls) == len(nodes)
+        assert len(calls) == 1 + sum("labels" in rec for rec in nodes)  # routing, then leaves
         want = {pos: fits for root in roots
                 for pos, fits in reference_fits(nodes, X, label_sets, cfg, root).items()}
         assert sorted(want) == list(range(len(nodes)))
-        first = _first_rows(nodes)
-        for pos, (w, b) in want.items():
-            at = slice(first[pos], first[pos + 1])
-            assert weights[at].tobytes() == w.tobytes() and biases[at].tobytes() == b.tobytes()
-        # backwards, every child before its parent: no node reads another's fit
+        assert_node_rows(nodes, weights, biases, want)
+        # backwards, every child before its parent: no node reads another's fit, and the
+        # routing columns are taken in table order all the same
         backwards = _fit_nodes(nodes, reversed(range(len(nodes))), X, member, cfg)
         assert backwards[0].tobytes() == weights.tobytes()
         assert backwards[1].tobytes() == biases.tobytes()
@@ -625,13 +637,71 @@ class TestFlatFit:
         fitted = []
         fit = selftrain._fit_logistic
         monkeypatch.setattr(selftrain, "_fit_logistic",
-                            lambda X, rows, Y, *rest: fitted.append(Y.shape) or
-                            fit(X, rows, Y, *rest))
+                            lambda X, rows, Y, *rest, **kw: fitted.append(Y.shape)
+                            or fit(X, rows, Y, *rest, **kw))
         clf = train_classifier(one_hot_matrix(assign, 6), list(pseudo), pseudo, ids,
                                PipelineConfig(n_trees=3, max_leaf=2))
-        first = _first_rows(clf.nodes)
-        assert len(clf.roots) == 3 and len(fitted) == len(clf.nodes)
-        assert [k for _, k in fitted] == np.diff(first).tolist()  # in table order
+        outputs = np.diff(_first_rows(clf.nodes))
+        routing = ["children" in rec for rec in clf.nodes]
+        assert len(clf.roots) == 3 and any(routing)
+        # one call for every routing node of every tree, then each leaf in table order
+        assert [k for _, k in fitted] == [outputs[routing].sum(), *outputs[~np.array(routing)]]
+
+
+class TestMaskedRoutingFit:
+    """_fit_nodes fits every routing node in one _fit_logistic call, whose per-cell divisors
+    (``sizes``) keep each node to its own rows and columns."""
+
+    @pytest.mark.parametrize("form", [False, True])  # primal, row space
+    def test_one_call_matches_a_fit_per_node(self, monkeypatch, form):
+        monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: form)
+        rng = np.random.default_rng(23)
+        ids = [f"L{j}" for j in range(10)]
+        tree = build_label_tree(rng.random((10, 4)), ids, max_leaf=1, seed=1)
+        empty = tree[0]["children"][0]  # a routing node no row reaches
+        assert "children" in tree[empty]
+        unused = {lid for leaf in leaves(tree, empty) for lid in leaf["labels"]}
+        used = [lid for lid in ids if lid not in unused]
+        X = random_csr(rng, 50, 15, empty_rows={3})
+        label_sets = [frozenset(rng.choice(used, size=int(rng.integers(1, 3)), replace=False))
+                      for _ in range(50)]
+        label_sets[7] = frozenset()
+        member = np.array([[lid in labels for lid in ids] for labels in label_sets])
+        member = member[:, leaf_columns(tree, ids)]
+        cfg = PipelineConfig(classifier_epochs=7)
+        calls = []
+        fit = selftrain._fit_logistic
+        monkeypatch.setattr(selftrain, "_fit_logistic",
+                            lambda *args, **kw: calls.append(kw) or fit(*args, **kw))
+        weights, biases = _fit_nodes(tree, range(len(tree)), X, member, cfg)
+        assert ["sizes" in kw for kw in calls] == [True] + [False] * (len(calls) - 1)
+        assert len(calls) == 1 + sum("labels" in rec for rec in tree)
+        assert_node_rows(tree, weights, biases, reference_fits(tree, X, label_sets, cfg))
+        first = _first_rows(tree)
+        for pos in subtree(tree, empty):  # no rows: every output stays exactly 0
+            at = slice(first[pos], first[pos + 1])
+            assert not weights[at].any() and not biases[at].any()
+        backwards = _fit_nodes(tree, reversed(range(len(tree))), X, member, cfg)
+        assert backwards[0].tobytes() == weights.tobytes()
+        assert backwards[1].tobytes() == biases.tobytes()
+
+    @pytest.mark.parametrize("form", [False, True])
+    def test_sizes_of_the_row_count_fit_alike_and_inf_leaves_zeros(self, monkeypatch, form):
+        monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: form)
+        rng = np.random.default_rng(24)
+        X = random_csr(rng, BLOCK_ROWS + 30, 20)
+        rows = np.arange(0, X.n_rows, 2)
+        Y = (rng.random((rows.size, 3)) < 0.5).astype(np.float64)
+        cfg = PipelineConfig(classifier_epochs=6)
+        plain = _fit_logistic(X, rows, Y, cfg)
+        counted = _fit_logistic(X, rows, Y, cfg, sizes=np.full(Y.shape, float(rows.size)))
+        for a, b in zip(plain, counted):
+            assert a.tobytes() == b.tobytes()
+        sizes = np.full(Y.shape, float(rows.size))
+        sizes[:, 1] = np.inf
+        W, b = _fit_logistic(X, rows, Y, cfg, sizes=sizes)
+        assert not W[1].any() and b[1] == 0.0
+        assert W[[0, 2]].tobytes() == plain[0][[0, 2]].tobytes()
 
 
 def random_csr(rng, n_rows, n_cols, max_nnz=8, empty_rows=()):
@@ -740,6 +810,19 @@ class TestRowSpaceFit:
         np.testing.assert_allclose(W, W_ref, rtol=0, atol=1e-12)
         np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_rows", [1, BLOCK_ROWS, 3 * BLOCK_ROWS + 37])
+    def test_gram_is_exactly_symmetric(self, n_rows):
+        rng = np.random.default_rng(n_rows)
+        X = random_csr(rng, n_rows + 10, 300, max_nnz=40, empty_rows={1})
+        rows = np.sort(rng.choice(X.n_rows, size=n_rows, replace=False))
+        K = _gram(X, rows)
+        assert K.tobytes() == np.ascontiguousarray(K.T).tobytes()
+        dense = np.zeros((n_rows, X.n_cols))
+        for i, r in enumerate(rows):
+            sv = csr_row(X, r)
+            dense[i, sv.indices] = sv.data
+        np.testing.assert_allclose(K, dense @ dense.T, rtol=0, atol=1e-12)
+
     def test_supplied_gram_builds_none_and_its_sub_block_fits_alike(self, monkeypatch):
         rng = np.random.default_rng(12)
         X = random_csr(rng, 40, 30)
@@ -770,24 +853,27 @@ class TestRowSpaceFit:
         np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12)
 
     def test_choice_follows_flop_rule_and_row_cap(self):
-        assert GRAM_MAX_ROWS ** 2 * 8 <= 8 * 2 ** 20
-        for n in (1, 2, 60, 73, 74, 400, 1000, GRAM_MAX_ROWS, GRAM_MAX_ROWS + 1, 5000):
+        assert GRAM_MAX_BYTES == 12 * 2 ** 20 and GRAM_ROWS == 1254
+        assert 8 * GRAM_ROWS ** 2 <= GRAM_MAX_BYTES < 8 * (GRAM_ROWS + 1) ** 2
+        for n in (1, 2, 60, 73, 74, 400, 1000, 1224, GRAM_ROWS, GRAM_ROWS + 1, 5000):
             for c in (40, 2080, 4400):
                 for k in (1, 2, 55, 100):
                     for e in (1, 20):
                         for given in (False, True):
                             build = 0 if given else n * n * c
                             row_space = build + 2 * e * n * n * k + 2 * n * c * k
-                            want = n <= GRAM_MAX_ROWS and row_space < 2 * e * n * c * k
+                            want = (8 * n * n <= GRAM_MAX_BYTES
+                                    and row_space < 2 * e * n * c * k)
                             assert _in_row_space(n, c, k, e, given) == want, (n, c, k, e, given)
                         assert _in_row_space(n, c, k, e) == _in_row_space(n, c, k, e, False)
         assert _in_row_space(400, 2080, 55, 20)  # a leaf
         assert not _in_row_space(400, 2080, 2, 20)  # a routing node
         assert _in_row_space(400, 2080, 2, 20, given=True)  # ... unless its Gram is given
         assert not _in_row_space(1000, 40, 2, 20, given=True)  # more rows than columns
-        assert _in_row_space(GRAM_MAX_ROWS, 4400, 100, 20)
-        assert not _in_row_space(GRAM_MAX_ROWS + 1, 4400, 100, 20)  # fewer flops, too big
-        assert not _in_row_space(GRAM_MAX_ROWS + 1, 4400, 100, 20, given=True)
+        assert _in_row_space(1224, 4400, 62, 20)  # the largest leaf at 5000 x 500
+        assert _in_row_space(GRAM_ROWS, 4400, 100, 20)
+        assert not _in_row_space(GRAM_ROWS + 1, 4400, 100, 20)  # fewer flops, too big
+        assert not _in_row_space(GRAM_ROWS + 1, 4400, 100, 20, given=True)
 
     @pytest.mark.parametrize("given", [False, True])
     def test_fit_asks_the_rule_with_the_node_shape(self, monkeypatch, given):
@@ -827,13 +913,14 @@ class TestRowSpaceFit:
 
 
 class TestSharedGram:
-    """train_classifier builds one Gram matrix for every node of every tree when at most
-    GRAM_MAX_ROWS papers carry a pseudo label, and leaves each node its own rule above."""
+    """train_classifier builds one Gram matrix for every node of every tree when the Gram
+    matrix of the papers that carry a pseudo label takes at most GRAM_MAX_BYTES, and leaves
+    each fit its own rule above."""
 
     @staticmethod
     def fit(monkeypatch, n_labelled):
         rng = np.random.default_rng(16)
-        n_papers, ids = GRAM_MAX_ROWS + 40, [f"L{j}" for j in range(120)]
+        n_papers, ids = GRAM_ROWS + 40, [f"L{j}" for j in range(120)]
         X = random_csr(rng, n_papers, 2000, max_nnz=12)
         pseudo = {f"p{i}": tuple(rng.choice(ids, size=2, replace=False))
                   for i in range(n_labelled)}
@@ -848,17 +935,18 @@ class TestSharedGram:
         return builds, asked
 
     def test_one_build_at_the_budget(self, monkeypatch):
-        builds, asked = self.fit(monkeypatch, GRAM_MAX_ROWS)
-        assert builds == [GRAM_MAX_ROWS]
+        builds, asked = self.fit(monkeypatch, GRAM_ROWS)
+        assert builds == [GRAM_ROWS]
         assert asked and all(shape[4] for shape, _ in asked)  # every node is given it
         assert all(in_row_space for _, in_row_space in asked)
 
     def test_per_node_builds_above_the_budget(self, monkeypatch):
-        builds, asked = self.fit(monkeypatch, GRAM_MAX_ROWS + 1)
+        builds, asked = self.fit(monkeypatch, GRAM_ROWS + 1)
         assert not any(shape[4] for shape, _ in asked)
         own = [shape[0] for shape, in_row_space in asked if in_row_space]
-        assert own and builds == own  # one build per node fitted in row space
-        assert asked[0] == ((GRAM_MAX_ROWS + 1, 2000, 2, 20, False), False)  # a root
+        assert own and builds == own  # one build per leaf fitted in row space
+        # first the one routing fit: 2 trees of 3 routing nodes of 2 children each
+        assert asked[0] == ((GRAM_ROWS + 1, 2000, 12, 20, False), False)
 
 
 def scalar_beam(clf, x, beam):
