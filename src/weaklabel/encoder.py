@@ -116,9 +116,6 @@ class CallCounters:
     bi_embed: int = 0
     cross_score: int = 0
 
-    def reset(self):
-        self.bi_embed = self.cross_score = 0
-
 
 @dataclass
 class ScorerModel:

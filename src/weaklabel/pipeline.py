@@ -5,10 +5,15 @@ earlier stages from the output directory, so the CLI can run any stage
 in isolation (including in a separate process) and a single-shot run is
 byte-identical to a stage-by-stage one. The inputs a stage derives from
 the corpus and label files come from a ``RunContext``: a full run shares
-one, so each input is read and each feature matrix built once per run.
+one, so each input is read and each feature matrix built once per run,
+and a stage takes what an earlier stage of the run wrote from the context
+instead of parsing it back, while the file is the one written.
 Evaluate reads only the corpus's paper ids and gold labels. A stage's
 product is its artifacts, and evaluate also returns its report; predict
 writes each block of papers to predictions.jsonl as it ranks it.
+
+Importing this module sets numpy's bundled OpenBLAS to one thread: the
+bytes of a product depend on its thread count, and every artifact must not.
 
 Stage order: ingest -> candidates -> sample-tuples -> train-encoder ->
 score (joint scores, hierarchy aggregation, rank ensembling) ->
@@ -17,6 +22,7 @@ self-train -> predict -> evaluate.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import logging
 import os
@@ -34,6 +40,11 @@ from .corpus import (CorpusError, Label, Paper, Vocabulary, atomic_write, corpus
 from .kernels import CsrMatrix
 
 log = logging.getLogger(__name__)
+
+try:  # numpy's bundled OpenBLAS, reached through the symbols of numpy's core module
+    ctypes.CDLL(np._core._multiarray_umath.__file__).scipy_openblas_set_num_threads64_(1)
+except (AttributeError, OSError):
+    pass  # no such handle: another BLAS, or one numpy does not bundle
 
 ARTIFACTS = {  # key: (its file in the output directory, the stage that writes it)
     "ingest": ("ingest.json", "ingest"),
@@ -59,17 +70,24 @@ def _path(cfg: PipelineConfig, key: str) -> str:
 
 
 @contextmanager
-def _upstream(cfg: PipelineConfig, key: str):
-    """The path of artifact ``key``; the block's ValueError or OSError gets "; rerun <writer>"."""
+def _upstream(key: str):
+    """Around a read of artifact ``key``: its ValueError or OSError gets "; rerun <writer>"."""
     try:
-        yield _path(cfg, key)
+        yield
     except (ValueError, OSError) as exc:  # a CorpusError or an OSError keeps its type
         kind = type(exc) if isinstance(exc, (CorpusError, OSError)) else ValueError
         raise kind(f"{exc}; rerun {ARTIFACTS[key][1]}") from None
 
 
+def _identity(path) -> tuple[int, int, int]:
+    """The inode, size and mtime of the file at ``path``; no file raises as its reader would."""
+    st = os.stat(path)
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
 class RunContext:
-    """The inputs of one run under one config, each read or built on first use.
+    """The inputs of one run under one config, each read or built on first use,
+    and the objects its stages wrote.
 
     ``run_pipeline`` and the CLI pass one context to every stage they run,
     so the corpus and labels are parsed once, and the ingest statistics,
@@ -80,10 +98,32 @@ class RunContext:
     ``load_paper_labels``, which reads each record through load_corpus's
     checked walk but keeps no text, so it builds and tokenizes nothing. A
     stage called without a context builds its own.
+
+    A stage hands the context what it wrote to an artifact (``hand``), and a
+    later stage takes it (``take``) in place of parsing the file, while the
+    file's inode, size and mtime are those it had when written; a file
+    replaced since, or never written in this context, is read from disk with
+    every check. So a run-all parses none of its own artifacts, and a stage
+    run on its own reads them all.
     """
 
     def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg
+        self._written: dict[str, tuple] = {}  # artifact key: (the file's _identity, its object)
+
+    def hand(self, key: str, obj):
+        """Keep ``obj``, what was just written to artifact ``key``, for a later stage."""
+        self._written[key] = (_identity(_path(self.cfg, key)), obj)
+
+    def take(self, key: str, read, *args, keep: bool = False):
+        """What artifact ``key`` holds: the object handed for it, while its file is the
+        one written, else ``read(path, *args)``. The caller is the object's last
+        reader, so the context drops it, unless ``keep``."""
+        path = _path(self.cfg, key)
+        held = self._written.get(key) if keep else self._written.pop(key, None)
+        if held is not None and held[0] == _identity(path):
+            return held[1]
+        return read(path, *args)
 
     @cached_property
     def corpus(self) -> list[Paper]:
@@ -135,14 +175,16 @@ def _write_json(cfg: PipelineConfig, key: str, obj, **kwargs):
         json.dump(obj, fh, allow_nan=False, **kwargs)
 
 
-def _read_paper_keyed(cfg: PipelineConfig, ctx: RunContext, key: str, *args) -> dict:
+def _read_paper_keyed(cfg: PipelineConfig, ctx: RunContext, key: str, *args,
+                      keep: bool = False) -> dict:
     """The paper-keyed artifact under ``key`` (label ids or scored candidates per paper),
-    read with ``args`` and checked against the corpus's paper ids and the label file."""
+    taken from ``ctx`` with ``args`` and ``keep`` (RunContext.take) and checked against
+    the corpus's paper ids and the label file."""
     read = {"candidates": cand.read_candidates, "scores": ranker.read_scores,
             "predictions": read_predictions}[key]
     file, ids = ARTIFACTS[key][0], ctx.paper_labels.keys()
-    with _upstream(cfg, key) as path:
-        found = read(path, *args)
+    with _upstream(key):
+        found = ctx.take(key, read, *args, keep=keep)
         if found.keys() != ids:
             raise ValueError(f"{file} was written for another corpus: it has {len(found)} "
                              f"papers, the corpus has {len(ids)}, "
@@ -196,28 +238,32 @@ def stage_candidates(cfg: PipelineConfig, ctx: RunContext | None = None):
     out = {p.id: cand.retrieve_candidates(p, index, full_text=cfg.match_full_text)
            for p in ctx.corpus}
     cand.write_candidates(out, _path(cfg, "candidates"))
+    ctx.hand("candidates", out)
     stats = cand.candidate_stats(out)
     log.info("retrieval: mean %.2f candidates/paper, %d empty",
              stats.mean_candidates, stats.n_empty)
 
 
 def stage_sample_tuples(cfg: PipelineConfig, ctx: RunContext | None = None):
-    corpus = _context(cfg, ctx).corpus
-    graph = citegraph.build_graph(corpus)
-    tuples = citegraph.sample_tuples(graph, corpus, citegraph.MetaPath.parse(cfg.meta_path),
+    ctx = _context(cfg, ctx)
+    graph = citegraph.build_graph(ctx.corpus)
+    tuples = citegraph.sample_tuples(graph, ctx.corpus, citegraph.MetaPath.parse(cfg.meta_path),
                                      cfg.tuple_count, seed=cfg.stage_seed("sample-tuples"))
     citegraph.write_tuples(tuples, _path(cfg, "tuples"))
+    ctx.hand("tuples", tuples)
 
 
 def stage_train_encoder(cfg: PipelineConfig, ctx: RunContext | None = None):
-    corpus = _context(cfg, ctx).corpus
-    with _upstream(cfg, "tuples") as path:
-        tuples = citegraph.read_tuples(path)
+    ctx = _context(cfg, ctx)
+    corpus = ctx.corpus
+    with _upstream("tuples"):
+        tuples = ctx.take("tuples", citegraph.read_tuples)
         _check_tuple_refs(tuples, corpus)
     model = encoder.init_model(cfg.hash_dim, cfg.embed_dim, seed=cfg.stage_seed("init-model"))
     seed = cfg.stage_seed("train-encoder")
     model, losses = encoder.train(model, tuples, corpus, cfg, seed)
     encoder.save_model(model, _path(cfg, "encoder"), cfg, seed)
+    ctx.hand("encoder", model)  # its featurizer holds the word codes of every drawn paragraph
     _write_json(cfg, "loss_trace", {"losses": losses.tolist()})
     log.info("trained scorer: first-batch loss %.4f, final %.4f", losses[0], losses[-1])
 
@@ -225,9 +271,10 @@ def stage_train_encoder(cfg: PipelineConfig, ctx: RunContext | None = None):
 def stage_score(cfg: PipelineConfig, ctx: RunContext | None = None):
     ctx = _context(cfg, ctx)
     corpus, labels = ctx.corpus, ctx.labels
-    cands = _read_paper_keyed(cfg, ctx, "candidates")
-    with _upstream(cfg, "encoder") as path:
-        model = encoder.load_model(path)
+    cands = _read_paper_keyed(cfg, ctx, "candidates", keep=True)  # evaluate reads them too
+    with _upstream("encoder"):
+        # dropped from the context: score_stats.json counts this model's cross scores
+        model = ctx.take("encoder", encoder.load_model)
     overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
                  if cfg.embeddings_path else {})
     if overrides:
@@ -264,6 +311,7 @@ def stage_score(cfg: PipelineConfig, ctx: RunContext | None = None):
             scored[paper.id] = ranker.mrr_combine(score_b, score_x)
 
     ranker.write_scores(scored, _path(cfg, "scores"))
+    ctx.hand("scores", scored)
     # the bi path's own embeddings: each label, each paragraph and the title+abstract
     # of each paper with no paragraphs (its root), less those the file gives
     bi_keys = []
@@ -283,12 +331,13 @@ def stage_score(cfg: PipelineConfig, ctx: RunContext | None = None):
 
 def stage_self_train(cfg: PipelineConfig, ctx: RunContext | None = None):
     ctx = _context(cfg, ctx)
-    scored = _read_paper_keyed(cfg, ctx, "scores")
+    scored = _read_paper_keyed(cfg, ctx, "scores", keep=True)  # predict reads them too
     pseudo = selftrain.pseudo_labels(scored, cfg.pseudo_top_n)
     clf = selftrain.train_classifier(ctx.tfidf, [p.id for p in ctx.corpus], pseudo,
                                      [l.id for l in ctx.labels], cfg,
                                      cfg.stage_seed("self-train"))
     selftrain.save_classifier(clf, _path(cfg, "classifier"))
+    ctx.hand("classifier", clf)
 
 
 def _check_label_set(clf: selftrain.LabelTreeClassifier, label_ids: list[str]):
@@ -305,8 +354,8 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None):
     top_k = min(cfg.top_k, cfg.ranking_limit or cfg.top_k)  # scores only stored labels
     if cfg.use_selftrain:
         X = ctx.tfidf  # built outside the block: its errors are no fault of classifier.npz
-        with _upstream(cfg, "classifier") as path:
-            clf = selftrain.load_classifier(path)
+        with _upstream("classifier"):
+            clf = ctx.take("classifier", selftrain.load_classifier)
             _check_label_set(clf, [l.id for l in ctx.labels])
             blocks = selftrain.predict_blocks(clf, X, cfg.beam_width)  # checks X's width
         column = {lid: j for j, lid in enumerate(clf.label_ids)}
@@ -314,9 +363,13 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None):
 
     # each line as write_jsonl writes it, each label id JSON-encoded once
     quoted = {l.id: json.dumps(l.id) for l in ctx.labels}
+    depth = _evaluate_depth(cfg)
+    handed = {}  # each paper's ranking as evaluate reads it: read_predictions(path, depth)
     with atomic_write(_path(cfg, "predictions")) as fh:
         def write(pid: str, ranking: list[str], top_scores: list[float]):
-            labels = ", ".join(map(quoted.__getitem__, ranking[:cfg.ranking_limit]))
+            ranking = ranking[:cfg.ranking_limit]
+            handed[pid] = ranking[:depth]
+            labels = ", ".join(map(quoted.__getitem__, ranking))
             fh.write(f'{{"paper_id": {json.dumps(pid)}, "ranking": [{labels}], '
                      f'"top_k_scores": {json.dumps(top_scores, allow_nan=False)}}}\n')
 
@@ -324,17 +377,25 @@ def stage_predict(cfg: PipelineConfig, ctx: RunContext | None = None):
             for paper in ctx.corpus:
                 rows = scored[paper.id]
                 write(paper.id, [r.label_id for r in rows], [r.mrr for r in rows[:top_k]])
-            return
-        # one row block at a time, each paper written as its block is ranked, so
-        # neither a papers x labels matrix nor the corpus's rankings are ever held
-        for start, probs in blocks:
-            papers = ctx.corpus[start:start + probs.shape[0]]
-            ranked = selftrain.final_rankings([pinned[p.id] for p in papers], probs, clf.label_ids)
-            for paper, ranking, row in zip(papers, ranked, probs):
-                n_pinned = len(pinned[paper.id])
-                write(paper.id, ranking, [scored[paper.id][j].mrr if j < n_pinned
-                                          else float(row[column[lid]])  # unreached labels hold 0
-                                          for j, lid in enumerate(ranking[:top_k])])
+        else:
+            # one row block at a time, each paper written as its block is ranked, so
+            # neither a papers x labels matrix nor the corpus's full rankings are ever held
+            for start, probs in blocks:
+                papers = ctx.corpus[start:start + probs.shape[0]]
+                ranked = selftrain.final_rankings([pinned[p.id] for p in papers], probs,
+                                                  clf.label_ids)
+                for paper, ranking, row in zip(papers, ranked, probs):
+                    n_pinned = len(pinned[paper.id])
+                    write(paper.id, ranking,
+                          [scored[paper.id][j].mrr if j < n_pinned
+                           else float(row[column[lid]])  # unreached labels hold 0
+                           for j, lid in enumerate(ranking[:top_k])])
+    ctx.hand("predictions", handed)
+
+
+def _evaluate_depth(cfg: PipelineConfig) -> int:
+    """How many labels of each ranking evaluate reads: every metric reads only the top k."""
+    return max((*cfg.precision_ks, *cfg.ndcg_ks), default=0)
 
 
 PREDICTIONS_FIELDS = {"paper_id": "str", "ranking": "list[str]", "top_k_scores": "list[float]"}
@@ -350,9 +411,7 @@ def stage_evaluate(cfg: PipelineConfig,
     """Score the stored rankings against the corpus's gold labels; of the
     corpus it reads only ``ctx.paper_labels``, so on its own it tokenizes no corpus text."""
     ctx = _context(cfg, ctx, "paper_labels")
-    # every metric reads only the top k of a ranking
-    rankings = _read_paper_keyed(cfg, ctx, "predictions",
-                                 max((*cfg.precision_ks, *cfg.ndcg_ks), default=0))
+    rankings = _read_paper_keyed(cfg, ctx, "predictions", _evaluate_depth(cfg))
     gold = {pid: set(labels) for pid, labels in ctx.paper_labels.items()
             if labels is not None}
     if not any(gold.values()):

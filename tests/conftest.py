@@ -186,6 +186,11 @@ def dense_batch_loss_grad(model, x, grad_proj, grad_w, rows=None):
     return loss
 
 
+def reset_counters(model):
+    """Zero ``model``'s inference-call counters."""
+    model.counters.bi_embed = model.counters.cross_score = 0
+
+
 # the score stage as it was before it featurized a block of papers per call:
 # each text embedded on its own, in the order the stage meets it
 
@@ -198,7 +203,7 @@ def per_text_stage_score(cfg):
     model = encoder.load_model(pipeline._path(cfg, "encoder"))
     overrides = (encoder.load_embedding_overrides(cfg.embeddings_path, model.embed_dim)
                  if cfg.embeddings_path else {})
-    model.counters.reset()
+    reset_counters(model)
 
     def embedding(key, text, counted=True):
         ov = overrides.get(key)

@@ -22,7 +22,7 @@ from weaklabel.config import PipelineConfig
 from weaklabel.corpus import tokenize, write_npz
 from weaklabel.kernels import CsrMatrix
 
-from conftest import csr_row, load_corpus_records, paper_record
+from conftest import csr_row, load_corpus_records, paper_record, reset_counters
 from test_kernels import adamw_allocating_reference
 
 
@@ -298,7 +298,7 @@ class TestBiEmbed:
 
     def test_counter_increments(self):
         model = init_model(hash_dim=64, embed_dim=8)
-        model.counters.reset()
+        reset_counters(model)
         bi_embed(model, "a b c")
         bi_embed(model, "d e f")
         assert model.counters.bi_embed == 2
@@ -356,7 +356,7 @@ class TestCrossScore:
 
     def test_counter_counts_cross_not_bi(self):
         model = init_model(hash_dim=64, embed_dim=8)
-        model.counters.reset()
+        reset_counters(model)
         cross_score(model, "a b", "c d")
         assert model.counters.cross_score == 1
         assert model.counters.bi_embed == 0

@@ -25,7 +25,7 @@ from weaklabel.corpus import (Paper, load_corpus, load_labels, read_jsonl, read_
                               tokenize, write_jsonl, write_npz)
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
-from conftest import per_text_stage_score
+from conftest import per_text_stage_score, reset_counters
 import quality_gate
 from numerics_rule import compare_outputs
 
@@ -159,7 +159,7 @@ class TestCallAccounting:
         paper = corpus[0]
         u = encoder.bi_embed(model, paper.title_abstract)
         label_embs = {l.id: encoder.bi_embed(model, l.text) for l in labels}
-        model.counters.reset()
+        reset_counters(model)
         ranker.score_cross(model, u, label_embs, cands[paper.id])
         assert model.counters.cross_score == len(cands[paper.id])
         assert ranker.score_cross(model, u, label_embs, []) == {}
@@ -659,6 +659,121 @@ class TestRunContext:
         ctx = pipeline.RunContext(dataclasses.replace(cfg, min_df=cfg.min_df + 1))
         with pytest.raises(ValueError, match="another config"):
             pipeline.stage_ingest(cfg, ctx)
+
+
+def count_artifact_reads(monkeypatch) -> Counter:
+    """Count each parse of an artifact a stage reads, by its reader's name."""
+    calls = Counter()
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args: calls.update([name]) or fn(*args))
+
+    counted(citegraph, "read_tuples")
+    counted(cand, "read_candidates")
+    counted(encoder, "load_model")
+    counted(ranker, "read_scores")
+    counted(selftrain, "load_classifier")
+    counted(pipeline, "read_predictions")
+    return calls
+
+
+def replace_file(path, data: bytes):
+    """Put ``data`` at ``path`` as a new file, as a writer that renames into place does."""
+    tmp = f"{path}.new"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
+class TestHandedArtifacts:
+    """In one context a stage takes what an earlier stage wrote from the
+    context, not from its file, while the file is the one written."""
+
+    @pytest.mark.parametrize("extra", [{}, {"use_selftrain": False}, {"ranking_limit": 3}],
+                             ids=["default", "no selftrain", "ranking_limit 3"])
+    def test_run_all_parses_none_of_its_artifacts(self, data_dir, tmp_path, monkeypatch,
+                                                  capsys, extra):
+        cfg = base_config(data_dir, tmp_path / "run", tuple_count=200, train_steps=20, **extra)
+        alone = dataclasses.replace(cfg, output_dir=str(tmp_path / "alone"))
+        calls = count_artifact_reads(monkeypatch)
+        assert pipeline.run_pipeline(cfg) is not None
+        assert calls == Counter()
+        for _, fn in pipeline.stages(alone):
+            fn(alone)  # each stage in a fresh context of its own, as the CLI runs one
+        assert calls == Counter(read_tuples=1, load_model=1, read_candidates=2,
+                                read_scores=1 + cfg.use_selftrain,
+                                load_classifier=cfg.use_selftrain, read_predictions=1)
+        files = sorted(os.listdir(tmp_path / "run"))
+        assert files == sorted(os.listdir(tmp_path / "alone"))
+        for file in files:
+            assert (tmp_path / "run" / file).read_bytes() == \
+                (tmp_path / "alone" / file).read_bytes(), file
+        capsys.readouterr()
+
+    @pytest.fixture
+    def scored(self, data_dir, tmp_path):
+        """A context that has run every stage up to score, and its config."""
+        cfg = base_config(data_dir, tmp_path / "out", tuple_count=200, train_steps=20)
+        ctx = pipeline.RunContext(cfg)
+        for name, fn in pipeline.stages(cfg)[:5]:
+            fn(cfg, ctx)
+        assert name == "score"
+        return cfg, ctx
+
+    def test_scores_replaced_with_a_nan_fail_predict(self, scored, tmp_path):
+        cfg, ctx = scored
+        path = tmp_path / "out" / "scores.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        rec = json.loads(lines[0])
+        rec["candidates"][0]["mrr"] = float("nan")
+        lines[0] = json.dumps(rec) + "\n"
+        replace_file(path, "".join(lines).encode("utf-8"))
+        problem = f"{path}: line 1: malformed record (non-finite number NaN); rerun score"
+        for context in (ctx, None):  # in the context that wrote the file, and on its own
+            with pytest.raises(ValueError, match=re.escape(problem)):
+                pipeline.stage_predict(cfg, context)
+        assert not (tmp_path / "out" / "predictions.jsonl").exists()
+
+    def test_classifier_of_another_run_is_read(self, scored, data_dir, tmp_path):
+        cfg, ctx = scored
+        pipeline.stage_self_train(cfg, ctx)
+        # at 20 labels a leaf of the default size holds them all: smaller leaves make the
+        # trees, and so the rankings, depend on the seed
+        other = base_config(data_dir, tmp_path / "seed8", tuple_count=200, train_steps=20,
+                            seed=8, max_leaf=4)
+        pipeline.run_pipeline(other)
+        alone = tmp_path / "alone"
+        shutil.copytree(tmp_path / "out", alone)
+        for out in (tmp_path / "out", alone):
+            replace_file(out / "classifier.npz", (tmp_path / "seed8" / "classifier.npz")
+                         .read_bytes())
+        calls = Counter()
+        read = selftrain.load_classifier
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(selftrain, "load_classifier", lambda path: calls.update([path]) or
+                       read(path))
+            pipeline.stage_predict(cfg, ctx)
+            pipeline.stage_predict(dataclasses.replace(cfg, output_dir=str(alone)))
+        assert calls == Counter([artifact(tmp_path / "out", "classifier"),
+                                 artifact(alone, "classifier")])
+        written = (tmp_path / "out" / "predictions.jsonl").read_bytes()
+        assert written == (alone / "predictions.jsonl").read_bytes()
+        # the swap mattered: the run's own classifier ranks otherwise
+        pipeline.stage_self_train(cfg, ctx)
+        pipeline.stage_predict(cfg, ctx)
+        assert (tmp_path / "out" / "predictions.jsonl").read_bytes() != written
+
+    def test_the_stage_that_reads_last_drops_the_object(self, scored, tmp_path, capsys):
+        cfg, ctx = scored
+        assert set(ctx._written) == {"candidates", "scores"}  # tuples and model taken
+        pipeline.stage_self_train(cfg, ctx)
+        pipeline.stage_predict(cfg, ctx)
+        assert set(ctx._written) == {"candidates", "predictions"}
+        pipeline.stage_evaluate(cfg, ctx)
+        assert ctx._written == {}
+        capsys.readouterr()
 
 
 def per_candidate_cross(model, paper, labels_by_id, cand_ids, overrides):
@@ -1479,31 +1594,28 @@ class TestStandalonePredict:
 
 
 class TestBlasThreads:
-    """``weaklabel predict`` on one classifier under 1 and 2 BLAS threads:
-    the same rankings, and ``top_k_scores`` equal up to summation order."""
+    """``weaklabel self-train`` and ``predict`` on one set of scores under 1 and 2
+    OpenBLAS threads write the same bytes: the pipeline sets its BLAS to one thread."""
 
-    def test_rankings_identical_scores_within_rounding(self, run, tmp_path):
+    def test_artifacts_identical(self, run, tmp_path):
         cfg, out, _, _ = run
         written = {}
         for threads in ("1", "2"):
             copy = tmp_path / threads
             shutil.copytree(out, copy)
-            (copy / "predictions.jsonl").unlink()
-            proc = subprocess.run(
-                [sys.executable, "-m", "weaklabel.cli", "predict",
-                 "--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
-                 "--output-dir", str(copy), "--seed", str(cfg.seed)],
-                capture_output=True, text=True,
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
-            assert proc.returncode == 0, proc.stderr
-            written[threads] = {rec["paper_id"]: rec for rec in
-                                read_jsonl(copy / "predictions.jsonl")}
-        one, two = written["1"], written["2"]
-        assert one.keys() == two.keys() and len(one) == SPEC.n_papers
-        for pid, rec in one.items():
-            assert rec["ranking"] == two[pid]["ranking"], pid
-            np.testing.assert_allclose(two[pid]["top_k_scores"], rec["top_k_scores"],
-                                       rtol=1e-12, atol=0)
+            for stage, file in (("self-train", "classifier.npz"),
+                                ("predict", "predictions.jsonl")):
+                (copy / file).unlink()
+                proc = subprocess.run(
+                    [sys.executable, "-m", "weaklabel.cli", stage,
+                     "--corpus", cfg.corpus_path, "--labels", cfg.labels_path,
+                     "--output-dir", str(copy), "--seed", str(cfg.seed)],
+                    capture_output=True, text=True,
+                    env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+                assert proc.returncode == 0, proc.stderr
+                written[threads, file] = (copy / file).read_bytes()
+        for file in ("classifier.npz", "predictions.jsonl"):
+            assert written["1", file] == written["2", file], file
 
 
 class TestArtifactsFromAnotherCorpus:
