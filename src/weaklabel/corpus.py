@@ -35,6 +35,8 @@ NPZ_LEVEL = 1  # zlib level of every deflated .npz member: level 6 took 2-4x as 
 _HIGH = ".high"  # the suffix of a float64 member's two high byte planes (write_npz)
 _FLOAT, _LOW = np.dtype("<f8"), np.dtype("V6")  # a split member, its low six bytes
 _CHUNK_VALUES = NPZ_CHUNK_BYTES // 8  # the values of a split member written or read at once
+# a float64's bits from its high word's lowest bit up, and those below it (its low six bytes)
+_HIGH_ONE, _LOW_BITS = 1 << 48, np.uint64(2 ** 48 - 1)
 
 # papers whose tokens count_terms holds at once; the block's token list, not
 # the corpus's, bounds its transient memory
@@ -282,7 +284,10 @@ def write_npz(path, members: dict[str, np.ndarray], meta: dict):
     ``<name>.high``, deflated, the bytes 6 and 7 (sign, exponent, top
     mantissa bits) as a uint8 array of shape ``(2, *shape)``, one plane per
     byte. The six mantissa bytes cannot shrink, so deflating them only
-    costs time; read_npz_members joins the two.
+    costs time; read_npz_members joins the two. When some value's two high
+    bytes are zero and every such value is +0.0 (a pruned classifier's
+    zeros), the low member holds the low bytes of the other values only, a
+    1-D ``|V6`` array in order: the high planes tell which values they are.
 
     Each member goes to the zip stream from its own memory (a copy only if
     it is strided), at most NPZ_CHUNK_BYTES at a time, so the only
@@ -297,10 +302,15 @@ def write_npz(path, members: dict[str, np.ndarray], meta: dict):
                               (flat[lo:lo + NPZ_CHUNK_BYTES]
                                for lo in range(0, flat.size, NPZ_CHUNK_BYTES)))
                 continue
-            values = _value_bytes(np.ascontiguousarray(array))
+            flat = np.ascontiguousarray(array).reshape(-1)
+            values = _value_bytes(flat)
             chunks = range(0, len(values), _CHUNK_VALUES)
-            _write_member(zf, name, zipfile.ZIP_STORED, _LOW, array.shape,
-                          (values[lo:lo + _CHUNK_VALUES, :6] for lo in chunks))
+            kept = int(np.count_nonzero(flat.view(np.uint16)[3::4]))  # nonzero high words
+            packed = kept < flat.size and kept == np.count_nonzero(flat.view(np.uint64))
+            parts = (flat[lo:lo + _CHUNK_VALUES] for lo in chunks)
+            _write_member(zf, name, zipfile.ZIP_STORED, _LOW, (kept,) if packed else array.shape,
+                          (_value_bytes(part[part.view(np.uint64) >= _HIGH_ONE] if packed
+                                        else part)[:, :6] for part in parts))
             _write_member(zf, name + _HIGH, zipfile.ZIP_DEFLATED, np.dtype(np.uint8),
                           (2, *array.shape),
                           (values[lo:lo + _CHUNK_VALUES, byte] for byte in (6, 7)
@@ -341,24 +351,42 @@ def _read_exactly(fh, n: int) -> np.ndarray:
 
 
 def _join_planes(name: str, low, high) -> np.ndarray:
-    """The float64 member ``name`` from its streams ``low`` (``|V6``) and
-    ``high`` (its byte planes), decoded into one array a chunk at a time."""
-    shape, fortran, dtype = _read_header(low)
+    """The float64 member ``name`` from its streams ``low`` (``|V6``, of the
+    member's shape or packed) and ``high`` (its byte planes), decoded into one
+    array a chunk at a time, the planes first: they tell which values a
+    packed low member holds."""
+    low_shape, fortran, dtype = _read_header(low)
     high_shape, high_fortran, high_dtype = _read_header(high)
-    if (dtype, high_dtype, fortran or high_fortran, high_shape) != \
-            (_LOW, np.uint8, False, (2, *shape)):
-        raise ValueError(f"{name}{_HIGH} is {high_dtype} {high_shape} beside {name} "
-                         f"{dtype} {shape}")
-    out = np.empty(shape, dtype=_FLOAT)
+    shape, packed, held = high_shape[1:], low_shape != high_shape[1:], 0
+    mismatch = ValueError(f"{name}{_HIGH} is {high_dtype} {high_shape} beside {name} "
+                          f"{dtype} {low_shape}")
+    if (dtype, high_dtype, fortran or high_fortran, high_shape[:1]) != \
+            (_LOW, np.uint8, False, (2,)) or packed and len(low_shape) != 1:
+        raise mismatch
+    out = (np.zeros if packed else np.empty)(shape, dtype=_FLOAT)
     values = _value_bytes(out)
     chunks = range(0, len(values), _CHUNK_VALUES)
-    for lo in chunks:
-        rows = values[lo:lo + _CHUNK_VALUES]
-        rows[:, :6] = _read_exactly(low, len(rows) * 6).reshape(-1, 6)
     for byte in (6, 7):
         for lo in chunks:
             plane = values[lo:lo + _CHUNK_VALUES, byte]
             plane[:] = _read_exactly(high, plane.size)
+    for lo in chunks:
+        if not packed:
+            rows = values[lo:lo + _CHUNK_VALUES]
+            rows[:, :6] = _read_exactly(low, len(rows) * 6).reshape(-1, 6)
+            continue
+        part = out.reshape(-1).view(np.uint64)[lo:lo + _CHUNK_VALUES]
+        keep = part >= _HIGH_ONE  # a nonzero high word; the low bytes are still zero
+        held += (n := np.count_nonzero(keep))
+        if held > low_shape[0]:
+            raise mismatch
+        raw = np.zeros(n * 6 + 2, dtype=np.uint8)  # two spare bytes for the last 8-byte read
+        raw[:-2] = _read_exactly(low, n * 6)
+        spread = np.zeros_like(part)  # 8 bytes read at stride 6, the next value's two masked off
+        spread[keep] = np.ndarray((n,), "<u8", raw, strides=(6,)) & _LOW_BITS
+        part |= spread
+    if packed and held != low_shape[0]:
+        raise mismatch
     return out
 
 
@@ -367,8 +395,9 @@ def read_npz_members(path) -> dict[str, np.ndarray]:
     its raw uint8 bytes and a float64 member that write_npz split in two
     joined back, bit for bit; an archive as ``np.savez`` or
     ``np.savez_compressed`` writes it reads the same. An unreadable archive,
-    or a ``<name>.high`` member without a ``<name>`` of its shape beside it,
-    raises ValueError("<path>: unreadable archive (...)")."""
+    or a ``<name>.high`` member without a ``<name>`` of its shape (or packed
+    to its planes' nonzero high words) beside it, raises
+    ValueError("<path>: unreadable archive (...)")."""
     try:
         with zipfile.ZipFile(path) as zf:
             infos = {info.filename.removesuffix(".npy"): info for info in zf.infolist()}

@@ -28,6 +28,9 @@ CLASSIFIER_VERSION = 1
 BLOCK_ROWS = 128  # rows per dense block in the fitting and prediction products
 # most bytes of a Gram matrix, a leaf's or the one every node shares: 1,254 rows
 GRAM_MAX_BYTES = 12 * 2 ** 20
+# a fitted weight of smaller magnitude becomes +0.0, as Parabel prunes its classifiers: it
+# moves a unit-norm row's logit by under this much per feature
+PRUNE_BELOW = 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +349,8 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
     label's pseudo-positive documents. One papers x labels membership
     matrix gives these features; reordered once to the table's leaf order,
     it gives every node of every tree its rows and targets from the node's
-    label span, and one pass over the table fits them (_fit_nodes).
+    label span, and one pass over the table fits them (_fit_nodes). Last,
+    every weight under PRUNE_BELOW in magnitude is cut to +0.0 (prune).
     """
     column = {lid: j for j, lid in enumerate(label_ids)}
     member = np.zeros((len(paper_ids), len(label_ids)), dtype=bool)
@@ -369,7 +373,16 @@ def train_classifier(X: CsrMatrix, paper_ids: list[str],
     del feats  # the fits need only the topologies; free the features before them
     member = member[:, [column[lid] for rec in nodes for lid in rec.get("labels", ())]]
     weights, biases = _fit_nodes(nodes, range(len(nodes)), _normalize_rows(X), member, cfg)
-    return LabelTreeClassifier(tuple(label_ids), roots, nodes, weights, biases)
+    return LabelTreeClassifier(tuple(label_ids), roots, nodes, prune(weights), biases)
+
+
+def prune(weights: np.ndarray) -> np.ndarray:
+    """``weights`` with every value of magnitude under PRUNE_BELOW set to
+    +0.0 in place, BLOCK_ROWS rows at a time, so the mask is one block's."""
+    for lo in range(0, len(weights), BLOCK_ROWS):
+        block = weights[lo:lo + BLOCK_ROWS]
+        block[np.abs(block) < PRUNE_BELOW] = 0.0
+    return weights
 
 
 @dataclass

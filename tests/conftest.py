@@ -56,6 +56,18 @@ def load_label_records(tmp_path, records):
     return load_labels(path)
 
 
+def write_unpacked_npz(path, members: dict, meta: bytes):
+    """An ``.npz`` of float64 ``members`` in the layout of every file written before
+    write_npz left zeros out: each member's low member holds the low six bytes of every
+    value, zeros too, beside its two high byte planes."""
+    arrays = {"meta": np.frombuffer(meta, dtype=np.uint8)}
+    for name, array in members.items():
+        values = np.ascontiguousarray(array).reshape(-1).view(np.uint8).reshape(-1, 8)
+        arrays[name] = np.ascontiguousarray(values[:, :6]).view("V6").reshape(array.shape)
+        arrays[f"{name}.high"] = np.ascontiguousarray(values[:, 6:].T).reshape(2, *array.shape)
+    np.savez(path, **arrays)
+
+
 def garbage_after(fn, *args, **kwargs) -> int:
     """How many objects the cyclic collector finds unreachable right after
     ``fn(*args, **kwargs)`` returns, with automatic collection off while it

@@ -27,19 +27,33 @@ same ``predictions.jsonl``. One line per input says
 ``cmp-identical`` (every output file byte for byte), ``within the
 numerics rule`` (naming the files that differ) or each breach that
 ``numerics_rule.compare_outputs`` finds, then the bytes of each tree's
-output directory. Once both run-alls have finished, a second line gives
-each tree's ``run-all`` wall time (the parent's runs first, so the trees
-alternate) and the change's relative to the parent's. A last line gives
-each tree's ``src/`` line count, as ``wc -l src/weaklabel/*.py`` counts.
+output directory. A second line gives each gated metric of the quality
+gate (``quality_gate.py``) in both trees' ``metrics.json`` and its
+relative change, then the gate's verdict: that it holds, or each breach
+that ``quality_gate.compare_metrics`` finds. Once both run-alls have
+finished, a third line gives each tree's ``run-all`` wall time (the
+parent's runs first, so the trees alternate) and the change's relative to
+the parent's. A last line gives each tree's ``src/`` line count, as ``wc
+-l src/weaklabel/*.py`` counts.
 
 The exit status is 0 when every input holds the rule, 1 on a breach, a
 failed run, or a synth or stand-alone stage whose bytes differ, and 2 on a
-wrong argument count or a path that is not a source tree. The eleven
-inputs took 3 min 6 s on 2 vCPU.
+wrong argument count or a path that is not a source tree. A model change
+runs under the quality gate instead:
+
+    python tests/protocol.py PARENT_TREE CHANGE_TREE --quality
+
+prints the same lines, but names only the differing files of an input
+that breaks the numerics rule (``outside the numerics rule``), and its
+exit status takes a breach of the quality gate, not of the numerics rule,
+for a breach; the synth, stand-alone and cross-tree byte checks hold as
+they are. The eleven inputs took 3 min 6 s
+on 2 vCPU.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import shutil
 import subprocess
@@ -50,6 +64,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))  # numerics_rule, run as a script
 from numerics_rule import compare_outputs  # noqa: E402
+from quality_gate import METRICS, compare_metrics  # noqa: E402
 
 # (synth seed, papers, labels, run-all flags besides the seed)
 INPUTS = ([(seed, 500, 50, ()) for seed in range(1, 6)]
@@ -80,10 +95,12 @@ def weaklabel(tree, work, *args) -> subprocess.CompletedProcess:
                           capture_output=True, text=True)
 
 
-def compare_input(parent, change, spec, work) -> tuple[int, list[str]]:
+def compare_input(parent, change, spec, work, quality: bool = False) -> tuple[int, list[str]]:
     """The exit status and report lines of one input ``spec`` (an entry of
     INPUTS), its files written under the new directory ``work``: the verdict,
-    then, once both run-alls have finished, their wall times."""
+    the quality gate's, then, once both run-alls have finished, their wall
+    times. With ``quality`` the exit status follows the quality gate, not
+    the numerics rule."""
     seed, papers, labels, flags = spec
     name = " ".join([f"synth seed {seed}, {papers} x {labels}", *flags])
     work = Path(work)
@@ -142,13 +159,28 @@ def compare_input(parent, change, spec, work) -> tuple[int, list[str]]:
             return 1, [f"{name}: the change's stand-alone predict ({mode}) wrote other bytes",
                        times]
 
-    code, verdict = _verdict(ref, new)
+    code, verdict = _verdict(ref, new, quality)
+    breaches = compare_metrics(ref, new)
+    if quality:
+        code = 1 if breaches else 0
     n, m = output_bytes(ref), output_bytes(new)
-    return code, [f"{name}: {verdict}; output bytes: parent {n}, change {m} ({m - n:+d})", times]
+    return code, [f"{name}: {verdict}; output bytes: parent {n}, change {m} ({m - n:+d})",
+                  f"{name}: {_metric_changes(ref, new)}; "
+                  + ("; ".join(line.removeprefix(f"{new}: ") for line in breaches)
+                     or "the quality gate holds"), times]
 
 
-def _verdict(ref: Path, new: Path) -> tuple[int, str]:
-    """The exit status and verdict of the output directories ``ref`` and ``new``."""
+def _metric_changes(ref: Path, new: Path) -> str:
+    """Each gated metric of ``ref``'s and ``new``'s metrics.json, and its relative change."""
+    a, b = (json.loads((d / "metrics.json").read_text(encoding="utf-8")) for d in (ref, new))
+    return ", ".join(f"{key} {a[key]:.6g} -> {b[key]:.6g} "
+                     f"({(b[key] - a[key]) / abs(a[key]) if a[key] else 0.0:+.2%})"
+                     for key in METRICS)
+
+
+def _verdict(ref: Path, new: Path, quality: bool = False) -> tuple[int, str]:
+    """The exit status and verdict of the output directories ``ref`` and ``new``;
+    with ``quality``, a breach of the numerics rule names only the files that differ."""
     files = sorted(p.name for p in ref.iterdir())
     differ = [f for f in files if not (new / f).is_file()
               or (new / f).read_bytes() != (ref / f).read_bytes()]
@@ -156,7 +188,8 @@ def _verdict(ref: Path, new: Path) -> tuple[int, str]:
         return 0, "cmp-identical"
     breaches = compare_outputs(ref, new)
     if breaches:
-        return 1, "; ".join(breaches)
+        return 1, (f"outside the numerics rule ({', '.join(differ)} differ)" if quality
+                   else "; ".join(breaches))
     return 0, f"within the numerics rule ({', '.join(differ)} differ)"
 
 
@@ -174,22 +207,25 @@ def src_lines(parent, change) -> str:
 
 
 def main(argv: list[str]) -> int:
-    """The script's exit status for ``argv`` (the two trees)."""
-    if len(argv) != 2:
-        print("usage: python tests/protocol.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+    """The script's exit status for ``argv`` (the two trees, and ``--quality`` or not)."""
+    quality = "--quality" in argv
+    trees = [arg for arg in argv if arg != "--quality"]
+    if len(trees) != 2 or argv.count("--quality") > 1:
+        print("usage: python tests/protocol.py PARENT_TREE CHANGE_TREE [--quality]",
+              file=sys.stderr)
         return 2
-    missing = [tree for tree in argv if not (Path(tree) / "src" / "weaklabel").is_dir()]
+    missing = [tree for tree in trees if not (Path(tree) / "src" / "weaklabel").is_dir()]
     if missing:
         print(f"not a source tree (no src/weaklabel): {missing[0]}", file=sys.stderr)
         return 2
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for i, spec in enumerate(INPUTS):
-            code, lines = compare_input(*argv, spec, Path(tmp) / str(i))
+            code, lines = compare_input(*trees, spec, Path(tmp) / str(i), quality)
             print(*lines, sep="\n", flush=True)
             status = max(status, code)
             shutil.rmtree(Path(tmp) / str(i))  # the 5000 x 500 run writes tens of MB
-    print(src_lines(*argv))
+    print(src_lines(*trees))
     return status
 
 

@@ -18,7 +18,8 @@ from weaklabel.corpus import (
 )
 from weaklabel.ranker import aggregate_hierarchy
 
-from conftest import load_corpus_records, load_label_records, paper_record
+from conftest import (load_corpus_records, load_label_records, paper_record,
+                      write_unpacked_npz)
 
 
 def words(n, tag="w"):
@@ -490,8 +491,8 @@ class TestWriteNpz:
 
     @pytest.mark.parametrize("problem", ["no_low", "other_shape", "low_not_v6"])
     def test_high_planes_without_their_low_bytes_named(self, tmp_path, problem):
-        path = tmp_path / "a.npz"
-        write_npz(path, {"w": np.arange(12.0).reshape(3, 4)}, {"version": 1})
+        path = tmp_path / "a.npz"  # no zero, so the low member is of the weights' shape
+        write_npz(path, {"w": np.arange(1.0, 13.0).reshape(3, 4)}, {"version": 1})
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
         if problem == "no_low":
@@ -507,6 +508,71 @@ class TestWriteNpz:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unreadable archive "
                                              rf"\({re.escape(message)}\)$"):
             read_npz(path, "test", 1)
+
+    @settings(max_examples=80, deadline=None)
+    @given(values=st.lists(st.sampled_from(
+               [0.0, -0.0, 5e-324, 1e-310, -5e-324, 2.2250738585072009e-308, 0.5, -0.01, 3e7]),
+               max_size=40),
+           zero_free=st.booleans(), rows=st.sampled_from([None, 1, 2]))
+    def test_zeros_pack_the_low_member(self, tmp_path_factory, values, zero_free, rows):
+        array = np.array(values, dtype=np.float64)
+        if zero_free:  # no value whose two high bytes are zero
+            array = array[array.view(np.uint64) >> 48 != 0]
+        if rows is not None and array.size % rows == 0:
+            array = array.reshape(rows, -1)
+        high = array.reshape(-1).view(np.uint64) >> 48
+        low_bytes = array.reshape(-1).view(np.uint8).reshape(-1, 8)[:, :6]
+        if (high == 0).any() and not array.reshape(-1).view(np.uint64)[high == 0].any():
+            want = (low_bytes[high != 0], (int(np.count_nonzero(high)),))  # the packed form
+        else:
+            want = (low_bytes, array.shape)
+        path = tmp_path_factory.mktemp("npz") / "a.npz"
+        write_npz(path, {"w": array}, {"version": 1})
+        with np.load(path) as data:
+            low = data["w"]
+        assert (low.dtype, low.shape, low.tobytes()) == (np.dtype("V6"), want[1],
+                                                         want[0].tobytes())
+        got = read_npz(path, "test", 1)[1]["w"]
+        assert (got.dtype, got.shape, got.tobytes()) == (np.float64, array.shape,
+                                                         array.tobytes())
+
+    def test_packed_member_spans_chunks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        w = rng.normal(size=(300, NPZ_CHUNK_BYTES // 8 // 100))
+        w[rng.random(w.shape) < 0.6] = 0.0
+        path = tmp_path / "a.npz"
+        write_npz(path, {"w": w, "b": np.zeros(5)}, {"version": 1})
+        with zipfile.ZipFile(path) as zf:
+            assert zf.getinfo("w.npy").file_size < 0.5 * w.size * 6
+        got = read_npz(path, "test", 1)[1]
+        assert got["w"].tobytes() == w.tobytes() and got["b"].tobytes() == np.zeros(5).tobytes()
+
+    @pytest.mark.parametrize("change", [1, -1])
+    def test_packed_member_of_the_wrong_length_named(self, tmp_path, change):
+        path = tmp_path / "a.npz"
+        write_npz(path, {"w": np.arange(12.0).reshape(3, 4)}, {"version": 1})
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        assert arrays["w"].shape == (11,)  # 0.0 is the one value left out
+        arrays["w"] = np.resize(arrays["w"], 11 + change)
+        np.savez(path, **arrays)
+        message = f"w.high is uint8 (2, 3, 4) beside w |V6 ({11 + change},)"
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: unreadable archive "
+                                             rf"\({re.escape(message)}\)$"):
+            read_npz(path, "test", 1)
+
+    def test_full_low_member_with_zeros_loads(self, tmp_path):
+        # the layout of every file written before zeros were left out: the low member
+        # holds every value, zeros too
+        rng = np.random.default_rng(5)
+        w = rng.normal(size=(20, 30))
+        w[rng.random(w.shape) < 0.5] = 0.0
+        path = tmp_path / "a.npz"
+        write_unpacked_npz(path, {"w": w, "b": np.zeros(4)}, b'{"version": 1}')
+        with np.load(path) as data:
+            assert data["w"].shape == w.shape
+        got = read_npz(path, "test", 1)[1]
+        assert got["w"].tobytes() == w.tobytes() and got["b"].tobytes() == bytes(32)
 
     @pytest.mark.parametrize("stream", ["w", "w.high"])
     def test_split_member_of_another_header_version_unreadable(self, tmp_path, stream):

@@ -1526,16 +1526,23 @@ class TestStandalonePredict:
     @pytest.mark.parametrize("case, problem", [
         ("no_low", "weights.high has no weights beside it"),
         ("other_shape", "weights.high is uint8 (2, "),
+        ("one_value_more", "weights.high is uint8 (2, "),
+        ("two_dims", "weights.high is uint8 (2, "),
     ])
     def test_high_planes_without_their_low_bytes_fail(self, out, case, problem):
         copy, config = out
         path = copy / "classifier.npz"
         with np.load(path) as data:
             members = {key: data[key] for key in data.files}
+        assert members["weights"].ndim == 1  # the pruned weights' zeros are left out
         if case == "no_low":
             del members["weights"]
-        else:
+        elif case == "other_shape":  # one value fewer
             members["weights"] = members["weights"][1:]
+        elif case == "one_value_more":
+            members["weights"] = np.resize(members["weights"], members["weights"].size + 1)
+        else:
+            members["weights"] = members["weights"].reshape(1, -1)
         np.savez_compressed(path, **members)
         proc = run_cli("predict", "--config", config)
         assert proc.returncode == 1

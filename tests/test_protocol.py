@@ -16,6 +16,9 @@ TINY = (3, 40, 6, ("--train-steps", "5"))
 NAME = "synth seed 3, 40 x 6 --train-steps 5"
 TIMES = re.compile(re.escape(NAME) + r": run-all wall time: parent \d+\.\d\d s, "
                    r"change \d+\.\d\d s \([+-]\d+\.\d%\)")
+METRIC = r"\S+ [\d.e+-]+ -> [\d.e+-]+ \([+-]\d+\.\d\d%\)"
+GATE = re.compile(re.escape(NAME) + ": P@1 " + METRIC[4:] + "".join(
+    f", {key} " + METRIC[4:] for key in ("P@5", "PSP@5", "NDCG@5")) + "; (?P<gate>.*)")
 
 
 def changed_tree(tmp_path, module, old, new):
@@ -29,12 +32,21 @@ def changed_tree(tmp_path, module, old, new):
     return tree
 
 
-def compare(tree, tmp_path):
+def compare(tree, tmp_path, quality=False):
     """compare_input of this repository and ``tree`` on TINY: (exit status,
-    verdict line), once its second line, the two run-alls' wall times, is checked."""
-    code, lines = protocol.compare_input(REPO, tree, TINY, tmp_path / "w")
-    assert len(lines) == 2 and TIMES.fullmatch(lines[1]), lines
+    verdict line), once its last line, the two run-alls' wall times, is
+    checked, and the quality gate's line before it if the run got that far."""
+    code, lines = protocol.compare_input(REPO, tree, TINY, tmp_path / "w", quality)
+    assert len(lines) in (2, 3) and TIMES.fullmatch(lines[-1]), lines
+    assert len(lines) == 2 or GATE.fullmatch(lines[1]), lines
     return code, lines[0]
+
+
+def gate_line(tree, tmp_path, quality=False):
+    """(exit status, verdict line, the quality gate's verdict) of compare_input on TINY."""
+    code, lines = protocol.compare_input(REPO, tree, TINY, tmp_path / "w", quality)
+    assert len(lines) == 3 and TIMES.fullmatch(lines[2]), lines
+    return code, lines[0], GATE.fullmatch(lines[1])["gate"]
 
 
 def sizes(work):
@@ -117,10 +129,42 @@ def test_prints_each_input_s_verdict_then_its_wall_times(monkeypatch, capsys):
             for path in (REPO / "src" / "weaklabel").glob("*.py"))
     monkeypatch.setattr(protocol, "INPUTS", [TINY])
     assert protocol.main([str(REPO), str(REPO)]) == 0
-    verdict, times, lines = capsys.readouterr().out.splitlines()
+    verdict, gate, times, lines = capsys.readouterr().out.splitlines()
     assert verdict.startswith(f"{NAME}: cmp-identical; output bytes: parent ")
+    assert GATE.fullmatch(gate)["gate"] == "the quality gate holds"
+    assert gate.count(" (+0.00%)") == 4
     assert TIMES.fullmatch(times)
     assert lines == f"src/ lines: parent {n}, change {n} (+0)"
+
+
+def test_quality_mode_follows_the_quality_gate(tmp_path):
+    # a classifier cut at another threshold breaks the numerics rule, but keeps the
+    # rankings' quality
+    tree = changed_tree(tmp_path, "selftrain.py", "PRUNE_BELOW = 0.01", "PRUNE_BELOW = 0.02")
+    code, verdict, gate = gate_line(tree, tmp_path)
+    assert code == 1 and verdict.startswith(f"{NAME}: classifier.npz: weights: differs by")
+    assert gate == "the quality gate holds"
+    shutil.rmtree(tmp_path / "w")
+    assert gate_line(tree, tmp_path, quality=True) == (
+        0, f"{NAME}: outside the numerics rule (classifier.npz, predictions.jsonl differ)"
+        + sizes(tmp_path / "w"), gate)
+
+
+def test_quality_mode_fails_a_drop(tmp_path):
+    # P@k and PSP@k halved, far past their bounds
+    tree = changed_tree(tmp_path, "metrics.py", "    return total / k\n",
+                        "    return total / k / 2\n")
+    code, _, gate = gate_line(tree, tmp_path, quality=True)
+    assert code == 1
+    assert re.fullmatch(r"(\S+ [\d.e+-]+ -> [\d.e+-]+, a drop of [\d.e+-]+ relative "
+                        r"\(gate: [\d.]+\)(; )?)+", gate), gate
+
+
+@pytest.mark.parametrize("argv", [["a", "b", "--quality", "--quality"], ["--quality", "a"]])
+def test_quality_flag_counts_no_tree(argv, capsys):
+    assert protocol.main(argv) == 2
+    assert "usage: python tests/protocol.py PARENT_TREE CHANGE_TREE [--quality]" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [[], ["a"], ["a", "b", "c"]])

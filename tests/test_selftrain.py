@@ -17,8 +17,8 @@ from weaklabel.config import PipelineConfig
 from weaklabel.kernels import CsrMatrix
 from weaklabel.ranker import CandidateScore
 from weaklabel.selftrain import (
-    BLOCK_ROWS, GRAM_MAX_BYTES, LabelTreeClassifier,
-    build_label_tree, final_rankings, load_classifier, predict_blocks, pseudo_labels,
+    BLOCK_ROWS, GRAM_MAX_BYTES, PRUNE_BELOW, LabelTreeClassifier,
+    build_label_tree, final_rankings, load_classifier, predict_blocks, prune, pseudo_labels,
     save_classifier, train_classifier, _first_rows, _fit_logistic, _fit_nodes, _gram,
     _in_row_space, _normalize_rows, _search_plan,
 )
@@ -27,7 +27,8 @@ from weaklabel.corpus import (Vocabulary, build_vocabulary, load_corpus, load_la
 from weaklabel.synth import SyntheticSpec, write_synthetic
 
 from conftest import (build_tfidf_matrix, csr_row, final_ranking, garbage_after,
-                      load_corpus_records, paper_record, predict_proba, stacked_probabilities)
+                      load_corpus_records, paper_record, predict_proba, stacked_probabilities,
+                      write_unpacked_npz)
 
 
 # the most rows whose float64 Gram matrix takes at most GRAM_MAX_BYTES
@@ -888,13 +889,7 @@ class TestRowSpaceFit:
         assert asked == [(15, 12, 4, 7, given)]
 
     def test_train_classifier_forms_agree(self, monkeypatch, tmp_path):
-        write_synthetic(SyntheticSpec(n_papers=160, n_labels=24, seed=5),
-                        tmp_path / "c.jsonl", tmp_path / "l.jsonl", tmp_path / "m.jsonl")
-        corpus = load_corpus(tmp_path / "c.jsonl", 10)
-        label_ids = [l.id for l in load_labels(tmp_path / "l.jsonl")]
-        X = build_tfidf_matrix(corpus, build_vocabulary(corpus, 2))
-        ids = [p.id for p in corpus]
-        pseudo = {p.id: tuple(sorted(p.gold_labels)) for p in corpus}
+        X, ids, pseudo, label_ids = synth_fit_inputs(tmp_path)
         cfg = PipelineConfig(n_trees=2, max_leaf=6)
         fitted = {}
         for form in (False, True):
@@ -1135,8 +1130,79 @@ class TestOneRowNumbering:
             others = biases.copy()
             others[at] = 0.0
             assert biases[at].any() and not others.any()  # the fit wrote its tree's rows only
-            assert clf.weights[at].tobytes() == weights[at].tobytes()
+            assert clf.weights[at].tobytes() == prune(weights)[at].tobytes()
             assert clf.biases[at].tobytes() == biases[at].tobytes()
+
+
+def synth_fit_inputs(tmp_path, n_papers=160, n_labels=24, seed=5):
+    """(tf-idf, paper ids, gold labels as pseudo labels, label ids) of a synthetic corpus."""
+    write_synthetic(SyntheticSpec(n_papers=n_papers, n_labels=n_labels, seed=seed),
+                    tmp_path / "c.jsonl", tmp_path / "l.jsonl", tmp_path / "m.jsonl")
+    corpus = load_corpus(tmp_path / "c.jsonl", 10)
+    label_ids = [l.id for l in load_labels(tmp_path / "l.jsonl")]
+    X = build_tfidf_matrix(corpus, build_vocabulary(corpus, 2))
+    return X, [p.id for p in corpus], {p.id: tuple(sorted(p.gold_labels)) for p in corpus}, \
+        label_ids
+
+
+class TestPrunedWeights:
+    """train_classifier cuts every fitted weight under PRUNE_BELOW in magnitude to +0.0 and
+    keeps every other weight and every bias bit for bit; classifier.npz then holds the low
+    bytes of the kept weights only, and loads back bit for bit."""
+
+    CFG = PipelineConfig(n_trees=2, max_leaf=6)
+
+    def test_every_weight_is_zero_or_at_least_the_cut(self, tmp_path):
+        clf = train_classifier(*synth_fit_inputs(tmp_path), self.CFG, seed=8)
+        bits = clf.weights.view(np.uint64)
+        assert ((bits == 0) | (np.abs(clf.weights) >= PRUNE_BELOW)).all()
+        assert 0 < np.count_nonzero(bits) < bits.size
+
+    def test_exactly_the_small_weights_are_cut(self, tmp_path, monkeypatch):
+        inputs = synth_fit_inputs(tmp_path)
+        cut = train_classifier(*inputs, self.CFG, seed=8)
+        monkeypatch.setattr(selftrain, "PRUNE_BELOW", 0.0)  # no weight is under 0
+        whole = train_classifier(*inputs, self.CFG, seed=8)
+        assert (cut.roots, cut.nodes) == (whole.roots, whole.nodes)
+        assert cut.biases.tobytes() == whole.biases.tobytes()
+        small = np.abs(whole.weights) < PRUNE_BELOW
+        assert small.any() and not small.all()
+        assert not cut.weights.view(np.uint64)[small].any()  # +0.0, never -0.0
+        assert cut.weights[~small].tobytes() == whole.weights[~small].tobytes()
+
+    @pytest.mark.parametrize("rows", [0, 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 3])
+    def test_prune_cuts_every_block(self, rows):
+        weights = np.random.default_rng(rows).normal(scale=0.02, size=(rows, 7))
+        weights[:, 0] = -0.0
+        want = np.where(np.abs(weights) < PRUNE_BELOW, 0.0, weights)
+        assert prune(weights) is weights and weights.tobytes() == want.tobytes()
+
+    def test_saved_classifier_packs_its_zeros_and_loads_bitwise(self, tmp_path):
+        clf = train_classifier(*synth_fit_inputs(tmp_path), self.CFG, seed=8)
+        save_classifier(clf, tmp_path / "clf.npz")
+        with np.load(tmp_path / "clf.npz") as data:
+            assert data["weights"].shape == (np.count_nonzero(clf.weights),)
+            assert data["biases"].shape == clf.biases.shape
+        loaded = load_classifier(tmp_path / "clf.npz")
+        assert loaded.weights.tobytes() == clf.weights.tobytes()
+        assert loaded.biases.tobytes() == clf.biases.tobytes()
+
+    def test_unpacked_classifier_loads_bitwise(self, tmp_path):
+        # a classifier.npz as written before the cut: every weight stored, exact zeros too
+        clf = random_classifier(np.random.default_rng(2), 9, 5, 2, max_leaf=3)
+        clf.weights[0, :2] = 0.0
+        clf.weights[1, 0] = -0.0
+        save_classifier(clf, tmp_path / "new.npz")
+        meta = bytes(read_npz_members(tmp_path / "new.npz")["meta"])
+        write_unpacked_npz(tmp_path / "old.npz", {"weights": clf.weights, "biases": clf.biases},
+                           meta)
+        with np.load(tmp_path / "old.npz") as data:
+            assert data["weights"].shape == clf.weights.shape
+        loaded = load_classifier(tmp_path / "old.npz")
+        assert (loaded.roots, loaded.nodes, loaded.label_ids) == \
+            (clf.roots, clf.nodes, clf.label_ids)
+        assert loaded.weights.tobytes() == clf.weights.tobytes()
+        assert loaded.biases.tobytes() == clf.biases.tobytes()
 
 
 class TestFinalRanking:
