@@ -162,14 +162,14 @@ def _first_rows(nodes: list[dict]) -> np.ndarray:
                             for rec in nodes])
 
 
-def _in_row_space(n: int, n_cols: int, k: int, epochs: int, given: bool = False) -> bool:
-    """Whether _fit_logistic fits an n-row, k-output problem in row space:
-    when that needs fewer flops than the primal form, the cost of building
-    the Gram matrix counted unless it is ``given``, and the n x n Gram
-    matrix takes at most GRAM_MAX_BYTES."""
-    primal = 2 * epochs * n * n_cols * k
-    row_space = (0 if given else n * n * n_cols) + 2 * epochs * n * n * k + 2 * n * n_cols * k
-    return 8 * n * n <= GRAM_MAX_BYTES and row_space < primal
+def _uses_gram(n: int, n_cols: int, k: int, epochs: int, given: bool = False) -> bool:
+    """Whether _fit_logistic forms an n-row, k-output fit's logits from a
+    Gram matrix: when that needs fewer flops than forming them from the
+    weights, the cost of building the Gram matrix counted unless it is
+    ``given``, and the n x n Gram matrix takes at most GRAM_MAX_BYTES."""
+    from_weights = 2 * epochs * n * n_cols * k
+    from_gram = (0 if given else n * n * n_cols) + 2 * epochs * n * n * k + 2 * n * n_cols * k
+    return 8 * n * n <= GRAM_MAX_BYTES and from_gram < from_weights
 
 
 def _gram(X: CsrMatrix, rows: np.ndarray) -> np.ndarray:
@@ -197,30 +197,26 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: PipelineCo
     """Multi-output L2 logistic regression on ``rows`` of X, from zero.
 
     Column j of ``Y`` (rows x k) gets the full-batch gradient descent of
-    kernels.logistic_epochs on its own: per epoch, ``D = (sigmoid(X W' +
-    b) - Y) / sizes``, ``W <- s W - lr D'X`` and ``b <- b - lr sum(D)``,
-    where ``s = 1 - lr l2``, with ``cfg``'s classifier_lr, classifier_l2
-    and E = classifier_epochs epochs. ``sizes`` (rows x k) divides D cell
-    by cell, every cell by the row count n when it is None; D is exactly
-    0 in an ``inf`` cell, so one call can fit many nodes (_fit_nodes).
-    Two exact forms of it run on dense row blocks:
+    kernels.logistic_epochs on its own, with ``cfg``'s classifier_lr,
+    classifier_l2 and E = classifier_epochs epochs. The weights stay ``W =
+    A'X`` for an n x k matrix A over the n rows, so the descent runs on
+    ``A'``: per epoch, ``Z = W X' + b``, ``D = (sigmoid(Z) - Y') / sizes'``,
+    ``A' <- s A' - lr D`` and ``b <- b - lr sum(D)``, where ``s = 1 - lr
+    l2``, and ``W = A'X`` is formed once at the end from dense row blocks.
+    ``sizes`` (rows x k) divides D cell by cell, every cell by n when it is
+    None; D is exactly 0 in an ``inf`` cell, so one call can fit many nodes
+    (_fit_nodes). An epoch's logits come one of two ways:
 
-    - primal: each epoch is one pass over the rows, a block product for
-      the logits and a transposed one for the weight gradient
-      (``2 E n C k`` flops for n rows, C columns, k outputs, E epochs);
-    - row space: since W stays ``A'X`` for an n x k matrix A, take the
-      Gram matrix ``K = X X'`` of the rows, run each epoch on ``A'`` as
-      ``Z' = A' K + b`` (``(K A)'``, as K is exactly symmetric, and the
-      faster layout), ``A <- s A - lr D``, and form ``W = A'X`` at the end
-      (``2 E n^2 k + 2 n C k`` flops, and ``n^2 C`` more to build K from
-      pairs of blocks).
+    - from the Gram matrix ``K = X X'`` of the rows, as ``A' K`` (``(K
+      A)'``, as K is exactly symmetric, and the faster layout);
+    - without one, as ``W = A'X`` and then ``W X'``, two passes over the
+      dense row blocks.
 
     ``K``, if given, is the Gram matrix of a set of rows that holds
-    ``rows`` at its positions ``at`` (all of them when ``at`` is None), so
-    the row-space form takes its sub-block instead of building one. The
-    row-space form runs when it needs fewer flops and its Gram matrix
-    takes at most GRAM_MAX_BYTES (see _in_row_space). Returns the weights
-    (k x n_cols) and biases (k,).
+    ``rows`` at its positions ``at`` (all of them when ``at`` is None), and
+    its sub-block is taken instead of building one. A Gram matrix is used
+    when that needs fewer flops and it takes at most GRAM_MAX_BYTES (see
+    _uses_gram). Returns the weights (k x n_cols) and biases (k,).
     """
     n, k = Y.shape
     W = np.zeros((k, X.n_cols))
@@ -228,42 +224,37 @@ def _fit_logistic(X: CsrMatrix, rows: np.ndarray, Y: np.ndarray, cfg: PipelineCo
     if n == 0:
         return W, b
     sizes = np.broadcast_to(float(n) if sizes is None else sizes, Y.shape)
+    gram = _uses_gram(n, X.n_cols, k, cfg.classifier_epochs, K is not None)
+    if gram and K is None:
+        K = _gram(X, rows)
+    elif gram and at is not None:
+        K = K[np.ix_(at, at)]
+    blocks = list(_row_blocks(X, rows, BLOCK_ROWS))
     buf = np.zeros((min(n, BLOCK_ROWS), X.n_cols))
     part = np.empty_like(W)
-    if _in_row_space(n, X.n_cols, k, cfg.classifier_epochs, K is not None):
-        if K is None:
-            K = _gram(X, rows)
-        elif at is not None:
-            K = K[np.ix_(at, at)]
-        At = np.zeros((k, n))  # A'
-        shrink = 1.0 - cfg.classifier_lr * cfg.classifier_l2
-        for _ in range(cfg.classifier_epochs):
-            Z = At @ K
-            Z += b[:, None]
-            D = (_sigmoid(Z) - Y.T) / sizes.T
-            At = shrink * At - cfg.classifier_lr * D
-            b -= cfg.classifier_lr * D.sum(axis=1)
-        for start, dense in _dense_blocks(_row_blocks(X, rows, BLOCK_ROWS), buf):
-            np.matmul(At[:, start:start + dense.shape[0]], dense, out=part)
-            W += part
-        return W, b
-    blocks = list(_row_blocks(X, rows, BLOCK_ROWS))
-    D = np.empty((n, k))
-    G = np.empty_like(W)
-    for _ in range(cfg.classifier_epochs):
-        G.fill(0.0)
+    At = np.zeros((k, n))  # A'
+    Z = np.empty((k, n))
+    shrink = 1.0 - cfg.classifier_lr * cfg.classifier_l2
+
+    def weights() -> np.ndarray:  # W = A'X
+        W.fill(0.0)
         for start, dense in _dense_blocks(blocks, buf):
-            stop = start + dense.shape[0]
-            z = dense @ W.T
-            z += b
-            d = D[start:stop]
-            np.subtract(_sigmoid(z), Y[start:stop], out=d)
-            d /= sizes[start:stop]
-            np.matmul(d.T, dense, out=part)
-            G += part
-        W -= cfg.classifier_lr * (G + cfg.classifier_l2 * W)
-        b -= cfg.classifier_lr * D.sum(axis=0)
-    return W, b
+            np.matmul(At[:, start:start + dense.shape[0]], dense, out=part)
+            np.add(W, part, out=W)
+        return W
+
+    for _ in range(cfg.classifier_epochs):
+        if gram:
+            np.matmul(At, K, out=Z)
+        else:
+            weights()
+            for start, dense in _dense_blocks(blocks, buf):
+                np.matmul(W, dense.T, out=Z[:, start:start + dense.shape[0]])
+        Z += b[:, None]
+        D = (_sigmoid(Z) - Y.T) / sizes.T
+        At = shrink * At - cfg.classifier_lr * D
+        b -= cfg.classifier_lr * D.sum(axis=1)
+    return weights(), b
 
 
 def _fit_nodes(nodes: list[dict], positions, X: CsrMatrix, member: np.ndarray,

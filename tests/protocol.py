@@ -25,11 +25,12 @@ predict's other branches (PREDICT_MODES: ``--no-selftrain``, and
 ``--config`` holding ``{"ranking_limit": 3}``), and the two must write the
 same ``predictions.jsonl``. One line per input says
 ``cmp-identical`` (every output file byte for byte), ``within the
-numerics rule`` (naming the files that differ) or each breach that
-``numerics_rule.compare_outputs`` finds, then the bytes of each tree's
-output directory. A second line gives each gated metric of the quality
-gate (``quality_gate.py``) in both trees' ``metrics.json`` and its
-relative change, then the gate's verdict: that it holds, or each breach
+numerics rule`` (naming the files that differ) or the breaches that
+``numerics_rule.compare_outputs`` finds, at most SHOWN_BREACHES per file
+and then how many more, then the bytes of each tree's output directory.
+A second line gives each gated metric of the quality gate
+(``quality_gate.py``) in both trees' ``metrics.json`` and its relative
+change, then the gate's verdict: that it holds, or each breach
 that ``quality_gate.compare_metrics`` finds. Once both run-alls have
 finished, a third line gives each tree's ``run-all`` wall time (the
 parent's runs first, so the trees alternate) and the change's relative to
@@ -79,6 +80,7 @@ RERUNS = (("score", ("scores.jsonl", "score_stats.json")), ("predict", ("predict
 # parent's run-all output: (mode, its flags), a relative path resolved in the input's directory
 PREDICT_MODES = (("--no-selftrain", ("--no-selftrain",)),
                  ("ranking_limit 3", ("--config", "ranking_limit.json")))
+SHOWN_BREACHES = 5  # per file on a verdict line; the rest are counted
 
 # the CLI of the tree whose src/ is the first argument, imported from nowhere else
 _LAUNCH = ("import sys; src = sys.argv.pop(1); sys.path.insert(0, src)\n"
@@ -189,8 +191,22 @@ def _verdict(ref: Path, new: Path, quality: bool = False) -> tuple[int, str]:
     breaches = compare_outputs(ref, new)
     if breaches:
         return 1, (f"outside the numerics rule ({', '.join(differ)} differ)" if quality
-                   else "; ".join(breaches))
+                   else "; ".join(_capped(breaches)))
     return 0, f"within the numerics rule ({', '.join(differ)} differ)"
+
+
+def _capped(breaches: list[str]) -> list[str]:
+    """The first SHOWN_BREACHES of ``breaches`` per file (the text before a
+    breach's first colon), each file's rest counted as "<file>: and N more"."""
+    by_file: dict[str, list[str]] = {}
+    for line in breaches:
+        by_file.setdefault(line.split(":", 1)[0], []).append(line)
+    shown = []
+    for name, lines in by_file.items():
+        shown += lines[:SHOWN_BREACHES]
+        if len(lines) > SHOWN_BREACHES:
+            shown.append(f"{name}: and {len(lines) - SHOWN_BREACHES} more")
+    return shown
 
 
 def output_bytes(directory: Path) -> int:

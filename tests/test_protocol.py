@@ -80,6 +80,26 @@ def test_changed_output_is_a_breach(tmp_path):
     assert line.endswith(sizes(tmp_path / "w")) and "(-" in sizes(tmp_path / "w")
 
 
+def test_verdict_shows_five_breaches_a_file_then_counts_the_rest(tmp_path):
+    ref, new = tmp_path / "ref", tmp_path / "new"
+    for out, scores, stats in ((ref, [0.5, 0.25], 3), (new, [0.25, 0.5], 4)):
+        out.mkdir()
+        (out / "predictions.jsonl").write_text("".join(
+            f'{{"paper_id": "p{i}", "ranking": ["a", "b"], "top_k_scores": {scores}}}\n'
+            for i in range(8)))
+        (out / "metrics.json").write_text(f'{{"p_at_1": 1.0, "n": {stats}}}')
+    code, verdict = protocol._verdict(ref, new)
+    assert code == 1
+    breaches = verdict.split("; ")
+    assert breaches == [
+        "metrics.json: n: differs by up to 0.25 relative (rule: 1e-12)",
+        *(f"predictions.jsonl: paper 'p{i}': top_k_scores: differs by up to 0.5 relative "
+          "(rule: 1e-12)" for i in range(5)),
+        "predictions.jsonl: and 3 more"]
+    assert protocol._verdict(ref, new, quality=True) == (
+        1, "outside the numerics rule (metrics.json, predictions.jsonl differ)")
+
+
 def test_synth_that_writes_other_bytes_fails(tmp_path):
     tree = changed_tree(tmp_path, "synth.py", "TITLE_INJECT_PROB = 0.25", "TITLE_INJECT_PROB = 0.5")
     # no run-all ran, so there are no wall times to report

@@ -20,7 +20,7 @@ from weaklabel.selftrain import (
     BLOCK_ROWS, GRAM_MAX_BYTES, PRUNE_BELOW, LabelTreeClassifier,
     build_label_tree, final_rankings, load_classifier, predict_blocks, prune, pseudo_labels,
     save_classifier, train_classifier, _first_rows, _fit_logistic, _fit_nodes, _gram,
-    _in_row_space, _normalize_rows, _search_plan,
+    _normalize_rows, _search_plan, _uses_gram,
 )
 from weaklabel.corpus import (Vocabulary, build_vocabulary, load_corpus, load_labels,
                               read_npz_members)
@@ -653,9 +653,9 @@ class TestMaskedRoutingFit:
     """_fit_nodes fits every routing node in one _fit_logistic call, whose per-cell divisors
     (``sizes``) keep each node to its own rows and columns."""
 
-    @pytest.mark.parametrize("form", [False, True])  # primal, row space
+    @pytest.mark.parametrize("form", [False, True])  # logits from the weights, from a Gram
     def test_one_call_matches_a_fit_per_node(self, monkeypatch, form):
-        monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: form)
+        monkeypatch.setattr(selftrain, "_uses_gram", lambda *shape: form)
         rng = np.random.default_rng(23)
         ids = [f"L{j}" for j in range(10)]
         tree = build_label_tree(rng.random((10, 4)), ids, max_leaf=1, seed=1)
@@ -688,7 +688,7 @@ class TestMaskedRoutingFit:
 
     @pytest.mark.parametrize("form", [False, True])
     def test_sizes_of_the_row_count_fit_alike_and_inf_leaves_zeros(self, monkeypatch, form):
-        monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: form)
+        monkeypatch.setattr(selftrain, "_uses_gram", lambda *shape: form)
         rng = np.random.default_rng(24)
         X = random_csr(rng, BLOCK_ROWS + 30, 20)
         rows = np.arange(0, X.n_rows, 2)
@@ -785,7 +785,8 @@ def kernel_fit(X, rows, Y, cfg):
 
 
 class TestRowSpaceFit:
-    """The row-space (Gram matrix) form of _fit_logistic."""
+    """_fit_logistic with its logits formed from a Gram matrix, and the rule that
+    chooses it."""
 
     @pytest.mark.parametrize("gram", [None, "rows", "superset"])
     @pytest.mark.parametrize("n_rows, k, subset", [
@@ -796,7 +797,7 @@ class TestRowSpaceFit:
         (7, 3, False),
     ])
     def test_matches_per_label_kernel(self, monkeypatch, n_rows, k, subset, gram):
-        monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: True)
+        monkeypatch.setattr(selftrain, "_uses_gram", lambda *shape: True)
         rng = np.random.default_rng(100 * n_rows + k)
         X = random_csr(rng, n_rows, 50, empty_rows={0, 3, n_rows // 2, n_rows - 1})
         rows = (np.sort(rng.choice(n_rows, size=2 * n_rows // 3, replace=False))
@@ -830,7 +831,7 @@ class TestRowSpaceFit:
         rows = np.arange(3, 40, 3)
         Y = (rng.random((rows.size, 3)) < 0.5).astype(np.float64)
         full = _gram(X, np.arange(40))
-        monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: True)
+        monkeypatch.setattr(selftrain, "_uses_gram", lambda *shape: True)
         monkeypatch.setattr(selftrain, "_gram", lambda *args: pytest.fail("a Gram was built"))
         cfg = PipelineConfig(classifier_epochs=9)
         by_rows = _fit_logistic(X, rows, Y, cfg, full[np.ix_(rows, rows)])
@@ -841,7 +842,7 @@ class TestRowSpaceFit:
     def test_chosen_without_forcing_on_a_wide_leaf(self):
         rng = np.random.default_rng(3)
         n_rows, n_cols, k = 2 * BLOCK_ROWS + 20, 600, 30
-        assert _in_row_space(n_rows, n_cols, k, 20)
+        assert _uses_gram(n_rows, n_cols, k, 20)
         X = random_csr(rng, n_rows, n_cols, max_nnz=30, empty_rows={5})
         rows = np.arange(n_rows)
         Y = (rng.random((n_rows, k)) < 0.2).astype(np.float64)
@@ -865,21 +866,42 @@ class TestRowSpaceFit:
                             row_space = build + 2 * e * n * n * k + 2 * n * c * k
                             want = (8 * n * n <= GRAM_MAX_BYTES
                                     and row_space < 2 * e * n * c * k)
-                            assert _in_row_space(n, c, k, e, given) == want, (n, c, k, e, given)
-                        assert _in_row_space(n, c, k, e) == _in_row_space(n, c, k, e, False)
-        assert _in_row_space(400, 2080, 55, 20)  # a leaf
-        assert not _in_row_space(400, 2080, 2, 20)  # a routing node
-        assert _in_row_space(400, 2080, 2, 20, given=True)  # ... unless its Gram is given
-        assert not _in_row_space(1000, 40, 2, 20, given=True)  # more rows than columns
-        assert _in_row_space(1224, 4400, 62, 20)  # the largest leaf at 5000 x 500
-        assert _in_row_space(GRAM_ROWS, 4400, 100, 20)
-        assert not _in_row_space(GRAM_ROWS + 1, 4400, 100, 20)  # fewer flops, too big
-        assert not _in_row_space(GRAM_ROWS + 1, 4400, 100, 20, given=True)
+                            assert _uses_gram(n, c, k, e, given) == want, (n, c, k, e, given)
+                        assert _uses_gram(n, c, k, e) == _uses_gram(n, c, k, e, False)
+        assert _uses_gram(400, 2080, 55, 20)  # a leaf
+        assert not _uses_gram(400, 2080, 2, 20)  # a routing node
+        assert _uses_gram(400, 2080, 2, 20, given=True)  # ... unless its Gram is given
+        assert not _uses_gram(1000, 40, 2, 20, given=True)  # more rows than columns
+        assert _uses_gram(1224, 4400, 62, 20)  # the largest leaf at 5000 x 500
+        assert _uses_gram(GRAM_ROWS, 4400, 100, 20)
+        assert not _uses_gram(GRAM_ROWS + 1, 4400, 100, 20)  # fewer flops, too big
+        assert not _uses_gram(GRAM_ROWS + 1, 4400, 100, 20, given=True)
+
+    def test_fit_over_the_budget_builds_no_gram(self, monkeypatch):
+        n = 1300  # an n x n Gram matrix would take more than GRAM_MAX_BYTES
+        assert 8 * n * n > GRAM_MAX_BYTES
+        rng = np.random.default_rng(13)
+        X = random_csr(rng, n, 50)
+        rows = np.arange(n)
+        Y = (rng.random((n, 2)) < 0.4).astype(np.float64)
+        cfg = PipelineConfig(classifier_epochs=20, classifier_lr=2.0, classifier_l2=1e-4)
+        monkeypatch.setattr(selftrain, "_gram", lambda *args: pytest.fail("a Gram was built"))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            W, b = _fit_logistic(X, rows, Y, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n, peak
+        W_ref, b_ref = kernel_fit(X, rows, Y, cfg)
+        np.testing.assert_allclose(W, W_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b, b_ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("given", [False, True])
     def test_fit_asks_the_rule_with_the_node_shape(self, monkeypatch, given):
         asked = []
-        monkeypatch.setattr(selftrain, "_in_row_space",
+        monkeypatch.setattr(selftrain, "_uses_gram",
                             lambda *shape: asked.append(shape) or False)
         X = random_csr(np.random.default_rng(4), 30, 12)
         K = _gram(X, np.arange(30)) if given else None
@@ -893,18 +915,18 @@ class TestRowSpaceFit:
         cfg = PipelineConfig(n_trees=2, max_leaf=6)
         fitted = {}
         for form in (False, True):
-            monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape, f=form: f)
+            monkeypatch.setattr(selftrain, "_uses_gram", lambda *shape, f=form: f)
             fitted[form] = train_classifier(X, ids, pseudo, label_ids, cfg, seed=8)
-        primal, dual = fitted[False], fitted[True]
-        assert (primal.roots, primal.nodes) == (dual.roots, dual.nodes)
-        np.testing.assert_allclose(primal.weights, dual.weights, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(primal.biases, dual.biases, rtol=0, atol=1e-12)
-        pa, pb = stacked_probabilities(primal, X, 3), stacked_probabilities(dual, X, 3)
+        plain, gram = fitted[False], fitted[True]
+        assert (plain.roots, plain.nodes) == (gram.roots, gram.nodes)
+        np.testing.assert_allclose(plain.weights, gram.weights, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(plain.biases, gram.biases, rtol=0, atol=1e-12)
+        pa, pb = stacked_probabilities(plain, X, 3), stacked_probabilities(gram, X, 3)
         np.testing.assert_array_equal(pa > 0, pb > 0)  # the same labels reached
         np.testing.assert_allclose(pa, pb, rtol=0, atol=1e-12)
         pinned = [[] for _ in ids]
-        assert final_rankings(pinned, pa, primal.label_ids) == \
-            final_rankings(pinned, pb, dual.label_ids)
+        assert final_rankings(pinned, pa, plain.label_ids) == \
+            final_rankings(pinned, pb, gram.label_ids)
 
 
 class TestSharedGram:
@@ -920,10 +942,10 @@ class TestSharedGram:
         pseudo = {f"p{i}": tuple(rng.choice(ids, size=2, replace=False))
                   for i in range(n_labelled)}
         builds, asked = [], []
-        gram, rule = selftrain._gram, selftrain._in_row_space
+        gram, rule = selftrain._gram, selftrain._uses_gram
         monkeypatch.setattr(selftrain, "_gram", lambda X, rows: builds.append(rows.size)
                             or gram(X, rows))
-        monkeypatch.setattr(selftrain, "_in_row_space", lambda *shape: asked.append(
+        monkeypatch.setattr(selftrain, "_uses_gram", lambda *shape: asked.append(
             (shape, rule(*shape))) or asked[-1][1])
         train_classifier(X, [f"p{i}" for i in range(n_papers)], pseudo, ids,
                          PipelineConfig(n_trees=2, max_leaf=40, classifier_epochs=20))
@@ -933,13 +955,13 @@ class TestSharedGram:
         builds, asked = self.fit(monkeypatch, GRAM_ROWS)
         assert builds == [GRAM_ROWS]
         assert asked and all(shape[4] for shape, _ in asked)  # every node is given it
-        assert all(in_row_space for _, in_row_space in asked)
+        assert all(uses_gram for _, uses_gram in asked)
 
     def test_per_node_builds_above_the_budget(self, monkeypatch):
         builds, asked = self.fit(monkeypatch, GRAM_ROWS + 1)
         assert not any(shape[4] for shape, _ in asked)
-        own = [shape[0] for shape, in_row_space in asked if in_row_space]
-        assert own and builds == own  # one build per leaf fitted in row space
+        own = [shape[0] for shape, uses_gram in asked if uses_gram]
+        assert own and builds == own  # one build per leaf whose rule takes a Gram
         # first the one routing fit: 2 trees of 3 routing nodes of 2 children each
         assert asked[0] == ((GRAM_ROWS + 1, 2000, 12, 20, False), False)
 
